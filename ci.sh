@@ -189,12 +189,16 @@ bench = json.load(open("BENCH_engine.json"))
 assert bench["name"] == "kernels_microbench", "wrong bench artifact"
 assert bench["smoke"] is True, "smoke run must be marked as such"
 assert bench["sizes"], "no sizes measured"
-for kernel in ("filter", "project", "hash_join", "hash_aggregate", "sort"):
+for kernel in ("filter", "filter_str_eq", "filter_wide", "project", "hash_join",
+               "hash_aggregate", "sort"):
     rates = bench["kernels"][kernel]
     assert rates, f"kernel {kernel} has no measurements"
     for size, rate in rates.items():
         assert rate > 0, f"kernel {kernel} measured zero throughput at {size} rows"
 print(f"    engine bench OK ({len(bench['kernels'])} kernels)")
 EOF
+
+echo "==> perf/check.sh (the benchmark at smoke size: every workload, every output checked)"
+perf/check.sh
 
 echo "==> OK"

@@ -4,7 +4,11 @@
 //! executor on synthetic tables at 10^4–10^6 rows: filter, project,
 //! hash-join, hash-aggregate, sort. These are the hot paths the vectorized
 //! typed kernels replace; the JSON artifact records the achieved rates so
-//! speedups are *recorded*, not asserted in prose.
+//! speedups are *recorded*, not asserted in prose. Two more filters keep
+//! the executor's own bookkeeping visible at this altitude: `filter_str_eq`
+//! (a string column against a literal — the literal must stay a scalar) and
+//! `filter_wide` (an integer predicate over a table that also carries three
+//! string columns — chunking must not copy what the predicate never reads).
 //!
 //! Usage:
 //!   kernels [--out PATH] [--smoke] [--baseline PATH] [--measure-secs F]
@@ -64,6 +68,32 @@ fn fact_table(n: usize, rng: &mut DetRng) -> Table {
     Table::from_rows(schema, &rows).unwrap()
 }
 
+/// Wide table for `filter_wide`: id INT, qty INT and three string columns
+/// the predicate never reads.
+fn wide_table(n: usize, rng: &mut DetRng) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("w_id", DataType::Int),
+        Field::new("w_qty", DataType::Int),
+        Field::new("name", DataType::Str),
+        Field::new("city", DataType::Str),
+        Field::new("note", DataType::Str),
+    ])
+    .unwrap()
+    .into_ref();
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|i| {
+            vec![
+                Value::Int(i as i64),
+                Value::Int(rng.range_i64(0, 100)),
+                Value::Str(format!("user-{i:08}")),
+                Value::Str(SEGS[rng.range_usize(0, SEGS.len())].into()),
+                Value::Str(format!("order {i} shipped from {}", SEGS[i % SEGS.len()])),
+            ]
+        })
+        .collect();
+    Table::from_rows(schema, &rows).unwrap()
+}
+
 /// Dimension table keyed on the fact `id % dim_n`.
 fn dim_table(n: usize) -> Table {
     let schema =
@@ -107,6 +137,7 @@ impl Bench {
         let id = catalog.id_of("fact").unwrap();
         catalog.bulk_update(id, keyed, SimTime::EPOCH).unwrap();
         catalog.register("dim", dim_table(dim_n), SimTime::EPOCH).unwrap();
+        catalog.register("wide", wide_table(n, &mut rng), SimTime::EPOCH).unwrap();
         Bench {
             catalog,
             views: ViewStore::with_default_ttl(),
@@ -169,6 +200,16 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>)> {
         .filter(col("qty").gt(lit(50)).and(col("val").lt(lit(500.0))))
         .unwrap()
         .build();
+    let filter_str_eq = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .filter(col("seg").eq(lit("asia")))
+        .unwrap()
+        .build();
+    let filter_wide = PlanBuilder::scan(&bench.catalog, "wide")
+        .unwrap()
+        .filter(col("w_qty").gt(lit(50)))
+        .unwrap()
+        .build();
     let project = PlanBuilder::scan(&bench.catalog, "fact")
         .unwrap()
         .project(vec![
@@ -201,6 +242,8 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>)> {
         .build();
     vec![
         ("filter", filter),
+        ("filter_str_eq", filter_str_eq),
+        ("filter_wide", filter_wide),
         ("project", project),
         ("hash_join", join),
         ("hash_aggregate", agg),
@@ -315,7 +358,7 @@ fn main() {
         }
         walk(&physical, &mut kinds);
         let want = match name {
-            "filter" => "Filter",
+            "filter" | "filter_str_eq" | "filter_wide" => "Filter",
             "project" => "Project",
             "hash_join" => "HashJoin",
             "hash_aggregate" => "HashAggregate",

@@ -115,15 +115,23 @@ impl Bitmap {
         out
     }
 
-    /// Copy of the `len` bits starting at `offset` (chunk slicing).
+    /// Copy of the `len` bits starting at `offset` (chunk slicing), moved a
+    /// word at a time: `len / 8` bytes, the only per-row data a column
+    /// window copies.
     pub fn slice(&self, offset: usize, len: usize) -> Bitmap {
         assert!(offset + len <= self.len, "bitmap slice out of range");
-        let mut out = Bitmap::all_clear(len);
-        for i in 0..len {
-            if self.get(offset + i) {
-                out.set(i, true);
-            }
-        }
+        let (first, shift) = (offset / 64, offset % 64);
+        let words = (0..len.div_ceil(64))
+            .map(|k| {
+                let lo = self.words[first + k] >> shift;
+                match self.words.get(first + k + 1) {
+                    Some(next) if shift > 0 => lo | (next << (64 - shift)),
+                    _ => lo,
+                }
+            })
+            .collect();
+        let mut out = Bitmap { words, len };
+        out.mask_tail();
         out
     }
 
@@ -210,6 +218,22 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert!(t.get(0) && t.get(1) && t.get(2));
         assert!(!t.get(3));
+    }
+
+    #[test]
+    fn slice_matches_bitwise_copy_at_every_alignment() {
+        let bools: Vec<bool> = (0..300).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+        let b = Bitmap::from_bools(&bools);
+        for offset in [0, 1, 63, 64, 65, 128, 200, 299, 300] {
+            for len in [0, 1, 63, 64, 65, 100, 300] {
+                if offset + len > 300 {
+                    continue;
+                }
+                let s = b.slice(offset, len);
+                // Equality covers the masked tail too.
+                assert_eq!(s, Bitmap::from_bools(&bools[offset..offset + len]), "{offset}+{len}");
+            }
+        }
     }
 
     #[test]

@@ -111,6 +111,7 @@ impl DatasetCatalog {
         now: SimTime,
     ) -> Result<DatasetId> {
         let name = name.into();
+        let data = data.compact();
         if self.by_name.contains_key(&name) {
             return Err(CvError::constraint(format!("dataset `{name}` already exists")));
         }
@@ -169,6 +170,7 @@ impl DatasetCatalog {
     /// This is the *only* way dataset contents change — there are no
     /// in-place updates, mirroring the enterprise pattern in paper §2.1.
     pub fn bulk_update(&mut self, id: DatasetId, data: Table, now: SimTime) -> Result<VersionGuid> {
+        let data = data.compact();
         let ds = self
             .datasets
             .get_mut(id.0 as usize)
@@ -215,6 +217,9 @@ impl DatasetCatalog {
         delta: TableDelta,
         now: SimTime,
     ) -> Result<VersionGuid> {
+        let data = data.compact();
+        let delta =
+            TableDelta { inserts: delta.inserts.compact(), deletes: delta.deletes.compact() };
         let ds = self
             .datasets
             .get_mut(id.0 as usize)

@@ -3,8 +3,9 @@
 //! A [`ChunkedTable`] is a [`Table`] viewed as a sequence of fixed-size
 //! chunks — the morsels that stream through operator pipelines and get
 //! scheduled across worker threads. Each chunk is itself a `Table` whose
-//! column segments sit behind their own `Arc<ColumnData>`, so handing a
-//! sealed chunk to a concurrent consumer is a reference bump.
+//! columns are windows over the source table's buffers
+//! ([`Table::slice`]), so splitting copies no rows; a chunk that is handed
+//! to another owner is compacted first ([`Table::compact`]).
 //!
 //! The layout contract: chunk `k` of a table with `rows` rows covers rows
 //! `[k * chunk_size, min((k + 1) * chunk_size, rows))`. An empty table is
@@ -35,24 +36,17 @@ pub fn chunk_ranges(rows: usize, chunk_size: usize) -> Vec<(usize, usize)> {
 pub struct ChunkedTable {
     schema: SchemaRef,
     chunks: Vec<Table>,
-    chunk_size: usize,
 }
 
 impl ChunkedTable {
-    /// Split a table into `chunk_size`-row chunks. When the table fits one
-    /// chunk the split is zero-copy (the single chunk shares the buffers).
+    /// Split a table into `chunk_size`-row chunks, each a window over the
+    /// table's buffers (no row is copied at any chunk size).
     pub fn from_table(table: &Table, chunk_size: usize) -> ChunkedTable {
-        let chunk_size = chunk_size.max(1);
         let chunks = chunk_ranges(table.num_rows(), chunk_size)
             .into_iter()
             .map(|(off, len)| table.slice(off, len))
             .collect();
-        ChunkedTable { schema: table.schema().clone(), chunks, chunk_size }
-    }
-
-    /// Wrap already-produced chunks (a pipeline stage's outputs).
-    pub fn from_parts(schema: SchemaRef, chunks: Vec<Table>, chunk_size: usize) -> ChunkedTable {
-        ChunkedTable { schema, chunks, chunk_size: chunk_size.max(1) }
+        ChunkedTable { schema: table.schema().clone(), chunks }
     }
 
     pub fn schema(&self) -> &SchemaRef {
@@ -78,61 +72,6 @@ impl ChunkedTable {
     /// Reassemble into one contiguous (normalized) table.
     pub fn into_table(self) -> Result<Table> {
         Table::from_chunks(self.schema, &self.chunks)
-    }
-
-    /// Gather rows by global index, chunk-aware: any maximal run of indices
-    /// that is exactly the identity of one source chunk reuses that chunk's
-    /// buffers (reference bump) instead of gathering — one out-of-order
-    /// index elsewhere in the table no longer forces a full gather of every
-    /// column. Non-identity runs fall back to a per-chunk gather.
-    pub fn take(&self, indices: &[usize]) -> Result<ChunkedTable> {
-        // Chunk start offsets, for spotting runs that begin at a chunk.
-        let mut start_of = std::collections::HashMap::new();
-        let mut off = 0usize;
-        for (k, c) in self.chunks.iter().enumerate() {
-            if c.num_rows() > 0 {
-                start_of.insert(off, k);
-            }
-            off += c.num_rows();
-        }
-        let mut whole: Option<Table> = None;
-        let mut out: Vec<Table> = Vec::new();
-        let mut gather: Vec<usize> = Vec::new();
-        let mut pos = 0usize;
-        while pos < indices.len() {
-            let run = start_of.get(&indices[pos]).copied().filter(|&k| {
-                let len = self.chunks[k].num_rows();
-                indices.len() >= pos + len
-                    && indices[pos..pos + len]
-                        .iter()
-                        .enumerate()
-                        .all(|(j, &i)| i == indices[pos] + j)
-            });
-            match run {
-                Some(k) => {
-                    if !gather.is_empty() {
-                        if whole.is_none() {
-                            whole = Some(Table::from_chunks(self.schema.clone(), &self.chunks)?);
-                        }
-                        out.push(whole.as_ref().unwrap().take(&gather)?);
-                        gather.clear();
-                    }
-                    pos += self.chunks[k].num_rows();
-                    out.push(self.chunks[k].clone());
-                }
-                None => {
-                    gather.push(indices[pos]);
-                    pos += 1;
-                }
-            }
-        }
-        if !gather.is_empty() {
-            if whole.is_none() {
-                whole = Some(Table::from_chunks(self.schema.clone(), &self.chunks)?);
-            }
-            out.push(whole.as_ref().unwrap().take(&gather)?);
-        }
-        Ok(ChunkedTable { schema: self.schema.clone(), chunks: out, chunk_size: self.chunk_size })
     }
 }
 
@@ -192,23 +131,6 @@ mod tests {
         let ct = ChunkedTable::from_table(&t, DEFAULT_CHUNK_SIZE);
         assert_eq!(ct.num_chunks(), 1);
         assert!(ct.chunk(0).column(0).ptr_eq(t.column(0)));
-    }
-
-    #[test]
-    fn chunk_identity_take_shares_buffers_per_chunk() {
-        let t = table(20);
-        let ct = ChunkedTable::from_table(&t, 5);
-        // Chunks 0 and 2 are identity runs; rows 5..10 are shuffled.
-        let mut idx: Vec<usize> = (0..5).collect();
-        idx.extend([9, 8, 7, 6, 5]);
-        idx.extend(10..15);
-        let taken = ct.take(&idx).unwrap();
-        assert!(taken.chunk(0).column(0).ptr_eq(ct.chunk(0).column(0)), "chunk 0 not shared");
-        assert!(taken.chunk(2).column(0).ptr_eq(ct.chunk(2).column(0)), "chunk 2 not shared");
-        assert_eq!(taken.num_rows(), 15);
-        let got = taken.into_table().unwrap();
-        let want = t.take(&idx).unwrap();
-        assert_eq!(got.to_rows(), want.to_rows());
     }
 
     #[test]

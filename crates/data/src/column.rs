@@ -42,16 +42,40 @@ impl ColumnData {
     }
 }
 
-/// One column of a table: typed buffer + optional validity bitmap
-/// (`None` means every row is valid).
+/// Borrowed typed rows of a column, exactly its window: `view[i]` is row
+/// `i` of the column whatever the backing buffer holds before or after it.
+/// Every operator and kernel reads columns through this (or the typed
+/// accessors built on it), never through the buffer.
+#[derive(Clone, Copy, Debug)]
+pub enum ColumnView<'a> {
+    Bool(&'a [bool]),
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Str(&'a [String]),
+    Date(&'a [i32]),
+}
+
+/// One column of a table: a row window over a shared typed buffer + optional
+/// validity bitmap (`None` means every row is valid).
 ///
 /// The buffer is behind an `Arc`, so cloning a column (and hence a table)
 /// is a reference bump, never a data copy — view-store reads, catalog
 /// publishes and spool snapshots all share one immutable buffer. Columns
 /// are never mutated in place; every operator builds fresh buffers.
+///
+/// A column built from values covers its whole buffer (it is *compact*).
+/// [`Column::slice`] narrows the window without touching the buffer, which
+/// is how chunked operators walk a table; every accessor is relative to
+/// the window. A windowed column keeps its whole parent buffer alive, so a
+/// table that leaves a query is compacted first ([`Column::compact`]).
 #[derive(Clone, Debug)]
 pub struct Column {
     data: Arc<ColumnData>,
+    /// First buffer row of the window.
+    offset: usize,
+    /// Rows in the window.
+    len: usize,
+    /// Window-relative: bit `i` is row `i` of the column.
     validity: Option<Bitmap>,
 }
 
@@ -60,7 +84,7 @@ impl Column {
         if let Some(v) = &validity {
             assert_eq!(v.len(), data.len(), "validity length mismatch");
         }
-        Column { data: Arc::new(data), validity }
+        Column { offset: 0, len: data.len(), data: Arc::new(data), validity }
     }
 
     /// Build a column of the given type from row values, validating types.
@@ -73,32 +97,59 @@ impl Column {
     }
 
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     pub fn dtype(&self) -> DataType {
         self.data.dtype()
     }
 
-    /// Build from an already-shared buffer (reference bump, no copy).
-    pub fn from_shared(data: Arc<ColumnData>, validity: Option<Bitmap>) -> Column {
-        if let Some(v) = &validity {
-            assert_eq!(v.len(), data.len(), "validity length mismatch");
-        }
-        Column { data, validity }
-    }
-
+    /// The backing buffer. It is the column's rows only for a compact
+    /// column — which every column that leaves a query is; code that may
+    /// meet a window reads [`Column::view`] instead (debug builds assert).
     pub fn data(&self) -> &ColumnData {
+        debug_assert!(self.is_compact(), "Column::data() on a windowed column; use view()");
         &self.data
     }
 
-    /// Shared handle to the underlying buffer (reference bump, no copy).
-    pub fn shared_data(&self) -> Arc<ColumnData> {
-        Arc::clone(&self.data)
+    /// The column's rows as a typed slice (window-relative).
+    #[inline]
+    pub fn view(&self) -> ColumnView<'_> {
+        let w = self.offset..self.offset + self.len;
+        match &*self.data {
+            ColumnData::Bool(v) => ColumnView::Bool(&v[w]),
+            ColumnData::Int(v) => ColumnView::Int(&v[w]),
+            ColumnData::Float(v) => ColumnView::Float(&v[w]),
+            ColumnData::Str(v) => ColumnView::Str(&v[w]),
+            ColumnData::Date(v) => ColumnView::Date(&v[w]),
+        }
+    }
+
+    /// True if the window covers the whole backing buffer: the column
+    /// retains exactly the rows it exposes.
+    pub fn is_compact(&self) -> bool {
+        self.offset == 0 && self.len == self.data.len()
+    }
+
+    /// This column over a buffer of its own rows only: a no-op for a
+    /// compact column, one copy of the window otherwise. Validity is kept
+    /// verbatim.
+    pub fn compact(self) -> Column {
+        if self.is_compact() {
+            return self;
+        }
+        let data = match self.view() {
+            ColumnView::Bool(v) => ColumnData::Bool(v.to_vec()),
+            ColumnView::Int(v) => ColumnData::Int(v.to_vec()),
+            ColumnView::Float(v) => ColumnData::Float(v.to_vec()),
+            ColumnView::Str(v) => ColumnData::Str(v.to_vec()),
+            ColumnView::Date(v) => ColumnData::Date(v.to_vec()),
+        };
+        Column::new(data, self.validity)
     }
 
     /// Validity bitmap; `None` means every row is valid.
@@ -135,49 +186,49 @@ impl Column {
         if self.is_null(i) {
             return Value::Null;
         }
-        match self.data() {
-            ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Int(v) => Value::Int(v[i]),
-            ColumnData::Float(v) => Value::Float(v[i]),
-            ColumnData::Str(v) => Value::Str(v[i].clone()),
-            ColumnData::Date(v) => Value::Date(v[i]),
+        match self.view() {
+            ColumnView::Bool(v) => Value::Bool(v[i]),
+            ColumnView::Int(v) => Value::Int(v[i]),
+            ColumnView::Float(v) => Value::Float(v[i]),
+            ColumnView::Str(v) => Value::Str(v[i].clone()),
+            ColumnView::Date(v) => Value::Date(v[i]),
         }
     }
 
     /// Typed accessors used by the vectorized kernels; panic on type
     /// mismatch (the planner guarantees types line up).
     pub fn ints(&self) -> &[i64] {
-        match self.data() {
-            ColumnData::Int(v) => v,
-            other => panic!("expected INT column, got {}", other.dtype()),
+        match self.view() {
+            ColumnView::Int(v) => v,
+            _ => panic!("expected INT column, got {}", self.dtype()),
         }
     }
 
     pub fn floats(&self) -> &[f64] {
-        match self.data() {
-            ColumnData::Float(v) => v,
-            other => panic!("expected FLOAT column, got {}", other.dtype()),
+        match self.view() {
+            ColumnView::Float(v) => v,
+            _ => panic!("expected FLOAT column, got {}", self.dtype()),
         }
     }
 
     pub fn bools(&self) -> &[bool] {
-        match self.data() {
-            ColumnData::Bool(v) => v,
-            other => panic!("expected BOOL column, got {}", other.dtype()),
+        match self.view() {
+            ColumnView::Bool(v) => v,
+            _ => panic!("expected BOOL column, got {}", self.dtype()),
         }
     }
 
     pub fn strs(&self) -> &[String] {
-        match self.data() {
-            ColumnData::Str(v) => v,
-            other => panic!("expected STRING column, got {}", other.dtype()),
+        match self.view() {
+            ColumnView::Str(v) => v,
+            _ => panic!("expected STRING column, got {}", self.dtype()),
         }
     }
 
     pub fn dates(&self) -> &[i32] {
-        match self.data() {
-            ColumnData::Date(v) => v,
-            other => panic!("expected DATE column, got {}", other.dtype()),
+        match self.view() {
+            ColumnView::Date(v) => v,
+            _ => panic!("expected DATE column, got {}", self.dtype()),
         }
     }
 
@@ -192,20 +243,20 @@ impl Column {
         self.take(&mask.ones())
     }
 
-    /// Gather rows by index (indices may repeat or reorder).
+    /// Gather rows by index (indices may repeat or reorder) into a fresh
+    /// compact buffer.
     pub fn take(&self, indices: &[usize]) -> Column {
         fn gather<T: Clone>(v: &[T], idx: &[usize]) -> Vec<T> {
             idx.iter().map(|&i| v[i].clone()).collect()
         }
-        let data = match self.data() {
-            ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices)),
-            ColumnData::Int(v) => ColumnData::Int(gather(v, indices)),
-            ColumnData::Float(v) => ColumnData::Float(gather(v, indices)),
-            ColumnData::Str(v) => ColumnData::Str(gather(v, indices)),
-            ColumnData::Date(v) => ColumnData::Date(gather(v, indices)),
+        let data = match self.view() {
+            ColumnView::Bool(v) => ColumnData::Bool(gather(v, indices)),
+            ColumnView::Int(v) => ColumnData::Int(gather(v, indices)),
+            ColumnView::Float(v) => ColumnData::Float(gather(v, indices)),
+            ColumnView::Str(v) => ColumnData::Str(gather(v, indices)),
+            ColumnView::Date(v) => ColumnData::Date(gather(v, indices)),
         };
-        let validity = self.validity.as_ref().map(|v| v.take(indices));
-        Column { data: Arc::new(data), validity }
+        Column::new(data, self.validity.as_ref().map(|v| v.take(indices)))
     }
 
     /// Gather rows by index, where `sentinel` marks a padded NULL row (the
@@ -215,12 +266,12 @@ impl Column {
         fn gather<T: Clone + Default>(v: &[T], idx: &[usize], s: usize) -> Vec<T> {
             idx.iter().map(|&i| if i == s { T::default() } else { v[i].clone() }).collect()
         }
-        let data = match self.data() {
-            ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices, sentinel)),
-            ColumnData::Int(v) => ColumnData::Int(gather(v, indices, sentinel)),
-            ColumnData::Float(v) => ColumnData::Float(gather(v, indices, sentinel)),
-            ColumnData::Str(v) => ColumnData::Str(gather(v, indices, sentinel)),
-            ColumnData::Date(v) => ColumnData::Date(gather(v, indices, sentinel)),
+        let data = match self.view() {
+            ColumnView::Bool(v) => ColumnData::Bool(gather(v, indices, sentinel)),
+            ColumnView::Int(v) => ColumnData::Int(gather(v, indices, sentinel)),
+            ColumnView::Float(v) => ColumnData::Float(gather(v, indices, sentinel)),
+            ColumnView::Str(v) => ColumnData::Str(gather(v, indices, sentinel)),
+            ColumnView::Date(v) => ColumnData::Date(gather(v, indices, sentinel)),
         };
         let mut validity = Bitmap::all_set(indices.len());
         for (j, &i) in indices.iter().enumerate() {
@@ -228,7 +279,7 @@ impl Column {
                 validity.set(j, false);
             }
         }
-        Column { data: Arc::new(data), validity: Some(validity) }
+        Column::new(data, Some(validity))
     }
 
     /// True if both columns share one underlying buffer (zero-copy check
@@ -237,34 +288,30 @@ impl Column {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// Copy of the row range `[offset, offset + len)` into a fresh buffer
-    /// behind its own `Arc`. Validity presence is preserved verbatim (an
-    /// all-true bitmap stays a bitmap) so slicing then reassembling a
-    /// column is byte-exact; pipeline boundaries canonicalize separately
-    /// via [`Column::normalize_validity`]. A full-range slice is a
-    /// reference bump, no copy.
+    /// The row range `[offset, offset + len)` as a window over the same
+    /// buffer: a reference bump plus a `len / 8`-byte validity copy, no row
+    /// is copied. Validity presence is preserved verbatim (an all-true
+    /// bitmap stays a bitmap) so slicing then reassembling a column is
+    /// byte-exact; pipeline boundaries canonicalize separately via
+    /// [`Column::normalize_validity`].
     pub fn slice(&self, offset: usize, len: usize) -> Column {
-        assert!(offset + len <= self.len(), "column slice out of range");
-        if offset == 0 && len == self.len() {
+        assert!(offset + len <= self.len, "column slice out of range");
+        if offset == 0 && len == self.len {
             return self.clone();
         }
-        let data = match self.data() {
-            ColumnData::Bool(v) => ColumnData::Bool(v[offset..offset + len].to_vec()),
-            ColumnData::Int(v) => ColumnData::Int(v[offset..offset + len].to_vec()),
-            ColumnData::Float(v) => ColumnData::Float(v[offset..offset + len].to_vec()),
-            ColumnData::Str(v) => ColumnData::Str(v[offset..offset + len].to_vec()),
-            ColumnData::Date(v) => ColumnData::Date(v[offset..offset + len].to_vec()),
-        };
-        let validity = self.validity.as_ref().map(|v| v.slice(offset, len));
-        Column { data: Arc::new(data), validity }
+        Column {
+            data: Arc::clone(&self.data),
+            offset: self.offset + offset,
+            len,
+            validity: self.validity.as_ref().map(|v| v.slice(offset, len)),
+        }
     }
 
     /// Concatenate a run of same-typed columns in order (single allocation,
     /// no pairwise O(n²) reassembly). The result carries a validity bitmap
     /// only if some part has nulls — the same canonical form the builders
-    /// and [`Column::concat`] produce, so reassembled chunk sequences are
-    /// byte-identical to a monolithic build. A single-part concat is a
-    /// reference bump, no copy.
+    /// produce, so reassembled chunk sequences are byte-identical to a
+    /// monolithic build. A single-part concat is a reference bump, no copy.
     pub fn concat_many(parts: &[Column]) -> Result<Column> {
         let Some(first) = parts.first() else {
             return Err(CvError::internal("concat_many of zero columns"));
@@ -278,12 +325,11 @@ impl Column {
         }
         let total: usize = parts.iter().map(Column::len).sum();
         macro_rules! splice {
-            ($variant:ident, $ty:ty) => {{
-                let mut buf: Vec<$ty> = Vec::with_capacity(total);
+            ($variant:ident) => {{
+                let mut buf = Vec::with_capacity(total);
                 for p in parts {
-                    let v: &Vec<$ty> = match p.data() {
-                        ColumnData::$variant(v) => v,
-                        _ => unreachable!("dtype equality checked above"),
+                    let ColumnView::$variant(v) = p.view() else {
+                        unreachable!("dtype equality checked above")
                     };
                     buf.extend_from_slice(v);
                 }
@@ -291,11 +337,11 @@ impl Column {
             }};
         }
         let data = match dtype {
-            DataType::Bool => splice!(Bool, bool),
-            DataType::Int => splice!(Int, i64),
-            DataType::Float => splice!(Float, f64),
-            DataType::Str => splice!(Str, String),
-            DataType::Date => splice!(Date, i32),
+            DataType::Bool => splice!(Bool),
+            DataType::Int => splice!(Int),
+            DataType::Float => splice!(Float),
+            DataType::Str => splice!(Str),
+            DataType::Date => splice!(Date),
         };
         let validity = if parts.iter().any(|p| p.null_count() > 0) {
             let mut v = Bitmap::all_clear(0);
@@ -308,56 +354,24 @@ impl Column {
         } else {
             None
         };
-        Ok(Column { data: Arc::new(data), validity })
+        Ok(Column::new(data, validity))
     }
 
     /// Concatenate two same-typed columns (typed buffer append, no per-row
-    /// boxing).
+    /// boxing); [`Column::concat_many`] of the pair.
     pub fn concat(&self, other: &Column) -> Result<Column> {
-        if self.dtype() != other.dtype() {
-            return Err(CvError::exec(format!(
-                "cannot concat {} with {}",
-                self.dtype(),
-                other.dtype()
-            )));
-        }
-        fn join<T: Clone>(a: &[T], b: &[T]) -> Vec<T> {
-            let mut out = Vec::with_capacity(a.len() + b.len());
-            out.extend_from_slice(a);
-            out.extend_from_slice(b);
-            out
-        }
-        let data = match (self.data(), other.data()) {
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => ColumnData::Bool(join(a, b)),
-            (ColumnData::Int(a), ColumnData::Int(b)) => ColumnData::Int(join(a, b)),
-            (ColumnData::Float(a), ColumnData::Float(b)) => ColumnData::Float(join(a, b)),
-            (ColumnData::Str(a), ColumnData::Str(b)) => ColumnData::Str(join(a, b)),
-            (ColumnData::Date(a), ColumnData::Date(b)) => ColumnData::Date(join(a, b)),
-            _ => unreachable!("dtype equality checked above"),
-        };
-        let validity = if self.null_count() + other.null_count() > 0 {
-            let mut v = Bitmap::all_clear(0);
-            for i in 0..self.len() {
-                v.push(!self.is_null(i));
-            }
-            for i in 0..other.len() {
-                v.push(!other.is_null(i));
-            }
-            Some(v)
-        } else {
-            None
-        };
-        Ok(Column { data: Arc::new(data), validity })
+        Column::concat_many(&[self.clone(), other.clone()])
     }
 
-    /// Approximate in-memory byte size (storage accounting for views).
+    /// Approximate in-memory byte size of the column's rows (storage
+    /// accounting for views) — the window's, not the backing buffer's.
     pub fn byte_size(&self) -> u64 {
-        let base = match self.data() {
-            ColumnData::Bool(v) => v.len() as u64,
-            ColumnData::Int(v) => v.len() as u64 * 8,
-            ColumnData::Float(v) => v.len() as u64 * 8,
-            ColumnData::Str(v) => v.iter().map(|s| s.len() as u64 + 4).sum(),
-            ColumnData::Date(v) => v.len() as u64 * 4,
+        let base = match self.view() {
+            ColumnView::Bool(v) => v.len() as u64,
+            ColumnView::Int(v) => v.len() as u64 * 8,
+            ColumnView::Float(v) => v.len() as u64 * 8,
+            ColumnView::Str(v) => v.iter().map(|s| s.len() as u64 + 4).sum(),
+            ColumnView::Date(v) => v.len() as u64 * 4,
         };
         base + self.validity.as_ref().map_or(0, |v| v.len() as u64 / 8)
     }
@@ -442,7 +456,7 @@ impl ColumnBuilder {
 
     pub fn finish(self) -> Column {
         let validity = if self.has_null { Some(self.validity) } else { None };
-        Column { data: Arc::new(self.data), validity }
+        Column::new(self.data, validity)
     }
 }
 
@@ -499,7 +513,7 @@ mod tests {
     fn filter_all_true_shares_the_buffer() {
         let c = int_col(&[Some(1), None, Some(3)]);
         let f = c.filter(&Bitmap::all_set(3));
-        assert!(Arc::ptr_eq(&c.shared_data(), &f.shared_data()));
+        assert!(c.ptr_eq(&f));
         assert_eq!(f.null_count(), 1);
     }
 
@@ -574,7 +588,7 @@ mod tests {
     fn clone_shares_the_buffer() {
         let c = int_col(&(0..1000).map(Some).collect::<Vec<_>>());
         let d = c.clone();
-        assert!(Arc::ptr_eq(&c.shared_data(), &d.shared_data()));
+        assert!(c.ptr_eq(&d));
         assert_eq!(d.ints(), c.ints());
     }
 

@@ -28,7 +28,7 @@ pub mod viewstore;
 pub use bitmap::Bitmap;
 pub use catalog::{Dataset, DatasetCatalog, DatasetVersion};
 pub use chunk::{chunk_ranges, ChunkedTable, DEFAULT_CHUNK_SIZE};
-pub use column::{Column, ColumnBuilder, ColumnData};
+pub use column::{Column, ColumnBuilder, ColumnData, ColumnView};
 pub use delta::{diff_tables, TableDelta};
 pub use schema::{Field, Schema, SchemaRef};
 pub use sharded::ShardedViewStore;

@@ -7,7 +7,7 @@
 //! operators need no second code path.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, ColumnBuilder, ColumnData};
+use crate::column::{Column, ColumnBuilder, ColumnView};
 use crate::schema::SchemaRef;
 use crate::value::Value;
 use cv_common::{CvError, Result};
@@ -17,11 +17,13 @@ use std::sync::Arc;
 
 /// An immutable columnar table — one contiguous chunk of rows.
 ///
-/// Each column's buffer sits behind an `Arc`, so cloning, slicing the full
-/// range, or gathering an identity prefix are reference bumps. Heavy
-/// operators process tables as sequences of fixed-size chunks (each chunk a
-/// `Table` of its own) and morsel-schedule the chunks across worker
-/// threads; pipeline breakers reassemble with [`Table::from_chunks`].
+/// Each column is a row window over a buffer behind an `Arc`, so cloning,
+/// slicing any range, or gathering an identity prefix are reference bumps.
+/// Heavy operators process tables as sequences of fixed-size chunks (each
+/// chunk a `Table` of its own, a window over the input's buffers) and
+/// morsel-schedule the chunks across worker threads; pipeline breakers
+/// reassemble with [`Table::from_chunks`]. A table that leaves a query is
+/// compacted ([`Table::compact`]) so it retains only the rows it holds.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: SchemaRef,
@@ -141,7 +143,7 @@ impl Table {
         // Identity-prefix gather (rows 0..k, in order) needs no per-row
         // gather at all: the full-table case shares the buffers outright
         // (the common case when an FK join matches each probe row exactly
-        // once), and a proper prefix is a contiguous range copy. Under
+        // once), and a proper prefix is a window over them. Under
         // chunked execution each chunk hits this independently, so one
         // out-of-order index in some *other* chunk no longer forces a full
         // gather of every column here.
@@ -155,14 +157,29 @@ impl Table {
         Table::new(self.schema.clone(), columns)
     }
 
-    /// Copy of the row range `[offset, offset + len)`. A full-range slice
-    /// shares the buffers (reference bump, no copy).
+    /// The row range `[offset, offset + len)` as windows over the same
+    /// column buffers ([`Column::slice`]): O(columns), no row is copied.
     pub fn slice(&self, offset: usize, len: usize) -> Table {
         if offset == 0 && len == self.rows {
             return self.clone();
         }
         let columns: Vec<Column> = self.columns.iter().map(|c| c.slice(offset, len)).collect();
         Table { schema: self.schema.clone(), columns, rows: len }
+    }
+
+    /// True if every column retains exactly the rows it exposes.
+    pub fn is_compact(&self) -> bool {
+        self.columns.iter().all(Column::is_compact)
+    }
+
+    /// This table over buffers of its own rows only ([`Column::compact`]):
+    /// a no-op unless some column is a window. The boundary rule: results,
+    /// views, operator-state snapshots, spool chunks and catalog contents
+    /// are compact, so no window outlives the query that cut it and
+    /// `Column::data()` is always the column's rows out there.
+    pub fn compact(self) -> Table {
+        let columns = self.columns.into_iter().map(Column::compact).collect();
+        Table { schema: self.schema, columns, rows: self.rows }
     }
 
     /// Canonicalize every column's validity representation (drop all-true
@@ -218,27 +235,29 @@ impl Table {
     /// `Value::total_cmp`, where Null is the smallest rank), floats use
     /// `f64::total_cmp` so NaN and signed zero order deterministically.
     pub fn sort_by(&self, keys: &[(usize, bool)]) -> Result<Table> {
-        fn cmp_in_col(c: &Column, a: usize, b: usize) -> Ordering {
+        fn cmp_in_col(c: &Column, view: ColumnView<'_>, a: usize, b: usize) -> Ordering {
             match (c.is_null(a), c.is_null(b)) {
                 (true, true) => return Ordering::Equal,
                 (true, false) => return Ordering::Less,
                 (false, true) => return Ordering::Greater,
                 (false, false) => {}
             }
-            match c.data() {
-                ColumnData::Bool(v) => v[a].cmp(&v[b]),
-                ColumnData::Int(v) => v[a].cmp(&v[b]),
-                ColumnData::Float(v) => v[a].total_cmp(&v[b]),
-                ColumnData::Str(v) => v[a].cmp(&v[b]),
-                ColumnData::Date(v) => v[a].cmp(&v[b]),
+            match view {
+                ColumnView::Bool(v) => v[a].cmp(&v[b]),
+                ColumnView::Int(v) => v[a].cmp(&v[b]),
+                ColumnView::Float(v) => v[a].total_cmp(&v[b]),
+                ColumnView::Str(v) => v[a].cmp(&v[b]),
+                ColumnView::Date(v) => v[a].cmp(&v[b]),
             }
         }
-        let key_cols: Vec<(&Column, bool)> =
-            keys.iter().map(|&(ci, asc)| (&self.columns[ci], asc)).collect();
+        let key_cols: Vec<(&Column, ColumnView<'_>, bool)> = keys
+            .iter()
+            .map(|&(ci, asc)| (&self.columns[ci], self.columns[ci].view(), asc))
+            .collect();
         let mut indices: Vec<usize> = (0..self.rows).collect();
         indices.sort_by(|&a, &b| {
-            for &(col, asc) in &key_cols {
-                let ord = cmp_in_col(col, a, b);
+            for &(col, view, asc) in &key_cols {
+                let ord = cmp_in_col(col, view, a, b);
                 let ord = if asc { ord } else { ord.reverse() };
                 if ord != Ordering::Equal {
                     return ord;
@@ -419,6 +438,131 @@ mod tests {
         let t = demo();
         let shuffled = t.take(&[2, 0, 1]).unwrap();
         assert_eq!(t.canonical_rows(), shuffled.canonical_rows());
+    }
+
+    /// Random table over every column type with NULLs, NaN, both zero
+    /// signs and empty strings; one column carries an all-true bitmap so
+    /// validity *presence* is exercised, not just null positions.
+    fn random_table(rng: &mut cv_common::rng::DetRng, rows: usize) -> Table {
+        use crate::column::ColumnData;
+        let schema = Schema::new(vec![
+            Field::new("b", DataType::Bool),
+            Field::new("i", DataType::Int),
+            Field::new("f", DataType::Float),
+            Field::new("s", DataType::Str),
+            Field::new("d", DataType::Date),
+            Field::new("v", DataType::Int),
+        ])
+        .unwrap()
+        .into_ref();
+        let mut data: Vec<Vec<Value>> = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            let mut row = vec![
+                Value::Bool(rng.chance(0.5)),
+                Value::Int(rng.range_i64(-9, 9)),
+                Value::Float(*rng.choose(&[0.0, -0.0, f64::NAN, 2.5, -7.25])),
+                Value::Str((*rng.choose(&["", "a", "bb", "ccc"])).to_string()),
+                Value::Date(rng.range_i64(-5, 5) as i32),
+                Value::Int(0), // replaced below by a column with an all-true bitmap
+            ];
+            for cell in row.iter_mut().take(5) {
+                if rng.chance(0.2) {
+                    *cell = Value::Null;
+                }
+            }
+            data.push(row);
+        }
+        let t = Table::from_rows(schema.clone(), &data).unwrap();
+        let mut columns = t.columns().to_vec();
+        let ints = (0..rows as i64).collect();
+        columns[5] = Column::new(ColumnData::Int(ints), Some(Bitmap::all_set(rows)));
+        Table::new(schema, columns).unwrap()
+    }
+
+    /// Byte-for-byte: rows, null slots' placeholders, and validity presence.
+    fn assert_identical(a: &Table, b: &Table, what: &str) {
+        assert_eq!(a.num_rows(), b.num_rows(), "rows for {what}");
+        assert_eq!(a.byte_size(), b.byte_size(), "byte size for {what}");
+        for (ca, cb) in a.columns().iter().zip(b.columns()) {
+            assert_eq!(ca.len(), cb.len(), "len for {what}");
+            assert_eq!(ca.validity(), cb.validity(), "validity for {what}");
+            let (ca, cb) = (ca.clone().compact(), cb.clone().compact());
+            assert_eq!(format!("{:?}", ca.data()), format!("{:?}", cb.data()), "cells for {what}");
+        }
+    }
+
+    #[test]
+    fn every_accessor_over_a_window_equals_its_compacted_copy() {
+        let mut rng = cv_common::rng::DetRng::seed(0x77);
+        for round in 0..200 {
+            let rows = [0, 1, 2, 63, 64, 65, 130][round % 7];
+            let t = random_table(&mut rng, rows);
+            let off = rng.range_usize(0, rows + 1);
+            let len = rng.range_usize(0, rows - off + 1);
+            let w = t.slice(off, len);
+            let c = w.clone().compact();
+            let what = format!("round {round}: {off}+{len} of {rows}");
+            assert!(c.is_compact());
+            assert_eq!(w.is_compact(), off == 0 && len == rows, "{what}");
+            assert!(len == 0 || w.column(0).ptr_eq(t.column(0)), "slice copied rows: {what}");
+            assert_identical(&w, &c, &what);
+            assert_eq!(w.to_rows().len(), len);
+            for ci in 0..w.num_columns() {
+                let (wc, cc) = (w.column(ci), c.column(ci));
+                assert_eq!(wc.null_count(), cc.null_count(), "{what}");
+                for r in 0..len {
+                    assert_eq!(wc.is_null(r), t.column(ci).is_null(off + r), "{what}");
+                    let (a, b) = (wc.value(r), t.column(ci).value(off + r));
+                    assert!(a.total_cmp(&b).is_eq(), "{what}: row {r} col {ci}: {a} vs {b}");
+                }
+            }
+            assert_eq!(w.column(1).ints(), c.column(1).ints(), "{what}");
+            assert_eq!(w.column(3).strs(), c.column(3).strs(), "{what}");
+            assert_eq!(w.column(4).dates(), c.column(4).dates(), "{what}");
+            assert_eq!(w.column(0).bools(), c.column(0).bools(), "{what}");
+
+            // A window of a window composes offsets.
+            let o2 = rng.range_usize(0, len + 1);
+            let l2 = rng.range_usize(0, len - o2 + 1);
+            assert_identical(&w.slice(o2, l2), &t.slice(off + o2, l2), &what);
+
+            // Gathers, filters, sorts and concats read through the window.
+            let idx: Vec<usize> = (0..len * 2).map(|_| rng.range_usize(0, len)).collect();
+            assert_identical(&w.take(&idx).unwrap(), &c.take(&idx).unwrap(), &what);
+            let prefix: Vec<usize> = (0..len / 2).collect();
+            assert_identical(&w.take(&prefix).unwrap(), &c.take(&prefix).unwrap(), &what);
+            let padded: Vec<usize> =
+                idx.iter().map(|&i| if i % 3 == 0 { usize::MAX } else { i }).collect();
+            for ci in 0..w.num_columns() {
+                let (a, b) = (
+                    w.column(ci).take_padded(&padded, usize::MAX),
+                    c.column(ci).take_padded(&padded, usize::MAX),
+                );
+                assert_eq!(a.validity(), b.validity(), "{what}");
+                assert_eq!(format!("{:?}", a.data()), format!("{:?}", b.data()), "{what}");
+            }
+            let mask = Bitmap::from_bools(&(0..len).map(|_| rng.chance(0.6)).collect::<Vec<_>>());
+            assert_identical(&w.filter(&mask).unwrap(), &c.filter(&mask).unwrap(), &what);
+            let keys = [(2, true), (3, false), (1, true)];
+            assert_identical(&w.sort_by(&keys).unwrap(), &c.sort_by(&keys).unwrap(), &what);
+            assert_identical(&w.concat(&w).unwrap(), &c.concat(&c).unwrap(), &what);
+            assert_identical(&w.clone().normalized(), &c.clone().normalized(), &what);
+        }
+    }
+
+    #[test]
+    fn slices_reassemble_byte_identically_at_any_chunk_size() {
+        let mut rng = cv_common::rng::DetRng::seed(0x78);
+        let t = random_table(&mut rng, 700);
+        let whole = t.clone().normalized();
+        for chunk_size in [1, 333, 2048, usize::MAX] {
+            let chunks: Vec<Table> = crate::chunk::chunk_ranges(700, chunk_size)
+                .into_iter()
+                .map(|(off, len)| t.slice(off, len))
+                .collect();
+            let back = Table::from_chunks(t.schema().clone(), &chunks).unwrap();
+            assert_identical(&back, &whole, &format!("chunk size {chunk_size}"));
+        }
     }
 
     #[test]

@@ -234,6 +234,7 @@ impl ViewStore {
             )));
         }
         view.expires = view.created + self.ttl;
+        view.data = view.data.compact();
         view.bytes = view.data.byte_size();
         view.rows = view.data.num_rows();
         view.checksum = table_checksum(&view.data);

@@ -14,7 +14,7 @@
 //! bucket; equality then decides. NaNs collapse to one bucket and ±0.0 to
 //! another, mirroring `StableHasher::write_f64`.
 
-use cv_data::column::{Column, ColumnData};
+use cv_data::column::{Column, ColumnView};
 use cv_data::table::Table;
 use cv_data::value::DataType;
 use std::cmp::Ordering;
@@ -62,12 +62,12 @@ fn str_key_hash(s: &str) -> u64 {
 /// Hash of a single (valid) cell, typed. The caller must have checked the
 /// row is non-null.
 pub(super) fn value_hash(c: &Column, i: usize) -> u64 {
-    match c.data() {
-        ColumnData::Bool(v) => mix64(v[i] as u64 ^ BOOL_TAG),
-        ColumnData::Int(v) => f64_key_hash(v[i] as f64),
-        ColumnData::Float(v) => f64_key_hash(v[i]),
-        ColumnData::Str(v) => str_key_hash(&v[i]),
-        ColumnData::Date(v) => mix64(v[i] as i64 as u64 ^ DATE_TAG),
+    match c.view() {
+        ColumnView::Bool(v) => mix64(v[i] as u64 ^ BOOL_TAG),
+        ColumnView::Int(v) => f64_key_hash(v[i] as f64),
+        ColumnView::Float(v) => f64_key_hash(v[i]),
+        ColumnView::Str(v) => str_key_hash(&v[i]),
+        ColumnView::Date(v) => mix64(v[i] as i64 as u64 ^ DATE_TAG),
     }
 }
 
@@ -85,20 +85,27 @@ fn rank(t: DataType) -> u8 {
 /// Typed cell comparison matching `Value::total_cmp` (NULL ranks below
 /// everything, NULLs compare equal).
 pub(super) fn cmp_cells(a: &Column, i: usize, b: &Column, j: usize) -> Ordering {
+    cmp_viewed((a, a.view()), i, (b, b.view()), j)
+}
+
+/// A column with its typed rows resolved once, for row-at-a-time loops.
+type Viewed<'a> = (&'a Column, ColumnView<'a>);
+
+fn cmp_viewed((a, av): Viewed<'_>, i: usize, (b, bv): Viewed<'_>, j: usize) -> Ordering {
     match (a.is_null(i), b.is_null(j)) {
         (true, true) => return Ordering::Equal,
         (true, false) => return Ordering::Less,
         (false, true) => return Ordering::Greater,
         (false, false) => {}
     }
-    match (a.data(), b.data()) {
-        (ColumnData::Bool(x), ColumnData::Bool(y)) => x[i].cmp(&y[j]),
-        (ColumnData::Int(x), ColumnData::Int(y)) => x[i].cmp(&y[j]),
-        (ColumnData::Float(x), ColumnData::Float(y)) => x[i].total_cmp(&y[j]),
-        (ColumnData::Int(x), ColumnData::Float(y)) => (x[i] as f64).total_cmp(&y[j]),
-        (ColumnData::Float(x), ColumnData::Int(y)) => x[i].total_cmp(&(y[j] as f64)),
-        (ColumnData::Str(x), ColumnData::Str(y)) => x[i].cmp(&y[j]),
-        (ColumnData::Date(x), ColumnData::Date(y)) => x[i].cmp(&y[j]),
+    match (av, bv) {
+        (ColumnView::Bool(x), ColumnView::Bool(y)) => x[i].cmp(&y[j]),
+        (ColumnView::Int(x), ColumnView::Int(y)) => x[i].cmp(&y[j]),
+        (ColumnView::Float(x), ColumnView::Float(y)) => x[i].total_cmp(&y[j]),
+        (ColumnView::Int(x), ColumnView::Float(y)) => (x[i] as f64).total_cmp(&y[j]),
+        (ColumnView::Float(x), ColumnView::Int(y)) => x[i].total_cmp(&(y[j] as f64)),
+        (ColumnView::Str(x), ColumnView::Str(y)) => x[i].cmp(&y[j]),
+        (ColumnView::Date(x), ColumnView::Date(y)) => x[i].cmp(&y[j]),
         _ => rank(a.dtype()).cmp(&rank(b.dtype())),
     }
 }
@@ -106,29 +113,29 @@ pub(super) fn cmp_cells(a: &Column, i: usize, b: &Column, j: usize) -> Ordering 
 /// Typed cell equality for two valid cells (callers check NULLs per their
 /// own semantics). Equivalent to `total_cmp == Equal`.
 #[inline]
-fn cells_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
-    match (a.data(), b.data()) {
-        (ColumnData::Bool(x), ColumnData::Bool(y)) => x[i] == y[j],
-        (ColumnData::Int(x), ColumnData::Int(y)) => x[i] == y[j],
-        (ColumnData::Float(x), ColumnData::Float(y)) => x[i].total_cmp(&y[j]).is_eq(),
-        (ColumnData::Int(x), ColumnData::Float(y)) => (x[i] as f64).total_cmp(&y[j]).is_eq(),
-        (ColumnData::Float(x), ColumnData::Int(y)) => x[i].total_cmp(&(y[j] as f64)).is_eq(),
-        (ColumnData::Str(x), ColumnData::Str(y)) => x[i] == y[j],
-        (ColumnData::Date(x), ColumnData::Date(y)) => x[i] == y[j],
+fn cells_eq(a: ColumnView<'_>, i: usize, b: ColumnView<'_>, j: usize) -> bool {
+    match (a, b) {
+        (ColumnView::Bool(x), ColumnView::Bool(y)) => x[i] == y[j],
+        (ColumnView::Int(x), ColumnView::Int(y)) => x[i] == y[j],
+        (ColumnView::Float(x), ColumnView::Float(y)) => x[i].total_cmp(&y[j]).is_eq(),
+        (ColumnView::Int(x), ColumnView::Float(y)) => (x[i] as f64).total_cmp(&y[j]).is_eq(),
+        (ColumnView::Float(x), ColumnView::Int(y)) => x[i].total_cmp(&(y[j] as f64)).is_eq(),
+        (ColumnView::Str(x), ColumnView::Str(y)) => x[i] == y[j],
+        (ColumnView::Date(x), ColumnView::Date(y)) => x[i] == y[j],
         _ => false,
     }
 }
 
 /// The key columns of one join/aggregate side, hashed column-wise.
 pub(super) struct KeyCols<'a> {
-    cols: Vec<&'a Column>,
+    cols: Vec<Viewed<'a>>,
     n: usize,
 }
 
 impl<'a> KeyCols<'a> {
     pub fn new(cols: Vec<&'a Column>, n: usize) -> KeyCols<'a> {
         debug_assert!(cols.iter().all(|c| c.len() == n));
-        KeyCols { cols, n }
+        KeyCols { cols: cols.into_iter().map(|c| (c, c.view())).collect(), n }
     }
 
     pub fn from_table(t: &'a Table, idx: &[usize]) -> KeyCols<'a> {
@@ -137,13 +144,17 @@ impl<'a> KeyCols<'a> {
 
     /// True if any key component of the row is NULL.
     pub fn has_null(&self, row: usize) -> bool {
-        self.cols.iter().any(|c| c.is_null(row))
+        self.cols.iter().any(|(c, _)| c.is_null(row))
     }
 
     /// Combine one column into the running per-row hashes. `on_null` maps
     /// the running hash of a null cell (join keys invalidate the row,
     /// group keys mix a NULL tag).
-    fn fold_column(c: &Column, hashes: &mut [u64], mut mix_cell: impl FnMut(u64, usize) -> u64) {
+    fn fold_column(
+        (c, view): Viewed<'_>,
+        hashes: &mut [u64],
+        mut mix_cell: impl FnMut(u64, usize) -> u64,
+    ) {
         macro_rules! fold {
             ($v:ident, $hash_one:expr) => {
                 match c.validity() {
@@ -164,12 +175,12 @@ impl<'a> KeyCols<'a> {
                 }
             };
         }
-        match c.data() {
-            ColumnData::Bool(v) => fold!(v, |x: &bool| mix64(*x as u64 ^ BOOL_TAG)),
-            ColumnData::Int(v) => fold!(v, |x: &i64| f64_key_hash(*x as f64)),
-            ColumnData::Float(v) => fold!(v, |x: &f64| f64_key_hash(*x)),
-            ColumnData::Str(v) => fold!(v, |x: &String| str_key_hash(x)),
-            ColumnData::Date(v) => fold!(v, |x: &i32| mix64(*x as i64 as u64 ^ DATE_TAG)),
+        match view {
+            ColumnView::Bool(v) => fold!(v, |x: &bool| mix64(*x as u64 ^ BOOL_TAG)),
+            ColumnView::Int(v) => fold!(v, |x: &i64| f64_key_hash(*x as f64)),
+            ColumnView::Float(v) => fold!(v, |x: &f64| f64_key_hash(*x)),
+            ColumnView::Str(v) => fold!(v, |x: &String| str_key_hash(x)),
+            ColumnView::Date(v) => fold!(v, |x: &i32| mix64(*x as i64 as u64 ^ DATE_TAG)),
         }
     }
 
@@ -178,7 +189,7 @@ impl<'a> KeyCols<'a> {
     pub fn join_hashes(&self) -> (Vec<u64>, Vec<bool>) {
         let mut hashes = vec![SEED; self.n];
         let mut valid = vec![true; self.n];
-        for c in &self.cols {
+        for &c in &self.cols {
             Self::fold_column(c, &mut hashes, |h, i| {
                 valid[i] = false;
                 h
@@ -191,7 +202,7 @@ impl<'a> KeyCols<'a> {
     /// keys group together (SQL GROUP BY).
     pub fn group_hashes(&self) -> Vec<u64> {
         let mut hashes = vec![SEED; self.n];
-        for c in &self.cols {
+        for &c in &self.cols {
             Self::fold_column(c, &mut hashes, |h, _| mix64(h ^ NULL_TAG));
         }
         hashes
@@ -204,23 +215,25 @@ impl<'a> KeyCols<'a> {
         self.cols
             .iter()
             .zip(&other.cols)
-            .all(|(a, b)| !a.is_null(i) && !b.is_null(j) && cells_eq(a, i, b, j))
+            .all(|((a, av), (b, bv))| !a.is_null(i) && !b.is_null(j) && cells_eq(*av, i, *bv, j))
     }
 
     /// Group-key equality (`group_key_eq` semantics: NULLs equal).
     pub fn rows_eq_group(&self, i: usize, other: &KeyCols<'_>, j: usize) -> bool {
-        self.cols.iter().zip(&other.cols).all(|(a, b)| match (a.is_null(i), b.is_null(j)) {
-            (true, true) => true,
-            (false, false) => cells_eq(a, i, b, j),
-            _ => false,
+        self.cols.iter().zip(&other.cols).all(|((a, av), (b, bv))| {
+            match (a.is_null(i), b.is_null(j)) {
+                (true, true) => true,
+                (false, false) => cells_eq(*av, i, *bv, j),
+                _ => false,
+            }
         })
     }
 
     /// Lexicographic key ordering (`Value::total_cmp` per component) for
     /// merge joins.
     pub fn cmp_rows(&self, i: usize, other: &KeyCols<'_>, j: usize) -> Ordering {
-        for (a, b) in self.cols.iter().zip(&other.cols) {
-            let o = cmp_cells(a, i, b, j);
+        for (&a, &b) in self.cols.iter().zip(&other.cols) {
+            let o = cmp_viewed(a, i, b, j);
             if o != Ordering::Equal {
                 return o;
             }

@@ -19,7 +19,12 @@
 //! hash aggregation — process their input as a sequence of fixed-size
 //! chunks ([`cv_data::chunk::DEFAULT_CHUNK_SIZE`] rows) and fan the chunks
 //! out through the context's [`MorselRunner`], so a single heavy job
-//! spreads across the service's worker pool. Pipeline breakers — sorts,
+//! spreads across the service's worker pool. A chunk is a *window* over
+//! the input's column buffers ([`Table::slice`]): cutting one copies no
+//! row, so an operator pays only for the columns it reads. Whatever leaves
+//! the query — the result, a spooled view and its sink chunks, a published
+//! breaker state — is compacted first ([`Table::compact`]), so no window
+//! outlives the query that cut it. Pipeline breakers — sorts,
 //! join build sides, merge/loop joins, unions, UDOs, spools, aggregate
 //! accumulation — materialize via [`Table::from_chunks`]. Breaker states
 //! (join builds, finished aggregate/sort output) can additionally be
@@ -52,7 +57,7 @@ use cv_common::ids::VersionGuid;
 use cv_common::{CvError, Result, SimTime};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::chunk::{chunk_ranges, ChunkedTable};
-use cv_data::column::{Column, ColumnBuilder, ColumnData};
+use cv_data::column::{Column, ColumnBuilder, ColumnView};
 use cv_data::schema::{Schema, SchemaRef};
 use cv_data::table::Table;
 use cv_data::value::Value;
@@ -236,60 +241,89 @@ pub fn execute(
 ) -> Result<ExecOutcome> {
     let mut metrics = ExecMetrics::default();
     let mut pending = Vec::new();
-    let table = exec_node(plan, ctx, model, &mut metrics, &mut pending)?;
+    let out = exec_node(plan, ctx, model, &mut metrics, &mut pending)?;
+    // The result leaves the query: a window (a LIMIT prefix, an
+    // identity-prefix join side) must not leave with it.
+    let table = out.table.compact();
     metrics.rows_out = table.num_rows() as u64;
     Ok(ExecOutcome { table, metrics, pending_views: pending })
+}
+
+/// An operator's output with its `byte_size` — O(rows) for string columns —
+/// computed once: the operator's profile, its parent's `data_read_bytes`
+/// and the obs sink all read this value.
+struct OpOutput {
+    table: Table,
+    bytes: u64,
+}
+
+impl OpOutput {
+    fn new(table: Table) -> OpOutput {
+        let bytes = table.byte_size();
+        OpOutput { table, bytes }
+    }
 }
 
 fn record(
     metrics: &mut ExecMetrics,
     plan: &PhysicalPlan,
-    out: &Table,
+    out: OpOutput,
     work: f64,
     spool_sig: Option<Sig128>,
-) {
+) -> OpOutput {
     metrics.total_work += work;
     metrics.op_profiles.push(OpProfile {
         kind: plan.kind_name(),
-        rows_out: out.num_rows() as u64,
-        bytes_out: out.byte_size(),
+        rows_out: out.table.num_rows() as u64,
+        bytes_out: out.bytes,
         work,
         partitions: plan.partitions(),
         spool_sig,
     });
+    out
 }
 
-/// Run a chunk-wise transform over the input: slice into morsels, fan them
-/// out through the context's [`MorselRunner`], and reassemble the outputs
-/// in chunk order (normalized). Returns the table and the morsel count for
-/// the work ledger.
+/// Run `f` over every morsel of the input — each a window over the
+/// input's buffers, no row is copied to cut it — fanned out through the
+/// context's [`MorselRunner`]; results come back in chunk order.
 ///
 /// When `deterministic` is false — the operator's expressions contain
 /// `RANDOM()`/`NEW_GUID()` — the input collapses to a single chunk
 /// evaluated against the shared [`EvalCtx`], so the per-row nondeterminism
 /// counter advances in exactly the monolithic order regardless of the
 /// configured chunk size or worker count.
+fn map_chunks<T: Send>(
+    input: &Table,
+    ctx: &mut ExecContext<'_>,
+    deterministic: bool,
+    f: &(dyn Fn(&Table, &mut EvalCtx) -> Result<T> + Sync),
+) -> Result<Vec<T>> {
+    let chunk_size = if deterministic { ctx.chunk_size } else { usize::MAX };
+    let ranges = chunk_ranges(input.num_rows(), chunk_size);
+    if ranges.len() == 1 {
+        return Ok(vec![f(input, &mut ctx.eval)?]);
+    }
+    let base_eval = ctx.eval.clone();
+    morsel::run_indexed(ctx.runner.as_ref(), ranges.len(), &|i| {
+        let (off, len) = ranges[i];
+        f(&input.slice(off, len), &mut base_eval.clone())
+    })
+    .into_iter()
+    .collect()
+}
+
+/// [`map_chunks`] for a chunk-to-table transform: the outputs are
+/// reassembled in chunk order (normalized). Returns the table and the
+/// morsel count for the work ledger.
 fn stream_chunks(
     input: &Table,
     ctx: &mut ExecContext<'_>,
     deterministic: bool,
     transform: &(dyn Fn(&Table, &mut EvalCtx) -> Result<Table> + Sync),
 ) -> Result<(Table, usize)> {
-    let chunk_size = if deterministic { ctx.chunk_size } else { usize::MAX };
-    let ranges = chunk_ranges(input.num_rows(), chunk_size);
-    if ranges.len() == 1 {
-        let out = transform(input, &mut ctx.eval)?;
-        let schema = out.schema().clone();
-        return Ok((Table::from_chunks(schema, &[out])?, 1));
-    }
-    let base_eval = ctx.eval.clone();
-    let outputs = morsel::run_indexed(ctx.runner.as_ref(), ranges.len(), &|i| {
-        let (off, len) = ranges[i];
-        transform(&input.slice(off, len), &mut base_eval.clone())
-    });
-    let chunks = outputs.into_iter().collect::<Result<Vec<Table>>>()?;
+    let chunks = map_chunks(input, ctx, deterministic, transform)?;
     let schema = chunks[0].schema().clone();
-    Ok((Table::from_chunks(schema, &chunks)?, ranges.len()))
+    Ok((Table::from_chunks(schema, &chunks)?, chunks.len()))
 }
 
 /// Dispatch one operator, emitting [`ObsSink`] events around the recursion
@@ -303,7 +337,7 @@ fn exec_node(
     model: &CostModel,
     metrics: &mut ExecMetrics,
     pending: &mut Vec<PendingView>,
-) -> Result<Table> {
+) -> Result<OpOutput> {
     let Some(obs) = ctx.obs else {
         return exec_node_inner(plan, ctx, model, metrics, pending);
     };
@@ -313,7 +347,7 @@ fn exec_node(
     let result = exec_node_inner(plan, ctx, model, metrics, pending);
     let ns = started.elapsed().as_nanos() as u64;
     match &result {
-        Ok(table) => obs.op_finished(kind, table.num_rows() as u64, table.byte_size(), ns),
+        Ok(out) => obs.op_finished(kind, out.table.num_rows() as u64, out.bytes, ns),
         Err(_) => obs.op_finished(kind, 0, 0, ns),
     }
     result
@@ -325,7 +359,7 @@ fn exec_node_inner(
     model: &CostModel,
     metrics: &mut ExecMetrics,
     pending: &mut Vec<PendingView>,
-) -> Result<Table> {
+) -> Result<OpOutput> {
     match plan {
         PhysicalPlan::TableScan { dataset, guid, .. } => {
             let ds = ctx.catalog.get_by_name(dataset)?;
@@ -334,19 +368,18 @@ fn exec_node_inner(
                     "stale plan: dataset `{dataset}` was regenerated since compilation"
                 )));
             }
-            let table = ds.data().clone();
-            let bytes = table.byte_size();
-            metrics.input_bytes += bytes;
-            metrics.data_read_bytes += bytes;
-            let work = model.scan(bytes as f64).total();
-            record(metrics, plan, &table, work, None);
-            Ok(table)
+            let out = OpOutput::new(ds.data().clone());
+            metrics.input_bytes += out.bytes;
+            metrics.data_read_bytes += out.bytes;
+            let work = model.scan(out.bytes as f64).total();
+            Ok(record(metrics, plan, out, work, None))
         }
         PhysicalPlan::ViewScan { sig, fallback, .. } => {
             use cv_data::viewstore::{ViewReadFault, ViewTemperature};
             match ctx.views.read_view_traced(*sig, ctx.now) {
                 Ok(Some((table, temperature))) => {
-                    let bytes = table.byte_size();
+                    let out = OpOutput::new(table);
+                    let bytes = out.bytes;
                     metrics.view_bytes_read += bytes;
                     metrics.data_read_bytes += bytes;
                     let work = match temperature {
@@ -356,8 +389,7 @@ fn exec_node_inner(
                             model.view_scan_cold(bytes as f64).total()
                         }
                     };
-                    record(metrics, plan, &table, work, None);
-                    return Ok(table);
+                    return Ok(record(metrics, plan, out, work, None));
                 }
                 // Plain miss (expired, purged, quarantined earlier): fall
                 // through to the recompute fallback without quarantining.
@@ -387,34 +419,48 @@ fn exec_node_inner(
             // leaf here. The subtree's work/bytes have already accumulated
             // into the aggregate metrics (the recomputation really ran).
             let profiles_before = metrics.op_profiles.len();
-            let table = exec_node(fb, ctx, model, metrics, pending)?;
+            let out = exec_node(fb, ctx, model, metrics, pending)?;
             let sub_work: f64 = metrics.op_profiles.drain(profiles_before..).map(|p| p.work).sum();
             metrics.op_profiles.push(OpProfile {
                 kind: plan.kind_name(),
-                rows_out: table.num_rows() as u64,
-                bytes_out: table.byte_size(),
+                rows_out: out.table.num_rows() as u64,
+                bytes_out: out.bytes,
                 work: sub_work,
                 partitions: plan.partitions(),
                 spool_sig: None,
             });
-            Ok(table)
-        }
-        PhysicalPlan::Filter { predicate, input, .. } => {
-            let in_table = exec_node(input, ctx, model, metrics, pending)?;
-            metrics.data_read_bytes += in_table.byte_size();
-            let (out, chunks) =
-                stream_chunks(&in_table, ctx, predicate.is_deterministic(), &|t, ec| {
-                    let mask = eval_predicate(predicate, t, ec)?;
-                    t.filter(&mask)
-                })?;
-            let work = model.filter(in_table.num_rows() as f64).total()
-                + model.morsel_dispatch(chunks as f64).total();
-            record(metrics, plan, &out, work, None);
             Ok(out)
         }
+        PhysicalPlan::Filter { predicate, input, .. } => {
+            let OpOutput { table: in_table, bytes } =
+                exec_node(input, ctx, model, metrics, pending)?;
+            metrics.data_read_bytes += bytes;
+            // Per-chunk work is the mask alone. Survivors are gathered once,
+            // straight from the unsliced input (or the input is shared when
+            // every row passes) — not once per chunk and again to
+            // reassemble. Normalized like any chunk reassembly.
+            let masks = map_chunks(&in_table, ctx, predicate.is_deterministic(), &|t, ec| {
+                eval_predicate(predicate, t, ec)
+            })?;
+            let mut keep: Vec<usize> = Vec::new();
+            let mut off = 0;
+            for mask in &masks {
+                keep.extend(mask.ones().into_iter().map(|i| off + i));
+                off += mask.len();
+            }
+            let out = if keep.len() == in_table.num_rows() {
+                in_table.clone()
+            } else {
+                in_table.take(&keep)?
+            };
+            let work = model.filter(in_table.num_rows() as f64).total()
+                + model.morsel_dispatch(masks.len() as f64).total();
+            Ok(record(metrics, plan, OpOutput::new(out.normalized()), work, None))
+        }
         PhysicalPlan::Project { exprs, schema, input, .. } => {
-            let in_table = exec_node(input, ctx, model, metrics, pending)?;
-            metrics.data_read_bytes += in_table.byte_size();
+            let OpOutput { table: in_table, bytes } =
+                exec_node(input, ctx, model, metrics, pending)?;
+            metrics.data_read_bytes += bytes;
             let det = exprs.iter().all(|(e, _)| e.is_deterministic());
             let (out, chunks) = stream_chunks(&in_table, ctx, det, &|t, ec| {
                 let mut columns = Vec::with_capacity(exprs.len());
@@ -425,11 +471,11 @@ fn exec_node_inner(
             })?;
             let work = model.project(in_table.num_rows() as f64, exprs.len()).total()
                 + model.morsel_dispatch(chunks as f64).total();
-            record(metrics, plan, &out, work, None);
-            Ok(out)
+            Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::Join { algo, kind, on, left, right, swapped, .. } => {
-            let l = exec_node(left, ctx, model, metrics, pending)?;
+            let OpOutput { table: l, bytes: l_bytes } =
+                exec_node(left, ctx, model, metrics, pending)?;
             // Operator-state reuse applies to the hash build side only:
             // derive the build key and ask the source before executing the
             // right subtree at all.
@@ -465,15 +511,14 @@ fn exec_node_inner(
                 // tree: emit zero-work placeholders for the skipped
                 // subtree, in the same postorder execution would have.
                 push_skipped_profiles(right, metrics);
-                metrics.data_read_bytes += l.byte_size() + jb.table.byte_size();
+                metrics.data_read_bytes += l_bytes + jb.table.byte_size();
                 let (out, probe_chunks) = hash_join_probe(&l, jb, on, *kind, ctx)?;
                 let out = restore_swapped_columns(out, *swapped, l.schema().len())?;
                 metrics.join_algos.hash += 1;
                 let (ln, rn) = (l.num_rows() as f64, jb.table.num_rows() as f64);
                 let work = model.hash_join_warm(rn, ln).total()
                     + model.morsel_dispatch(probe_chunks as f64).total();
-                record(metrics, plan, &out, work, None);
-                return Ok(out);
+                return Ok(record(metrics, plan, OpOutput::new(out), work, None));
             }
             if key.is_some() {
                 metrics.op_state_misses += 1;
@@ -484,7 +529,10 @@ fn exec_node_inner(
             let build_work_before = metrics.total_work;
             let build_started = std::time::Instant::now();
             let r = match exec_node(right, ctx, model, metrics, pending) {
-                Ok(t) => t,
+                Ok(out) => {
+                    metrics.data_read_bytes += l_bytes + out.bytes;
+                    out.table
+                }
                 Err(e) => {
                     if claimed {
                         abandon_claim(ctx, key);
@@ -492,7 +540,6 @@ fn exec_node_inner(
                     return Err(e);
                 }
             };
-            metrics.data_read_bytes += l.byte_size() + r.byte_size();
             let (out, probe_chunks) = match algo {
                 JoinAlgo::Hash => {
                     let jb = match build_join_state(&r, on) {
@@ -539,8 +586,7 @@ fn exec_node_inner(
             }
             .total()
                 + model.morsel_dispatch(probe_chunks as f64).total();
-            record(metrics, plan, &out, work, None);
-            Ok(out)
+            Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::HashAggregate { group_by, aggs, schema, input, .. } => {
             let acq = acquire_breaker(ctx, metrics, "agg_state", || {
@@ -550,13 +596,15 @@ fn exec_node_inner(
                 OpState::AggOutput(t) => Some(t),
                 _ => None,
             })? {
-                record(metrics, plan, &out, 0.0, None);
-                return Ok(out);
+                return Ok(record(metrics, plan, out, 0.0, None));
             }
             let build_work_before = metrics.total_work;
             let build_started = std::time::Instant::now();
             let in_table = match exec_node(input, ctx, model, metrics, pending) {
-                Ok(t) => t,
+                Ok(out) => {
+                    metrics.data_read_bytes += out.bytes;
+                    out.table
+                }
                 Err(e) => {
                     if acq.claimed {
                         abandon_claim(ctx, acq.key);
@@ -564,7 +612,6 @@ fn exec_node_inner(
                     return Err(e);
                 }
             };
-            metrics.data_read_bytes += in_table.byte_size();
             let (out, chunks) = match hash_aggregate(&in_table, group_by, aggs, schema, ctx) {
                 Ok(v) => v,
                 Err(e) => {
@@ -576,11 +623,11 @@ fn exec_node_inner(
             };
             let work = model.hash_aggregate(in_table.num_rows() as f64, aggs.len()).total()
                 + model.morsel_dispatch(chunks as f64).total();
-            record(metrics, plan, &out, work, None);
+            let out = record(metrics, plan, OpOutput::new(out), work, None);
             if acq.claimed {
                 let build_wall = build_started.elapsed().as_secs_f64();
                 let build_work = metrics.total_work - build_work_before;
-                let state = Arc::new(OpState::AggOutput(out.clone()));
+                let state = Arc::new(OpState::AggOutput(out.table.clone().compact()));
                 publish_state(ctx, metrics, input, acq.key, state, build_work, build_wall);
             }
             Ok(out)
@@ -592,13 +639,15 @@ fn exec_node_inner(
                 OpState::SortRun(t) => Some(t),
                 _ => None,
             })? {
-                record(metrics, plan, &out, 0.0, None);
-                return Ok(out);
+                return Ok(record(metrics, plan, out, 0.0, None));
             }
             let build_work_before = metrics.total_work;
             let build_started = std::time::Instant::now();
             let in_table = match exec_node(input, ctx, model, metrics, pending) {
-                Ok(t) => t,
+                Ok(out) => {
+                    metrics.data_read_bytes += out.bytes;
+                    out.table
+                }
                 Err(e) => {
                     if acq.claimed {
                         abandon_claim(ctx, acq.key);
@@ -606,7 +655,6 @@ fn exec_node_inner(
                     return Err(e);
                 }
             };
-            metrics.data_read_bytes += in_table.byte_size();
             let sorted = (|| -> Result<Table> {
                 let mut resolved = Vec::with_capacity(keys.len());
                 for (name, asc) in keys {
@@ -628,52 +676,50 @@ fn exec_node_inner(
                 }
             };
             let work = model.sort(in_table.num_rows() as f64).total();
-            record(metrics, plan, &out, work, None);
+            let out = record(metrics, plan, OpOutput::new(out), work, None);
             if acq.claimed {
                 let build_wall = build_started.elapsed().as_secs_f64();
                 let build_work = metrics.total_work - build_work_before;
-                let state = Arc::new(OpState::SortRun(out.clone()));
+                let state = Arc::new(OpState::SortRun(out.table.clone().compact()));
                 publish_state(ctx, metrics, input, acq.key, state, build_work, build_wall);
             }
             Ok(out)
         }
         PhysicalPlan::Limit { n, input, .. } => {
-            let in_table = exec_node(input, ctx, model, metrics, pending)?;
-            // Chunk-aware prefix take: chunks fully inside the limit are
-            // reused by reference (identity runs), only the boundary chunk
-            // is gathered.
-            let keep: Vec<usize> = (0..in_table.num_rows().min(*n)).collect();
-            let ct = ChunkedTable::from_table(&in_table, ctx.chunk_size);
-            let out = ct.take(&keep)?.into_table()?;
-            record(metrics, plan, &out, model.limit().total(), None);
-            Ok(out)
+            let in_table = exec_node(input, ctx, model, metrics, pending)?.table;
+            // A prefix is a window over the input: O(1) here, one copy of
+            // the kept rows wherever the table leaves the query.
+            let out = in_table.slice(0, in_table.num_rows().min(*n)).normalized();
+            Ok(record(metrics, plan, OpOutput::new(out), model.limit().total(), None))
         }
         PhysicalPlan::Union { inputs, .. } => {
             let mut iter = inputs.iter();
             let first = iter.next().ok_or_else(|| CvError::exec("empty UNION"))?;
-            let mut acc = exec_node(first, ctx, model, metrics, pending)?;
+            let mut acc = exec_node(first, ctx, model, metrics, pending)?.table;
             for i in iter {
-                let t = exec_node(i, ctx, model, metrics, pending)?;
+                let t = exec_node(i, ctx, model, metrics, pending)?.table;
                 acc = acc.concat(&t)?;
             }
-            metrics.data_read_bytes += acc.byte_size();
-            let work = model.union(acc.num_rows() as f64).total();
-            record(metrics, plan, &acc, work, None);
-            Ok(acc)
+            let out = OpOutput::new(acc);
+            metrics.data_read_bytes += out.bytes;
+            let work = model.union(out.table.num_rows() as f64).total();
+            Ok(record(metrics, plan, out, work, None))
         }
         PhysicalPlan::Udo { spec, input, .. } => {
-            let in_table = exec_node(input, ctx, model, metrics, pending)?;
-            metrics.data_read_bytes += in_table.byte_size();
+            let OpOutput { table: in_table, bytes } =
+                exec_node(input, ctx, model, metrics, pending)?;
+            metrics.data_read_bytes += bytes;
             let out = ctx.udos.apply(spec, &in_table)?;
             let work = model.udo(in_table.num_rows() as f64).total();
-            record(metrics, plan, &out, work, None);
-            Ok(out)
+            Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::Spool { sig, recurring_sig, input_guids, input, .. } => {
             let work_before = metrics.total_work;
-            let in_table = exec_node(input, ctx, model, metrics, pending)?;
+            let OpOutput { table, bytes } = exec_node(input, ctx, model, metrics, pending)?;
+            // The view outlives this query, in the store and in consumers'
+            // hands: it (and each chunk handed to the sink) owns its rows.
+            let in_table = table.compact();
             let production_work = metrics.total_work - work_before;
-            let bytes = in_table.byte_size();
             let write_work = model.spool(in_table.num_rows() as f64, bytes as f64).total();
             metrics.bytes_written_views += bytes;
             // Hand sealed chunks to concurrent consumers as they are
@@ -683,7 +729,7 @@ fn exec_node_inner(
                 let ct = ChunkedTable::from_table(&in_table, ctx.chunk_size);
                 let last = ct.num_chunks() - 1;
                 for (i, chunk) in ct.chunks().iter().enumerate() {
-                    sink.publish_chunk(*sig, chunk, i == last);
+                    sink.publish_chunk(*sig, &chunk.clone().compact(), i == last);
                 }
             }
             pending.push(PendingView {
@@ -695,8 +741,7 @@ fn exec_node_inner(
                 production_work,
                 write_work,
             });
-            record(metrics, plan, &in_table, write_work, Some(*sig));
-            Ok(in_table)
+            Ok(record(metrics, plan, OpOutput { table: in_table, bytes }, write_work, Some(*sig)))
         }
     }
 }
@@ -743,7 +788,7 @@ fn restore_table_state(
     subtree: &PhysicalPlan,
     acq: &BreakerAcq,
     pick: impl FnOnce(&OpState) -> Option<&Table>,
-) -> Result<Option<Table>> {
+) -> Result<Option<OpOutput>> {
     let Some(entry) = &acq.hit else { return Ok(None) };
     let Some(table) = pick(&entry.state) else { return Ok(None) };
     opstate::validate_scan_guids(subtree, ctx.catalog)?;
@@ -754,8 +799,9 @@ fn restore_table_state(
         obs.op_state_hit(acq.kind, acq.key.expect("hit implies key"));
     }
     push_skipped_profiles(subtree, metrics);
-    metrics.data_read_bytes += table.byte_size();
-    Ok(Some(table.clone()))
+    let out = OpOutput::new(table.clone());
+    metrics.data_read_bytes += out.bytes;
+    Ok(Some(out))
 }
 
 fn state_bytes(state: &OpState) -> u64 {
@@ -958,7 +1004,8 @@ fn build_join_state(right: &Table, on: &[(String, String)]) -> Result<JoinBuildS
             ht.entry(rh[row]).or_default().push(row);
         }
     }
-    Ok(JoinBuildState { table: right.clone(), key_cols: rk, ht })
+    // The state may be published to the operator-state cache: it owns its rows.
+    Ok(JoinBuildState { table: right.clone().compact(), key_cols: rk, ht })
 }
 
 /// The probe side streams chunk-at-a-time against the (possibly restored)
@@ -970,7 +1017,7 @@ fn hash_join_probe(
     state: &JoinBuildState,
     on: &[(String, String)],
     kind: JoinKind,
-    ctx: &ExecContext<'_>,
+    ctx: &mut ExecContext<'_>,
 ) -> Result<(Table, usize)> {
     let mut lk = Vec::with_capacity(on.len());
     for (name, _) in on {
@@ -1023,19 +1070,7 @@ fn hash_join_probe(
         }
         join_output_from_indices(chunk, right, &left_idx, &right_idx, kind)
     };
-    let ranges = chunk_ranges(left.num_rows(), ctx.chunk_size);
-    if ranges.len() == 1 {
-        let out = probe(left)?;
-        let schema = out.schema().clone();
-        return Ok((Table::from_chunks(schema, &[out])?, 1));
-    }
-    let outputs = morsel::run_indexed(ctx.runner.as_ref(), ranges.len(), &|i| {
-        let (off, len) = ranges[i];
-        probe(&left.slice(off, len))
-    });
-    let chunks = outputs.into_iter().collect::<Result<Vec<Table>>>()?;
-    let schema = chunks[0].schema().clone();
-    Ok((Table::from_chunks(schema, &chunks)?, ranges.len()))
+    stream_chunks(left, ctx, true, &|chunk, _| probe(chunk))
 }
 
 fn loop_join(
@@ -1145,10 +1180,10 @@ fn sorted_indices(t: &Table, keys: &[usize]) -> Vec<usize> {
 /// Numeric widening matching `Value::as_f64` (Int, Float, Date → f64).
 #[inline]
 fn num_at(col: &Column, row: usize) -> Option<f64> {
-    match col.data() {
-        ColumnData::Int(v) => Some(v[row] as f64),
-        ColumnData::Float(v) => Some(v[row]),
-        ColumnData::Date(v) => Some(v[row] as f64),
+    match col.view() {
+        ColumnView::Int(v) => Some(v[row] as f64),
+        ColumnView::Float(v) => Some(v[row]),
+        ColumnView::Date(v) => Some(v[row] as f64),
         _ => None,
     }
 }
@@ -1350,19 +1385,8 @@ fn hash_aggregate(
             aggs.iter().map(|a| a.arg.as_ref().map(|e| eval(e, t, ec)).transpose()).collect();
         Ok((keys?, args?))
     };
-    let evaluated: Vec<(Vec<Column>, Vec<Option<Column>>)> = if ranges.len() == 1 {
-        vec![eval_chunk(input, &mut ctx.eval)?]
-    } else {
-        let base_eval = ctx.eval.clone();
-        morsel::run_indexed(ctx.runner.as_ref(), ranges.len(), &|i| {
-            let (off, len) = ranges[i];
-            eval_chunk(&input.slice(off, len), &mut base_eval.clone())
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?
-    };
     let (keys_by_chunk, args_by_chunk): (Vec<Vec<Column>>, Vec<Vec<Option<Column>>>) =
-        evaluated.into_iter().unzip();
+        map_chunks(input, ctx, det, &eval_chunk)?.into_iter().unzip();
 
     // SUM over an INT input produces INT; detect from the output schema.
     let int_sum: Vec<bool> = aggs

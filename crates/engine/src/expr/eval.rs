@@ -6,7 +6,8 @@
 //! back the constant folder in [`super::fold`], so folding and runtime can
 //! never disagree.
 
-use super::{kernels, BinOp, FuncKind, ScalarExpr, UnOp};
+use super::kernels::{self, Operand};
+use super::{BinOp, FuncKind, ScalarExpr, UnOp};
 use cv_common::hash::StableHasher;
 use cv_common::{CvError, Result};
 use cv_data::bitmap::Bitmap;
@@ -50,10 +51,38 @@ impl Default for EvalCtx {
     }
 }
 
+/// A non-NULL literal or parameter: an operand a binary kernel takes as a
+/// scalar. (A NULL literal has no type; it takes the column path, where
+/// `dtype` rejects it as it always has.)
+fn constant(expr: &ScalarExpr) -> Option<&Value> {
+    match expr {
+        ScalarExpr::Literal(v) | ScalarExpr::Param { value: v, .. } if !v.is_null() => Some(v),
+        _ => None,
+    }
+}
+
+/// One side of a binary node: the scalar itself for a constant (when the
+/// kernels are on and the caller allows it), the evaluated column otherwise.
+fn operand<'e>(
+    expr: &'e ScalarExpr,
+    may_stay_scalar: bool,
+    table: &Table,
+    ctx: &mut EvalCtx,
+) -> Result<Operand<'e>> {
+    match constant(expr) {
+        Some(k) if ctx.vectorized && may_stay_scalar => Ok(Operand::Const(k)),
+        _ => eval(expr, table, ctx).map(Operand::Col),
+    }
+}
+
 /// Evaluate an expression over every row of `table`, producing a column.
+///
+/// The expression's output type is only needed to seed a scalar-fallback
+/// builder (and by the literal and CASE kernels), so it is derived inside
+/// those branches — `dtype` recurses, and deriving it at every node of
+/// every chunk made evaluation quadratic in expression depth.
 pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Column> {
     let n = table.num_rows();
-    let out_type = expr.dtype(table.schema())?;
     match expr {
         ScalarExpr::Column(name) => {
             let col = table
@@ -62,6 +91,7 @@ pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Colum
             Ok(col.clone())
         }
         ScalarExpr::Literal(v) | ScalarExpr::Param { value: v, .. } => {
+            let out_type = expr.dtype(table.schema())?;
             if ctx.vectorized {
                 if let Some(c) = kernels::broadcast(v, out_type, n) {
                     return Ok(c);
@@ -74,28 +104,31 @@ pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Colum
             Ok(b.finish())
         }
         ScalarExpr::Binary { op, left, right } => {
-            let l = eval(left, table, ctx)?;
-            let r = eval(right, table, ctx)?;
+            // A constant operand reaches the kernel as a scalar instead of
+            // a broadcast column. At most one side: the other supplies the
+            // rows, and evaluation order (left first) is unchanged.
+            let l = operand(left, constant(right).is_none(), table, ctx)?;
+            let r = operand(right, true, table, ctx)?;
             if ctx.vectorized {
-                if let Some(c) = kernels::binary(*op, &l, &r) {
+                if let Some(c) = kernels::binary(*op, &l, &r, n) {
                     return Ok(c);
                 }
             }
-            let mut b = ColumnBuilder::with_capacity(out_type, n);
+            let mut b = ColumnBuilder::with_capacity(expr.dtype(table.schema())?, n);
             for i in 0..n {
                 let v = binary_value(*op, &l.value(i), &r.value(i))?;
                 b.push(&v)?;
             }
             Ok(b.finish())
         }
-        ScalarExpr::Unary { op, expr } => {
-            let c = eval(expr, table, ctx)?;
+        ScalarExpr::Unary { op, expr: inner } => {
+            let c = eval(inner, table, ctx)?;
             if ctx.vectorized {
                 if let Some(out) = kernels::unary(*op, &c) {
                     return Ok(out);
                 }
             }
-            let mut b = ColumnBuilder::with_capacity(out_type, n);
+            let mut b = ColumnBuilder::with_capacity(expr.dtype(table.schema())?, n);
             for i in 0..n {
                 let v = unary_value(*op, &c.value(i))?;
                 b.push(&v)?;
@@ -105,7 +138,7 @@ pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Colum
         ScalarExpr::Func { func, args } => {
             let arg_cols: Result<Vec<Column>> = args.iter().map(|a| eval(a, table, ctx)).collect();
             let arg_cols = arg_cols?;
-            let mut b = ColumnBuilder::with_capacity(out_type, n);
+            let mut b = ColumnBuilder::with_capacity(expr.dtype(table.schema())?, n);
             let mut row_args: Vec<Value> = Vec::with_capacity(arg_cols.len());
             for i in 0..n {
                 row_args.clear();
@@ -128,6 +161,7 @@ pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Colum
                 Some(e) => Some(eval(e, table, ctx)?),
                 None => None,
             };
+            let out_type = expr.dtype(table.schema())?;
             if ctx.vectorized {
                 if let Some(c) =
                     kernels::case_select(&when_cols, &then_cols, else_col.as_ref(), out_type, n)

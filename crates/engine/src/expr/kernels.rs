@@ -1,7 +1,7 @@
 //! Vectorized typed expression kernels.
 //!
-//! Each kernel dispatches on the [`ColumnData`] variants of its inputs and
-//! runs a tight loop over the typed buffers, with null propagation handled
+//! Each kernel dispatches on the typed [`ColumnView`]s of its inputs and
+//! runs a tight loop over the typed slices, with null propagation handled
 //! through validity bitmaps instead of per-row [`Value`] boxing. The scalar
 //! kernels in [`super::eval`] (`binary_value`, `unary_value`, `cast_value`)
 //! remain the *reference semantics*: every kernel here must produce exactly
@@ -13,16 +13,25 @@
 //! A kernel returns `None` when it has no typed implementation for the
 //! operand combination; the caller falls back to the scalar loop, which
 //! either handles it or raises the same error the scalar path always did.
+//!
+//! A binary kernel's operand is an [`Operand`]: an evaluated column, or a
+//! literal/parameter passed as the scalar it is. Both reach the loops as a
+//! typed [`Lane`], so `region = 'asia'` compares each row against one
+//! `&String` — nothing is materialized per row for the constant side. The
+//! lane types are exactly the column types a broadcast literal would have
+//! had, so every coercion (Int literal against a Float column, either
+//! operand order) goes through the same arm it always did.
 
 use super::{BinOp, UnOp};
 use cv_data::bitmap::Bitmap;
-use cv_data::column::{Column, ColumnData};
+use cv_data::column::{Column, ColumnData, ColumnView};
 use cv_data::value::{DataType, Value};
 use std::cmp::Ordering;
 
 /// Broadcast a literal/parameter into a constant column (one allocation,
-/// no per-row push). Coercions mirror `ColumnBuilder::push`: Int widens
-/// into Float and Date columns.
+/// no per-row push) — for a literal that *is* an output column; operands of
+/// binary kernels stay scalar ([`Operand::Const`]). Coercions mirror
+/// `ColumnBuilder::push`: Int widens into Float and Date columns.
 pub(super) fn broadcast(v: &Value, out_type: DataType, n: usize) -> Option<Column> {
     let data = match (v, out_type) {
         (Value::Bool(b), DataType::Bool) => ColumnData::Bool(vec![*b; n]),
@@ -37,13 +46,82 @@ pub(super) fn broadcast(v: &Value, out_type: DataType, n: usize) -> Option<Colum
     Some(Column::new(data, None))
 }
 
-/// Typed binary kernel. `None` means "no kernel for this combination".
-pub(super) fn binary(op: BinOp, l: &Column, r: &Column) -> Option<Column> {
-    debug_assert_eq!(l.len(), r.len());
+/// One side of a binary kernel.
+pub(super) enum Operand<'e> {
+    Col(Column),
+    /// A non-NULL literal or parameter, standing for the constant column a
+    /// broadcast would have produced (all rows valid).
+    Const(&'e Value),
+}
+
+impl Operand<'_> {
+    fn validity(&self) -> Option<&Bitmap> {
+        match self {
+            Operand::Col(c) => c.validity(),
+            Operand::Const(_) => None,
+        }
+    }
+
+    /// Row `i` boxed — the scalar fallback's accessor.
+    pub(super) fn value(&self, i: usize) -> Value {
+        match self {
+            Operand::Col(c) => c.value(i),
+            Operand::Const(v) => (*v).clone(),
+        }
+    }
+
+    fn lanes(&self) -> Option<Lanes<'_>> {
+        Some(match self {
+            Operand::Col(c) => match c.view() {
+                ColumnView::Bool(v) => Lanes::Bool(Lane::Col(v)),
+                ColumnView::Int(v) => Lanes::Int(Lane::Col(v)),
+                ColumnView::Float(v) => Lanes::Float(Lane::Col(v)),
+                ColumnView::Str(v) => Lanes::Str(Lane::Col(v)),
+                ColumnView::Date(v) => Lanes::Date(Lane::Col(v)),
+            },
+            Operand::Const(v) => match v {
+                Value::Bool(k) => Lanes::Bool(Lane::Const(k)),
+                Value::Int(k) => Lanes::Int(Lane::Const(k)),
+                Value::Float(k) => Lanes::Float(Lane::Const(k)),
+                Value::Str(k) => Lanes::Str(Lane::Const(k)),
+                Value::Date(k) => Lanes::Date(Lane::Const(k)),
+                Value::Null => return None,
+            },
+        })
+    }
+}
+
+/// Typed rows of one operand: a column slice, or one constant at every row.
+enum Lane<'a, T> {
+    Col(&'a [T]),
+    Const(&'a T),
+}
+
+impl<'a, T> Lane<'a, T> {
+    #[inline]
+    fn get(&self, i: usize) -> &'a T {
+        match *self {
+            Lane::Col(v) => &v[i],
+            Lane::Const(k) => k,
+        }
+    }
+}
+
+enum Lanes<'a> {
+    Bool(Lane<'a, bool>),
+    Int(Lane<'a, i64>),
+    Float(Lane<'a, f64>),
+    Str(Lane<'a, String>),
+    Date(Lane<'a, i32>),
+}
+
+/// Typed binary kernel over `n` rows. `None` means "no kernel for this
+/// combination".
+pub(super) fn binary(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
     match op {
-        BinOp::And | BinOp::Or => and_or(op, l, r),
-        _ if op.is_comparison() => compare(op, l, r),
-        _ => arith(op, l, r),
+        BinOp::And | BinOp::Or => and_or(op, l, r, n),
+        _ if op.is_comparison() => compare(op, l, r, n),
+        _ => arith(op, l, r, n),
     }
 }
 
@@ -52,19 +130,18 @@ fn valid(v: Option<&Bitmap>, i: usize) -> bool {
     v.is_none_or(|b| b.get(i))
 }
 
-/// AND/OR with SQL ternary logic on Bool columns.
-fn and_or(op: BinOp, l: &Column, r: &Column) -> Option<Column> {
-    let (ColumnData::Bool(lv), ColumnData::Bool(rv)) = (l.data(), r.data()) else {
+/// AND/OR with SQL ternary logic on Bool operands.
+fn and_or(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
+    let (Lanes::Bool(lv), Lanes::Bool(rv)) = (l.lanes()?, r.lanes()?) else {
         return None;
     };
-    let n = lv.len();
     let (lval, rval) = (l.validity(), r.validity());
     let mut data = vec![false; n];
     let mut validity = Bitmap::all_set(n);
     let mut any_null = false;
-    for i in 0..n {
-        let a = if valid(lval, i) { Some(lv[i]) } else { None };
-        let b = if valid(rval, i) { Some(rv[i]) } else { None };
+    for (i, slot) in data.iter_mut().enumerate() {
+        let a = if valid(lval, i) { Some(*lv.get(i)) } else { None };
+        let b = if valid(rval, i) { Some(*rv.get(i)) } else { None };
         let out = match op {
             BinOp::And => match (a, b) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
@@ -78,7 +155,7 @@ fn and_or(op: BinOp, l: &Column, r: &Column) -> Option<Column> {
             },
         };
         match out {
-            Some(x) => data[i] = x,
+            Some(x) => *slot = x,
             None => {
                 validity.set(i, false);
                 any_null = true;
@@ -88,7 +165,7 @@ fn and_or(op: BinOp, l: &Column, r: &Column) -> Option<Column> {
     Some(Column::new(ColumnData::Bool(data), if any_null { Some(validity) } else { None }))
 }
 
-fn combine_validity(l: &Column, r: &Column) -> Option<Bitmap> {
+fn combine_validity(l: &Operand<'_>, r: &Operand<'_>) -> Option<Bitmap> {
     match (l.validity(), r.validity()) {
         (None, None) => None,
         (Some(a), None) => Some(a.clone()),
@@ -105,8 +182,7 @@ fn normalize(v: Option<Bitmap>) -> Option<Bitmap> {
 
 /// Comparison kernels: typed per-pair loops matching `Value::total_cmp`
 /// (Int/Float mixes widen to f64, floats via `f64::total_cmp`).
-fn compare(op: BinOp, l: &Column, r: &Column) -> Option<Column> {
-    let n = l.len();
+fn compare(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
     let pred: fn(Ordering) -> bool = match op {
         BinOp::Eq => |o| o == Ordering::Equal,
         BinOp::NotEq => |o| o != Ordering::Equal,
@@ -137,43 +213,43 @@ fn compare(op: BinOp, l: &Column, r: &Column) -> Option<Column> {
             }
         }};
     }
-    match (l.data(), r.data()) {
-        (ColumnData::Int(a), ColumnData::Int(b)) => fill!(|i: usize| a[i].cmp(&b[i])),
-        (ColumnData::Float(a), ColumnData::Float(b)) => fill!(|i: usize| a[i].total_cmp(&b[i])),
-        (ColumnData::Int(a), ColumnData::Float(b)) => {
-            fill!(|i: usize| (a[i] as f64).total_cmp(&b[i]))
+    match (l.lanes()?, r.lanes()?) {
+        (Lanes::Int(a), Lanes::Int(b)) => fill!(|i: usize| a.get(i).cmp(b.get(i))),
+        (Lanes::Float(a), Lanes::Float(b)) => fill!(|i: usize| a.get(i).total_cmp(b.get(i))),
+        (Lanes::Int(a), Lanes::Float(b)) => {
+            fill!(|i: usize| (*a.get(i) as f64).total_cmp(b.get(i)))
         }
-        (ColumnData::Float(a), ColumnData::Int(b)) => {
-            fill!(|i: usize| a[i].total_cmp(&(b[i] as f64)))
+        (Lanes::Float(a), Lanes::Int(b)) => {
+            fill!(|i: usize| a.get(i).total_cmp(&(*b.get(i) as f64)))
         }
-        (ColumnData::Str(a), ColumnData::Str(b)) => fill!(|i: usize| a[i].cmp(&b[i])),
-        (ColumnData::Date(a), ColumnData::Date(b)) => fill!(|i: usize| a[i].cmp(&b[i])),
-        (ColumnData::Bool(a), ColumnData::Bool(b)) => fill!(|i: usize| a[i].cmp(&b[i])),
+        (Lanes::Str(a), Lanes::Str(b)) => fill!(|i: usize| a.get(i).cmp(b.get(i))),
+        (Lanes::Date(a), Lanes::Date(b)) => fill!(|i: usize| a.get(i).cmp(b.get(i))),
+        (Lanes::Bool(a), Lanes::Bool(b)) => fill!(|i: usize| a.get(i).cmp(b.get(i))),
         _ => return None,
     }
     Some(Column::new(ColumnData::Bool(data), normalize(validity)))
 }
 
-/// View over a numeric buffer widening Int to f64 (the `as_f64` coercion).
-enum NumView<'a> {
-    Int(&'a [i64]),
-    Float(&'a [f64]),
+/// Numeric lane widening Int to f64 (the `as_f64` coercion).
+enum NumLane<'a> {
+    Int(Lane<'a, i64>),
+    Float(Lane<'a, f64>),
 }
 
-impl NumView<'_> {
+impl NumLane<'_> {
     #[inline]
     fn get(&self, i: usize) -> f64 {
         match self {
-            NumView::Int(v) => v[i] as f64,
-            NumView::Float(v) => v[i],
+            NumLane::Int(v) => *v.get(i) as f64,
+            NumLane::Float(v) => *v.get(i),
         }
     }
 }
 
-fn num_view(d: &ColumnData) -> Option<NumView<'_>> {
-    match d {
-        ColumnData::Int(v) => Some(NumView::Int(v)),
-        ColumnData::Float(v) => Some(NumView::Float(v)),
+fn num_lane(l: Lanes<'_>) -> Option<NumLane<'_>> {
+    match l {
+        Lanes::Int(v) => Some(NumLane::Int(v)),
+        Lanes::Float(v) => Some(NumLane::Float(v)),
         _ => None,
     }
 }
@@ -181,43 +257,43 @@ fn num_view(d: &ColumnData) -> Option<NumView<'_>> {
 /// Arithmetic kernels: Int×Int stays Int (wrapping, except Div which
 /// promotes to Float), Date±Int shifts days, anything else numeric widens
 /// to f64. Div/Mod by zero produce NULL.
-fn arith(op: BinOp, l: &Column, r: &Column) -> Option<Column> {
+fn arith(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
     use BinOp::*;
-    let n = l.len();
     let mut validity = match combine_validity(l, r) {
         Some(v) => v,
         None => Bitmap::all_set(n),
     };
-    let data = match (l.data(), r.data()) {
-        (ColumnData::Date(a), ColumnData::Int(b)) => {
+    let data = match (l.lanes()?, r.lanes()?) {
+        (Lanes::Date(a), Lanes::Int(b)) => {
             if !matches!(op, Add | Sub) {
                 return None;
             }
             let mut out = vec![0i32; n];
-            for i in 0..n {
+            for (i, slot) in out.iter_mut().enumerate() {
                 if validity.get(i) {
-                    let d = b[i] as i32;
-                    out[i] = if op == Add { a[i].wrapping_add(d) } else { a[i].wrapping_sub(d) };
+                    let (a, d) = (*a.get(i), *b.get(i) as i32);
+                    *slot = if op == Add { a.wrapping_add(d) } else { a.wrapping_sub(d) };
                 }
             }
             ColumnData::Date(out)
         }
-        (ColumnData::Int(a), ColumnData::Int(b)) if op != Div => {
+        (Lanes::Int(a), Lanes::Int(b)) if op != Div => {
             let mut out = vec![0i64; n];
-            for i in 0..n {
+            for (i, slot) in out.iter_mut().enumerate() {
                 if !validity.get(i) {
                     continue;
                 }
-                out[i] = match op {
-                    Add => a[i].wrapping_add(b[i]),
-                    Sub => a[i].wrapping_sub(b[i]),
-                    Mul => a[i].wrapping_mul(b[i]),
+                let (a, b) = (*a.get(i), *b.get(i));
+                *slot = match op {
+                    Add => a.wrapping_add(b),
+                    Sub => a.wrapping_sub(b),
+                    Mul => a.wrapping_mul(b),
                     Mod => {
-                        if b[i] == 0 {
+                        if b == 0 {
                             validity.set(i, false);
                             0
                         } else {
-                            a[i] % b[i]
+                            a % b
                         }
                     }
                     _ => unreachable!(),
@@ -226,7 +302,7 @@ fn arith(op: BinOp, l: &Column, r: &Column) -> Option<Column> {
             ColumnData::Int(out)
         }
         (ld, rd) => {
-            let (Some(va), Some(vb)) = (num_view(ld), num_view(rd)) else {
+            let (Some(va), Some(vb)) = (num_lane(ld), num_lane(rd)) else {
                 return None;
             };
             let mut out = vec![0.0f64; n];
@@ -263,7 +339,7 @@ pub(super) fn unary(op: UnOp, c: &Column) -> Option<Column> {
     let n = c.len();
     match op {
         UnOp::Not => {
-            let ColumnData::Bool(v) = c.data() else { return None };
+            let ColumnView::Bool(v) = c.view() else { return None };
             let data: Vec<bool> = match c.validity() {
                 None => v.iter().map(|b| !b).collect(),
                 Some(val) => (0..n).map(|i| if val.get(i) { !v[i] } else { false }).collect(),
@@ -272,8 +348,8 @@ pub(super) fn unary(op: UnOp, c: &Column) -> Option<Column> {
         }
         UnOp::Neg => {
             let validity = normalize(c.validity().cloned());
-            let data = match c.data() {
-                ColumnData::Int(v) => {
+            let data = match c.view() {
+                ColumnView::Int(v) => {
                     let mut out = vec![0i64; n];
                     for i in 0..n {
                         if valid(c.validity(), i) {
@@ -282,7 +358,7 @@ pub(super) fn unary(op: UnOp, c: &Column) -> Option<Column> {
                     }
                     ColumnData::Int(out)
                 }
-                ColumnData::Float(v) => {
+                ColumnView::Float(v) => {
                     let mut out = vec![0.0f64; n];
                     for i in 0..n {
                         if valid(c.validity(), i) {
@@ -312,14 +388,13 @@ pub(super) fn unary(op: UnOp, c: &Column) -> Option<Column> {
     }
 }
 
-/// Typed cast kernel. Identity casts share the source buffer (reference
-/// bump); string parses that fail produce NULL, matching `cast_value`.
+/// Typed cast kernel. Identity casts share the source column, window and
+/// all (reference bump); string parses that fail produce NULL, matching
+/// `cast_value`.
 pub(super) fn cast(c: &Column, to: DataType) -> Option<Column> {
     let n = c.len();
     if c.dtype() == to {
-        return Some(
-            Column::from_shared(c.shared_data(), c.validity().cloned()).normalize_validity(),
-        );
+        return Some(c.clone().normalize_validity());
     }
     let mut validity = c.validity().cloned().unwrap_or_else(|| Bitmap::all_set(n));
     macro_rules! convert {
@@ -348,44 +423,44 @@ pub(super) fn cast(c: &Column, to: DataType) -> Option<Column> {
             $wrap(out)
         }};
     }
-    let data = match (c.data(), to) {
-        (ColumnData::Int(v), DataType::Float) => {
+    let data = match (c.view(), to) {
+        (ColumnView::Int(v), DataType::Float) => {
             convert!(v, 0.0, ColumnData::Float, |x: &i64| *x as f64)
         }
-        (ColumnData::Int(v), DataType::Date) => {
+        (ColumnView::Int(v), DataType::Date) => {
             convert!(v, 0, ColumnData::Date, |x: &i64| *x as i32)
         }
-        (ColumnData::Int(v), DataType::Str) => {
+        (ColumnView::Int(v), DataType::Str) => {
             convert!(v, String::new(), ColumnData::Str, |x: &i64| x.to_string())
         }
-        (ColumnData::Int(v), DataType::Bool) => {
+        (ColumnView::Int(v), DataType::Bool) => {
             convert!(v, false, ColumnData::Bool, |x: &i64| *x != 0)
         }
-        (ColumnData::Float(v), DataType::Int) => {
+        (ColumnView::Float(v), DataType::Int) => {
             convert!(v, 0, ColumnData::Int, |x: &f64| *x as i64)
         }
-        (ColumnData::Float(v), DataType::Str) => {
+        (ColumnView::Float(v), DataType::Str) => {
             convert!(v, String::new(), ColumnData::Str, |x: &f64| x.to_string())
         }
-        (ColumnData::Str(v), DataType::Int) => {
+        (ColumnView::Str(v), DataType::Int) => {
             parse!(v, 0, ColumnData::Int, |s: &String| s.trim().parse::<i64>().ok())
         }
-        (ColumnData::Str(v), DataType::Float) => {
+        (ColumnView::Str(v), DataType::Float) => {
             parse!(v, 0.0, ColumnData::Float, |s: &String| s.trim().parse::<f64>().ok())
         }
-        (ColumnData::Str(v), DataType::Date) => {
+        (ColumnView::Str(v), DataType::Date) => {
             parse!(v, 0, ColumnData::Date, |s: &String| cv_data::value::parse_date(s))
         }
-        (ColumnData::Bool(v), DataType::Int) => {
+        (ColumnView::Bool(v), DataType::Int) => {
             convert!(v, 0, ColumnData::Int, |x: &bool| *x as i64)
         }
-        (ColumnData::Bool(v), DataType::Str) => {
+        (ColumnView::Bool(v), DataType::Str) => {
             convert!(v, String::new(), ColumnData::Str, |x: &bool| x.to_string())
         }
-        (ColumnData::Date(v), DataType::Int) => {
+        (ColumnView::Date(v), DataType::Int) => {
             convert!(v, 0, ColumnData::Int, |x: &i32| *x as i64)
         }
-        (ColumnData::Date(v), DataType::Str) => {
+        (ColumnView::Date(v), DataType::Str) => {
             convert!(v, String::new(), ColumnData::Str, |x: &i32| cv_data::value::format_date(*x))
         }
         _ => return None,
@@ -407,7 +482,7 @@ pub(super) fn case_select(
     const NO_BRANCH: usize = usize::MAX;
     let mut sel = vec![NO_BRANCH; n];
     for (bi, w) in when_cols.iter().enumerate() {
-        let ColumnData::Bool(wv) = w.data() else { return None };
+        let ColumnView::Bool(wv) = w.view() else { return None };
         let wval = w.validity();
         for i in 0..n {
             if sel[i] == NO_BRANCH && valid(wval, i) && wv[i] {
@@ -441,7 +516,7 @@ pub(super) fn case_select(
                     if sel[i] != NO_BRANCH { Some(&srcs[sel[i]]) } else { else_src.as_ref() };
                 match src {
                     Some(c) if !c.is_null(i) => {
-                        let ColumnData::$variant(v) = c.data() else {
+                        let ColumnView::$variant(v) = c.view() else {
                             unreachable!("coerced to output type above")
                         };
                         out[i] = $get(&v[i]);

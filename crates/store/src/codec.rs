@@ -7,7 +7,7 @@
 //! panics.
 
 use cv_data::bitmap::Bitmap;
-use cv_data::column::{Column, ColumnData};
+use cv_data::column::{Column, ColumnData, ColumnView};
 use cv_data::schema::{Field, Schema};
 use cv_data::table::Table;
 use cv_data::value::DataType;
@@ -214,12 +214,12 @@ pub fn encode_table_chunked(t: &Table, chunk_size: usize) -> Vec<u8> {
                 }
                 None => e.put_u8(0),
             }
-            match col.data() {
-                ColumnData::Bool(vs) => e.put_bytes(&pack_bools(&vs[off..off + len])),
-                ColumnData::Int(vs) => vs[off..off + len].iter().for_each(|&v| e.put_i64(v)),
-                ColumnData::Float(vs) => vs[off..off + len].iter().for_each(|&v| e.put_f64(v)),
-                ColumnData::Str(vs) => vs[off..off + len].iter().for_each(|v| e.put_str(v)),
-                ColumnData::Date(vs) => vs[off..off + len].iter().for_each(|&v| e.put_i32(v)),
+            match col.view() {
+                ColumnView::Bool(vs) => e.put_bytes(&pack_bools(&vs[off..off + len])),
+                ColumnView::Int(vs) => vs[off..off + len].iter().for_each(|&v| e.put_i64(v)),
+                ColumnView::Float(vs) => vs[off..off + len].iter().for_each(|&v| e.put_f64(v)),
+                ColumnView::Str(vs) => vs[off..off + len].iter().for_each(|v| e.put_str(v)),
+                ColumnView::Date(vs) => vs[off..off + len].iter().for_each(|&v| e.put_i32(v)),
             }
         }
     }
@@ -374,6 +374,20 @@ mod tests {
         assert_eq!(t.canonical_rows(), back.canonical_rows());
         assert_eq!(t.num_rows(), back.num_rows());
         assert_eq!(t.schema().fields(), back.schema().fields());
+    }
+
+    #[test]
+    fn windowed_table_encodes_only_its_rows() {
+        let t = sample_table();
+        for (off, len) in [(0, 2), (1, 2), (1, 1), (2, 0)] {
+            let window = t.slice(off, len);
+            assert!(!window.is_compact());
+            let compacted = window.clone().compact();
+            assert_eq!(encode_table(&window), encode_table(&compacted), "window {off}+{len}");
+            let back = decode_table(&encode_table(&window)).unwrap();
+            assert!(back.is_compact());
+            assert_eq!(back.to_rows(), compacted.to_rows());
+        }
     }
 
     #[test]

@@ -7,24 +7,32 @@
 //! tables either way. Randomized inputs come from seeded `DetRng` loops
 //! rather than an external property-testing crate (see tests/properties.rs).
 
+use cv_common::ids::{JobId, VcId};
 use cv_common::rng::DetRng;
-use cv_common::SimTime;
+use cv_common::{Sig128, SimTime};
+use cv_data::bitmap::Bitmap;
 use cv_data::catalog::DatasetCatalog;
-use cv_data::column::Column;
-use cv_data::schema::{Field, Schema};
+use cv_data::column::{Column, ColumnData};
+use cv_data::schema::{Field, Schema, SchemaRef};
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
-use cv_data::viewstore::ViewStore;
+use cv_data::viewstore::{ViewReadFault, ViewSource, ViewStore};
 use cv_engine::cost::CostModel;
-use cv_engine::exec::{execute, ExecContext};
+use cv_engine::exec::{
+    execute, ExecContext, ExecOutcome, OpState, OpStateAcquire, OpStateEntry, OpStateSource,
+    SerialRunner, SpoolSink,
+};
 use cv_engine::expr::eval::{eval, eval_predicate, EvalCtx};
-use cv_engine::expr::{col, lit, AggExpr, AggFunc, BinOp, ScalarExpr, UnOp};
+use cv_engine::expr::{col, lit, param, AggExpr, AggFunc, BinOp, ScalarExpr, UnOp};
 use cv_engine::normalize::normalize;
 use cv_engine::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext};
 use cv_engine::physical::{JoinAlgo, PhysicalPlan};
 use cv_engine::plan::{JoinKind, LogicalPlan, PlanBuilder};
-use cv_engine::udo::UdoRegistry;
-use std::sync::Arc;
+use cv_engine::stats::Statistics;
+use cv_engine::udo::{UdoRegistry, UdoSpec};
+use cv_engine::QueryEngine;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Random inputs
@@ -159,6 +167,43 @@ fn assert_columns_equal(a: &Column, b: &Column, what: &str) {
         );
     }
     assert_eq!(a.byte_size(), b.byte_size(), "byte size for {what}");
+}
+
+/// Byte-for-byte column equality: validity *presence* and bits, every
+/// cell including the placeholders under NULLs, floats by bit pattern.
+/// Windows are compared through their compacted copies.
+fn assert_columns_identical(a: &Column, b: &Column, what: &str) {
+    assert_eq!(a.dtype(), b.dtype(), "dtype for {what}");
+    assert_eq!(a.len(), b.len(), "length for {what}");
+    assert_eq!(a.validity(), b.validity(), "validity (presence included) for {what}");
+    assert_eq!(a.byte_size(), b.byte_size(), "byte size for {what}");
+    let (a, b) = (a.clone().compact(), b.clone().compact());
+    match (a.data(), b.data()) {
+        (ColumnData::Float(x), ColumnData::Float(y)) => assert_eq!(
+            x.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+            y.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+            "float bits for {what}"
+        ),
+        (x, y) => assert_eq!(format!("{x:?}"), format!("{y:?}"), "cells for {what}"),
+    }
+}
+
+fn assert_tables_identical(a: &Table, b: &Table, what: &str) {
+    assert_eq!(a.schema().fields(), b.schema().fields(), "schema for {what}");
+    assert_eq!(a.num_rows(), b.num_rows(), "rows for {what}");
+    for (ci, (ca, cb)) in a.columns().iter().zip(b.columns()).enumerate() {
+        assert_columns_identical(ca, cb, &format!("column {ci} of {what}"));
+    }
+}
+
+/// A random `(offset, len)` window of `t` and its compacted copy.
+fn random_window(rng: &mut DetRng, t: &Table) -> (Table, Table) {
+    let off = rng.range_usize(0, t.num_rows() + 1);
+    let len = rng.range_usize(0, t.num_rows() - off + 1);
+    let window = t.slice(off, len);
+    let compacted = window.clone().compact();
+    assert!(compacted.is_compact());
+    (window, compacted)
 }
 
 // ---------------------------------------------------------------------------
@@ -381,4 +426,558 @@ fn join_algorithms_agree_on_random_tables() {
             assert_eq!(results[0], results[2], "hash vs loop, {kind:?}, round {round}");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Windows: kernels and operators over `t.slice(o, l)` ≡ over its compacted copy
+// ---------------------------------------------------------------------------
+
+#[test]
+fn kernels_over_a_window_equal_kernels_over_its_compacted_copy() {
+    let mut rng = DetRng::seed(0x51);
+    let mut checked = 0usize;
+    for round in 0..600 {
+        let rows = [0, 1, 5, 64, 65, 130][round % 6];
+        let t = random_table(&mut rng, rows, [0.0, 1.0, 0.3, 0.3][round % 4]);
+        let (window, compacted) = random_window(&mut rng, &t);
+        let e = rand_expr(&mut rng, 3);
+        if e.dtype(t.schema()).is_err() {
+            continue;
+        }
+        for vectorized in [true, false] {
+            let mut over_window = EvalCtx::new(0);
+            over_window.vectorized = vectorized;
+            let mut over_copy = over_window.clone();
+            match (eval(&e, &window, &mut over_window), eval(&e, &compacted, &mut over_copy)) {
+                (Ok(a), Ok(b)) => {
+                    assert_columns_identical(&a, &b, &format!("{e} (vectorized {vectorized})"));
+                    checked += 1;
+                }
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("{e}: window ok={} copy ok={}", a.is_ok(), b.is_ok()),
+            }
+        }
+    }
+    assert!(checked >= 200, "only {checked} expressions evaluated; generator drifted");
+}
+
+const ALL_BINOPS: [BinOp; 13] = [
+    BinOp::Eq,
+    BinOp::NotEq,
+    BinOp::Lt,
+    BinOp::LtEq,
+    BinOp::Gt,
+    BinOp::GtEq,
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Mod,
+    BinOp::And,
+    BinOp::Or,
+];
+
+/// `col <op> constant` three ways: the constant as a scalar kernel operand,
+/// the constant materialized as a column (what a broadcast handed the
+/// column-vs-column kernel), and the scalar row loop. All three must be the
+/// same bytes — or reject together — for every operator, operand type
+/// pairing (same-type, Int-vs-Float both ways), operand order, and for
+/// literals and parameters alike.
+#[test]
+fn constant_operand_kernels_match_broadcast_columns_and_the_scalar_reference() {
+    let cases: Vec<(&str, Value)> = vec![
+        ("i", Value::Int(3)),
+        ("i", Value::Int(0)),
+        ("f", Value::Float(2.5)),
+        ("f", Value::Float(0.0)),
+        ("f", Value::Float(-0.0)),
+        ("f", Value::Float(f64::NAN)),
+        ("i", Value::Float(2.5)), // Int column vs Float literal
+        ("i", Value::Float(3.0)),
+        ("f", Value::Int(0)), // Float column vs Int literal
+        ("f", Value::Int(7)),
+        ("s", Value::Str("bb".into())),
+        ("s", Value::Str(String::new())),
+        ("d", Value::Date(100)),
+        ("d", Value::Int(7)), // date shifts; comparisons reject
+        ("b", Value::Bool(true)),
+        ("b", Value::Bool(false)),
+    ];
+    let mut rng = DetRng::seed(0x52);
+    let mut checked = 0usize;
+    for round in 0..9 {
+        let rows = [0, 1, 70][round % 3];
+        // Null-free rounds pin "no validity bitmap when every row is valid".
+        let t = random_table(&mut rng, rows, [0.0, 0.3, 1.0][round / 3]);
+        for (name, k) in &cases {
+            let mut fields = t.schema().fields().to_vec();
+            fields.push(Field::new("k", k.dtype().unwrap()));
+            let mut columns = t.columns().to_vec();
+            columns.push(Column::from_values(k.dtype().unwrap(), &vec![k.clone(); rows]).unwrap());
+            let tk = Table::new(Schema::new(fields).unwrap().into_ref(), columns).unwrap();
+            for op in ALL_BINOPS {
+                for (flipped, as_param) in [(false, false), (true, false), (false, true)] {
+                    let konst = if as_param { param("p", k.clone()) } else { lit(k.clone()) };
+                    let (scalar_e, column_e) = if flipped {
+                        (
+                            ScalarExpr::binary(op, konst, col(*name)),
+                            ScalarExpr::binary(op, col("k"), col(*name)),
+                        )
+                    } else {
+                        (
+                            ScalarExpr::binary(op, col(*name), konst),
+                            ScalarExpr::binary(op, col(*name), col("k")),
+                        )
+                    };
+                    let mut off = EvalCtx::new(0);
+                    off.vectorized = false;
+                    let constant = eval(&scalar_e, &tk, &mut EvalCtx::new(0));
+                    let broadcast = eval(&column_e, &tk, &mut EvalCtx::new(0));
+                    let reference = eval(&scalar_e, &tk, &mut off);
+                    match (constant, broadcast, reference) {
+                        (Ok(a), Ok(b), Ok(c)) => {
+                            assert_columns_identical(&a, &b, &format!("{scalar_e} vs column"));
+                            assert_columns_identical(&a, &c, &format!("{scalar_e} vs scalar"));
+                            checked += 1;
+                        }
+                        (Err(_), Err(_), Err(_)) => {}
+                        (a, b, c) => panic!(
+                            "{scalar_e}: constant ok={} column ok={} scalar ok={}",
+                            a.is_ok(),
+                            b.is_ok(),
+                            c.is_ok()
+                        ),
+                    }
+                }
+            }
+        }
+        // A NULL literal has no type: it never becomes a scalar operand and
+        // every path rejects it, on either side, exactly as before.
+        for op in ALL_BINOPS {
+            for e in [
+                ScalarExpr::binary(op, col("i"), lit(Value::Null)),
+                ScalarExpr::binary(op, lit(Value::Null), col("i")),
+            ] {
+                let mut off = EvalCtx::new(0);
+                off.vectorized = false;
+                assert!(eval(&e, &t, &mut EvalCtx::new(0)).is_err(), "{e} with kernels");
+                assert!(eval(&e, &t, &mut off).is_err(), "{e} without kernels");
+            }
+        }
+        // Constant on both sides: one of them supplies the rows.
+        for op in ALL_BINOPS {
+            let e = ScalarExpr::binary(op, lit(7_i64), param("p", Value::Float(2.0)));
+            let mut off = EvalCtx::new(0);
+            off.vectorized = false;
+            let (a, b) = (eval(&e, &t, &mut EvalCtx::new(0)), eval(&e, &t, &mut off));
+            match (a, b) {
+                (Ok(a), Ok(b)) => assert_columns_identical(&a, &b, &format!("{e}")),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("{e}: kernels ok={} scalar ok={}", a.is_ok(), b.is_ok()),
+            }
+        }
+    }
+    assert!(checked >= 1000, "only {checked} constant-operand cases evaluated");
+}
+
+/// Serves fixed tables as "views" so hand-built physical plans can be fed
+/// windowed inputs directly (the catalog compacts whatever it registers).
+struct Tables(HashMap<Sig128, Table>);
+
+impl ViewSource for Tables {
+    fn read_view(&self, sig: Sig128, _: SimTime) -> Result<Option<Table>, ViewReadFault> {
+        Ok(self.0.get(&sig).cloned())
+    }
+}
+
+const LEFT: Sig128 = Sig128(1);
+const LEFT2: Sig128 = Sig128(2);
+const RIGHT: Sig128 = Sig128(3);
+
+fn est() -> Statistics {
+    Statistics::new(100.0, 1000.0)
+}
+
+fn source(sig: Sig128, schema: &SchemaRef) -> PhysicalPlan {
+    PhysicalPlan::ViewScan {
+        sig,
+        schema: schema.clone(),
+        est: est(),
+        partitions: 1,
+        fallback: None,
+    }
+}
+
+fn filter_op(input: PhysicalPlan, predicate: ScalarExpr) -> PhysicalPlan {
+    PhysicalPlan::Filter { predicate, input: Box::new(input), est: est(), partitions: 1 }
+}
+
+fn project_op(input: PhysicalPlan, over: &Schema, exprs: Vec<(ScalarExpr, &str)>) -> PhysicalPlan {
+    let fields = exprs.iter().map(|(e, n)| Field::new(*n, e.dtype(over).unwrap())).collect();
+    PhysicalPlan::Project {
+        exprs: exprs.into_iter().map(|(e, n)| (e, n.to_string())).collect(),
+        schema: Schema::new(fields).unwrap().into_ref(),
+        input: Box::new(input),
+        est: est(),
+        partitions: 1,
+    }
+}
+
+fn agg_op(input: PhysicalPlan, over: &Schema) -> PhysicalPlan {
+    let group_by = vec![(col("s"), "s".to_string()), (col("b"), "b".to_string())];
+    let aggs = vec![
+        AggExpr::new(AggFunc::Sum, col("i"), "si"),
+        AggExpr::new(AggFunc::Sum, col("f"), "sf"),
+        AggExpr::new(AggFunc::Avg, col("f"), "af"),
+        AggExpr::new(AggFunc::Min, col("s"), "ms"),
+        AggExpr::new(AggFunc::Max, col("d"), "md"),
+        AggExpr::new(AggFunc::CountDistinct, col("i"), "di"),
+        AggExpr::count_star("n"),
+    ];
+    let mut fields: Vec<Field> =
+        group_by.iter().map(|(e, n)| Field::new(n.clone(), e.dtype(over).unwrap())).collect();
+    fields.extend(aggs.iter().map(|a| Field::new(a.alias.clone(), a.dtype(over).unwrap())));
+    PhysicalPlan::HashAggregate {
+        group_by,
+        aggs,
+        schema: Schema::new(fields).unwrap().into_ref(),
+        input: Box::new(input),
+        est: est(),
+        partitions: 1,
+    }
+}
+
+fn sort_op(input: PhysicalPlan, keys: &[(&str, bool)]) -> PhysicalPlan {
+    PhysicalPlan::Sort {
+        keys: keys.iter().map(|(k, asc)| (k.to_string(), *asc)).collect(),
+        input: Box::new(input),
+        est: est(),
+        partitions: 1,
+    }
+}
+
+fn run_over(plan: &PhysicalPlan, sources: &Tables, chunk_size: usize) -> ExecOutcome {
+    let (cat, udos) = (DatasetCatalog::new(), UdoRegistry::with_builtins());
+    let mut ctx = ExecContext::new(&cat, sources, &udos, SimTime::EPOCH)
+        .with_chunking(chunk_size, Arc::new(SerialRunner));
+    execute(plan, &mut ctx, &CostModel::default()).unwrap()
+}
+
+#[test]
+fn operators_over_a_window_equal_operators_over_its_compacted_copy() {
+    let mut rng = DetRng::seed(0x53);
+    for round in 0..3 {
+        let base = random_table(&mut rng, 900, [0.25, 0.0, 0.6][round]);
+        let schema = base.schema().clone();
+        // The join's right side: same shape, `r_`-prefixed names.
+        let r_schema = Schema::new(
+            schema.fields().iter().map(|f| Field::new(format!("r_{}", f.name), f.dtype)).collect(),
+        )
+        .unwrap()
+        .into_ref();
+        let small = random_table(&mut rng, 90, 0.2);
+        let small = Table::new(r_schema.clone(), small.columns().to_vec()).unwrap();
+
+        let (mut windows, mut copies) = (HashMap::new(), HashMap::new());
+        for (sig, t) in [(LEFT, &base), (LEFT2, &base), (RIGHT, &small)] {
+            let (w, c) = random_window(&mut rng, t);
+            windows.insert(sig, w);
+            copies.insert(sig, c);
+        }
+        let (windows, copies) = (Tables(windows), Tables(copies));
+
+        let left = || source(LEFT, &schema);
+        let join = |algo, kind| PhysicalPlan::Join {
+            algo,
+            kind,
+            on: vec![("i".to_string(), "r_i".to_string())],
+            left: Box::new(left()),
+            right: Box::new(source(RIGHT, &r_schema)),
+            est: est(),
+            partitions: 1,
+            swapped: false,
+        };
+        let predicate =
+            col("s").eq(lit("bb")).or(col("i").gt(lit(-5_i64)).and(col("f").lt_eq(lit(3))));
+        let case = ScalarExpr::Case {
+            branches: vec![(col("i").is_null(), lit(-1_i64)), (col("f").gt(lit(0.0)), col("i"))],
+            else_expr: Some(Box::new(col("i").mul(lit(2_i64)))),
+        };
+        let projection = vec![
+            (case, "c"),
+            (col("f").mul(lit(2.0)), "f2"),
+            (lit(1.5).sub(col("f")), "rf"),
+            (col("d").add(lit(7_i64)), "d7"),
+            (col("s"), "s"),
+            (col("i").cast(DataType::Str), "is"),
+            (lit("k"), "k"),
+        ];
+        let mut plans: Vec<(String, PhysicalPlan)> = vec![
+            ("filter".into(), filter_op(left(), predicate.clone())),
+            ("filter, all pass".into(), filter_op(left(), col("i").is_null().or(lit(true)))),
+            ("filter, none pass".into(), filter_op(left(), col("s").eq(lit("zzz")))),
+            ("project".into(), project_op(left(), &schema, projection.clone())),
+            ("aggregate".into(), agg_op(left(), &schema)),
+            ("sort".into(), sort_op(left(), &[("s", true), ("f", false)])),
+            ("limit 50".into(), PhysicalPlan::Limit { n: 50, input: Box::new(left()), est: est() }),
+            (
+                "limit 400".into(),
+                PhysicalPlan::Limit { n: 400, input: Box::new(left()), est: est() },
+            ),
+            (
+                "union".into(),
+                PhysicalPlan::Union {
+                    inputs: vec![left(), source(LEFT2, &schema)],
+                    est: est(),
+                    partitions: 1,
+                },
+            ),
+            (
+                "udo".into(),
+                PhysicalPlan::Udo {
+                    spec: UdoSpec {
+                        name: "scrub_pii".into(),
+                        version: 1,
+                        deterministic: true,
+                        library_chain: Vec::new(),
+                    },
+                    schema: schema.clone(),
+                    input: Box::new(left()),
+                    est: est(),
+                    partitions: 1,
+                },
+            ),
+            (
+                "spool".into(),
+                PhysicalPlan::Spool {
+                    sig: Sig128(99),
+                    recurring_sig: Sig128(98),
+                    input_guids: Vec::new(),
+                    input: Box::new(filter_op(left(), predicate.clone())),
+                    est: est(),
+                    partitions: 1,
+                },
+            ),
+            (
+                "pipeline".into(),
+                sort_op(
+                    agg_op(
+                        filter_op(join(JoinAlgo::Hash, JoinKind::Inner), predicate.clone()),
+                        &schema,
+                    ),
+                    &[("n", false), ("s", true)],
+                ),
+            ),
+            (
+                "limit under project under filter".into(),
+                project_op(
+                    filter_op(
+                        PhysicalPlan::Limit { n: 300, input: Box::new(left()), est: est() },
+                        predicate,
+                    ),
+                    &schema,
+                    projection,
+                ),
+            ),
+        ];
+        for algo in [JoinAlgo::Hash, JoinAlgo::Merge, JoinAlgo::Loop] {
+            for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi] {
+                plans.push((format!("{algo:?} {kind:?} join"), join(algo, kind)));
+            }
+        }
+
+        for (name, plan) in &plans {
+            let single = run_over(plan, &copies, usize::MAX);
+            for chunk_size in [1, 333, 2048, usize::MAX] {
+                let what = format!("{name}, round {round}, chunk size {chunk_size}");
+                let over_windows = run_over(plan, &windows, chunk_size);
+                let over_copies = run_over(plan, &copies, chunk_size);
+                assert_tables_identical(&over_windows.table, &over_copies.table, &what);
+                // Chunked ≡ single-chunk, and nothing leaves as a window.
+                assert_tables_identical(&over_windows.table, &single.table, &what);
+                assert!(over_windows.table.is_compact(), "result of {what} is a window");
+                // The work ledger cannot tell a window from its copy.
+                let (mw, mc) = (&over_windows.metrics, &over_copies.metrics);
+                assert_eq!(mw.data_read_bytes, mc.data_read_bytes, "data read for {what}");
+                assert_eq!(mw.total_work, mc.total_work, "work for {what}");
+                for (pw, pc) in mw.op_profiles.iter().zip(&mc.op_profiles) {
+                    assert_eq!((pw.rows_out, pw.bytes_out), (pc.rows_out, pc.bytes_out), "{what}");
+                }
+                for (vw, vc) in over_windows.pending_views.iter().zip(&over_copies.pending_views) {
+                    assert!(vw.data.is_compact(), "pending view of {what} is a window");
+                    assert_tables_identical(&vw.data, &vc.data, &what);
+                }
+                assert_eq!(over_windows.pending_views.len(), (name == "spool") as usize);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The escape rule: no window outlives the query that cut it
+// ---------------------------------------------------------------------------
+
+/// Always tells the executor to build and publish, and keeps what it gets.
+#[derive(Debug, Default)]
+struct RecordingStates(Mutex<Vec<Arc<OpState>>>);
+
+impl OpStateSource for RecordingStates {
+    fn acquire(&self, _: Sig128) -> OpStateAcquire {
+        OpStateAcquire::Build { claimed: true }
+    }
+    fn publish(&self, _: Sig128, entry: OpStateEntry) {
+        self.0.lock().unwrap().push(entry.state);
+    }
+    fn abandon(&self, _: Sig128) {}
+}
+
+#[derive(Default)]
+struct RecordingSink(Mutex<Vec<Table>>);
+
+impl SpoolSink for RecordingSink {
+    fn publish_chunk(&self, _: Sig128, chunk: &Table, _: bool) {
+        self.0.lock().unwrap().push(chunk.clone());
+    }
+}
+
+/// "Backing buffer length equals row count", read through the public API.
+fn assert_owns_its_rows(t: &Table, what: &str) {
+    assert!(t.is_compact(), "{what} is a window");
+    for c in t.columns() {
+        assert_eq!(c.data().len(), t.num_rows(), "{what} retains rows it does not expose");
+    }
+}
+
+#[test]
+fn nothing_that_leaves_a_query_is_a_window() {
+    const BIG: usize = 100_000;
+    let mut engine = QueryEngine::new();
+    let big = Schema::new(vec![
+        Field::new("id", DataType::Int),
+        Field::new("grp", DataType::Int),
+        Field::new("name", DataType::Str),
+        Field::new("v", DataType::Float),
+    ])
+    .unwrap()
+    .into_ref();
+    let mut validity = Bitmap::all_set(BIG);
+    validity.set(5, false);
+    let columns = vec![
+        Column::new(ColumnData::Int((0..BIG as i64).collect()), None),
+        Column::new(ColumnData::Int((0..BIG as i64).map(|i| i % 50).collect()), None),
+        Column::new(ColumnData::Str((0..BIG).map(|i| format!("n{i}")).collect()), Some(validity)),
+        Column::new(ColumnData::Float((0..BIG).map(|i| i as f64 * 0.5).collect()), None),
+    ];
+    engine.catalog.register("big", Table::new(big, columns).unwrap(), SimTime::EPOCH).unwrap();
+    let dim = Schema::new(vec![Field::new("g", DataType::Int), Field::new("w", DataType::Float)])
+        .unwrap()
+        .into_ref();
+    let rows: Vec<Vec<Value>> =
+        (0..1000).map(|i| vec![Value::Int(i % 50), Value::Float(i as f64)]).collect();
+    engine.catalog.register("dim", Table::from_rows(dim, &rows).unwrap(), SimTime::EPOCH).unwrap();
+
+    let scan = |name: &str| PlanBuilder::scan(&engine.catalog, name).unwrap();
+    let plans: Vec<(&str, Arc<LogicalPlan>)> = vec![
+        ("limit 10", scan("big").limit(10).build()),
+        // Already in key order: the sort's gather is an identity prefix.
+        ("sorted prefix", scan("big").limit(5000).sort(&[("id", true)]).unwrap().build()),
+        (
+            "join of prefixes",
+            scan("big")
+                .limit(3000)
+                .join(scan("dim").limit(300), &[("grp", "g")], JoinKind::Inner)
+                .unwrap()
+                .build(),
+        ),
+        (
+            "aggregate over a prefix",
+            scan("big")
+                .limit(4000)
+                .aggregate(vec![(col("grp"), "grp")], vec![AggExpr::count_star("n")])
+                .unwrap()
+                .build(),
+        ),
+        (
+            "filter passing every row",
+            scan("big").filter(col("id").gt_eq(lit(0_i64))).unwrap().build(),
+        ),
+        (
+            "filter keeping a prefix",
+            scan("big").filter(col("id").lt(lit(7000_i64))).unwrap().build(),
+        ),
+    ];
+
+    let (states, sink) = (RecordingStates::default(), RecordingSink::default());
+    let mut sealed = 0;
+    for (name, plan) in &plans {
+        // Once with a view requested for every subexpression (spools feed
+        // the sink), once bare (a spool makes breaker keys underivable, so
+        // only the bare run publishes operator states).
+        let mut reuse = ReuseContext::empty();
+        reuse.to_build.extend(
+            engine
+                .subexpressions(plan)
+                .unwrap()
+                .iter()
+                .filter(|s| s.kind != "Scan")
+                .map(|s| s.strict),
+        );
+        let bare = engine.optimize(plan, &ReuseContext::empty(), &mut AlwaysGrant).unwrap();
+        let bare_out = engine
+            .execute_with_states(
+                &bare.outcome.physical,
+                &engine.views,
+                SimTime::EPOCH,
+                None,
+                None,
+                Some(&states),
+            )
+            .unwrap();
+        assert_owns_its_rows(&bare_out.table, &format!("result of `{name}`"));
+        let compiled = engine.optimize(plan, &reuse, &mut AlwaysGrant).unwrap();
+        let out = engine
+            .execute_with_sink(
+                &compiled.outcome.physical,
+                &engine.views,
+                SimTime::EPOCH,
+                None,
+                Some(&sink),
+            )
+            .unwrap();
+        assert_owns_its_rows(&out.table, &format!("result of `{name}` with spools"));
+        for pv in &out.pending_views {
+            assert_owns_its_rows(&pv.data, &format!("pending view of `{name}`"));
+        }
+        sealed += engine.seal_views(&out.pending_views, JobId(1), VcId(0), SimTime::EPOCH).unwrap();
+        if *name == "limit 10" {
+            // The view of a 10-row prefix retains 10 rows, not the 100k-row
+            // input it was cut from.
+            let root =
+                compiled.outcome.built_views.iter().find_map(|sig| {
+                    engine.views.peek(*sig, SimTime::EPOCH).filter(|v| v.rows == 10)
+                });
+            let view = root.expect("the LIMIT 10 subexpression was materialized");
+            assert_owns_its_rows(&view.data, "the sealed LIMIT 10 view");
+            assert_eq!(view.bytes, view.data.byte_size());
+            assert!(view.bytes < 1000, "a 10-row view accounts {} bytes", view.bytes);
+        }
+    }
+    assert!(sealed >= plans.len(), "only {sealed} views sealed");
+
+    let chunks = sink.0.lock().unwrap();
+    assert!(chunks.len() > sealed, "expected multi-chunk spools, got {} chunks", chunks.len());
+    for chunk in chunks.iter() {
+        assert_owns_its_rows(chunk, "a spool-sink chunk");
+    }
+    let states = states.0.lock().unwrap();
+    let mut kinds = std::collections::BTreeSet::new();
+    for state in states.iter() {
+        kinds.insert(state.kind());
+        match &**state {
+            OpState::JoinBuild(jb) => assert_owns_its_rows(&jb.table, "a published join build"),
+            OpState::AggOutput(t) => assert_owns_its_rows(t, "a published aggregate state"),
+            OpState::SortRun(t) => assert_owns_its_rows(t, "a published sort run"),
+        }
+    }
+    assert_eq!(kinds.len(), 3, "expected all three breaker kinds to publish, got {kinds:?}");
 }
