@@ -190,7 +190,7 @@ assert bench["name"] == "kernels_microbench", "wrong bench artifact"
 assert bench["smoke"] is True, "smoke run must be marked as such"
 assert bench["sizes"], "no sizes measured"
 for kernel in ("filter", "filter_str_eq", "filter_wide", "project", "hash_join",
-               "hash_aggregate", "sort"):
+               "hash_aggregate", "sort", "digest", "store_decode", "udo"):
     rates = bench["kernels"][kernel]
     assert rates, f"kernel {kernel} has no measurements"
     for size, rate in rates.items():

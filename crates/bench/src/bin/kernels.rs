@@ -9,6 +9,11 @@
 //! (a string column against a literal — the literal must stay a scalar) and
 //! `filter_wide` (an integer predicate over a table that also carries three
 //! string columns — chunking must not copy what the predicate never reads).
+//! Three legs time what the serving path does to a whole table around the
+//! executor: `digest` (the content checksum every result and stored view
+//! gets, rows/sec over the mixed-type fact table), `store_decode` (the view
+//! store's codec, encode → decode, MB/sec of encoded bytes) and `udo` (the
+//! cooking pair `parse_user_agent` → `geo_enrich`, rows/sec).
 //!
 //! Usage:
 //!   kernels [--out PATH] [--smoke] [--baseline PATH] [--measure-secs F]
@@ -28,13 +33,14 @@ use cv_data::catalog::DatasetCatalog;
 use cv_data::schema::{Field, Schema};
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
-use cv_data::viewstore::ViewStore;
+use cv_data::viewstore::{table_checksum, ViewStore};
 use cv_engine::cost::CostModel;
 use cv_engine::exec::{execute, ExecContext};
 use cv_engine::expr::{col, lit, AggExpr, AggFunc};
 use cv_engine::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext};
 use cv_engine::plan::{JoinKind, LogicalPlan, PlanBuilder};
-use cv_engine::udo::UdoRegistry;
+use cv_engine::udo::{UdoRegistry, UdoSpec};
+use cv_store::codec::{decode_table, encode_table};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,6 +94,38 @@ fn wide_table(n: usize, rng: &mut DetRng) -> Table {
                 Value::Str(format!("user-{i:08}")),
                 Value::Str(SEGS[rng.range_usize(0, SEGS.len())].into()),
                 Value::Str(format!("order {i} shipped from {}", SEGS[i % SEGS.len()])),
+            ]
+        })
+        .collect();
+    Table::from_rows(schema, &rows).unwrap()
+}
+
+/// Telemetry for the `udo` leg: id INT, user_agent STR and ip_hash INT (3%
+/// null each), val FLOAT — what the cooking templates feed their UDOs.
+fn events_table(n: usize, rng: &mut DetRng) -> Table {
+    const AGENTS: [&str; 5] = [
+        "Mozilla/5.0 (Windows NT 10.0) Chrome/99.0 Safari/537.36",
+        "Mozilla/5.0 (Windows NT 10.0) Chrome/99.0 Edge/18.0",
+        "Mozilla/5.0 (X11; Linux) Gecko/2010 Firefox/78.0",
+        "Mozilla/5.0 (Macintosh) Version/15.0 Safari/605.1",
+        "curl/7.79",
+    ];
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Int),
+        Field::new("user_agent", DataType::Str),
+        Field::new("ip_hash", DataType::Int),
+        Field::new("val", DataType::Float),
+    ])
+    .unwrap()
+    .into_ref();
+    let mut or_null = |v: Value| if rng.next_f64() < 0.03 { Value::Null } else { v };
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|i| {
+            vec![
+                Value::Int(i as i64),
+                or_null(Value::Str(AGENTS[i % AGENTS.len()].into())),
+                or_null(Value::Int((i as i64).wrapping_mul(0x9e37_79b9))),
+                Value::Float(i as f64 * 0.25),
             ]
         })
         .collect();
@@ -281,7 +319,8 @@ fn main() {
     let sizes: Vec<usize> = if smoke { vec![10_000] } else { vec![10_000, 100_000, 1_000_000] };
 
     let mut kernels = cv_common::json::JsonMap::new();
-    let names: Vec<&str> = plans(&Bench::new(16, 8, 7)).iter().map(|(n, _)| *n).collect();
+    let mut names: Vec<&str> = plans(&Bench::new(16, 8, 7)).iter().map(|(n, _)| *n).collect();
+    names.extend(["digest", "store_decode", "udo"]);
     let mut rates: Vec<(String, Vec<(usize, f64)>)> =
         names.iter().map(|n| (n.to_string(), Vec::new())).collect();
 
@@ -297,6 +336,28 @@ fn main() {
             let rps = input_rows as f64 / secs;
             eprintln!("  {name:<16} {rps:>14.0} rows/sec  ({:.1} ms/iter)", secs * 1e3);
             rates[ki].1.push((n, rps));
+        }
+
+        let fact = bench.catalog.get_by_name("fact").unwrap().data().clone();
+        let events = events_table(n, &mut DetRng::seed(11));
+        let encoded_mb = encode_table(&fact).len() as f64 / 1e6;
+        let cook = |t: &Table| {
+            let parsed = bench.udos.apply(&UdoSpec::new("parse_user_agent"), t).unwrap();
+            bench.udos.apply(&UdoSpec::new("geo_enrich"), &parsed).unwrap().num_rows()
+        };
+        let legs: [(&str, f64, &str, &dyn Fn() -> usize); 3] = [
+            ("digest", n as f64, "rows/sec", &|| table_checksum(&fact) as usize),
+            ("store_decode", encoded_mb, "MB/sec", &|| {
+                decode_table(&encode_table(&fact)).unwrap().num_rows()
+            }),
+            ("udo", n as f64, "rows/sec", &|| cook(&events)),
+        ];
+        for (name, amount, unit, leg) in legs {
+            let secs = time_it(measure_secs, leg);
+            let rate = amount / secs;
+            eprintln!("  {name:<16} {rate:>14.0} {unit}  ({:.1} ms/iter)", secs * 1e3);
+            let slot = rates.iter_mut().find(|(k, _)| k == name).expect("leg is in `names`");
+            slot.1.push((n, rate));
         }
     }
 

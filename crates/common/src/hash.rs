@@ -75,9 +75,11 @@ impl fmt::Display for Sig128 {
 const LANE_A_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 const LANE_B_SEED: u64 = 0xbf58_476d_1ce4_e5b9;
 
+/// SplitMix64 finalizer: full-avalanche permutation of a 64-bit word. The
+/// mixing step of [`StableHasher`]; public for hashes that keep many running
+/// states at once (one per table row) and cannot afford a hasher each.
 #[inline]
-fn mix64(mut z: u64) -> u64 {
-    // SplitMix64 finalizer: full-avalanche permutation of a 64-bit word.
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

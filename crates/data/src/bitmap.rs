@@ -64,6 +64,50 @@ impl Bitmap {
         self.set(self.len - 1, v);
     }
 
+    /// Append the low `n` (≤ 64) bits of `word`, bit 0 first.
+    fn push_bits(&mut self, word: u64, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let word = if n < 64 { word & ((1 << n) - 1) } else { word };
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.push(word);
+        } else {
+            *self.words.last_mut().expect("a partial word exists when len % 64 != 0") |=
+                word << shift;
+            if shift + n > 64 {
+                self.words.push(word >> (64 - shift));
+            }
+        }
+        self.len += n;
+    }
+
+    /// Append `n` set bits.
+    pub fn extend_set(&mut self, n: usize) {
+        for done in (0..n).step_by(64) {
+            self.push_bits(u64::MAX, (n - done).min(64));
+        }
+    }
+
+    /// Append `n` bits packed LSB-first in `bytes` (the store codec's form),
+    /// a word at a time. Panics if `bytes` holds fewer than `n` bits.
+    pub fn extend_from_le_bytes(&mut self, bytes: &[u8], n: usize) {
+        for (k, chunk) in bytes[..n.div_ceil(8)].chunks(8).enumerate() {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.push_bits(u64::from_le_bytes(word), (n - k * 64).min(64));
+        }
+    }
+
+    /// The bits packed LSB-first into `len.div_ceil(8)` bytes, pad bits
+    /// zero: the inverse of [`Bitmap::extend_from_le_bytes`].
+    pub fn to_le_bytes(&self) -> Vec<u8> {
+        let mut out: Vec<u8> = self.words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        out.truncate(self.len.div_ceil(8));
+        out
+    }
+
     /// Number of set (valid) bits.
     pub fn count_set(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -260,6 +304,33 @@ mod tests {
         assert_eq!(b.ones(), expect);
         assert_eq!(Bitmap::all_clear(100).ones(), Vec::<usize>::new());
         assert_eq!(Bitmap::all_set(65).ones().len(), 65);
+    }
+
+    #[test]
+    fn packed_bytes_round_trip_at_every_alignment() {
+        let bools: Vec<bool> = (0..300).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+        for len in [0, 1, 7, 8, 9, 63, 64, 65, 128, 300] {
+            let b = Bitmap::from_bools(&bools[..len]);
+            let bytes = b.to_le_bytes();
+            assert_eq!(bytes.len(), len.div_ceil(8));
+            for (i, &v) in bools[..len].iter().enumerate() {
+                assert_eq!(bytes[i / 8] & (1 << (i % 8)) != 0, v, "bit {i} of {len}");
+            }
+            // Appended after a prefix of any length, set runs in between.
+            for prefix in [0, 1, 63, 64, 65, 130] {
+                let mut out = Bitmap::from_bools(&bools[..prefix]);
+                out.extend_from_le_bytes(&bytes, len);
+                out.extend_set(prefix);
+                let mut expect = bools[..prefix].to_vec();
+                expect.extend_from_slice(&bools[..len]);
+                expect.extend(std::iter::repeat_n(true, prefix));
+                assert_eq!(out, Bitmap::from_bools(&expect), "{prefix} + {len} + {prefix} set");
+            }
+        }
+        // Bits past `n` in the last byte are ignored, not appended.
+        let mut b = Bitmap::all_clear(0);
+        b.extend_from_le_bytes(&[0xff], 3);
+        assert_eq!(b, Bitmap::all_set(3));
     }
 
     #[test]

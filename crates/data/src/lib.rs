@@ -18,6 +18,7 @@ pub mod catalog;
 pub mod chunk;
 pub mod column;
 pub mod delta;
+pub mod digest;
 pub mod schema;
 pub mod sharded;
 pub mod store_api;
@@ -30,6 +31,7 @@ pub use catalog::{Dataset, DatasetCatalog, DatasetVersion};
 pub use chunk::{chunk_ranges, ChunkedTable, DEFAULT_CHUNK_SIZE};
 pub use column::{Column, ColumnBuilder, ColumnData, ColumnView};
 pub use delta::{diff_tables, TableDelta};
+pub use digest::content_digest;
 pub use schema::{Field, Schema, SchemaRef};
 pub use sharded::ShardedViewStore;
 pub use store_api::{SharedViewStore, StoreIoStats};

@@ -318,7 +318,9 @@ impl Table {
     }
 
     /// Canonical row multiset for order-insensitive result comparison in
-    /// tests: rows rendered to strings and sorted.
+    /// tests: rows rendered to strings and sorted. Test-side only — it builds
+    /// a `Value` and a `String` per cell; the serving path compares tables by
+    /// [`crate::digest::content_digest`], which tests hold to this.
     pub fn canonical_rows(&self) -> Vec<String> {
         let mut rows: Vec<String> = (0..self.rows)
             .map(|i| self.row(i).iter().map(Value::to_string).collect::<Vec<_>>().join("|"))

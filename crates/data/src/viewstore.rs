@@ -13,23 +13,20 @@
 //! to the caller so the engine can quarantine the signature and fall back to
 //! recomputing the subexpression — a view must never wrong-answer a query.
 
+use crate::digest::content_digest;
 use crate::schema::SchemaRef;
 use crate::table::Table;
 use cv_common::ids::{JobId, VcId, VersionGuid};
-use cv_common::{
-    CvError, FaultPlan, FaultPoint, Result, Sig128, SimDuration, SimTime, StableHasher,
-};
+use cv_common::{CvError, FaultPlan, FaultPoint, Result, Sig128, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Content checksum over a table's canonical row rendering; stored on every
-/// sealed view and re-verified on read when fault injection is active.
+/// Content checksum of a view: [`content_digest`] of its rows under the
+/// view-checksum domain. Stamped on every sealed view at insert; verified
+/// on every cold read of a durable store and, under an active fault plan,
+/// on hot reads too.
 pub fn table_checksum(data: &Table) -> u64 {
-    let mut h = StableHasher::with_domain("view-checksum");
-    for row in data.canonical_rows() {
-        h.write_str(&row);
-    }
-    h.finish64()
+    content_digest("view-checksum", data).low64()
 }
 
 /// Why a view read failed at execution time (distinct from a plain miss).
@@ -283,8 +280,8 @@ impl ViewStore {
     /// `Err(fault)` — a read-side failure that must quarantine the
     /// signature before recomputing.
     ///
-    /// Checksum verification renders every row, so it only runs when a fault
-    /// plan is active — the fault-free hot path is unchanged.
+    /// Checksum verification reads every value, so it only runs when a
+    /// fault plan is active — the fault-free hot path is unchanged.
     pub fn read_for_exec(
         &self,
         sig: Sig128,

@@ -147,6 +147,16 @@ impl<'a> Dec<'a> {
     pub fn get_bytes(&mut self, n: usize) -> CodecResult<&'a [u8]> {
         self.take(n)
     }
+
+    /// The next `n` fixed-width values as `W`-byte arrays: one bounds check
+    /// for the whole run.
+    pub fn get_run<const W: usize>(
+        &mut self,
+        n: usize,
+    ) -> CodecResult<impl Iterator<Item = [u8; W]> + 'a> {
+        let run = self.take(n.checked_mul(W).ok_or(CodecError("truncated"))?)?;
+        Ok(run.chunks_exact(W).map(|b| b.try_into().expect("chunks_exact(W)")))
+    }
 }
 
 fn dtype_from_ordinal(ord: u8) -> CodecResult<DataType> {
@@ -168,10 +178,6 @@ fn pack_bools(bits: &[bool]) -> Vec<u8> {
         }
     }
     out
-}
-
-fn unpack_bools(bytes: &[u8], n: usize) -> Vec<bool> {
-    (0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect()
 }
 
 /// Serialize a table (schema + columns + validity) to bytes, chunk-major
@@ -201,16 +207,13 @@ pub fn encode_table_chunked(t: &Table, chunk_size: usize) -> Vec<u8> {
     e.put_u64(t.num_rows() as u64);
     let ranges = cv_data::chunk::chunk_ranges(t.num_rows(), chunk_size.max(1));
     e.put_u32(ranges.len() as u32);
-    // Hoist each column's validity bools once; chunks slice into them.
-    let vbools: Vec<Option<Vec<bool>>> =
-        t.columns().iter().map(|c| c.validity().map(Bitmap::to_bools)).collect();
     for &(off, len) in &ranges {
         e.put_u64(len as u64);
-        for (col, vb) in t.columns().iter().zip(&vbools) {
-            match vb {
+        for col in t.columns() {
+            match col.validity() {
                 Some(bits) => {
                     e.put_u8(1);
-                    e.put_bytes(&pack_bools(&bits[off..off + len]));
+                    e.put_bytes(&bits.slice(off, len).to_le_bytes());
                 }
                 None => e.put_u8(0),
             }
@@ -227,14 +230,21 @@ pub fn encode_table_chunked(t: &Table, chunk_size: usize) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_table`]: concatenates the chunk sections back into
-/// whole columns. A column's validity presence is preserved exactly — if
-/// any chunk carries a bitmap the reassembled column does too (flag-0
-/// chunks contribute all-valid runs), so the round trip is byte-faithful
-/// even for non-canonical all-true bitmaps.
+/// whole columns, each section's fixed-width run converted in one pass and
+/// its validity bytes appended to the column's bitmap a word at a time. A
+/// column's validity presence is preserved exactly — if any chunk carries a
+/// bitmap the reassembled column does too (flag-0 chunks contribute
+/// all-valid runs), so the round trip is byte-faithful even for
+/// non-canonical all-true bitmaps.
+///
+/// Total over arbitrary bytes: every run is bounds-checked before it is
+/// read, and no buffer is sized from a count the remaining bytes could not
+/// hold.
 pub fn decode_table(buf: &[u8]) -> CodecResult<Table> {
     let mut d = Dec::new(buf);
     let n_fields = d.get_u32()? as usize;
-    let mut fields = Vec::with_capacity(n_fields);
+    // A field is at least its name's length prefix and two flag bytes.
+    let mut fields = Vec::with_capacity(n_fields.min(d.remaining() / 6));
     for _ in 0..n_fields {
         let name = d.get_str()?;
         let dtype = dtype_from_ordinal(d.get_u8()?)?;
@@ -250,57 +260,61 @@ pub fn decode_table(buf: &[u8]) -> CodecResult<Table> {
     if n_chunks == 0 {
         return Err(CodecError("zero chunks"));
     }
-    let mut vbits: Vec<Vec<bool>> = vec![Vec::with_capacity(n_rows); n_fields];
-    let mut any_validity = vec![false; n_fields];
+    let rest = d.remaining();
+    let mut validity: Vec<Option<Bitmap>> = vec![None; n_fields];
     let mut datas: Vec<ColumnData> = fields
         .iter()
         .map(|f| match f.dtype {
-            DataType::Bool => ColumnData::Bool(Vec::with_capacity(n_rows)),
-            DataType::Int => ColumnData::Int(Vec::with_capacity(n_rows)),
-            DataType::Float => ColumnData::Float(Vec::with_capacity(n_rows)),
-            DataType::Str => ColumnData::Str(Vec::with_capacity(n_rows)),
-            DataType::Date => ColumnData::Date(Vec::with_capacity(n_rows)),
+            DataType::Bool => {
+                ColumnData::Bool(Vec::with_capacity(n_rows.min(rest.saturating_mul(8))))
+            }
+            DataType::Int => ColumnData::Int(Vec::with_capacity(n_rows.min(rest / 8))),
+            DataType::Float => ColumnData::Float(Vec::with_capacity(n_rows.min(rest / 8))),
+            DataType::Str => ColumnData::Str(Vec::with_capacity(n_rows.min(rest / 4))),
+            DataType::Date => ColumnData::Date(Vec::with_capacity(n_rows.min(rest / 4))),
         })
         .collect();
     let mut decoded_rows = 0usize;
     for _ in 0..n_chunks {
         let rows = d.get_u64()? as usize;
+        let before = decoded_rows;
         decoded_rows = decoded_rows.checked_add(rows).ok_or(CodecError("chunk rows overflow"))?;
         if decoded_rows > n_rows {
             return Err(CodecError("chunk rows exceed table rows"));
         }
         let bitmap_bytes = rows.div_ceil(8);
+        // Every column spends at least a bit a row, so this bounds `rows`
+        // (and with it everything allocated below) by the bytes present.
+        if n_fields > 0 && bitmap_bytes > d.remaining() {
+            return Err(CodecError("truncated"));
+        }
         for i in 0..n_fields {
             match d.get_u8()? {
-                0 => vbits[i].extend(std::iter::repeat_n(true, rows)),
-                1 => {
-                    any_validity[i] = true;
-                    vbits[i].extend(unpack_bools(d.get_bytes(bitmap_bytes)?, rows));
+                0 => {
+                    if let Some(bits) = &mut validity[i] {
+                        bits.extend_set(rows);
+                    }
                 }
+                1 => validity[i]
+                    .get_or_insert_with(|| Bitmap::all_set(before))
+                    .extend_from_le_bytes(d.get_bytes(bitmap_bytes)?, rows),
                 _ => return Err(CodecError("bad validity flag")),
             }
             match &mut datas[i] {
-                ColumnData::Bool(vs) => vs.extend(unpack_bools(d.get_bytes(bitmap_bytes)?, rows)),
-                ColumnData::Int(vs) => {
-                    for _ in 0..rows {
-                        vs.push(d.get_i64()?);
-                    }
+                ColumnData::Bool(vs) => {
+                    let bits = d.get_bytes(bitmap_bytes)?;
+                    vs.extend((0..rows).map(|r| bits[r / 8] & (1 << (r % 8)) != 0));
                 }
+                ColumnData::Int(vs) => vs.extend(d.get_run::<8>(rows)?.map(i64::from_le_bytes)),
                 ColumnData::Float(vs) => {
-                    for _ in 0..rows {
-                        vs.push(d.get_f64()?);
-                    }
+                    vs.extend(d.get_run::<8>(rows)?.map(|b| f64::from_bits(u64::from_le_bytes(b))))
                 }
                 ColumnData::Str(vs) => {
                     for _ in 0..rows {
                         vs.push(d.get_str()?);
                     }
                 }
-                ColumnData::Date(vs) => {
-                    for _ in 0..rows {
-                        vs.push(d.get_i32()?);
-                    }
-                }
+                ColumnData::Date(vs) => vs.extend(d.get_run::<4>(rows)?.map(i32::from_le_bytes)),
             }
         }
     }
@@ -310,14 +324,7 @@ pub fn decode_table(buf: &[u8]) -> CodecResult<Table> {
     if !d.is_done() {
         return Err(CodecError("trailing bytes after table"));
     }
-    let columns: Vec<Column> = datas
-        .into_iter()
-        .zip(vbits)
-        .zip(any_validity)
-        .map(|((data, bits), any)| {
-            Column::new(data, if any { Some(Bitmap::from_bools(&bits)) } else { None })
-        })
-        .collect();
+    let columns = datas.into_iter().zip(validity).map(|(data, v)| Column::new(data, v)).collect();
     let schema = Schema::new_unchecked(fields).into_ref();
     Table::new(schema, columns).map_err(|_| CodecError("table validation failed"))
 }
@@ -325,6 +332,8 @@ pub fn decode_table(buf: &[u8]) -> CodecResult<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cv_common::DetRng;
+    use cv_data::content_digest;
     use cv_data::value::Value;
 
     fn sample_table() -> Table {
@@ -364,6 +373,236 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    fn unpack_bools(bytes: &[u8], n: usize) -> Vec<bool> {
+        (0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect()
+    }
+
+    /// The decoder as it was before the bulk one: a bounds-checked read and a
+    /// push per value, validity through `Vec<bool>`. Kept as the reference
+    /// for well-formed blobs only — it sizes its buffers from the header's
+    /// row count, so a damaged count aborts it.
+    fn decode_table_per_value(buf: &[u8]) -> CodecResult<Table> {
+        let mut d = Dec::new(buf);
+        let n_fields = d.get_u32()? as usize;
+        let mut fields = Vec::with_capacity(n_fields);
+        for _ in 0..n_fields {
+            let name = d.get_str()?;
+            let dtype = dtype_from_ordinal(d.get_u8()?)?;
+            let nullable = match d.get_u8()? {
+                0 => false,
+                1 => true,
+                _ => return Err(CodecError("bad nullable flag")),
+            };
+            fields.push(if nullable {
+                Field::new(name, dtype)
+            } else {
+                Field::not_null(name, dtype)
+            });
+        }
+        let n_rows = d.get_u64()? as usize;
+        let n_chunks = d.get_u32()? as usize;
+        if n_chunks == 0 {
+            return Err(CodecError("zero chunks"));
+        }
+        let mut vbits: Vec<Vec<bool>> = vec![Vec::with_capacity(n_rows); n_fields];
+        let mut any_validity = vec![false; n_fields];
+        let mut datas: Vec<ColumnData> = fields
+            .iter()
+            .map(|f| match f.dtype {
+                DataType::Bool => ColumnData::Bool(Vec::with_capacity(n_rows)),
+                DataType::Int => ColumnData::Int(Vec::with_capacity(n_rows)),
+                DataType::Float => ColumnData::Float(Vec::with_capacity(n_rows)),
+                DataType::Str => ColumnData::Str(Vec::with_capacity(n_rows)),
+                DataType::Date => ColumnData::Date(Vec::with_capacity(n_rows)),
+            })
+            .collect();
+        let mut decoded_rows = 0usize;
+        for _ in 0..n_chunks {
+            let rows = d.get_u64()? as usize;
+            decoded_rows =
+                decoded_rows.checked_add(rows).ok_or(CodecError("chunk rows overflow"))?;
+            if decoded_rows > n_rows {
+                return Err(CodecError("chunk rows exceed table rows"));
+            }
+            let bitmap_bytes = rows.div_ceil(8);
+            for i in 0..n_fields {
+                match d.get_u8()? {
+                    0 => vbits[i].extend(std::iter::repeat_n(true, rows)),
+                    1 => {
+                        any_validity[i] = true;
+                        vbits[i].extend(unpack_bools(d.get_bytes(bitmap_bytes)?, rows));
+                    }
+                    _ => return Err(CodecError("bad validity flag")),
+                }
+                match &mut datas[i] {
+                    ColumnData::Bool(vs) => {
+                        vs.extend(unpack_bools(d.get_bytes(bitmap_bytes)?, rows))
+                    }
+                    ColumnData::Int(vs) => {
+                        for _ in 0..rows {
+                            vs.push(d.get_i64()?);
+                        }
+                    }
+                    ColumnData::Float(vs) => {
+                        for _ in 0..rows {
+                            vs.push(d.get_f64()?);
+                        }
+                    }
+                    ColumnData::Str(vs) => {
+                        for _ in 0..rows {
+                            vs.push(d.get_str()?);
+                        }
+                    }
+                    ColumnData::Date(vs) => {
+                        for _ in 0..rows {
+                            vs.push(d.get_i32()?);
+                        }
+                    }
+                }
+            }
+        }
+        if decoded_rows != n_rows {
+            return Err(CodecError("chunk rows mismatch"));
+        }
+        if !d.is_done() {
+            return Err(CodecError("trailing bytes after table"));
+        }
+        let columns: Vec<Column> = datas
+            .into_iter()
+            .zip(vbits)
+            .zip(any_validity)
+            .map(|((data, bits), any)| {
+                Column::new(data, if any { Some(Bitmap::from_bools(&bits)) } else { None })
+            })
+            .collect();
+        let schema = Schema::new_unchecked(fields).into_ref();
+        Table::new(schema, columns).map_err(|_| CodecError("table validation failed"))
+    }
+
+    /// Every column type with NULLs, NaN payloads, both zero signs and empty
+    /// strings; the last column carries an all-true bitmap so validity
+    /// *presence* round-trips, not just null positions.
+    fn random_table(rng: &mut DetRng, rows: usize) -> Table {
+        let types = [
+            DataType::Bool,
+            DataType::Int,
+            DataType::Float,
+            DataType::Str,
+            DataType::Date,
+            DataType::Float,
+        ];
+        let fields = types.iter().enumerate().map(|(i, &t)| Field::new(format!("c{i}"), t));
+        let schema = Schema::new(fields.collect()).unwrap().into_ref();
+        let null_rate = *rng.choose(&[0.0, 0.2, 1.0]);
+        let data: Vec<Vec<Value>> = (0..rows)
+            .map(|_| {
+                let mut row = vec![
+                    Value::Bool(rng.chance(0.5)),
+                    Value::Int(rng.next_u64() as i64),
+                    Value::Float(f64::from_bits(rng.next_u64())),
+                    Value::Str("xyz€".repeat(rng.range_usize(0, 4))),
+                    Value::Date(rng.next_u64() as i32),
+                ];
+                row.iter_mut().for_each(|v| {
+                    if rng.chance(null_rate) {
+                        *v = Value::Null;
+                    }
+                });
+                row.push(Value::Float(*rng.choose(&[0.0, -0.0, f64::NAN, 1.5])));
+                row
+            })
+            .collect();
+        let t = Table::from_rows(schema.clone(), &data).unwrap();
+        let mut columns = t.columns().to_vec();
+        let last = columns.pop().unwrap();
+        columns.push(Column::new(last.data().clone(), Some(Bitmap::all_set(rows))));
+        Table::new(schema, columns).unwrap()
+    }
+
+    /// Byte-for-byte: schema, validity presence and bits, every buffer value
+    /// (floats by bit pattern, placeholders under NULL included).
+    fn assert_identical(a: &Table, b: &Table, what: &str) {
+        assert_eq!(a.schema().fields(), b.schema().fields(), "schema, {what}");
+        assert_eq!(a.num_rows(), b.num_rows(), "rows, {what}");
+        for (ca, cb) in a.columns().iter().zip(b.columns()) {
+            assert_eq!(ca.validity(), cb.validity(), "validity, {what}");
+            match (ca.view(), cb.view()) {
+                (ColumnView::Float(x), ColumnView::Float(y)) => assert_eq!(
+                    x.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+                    y.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+                    "float bits, {what}"
+                ),
+                (x, y) => assert_eq!(format!("{x:?}"), format!("{y:?}"), "values, {what}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_decode_equals_the_per_value_decoder() {
+        let mut rng = DetRng::seed(0xc0dec);
+        for round in 0..120 {
+            let rows = [0, 1, 7, 8, 63, 64, 65, 333, 700][round % 9];
+            let t = random_table(&mut rng, rows);
+            let whole = decode_table(&encode_table_chunked(&t, usize::MAX)).unwrap();
+            assert_identical(&whole, &t, &format!("round {round}: round trip"));
+            for chunk_size in [1, 7, 64, 333, 2048, usize::MAX] {
+                let what = format!("round {round}: {rows} rows, chunk size {chunk_size}");
+                let bytes = encode_table_chunked(&t, chunk_size);
+                let bulk = decode_table(&bytes).unwrap();
+                assert_identical(&bulk, &decode_table_per_value(&bytes).unwrap(), &what);
+                assert_identical(&bulk, &whole, &what);
+                assert!(bulk.is_compact());
+            }
+        }
+    }
+
+    #[test]
+    fn no_single_byte_flip_decodes_to_different_rows_under_an_equal_digest() {
+        // What the store relies on after the page CRC: a blob that still
+        // decodes either carries the same rows (the flip hit a column name,
+        // a placeholder under a NULL, a pad bit) or a different digest.
+        let mut rng = DetRng::seed(0xf11b);
+        let mut caught = 0;
+        for rows in [3, 70] {
+            let t = random_table(&mut rng, rows);
+            let (digest, reference) = (content_digest("t", &t), t.canonical_rows());
+            let bytes = encode_table_chunked(&t, 64);
+            for at in 0..bytes.len() {
+                for mask in [0x01, 0x80, 0xff] {
+                    let mut bad = bytes.clone();
+                    bad[at] ^= mask;
+                    match decode_table(&bad) {
+                        Err(_) => caught += 1,
+                        Ok(back) if content_digest("t", &back) != digest => caught += 1,
+                        Ok(back) => assert_eq!(
+                            back.canonical_rows(),
+                            reference,
+                            "byte {at} ^ {mask:#x}: rows changed under an equal digest"
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(caught > 1000, "only {caught} flips were visible");
+    }
+
+    #[test]
+    fn absurd_counts_fail_without_allocating_for_them() {
+        // Counts a torn write can leave behind: each must fail on the bytes
+        // actually present, not by reserving what the count asks for.
+        let bytes = encode_table(&sample_table());
+        let hdr = 4 + (4 + 2 + 2) + (4 + 4 + 2) + (4 + 5 + 2) + (4 + 6 + 2) + (4 + 3 + 2);
+        let mut fields = bytes.clone();
+        fields[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_table(&fields).is_err());
+        let mut rows = bytes.clone();
+        rows[hdr..hdr + 8].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+        assert!(decode_table(&rows).is_err());
+        let mut chunk_rows = rows.clone();
+        chunk_rows[hdr + 12..hdr + 20].copy_from_slice(&(u64::MAX >> 2).to_le_bytes());
+        assert!(decode_table(&chunk_rows).is_err());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`page`] — fixed 8 KiB pages with per-page CRCs under a clock-evicting
 //!   buffer pool ([`cache`]);
 //! * [`wal`] — a write-ahead log with record CRCs and idempotent replay;
-//! * [`store::DurableViewStore`] — the store itself: WAL-first mutation
-//!   ordering, periodic checkpoints, byte-budget crash injection
+//! * [`store::DurableViewStore`] — the store itself: pages-then-commit-record
+//!   inserts, record-first operational mutations, periodic checkpoints,
+//!   byte-budget crash injection
 //!   ([`cv_common::FaultPoint::CrashAt`]) and torn-record injection
 //!   ([`cv_common::FaultPoint::WalTornWrite`]), and crash recovery that
 //!   replays to a state whose served rows are byte-identical to a

@@ -12,7 +12,8 @@ use crate::codec::{Dec, Enc};
 use cv_common::StableHasher;
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::ErrorKind;
+use std::os::unix::fs::FileExt;
 
 /// Page size in bytes, header included.
 pub const PAGE_SIZE: usize = 8192;
@@ -43,12 +44,12 @@ pub fn frame_page(page_id: u64, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// Validate a raw page buffer and return its payload.
-pub fn unframe_page(page_id: u64, buf: &[u8]) -> Option<Vec<u8>> {
+/// Validate a raw page buffer and cut it down, in place, to its payload.
+pub fn unframe_page(page_id: u64, mut buf: Vec<u8>) -> Option<Vec<u8>> {
     if buf.len() != PAGE_SIZE {
         return None;
     }
-    let mut d = Dec::new(buf);
+    let mut d = Dec::new(&buf);
     let magic = d.get_u32().ok()?;
     let id = d.get_u64().ok()?;
     let len = d.get_u32().ok()? as usize;
@@ -56,11 +57,12 @@ pub fn unframe_page(page_id: u64, buf: &[u8]) -> Option<Vec<u8>> {
     if magic != PAGE_MAGIC || id != page_id || len > PAGE_PAYLOAD {
         return None;
     }
-    let payload = d.get_bytes(len).ok()?;
-    if page_crc(payload) != crc {
+    if page_crc(d.get_bytes(len).ok()?) != crc {
         return None;
     }
-    Some(payload.to_vec())
+    buf.truncate(PAGE_HEADER + len);
+    buf.drain(..PAGE_HEADER);
+    Some(buf)
 }
 
 /// Split a blob into per-page payload chunks.
@@ -117,17 +119,18 @@ impl PageFile {
         }
     }
 
-    /// Read a page's raw bytes; `None` if the slot lies past EOF (torn grow).
-    pub fn read_raw(&mut self, slot: u64) -> std::io::Result<Option<Vec<u8>>> {
-        let off = slot * PAGE_SIZE as u64;
-        let file_len = self.file.metadata()?.len();
-        if off + PAGE_SIZE as u64 > file_len {
+    /// Read a page's raw bytes in one positioned read; `None` if the slot
+    /// does not lie wholly before EOF (torn grow).
+    pub fn read_raw(&self, slot: u64) -> std::io::Result<Option<Vec<u8>>> {
+        let Some(off) = slot.checked_mul(PAGE_SIZE as u64) else {
             return Ok(None);
-        }
-        self.file.seek(SeekFrom::Start(off))?;
+        };
         let mut buf = vec![0u8; PAGE_SIZE];
-        self.file.read_exact(&mut buf)?;
-        Ok(Some(buf))
+        match self.file.read_exact_at(&mut buf, off) {
+            Ok(()) => Ok(Some(buf)),
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -140,20 +143,40 @@ mod tests {
         let payload = vec![7u8; 1000];
         let buf = frame_page(3, &payload);
         assert_eq!(buf.len(), PAGE_SIZE);
-        assert_eq!(unframe_page(3, &buf).unwrap(), payload);
+        assert_eq!(unframe_page(3, buf.clone()).unwrap(), payload);
         // Wrong slot id (misdirected write) is rejected.
-        assert!(unframe_page(4, &buf).is_none());
+        assert!(unframe_page(4, buf).is_none());
     }
 
     #[test]
     fn corrupt_payload_fails_crc() {
         let mut buf = frame_page(0, &[1, 2, 3, 4]);
         buf[PAGE_HEADER + 2] ^= 0xff;
-        assert!(unframe_page(0, &buf).is_none());
+        assert!(unframe_page(0, buf).is_none());
         // Corrupting the padding (outside the payload) is harmless.
         let mut buf2 = frame_page(0, &[1, 2, 3, 4]);
         buf2[PAGE_SIZE - 1] ^= 0xff;
-        assert!(unframe_page(0, &buf2).is_some());
+        assert_eq!(unframe_page(0, buf2).unwrap(), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn read_raw_returns_whole_pages_and_none_past_a_torn_tail() {
+        let path = std::env::temp_dir().join(format!("cv-page-test-{}", std::process::id()));
+        // Two whole pages and a torn third.
+        let mut bytes = frame_page(0, &[1; 10]);
+        bytes.extend(frame_page(1, &[2; PAGE_PAYLOAD]));
+        bytes.extend(&frame_page(2, &[3; 10])[..PAGE_SIZE / 2]);
+        std::fs::write(&path, &bytes).unwrap();
+        let pages = PageFile::new(File::open(&path).unwrap(), bytes.len() as u64);
+        assert_eq!(pages.n_slots(), 2);
+        for (slot, payload) in [(1, vec![2; PAGE_PAYLOAD]), (0, vec![1; 10])] {
+            let raw = pages.read_raw(slot).unwrap().expect("whole page");
+            assert_eq!(unframe_page(slot, raw).unwrap(), payload);
+        }
+        assert!(pages.read_raw(2).unwrap().is_none(), "torn trailing page");
+        assert!(pages.read_raw(3).unwrap().is_none(), "past EOF");
+        assert!(pages.read_raw(u64::MAX).unwrap().is_none(), "offset overflow");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -424,7 +424,7 @@ impl Inner {
                 Ok(None) => return Err(ViewReadFault::Corrupt),
                 Ok(Some(raw)) => raw,
             };
-            let Some(payload) = unframe_page(slot, &raw) else {
+            let Some(payload) = unframe_page(slot, raw) else {
                 return Err(ViewReadFault::Corrupt);
             };
             blob.extend_from_slice(&payload);

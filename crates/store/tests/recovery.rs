@@ -328,6 +328,79 @@ fn corrupt_page_on_disk_is_caught_without_a_fault_plan() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a job sees of a view the store can no longer vouch for, fault plan
+/// or none: the cold read reports `Corrupt`, the executor names the
+/// signature for quarantine and recomputes, and the result is the no-reuse
+/// run's, digest for digest. Two ways to get there: a byte of `pages.dat`
+/// flipped on disk (`flip`), and a stored checksum the content digest does
+/// not reproduce — a store written before the digest changed — forged the
+/// way `ViewCorrupt` forges one.
+#[test]
+fn a_view_that_fails_its_cold_read_check_degrades_to_recompute() {
+    use cv_common::FaultPoint;
+    use cv_engine::engine::QueryEngine;
+    use cv_engine::exec::{execute, ExecContext};
+    use cv_engine::physical::PhysicalPlan;
+    use cv_engine::sql::Params;
+
+    let mut engine = QueryEngine::new();
+    let schema = Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Str)]);
+    let rows: Vec<Vec<Value>> =
+        (0..400).map(|i| vec![Value::Int(i % 7), Value::Str(format!("row-{i}"))]).collect();
+    let fact = Table::from_rows(schema.unwrap().into_ref(), &rows).unwrap();
+    engine.catalog.register("fact", fact, SimTime::EPOCH).unwrap();
+    let logical = engine.compile_sql("SELECT k, v FROM fact WHERE k > 2", &Params::none()).unwrap();
+    let stats = |name: &str| {
+        engine.catalog.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64))
+    };
+    let recompute = engine.optimizer.to_physical(&logical, &stats).unwrap();
+    let run = |plan: &PhysicalPlan, views: &dyn ViewSource| {
+        let mut ctx = ExecContext::new(&engine.catalog, views, &engine.udos, SimTime::EPOCH);
+        execute(plan, &mut ctx, &engine.optimizer.cfg.cost).unwrap()
+    };
+    let ttl = SimDuration::from_days(7.0);
+    let no_reuse = run(&recompute, &cv_data::viewstore::ViewStore::with_default_ttl());
+    let digest = |t: &Table| cv_data::content_digest("result-digest", t);
+
+    for flip in [true, false] {
+        let dir = temp_dir("degrade");
+        let store = DurableViewStore::open(&dir, ttl, small_opts()).unwrap();
+        if !flip {
+            store.set_fault_plan(FaultPlan::seeded(1).with_rate(FaultPoint::ViewCorrupt, 1.0));
+        }
+        let mut sealed = view(77, 1, 42, SimTime::EPOCH, 0);
+        sealed.schema = no_reuse.table.schema().clone();
+        sealed.data = no_reuse.table.clone();
+        store.insert(sealed).unwrap();
+        drop(store);
+        if flip {
+            let pages = dir.join("pages.dat");
+            let mut bytes = std::fs::read(&pages).unwrap();
+            bytes[4000] ^= 0x20;
+            std::fs::write(&pages, &bytes).unwrap();
+        }
+        // Reopened: nothing is resident, no fault plan is installed.
+        let store = DurableViewStore::open(&dir, ttl, small_opts()).unwrap();
+        assert!(store.fault_plan().is_empty());
+        let scan = PhysicalPlan::ViewScan {
+            sig: Sig128(77),
+            schema: no_reuse.table.schema().clone(),
+            est: cv_engine::stats::Statistics::accurate(1.0, 1.0),
+            partitions: 1,
+            fallback: Some(Box::new(recompute.clone())),
+        };
+        let out = run(&scan, &store);
+        assert_eq!(out.metrics.view_corruptions, 1, "flip {flip}");
+        assert_eq!(out.metrics.fallbacks_recompute, 1, "flip {flip}");
+        assert_eq!(out.metrics.quarantined_sigs, vec![Sig128(77)], "flip {flip}");
+        assert_eq!(digest(&out.table), digest(&no_reuse.table), "flip {flip}");
+        // The driver's half: quarantine sticks, the view is gone for good.
+        assert!(store.quarantine(Sig128(77)).unwrap());
+        assert!(matches!(store.read_view(Sig128(77), SimTime::EPOCH), Ok(None)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn page_cache_serves_hot_reads_and_reports_temperature() {
     use cv_data::viewstore::ViewTemperature;

@@ -954,12 +954,11 @@ fn run_one_job(
     })
 }
 
+/// A job's result digest: [`cv_data::content_digest`] of the result's rows
+/// under the result-digest domain. Both drivers, and every gate that holds
+/// two configurations to "same results", compare these.
 pub(crate) fn digest_table(t: &cv_data::table::Table) -> Sig128 {
-    let mut h = StableHasher::with_domain("result-digest");
-    for row in t.canonical_rows() {
-        h.write_str(&row);
-    }
-    h.finish128()
+    cv_data::content_digest("result-digest", t)
 }
 
 #[allow(clippy::too_many_arguments)]
