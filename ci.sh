@@ -6,6 +6,13 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> cargo build --release (workspace, then the frozen benchmark harness against it)"
+cargo build --release --workspace
+# perf/ compiles against the crates' public API and may not be edited to
+# follow them: an API break must be the first failure, not the last
+# (perf/check.sh reuses this build at the end).
+cargo build --release --manifest-path perf/Cargo.toml
+
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -200,5 +207,20 @@ EOF
 
 echo "==> perf/check.sh (the benchmark at smoke size: every workload, every output checked)"
 perf/check.sh
+
+echo "==> size: non-test code lines per crate (report only, no gate)"
+# Each src/**/*.rs up to its first #[cfg(test)], blank and // lines dropped.
+total=0
+for dir in crates/*/src src; do
+    n=$(find "$dir" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*($|\/\/)/ { next }
+        { n++ }
+        END { print n + 0 }')
+    printf '    %-22s %6d\n' "$dir" "$n"
+    total=$((total + n))
+done
+printf '    %-22s %6d\n' total "$total"
 
 echo "==> OK"

@@ -11,7 +11,9 @@
 //!   datasets are bulk-regenerated (never updated in place), each
 //!   regeneration minting a fresh GUID that strict signatures hash,
 //! * a [`viewstore::ViewStore`] holding materialized common subexpressions
-//!   with TTL expiry (paper: one week) and GDPR-driven invalidation.
+//!   with TTL expiry (paper: one week) and GDPR-driven invalidation, shared
+//!   across threads as a [`sharded::StripedViewStore`] behind the
+//!   [`store_api::SharedViewStore`] seam.
 
 pub mod bitmap;
 pub mod catalog;
@@ -33,7 +35,7 @@ pub use column::{Column, ColumnBuilder, ColumnData, ColumnView};
 pub use delta::{diff_tables, TableDelta};
 pub use digest::content_digest;
 pub use schema::{Field, Schema, SchemaRef};
-pub use sharded::ShardedViewStore;
+pub use sharded::{ShardedViewStore, StripedViewStore};
 pub use store_api::{SharedViewStore, StoreIoStats};
 pub use table::Table;
 pub use value::{DataType, Value};

@@ -1,339 +1,266 @@
-//! Lock-striped, thread-safe wrapper over [`ViewStore`].
+//! The lock-striped view store: one type over memory or durable shards.
 //!
-//! The service layer (cv-service) runs many jobs concurrently against shared
-//! reuse state; a single `Mutex<ViewStore>` would serialize every view read.
-//! `ShardedViewStore` splits the signature space across N independently
-//! locked [`ViewStore`] shards (reads take a shard read-lock, writes a shard
-//! write-lock), preserving every single-store semantic — TTL, quarantine,
-//! GDPR purge, checksums, fault injection — because each shard *is* a
-//! `ViewStore`. Fault decisions are keyed purely by signature, so the same
-//! fault plan cloned into every shard fires identically to the sequential
-//! store.
+//! [`StripedViewStore`] splits the signature space across N shards so that
+//! concurrent jobs rarely meet on a lock. A shard is anything that is itself
+//! a [`SharedViewStore`] and brings its own lock — the in-memory
+//! [`ViewStore`] behind a reader/writer lock (below), or cv-store's durable
+//! store behind its mutex — so the wrapper adds no locking of its own and
+//! every single-store semantic (TTL, quarantine, GDPR purge, checksums, fault
+//! injection) holds shard-locally. One shard *is* the plain store.
 //!
-//! Sharding is deterministic (a pure function of the signature bits), so a
-//! view lands on the same shard in every run regardless of thread count.
+//! Routing is a pure function of the signature bits, so a view lands on the
+//! same shard in every run regardless of thread count, and fault decisions
+//! are keyed by signature, so the same plan on every shard fires exactly as
+//! it would on an unsharded store.
 
-use crate::store_api::SharedViewStore;
+use crate::store_api::{SharedViewStore, StoreIoStats};
 use crate::table::Table;
-use crate::viewstore::{MaterializedView, ViewReadFault, ViewSource, ViewStore, ViewStoreStats};
+use crate::viewstore::{
+    MaterializedView, ViewReadFault, ViewSource, ViewStore, ViewStoreStats, ViewTemperature,
+};
 use cv_common::ids::{VcId, VersionGuid};
 use cv_common::{FaultPlan, Result, Sig128, SimDuration, SimTime};
+use std::path::PathBuf;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Default shard count; enough stripes that 8–16 workers rarely collide.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Lock-striped collection of [`ViewStore`] shards. All methods take
-/// `&self`; interior locking makes the store shareable across worker
-/// threads behind a plain reference or `Arc`.
+/// N independently locked shards behind one signature-routed front. All
+/// methods take `&self`, so the store is shareable across worker threads
+/// behind a plain reference.
 #[derive(Debug)]
-pub struct ShardedViewStore {
-    shards: Vec<RwLock<ViewStore>>,
+pub struct StripedViewStore<S> {
+    shards: Vec<S>,
 }
+
+/// The in-memory store: [`ViewStore`] shards, readers sharing a shard lock.
+pub type ShardedViewStore = StripedViewStore<RwLock<ViewStore>>;
 
 impl ShardedViewStore {
     pub fn new(ttl: SimDuration, n_shards: usize) -> ShardedViewStore {
-        let n = n_shards.max(1);
-        ShardedViewStore { shards: (0..n).map(|_| RwLock::new(ViewStore::new(ttl))).collect() }
-    }
-
-    pub fn with_default_ttl() -> ShardedViewStore {
-        ShardedViewStore::new(SimDuration::from_days(7.0), DEFAULT_SHARDS)
-    }
-
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub fn ttl(&self) -> SimDuration {
-        self.read_shard(0).ttl()
-    }
-
-    /// Install the same fault plan on every shard. Decisions are keyed by
-    /// signature, so behavior matches an unsharded store with this plan.
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        for i in 0..self.shards.len() {
-            self.write_shard(i).set_fault_plan(plan.clone());
-        }
-    }
-
-    /// Deterministic shard routing: pure function of the signature bits.
-    fn shard_of(&self, sig: Sig128) -> usize {
-        let mixed = (sig.0 as u64) ^ ((sig.0 >> 64) as u64);
-        (mixed % self.shards.len() as u64) as usize
-    }
-
-    fn read_shard(&self, i: usize) -> RwLockReadGuard<'_, ViewStore> {
-        self.shards[i].read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write_shard(&self, i: usize) -> RwLockWriteGuard<'_, ViewStore> {
-        self.shards[i].write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn read_for(&self, sig: Sig128) -> RwLockReadGuard<'_, ViewStore> {
-        self.read_shard(self.shard_of(sig))
-    }
-
-    fn write_for(&self, sig: Sig128) -> RwLockWriteGuard<'_, ViewStore> {
-        self.write_shard(self.shard_of(sig))
-    }
-
-    /// Seal a view into its shard. Same contract as [`ViewStore::insert`]
-    /// (idempotent duplicates, quarantine drop, injected write failures).
-    pub fn insert(&self, view: MaterializedView) -> Result<()> {
-        self.write_for(view.strict_sig).insert(view)
-    }
-
-    /// Whether a view for this signature is stored (ignoring expiry).
-    pub fn contains(&self, sig: Sig128) -> bool {
-        self.read_for(sig).contains(sig)
-    }
-
-    pub fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
-        self.read_for(sig).contains_live(sig, now)
-    }
-
-    pub fn is_quarantined(&self, sig: Sig128) -> bool {
-        self.read_for(sig).is_quarantined(sig)
-    }
-
-    /// Quarantine a signature (drops any stored copy); true if newly dead.
-    pub fn quarantine(&self, sig: Sig128) -> bool {
-        self.write_for(sig).quarantine(sig)
-    }
-
-    /// Planning-time metadata peek: (rows, bytes, observed_work) of a live
-    /// view, without counting a reuse.
-    pub fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
-        let shard = self.read_for(sig);
-        shard.peek(sig, now).map(|v| (v.rows as u64, v.bytes, v.observed_work))
-    }
-
-    /// Observed production cost of a stored view (any liveness state).
-    pub fn observed_work(&self, sig: Sig128) -> Option<f64> {
-        self.read_for(sig).observed_work(sig)
-    }
-
-    /// Drop expired views across all shards; total evicted.
-    pub fn evict_expired(&self, now: SimTime) -> usize {
-        (0..self.shards.len()).map(|i| self.write_shard(i).evict_expired(now)).sum()
-    }
-
-    /// GDPR purge across all shards; total purged.
-    pub fn purge_input(&self, guid: VersionGuid, now: SimTime) -> usize {
-        (0..self.shards.len()).map(|i| self.write_shard(i).purge_input(guid, now)).sum()
-    }
-
-    pub fn purge_vc(&self, vc: VcId, now: SimTime) -> usize {
-        (0..self.shards.len()).map(|i| self.write_shard(i).purge_vc(vc, now)).sum()
-    }
-
-    /// Strict signatures of stored views derived from this input version
-    /// (sorted, for deterministic downstream iteration).
-    pub fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
-        let mut out: Vec<Sig128> = Vec::new();
-        for i in 0..self.shards.len() {
-            let shard = self.read_shard(i);
-            out.extend(
-                shard.iter().filter(|v| v.input_guids.contains(&guid)).map(|v| v.strict_sig),
-            );
-        }
-        out.sort();
-        out
-    }
-
-    /// Field-wise sum of per-shard counter snapshots.
-    pub fn stats(&self) -> ViewStoreStats {
-        let mut total = ViewStoreStats::default();
-        for i in 0..self.shards.len() {
-            total.merge(&self.read_shard(i).stats());
-        }
-        total
-    }
-
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.read_shard(i).len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn total_storage(&self) -> u64 {
-        (0..self.shards.len()).map(|i| self.read_shard(i).total_storage()).sum()
-    }
-
-    pub fn storage_used(&self, vc: VcId) -> u64 {
-        (0..self.shards.len()).map(|i| self.read_shard(i).storage_used(vc)).sum()
+        let shards = (0..n_shards.max(1)).map(|_| RwLock::new(ViewStore::new(ttl))).collect();
+        StripedViewStore { shards }
     }
 }
 
-impl ViewSource for ShardedViewStore {
+/// A shard kind that lives in a directory of its own (the durable one).
+pub trait DirShard: SharedViewStore + Sized {
+    type Options: Clone;
+    /// Open (creating if absent) the shard rooted at `dir`, recovering
+    /// whatever an earlier process left there.
+    fn open_dir(dir: PathBuf, ttl: SimDuration, opts: Self::Options) -> Result<Self>;
+}
+
+impl<S: DirShard> StripedViewStore<S> {
+    /// Open `n_shards` shards under `dir`. One shard is `dir` itself; more
+    /// live in `dir/shard-000`, `dir/shard-001`, … — so a directory written
+    /// with a given shard count reopens only with the same count.
+    pub fn open(
+        dir: impl Into<PathBuf>,
+        ttl: SimDuration,
+        n_shards: usize,
+        opts: S::Options,
+    ) -> Result<StripedViewStore<S>> {
+        let dir = dir.into();
+        let shards = if n_shards <= 1 {
+            vec![S::open_dir(dir, ttl, opts)?]
+        } else {
+            (0..n_shards)
+                .map(|i| S::open_dir(dir.join(format!("shard-{i:03}")), ttl, opts.clone()))
+                .collect::<Result<Vec<_>>>()?
+        };
+        Ok(StripedViewStore { shards })
+    }
+}
+
+impl<S: SharedViewStore> StripedViewStore<S> {
+    /// Deterministic shard routing: pure function of the signature bits.
+    fn shard_of(&self, sig: Sig128) -> &S {
+        let mixed = (sig.0 as u64) ^ ((sig.0 >> 64) as u64);
+        &self.shards[(mixed % self.shards.len() as u64) as usize]
+    }
+
+    /// Run a fallible sweep on every shard, stopping at the first error.
+    fn sweep(&self, op: impl Fn(&S) -> Result<usize>) -> Result<usize> {
+        self.shards.iter().map(op).sum()
+    }
+}
+
+impl<S: SharedViewStore> ViewSource for StripedViewStore<S> {
     fn read_view(
         &self,
         sig: Sig128,
         now: SimTime,
     ) -> std::result::Result<Option<Table>, ViewReadFault> {
-        let shard = self.read_for(sig);
-        shard.read_for_exec(sig, now).map(|v| v.map(|view| view.data.clone()))
+        self.shard_of(sig).read_view(sig, now)
+    }
+
+    fn read_view_traced(
+        &self,
+        sig: Sig128,
+        now: SimTime,
+    ) -> std::result::Result<Option<(Table, ViewTemperature)>, ViewReadFault> {
+        self.shard_of(sig).read_view_traced(sig, now)
     }
 }
 
-/// In-memory backend for the service layer's store seam. Infallible
-/// mutations are wrapped in `Ok`; the I/O-stat and residency defaults
-/// (`None` / always-hot) already describe a memory store exactly.
-impl SharedViewStore for ShardedViewStore {
+impl<S: SharedViewStore> SharedViewStore for StripedViewStore<S> {
     fn insert(&self, view: MaterializedView) -> Result<()> {
-        ShardedViewStore::insert(self, view)
+        self.shard_of(view.strict_sig).insert(view)
     }
     fn contains(&self, sig: Sig128) -> bool {
-        ShardedViewStore::contains(self, sig)
+        self.shard_of(sig).contains(sig)
     }
     fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
-        ShardedViewStore::contains_live(self, sig, now)
+        self.shard_of(sig).contains_live(sig, now)
     }
     fn is_quarantined(&self, sig: Sig128) -> bool {
-        ShardedViewStore::is_quarantined(self, sig)
+        self.shard_of(sig).is_quarantined(sig)
     }
     fn quarantine(&self, sig: Sig128) -> Result<bool> {
-        Ok(ShardedViewStore::quarantine(self, sig))
+        self.shard_of(sig).quarantine(sig)
     }
     fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
-        ShardedViewStore::peek_meta(self, sig, now)
+        self.shard_of(sig).peek_meta(sig, now)
     }
     fn observed_work(&self, sig: Sig128) -> Option<f64> {
-        ShardedViewStore::observed_work(self, sig)
+        self.shard_of(sig).observed_work(sig)
     }
     fn evict_expired(&self, now: SimTime) -> Result<usize> {
-        Ok(ShardedViewStore::evict_expired(self, now))
+        self.sweep(|s| s.evict_expired(now))
     }
     fn purge_input(&self, guid: VersionGuid, now: SimTime) -> Result<usize> {
-        Ok(ShardedViewStore::purge_input(self, guid, now))
+        self.sweep(|s| s.purge_input(guid, now))
     }
     fn purge_vc(&self, vc: VcId, now: SimTime) -> Result<usize> {
-        Ok(ShardedViewStore::purge_vc(self, vc, now))
+        self.sweep(|s| s.purge_vc(vc, now))
     }
     fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
-        ShardedViewStore::sigs_with_input(self, guid)
+        let mut out: Vec<Sig128> =
+            self.shards.iter().flat_map(|s| s.sigs_with_input(guid)).collect();
+        out.sort();
+        out
     }
     fn stats(&self) -> ViewStoreStats {
-        ShardedViewStore::stats(self)
+        let mut total = ViewStoreStats::default();
+        for s in &self.shards {
+            total.merge(&s.stats());
+        }
+        total
     }
     fn len(&self) -> usize {
-        ShardedViewStore::len(self)
+        self.shards.iter().map(|s| s.len()).sum()
     }
     fn total_storage(&self) -> u64 {
-        ShardedViewStore::total_storage(self)
+        self.shards.iter().map(|s| s.total_storage()).sum()
     }
     fn storage_used(&self, vc: VcId) -> u64 {
-        ShardedViewStore::storage_used(self, vc)
+        self.shards.iter().map(|s| s.storage_used(vc)).sum()
     }
     fn n_shards(&self) -> usize {
-        ShardedViewStore::n_shards(self)
+        self.shards.len()
     }
     fn ttl(&self) -> SimDuration {
-        ShardedViewStore::ttl(self)
+        self.shards[0].ttl()
     }
     fn set_fault_plan(&self, plan: FaultPlan) {
-        ShardedViewStore::set_fault_plan(self, plan)
+        for s in &self.shards {
+            s.set_fault_plan(plan.clone());
+        }
+    }
+    fn io_stats(&self) -> Option<StoreIoStats> {
+        let mut total: Option<StoreIoStats> = None;
+        for io in self.shards.iter().filter_map(|s| s.io_stats()) {
+            total.get_or_insert_with(StoreIoStats::default).merge(&io);
+        }
+        total
+    }
+    fn is_resident(&self, sig: Sig128) -> bool {
+        self.shard_of(sig).is_resident(sig)
+    }
+    fn recover_in_place(&self) -> Result<()> {
+        self.shards.iter().try_for_each(|s| s.recover_in_place())
+    }
+    fn checkpoint_now(&self) -> Result<()> {
+        self.shards.iter().try_for_each(|s| s.checkpoint_now())
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::schema::{Field, Schema};
-    use crate::value::{DataType, Value};
-    use cv_common::ids::JobId;
+fn read(shard: &RwLock<ViewStore>) -> RwLockReadGuard<'_, ViewStore> {
+    shard.read().unwrap_or_else(PoisonError::into_inner)
+}
 
-    fn view(sig: u128, vc: u64, created: SimTime, rows: i64) -> MaterializedView {
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap().into_ref();
-        let data = Table::from_rows(
-            schema.clone(),
-            &(0..rows).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        MaterializedView {
-            strict_sig: Sig128(sig),
-            recurring_sig: Sig128(sig ^ 0xffff),
-            schema,
-            data,
-            rows: 0,
-            bytes: 0,
-            created,
-            expires: created,
-            creator_job: JobId(1),
-            vc: VcId(vc),
-            input_guids: vec![VersionGuid(42)],
-            observed_work: 10.0,
-            checksum: 0,
-        }
+fn write(shard: &RwLock<ViewStore>) -> RwLockWriteGuard<'_, ViewStore> {
+    shard.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl ViewSource for RwLock<ViewStore> {
+    fn read_view(
+        &self,
+        sig: Sig128,
+        now: SimTime,
+    ) -> std::result::Result<Option<Table>, ViewReadFault> {
+        read(self).read_view(sig, now)
     }
+}
 
-    #[test]
-    fn views_distribute_across_shards_and_read_back() {
-        let store = ShardedViewStore::new(SimDuration::from_days(7.0), 4);
-        for sig in 1..=64u128 {
-            store.insert(view(sig, 0, SimTime::EPOCH, 3)).unwrap();
-        }
-        assert_eq!(store.len(), 64);
-        for sig in 1..=64u128 {
-            assert!(store.read_view(Sig128(sig), SimTime::EPOCH).unwrap().is_some());
-        }
-        let stats = store.stats();
-        assert_eq!(stats.views_created, 64);
-        assert_eq!(stats.views_reused, 64);
-        // More than one shard actually holds data.
-        let nonempty = (0..store.n_shards()).filter(|&i| !store.read_shard(i).is_empty()).count();
-        assert!(nonempty > 1, "only {nonempty} shard(s) used");
+/// The in-memory shard: reads take the shard's read lock, mutations its
+/// write lock. Infallible mutations are wrapped in `Ok`; the trait's
+/// durability defaults already describe a memory store exactly.
+impl SharedViewStore for RwLock<ViewStore> {
+    fn insert(&self, view: MaterializedView) -> Result<()> {
+        write(self).insert(view)
     }
-
-    #[test]
-    fn routing_is_deterministic() {
-        let a = ShardedViewStore::new(SimDuration::from_days(7.0), 8);
-        let b = ShardedViewStore::new(SimDuration::from_days(7.0), 8);
-        for sig in 1..=32u128 {
-            assert_eq!(a.shard_of(Sig128(sig)), b.shard_of(Sig128(sig)));
-        }
+    fn contains(&self, sig: Sig128) -> bool {
+        read(self).contains(sig)
     }
-
-    #[test]
-    fn quarantine_and_purge_span_shards() {
-        let store = ShardedViewStore::new(SimDuration::from_days(7.0), 4);
-        for sig in 1..=16u128 {
-            store.insert(view(sig, 3, SimTime::EPOCH, 3)).unwrap();
-        }
-        assert!(store.quarantine(Sig128(5)));
-        assert!(store.is_quarantined(Sig128(5)));
-        assert!(store.read_view(Sig128(5), SimTime::EPOCH).unwrap().is_none());
-        // Quarantined signature is silently dropped on re-insert.
-        store.insert(view(5, 3, SimTime::EPOCH, 3)).unwrap();
-        assert_eq!(store.len(), 15);
-        // All remaining views share input GUID 42; GDPR purges them all.
-        assert_eq!(store.sigs_with_input(VersionGuid(42)).len(), 15);
-        assert_eq!(store.purge_input(VersionGuid(42), SimTime::EPOCH), 15);
-        assert_eq!(store.len(), 0);
-        assert_eq!(store.storage_used(VcId(3)), 0);
+    fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
+        read(self).contains_live(sig, now)
     }
-
-    #[test]
-    fn concurrent_readers_and_writers_smoke() {
-        let store = ShardedViewStore::new(SimDuration::from_days(7.0), 8);
-        std::thread::scope(|s| {
-            for t in 0..4u128 {
-                let store = &store;
-                s.spawn(move || {
-                    for i in 0..25u128 {
-                        let sig = t * 100 + i + 1;
-                        store.insert(view(sig, t as u64, SimTime::EPOCH, 2)).unwrap();
-                        assert!(store.read_view(Sig128(sig), SimTime::EPOCH).unwrap().is_some());
-                    }
-                });
-            }
-        });
-        assert_eq!(store.len(), 100);
-        assert_eq!(store.stats().views_created, 100);
-        assert_eq!(store.stats().views_reused, 100);
+    fn is_quarantined(&self, sig: Sig128) -> bool {
+        read(self).is_quarantined(sig)
+    }
+    fn quarantine(&self, sig: Sig128) -> Result<bool> {
+        Ok(write(self).quarantine(sig))
+    }
+    fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
+        read(self).peek(sig, now).map(|v| (v.rows as u64, v.bytes, v.observed_work))
+    }
+    fn observed_work(&self, sig: Sig128) -> Option<f64> {
+        read(self).observed_work(sig)
+    }
+    fn evict_expired(&self, now: SimTime) -> Result<usize> {
+        Ok(write(self).evict_expired(now))
+    }
+    fn purge_input(&self, guid: VersionGuid, now: SimTime) -> Result<usize> {
+        Ok(write(self).purge_input(guid, now))
+    }
+    fn purge_vc(&self, vc: VcId, now: SimTime) -> Result<usize> {
+        Ok(write(self).purge_vc(vc, now))
+    }
+    fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
+        read(self).sigs_with_input(guid)
+    }
+    fn stats(&self) -> ViewStoreStats {
+        read(self).stats()
+    }
+    fn len(&self) -> usize {
+        read(self).len()
+    }
+    fn total_storage(&self) -> u64 {
+        read(self).total_storage()
+    }
+    fn storage_used(&self, vc: VcId) -> u64 {
+        read(self).storage_used(vc)
+    }
+    fn n_shards(&self) -> usize {
+        1
+    }
+    fn ttl(&self) -> SimDuration {
+        read(self).ttl()
+    }
+    fn set_fault_plan(&self, plan: FaultPlan) {
+        write(self).set_fault_plan(plan)
     }
 }

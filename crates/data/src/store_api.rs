@@ -1,19 +1,20 @@
-//! Backend-polymorphic view-store interface for the service layer.
+//! The view-store seam: the one store API anything above cv-store calls.
 //!
-//! The sequential driver owns its store concretely, but the service driver
-//! shares one store across worker threads behind a reference. This trait is
-//! the seam that lets that shared store be either the in-memory
-//! [`ShardedViewStore`](crate::sharded::ShardedViewStore) or a disk-backed
-//! store (cv-store) without the service layer caring which.
+//! Both workload drivers, the service layer's view source and the bins hold
+//! a `&dyn SharedViewStore`. Behind it sits one type,
+//! [`StripedViewStore`](crate::sharded::StripedViewStore), over shards that
+//! implement this same trait: the in-memory [`ViewStore`](crate::ViewStore)
+//! behind a reader/writer lock, or cv-store's durable store behind its mutex.
 //!
 //! Design notes:
 //!
 //! * Mutating methods return `Result` even though the in-memory store cannot
 //!   fail on them — a durable backend can hit injected crashes or I/O faults
 //!   mid-mutation, and the caller must see that.
-//! * [`SharedViewStore::io_stats`] and [`SharedViewStore::is_resident`] have
-//!   in-memory defaults (`None` / always-hot) so the memory backend stays
-//!   byte-identical to the pre-trait code.
+//! * The durability methods ([`SharedViewStore::io_stats`],
+//!   [`SharedViewStore::is_resident`], [`SharedViewStore::recover_in_place`],
+//!   [`SharedViewStore::checkpoint_now`]) default to what a memory store
+//!   does: no I/O layer, always hot, nothing to recover or checkpoint.
 
 use crate::viewstore::{MaterializedView, ViewSource, ViewStoreStats};
 use cv_common::ids::{VcId, VersionGuid};
@@ -73,11 +74,11 @@ impl StoreIoStats {
     }
 }
 
-/// Thread-safe view store usable behind `&dyn` by the service layer.
+/// Thread-safe view store usable behind `&dyn`.
 ///
 /// Supertrait [`ViewSource`] supplies the execution-time read path
 /// (including [`ViewSource::read_view_traced`] for hot/cold accounting);
-/// this trait adds the control-plane operations the service driver needs.
+/// this trait adds the control-plane operations the drivers need.
 pub trait SharedViewStore: ViewSource {
     /// Seal a view. Same idempotence contract as
     /// [`crate::viewstore::ViewStore::insert`].
@@ -114,5 +115,14 @@ pub trait SharedViewStore: ViewSource {
     /// disk. Planning-time hint only — always true for in-memory backends.
     fn is_resident(&self, _sig: Sig128) -> bool {
         true
+    }
+    /// Crash recovery: rebuild in-memory state from disk, as a process
+    /// restart would. Nothing to do for backends that cannot crash.
+    fn recover_in_place(&self) -> Result<()> {
+        Ok(())
+    }
+    /// Force a checkpoint now (durable backends truncate their log).
+    fn checkpoint_now(&self) -> Result<()> {
+        Ok(())
     }
 }

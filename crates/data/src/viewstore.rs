@@ -121,7 +121,7 @@ impl ViewStoreStats {
 ///
 /// The executor only ever *reads* views; this trait is the seam that lets it
 /// run against a plain [`ViewStore`], a lock-striped
-/// [`crate::sharded::ShardedViewStore`], or a service-layer wrapper that
+/// [`crate::sharded::StripedViewStore`], or a service-layer wrapper that
 /// pipelines from in-flight materializations. Returns an owned [`Table`]
 /// because the executor clones the served data anyway.
 pub trait ViewSource: Sync {
@@ -348,16 +348,24 @@ impl ViewStore {
     /// removals and neither double-counts (the storage accounting is handled
     /// once, in `remove`, either way).
     pub fn purge_input(&mut self, guid: VersionGuid, now: SimTime) -> usize {
-        let dead: Vec<Sig128> = self
+        let dead = self.sigs_with_input(guid);
+        for sig in &dead {
+            self.remove_classified(*sig, now);
+        }
+        dead.len()
+    }
+
+    /// Sorted strict signatures of the stored views derived from this input
+    /// version — what a purge of it would remove.
+    pub fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
+        let mut sigs: Vec<Sig128> = self
             .views
             .values()
             .filter(|v| v.input_guids.contains(&guid))
             .map(|v| v.strict_sig)
             .collect();
-        for sig in &dead {
-            self.remove_classified(*sig, now);
-        }
-        dead.len()
+        sigs.sort();
+        sigs
     }
 
     /// Purge every view belonging to a VC (customer opt-out / manual purge,

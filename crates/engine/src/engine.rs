@@ -18,7 +18,7 @@ use cv_common::ids::{JobId, VcId};
 use cv_common::{Result, SimTime};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::table::Table;
-use cv_data::viewstore::{MaterializedView, ViewSource, ViewStore};
+use cv_data::viewstore::{ViewSource, ViewStore};
 use std::sync::Arc;
 
 /// A compiled + optimized job, ready for execution.
@@ -176,8 +176,9 @@ impl QueryEngine {
     ///
     /// An injected write failure is absorbed here: the half-materialized
     /// view is discarded and simply not counted in the returned total — the
-    /// job itself already succeeded, and views are throw-away artifacts.
-    /// Callers must only advertise the views actually sealed.
+    /// job itself already succeeded, and views are throw-away artifacts. A
+    /// view the store refused (a quarantined signature) is not counted
+    /// either. Callers must only advertise the views actually sealed.
     pub fn seal_views(
         &mut self,
         pending: &[PendingView],
@@ -187,22 +188,8 @@ impl QueryEngine {
     ) -> Result<usize> {
         let mut sealed = 0;
         for pv in pending {
-            match self.views.insert(MaterializedView {
-                strict_sig: pv.sig,
-                recurring_sig: pv.recurring_sig,
-                schema: pv.schema.clone(),
-                data: pv.data.clone(),
-                rows: 0,
-                bytes: 0,
-                created: now,
-                expires: now, // recomputed by the store from its TTL
-                creator_job: job,
-                vc,
-                input_guids: pv.input_guids.clone(),
-                observed_work: pv.production_work,
-                checksum: 0, // recomputed by the store
-            }) {
-                Ok(()) => sealed += 1,
+            match self.views.insert(pv.materialize(job, vc, now)) {
+                Ok(()) => sealed += usize::from(self.views.contains(pv.sig)),
                 Err(e) if e.is_fault() => {}
                 Err(e) => return Err(e),
             }

@@ -53,7 +53,7 @@ use crate::physical::{JoinAlgo, JoinAlgoCounts, PhysicalPlan};
 use crate::plan::JoinKind;
 use crate::udo::UdoRegistry;
 use cv_common::hash::Sig128;
-use cv_common::ids::VersionGuid;
+use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{CvError, Result, SimTime};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::chunk::{chunk_ranges, ChunkedTable};
@@ -61,7 +61,7 @@ use cv_data::column::{Column, ColumnBuilder, ColumnView};
 use cv_data::schema::{Schema, SchemaRef};
 use cv_data::table::Table;
 use cv_data::value::Value;
-use cv_data::viewstore::ViewSource;
+use cv_data::viewstore::{MaterializedView, ViewSource};
 use keys::KeyCols;
 pub use morsel::{MorselRunner, SerialRunner};
 pub use opstate::{OpState, OpStateAcquire, OpStateEntry, OpStateSource};
@@ -223,6 +223,29 @@ pub struct PendingView {
     pub production_work: f64,
     /// Work of the spool write itself (materialization overhead).
     pub write_work: f64,
+}
+
+impl PendingView {
+    /// The view as the job manager hands it to a store at seal time. The
+    /// store recomputes `rows`, `bytes`, `expires` (from its TTL) and
+    /// `checksum` on insert.
+    pub fn materialize(&self, job: JobId, vc: VcId, now: SimTime) -> MaterializedView {
+        MaterializedView {
+            strict_sig: self.sig,
+            recurring_sig: self.recurring_sig,
+            schema: self.schema.clone(),
+            data: self.data.clone(),
+            rows: 0,
+            bytes: 0,
+            created: now,
+            expires: now,
+            creator_job: job,
+            vc,
+            input_guids: self.input_guids.clone(),
+            observed_work: self.production_work,
+            checksum: 0,
+        }
+    }
 }
 
 /// Result of executing one physical plan.

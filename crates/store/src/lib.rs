@@ -17,20 +17,23 @@
 //!   ([`cv_common::FaultPoint::WalTornWrite`]), and crash recovery that
 //!   replays to a state whose served rows are byte-identical to a
 //!   never-crashed run;
-//! * [`sharded::ShardedDurableViewStore`] — the lock-striped variant for
-//!   the service layer.
+//! * [`ShardedDurableViewStore`] — [`cv_data::sharded::StripedViewStore`]
+//!   over durable shards, the form every caller above this crate opens
+//!   (one shard is the plain store in the directory itself).
 
 pub mod cache;
 pub mod codec;
 pub mod page;
-pub mod sharded;
 pub mod store;
 pub mod wal;
 
 pub use cache::PageCache;
-pub use sharded::ShardedDurableViewStore;
 pub use store::{DurableStoreOptions, DurableViewStore};
 pub use wal::{DurableViewMeta, WalRecord};
+
+/// The durable store as callers hold it: signature-striped
+/// [`DurableViewStore`] shards, each its own WAL + page file + checkpoint.
+pub type ShardedDurableViewStore = cv_data::sharded::StripedViewStore<DurableViewStore>;
 
 // The durable stores cross worker threads in the service layer; keep them
 // provably Send + Sync at compile time, like the cv-data stores.

@@ -28,7 +28,7 @@
 //! Simulated crashes ([`FaultPlan::crash_after_bytes`]) fire inside the
 //! durable-write helper: the write that crosses the byte budget persists
 //! only a prefix, the store poisons itself, and every subsequent operation
-//! returns [`CvError::is_crash`] until [`DurableViewStore::recover_in_place`]
+//! returns [`CvError::is_crash`] until [`SharedViewStore::recover_in_place`]
 //! rebuilds the in-memory state from disk.
 
 use crate::cache::PageCache;
@@ -40,6 +40,7 @@ use crate::wal::{
 };
 use cv_common::ids::{VcId, VersionGuid};
 use cv_common::{CvError, FaultPlan, FaultPoint, Result, Sig128, SimDuration, SimTime};
+use cv_data::sharded::DirShard;
 use cv_data::store_api::{SharedViewStore, StoreIoStats};
 use cv_data::table::Table;
 use cv_data::viewstore::{
@@ -497,14 +498,14 @@ impl Inner {
         Ok(dead.len())
     }
 
+    fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
+        let with_input = self.index.values().filter(|m| m.input_guids.contains(&guid));
+        with_input.map(|m| m.strict_sig).collect()
+    }
+
     fn purge_input(&mut self, guid: VersionGuid, now: SimTime) -> Result<usize> {
         self.check_poisoned()?;
-        let dead: Vec<Sig128> = self
-            .index
-            .values()
-            .filter(|m| m.input_guids.contains(&guid))
-            .map(|m| m.strict_sig)
-            .collect();
+        let dead = self.sigs_with_input(guid);
         if dead.is_empty() {
             return Ok(0);
         }
@@ -662,8 +663,9 @@ fn decode_checkpoint(buf: &[u8]) -> Option<(u64, Vec<DurableViewMeta>, Vec<Sig12
 
 /// Disk-backed view store with the same logical semantics as
 /// [`cv_data::viewstore::ViewStore`]. Interior locking (one mutex — reads
-/// mutate the page cache) makes it shareable behind `&self` like
-/// [`cv_data::sharded::ShardedViewStore`].
+/// mutate the page cache) makes it shareable behind `&self`, which is what
+/// lets it be a shard of [`cv_data::sharded::StripedViewStore`]; its store
+/// API is the [`SharedViewStore`] impl below.
 #[derive(Debug)]
 pub struct DurableViewStore {
     dir: PathBuf,
@@ -689,140 +691,20 @@ impl DurableViewStore {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Crash recovery: rebuild in-memory state from disk, exactly as a
-    /// process restart would, and clear the poison. The recovered store
-    /// runs under the previous plan with the crash disarmed (a run crashes
-    /// at most once); logical stats carry across — the counters describe
-    /// the run, not the incarnation.
-    pub fn recover_in_place(&self) -> Result<()> {
-        let mut g = self.lock();
-        let prev_stats = g.stats.clone();
-        let mut prev_io = g.io_snapshot();
-        let faults = g.faults.without_crash();
-        let mut fresh = Inner::open(&self.dir, self.ttl, self.opts.clone(), faults)?;
-        fresh.io.recoveries = fresh.io.recoveries.max(1);
-        prev_io.merge(&fresh.io);
-        fresh.io = prev_io;
-        fresh.stats = prev_stats;
-        *g = fresh;
-        Ok(())
-    }
-
-    /// Install a fault plan; re-arms the crash byte budget from zero.
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        let mut g = self.lock();
-        g.gate = CrashGate::new(plan.crash_after_bytes);
-        g.faults = plan;
-    }
-
     pub fn fault_plan(&self) -> FaultPlan {
         self.lock().faults.clone()
     }
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    pub fn ttl(&self) -> SimDuration {
-        self.ttl
-    }
-
-    /// Force a checkpoint now (normally they ride on the record cadence).
-    pub fn checkpoint_now(&self) -> Result<()> {
-        self.lock().checkpoint()
-    }
-
+    /// The I/O counters, unwrapped: a durable store always has them.
     pub fn io_stats(&self) -> StoreIoStats {
         self.lock().io_snapshot()
     }
+}
 
-    pub fn stats(&self) -> ViewStoreStats {
-        self.lock().stats.clone()
-    }
-
-    pub fn insert(&self, view: MaterializedView) -> Result<()> {
-        self.lock().insert(view)
-    }
-
-    pub fn quarantine(&self, sig: Sig128) -> Result<bool> {
-        self.lock().quarantine(sig)
-    }
-
-    pub fn evict_expired(&self, now: SimTime) -> Result<usize> {
-        self.lock().evict_expired(now)
-    }
-
-    pub fn purge_input(&self, guid: VersionGuid, now: SimTime) -> Result<usize> {
-        self.lock().purge_input(guid, now)
-    }
-
-    pub fn purge_vc(&self, vc: VcId, now: SimTime) -> Result<usize> {
-        self.lock().purge_vc(vc, now)
-    }
-
-    pub fn contains(&self, sig: Sig128) -> bool {
-        self.lock().index.contains_key(&sig)
-    }
-
-    pub fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
-        self.lock().index.get(&sig).map(|m| now < m.expires).unwrap_or(false)
-    }
-
-    pub fn is_quarantined(&self, sig: Sig128) -> bool {
-        self.lock().quarantined.contains(&sig)
-    }
-
-    pub fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
-        let g = self.lock();
-        let m = g.index.get(&sig)?;
-        if now < m.expires {
-            Some((m.rows, m.bytes, m.observed_work))
-        } else {
-            None
-        }
-    }
-
-    pub fn observed_work(&self, sig: Sig128) -> Option<f64> {
-        self.lock().index.get(&sig).map(|m| m.observed_work)
-    }
-
-    pub fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
-        let g = self.lock();
-        let mut out: Vec<Sig128> = g
-            .index
-            .values()
-            .filter(|m| m.input_guids.contains(&guid))
-            .map(|m| m.strict_sig)
-            .collect();
-        out.sort();
-        out
-    }
-
-    pub fn len(&self) -> usize {
-        self.lock().index.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn total_storage(&self) -> u64 {
-        self.lock().storage_by_vc.values().sum()
-    }
-
-    pub fn storage_used(&self, vc: VcId) -> u64 {
-        self.lock().storage_by_vc.get(&vc).copied().unwrap_or(0)
-    }
-
-    /// Whether every page of this view is currently in the buffer pool
-    /// (planning-time cold-read hint; absent views report hot because no
-    /// read will happen).
-    pub fn is_resident(&self, sig: Sig128) -> bool {
-        let g = self.lock();
-        match g.index.get(&sig) {
-            Some(m) => m.pages.iter().all(|&p| g.cache.contains(p)),
-            None => true,
-        }
+impl DirShard for DurableViewStore {
+    type Options = DurableStoreOptions;
+    fn open_dir(dir: PathBuf, ttl: SimDuration, opts: DurableStoreOptions) -> Result<Self> {
+        DurableViewStore::open(dir, ttl, opts)
     }
 }
 
@@ -846,63 +728,99 @@ impl ViewSource for DurableViewStore {
 
 impl SharedViewStore for DurableViewStore {
     fn insert(&self, view: MaterializedView) -> Result<()> {
-        DurableViewStore::insert(self, view)
+        self.lock().insert(view)
     }
     fn contains(&self, sig: Sig128) -> bool {
-        DurableViewStore::contains(self, sig)
+        self.lock().index.contains_key(&sig)
     }
     fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
-        DurableViewStore::contains_live(self, sig, now)
+        self.lock().index.get(&sig).is_some_and(|m| now < m.expires)
     }
     fn is_quarantined(&self, sig: Sig128) -> bool {
-        DurableViewStore::is_quarantined(self, sig)
+        self.lock().quarantined.contains(&sig)
     }
     fn quarantine(&self, sig: Sig128) -> Result<bool> {
-        DurableViewStore::quarantine(self, sig)
+        self.lock().quarantine(sig)
     }
     fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
-        DurableViewStore::peek_meta(self, sig, now)
+        let g = self.lock();
+        let m = g.index.get(&sig).filter(|m| now < m.expires)?;
+        Some((m.rows, m.bytes, m.observed_work))
     }
     fn observed_work(&self, sig: Sig128) -> Option<f64> {
-        DurableViewStore::observed_work(self, sig)
+        self.lock().index.get(&sig).map(|m| m.observed_work)
     }
     fn evict_expired(&self, now: SimTime) -> Result<usize> {
-        DurableViewStore::evict_expired(self, now)
+        self.lock().evict_expired(now)
     }
     fn purge_input(&self, guid: VersionGuid, now: SimTime) -> Result<usize> {
-        DurableViewStore::purge_input(self, guid, now)
+        self.lock().purge_input(guid, now)
     }
     fn purge_vc(&self, vc: VcId, now: SimTime) -> Result<usize> {
-        DurableViewStore::purge_vc(self, vc, now)
+        self.lock().purge_vc(vc, now)
     }
     fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
-        DurableViewStore::sigs_with_input(self, guid)
+        let mut out = self.lock().sigs_with_input(guid);
+        out.sort();
+        out
     }
     fn stats(&self) -> ViewStoreStats {
-        DurableViewStore::stats(self)
+        self.lock().stats.clone()
     }
     fn len(&self) -> usize {
-        DurableViewStore::len(self)
+        self.lock().index.len()
     }
     fn total_storage(&self) -> u64 {
-        DurableViewStore::total_storage(self)
+        self.lock().storage_by_vc.values().sum()
     }
     fn storage_used(&self, vc: VcId) -> u64 {
-        DurableViewStore::storage_used(self, vc)
+        self.lock().storage_by_vc.get(&vc).copied().unwrap_or(0)
     }
     fn n_shards(&self) -> usize {
         1
     }
     fn ttl(&self) -> SimDuration {
-        DurableViewStore::ttl(self)
+        self.ttl
     }
+    /// Install a fault plan; re-arms the crash byte budget from zero.
     fn set_fault_plan(&self, plan: FaultPlan) {
-        DurableViewStore::set_fault_plan(self, plan)
+        let mut g = self.lock();
+        g.gate = CrashGate::new(plan.crash_after_bytes);
+        g.faults = plan;
     }
     fn io_stats(&self) -> Option<StoreIoStats> {
         Some(DurableViewStore::io_stats(self))
     }
+    /// Whether every page of this view is currently in the buffer pool
+    /// (planning-time cold-read hint; absent views report hot because no
+    /// read will happen).
     fn is_resident(&self, sig: Sig128) -> bool {
-        DurableViewStore::is_resident(self, sig)
+        let g = self.lock();
+        match g.index.get(&sig) {
+            Some(m) => m.pages.iter().all(|&p| g.cache.contains(p)),
+            None => true,
+        }
+    }
+    /// Crash recovery: rebuild in-memory state from disk, exactly as a
+    /// process restart would, and clear the poison. The recovered store
+    /// runs under the previous plan with the crash disarmed (a run crashes
+    /// at most once); logical stats carry across — the counters describe
+    /// the run, not the incarnation.
+    fn recover_in_place(&self) -> Result<()> {
+        let mut g = self.lock();
+        let prev_stats = g.stats.clone();
+        let mut prev_io = g.io_snapshot();
+        let faults = g.faults.without_crash();
+        let mut fresh = Inner::open(&self.dir, self.ttl, self.opts.clone(), faults)?;
+        fresh.io.recoveries = fresh.io.recoveries.max(1);
+        prev_io.merge(&fresh.io);
+        fresh.io = prev_io;
+        fresh.stats = prev_stats;
+        *g = fresh;
+        Ok(())
+    }
+    /// Force a checkpoint now (normally they ride on the record cadence).
+    fn checkpoint_now(&self) -> Result<()> {
+        self.lock().checkpoint()
     }
 }

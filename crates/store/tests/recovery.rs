@@ -6,6 +6,7 @@
 use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{DetRng, FaultPlan, Result, Sig128, SimDuration, SimTime};
 use cv_data::schema::{Field, Schema};
+use cv_data::store_api::SharedViewStore;
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
 use cv_data::viewstore::{MaterializedView, ViewSource};

@@ -22,34 +22,32 @@
 //! annotations disabled — the pre-production methodology behind Table 1.
 
 use crate::generator::Workload;
-use crate::schemas::raw_specs;
+use crate::steps::{
+    absorb_read_faults, apply_gdpr, assemble_ledger, digest_table, due_jobs, ingest_raw,
+    next_job_meta, open_store, publish_output, run_analysis, seal_view, set_up, store_io_json,
+    store_tail, use_cloudviews, view_info, with_crash_retry,
+};
 use crate::templates::JobTemplate;
-use cv_cluster::metrics::{DataPlane, JobRecord, MetricsLedger, RobustnessStats};
+use cv_cluster::metrics::{DataPlane, MetricsLedger, RobustnessStats};
 use cv_cluster::sim::{ClusterConfig, ClusterSim, JobSpec, SimEvent};
 use cv_cluster::stage::build_stages;
-use cv_common::hash::{Sig128, StableHasher};
+use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, VcId};
 use cv_common::json::{Json, ToJson};
-use cv_common::rng::DetRng;
 use cv_common::{json, FaultPlan, Result, SimDay, SimDuration, SimTime};
 use cv_core::controls::Controls;
-use cv_core::insights::{InsightsService, UsageEvent, ViewInfo};
+use cv_core::insights::{InsightsService, UsageEvent};
 use cv_core::repository::{JobMeta, SubexpressionRepo};
-use cv_core::selection::{
-    apply_schedule_awareness, select_per_vc, ExactSelector, GreedySelector,
-    LabelPropagationSelector, SelectionConstraints, ViewSelector,
-};
-use cv_data::store_api::StoreIoStats;
-use cv_data::value::Value;
-use cv_data::viewstore::{MaterializedView, ViewStore, ViewStoreStats};
+use cv_data::store_api::{SharedViewStore, StoreIoStats};
+use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
-use cv_engine::exec::PendingView;
+use cv_engine::exec::{ExecMetrics, PendingView};
 use cv_engine::optimizer::{AlwaysGrant, OptimizerConfig, ReuseContext};
 use cv_engine::plan::LogicalPlan;
-use cv_engine::signature::{plan_signature, template_signature, SigMode};
+use cv_engine::signature::{plan_signature, SigMode};
 use cv_ivm::{IvmEngine, IvmStats, Maintain};
-use cv_service::{OpStateCache, TaggedOpStates};
-use cv_store::{DurableStoreOptions, DurableViewStore};
+use cv_service::TaggedOpStates;
+use cv_store::DurableStoreOptions;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -91,23 +89,25 @@ impl Default for SelectionKnobs {
     }
 }
 
-/// Where materialized views live for the run.
+/// Where materialized views live for the run. Resolved in one place,
+/// [`crate::open_store`].
 #[derive(Clone, Debug, Default)]
 pub enum StoreBackend {
-    /// The in-memory [`ViewStore`] owned by the engine (the default; no
-    /// durability, no page cache, no crash surface).
+    /// In memory (the default; no durability, no page cache, no crash
+    /// surface).
     #[default]
     Memory,
-    /// The disk-backed [`DurableViewStore`]: WAL + pages + checkpoints
-    /// under the given directory. Survives (simulated and real) restarts.
+    /// On disk: WAL + pages + checkpoints under the given directory.
+    /// Survives (simulated and real) restarts.
     Durable(DurableStoreConfig),
 }
 
 /// Configuration of the durable backend.
 #[derive(Clone, Debug)]
 pub struct DurableStoreConfig {
-    /// Store directory. Reopening an existing directory recovers the views
-    /// a previous run left behind (restart-and-resume).
+    /// Store directory. Reopening an existing directory (with the same
+    /// shard count) recovers the views a previous run left behind
+    /// (restart-and-resume).
     pub dir: std::path::PathBuf,
     /// Buffer-pool capacity in 8 KiB pages.
     pub cache_pages: usize,
@@ -122,13 +122,6 @@ impl DurableStoreConfig {
             dir: dir.into(),
             cache_pages: defaults.cache_pages,
             checkpoint_every: defaults.checkpoint_every,
-        }
-    }
-
-    fn options(&self) -> DurableStoreOptions {
-        DurableStoreOptions {
-            cache_pages: self.cache_pages,
-            checkpoint_every: self.checkpoint_every,
         }
     }
 }
@@ -167,7 +160,8 @@ pub struct DriverConfig {
     pub faults: FaultPlan,
     /// View-store backend (in-memory by default).
     pub store: StoreBackend,
-    /// Incremental view maintenance mode (off by default).
+    /// Incremental view maintenance mode (off by default; sequential
+    /// driver only — the service refuses anything else).
     pub ivm: IvmMode,
     /// Rows per execution chunk (morsel). Results are byte-identical at
     /// every value; this only moves the streaming granularity.
@@ -175,7 +169,8 @@ pub struct DriverConfig {
     /// Resident-bytes budget for the operator-state cache (hash-join
     /// builds, aggregate states, sort runs keyed by input signature — keys
     /// embed the scanned GUIDs, so rotated inputs self-invalidate). 0
-    /// disables it. Results are byte-identical at every budget.
+    /// disables it. Hits skip the build subtree, so work accounting shifts
+    /// between jobs while results stay byte-identical at every budget.
     pub op_state_budget_bytes: u64,
 }
 
@@ -246,22 +241,7 @@ impl DriverOutcome {
             "views_reused_exact": totals.views_reused - totals.views_reused_semantic,
             "views_reused_semantic": totals.views_reused_semantic,
             "robustness": self.robustness.to_json(),
-            "store": match &self.store_io {
-                Some(io) => json!({
-                    "page_cache_hits": io.page_cache_hits,
-                    "page_cache_misses": io.page_cache_misses,
-                    "page_cache_hit_rate": io.page_cache_hit_rate(),
-                    "pages_evicted": io.pages_evicted,
-                    "wal_fsyncs": io.wal_fsyncs,
-                    "wal_records_written": io.wal_records_written,
-                    "wal_records_replayed": io.wal_records_replayed,
-                    "wal_records_skipped": io.wal_records_skipped,
-                    "recoveries": io.recoveries,
-                    "checkpoints": io.checkpoints,
-                    "bytes_written_durably": io.bytes_written_durably,
-                }),
-                None => Json::Null,
-            },
+            "store": store_io_json(&self.store_io),
             "ivm": match &self.ivm {
                 Some(s) => ivm_stats_json(s),
                 None => Json::Null,
@@ -293,43 +273,64 @@ pub fn ivm_stats_json(s: &IvmStats) -> Json {
     })
 }
 
+/// A built view waiting for the simulator to finish its producing stage.
 struct PendingSeal {
     view: PendingView,
     job: JobId,
     vc: VcId,
-    /// The view's defining (normalized, view-free) logical plan, captured
-    /// at build time so the sealed view can be served for semantic
-    /// matching, not just exact-signature lookup.
-    plan: Option<std::sync::Arc<cv_engine::plan::LogicalPlan>>,
+    /// The view's defining plan, for the announce record.
+    plan: Option<Arc<LogicalPlan>>,
+}
+
+/// What sealing a view touches: the store, the serving index, the
+/// fault-layer counters.
+struct SealCtx<'a> {
+    cfg: &'a DriverConfig,
+    store: &'a dyn SharedViewStore,
+    insights: &'a mut InsightsService,
+    robustness: &'a mut RobustnessStats,
+}
+
+impl SealCtx<'_> {
+    /// Seal one view (absorbing a simulated crash) and, if it landed,
+    /// announce it. Returns whether it landed.
+    fn seal_and_announce(&mut self, seal: PendingSeal, at: SimTime) -> Result<bool> {
+        let PendingSeal { view, job, vc, plan } = seal;
+        let landed =
+            with_crash_retry(self.store, self.robustness, |s| seal_view(s, &view, job, vc, at))?;
+        if landed {
+            self.insights.report_sealed(view_info(self.cfg, &view, vc, at, plan), job);
+        }
+        Ok(landed)
+    }
+
+    /// Early sealing: seal the views whose producing stages the simulator
+    /// just finished.
+    fn apply_seal_events(
+        &mut self,
+        events: &[SimEvent],
+        pending: &mut HashMap<Sig128, PendingSeal>,
+    ) -> Result<()> {
+        for ev in events {
+            let SimEvent::ViewSealed { sig, at, .. } = ev else { continue };
+            let Some(seal) = pending.remove(sig) else { continue };
+            if !self.seal_and_announce(seal, *at)? {
+                // The view did not land (injected write failure, or a
+                // quarantined signature) and must never be advertised —
+                // release the creation lock so a later job can rebuild it.
+                self.insights.release_lock(*sig);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Run a workload under the given configuration.
 pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOutcome> {
-    let enabled = cfg.cloudviews.is_some();
-    let mut engine = QueryEngine::with_config(cfg.optimizer.clone());
-    engine.chunk_size = cfg.chunk_size.max(1);
-    let analyzer = std::sync::Arc::new(cv_analyzer::Analyzer::new(&cfg.optimizer));
-    // The analyzer is always the containment prover: semantic (widened)
-    // view matches only happen when it certifies them.
-    engine.optimizer.set_prover(analyzer.clone());
-    if cfg.optimizer.verify_plans {
-        // Audit every optimized plan; a corrupted rewrite fails the job
-        // with a CV0xx diagnostic instead of sealing bad results.
-        engine.optimizer.set_verifier(analyzer);
-    }
-    engine.views = ViewStore::new(cfg.view_ttl);
-    engine.views.set_fault_plan(cfg.faults.clone());
-    // Durable backend: views live on disk behind a WAL + page cache; the
-    // engine's own store stays empty. Reopening an existing directory
-    // recovers whatever a previous run (or a crashed run) left behind.
-    let durable: Option<DurableViewStore> = match &cfg.store {
-        StoreBackend::Memory => None,
-        StoreBackend::Durable(d) => {
-            let store = DurableViewStore::open(&d.dir, cfg.view_ttl, d.options())?;
-            store.set_fault_plan(cfg.faults.clone());
-            Some(store)
-        }
-    };
+    // One job at a time: one shard, the plain store.
+    let store = open_store(cfg, 1)?;
+    let store: &dyn SharedViewStore = &*store;
+    let (mut engine, op_states) = set_up(cfg, store);
     let mut insights = InsightsService::new(cfg.controls.clone());
     let mut sim = ClusterSim::new(cfg.cluster.clone());
     sim.set_fault_plan(cfg.faults.clone());
@@ -345,114 +346,35 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
     let ivm_ingest = cfg.ivm != IvmMode::Off;
     let mut ivm: Option<IvmEngine> =
         (cfg.ivm == IvmMode::Maintain).then(|| IvmEngine::new(&cfg.optimizer));
-    // Operator-state cache: recurring jobs on later days skip rebuilding
-    // breaker state whose inputs didn't rotate.
-    let op_states: Option<Arc<OpStateCache>> = (cfg.op_state_budget_bytes > 0)
-        .then(|| Arc::new(OpStateCache::with_budget(cfg.op_state_budget_bytes)));
-    if let Some(cache) = &op_states {
-        engine.optimizer.set_warm_states(cache.clone());
-    }
-
-    let specs = raw_specs();
 
     for day_idx in 0..cfg.days {
         let day = SimDay(day_idx);
-        let day_start = day.start();
-        process_sim_events(
-            &mut sim,
-            day_start,
-            &mut pending_seals,
+        SealCtx { cfg, store, insights: &mut insights, robustness: &mut robustness }
+            .apply_seal_events(&sim.run_until(day.start()), &mut pending_seals)?;
+
+        // 1. Ingestion, then the optional GDPR forget-request.
+        ingest_raw(&mut engine.catalog, workload, day, ivm_ingest)?;
+        gdpr_purged_views += apply_gdpr(
+            cfg,
             &mut engine,
+            store,
             &mut insights,
-            cfg.view_ttl,
-            durable.as_ref(),
+            op_states.as_deref(),
+            workload.config.seed,
+            day,
             &mut robustness,
         )?;
 
-        // 1. Ingestion: bulk-regenerate due raw datasets.
-        for spec in &specs {
-            if day_idx % spec.update_every_days != 0 {
-                continue;
-            }
-            let mut rng = data_rng(workload.config.seed, spec.name, day);
-            match engine.catalog.id_of(spec.name) {
-                Some(id) if ivm_ingest => {
-                    // Delta-producing regeneration: facts append the day's
-                    // rows, dimensions churn in place, and the catalog
-                    // records the signed change feed for maintenance.
-                    let prev = engine.catalog.get(id)?.data().clone();
-                    let (table, delta) =
-                        spec.generate_delta(&mut rng, workload.config.scale, day, &prev);
-                    engine.catalog.bulk_update_delta(id, table, delta, day_start)?;
-                }
-                Some(id) => {
-                    let table = spec.generate(&mut rng, workload.config.scale, day);
-                    engine.catalog.bulk_update(id, table, day_start)?;
-                }
-                None => {
-                    let table = spec.generate(&mut rng, workload.config.scale, day);
-                    engine.catalog.register(spec.name, table, day_start)?;
-                }
-            }
-        }
-
-        // Optional GDPR forget-request (rotates the `users` GUID).
-        if let Some(every) = cfg.gdpr_every_days {
-            if day_idx > 0 && day_idx % every == 0 {
-                gdpr_purged_views += apply_gdpr(
-                    &mut engine,
-                    &mut insights,
-                    op_states.as_deref(),
-                    workload.config.seed,
-                    day,
-                    durable.as_ref(),
-                    &mut robustness,
-                )? as u64;
-            }
-        }
-
         // 2. Jobs, in submission order.
-        let mut due: Vec<&JobTemplate> =
-            workload.templates.iter().filter(|t| t.due_on(day)).collect();
-        due.sort_by(|a, b| {
-            a.submit_time(day)
-                .seconds()
-                .total_cmp(&b.submit_time(day).seconds())
-                .then(a.id.cmp(&b.id))
-        });
-
-        for template in due {
+        for template in due_jobs(workload, day) {
             let submit = template.submit_time(day);
-            process_sim_events(
-                &mut sim,
-                submit,
-                &mut pending_seals,
-                &mut engine,
-                &mut insights,
-                cfg.view_ttl,
-                durable.as_ref(),
-                &mut robustness,
-            )?;
-            match &durable {
-                Some(s) => {
-                    with_crash_retry(s, &mut robustness, |s| s.evict_expired(submit))?;
-                }
-                None => {
-                    engine.views.evict_expired(submit);
-                }
-            }
+            SealCtx { cfg, store, insights: &mut insights, robustness: &mut robustness }
+                .apply_seal_events(&sim.run_until(submit), &mut pending_seals)?;
+            with_crash_retry(store, &mut robustness, |s| s.evict_expired(submit))?;
             insights.expire(submit);
 
-            let job = JobId(next_job);
-            next_job += 1;
-            let meta = JobMeta {
-                job,
-                template: template.id,
-                pipeline: template.pipeline,
-                vc: template.vc,
-                user: template.user,
-                submit,
-            };
+            let meta = next_job_meta(template, day, &mut next_job);
+            let job = meta.job;
 
             // Incremental maintenance: a tracked recurring template whose
             // inputs changed only through intact delta chains is advanced
@@ -460,18 +382,9 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
             // (broken chain, plan drift, costed out) drop through to the
             // normal execution path below and re-track afterwards.
             if let Some(iv) = ivm.as_mut() {
-                match try_ivm_maintain(
-                    iv,
-                    &mut engine,
-                    &mut insights,
-                    template,
-                    day,
-                    job,
-                    enabled,
-                    cfg.view_ttl,
-                    durable.as_ref(),
-                    &mut robustness,
-                ) {
+                let ctx =
+                    SealCtx { cfg, store, insights: &mut insights, robustness: &mut robustness };
+                match try_ivm_maintain(iv, &mut engine, ctx, template, day, job) {
                     Ok(Some(digest)) => {
                         result_digests.insert(job, digest);
                         continue;
@@ -484,14 +397,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                 }
             }
 
-            // Metadata repository outage: the annotation service is
-            // unreachable, so the optimizer degrades to a baseline
-            // no-reuse plan for this job (graceful degradation — the job
-            // must still run, just without CloudViews).
-            let metadata_down = enabled && cfg.faults.metadata_down(submit);
-            if metadata_down {
-                robustness.metadata_outage_jobs += 1;
-            }
+            let use_cv = use_cloudviews(cfg, submit, &mut robustness);
 
             // Per-job tag on the shared cache so hits against another
             // job's published state count as cross-job reuse.
@@ -500,17 +406,17 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
             }
             let run = run_one_job(
                 &mut engine,
+                store,
                 &mut insights,
                 template,
                 day,
                 meta,
-                enabled && !metadata_down,
-                durable.as_ref(),
+                use_cv,
                 ivm_ingest,
             );
             match run {
                 Ok(one) => {
-                    repo.log_job(meta, &one.subexprs, Some(&one.profiles));
+                    repo.log_job(meta, &one.subexprs, Some(&one.metrics.op_profiles));
                     result_digests.insert(job, one.digest);
                     // Start (or resume) maintaining this template's view:
                     // the CV07x gate refuses non-maintainable plans and the
@@ -518,32 +424,13 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                     if let Some(iv) = ivm.as_mut() {
                         ivm_track(iv, &engine, template, day);
                     }
-                    // Any read-side fault quarantines the signature in both
-                    // the store and the serving index for the rest of the
-                    // run: the engine recomputes instead of retrying a bad
-                    // artifact.
-                    for sig in &one.quarantined_sigs {
-                        match &durable {
-                            Some(s) => {
-                                with_crash_retry(s, &mut robustness, |s| s.quarantine(*sig))?;
-                            }
-                            None => {
-                                engine.views.quarantine(*sig);
-                            }
-                        }
-                        insights.quarantine(*sig);
-                    }
-                    // Quarantine coupling: cached breaker states derived
-                    // from a quarantined view are dropped too.
-                    if let Some(cache) = &op_states {
-                        if !one.quarantined_sigs.is_empty() {
-                            cache.purge_sigs(&one.quarantined_sigs);
-                        }
-                    }
-                    robustness.fallbacks_recompute += one.data_plane.fallbacks_recompute;
-                    robustness.view_read_failures += one.view_read_failures;
-                    robustness.view_corruptions += one.view_corruptions;
-                    robustness.view_expiry_races += one.view_expiry_races;
+                    absorb_read_faults(
+                        &one.metrics,
+                        store,
+                        &mut insights,
+                        op_states.as_deref(),
+                        &mut robustness,
+                    )?;
                     data_plane.insert(job, one.data_plane);
                     let mut built_plans: HashMap<_, _> = one.built_plans.into_iter().collect();
                     for pv in one.pending_views {
@@ -575,52 +462,19 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
     }
 
     // Drain the simulator.
-    let final_events = sim.run_to_completion();
-    apply_seal_events(
-        &final_events,
-        &mut pending_seals,
-        &mut engine,
-        &mut insights,
-        cfg.view_ttl,
-        durable.as_ref(),
-        &mut robustness,
-    )?;
-
-    // Assemble the ledger.
-    let mut ledger = MetricsLedger::new();
-    for result in sim.results() {
-        robustness.stage_retries += result.stage_retries as u64;
-        robustness.preemptions += result.preemptions as u64;
-        robustness.backoff_seconds += result.backoff_seconds;
-        robustness.job_restarts += result.restarts as u64;
-        let data = data_plane.remove(&result.job).unwrap_or_default();
-        ledger.add(JobRecord { result: result.clone(), data });
-    }
+    SealCtx { cfg, store, insights: &mut insights, robustness: &mut robustness }
+        .apply_seal_events(&sim.run_to_completion(), &mut pending_seals)?;
+    let ledger = assemble_ledger(&sim, &mut data_plane, &mut robustness);
     // Final checkpoint: a later run reopening the directory recovers from
     // the checkpoint instead of a long WAL replay.
-    let store_io = match &durable {
-        Some(s) => {
-            with_crash_retry(s, &mut robustness, |s| s.checkpoint_now())?;
-            let io = s.io_stats();
-            robustness.store_recoveries += io.recoveries;
-            robustness.wal_records_replayed += io.wal_records_replayed;
-            robustness.wal_records_skipped += io.wal_records_skipped;
-            Some(io)
-        }
-        None => None,
-    };
-    let store_stats = match &durable {
-        Some(s) => s.stats(),
-        None => engine.views.stats(),
-    };
-    robustness.view_write_failures = store_stats.write_failures;
-    robustness.views_quarantined = store_stats.views_quarantined;
+    with_crash_retry(store, &mut robustness, |s| s.checkpoint_now())?;
+    let (view_store_stats, store_io) = store_tail(store, &mut robustness);
 
     Ok(DriverOutcome {
         ledger,
         repo,
         usage: insights.usage_log().to_vec(),
-        view_store_stats: store_stats,
+        view_store_stats,
         result_digests,
         failed_jobs,
         selection_history,
@@ -635,23 +489,19 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
 /// Attempt to maintain a tracked view for `template`. Returns the result
 /// digest when the view was maintained (the job is done without
 /// executing); `None` falls through to normal execution.
-#[allow(clippy::too_many_arguments)]
 fn try_ivm_maintain(
     ivm: &mut IvmEngine,
     engine: &mut QueryEngine,
-    insights: &mut InsightsService,
+    mut ctx: SealCtx<'_>,
     template: &JobTemplate,
     day: SimDay,
     job: JobId,
-    enabled: bool,
-    view_ttl: SimDuration,
-    durable: Option<&DurableViewStore>,
-    robustness: &mut RobustnessStats,
 ) -> Result<Option<Sig128>> {
     let Ok(plan) = template.build_plan(engine, day) else {
         return Ok(None);
     };
-    let Some(tsig) = plan_signature(&plan, &engine.optimizer.cfg.sig, SigMode::Recurring) else {
+    let sig_cfg = &ctx.cfg.optimizer.sig;
+    let Some(tsig) = plan_signature(&plan, sig_cfg, SigMode::Recurring) else {
         return Ok(None);
     };
     if !ivm.is_tracked(tsig) {
@@ -665,29 +515,26 @@ fn try_ivm_maintain(
     // A maintained cooking job still publishes its output dataset — as a
     // diffed delta update, so downstream chains stay intact.
     if let Some(output) = template.output_dataset() {
-        match engine.catalog.id_of(output) {
-            Some(id) => {
-                engine.catalog.bulk_update_diff(id, mv.table.clone(), submit)?;
-            }
-            None => {
-                engine.catalog.register(output, mv.table.clone(), submit)?;
-            }
-        }
+        publish_output(&mut engine.catalog, output, &mv.table, submit, true)?;
     }
     // Re-publish under today's strict signature so exact and containment
     // matching serve the maintained view exactly like a rebuilt one.
-    if enabled {
-        publish_maintained(
-            engine,
-            insights,
-            &mv,
-            job,
-            template.vc,
-            submit,
-            view_ttl,
-            durable,
-            robustness,
-        )?;
+    let sigs = ctx.cfg.cloudviews.as_ref().and_then(|_| {
+        let strict = plan_signature(&mv.plan, sig_cfg, SigMode::Strict)?;
+        Some((strict, plan_signature(&mv.plan, sig_cfg, SigMode::Recurring)?))
+    });
+    if let Some((sig, recurring_sig)) = sigs {
+        let view = PendingView {
+            sig,
+            recurring_sig,
+            input_guids: scan_guids(&mv.plan),
+            schema: mv.table.schema().clone(),
+            data: mv.table.clone(),
+            production_work: mv.rows_touched as f64,
+            write_work: 0.0,
+        };
+        let seal = PendingSeal { view, job, vc: template.vc, plan: Some(mv.plan.clone()) };
+        ctx.seal_and_announce(seal, submit)?;
     }
     Ok(Some(digest_table(&mv.table)))
 }
@@ -706,63 +553,8 @@ fn ivm_track(ivm: &mut IvmEngine, engine: &QueryEngine, template: &JobTemplate, 
     let _ = ivm.track(tsig, &plan, &engine.catalog);
 }
 
-/// Seal a maintained view into the active store and advertise it to the
-/// insights service, mirroring the sealed-view path of an executed job.
-#[allow(clippy::too_many_arguments)]
-fn publish_maintained(
-    engine: &mut QueryEngine,
-    insights: &mut InsightsService,
-    mv: &cv_ivm::MaintainedView,
-    job: JobId,
-    vc: VcId,
-    submit: SimTime,
-    view_ttl: SimDuration,
-    durable: Option<&DurableViewStore>,
-    robustness: &mut RobustnessStats,
-) -> Result<()> {
-    let sig_cfg = engine.optimizer.cfg.sig.clone();
-    let (Some(strict), Some(recurring)) = (
-        plan_signature(&mv.plan, &sig_cfg, SigMode::Strict),
-        plan_signature(&mv.plan, &sig_cfg, SigMode::Recurring),
-    ) else {
-        return Ok(());
-    };
-    let pv = PendingView {
-        sig: strict,
-        recurring_sig: recurring,
-        input_guids: scan_guids(&mv.plan),
-        schema: mv.table.schema().clone(),
-        data: mv.table.clone(),
-        production_work: mv.rows_touched as f64,
-        write_work: 0.0,
-    };
-    let sealed = match durable {
-        Some(store) => {
-            seal_views_durable(store, std::slice::from_ref(&pv), job, vc, submit, robustness)?
-        }
-        None => engine.seal_views(std::slice::from_ref(&pv), job, vc, submit)?,
-    };
-    if sealed > 0 {
-        insights.report_sealed(
-            ViewInfo {
-                strict,
-                recurring,
-                rows: mv.table.num_rows() as u64,
-                bytes: mv.table.byte_size(),
-                sealed_at: submit,
-                expires: submit + view_ttl,
-                vc,
-                template: template_signature(&mv.plan, &sig_cfg),
-                plan: Some(mv.plan.clone()),
-            },
-            job,
-        );
-    }
-    Ok(())
-}
-
-fn scan_guids(plan: &std::sync::Arc<LogicalPlan>) -> Vec<cv_common::ids::VersionGuid> {
-    fn go(p: &std::sync::Arc<LogicalPlan>, out: &mut Vec<cv_common::ids::VersionGuid>) {
+fn scan_guids(plan: &Arc<LogicalPlan>) -> Vec<cv_common::ids::VersionGuid> {
+    fn go(p: &Arc<LogicalPlan>, out: &mut Vec<cv_common::ids::VersionGuid>) {
         if let LogicalPlan::Scan { guid, .. } = &**p {
             out.push(*guid);
         }
@@ -775,130 +567,49 @@ fn scan_guids(plan: &std::sync::Arc<LogicalPlan>) -> Vec<cv_common::ids::Version
     v
 }
 
-/// Run a durable-store mutation, absorbing one simulated crash: on
-/// [`CvError::Crash`] the store is recovered in place (WAL + checkpoint
-/// replay) and the operation retried once. Replay is idempotent, so a
-/// retried mutation that already committed before the crash is a no-op.
-fn with_crash_retry<T>(
-    store: &DurableViewStore,
-    robustness: &mut RobustnessStats,
-    op: impl Fn(&DurableViewStore) -> Result<T>,
-) -> Result<T> {
-    match op(store) {
-        Err(e) if e.is_crash() => {
-            robustness.store_crashes += 1;
-            store.recover_in_place()?;
-            op(store)
-        }
-        other => other,
-    }
-}
-
-/// Seal pending views into the durable store — the disk-backed counterpart
-/// of [`QueryEngine::seal_views`], with the same absorb-write-faults
-/// contract plus crash-recovery retry.
-fn seal_views_durable(
-    store: &DurableViewStore,
-    pending: &[PendingView],
-    job: JobId,
-    vc: VcId,
-    now: SimTime,
-    robustness: &mut RobustnessStats,
-) -> Result<usize> {
-    let mut sealed = 0;
-    for pv in pending {
-        let insert = with_crash_retry(store, robustness, |s| {
-            s.insert(MaterializedView {
-                strict_sig: pv.sig,
-                recurring_sig: pv.recurring_sig,
-                schema: pv.schema.clone(),
-                data: pv.data.clone(),
-                rows: 0,
-                bytes: 0,
-                created: now,
-                expires: now, // recomputed by the store from its TTL
-                creator_job: job,
-                vc,
-                input_guids: pv.input_guids.clone(),
-                observed_work: pv.production_work,
-                checksum: 0, // recomputed by the store
-            })
-        });
-        match insert {
-            // The store silently drops quarantined signatures; only count
-            // views that actually landed.
-            Ok(()) if store.contains(pv.sig) => sealed += 1,
-            Ok(()) => {}
-            Err(e) if e.is_fault() => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(sealed)
-}
-
-/// Deterministic per-(dataset, day) data stream, independent of everything
-/// else — baseline and enabled runs see byte-identical inputs.
-pub(crate) fn data_rng(seed: u64, dataset: &str, day: SimDay) -> DetRng {
-    let mut h = StableHasher::with_domain("workload-data");
-    h.write_u64(seed);
-    h.write_str(dataset);
-    h.write_u64(day.index() as u64);
-    DetRng::seed(h.finish64())
-}
-
 struct OneJob {
     subexprs: Vec<cv_engine::signature::SubexprInfo>,
-    profiles: Vec<cv_engine::exec::OpProfile>,
+    metrics: ExecMetrics,
     pending_views: Vec<PendingView>,
-    built_plans: Vec<(Sig128, std::sync::Arc<cv_engine::plan::LogicalPlan>)>,
+    built_plans: Vec<(Sig128, Arc<LogicalPlan>)>,
     stages: cv_cluster::stage::StageGraph,
     data_plane: DataPlane,
     digest: Sig128,
-    quarantined_sigs: Vec<Sig128>,
-    view_read_failures: u64,
-    view_corruptions: u64,
-    view_expiry_races: u64,
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run_one_job(
     engine: &mut QueryEngine,
+    store: &dyn SharedViewStore,
     insights: &mut InsightsService,
     template: &JobTemplate,
     day: SimDay,
     meta: JobMeta,
-    enabled: bool,
-    durable: Option<&DurableViewStore>,
-    ivm_ingest: bool,
+    use_cv: bool,
+    diff_outputs: bool,
 ) -> Result<OneJob> {
     let plan = template.build_plan(engine, day)?;
     let subexprs = engine.subexpressions(&plan)?;
-    let mut reuse = if enabled {
+    let mut reuse = if use_cv {
         insights.annotate(meta.vc, meta.job, &subexprs, meta.submit).0
     } else {
         ReuseContext::empty()
     };
     // Residency-aware costing: views whose pages are not in the buffer
     // pool pay the cold-read multiplier in the optimizer's reuse-vs-
-    // recompute comparison.
-    if let Some(store) = durable {
-        for (sig, meta) in reuse.available.iter_mut() {
-            meta.cold = !store.is_resident(*sig);
-        }
+    // recompute comparison (a memory store is always resident).
+    for (sig, meta) in reuse.available.iter_mut() {
+        meta.cold = !store.is_resident(*sig);
     }
 
-    let compiled = if enabled {
+    let compiled = if use_cv {
         let mut locker = insights.locker();
         engine.optimize(&plan, &reuse, &mut locker)?
     } else {
         engine.optimize(&plan, &reuse, &mut AlwaysGrant)?
     };
 
-    let exec_result = match durable {
-        Some(store) => engine.execute_with(&compiled.outcome.physical, store, meta.submit),
-        None => engine.execute(&compiled.outcome.physical, meta.submit),
-    };
-    let exec = match exec_result {
+    let exec = match engine.execute_with(&compiled.outcome.physical, store, meta.submit) {
         Ok(e) => e,
         Err(e) => {
             // Release any creation locks this job acquired before bailing.
@@ -909,25 +620,11 @@ fn run_one_job(
         }
     };
 
-    if enabled && !compiled.outcome.matched_views.is_empty() {
+    if use_cv && !compiled.outcome.matched_views.is_empty() {
         insights.record_reuse(&compiled.outcome.matched_views, meta.job, meta.submit);
     }
-
-    // Cooking jobs publish their output as a shared dataset. Under delta
-    // ingestion the update is diffed so views over cooked outputs keep an
-    // intact delta chain.
     if let Some(output) = template.output_dataset() {
-        match engine.catalog.id_of(output) {
-            Some(id) if ivm_ingest => {
-                engine.catalog.bulk_update_diff(id, exec.table.clone(), meta.submit)?;
-            }
-            Some(id) => {
-                engine.catalog.bulk_update(id, exec.table.clone(), meta.submit)?;
-            }
-            None => {
-                engine.catalog.register(output, exec.table.clone(), meta.submit)?;
-            }
-        }
+        publish_output(&mut engine.catalog, output, &exec.table, meta.submit, diff_outputs)?;
     }
 
     let stages = build_stages(&compiled.outcome.physical, &exec.metrics.op_profiles)?;
@@ -941,185 +638,13 @@ fn run_one_job(
 
     Ok(OneJob {
         subexprs,
-        profiles: exec.metrics.op_profiles.clone(),
+        metrics: exec.metrics,
         pending_views: exec.pending_views,
         built_plans: compiled.outcome.built_plans,
         stages,
         data_plane,
         digest,
-        quarantined_sigs: exec.metrics.quarantined_sigs.clone(),
-        view_read_failures: exec.metrics.view_read_failures,
-        view_corruptions: exec.metrics.view_corruptions,
-        view_expiry_races: exec.metrics.view_expiry_races,
     })
-}
-
-/// A job's result digest: [`cv_data::content_digest`] of the result's rows
-/// under the result-digest domain. Both drivers, and every gate that holds
-/// two configurations to "same results", compare these.
-pub(crate) fn digest_table(t: &cv_data::table::Table) -> Sig128 {
-    cv_data::content_digest("result-digest", t)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn process_sim_events(
-    sim: &mut ClusterSim,
-    until: SimTime,
-    pending: &mut HashMap<Sig128, PendingSeal>,
-    engine: &mut QueryEngine,
-    insights: &mut InsightsService,
-    ttl: SimDuration,
-    durable: Option<&DurableViewStore>,
-    robustness: &mut RobustnessStats,
-) -> Result<()> {
-    let events = sim.run_until(until);
-    apply_seal_events(&events, pending, engine, insights, ttl, durable, robustness)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_seal_events(
-    events: &[SimEvent],
-    pending: &mut HashMap<Sig128, PendingSeal>,
-    engine: &mut QueryEngine,
-    insights: &mut InsightsService,
-    ttl: SimDuration,
-    durable: Option<&DurableViewStore>,
-    robustness: &mut RobustnessStats,
-) -> Result<()> {
-    for ev in events {
-        if let SimEvent::ViewSealed { sig, at, .. } = ev {
-            let Some(seal) = pending.remove(sig) else { continue };
-            let sealed = match durable {
-                Some(store) => seal_views_durable(
-                    store,
-                    std::slice::from_ref(&seal.view),
-                    seal.job,
-                    seal.vc,
-                    *at,
-                    robustness,
-                )?,
-                None => {
-                    engine.seal_views(std::slice::from_ref(&seal.view), seal.job, seal.vc, *at)?
-                }
-            };
-            if sealed == 0 {
-                // Injected write failure: the half-materialized view was
-                // discarded and must never be advertised — release the
-                // creation lock so a later job can rebuild it.
-                insights.release_lock(seal.view.sig);
-                continue;
-            }
-            let template = seal.plan.as_ref().and_then(|p| {
-                cv_engine::signature::template_signature(p, &engine.optimizer.cfg.sig)
-            });
-            insights.report_sealed(
-                ViewInfo {
-                    strict: seal.view.sig,
-                    recurring: seal.view.recurring_sig,
-                    rows: seal.view.data.num_rows() as u64,
-                    bytes: seal.view.data.byte_size(),
-                    sealed_at: *at,
-                    expires: *at + ttl,
-                    vc: seal.vc,
-                    template,
-                    plan: seal.plan.clone(),
-                },
-                seal.job,
-            );
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn run_analysis(
-    repo: &SubexpressionRepo,
-    insights: &mut InsightsService,
-    knobs: &SelectionKnobs,
-    day: SimDay,
-    cluster: &ClusterConfig,
-) -> usize {
-    let from = SimDay(day.index().saturating_sub(knobs.analysis_window_days - 1));
-    let window = repo.window(from, SimDay(day.index() + 1));
-    let mut problem = cv_core::build_problem(&window, knobs.min_frequency);
-    if knobs.schedule_aware {
-        problem = apply_schedule_awareness(
-            &problem,
-            cluster.default_vc_guaranteed as f64 * cluster.container_speed,
-            SimDuration::from_secs(60.0),
-        );
-    }
-    let constraints = SelectionConstraints {
-        storage_budget_bytes: knobs.storage_budget_bytes,
-        max_views: knobs.max_views,
-        min_utility: 0.0,
-    };
-    let selector: Box<dyn ViewSelector> = match knobs.selector {
-        SelectorKind::LabelPropagation => Box::new(LabelPropagationSelector::default()),
-        SelectorKind::Greedy => Box::new(GreedySelector),
-        SelectorKind::Exact => Box::new(ExactSelector { max_candidates: 24 }),
-    };
-    insights.reset_selection();
-    if knobs.per_vc {
-        let (_, per_vc) = select_per_vc(selector.as_ref(), &problem, &HashMap::new(), &constraints);
-        let mut total = 0;
-        for (vc, sel) in per_vc {
-            total += sel.len();
-            insights.publish_selection(Some(vc), sel.chosen);
-        }
-        total
-    } else {
-        let selection = selector.select(&problem, &constraints);
-        let n = selection.len();
-        insights.publish_selection(None, selection.chosen);
-        n
-    }
-}
-
-/// Apply one GDPR forget-request: pick a deterministic user id, delete it
-/// from `users`, rotate the GUID, purge derived views (§4).
-#[allow(clippy::too_many_arguments)]
-fn apply_gdpr(
-    engine: &mut QueryEngine,
-    insights: &mut InsightsService,
-    op_states: Option<&OpStateCache>,
-    seed: u64,
-    day: SimDay,
-    durable: Option<&DurableViewStore>,
-    robustness: &mut RobustnessStats,
-) -> Result<usize> {
-    let Some(id) = engine.catalog.id_of("users") else {
-        return Ok(0);
-    };
-    let mut rng = data_rng(seed, "gdpr", day);
-    let victim = rng.range_i64(0, 40);
-    let outcome = engine.catalog.gdpr_forget(id, "u_id", &Value::Int(victim), day.start())?;
-    // Purge every view derived from the retired version.
-    let (stale, purged): (Vec<Sig128>, usize) = match durable {
-        Some(store) => {
-            let stale = store.sigs_with_input(outcome.old_guid);
-            let purged = with_crash_retry(store, robustness, |s| {
-                s.purge_input(outcome.old_guid, day.start())
-            })?;
-            (stale, purged)
-        }
-        None => {
-            let stale: Vec<Sig128> = engine
-                .views
-                .iter()
-                .filter(|v| v.input_guids.contains(&outcome.old_guid))
-                .map(|v| v.strict_sig)
-                .collect();
-            (stale, engine.views.purge_input(outcome.old_guid, day.start()))
-        }
-    };
-    insights.purge_sigs(&stale);
-    // Operator-state coupling: rotated guids already invalidate the keys;
-    // eager purge drops any cached bytes derived from the forgotten rows.
-    if let Some(cache) = op_states {
-        cache.purge_input("users");
-        cache.purge_sigs(&stale);
-    }
-    Ok(purged)
 }
 
 #[cfg(test)]
@@ -1328,6 +853,51 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The seal rule on the sequential memory path: a signature the store
+    /// quarantined is refused on re-seal, so it is neither announced to the
+    /// insights service nor left holding its creation lock — while the same
+    /// view under a healthy signature is sealed and announced.
+    #[test]
+    fn quarantined_signature_resealed_is_neither_counted_nor_announced() {
+        use cv_data::{DataType, Field, Schema, Table, Value};
+        let cfg = DriverConfig::enabled(1);
+        let store = open_store(&cfg, 1).unwrap();
+        let mut insights = InsightsService::new(cfg.controls.clone());
+        let mut robustness = RobustnessStats::default();
+        let schema = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap().into_ref();
+        let data = Table::from_rows(schema.clone(), &[vec![Value::Int(7)]]).unwrap();
+        let (dead, healthy) = (Sig128(1), Sig128(2));
+        store.quarantine(dead).unwrap();
+
+        let mut pending = HashMap::new();
+        for sig in [dead, healthy] {
+            use cv_engine::optimizer::BuildCoordinator;
+            assert!(insights.locker().try_acquire(sig));
+            let view = PendingView {
+                sig,
+                recurring_sig: sig,
+                input_guids: Vec::new(),
+                schema: schema.clone(),
+                data: data.clone(),
+                production_work: 1.0,
+                write_work: 0.0,
+            };
+            pending.insert(sig, PendingSeal { view, job: JobId(9), vc: VcId(0), plan: None });
+        }
+        let events: Vec<SimEvent> = [dead, healthy]
+            .map(|sig| SimEvent::ViewSealed { sig, job: JobId(9), at: SimTime::EPOCH })
+            .to_vec();
+        SealCtx { cfg: &cfg, store: &*store, insights: &mut insights, robustness: &mut robustness }
+            .apply_seal_events(&events, &mut pending)
+            .unwrap();
+
+        assert!(!store.contains(dead) && store.contains(healthy));
+        assert_eq!(store.stats().views_created, 1);
+        let announced: Vec<Sig128> = insights.usage_log().iter().map(|u| u.sig).collect();
+        assert_eq!(announced, vec![healthy], "only the view that landed is announced");
+        assert!(!insights.is_locked(dead), "a refused seal must release its creation lock");
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub mod morsel_bench;
 pub mod schemas;
 pub mod service_driver;
 pub mod service_obs;
+mod steps;
 pub mod templates;
 
 pub use cv_ivm::IvmStats;
@@ -39,4 +40,5 @@ pub use service_driver::{
     run_workload_service_with_store, ServiceConfig, ServiceOutcome, ServiceReport,
 };
 pub use service_obs::ServiceObs;
+pub use steps::open_store;
 pub use templates::{JobTemplate, TemplateKind};

@@ -9,7 +9,7 @@
 //! reference. The digests must be identical at every point — the curve is
 //! allowed to move wall time only.
 
-use crate::driver::digest_table;
+use crate::steps::digest_table;
 use cv_common::json::{json, Json};
 use cv_common::rng::DetRng;
 use cv_common::{Result, Sig128, SimTime};

@@ -37,12 +37,16 @@
 //! `(submit, job)` before feeding the simulator — concurrent completion
 //! order can never leak into the metrics (the monotonic-submission fix).
 
-use crate::driver::{data_rng, digest_table, run_analysis, DriverConfig};
+use crate::driver::{DriverConfig, IvmMode};
 use crate::generator::Workload;
-use crate::schemas::raw_specs;
 use crate::service_obs::{job_track, ServiceObs};
+use crate::steps::{
+    absorb_read_faults, apply_gdpr, assemble_ledger, digest_table, due_jobs, ingest_raw,
+    next_job_meta, open_store, publish_output, run_analysis, seal_view, set_up, store_io_json,
+    store_tail, use_cloudviews, view_info,
+};
 use crate::templates::JobTemplate;
-use cv_cluster::metrics::{DataPlane, JobRecord, MetricsLedger, RobustnessStats};
+use cv_cluster::metrics::{DataPlane, MetricsLedger, RobustnessStats};
 use cv_cluster::sim::{ClusterConfig, ClusterSim, JobSpec};
 use cv_cluster::stage::build_stages;
 use cv_common::hash::Sig128;
@@ -52,10 +56,8 @@ use cv_common::{json, CvError, FaultPlan, Result, SimDay, SimTime};
 use cv_core::insights::{InsightsService, UsageEvent, ViewInfo};
 use cv_core::repository::{JobMeta, SubexpressionRepo};
 use cv_core::SharedInsights;
-use cv_data::sharded::ShardedViewStore;
 use cv_data::store_api::SharedViewStore;
-use cv_data::value::Value;
-use cv_data::viewstore::{MaterializedView, ViewStoreStats};
+use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
 use cv_engine::exec::{ExecOutcome, OpStateSource, PendingView};
 use cv_engine::optimizer::{AlwaysGrant, ReuseContext, SemanticGrant, ViewMeta};
@@ -86,12 +88,6 @@ pub struct ServiceConfig {
     /// everything immediately, the pool's admission control is the only
     /// throttle).
     pub pacing_us_per_sim_hour: u64,
-    /// Resident-bytes budget for the shared operator-state cache
-    /// (pipeline-breaker reuse: hash-join builds, aggregate states, sort
-    /// runs). 0 disables the cache. Hits skip the build subtree, so
-    /// work/read accounting shifts between jobs while per-job result
-    /// digests stay byte-identical at any budget.
-    pub op_state_budget_bytes: u64,
 }
 
 impl Default for ServiceConfig {
@@ -102,7 +98,6 @@ impl Default for ServiceConfig {
             vc_inflight_limit: 4,
             queue_cap: 32,
             pacing_us_per_sim_hour: 0,
-            op_state_budget_bytes: 0,
         }
     }
 }
@@ -285,22 +280,7 @@ impl ServiceOutcome {
             "views_reused_semantic": totals.views_reused_semantic,
             "robustness": self.robustness.to_json(),
             "service": self.service.to_json(),
-            "store": match &self.store_io {
-                Some(io) => json!({
-                    "page_cache_hits": io.page_cache_hits,
-                    "page_cache_misses": io.page_cache_misses,
-                    "page_cache_hit_rate": io.page_cache_hit_rate(),
-                    "pages_evicted": io.pages_evicted,
-                    "wal_fsyncs": io.wal_fsyncs,
-                    "wal_records_written": io.wal_records_written,
-                    "wal_records_replayed": io.wal_records_replayed,
-                    "wal_records_skipped": io.wal_records_skipped,
-                    "recoveries": io.recoveries,
-                    "checkpoints": io.checkpoints,
-                    "bytes_written_durably": io.bytes_written_durably,
-                }),
-                None => Json::Null,
-            },
+            "store": store_io_json(&self.store_io),
         })
     }
 }
@@ -333,20 +313,16 @@ enum SealState {
     Duplicate,
 }
 
-struct SealReport {
-    sig: Sig128,
-    recurring: Sig128,
-    rows: u64,
-    bytes: u64,
-    state: SealState,
-}
-
 /// What a pool task ships back to the commit phase.
 struct TaskDone {
     exec: ExecOutcome,
     stages: cv_cluster::stage::StageGraph,
     served: Vec<Sig128>,
-    seals: Vec<SealReport>,
+    /// How each of `exec.pending_views` sealed, in the same order.
+    seals: Vec<SealState>,
+    /// The store failing (not an injected fault) during a seal: fails the
+    /// run at commit instead of passing for a dropped view.
+    store_error: Option<CvError>,
 }
 
 /// A view claimed (or sealed) earlier today, advertised by template
@@ -359,19 +335,6 @@ struct EpochView {
     plan: std::sync::Arc<cv_engine::plan::LogicalPlan>,
     rows: u64,
     bytes: u64,
-}
-
-/// A view sealed during the day, queued for the day-end insights announce.
-struct DaySeal {
-    sig: Sig128,
-    recurring: Sig128,
-    rows: u64,
-    bytes: u64,
-    job: JobId,
-    vc: cv_common::ids::VcId,
-    at: SimTime,
-    template: Option<Sig128>,
-    plan: Option<std::sync::Arc<cv_engine::plan::LogicalPlan>>,
 }
 
 /// Run a workload through the concurrent service.
@@ -388,7 +351,8 @@ pub fn run_workload_service(
     run_workload_service_obs(workload, cfg, svc, None)
 }
 
-/// [`run_workload_service`] with observability attached: when `obs` is
+/// [`run_workload_service`] with observability attached (the store is the one
+/// `cfg.store` names, striped `svc.store_shards` ways): when `obs` is
 /// `Some`, the run records spans (driver loop on track 0, each job's
 /// lifecycle on track `job_id + 1`) and metrics into the given
 /// [`ServiceObs`]. With `None` the instrumentation collapses to a handful
@@ -399,10 +363,10 @@ pub fn run_workload_service_obs(
     svc: &ServiceConfig,
     obs: Option<&ServiceObs>,
 ) -> Result<ServiceOutcome> {
-    // The engine's own store stays empty; all view traffic goes through the
-    // shared sharded store.
-    let store = ShardedViewStore::new(cfg.view_ttl, svc.store_shards);
-    run_workload_service_with_store(workload, cfg, svc, &store, obs)
+    let store = open_store(cfg, svc.store_shards)?;
+    let outcome = run_workload_service_with_store(workload, cfg, svc, &*store, obs)?;
+    store.checkpoint_now()?;
+    Ok(outcome)
 }
 
 /// [`run_workload_service_obs`] against a caller-provided shared store —
@@ -414,6 +378,7 @@ pub fn run_workload_service_obs(
 /// here: a mid-write crash poisons the store while other workers hold
 /// compiled plans against it, and the service has no coordinated
 /// stop-the-world recovery. Crash sweeps run through the sequential driver.
+/// So does incremental view maintenance: `cfg.ivm` must be `Off`.
 pub fn run_workload_service_with_store(
     workload: &Workload,
     cfg: &DriverConfig,
@@ -422,41 +387,26 @@ pub fn run_workload_service_with_store(
     obs: Option<&ServiceObs>,
 ) -> Result<ServiceOutcome> {
     if cfg.faults.crash_after_bytes.is_some() {
-        return Err(cv_common::CvError::internal(
+        return Err(CvError::constraint(
             "crash_after_bytes is a sequential-driver fault: the concurrent service \
              cannot coordinate recovery across in-flight workers",
         ));
     }
-    let enabled = cfg.cloudviews.is_some();
-    let mut engine = QueryEngine::with_config(cfg.optimizer.clone());
+    if cfg.ivm != IvmMode::Off {
+        return Err(CvError::constraint(
+            "ivm is a sequential-driver mode: the concurrent service neither ingests \
+             deltas nor maintains views",
+        ));
+    }
     // Jobs already run one-per-pool-worker; chunking streams inside each
     // job serially (a nested pool per operator would oversubscribe cores).
-    engine.chunk_size = cfg.chunk_size.max(1);
-    let analyzer = std::sync::Arc::new(cv_analyzer::Analyzer::new(&cfg.optimizer));
-    // Always the containment prover: semantic view matches only happen
-    // when the analyzer certifies them.
-    engine.optimizer.set_prover(analyzer.clone());
-    if cfg.optimizer.verify_plans {
-        engine.optimizer.set_verifier(analyzer);
-    }
+    let (mut engine, op_states) = set_up(cfg, store);
     if let Some(o) = obs {
         engine.optimizer.set_obs(o.optimizer_sink.clone());
     }
-    store.set_fault_plan(cfg.faults.clone());
     let insights = SharedInsights::new(InsightsService::new(cfg.controls.clone()));
     let flights = SingleFlight::new();
     let stats = ServiceStats::default();
-    // Shared operator-state cache: one builder per breaker signature,
-    // recurring days skip rebuilds whose inputs didn't rotate (keys embed
-    // the scanned GUIDs, so rotated inputs self-invalidate).
-    let op_states: Option<Arc<OpStateCache>> = (svc.op_state_budget_bytes > 0)
-        .then(|| Arc::new(OpStateCache::with_budget(svc.op_state_budget_bytes)));
-    if let Some(cache) = &op_states {
-        // Warm-aware planning: a resident build side can flip a
-        // merge-join pick back to hash (byte-safe — all join algorithms
-        // agree bit-for-bit).
-        engine.optimizer.set_warm_states(cache.clone());
-    }
 
     let mut repo = SubexpressionRepo::new();
     let mut data_plane: HashMap<JobId, DataPlane> = HashMap::new();
@@ -481,8 +431,6 @@ pub fn run_workload_service_with_store(
     let mut op_work_avoided = 0.0f64;
     let mut op_wall_avoided = 0.0f64;
 
-    let raw = raw_specs();
-
     for day_idx in 0..cfg.days {
         let day = SimDay(day_idx);
         let day_start = day.start();
@@ -496,55 +444,28 @@ pub fn run_workload_service_with_store(
         store.evict_expired(day_start)?;
         insights.lock().expire(day_start);
 
-        // 1. Ingestion: bulk-regenerate due raw datasets (identical to the
-        // sequential driver — same rng, same tables, same GUID rotations).
+        // 1. Ingestion (same rng, same tables, same GUID rotations as the
+        // sequential driver), then the optional GDPR forget-request.
         if let Some(o) = obs {
             o.tracer.begin(0, "ingest");
         }
-        let mut regenerated = 0u64;
-        for spec in &raw {
-            if day_idx % spec.update_every_days != 0 {
-                continue;
-            }
-            regenerated += 1;
-            let mut rng = data_rng(workload.config.seed, spec.name, day);
-            let table = spec.generate(&mut rng, workload.config.scale, day);
-            match engine.catalog.id_of(spec.name) {
-                Some(id) => {
-                    engine.catalog.bulk_update(id, table, day_start)?;
-                }
-                None => {
-                    engine.catalog.register(spec.name, table, day_start)?;
-                }
-            }
-        }
+        let regenerated = ingest_raw(&mut engine.catalog, workload, day, false)?;
         if let Some(o) = obs {
             o.tracer.end_with(0, &[("datasets", regenerated)]);
         }
+        gdpr_purged_views += apply_gdpr(
+            cfg,
+            &mut engine,
+            store,
+            &mut insights.lock(),
+            op_states.as_deref(),
+            workload.config.seed,
+            day,
+            &mut robustness,
+        )?;
 
-        if let Some(every) = cfg.gdpr_every_days {
-            if day_idx > 0 && day_idx % every == 0 {
-                gdpr_purged_views += apply_gdpr_service(
-                    &mut engine,
-                    store,
-                    &insights,
-                    op_states.as_deref(),
-                    workload.config.seed,
-                    day,
-                )? as u64;
-            }
-        }
-
-        // 2. Due jobs, sorted exactly like the sequential driver so job ids
-        // line up one-to-one across modes.
-        let mut due: Vec<&JobTemplate> =
-            workload.templates.iter().filter(|t| t.due_on(day)).collect();
-        due.sort_by(|a, b| {
-            a.submit_time(day)
-                .seconds()
-                .total_cmp(&b.submit_time(day).seconds())
-                .then(a.id.cmp(&b.id))
-        });
+        // 2. Due jobs, in the order that lines job ids up across drivers.
+        let due = due_jobs(workload, day);
 
         // Wave split: dataset producers run (and publish to the catalog)
         // before any consumer compiles. The generator schedules cooking
@@ -559,7 +480,8 @@ pub fn run_workload_service_with_store(
         }
         let (wave0, wave1) = due.split_at(first_consumer);
 
-        let mut day_seals: Vec<DaySeal> = Vec::new();
+        // Views sealed today, queued for the day-end insights announce.
+        let mut day_seals: Vec<(ViewInfo, JobId)> = Vec::new();
         // Template → views built earlier today, for the semantic cascade.
         let mut epoch_views: HashMap<Sig128, Vec<EpochView>> = HashMap::new();
         for wave in [wave0, wave1] {
@@ -575,7 +497,6 @@ pub fn run_workload_service_with_store(
                 op_states: op_states.as_ref(),
                 wave,
                 day,
-                enabled,
                 cfg,
                 svc,
                 next_job: &mut next_job,
@@ -618,28 +539,16 @@ pub fn run_workload_service_with_store(
         if let Some(o) = obs {
             o.tracer.begin(0, "announce");
         }
+        let n_seals = day_seals.len() as u64;
         {
             let mut ins = insights.lock();
-            for s in &day_seals {
-                ins.report_sealed(
-                    ViewInfo {
-                        strict: s.sig,
-                        recurring: s.recurring,
-                        rows: s.rows,
-                        bytes: s.bytes,
-                        sealed_at: s.at,
-                        expires: s.at + cfg.view_ttl,
-                        vc: s.vc,
-                        template: s.template,
-                        plan: s.plan.clone(),
-                    },
-                    s.job,
-                );
+            for (info, job) in day_seals {
+                ins.report_sealed(info, job);
             }
         }
         flights.clear();
         if let Some(o) = obs {
-            o.tracer.end_with(0, &[("seals", day_seals.len() as u64)]);
+            o.tracer.end_with(0, &[("seals", n_seals)]);
         }
 
         // 3. Workload analysis + selection publish.
@@ -669,15 +578,7 @@ pub fn run_workload_service_with_store(
         &mut robustness,
     )?;
 
-    let store_stats = store.stats();
-    robustness.view_write_failures = store_stats.write_failures;
-    robustness.views_quarantined = store_stats.views_quarantined;
-    let store_io = store.io_stats();
-    if let Some(io) = &store_io {
-        robustness.store_recoveries += io.recoveries;
-        robustness.wal_records_replayed += io.wal_records_replayed;
-        robustness.wal_records_skipped += io.wal_records_skipped;
-    }
+    let (store_stats, store_io) = store_tail(store, &mut robustness);
 
     let snap = stats.snapshot();
     latencies_ms.sort_by_key(|a| a.0);
@@ -798,7 +699,6 @@ struct WaveCtx<'a, 'w> {
     op_states: Option<&'a Arc<OpStateCache>>,
     wave: &'a [&'w JobTemplate],
     day: SimDay,
-    enabled: bool,
     cfg: &'a DriverConfig,
     svc: &'a ServiceConfig,
     next_job: &'a mut u64,
@@ -807,7 +707,7 @@ struct WaveCtx<'a, 'w> {
     result_digests: &'a mut BTreeMap<JobId, Sig128>,
     failed_jobs: &'a mut u64,
     robustness: &'a mut RobustnessStats,
-    day_seals: &'a mut Vec<DaySeal>,
+    day_seals: &'a mut Vec<(ViewInfo, JobId)>,
     epoch_views: &'a mut HashMap<Sig128, Vec<EpochView>>,
     specs_for_sim: &'a mut Vec<JobSpec>,
     pipelined_jobs: &'a mut u64,
@@ -842,7 +742,6 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
         op_states,
         wave,
         day,
-        enabled,
         cfg,
         svc,
         next_job,
@@ -868,29 +767,15 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
     let mut exec_inputs: Vec<(PhysicalPlan, HashSet<Sig128>, Vec<JobId>)> = Vec::new();
 
     for template in wave {
-        let submit = template.submit_time(day);
-        let job = JobId(*next_job);
-        *next_job += 1;
+        let meta = next_job_meta(template, day, next_job);
+        let (job, submit) = (meta.job, meta.submit);
         let track = job_track(job);
         if let Some(o) = obs {
             o.tracer.begin(track, "job");
             o.tracer.begin(track, "compile");
             o.optimizer_sink.set_track(track);
         }
-        let meta = JobMeta {
-            job,
-            template: template.id,
-            pipeline: template.pipeline,
-            vc: template.vc,
-            user: template.user,
-            submit,
-        };
-
-        let metadata_down = enabled && cfg.faults.metadata_down(submit);
-        if metadata_down {
-            robustness.metadata_outage_jobs += 1;
-        }
-        let use_cv = enabled && !metadata_down;
+        let use_cv = use_cloudviews(cfg, submit, robustness);
 
         let compile = (|| -> Result<(CompiledTask, PhysicalPlan, HashSet<Sig128>, Vec<JobId>)> {
             let plan = template.build_plan(engine, day)?;
@@ -1132,22 +1017,21 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                 let served = src.into_served();
                 let done = res.and_then(|exec| {
                     let mut seals = Vec::new();
+                    let mut store_error = None;
                     let mut resolved: HashSet<Sig128> = HashSet::new();
                     for pv in &exec.pending_views {
-                        let state = seal_pending(store, stats, pv, job, vc, submit);
+                        let state =
+                            seal_pending(store, stats, pv, job, vc, submit).unwrap_or_else(|e| {
+                                store_error.get_or_insert(e);
+                                SealState::Dropped
+                            });
                         let outcome = match state {
                             SealState::Published | SealState::Duplicate => FlightOutcome::Published,
                             SealState::Dropped => FlightOutcome::Failed,
                         };
                         flights.resolve(pv.sig, outcome);
                         resolved.insert(pv.sig);
-                        seals.push(SealReport {
-                            sig: pv.sig,
-                            recurring: pv.recurring_sig,
-                            rows: pv.data.num_rows() as u64,
-                            bytes: pv.data.byte_size(),
-                            state,
-                        });
+                        seals.push(state);
                     }
                     for sig in &built {
                         if !resolved.contains(sig) {
@@ -1156,7 +1040,7 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                     }
                     let stages = build_stages(&physical, &exec.metrics.op_profiles)?;
                     stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                    Ok(TaskDone { exec, stages, served, seals })
+                    Ok(TaskDone { exec, stages, served, seals, store_error })
                 });
                 if done.is_err() {
                     // Exec (or stage-build) failure: every claimed flight
@@ -1213,27 +1097,23 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
             o.tracer.begin(track, "commit");
         }
         match results.remove(&job) {
-            Some(Ok(done)) => {
+            Some(Ok(mut done)) => {
+                if let Some(e) = done.store_error.take() {
+                    return Err(e);
+                }
                 let n_seals = done.seals.len() as u64;
                 repo.log_job(task.meta, &task.subexprs, Some(&done.exec.metrics.op_profiles));
                 result_digests.insert(job, digest_table(&done.exec.table));
 
-                for sig in &done.exec.metrics.quarantined_sigs {
-                    store.quarantine(*sig)?;
-                    insights.lock().quarantine(*sig);
-                }
-                // Quarantine coupling: any cached breaker state derived
-                // from a now-quarantined view must go too.
-                if let Some(cache) = op_states {
-                    if !done.exec.metrics.quarantined_sigs.is_empty() {
-                        cache.purge_sigs(&done.exec.metrics.quarantined_sigs);
-                    }
-                }
+                absorb_read_faults(
+                    &done.exec.metrics,
+                    store,
+                    &mut insights.lock(),
+                    op_states.map(Arc::as_ref),
+                    robustness,
+                )?;
                 op_work += done.exec.metrics.op_state_work_avoided;
                 op_wall += done.exec.metrics.op_state_wall_avoided;
-                robustness.view_read_failures += done.exec.metrics.view_read_failures;
-                robustness.view_corruptions += done.exec.metrics.view_corruptions;
-                robustness.view_expiry_races += done.exec.metrics.view_expiry_races;
 
                 let dp = DataPlane::from_exec(
                     &done.exec.metrics,
@@ -1241,7 +1121,6 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                     task.compensated,
                     task.built.len(),
                 );
-                robustness.fallbacks_recompute += dp.fallbacks_recompute;
 
                 if task.use_cv && !task.matched.is_empty() {
                     insights.lock().record_reuse(&task.matched, job, task.meta.submit);
@@ -1260,55 +1139,26 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                 }
 
                 if let Some(output) = &task.output_dataset {
-                    match engine.catalog.id_of(output) {
-                        Some(id) => {
-                            engine.catalog.bulk_update(
-                                id,
-                                done.exec.table.clone(),
-                                task.meta.submit,
-                            )?;
-                        }
-                        None => {
-                            engine.catalog.register(
-                                output,
-                                done.exec.table.clone(),
-                                task.meta.submit,
-                            )?;
-                        }
-                    }
+                    let at = task.meta.submit;
+                    publish_output(&mut engine.catalog, output, &done.exec.table, at, false)?;
                 }
 
-                for seal in &done.seals {
-                    match seal.state {
+                for (pv, state) in done.exec.pending_views.iter().zip(&done.seals) {
+                    match state {
                         SealState::Published => {
                             let plan = task
                                 .built_plans
                                 .iter()
-                                .find(|(sig, _)| *sig == seal.sig)
+                                .find(|(sig, _)| *sig == pv.sig)
                                 .map(|(_, p)| p.clone());
-                            let template = plan.as_ref().and_then(|p| {
-                                cv_engine::signature::template_signature(
-                                    p,
-                                    &engine.optimizer.cfg.sig,
-                                )
-                            });
-                            day_seals.push(DaySeal {
-                                sig: seal.sig,
-                                recurring: seal.recurring,
-                                rows: seal.rows,
-                                bytes: seal.bytes,
-                                job,
-                                vc: task.meta.vc,
-                                at: task.meta.submit,
-                                template,
-                                plan,
-                            })
+                            let info = view_info(cfg, pv, task.meta.vc, task.meta.submit, plan);
+                            day_seals.push((info, job));
                         }
                         // Write fault / quarantine race / duplicate: the
                         // view was never (newly) advertised — release the
                         // creation lock so a later job can rebuild.
                         SealState::Dropped | SealState::Duplicate => {
-                            insights.lock().release_lock(seal.sig);
+                            insights.lock().release_lock(pv.sig);
                         }
                     }
                 }
@@ -1371,34 +1221,15 @@ fn seal_pending(
     job: JobId,
     vc: cv_common::ids::VcId,
     now: SimTime,
-) -> SealState {
+) -> Result<SealState> {
     if store.contains(pv.sig) {
         // Another materialization already landed — exactly what the
         // single-flight registry plus the insights creation locks prevent.
         stats.duplicate_materializations.fetch_add(1, Ordering::Relaxed);
-        return SealState::Duplicate;
+        return Ok(SealState::Duplicate);
     }
-    let insert = store.insert(MaterializedView {
-        strict_sig: pv.sig,
-        recurring_sig: pv.recurring_sig,
-        schema: pv.schema.clone(),
-        data: pv.data.clone(),
-        rows: 0,
-        bytes: 0,
-        created: now,
-        expires: now, // recomputed by the store from its TTL
-        creator_job: job,
-        vc,
-        input_guids: pv.input_guids.clone(),
-        observed_work: pv.production_work,
-        checksum: 0, // recomputed by the store
-    });
-    match insert {
-        // The store may silently drop a quarantined signature; re-check.
-        Ok(()) if store.contains(pv.sig) => SealState::Published,
-        Ok(()) => SealState::Dropped,
-        Err(_) => SealState::Dropped,
-    }
+    let landed = seal_view(store, pv, job, vc, now)?;
+    Ok(if landed { SealState::Published } else { SealState::Dropped })
 }
 
 /// Promised statistics for a claimed build: the spool's own estimate.
@@ -1418,35 +1249,6 @@ fn spool_promise(plan: &PhysicalPlan, target: Sig128) -> PromisedView {
         }
     }
     PromisedView::default()
-}
-
-/// GDPR forget-request against the shared sharded store (mirrors the
-/// sequential driver's `apply_gdpr`).
-fn apply_gdpr_service(
-    engine: &mut QueryEngine,
-    store: &dyn SharedViewStore,
-    insights: &SharedInsights,
-    op_states: Option<&OpStateCache>,
-    seed: u64,
-    day: SimDay,
-) -> Result<usize> {
-    let Some(id) = engine.catalog.id_of("users") else {
-        return Ok(0);
-    };
-    let mut rng = data_rng(seed, "gdpr", day);
-    let victim = rng.range_i64(0, 40);
-    let outcome = engine.catalog.gdpr_forget(id, "u_id", &Value::Int(victim), day.start())?;
-    let stale = store.sigs_with_input(outcome.old_guid);
-    let purged = store.purge_input(outcome.old_guid, day.start())?;
-    insights.lock().purge_sigs(&stale);
-    // Operator-state coupling: the rotated guid already invalidates the
-    // keys, but eager purge frees the budget and drops any state whose
-    // bytes were derived from the forgotten rows.
-    if let Some(cache) = op_states {
-        cache.purge_input("users");
-        cache.purge_sigs(&stale);
-    }
-    Ok(purged)
 }
 
 /// Deterministically merge concurrently completed jobs into the cluster
@@ -1476,16 +1278,7 @@ pub fn merge_completions(
         sim.submit(spec)?;
     }
     let _ = sim.run_to_completion();
-    let mut ledger = MetricsLedger::new();
-    for result in sim.results() {
-        robustness.stage_retries += result.stage_retries as u64;
-        robustness.preemptions += result.preemptions as u64;
-        robustness.backoff_seconds += result.backoff_seconds;
-        robustness.job_restarts += result.restarts as u64;
-        let data = data_plane.remove(&result.job).unwrap_or_default();
-        ledger.add(JobRecord { result: result.clone(), data });
-    }
-    Ok(ledger)
+    Ok(assemble_ledger(&sim, data_plane, robustness))
 }
 
 #[cfg(test)]
@@ -1688,12 +1481,9 @@ mod tests {
         .unwrap();
         assert!(!off.service.op_state.enabled);
 
+        cfg.op_state_budget_bytes = 64 << 20;
         for workers in [1usize, 4] {
-            let svc = ServiceConfig {
-                workers,
-                op_state_budget_bytes: 64 << 20,
-                ..ServiceConfig::default()
-            };
+            let svc = ServiceConfig { workers, ..ServiceConfig::default() };
             let on = run_workload_service(&w, &cfg, &svc).unwrap();
             assert_eq!(on.failed_jobs, 0);
             assert_eq!(
@@ -1721,22 +1511,106 @@ mod tests {
         let mut cfg = DriverConfig::enabled(3);
         cfg.cluster = quick_cluster();
         cfg.gdpr_every_days = Some(1);
-        let svc_on = ServiceConfig {
-            workers: 4,
-            op_state_budget_bytes: 64 << 20,
-            ..ServiceConfig::default()
-        };
-        let on = run_workload_service(&w, &cfg, &svc_on).unwrap();
+        let svc = ServiceConfig { workers: 4, ..ServiceConfig::default() };
+        let off = run_workload_service(&w, &cfg, &svc).unwrap();
+        cfg.op_state_budget_bytes = 64 << 20;
+        let on = run_workload_service(&w, &cfg, &svc).unwrap();
         assert_eq!(on.failed_jobs, 0);
-        let off = run_workload_service(
-            &w,
-            &cfg,
-            &ServiceConfig { workers: 4, ..ServiceConfig::default() },
-        )
-        .unwrap();
         assert_eq!(on.result_digests, off.result_digests);
         let os = &on.service.op_state;
         assert!(os.purged > 0, "forget-request must purge operator state: {os:?}");
+    }
+
+    /// A store that holds nothing and whose every seal fails with a real
+    /// (non-injected) error — a full disk, a poisoned handle.
+    struct BrokenStore;
+
+    impl cv_data::viewstore::ViewSource for BrokenStore {
+        fn read_view(
+            &self,
+            _: Sig128,
+            _: SimTime,
+        ) -> std::result::Result<Option<cv_data::Table>, cv_data::viewstore::ViewReadFault>
+        {
+            Ok(None)
+        }
+    }
+
+    #[rustfmt::skip]
+    impl SharedViewStore for BrokenStore {
+        fn insert(&self, _: cv_data::MaterializedView) -> Result<()> {
+            Err(CvError::internal("store io: no space left on device"))
+        }
+        fn contains(&self, _: Sig128) -> bool { false }
+        fn contains_live(&self, _: Sig128, _: SimTime) -> bool { false }
+        fn is_quarantined(&self, _: Sig128) -> bool { false }
+        fn quarantine(&self, _: Sig128) -> Result<bool> { Ok(false) }
+        fn peek_meta(&self, _: Sig128, _: SimTime) -> Option<(u64, u64, f64)> { None }
+        fn observed_work(&self, _: Sig128) -> Option<f64> { None }
+        fn evict_expired(&self, _: SimTime) -> Result<usize> { Ok(0) }
+        fn purge_input(&self, _: cv_common::ids::VersionGuid, _: SimTime) -> Result<usize> { Ok(0) }
+        fn purge_vc(&self, _: VcId, _: SimTime) -> Result<usize> { Ok(0) }
+        fn sigs_with_input(&self, _: cv_common::ids::VersionGuid) -> Vec<Sig128> { Vec::new() }
+        fn stats(&self) -> ViewStoreStats { ViewStoreStats::default() }
+        fn len(&self) -> usize { 0 }
+        fn total_storage(&self) -> u64 { 0 }
+        fn storage_used(&self, _: VcId) -> u64 { 0 }
+        fn n_shards(&self) -> usize { 1 }
+        fn ttl(&self) -> cv_common::SimDuration { cv_common::SimDuration::from_days(7.0) }
+        fn set_fault_plan(&self, _: FaultPlan) {}
+    }
+
+    /// The seal rule on the service path: only injected faults are absorbed
+    /// as a dropped view. The store itself failing fails the run — it used
+    /// to pass for `SealState::Dropped` and the run carried on.
+    #[test]
+    fn store_failure_during_seal_fails_the_service_run() {
+        let w = small_workload();
+        let mut cfg = DriverConfig::enabled(3);
+        cfg.cluster = quick_cluster();
+        let svc = ServiceConfig { workers: 2, ..ServiceConfig::default() };
+        let err = run_workload_service_with_store(&w, &cfg, &svc, &BrokenStore, None).unwrap_err();
+        assert!(err.to_string().contains("no space left"), "unexpected error: {err}");
+        assert!(!err.is_fault());
+    }
+
+    /// Maintenance modes the service does not implement are refused, not
+    /// silently run without maintenance.
+    #[test]
+    fn service_rejects_ivm_modes() {
+        let w = small_workload();
+        for mode in [IvmMode::Ingest, IvmMode::Maintain] {
+            let mut cfg = DriverConfig::enabled(1);
+            cfg.ivm = mode;
+            let err = run_workload_service(&w, &cfg, &ServiceConfig::default()).unwrap_err();
+            assert!(err.to_string().contains("ivm"), "unexpected error: {err}");
+        }
+    }
+
+    /// `cfg.store` is honoured by the service entry points that open their
+    /// own store: a durable backend lands on disk, one directory per shard,
+    /// and agrees with the memory run.
+    #[test]
+    fn service_opens_the_configured_durable_store() {
+        let w = small_workload();
+        let mut cfg = DriverConfig::enabled(2);
+        cfg.cluster = quick_cluster();
+        let svc = ServiceConfig { workers: 2, store_shards: 3, ..ServiceConfig::default() };
+        let mem = run_workload_service(&w, &cfg, &svc).unwrap();
+        assert!(mem.store_io.is_none());
+
+        let dir = std::env::temp_dir().join(format!("cv-svc-opener-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        cfg.store = crate::StoreBackend::Durable(crate::DurableStoreConfig::new(&dir));
+        let durable = run_workload_service(&w, &cfg, &svc).unwrap();
+        let shard_dirs = std::fs::read_dir(&dir).unwrap().count();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(durable.result_digests, mem.result_digests);
+        assert_eq!(durable.service.shards, 3);
+        assert_eq!(shard_dirs, 3, "one directory per shard");
+        let io = durable.store_io.expect("the durable backend was dropped for a memory store");
+        assert!(io.bytes_written_durably > 0 && io.wal_records_written > 0);
     }
 
     /// Byte-budget crash plans are a sequential-driver fault: the service

@@ -66,11 +66,10 @@ use cv_common::json::{json, Json};
 use cv_common::Sig128;
 use cv_extensions::concurrent::pipelining_savings_bound;
 use cv_obs::chrome_trace;
-use cv_store::{DurableStoreOptions, ShardedDurableViewStore};
 use cv_workload::{
-    generate_workload, run_workload, run_workload_service, run_workload_service_obs,
-    run_workload_service_with_store, DriverConfig, ServiceConfig, ServiceObs, ServiceOutcome,
-    WorkloadConfig,
+    generate_workload, open_store, run_workload, run_workload_service, run_workload_service_obs,
+    run_workload_service_with_store, DriverConfig, DurableStoreConfig, ServiceConfig, ServiceObs,
+    ServiceOutcome, StoreBackend, WorkloadConfig,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -305,18 +304,14 @@ fn main() -> ExitCode {
         None => (std::env::temp_dir().join(format!("cv-serve-store-{}", std::process::id())), true),
     };
     let _ = std::fs::remove_dir_all(&store_root);
-    let store = ShardedDurableViewStore::open(
-        store_root.clone(),
-        cfg.view_ttl,
-        args.shards,
-        DurableStoreOptions::default(),
-    )
-    .expect("open durable view store");
+    let mut durable_cfg = cfg.clone();
+    durable_cfg.store = StoreBackend::Durable(DurableStoreConfig::new(&store_root));
+    let store = open_store(&durable_cfg, args.shards).expect("open durable view store");
     let durable =
-        run_workload_service_with_store(&workload, &cfg, &svc(args.workers), &store, None)
+        run_workload_service_with_store(&workload, &cfg, &svc(args.workers), &*store, None)
             .expect("durable-store service run");
     store.checkpoint_now().expect("final durable checkpoint");
-    let store_io = store.io_stats();
+    let store_io = store.io_stats().expect("a durable store reports io stats");
     drop(store);
     if ephemeral_store {
         let _ = std::fs::remove_dir_all(&store_root);
@@ -346,16 +341,12 @@ fn main() -> ExitCode {
             n_analytics: args.analytics,
             ..WorkloadConfig::default()
         });
+        let reference = run_workload(&op_workload, &cfg).expect("op-state cache-off reference");
         let mut op_cfg = cfg.clone();
-        op_cfg.op_state_budget_bytes = 0;
-        let reference = run_workload(&op_workload, &op_cfg).expect("op-state cache-off reference");
-        let svc_on = |workers: usize| ServiceConfig {
-            op_state_budget_bytes: args.op_state_budget,
-            ..svc(workers)
-        };
-        let on_1 = run_workload_service(&op_workload, &op_cfg, &svc_on(1))
+        op_cfg.op_state_budget_bytes = args.op_state_budget;
+        let on_1 = run_workload_service(&op_workload, &op_cfg, &svc(1))
             .expect("op-state 1-worker cache-on run");
-        let on_n = run_workload_service(&op_workload, &op_cfg, &svc_on(args.workers))
+        let on_n = run_workload_service(&op_workload, &op_cfg, &svc(args.workers))
             .expect("op-state N-worker cache-on run");
         (op_scale, reference, on_1, on_n)
     });
