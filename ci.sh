@@ -67,9 +67,12 @@ for key in ("compile", "execute_parallel", "execute_pool", "commit", "pool_overh
     assert key in phases, f"phase_wall_seconds missing {key}"
 assert bench["digests_match_sequential"] is True, "digest contract violated"
 # Pool accounting contract: overhead is the residue around the parallel
-# phase (both measured from the ready-barrier epoch) and must stay below it.
-assert phases["pool_overhead"] < phases["execute_parallel"], \
-    f"pool overhead {phases['pool_overhead']} not below parallel wall {phases['execute_parallel']}"
+# phase (both measured from the ready-barrier epoch) and must stay below it
+# — a wall-clock bound over ~3 ms, enforced where cv-serve enforces its own
+# (>= 4 hardware threads, the morsel gate's predicate).
+if bench["host_parallelism"] >= 4:
+    assert phases["pool_overhead"] < phases["execute_parallel"], \
+        f"pool overhead {phases['pool_overhead']} not below parallel wall {phases['execute_parallel']}"
 # Morsel scaling curve: 1/2/4/8-worker points, digest parity at every one;
 # the speedup bound (>1.5x at 4+ workers) binds only on multi-core hosts.
 scaling = bench["scaling"]
@@ -186,24 +189,36 @@ print(f"    ivm bench OK ({ivm['maintained']} maintained, {ivm['rebuilt']} fallb
 EOF
 
 echo "==> kernels microbench smoke gate (typed engine kernels)"
-cargo run --release -q -p cv-bench --bin kernels -- --smoke --out BENCH_engine.json \
+# To a scratch file: the committed BENCH_engine.json is the full-size run
+# (10^4-10^6 rows) with the parent commit's rates embedded as its baseline.
+engine_bench="$(mktemp)"
+cargo run --release -q -p cv-bench --bin kernels -- --smoke --out "$engine_bench" \
   > /dev/null || { echo "kernels: microbench failed"; exit 1; }
 
 echo "==> engine bench artifact validation"
-python3 - <<'EOF'
-import json
-bench = json.load(open("BENCH_engine.json"))
+python3 - "$engine_bench" <<'EOF'
+import json, sys
+KERNELS = ("filter", "filter_str_eq", "filter_wide", "project", "hash_join", "merge_join",
+           "hash_aggregate", "hash_aggregate_high", "sort", "sort_desc_float", "digest",
+           "store_decode", "udo")
+bench = json.load(open(sys.argv[1]))
 assert bench["name"] == "kernels_microbench", "wrong bench artifact"
 assert bench["smoke"] is True, "smoke run must be marked as such"
 assert bench["sizes"], "no sizes measured"
-for kernel in ("filter", "filter_str_eq", "filter_wide", "project", "hash_join",
-               "hash_aggregate", "sort", "digest", "store_decode", "udo"):
+for kernel in KERNELS:
     rates = bench["kernels"][kernel]
     assert rates, f"kernel {kernel} has no measurements"
     for size, rate in rates.items():
         assert rate > 0, f"kernel {kernel} measured zero throughput at {size} rows"
+committed = json.load(open("BENCH_engine.json"))
+assert committed["smoke"] is False, "BENCH_engine.json must be a full-size run"
+for kernel in KERNELS:
+    assert kernel in committed["kernels"], f"BENCH_engine.json lacks kernel {kernel}"
+    assert kernel in committed["speedup_vs_baseline"], \
+        f"BENCH_engine.json records no baseline for {kernel}"
 print(f"    engine bench OK ({len(bench['kernels'])} kernels)")
 EOF
+rm -f "$engine_bench"
 
 echo "==> perf/check.sh (the benchmark at smoke size: every workload, every output checked)"
 perf/check.sh

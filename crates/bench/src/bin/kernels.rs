@@ -4,7 +4,11 @@
 //! executor on synthetic tables at 10^4–10^6 rows: filter, project,
 //! hash-join, hash-aggregate, sort. These are the hot paths the vectorized
 //! typed kernels replace; the JSON artifact records the achieved rates so
-//! speedups are *recorded*, not asserted in prose. Two more filters keep
+//! speedups are *recorded*, not asserted in prose. Three legs cover the
+//! pipeline breakers' other shapes: `merge_join` (the same fact ⋈ dimension
+//! join, merge forced), `hash_aggregate_high` (a group per ~12 rows — 80k
+//! groups at 10^6 — under SUM, AVG and COUNT DISTINCT) and
+//! `sort_desc_float` (one descending float key). Two more filters keep
 //! the executor's own bookkeeping visible at this altitude: `filter_str_eq`
 //! (a string column against a literal — the literal must stay a scalar) and
 //! `filter_wide` (an integer predicate over a table that also carries three
@@ -38,6 +42,7 @@ use cv_engine::cost::CostModel;
 use cv_engine::exec::{execute, ExecContext};
 use cv_engine::expr::{col, lit, AggExpr, AggFunc};
 use cv_engine::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext};
+use cv_engine::physical::{JoinAlgo, PhysicalPlan};
 use cv_engine::plan::{JoinKind, LogicalPlan, PlanBuilder};
 use cv_engine::udo::{UdoRegistry, UdoSpec};
 use cv_store::codec::{decode_table, encode_table};
@@ -186,7 +191,7 @@ impl Bench {
         }
     }
 
-    fn compile(&self, logical: &Arc<LogicalPlan>) -> cv_engine::physical::PhysicalPlan {
+    fn compile(&self, logical: &Arc<LogicalPlan>, join_algo: JoinAlgo) -> PhysicalPlan {
         let stats = |name: &str| {
             self.catalog.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64))
         };
@@ -195,25 +200,25 @@ impl Bench {
             .optimize(logical, &ReuseContext::empty(), &stats, &mut AlwaysGrant)
             .unwrap()
             .physical;
-        // The benchmark measures the hash-join kernel specifically; the
-        // optimizer is free to pick merge/loop at some scales.
-        force_hash_joins(&mut physical);
+        // Each join leg measures one algorithm's kernel specifically; the
+        // optimizer is free to pick another at some scales.
+        force_joins(&mut physical, join_algo);
         physical
     }
 
-    fn run(&self, physical: &cv_engine::physical::PhysicalPlan) -> usize {
+    fn run(&self, physical: &PhysicalPlan) -> usize {
         let mut ctx = ExecContext::new(&self.catalog, &self.views, &self.udos, SimTime::EPOCH)
             .with_chunking(self.chunk_size, Arc::new(cv_engine::SerialRunner));
         execute(physical, &mut ctx, &self.model).unwrap().table.num_rows()
     }
 }
 
-fn force_hash_joins(p: &mut cv_engine::physical::PhysicalPlan) {
-    if let cv_engine::physical::PhysicalPlan::Join { algo, .. } = p {
-        *algo = cv_engine::physical::JoinAlgo::Hash;
+fn force_joins(p: &mut PhysicalPlan, to: JoinAlgo) {
+    if let PhysicalPlan::Join { algo, .. } = p {
+        *algo = to;
     }
     for c in p.children_mut() {
-        force_hash_joins(c);
+        force_joins(c, to);
     }
 }
 
@@ -232,7 +237,8 @@ fn time_it(measure_secs: f64, mut f: impl FnMut() -> usize) -> f64 {
     }
 }
 
-fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>)> {
+/// `(leg, plan, the algorithm its joins are forced to)`.
+fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
     let filter = PlanBuilder::scan(&bench.catalog, "fact")
         .unwrap()
         .filter(col("qty").gt(lit(50)).and(col("val").lt(lit(500.0))))
@@ -273,19 +279,36 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>)> {
         )
         .unwrap()
         .build();
+    let agg_high = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .aggregate(
+            vec![(col("id"), "id"), (col("seg"), "seg")],
+            vec![
+                AggExpr::new(AggFunc::Sum, col("val"), "total"),
+                AggExpr::new(AggFunc::Avg, col("val"), "mean"),
+                AggExpr::new(AggFunc::CountDistinct, col("qty"), "qtys"),
+            ],
+        )
+        .unwrap()
+        .build();
     let sort = PlanBuilder::scan(&bench.catalog, "fact")
         .unwrap()
         .sort(&[("seg", true), ("val", false)])
         .unwrap()
         .build();
+    let sort_desc_float =
+        PlanBuilder::scan(&bench.catalog, "fact").unwrap().sort(&[("val", false)]).unwrap().build();
     vec![
-        ("filter", filter),
-        ("filter_str_eq", filter_str_eq),
-        ("filter_wide", filter_wide),
-        ("project", project),
-        ("hash_join", join),
-        ("hash_aggregate", agg),
-        ("sort", sort),
+        ("filter", filter, JoinAlgo::Hash),
+        ("filter_str_eq", filter_str_eq, JoinAlgo::Hash),
+        ("filter_wide", filter_wide, JoinAlgo::Hash),
+        ("project", project, JoinAlgo::Hash),
+        ("hash_join", join.clone(), JoinAlgo::Hash),
+        ("merge_join", join, JoinAlgo::Merge),
+        ("hash_aggregate", agg, JoinAlgo::Hash),
+        ("hash_aggregate_high", agg_high, JoinAlgo::Hash),
+        ("sort", sort, JoinAlgo::Hash),
+        ("sort_desc_float", sort_desc_float, JoinAlgo::Hash),
     ]
 }
 
@@ -319,7 +342,7 @@ fn main() {
     let sizes: Vec<usize> = if smoke { vec![10_000] } else { vec![10_000, 100_000, 1_000_000] };
 
     let mut kernels = cv_common::json::JsonMap::new();
-    let mut names: Vec<&str> = plans(&Bench::new(16, 8, 7)).iter().map(|(n, _)| *n).collect();
+    let mut names: Vec<&str> = plans(&Bench::new(16, 8, 7)).iter().map(|(n, ..)| *n).collect();
     names.extend(["digest", "store_decode", "udo"]);
     let mut rates: Vec<(String, Vec<(usize, f64)>)> =
         names.iter().map(|n| (n.to_string(), Vec::new())).collect();
@@ -328,13 +351,13 @@ fn main() {
         let dim_n = (n / 100).max(8);
         let bench = Bench::with_chunk_size(n, dim_n, 7, chunk_size);
         eprintln!("== {n} rows (dim {dim_n}, chunk {chunk_size}) ==");
-        for (ki, (name, logical)) in plans(&bench).iter().enumerate() {
-            let physical = bench.compile(logical);
-            // Hash-join input rows = probe + build side.
-            let input_rows = if *name == "hash_join" { n + dim_n } else { n };
+        for (ki, (name, logical, join_algo)) in plans(&bench).iter().enumerate() {
+            let physical = bench.compile(logical, *join_algo);
+            // Join input rows = both sides.
+            let input_rows = if name.ends_with("_join") { n + dim_n } else { n };
             let secs = time_it(measure_secs, || bench.run(&physical));
             let rps = input_rows as f64 / secs;
-            eprintln!("  {name:<16} {rps:>14.0} rows/sec  ({:.1} ms/iter)", secs * 1e3);
+            eprintln!("  {name:<20} {rps:>14.0} rows/sec  ({:.1} ms/iter)", secs * 1e3);
             rates[ki].1.push((n, rps));
         }
 
@@ -355,7 +378,7 @@ fn main() {
         for (name, amount, unit, leg) in legs {
             let secs = time_it(measure_secs, leg);
             let rate = amount / secs;
-            eprintln!("  {name:<16} {rate:>14.0} {unit}  ({:.1} ms/iter)", secs * 1e3);
+            eprintln!("  {name:<20} {rate:>14.0} {unit}  ({:.1} ms/iter)", secs * 1e3);
             let slot = rates.iter_mut().find(|(k, _)| k == name).expect("leg is in `names`");
             slot.1.push((n, rate));
         }
@@ -408,10 +431,10 @@ fn main() {
     // intended operators (guards against optimizer rewrites silently
     // changing what this benchmark measures).
     let bench = Bench::new(64, 8, 7);
-    for (name, logical) in plans(&bench) {
-        let physical = bench.compile(&logical);
+    for (name, logical, join_algo) in plans(&bench) {
+        let physical = bench.compile(&logical, join_algo);
         let mut kinds = Vec::new();
-        fn walk(p: &cv_engine::physical::PhysicalPlan, out: &mut Vec<&'static str>) {
+        fn walk(p: &PhysicalPlan, out: &mut Vec<&'static str>) {
             out.push(p.kind_name());
             for c in p.children() {
                 walk(c, out);
@@ -422,8 +445,9 @@ fn main() {
             "filter" | "filter_str_eq" | "filter_wide" => "Filter",
             "project" => "Project",
             "hash_join" => "HashJoin",
-            "hash_aggregate" => "HashAggregate",
-            "sort" => "Sort",
+            "merge_join" => "MergeJoin",
+            "hash_aggregate" | "hash_aggregate_high" => "HashAggregate",
+            "sort" | "sort_desc_float" => "Sort",
             _ => unreachable!(),
         };
         assert!(kinds.contains(&want), "{name}: compiled plan lost its {want} operator");

@@ -64,8 +64,14 @@ impl Dataset {
         self.data.num_rows()
     }
 
+    /// Byte size of the current contents: the figure stamped on the
+    /// current version when it was minted (every path that replaces `data`
+    /// mints one), not a fresh O(rows) walk over the table's strings —
+    /// the optimizer asks per estimate and every scan per execution.
     pub fn bytes(&self) -> u64 {
-        self.data.byte_size()
+        let bytes = self.current_version().bytes;
+        debug_assert_eq!(bytes, self.data.byte_size(), "version bytes stale for `{}`", self.name);
+        bytes
     }
 
     /// The previous generation's snapshot, if the latest update was
@@ -509,6 +515,32 @@ mod tests {
         let ds = cat.get(id).unwrap();
         assert!(ds.last_delta().is_none());
         assert!(ds.prev_snapshot().is_none());
+    }
+
+    /// `Dataset::bytes` reads the current version's stamp; every way the
+    /// contents change must leave that stamp equal to the table's size.
+    #[test]
+    fn bytes_is_the_current_versions_stamp_after_every_kind_of_update() {
+        let mut cat = DatasetCatalog::new();
+        let id = cat.register("users", users_table(&[1, 2, 3]), SimTime::EPOCH).unwrap();
+        let check = |cat: &DatasetCatalog, what: &str| {
+            let ds = cat.get(id).unwrap();
+            assert_eq!(ds.bytes(), ds.data().byte_size(), "{what}");
+            assert_eq!(ds.bytes(), ds.current_version().bytes, "{what}");
+            assert_eq!(cat.total_bytes(), ds.bytes(), "{what}");
+        };
+        check(&cat, "register");
+        cat.bulk_update(id, users_table(&[1, 2, 3, 4, 5]), SimTime::from_days(1.0)).unwrap();
+        check(&cat, "bulk update");
+        cat.bulk_update_diff(id, users_table(&[2, 3, 4, 5, 6, 7]), SimTime::from_days(2.0))
+            .unwrap();
+        check(&cat, "delta update");
+        cat.gdpr_forget(id, "user_id", &Value::Int(4), SimTime::from_days(3.0)).unwrap();
+        check(&cat, "GDPR forget");
+        // A registered window is compacted: the stamp is the window's size.
+        let window = users_table(&[1, 2, 3, 4]).slice(1, 2);
+        let wid = cat.register("window", window, SimTime::EPOCH).unwrap();
+        assert_eq!(cat.get(wid).unwrap().bytes(), cat.get(wid).unwrap().data().byte_size());
     }
 
     #[test]

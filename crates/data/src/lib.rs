@@ -23,6 +23,7 @@ pub mod delta;
 pub mod digest;
 pub mod schema;
 pub mod sharded;
+pub mod sortkey;
 pub mod store_api;
 pub mod table;
 pub mod value;

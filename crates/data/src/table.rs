@@ -7,11 +7,10 @@
 //! operators need no second code path.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, ColumnBuilder, ColumnView};
+use crate::column::{Column, ColumnBuilder};
 use crate::schema::SchemaRef;
 use crate::value::Value;
 use cv_common::{CvError, Result};
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -228,44 +227,15 @@ impl Table {
         Table::new(self.schema.clone(), columns?)
     }
 
-    /// Stable sort by the given column indices (ascending flags parallel).
-    ///
-    /// Comparisons read the typed buffers directly — no per-comparison
-    /// boxing into [`Value`]. NULLs sort first ascending (mirroring
-    /// `Value::total_cmp`, where Null is the smallest rank), floats use
-    /// `f64::total_cmp` so NaN and signed zero order deterministically.
+    /// Stable sort by the given column indices (ascending flags parallel):
+    /// a gather through [`crate::sortkey::order_rows`]. NULLs sort first
+    /// ascending (mirroring `Value::total_cmp`, where Null is the smallest
+    /// rank), floats by `f64::total_cmp` so NaN and signed zero order
+    /// deterministically.
     pub fn sort_by(&self, keys: &[(usize, bool)]) -> Result<Table> {
-        fn cmp_in_col(c: &Column, view: ColumnView<'_>, a: usize, b: usize) -> Ordering {
-            match (c.is_null(a), c.is_null(b)) {
-                (true, true) => return Ordering::Equal,
-                (true, false) => return Ordering::Less,
-                (false, true) => return Ordering::Greater,
-                (false, false) => {}
-            }
-            match view {
-                ColumnView::Bool(v) => v[a].cmp(&v[b]),
-                ColumnView::Int(v) => v[a].cmp(&v[b]),
-                ColumnView::Float(v) => v[a].total_cmp(&v[b]),
-                ColumnView::Str(v) => v[a].cmp(&v[b]),
-                ColumnView::Date(v) => v[a].cmp(&v[b]),
-            }
-        }
-        let key_cols: Vec<(&Column, ColumnView<'_>, bool)> = keys
-            .iter()
-            .map(|&(ci, asc)| (&self.columns[ci], self.columns[ci].view(), asc))
-            .collect();
-        let mut indices: Vec<usize> = (0..self.rows).collect();
-        indices.sort_by(|&a, &b| {
-            for &(col, view, asc) in &key_cols {
-                let ord = cmp_in_col(col, view, a, b);
-                let ord = if asc { ord } else { ord.reverse() };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
-        self.take(&indices)
+        let key_cols: Vec<(&Column, bool)> =
+            keys.iter().map(|&(ci, asc)| (&self.columns[ci], asc)).collect();
+        self.take(&crate::sortkey::order_rows(&key_cols, self.rows))
     }
 
     /// Approximate in-memory size in bytes.

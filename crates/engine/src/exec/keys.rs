@@ -59,18 +59,6 @@ fn str_key_hash(s: &str) -> u64 {
     mix64(h ^ STR_TAG)
 }
 
-/// Hash of a single (valid) cell, typed. The caller must have checked the
-/// row is non-null.
-pub(super) fn value_hash(c: &Column, i: usize) -> u64 {
-    match c.view() {
-        ColumnView::Bool(v) => mix64(v[i] as u64 ^ BOOL_TAG),
-        ColumnView::Int(v) => f64_key_hash(v[i] as f64),
-        ColumnView::Float(v) => f64_key_hash(v[i]),
-        ColumnView::Str(v) => str_key_hash(&v[i]),
-        ColumnView::Date(v) => mix64(v[i] as i64 as u64 ^ DATE_TAG),
-    }
-}
-
 /// Type rank matching `Value::total_cmp` (Int and Float share a rank and
 /// compare numerically).
 fn rank(t: DataType) -> u8 {
@@ -140,6 +128,14 @@ impl<'a> KeyCols<'a> {
 
     pub fn from_table(t: &'a Table, idx: &[usize]) -> KeyCols<'a> {
         KeyCols::new(idx.iter().map(|&i| t.column(i)).collect(), t.num_rows())
+    }
+
+    /// The typed rows of a one-column key; `None` for a composite key.
+    pub fn single(&self) -> Option<ColumnView<'a>> {
+        match &self.cols[..] {
+            [(_, view)] => Some(*view),
+            _ => None,
+        }
     }
 
     /// True if any key component of the row is NULL.
@@ -251,24 +247,30 @@ mod tests {
         Column::from_values(dtype, vals).unwrap()
     }
 
+    /// One-column value hashes, as COUNT(DISTINCT) takes them.
+    fn value_hashes(c: &Column) -> Vec<u64> {
+        KeyCols::new(vec![c], c.len()).group_hashes()
+    }
+
     #[test]
     fn int_and_float_hash_equal_but_str_differs() {
         // Int(1) and Float(1.0) are equal under total_cmp and must share a
         // bucket; the string "1" must not collide with either (the old
         // COUNT(DISTINCT) string-rendering bug).
-        let ints = col(DataType::Int, &[Value::Int(1)]);
-        let floats = col(DataType::Float, &[Value::Float(1.0)]);
-        let strs = col(DataType::Str, &[Value::Str("1".into())]);
-        assert_eq!(value_hash(&ints, 0), value_hash(&floats, 0));
-        assert_ne!(value_hash(&ints, 0), value_hash(&strs, 0));
+        let ints = value_hashes(&col(DataType::Int, &[Value::Int(1)]));
+        let floats = value_hashes(&col(DataType::Float, &[Value::Float(1.0)]));
+        let strs = value_hashes(&col(DataType::Str, &[Value::Str("1".into())]));
+        assert_eq!(ints, floats);
+        assert_ne!(ints, strs);
     }
 
     #[test]
     fn zero_signs_and_nans_collapse() {
-        let f = col(DataType::Float, &[Value::Float(0.0), Value::Float(-0.0)]);
-        assert_eq!(value_hash(&f, 0), value_hash(&f, 1));
-        let nans = col(DataType::Float, &[Value::Float(f64::NAN), Value::Float(-f64::NAN)]);
-        assert_eq!(value_hash(&nans, 0), value_hash(&nans, 1));
+        let f = value_hashes(&col(DataType::Float, &[Value::Float(0.0), Value::Float(-0.0)]));
+        assert_eq!(f[0], f[1]);
+        let nans =
+            value_hashes(&col(DataType::Float, &[Value::Float(f64::NAN), Value::Float(-f64::NAN)]));
+        assert_eq!(nans[0], nans[1]);
     }
 
     #[test]

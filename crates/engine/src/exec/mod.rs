@@ -41,31 +41,31 @@
 //!   order, against the shared [`EvalCtx`] counter, reproducing the
 //!   monolithic sequence exactly.
 
+mod aggregate;
+mod join;
 mod keys;
 pub mod morsel;
 pub mod opstate;
+mod sort;
 
 use crate::cost::CostModel;
 use crate::expr::eval::{eval, eval_predicate, EvalCtx};
-use crate::expr::{AggExpr, AggFunc, ScalarExpr};
 use crate::obs::ObsSink;
 use crate::physical::{JoinAlgo, JoinAlgoCounts, PhysicalPlan};
-use crate::plan::JoinKind;
 use crate::udo::UdoRegistry;
+use aggregate::hash_aggregate;
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{CvError, Result, SimTime};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::chunk::{chunk_ranges, ChunkedTable};
-use cv_data::column::{Column, ColumnBuilder, ColumnView};
-use cv_data::schema::{Schema, SchemaRef};
+use cv_data::schema::SchemaRef;
 use cv_data::table::Table;
-use cv_data::value::Value;
 use cv_data::viewstore::{MaterializedView, ViewSource};
-use keys::KeyCols;
+pub use join::JoinBuildState;
+use join::{build_join_state, hash_join_probe, loop_join, merge_join, restore_swapped_columns};
 pub use morsel::{MorselRunner, SerialRunner};
 pub use opstate::{OpState, OpStateAcquire, OpStateEntry, OpStateSource};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Receives sealed view chunks as a spool produces them, before the view is
@@ -391,7 +391,7 @@ fn exec_node_inner(
                     "stale plan: dataset `{dataset}` was regenerated since compilation"
                 )));
             }
-            let out = OpOutput::new(ds.data().clone());
+            let out = OpOutput { table: ds.data().clone(), bytes: ds.bytes() };
             metrics.input_bytes += out.bytes;
             metrics.data_read_bytes += out.bytes;
             let work = model.scan(out.bytes as f64).total();
@@ -678,18 +678,7 @@ fn exec_node_inner(
                     return Err(e);
                 }
             };
-            let sorted = (|| -> Result<Table> {
-                let mut resolved = Vec::with_capacity(keys.len());
-                for (name, asc) in keys {
-                    let idx = in_table
-                        .schema()
-                        .index_of(name)
-                        .ok_or_else(|| CvError::exec(format!("sort key `{name}` missing")))?;
-                    resolved.push((idx, *asc));
-                }
-                in_table.sort_by(&resolved)
-            })();
-            let out = match sorted {
+            let out = match sort::sort_table(&in_table, keys) {
                 Ok(t) => t,
                 Err(e) => {
                     if acq.claimed {
@@ -882,661 +871,14 @@ fn push_skipped_profiles(plan: &PhysicalPlan, metrics: &mut ExecMetrics) {
     });
 }
 
-/// Hash-table keys coming out of the key kernel are already
-/// avalanche-mixed, so the join/aggregate maps use them verbatim instead of
-/// paying SipHash per lookup. Public because snapshot types in
-/// [`opstate`] carry these maps across executions.
-#[derive(Default)]
-pub struct PreHashed(u64);
-
-impl std::hash::Hasher for PreHashed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("PreHashed maps only take u64 keys")
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-pub type PreHashedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PreHashed>>;
-
-/// Row-at-a-time key equality — reference semantics, kept for `loop_join`
-/// (the differential baseline the vectorized paths are tested against).
-fn keys_equal(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.sql_eq(y) == Some(true))
-}
-
-/// Resolve join key columns to indices.
-fn resolve_keys(
-    left: &Table,
-    right: &Table,
-    on: &[(String, String)],
-) -> Result<(Vec<usize>, Vec<usize>)> {
-    let mut l = Vec::with_capacity(on.len());
-    let mut r = Vec::with_capacity(on.len());
-    for (lk, rk) in on {
-        l.push(
-            left.schema()
-                .index_of(lk)
-                .ok_or_else(|| CvError::exec(format!("left join key `{lk}` missing")))?,
-        );
-        r.push(
-            right
-                .schema()
-                .index_of(rk)
-                .ok_or_else(|| CvError::exec(format!("right join key `{rk}` missing")))?,
-        );
-    }
-    Ok((l, r))
-}
-
-fn key_row(t: &Table, cols: &[usize], row: usize) -> Vec<Value> {
-    cols.iter().map(|&c| t.column(c).value(row)).collect()
-}
-
-/// Assemble join output from matched index pairs. `right_idx == usize::MAX`
-/// marks a left-outer miss (right side padded with NULLs).
-fn build_join_output(
-    left: &Table,
-    right: &Table,
-    pairs: &[(usize, usize)],
-    kind: JoinKind,
-) -> Result<Table> {
-    let left_idx: Vec<usize> = pairs.iter().map(|&(l, _)| l).collect();
-    let right_idx: Vec<usize> = pairs.iter().map(|&(_, r)| r).collect();
-    join_output_from_indices(left, right, &left_idx, &right_idx, kind)
-}
-
-/// Rotate a side-swapped join's output columns back into the logical
-/// order. The lowered plan emits `lowered_left ++ lowered_right`; for a
-/// swapped join that is `logical_right ++ logical_left`, so the first
-/// `probe_width` columns move to the back. Column handles are shared, so
-/// this is O(columns), not O(rows).
-fn restore_swapped_columns(out: Table, swapped: bool, probe_width: usize) -> Result<Table> {
-    if !swapped {
-        return Ok(out);
-    }
-    let fields: Vec<_> = out.schema().fields()[probe_width..]
-        .iter()
-        .chain(&out.schema().fields()[..probe_width])
-        .cloned()
-        .collect();
-    let mut columns = out.columns()[probe_width..].to_vec();
-    columns.extend_from_slice(&out.columns()[..probe_width]);
-    Table::new(Schema::new(fields)?.into_ref(), columns)
-}
-
-fn join_output_from_indices(
-    left: &Table,
-    right: &Table,
-    left_idx: &[usize],
-    right_idx: &[usize],
-    kind: JoinKind,
-) -> Result<Table> {
-    let left_part = left.take(left_idx)?;
-    if kind == JoinKind::Semi {
-        return Ok(left_part);
-    }
-    // Typed padded gather: `usize::MAX` indices become NULL rows directly,
-    // without materializing a copy of the right table first.
-    let schema = left.schema().join(right.schema())?.into_ref();
-    let mut columns = left_part.columns().to_vec();
-    for col in right.columns() {
-        columns.push(col.take_padded(right_idx, usize::MAX));
-    }
-    Table::new(schema, columns)
-}
-
-/// The finished hash-join build side — a pipeline-breaker state the
-/// operator-state cache can snapshot and restore: the materialized build
-/// table, its resolved key column indices, and the hash→rows map.
-#[derive(Debug)]
-pub struct JoinBuildState {
-    pub table: Table,
-    pub key_cols: Vec<usize>,
-    pub ht: PreHashedMap<Vec<usize>>,
-}
-
-impl JoinBuildState {
-    /// Approximate resident bytes: the table plus hash-map overhead.
-    pub fn byte_size(&self) -> u64 {
-        self.table.byte_size() + self.ht.len() as u64 * 48
-    }
-}
-
-/// Build side is a pipeline breaker: hash the build table column-wise in
-/// one pass and construct the lookup map before any probe chunk runs.
-fn build_join_state(right: &Table, on: &[(String, String)]) -> Result<JoinBuildState> {
-    let mut rk = Vec::with_capacity(on.len());
-    for (_, name) in on {
-        rk.push(
-            right
-                .schema()
-                .index_of(name)
-                .ok_or_else(|| CvError::exec(format!("right join key `{name}` missing")))?,
-        );
-    }
-    let rkeys = KeyCols::from_table(right, &rk);
-    let (rh, rvalid) = rkeys.join_hashes();
-    let mut ht: PreHashedMap<Vec<usize>> = PreHashedMap::default();
-    for row in 0..right.num_rows() {
-        if rvalid[row] {
-            ht.entry(rh[row]).or_default().push(row);
-        }
-    }
-    // The state may be published to the operator-state cache: it owns its rows.
-    Ok(JoinBuildState { table: right.clone().compact(), key_cols: rk, ht })
-}
-
-/// The probe side streams chunk-at-a-time against the (possibly restored)
-/// build state. Each chunk emits its own output slice (chunk-local left
-/// rows ascending, candidates ascending), so chunk-order reassembly
-/// reproduces the monolithic emit order exactly.
-fn hash_join_probe(
-    left: &Table,
-    state: &JoinBuildState,
-    on: &[(String, String)],
-    kind: JoinKind,
-    ctx: &mut ExecContext<'_>,
-) -> Result<(Table, usize)> {
-    let mut lk = Vec::with_capacity(on.len());
-    for (name, _) in on {
-        lk.push(
-            left.schema()
-                .index_of(name)
-                .ok_or_else(|| CvError::exec(format!("left join key `{name}` missing")))?,
-        );
-    }
-    let right = &state.table;
-    let rkeys = KeyCols::from_table(right, &state.key_cols);
-    let ht = &state.ht;
-    let probe = |chunk: &Table| -> Result<Table> {
-        let lkeys = KeyCols::from_table(chunk, &lk);
-        let (lh, lvalid) = lkeys.join_hashes();
-        let mut left_idx: Vec<usize> = Vec::new();
-        let mut right_idx: Vec<usize> = Vec::new();
-        for lrow in 0..chunk.num_rows() {
-            let mut matched = false;
-            if lvalid[lrow] {
-                if let Some(cands) = ht.get(&lh[lrow]) {
-                    for &rrow in cands {
-                        if lkeys.rows_eq_sql(lrow, &rkeys, rrow) {
-                            match kind {
-                                JoinKind::Semi => {
-                                    matched = true;
-                                    break;
-                                }
-                                _ => {
-                                    left_idx.push(lrow);
-                                    right_idx.push(rrow);
-                                    matched = true;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            match kind {
-                JoinKind::Semi if matched => {
-                    left_idx.push(lrow);
-                    right_idx.push(usize::MAX);
-                }
-                JoinKind::Left if !matched => {
-                    left_idx.push(lrow);
-                    right_idx.push(usize::MAX);
-                }
-                _ => {}
-            }
-        }
-        join_output_from_indices(chunk, right, &left_idx, &right_idx, kind)
-    };
-    stream_chunks(left, ctx, true, &|chunk, _| probe(chunk))
-}
-
-fn loop_join(
-    left: &Table,
-    right: &Table,
-    on: &[(String, String)],
-    kind: JoinKind,
-) -> Result<Table> {
-    let (lk, rk) = resolve_keys(left, right, on)?;
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for lrow in 0..left.num_rows() {
-        let lkey = key_row(left, &lk, lrow);
-        let mut matched = false;
-        for rrow in 0..right.num_rows() {
-            if keys_equal(&lkey, &key_row(right, &rk, rrow)) {
-                match kind {
-                    JoinKind::Semi => {
-                        matched = true;
-                        break;
-                    }
-                    _ => {
-                        pairs.push((lrow, rrow));
-                        matched = true;
-                    }
-                }
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => pairs.push((lrow, usize::MAX)),
-            JoinKind::Left if !matched => pairs.push((lrow, usize::MAX)),
-            _ => {}
-        }
-    }
-    build_join_output(left, right, &pairs, kind)
-}
-
-fn merge_join(
-    left: &Table,
-    right: &Table,
-    on: &[(String, String)],
-    kind: JoinKind,
-) -> Result<Table> {
-    let (lk, rk) = resolve_keys(left, right, on)?;
-    let lkeys = KeyCols::from_table(left, &lk);
-    let rkeys = KeyCols::from_table(right, &rk);
-    // Sort both sides by key; keep a mapping back to original row ids so the
-    // output is assembled against the *original* tables.
-    let lsorted: Vec<usize> = sorted_indices(left, &lk);
-    let rsorted: Vec<usize> = sorted_indices(right, &rk);
-
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lsorted.len() {
-        let lrow0 = lsorted[i];
-        if lkeys.has_null(lrow0) {
-            // NULL keys never match.
-            if kind != JoinKind::Inner && kind != JoinKind::Semi {
-                pairs.push((lrow0, usize::MAX));
-            }
-            i += 1;
-            continue;
-        }
-        // Advance right to the first key ≥ the current left key.
-        while j < rsorted.len()
-            && (rkeys.has_null(rsorted[j]) || rkeys.cmp_rows(rsorted[j], &lkeys, lrow0).is_lt())
-        {
-            j += 1;
-        }
-        // Collect the right group equal to the current left key.
-        let mut j_end = j;
-        while j_end < rsorted.len() && rkeys.cmp_rows(rsorted[j_end], &lkeys, lrow0).is_eq() {
-            j_end += 1;
-        }
-        // Emit for every left row in this equal group.
-        let mut i_end = i;
-        while i_end < lsorted.len() && lkeys.cmp_rows(lsorted[i_end], &lkeys, lrow0).is_eq() {
-            i_end += 1;
-        }
-        for &lrow in &lsorted[i..i_end] {
-            if j_end > j {
-                match kind {
-                    JoinKind::Semi => pairs.push((lrow, usize::MAX)),
-                    _ => {
-                        for &rrow in &rsorted[j..j_end] {
-                            pairs.push((lrow, rrow));
-                        }
-                    }
-                }
-            } else if kind == JoinKind::Left {
-                pairs.push((lrow, usize::MAX));
-            }
-        }
-        i = i_end;
-    }
-    // Keep output order deterministic (by left row id, then right row id).
-    pairs.sort_unstable();
-    build_join_output(left, right, &pairs, kind)
-}
-
-fn sorted_indices(t: &Table, keys: &[usize]) -> Vec<usize> {
-    let kc = KeyCols::from_table(t, keys);
-    let mut idx: Vec<usize> = (0..t.num_rows()).collect();
-    idx.sort_by(|&a, &b| kc.cmp_rows(a, &kc, b));
-    idx
-}
-
-/// Numeric widening matching `Value::as_f64` (Int, Float, Date → f64).
-#[inline]
-fn num_at(col: &Column, row: usize) -> Option<f64> {
-    match col.view() {
-        ColumnView::Int(v) => Some(v[row] as f64),
-        ColumnView::Float(v) => Some(v[row]),
-        ColumnView::Date(v) => Some(v[row] as f64),
-        _ => None,
-    }
-}
-
-/// One aggregate's argument columns across all input chunks. Accumulators
-/// address cells as `(chunk, row)` pairs so MIN/MAX can keep a handle to
-/// the best cell without copying values out of chunk buffers.
-struct ArgView<'a> {
-    by_chunk: &'a [Vec<Option<Column>>],
-    agg: usize,
-}
-
-impl ArgView<'_> {
-    fn at(&self, chunk: usize) -> Option<&Column> {
-        self.by_chunk[chunk][self.agg].as_ref()
-    }
-}
-
-/// One aggregate accumulator. Updates read typed cells straight off the
-/// per-chunk argument columns — no per-row [`Value`] boxing, no string
-/// rendering.
-enum Acc {
-    Count(i64),
-    /// DISTINCT keyed on typed value hashes from the key-hash kernel, not
-    /// on string rendering (which conflated distinct values that happen to
-    /// render alike).
-    Distinct(std::collections::HashSet<u64>),
-    /// SUM over INT accumulates in checked i64 — overflow is an execution
-    /// error, not a silent drift through f64 rounding.
-    SumInt {
-        total: i64,
-        any: bool,
-    },
-    SumFloat {
-        total: f64,
-        any: bool,
-        int_out: bool,
-    },
-    MinRow(Option<(usize, usize)>),
-    MaxRow(Option<(usize, usize)>),
-    Avg {
-        total: f64,
-        count: i64,
-    },
-}
-
-impl Acc {
-    fn new(func: AggFunc, int_out: bool, arg_dtype: Option<cv_data::value::DataType>) -> Acc {
-        match func {
-            AggFunc::Count => Acc::Count(0),
-            AggFunc::CountDistinct => Acc::Distinct(Default::default()),
-            AggFunc::Sum => {
-                if int_out && arg_dtype == Some(cv_data::value::DataType::Int) {
-                    Acc::SumInt { total: 0, any: false }
-                } else {
-                    Acc::SumFloat { total: 0.0, any: false, int_out }
-                }
-            }
-            AggFunc::Min => Acc::MinRow(None),
-            AggFunc::Max => Acc::MaxRow(None),
-            AggFunc::Avg => Acc::Avg { total: 0.0, count: 0 },
-        }
-    }
-
-    fn update(&mut self, arg: &ArgView<'_>, cell: (usize, usize)) -> Result<()> {
-        let (chunk, row) = cell;
-        match self {
-            Acc::Count(c) => {
-                // COUNT(*) gets None arg (count every row); COUNT(x) counts
-                // non-null x.
-                match arg.at(chunk) {
-                    None => *c += 1,
-                    Some(col) if !col.is_null(row) => *c += 1,
-                    _ => {}
-                }
-            }
-            Acc::Distinct(set) => {
-                if let Some(col) = arg.at(chunk) {
-                    if !col.is_null(row) {
-                        set.insert(keys::value_hash(col, row));
-                    }
-                }
-            }
-            Acc::SumInt { total, any } => {
-                if let Some(col) = arg.at(chunk) {
-                    if !col.is_null(row) {
-                        *total = total
-                            .checked_add(col.ints()[row])
-                            .ok_or_else(|| CvError::exec("SUM(INT) overflow"))?;
-                        *any = true;
-                    }
-                }
-            }
-            Acc::SumFloat { total, any, .. } => {
-                if let Some(col) = arg.at(chunk) {
-                    if !col.is_null(row) {
-                        if let Some(f) = num_at(col, row) {
-                            *total += f;
-                            *any = true;
-                        }
-                    }
-                }
-            }
-            Acc::MinRow(best) => {
-                if let Some(col) = arg.at(chunk) {
-                    if !col.is_null(row)
-                        && best.is_none_or(|(bc, br)| {
-                            keys::cmp_cells(col, row, arg.at(bc).expect("best cell column"), br)
-                                .is_lt()
-                        })
-                    {
-                        *best = Some(cell);
-                    }
-                }
-            }
-            Acc::MaxRow(best) => {
-                if let Some(col) = arg.at(chunk) {
-                    if !col.is_null(row)
-                        && best.is_none_or(|(bc, br)| {
-                            keys::cmp_cells(col, row, arg.at(bc).expect("best cell column"), br)
-                                .is_gt()
-                        })
-                    {
-                        *best = Some(cell);
-                    }
-                }
-            }
-            Acc::Avg { total, count } => {
-                if let Some(col) = arg.at(chunk) {
-                    if !col.is_null(row) {
-                        if let Some(f) = num_at(col, row) {
-                            *total += f;
-                            *count += 1;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Read out the final value. Takes `&self` so the chunked output
-    /// emitter can finish groups from shared state in parallel.
-    fn finish(&self, arg: &ArgView<'_>) -> Value {
-        match self {
-            Acc::Count(c) => Value::Int(*c),
-            Acc::Distinct(set) => Value::Int(set.len() as i64),
-            Acc::SumInt { total, any } => {
-                if *any {
-                    Value::Int(*total)
-                } else {
-                    Value::Null
-                }
-            }
-            Acc::SumFloat { total, any, int_out } => {
-                if !*any {
-                    Value::Null
-                } else if *int_out {
-                    Value::Int(*total as i64)
-                } else {
-                    Value::Float(*total)
-                }
-            }
-            Acc::MinRow(best) | Acc::MaxRow(best) => match best {
-                Some((chunk, row)) => arg.at(*chunk).map_or(Value::Null, |col| col.value(*row)),
-                None => Value::Null,
-            },
-            Acc::Avg { total, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(total / *count as f64)
-                }
-            }
-        }
-    }
-}
-
-fn hash_aggregate(
-    input: &Table,
-    group_by: &[(ScalarExpr, String)],
-    aggs: &[AggExpr],
-    schema: &SchemaRef,
-    ctx: &mut ExecContext<'_>,
-) -> Result<(Table, usize)> {
-    // Phase 1 — evaluate group keys and aggregate arguments chunk-at-a-time
-    // (the parallelizable part, fanned through the morsel runner). Phase 2 —
-    // accumulate serially in global row order, so order-sensitive
-    // accumulation (float SUM/AVG) produces the monolithic bit pattern at
-    // every chunk size and worker count.
-    let det = group_by.iter().all(|(e, _)| e.is_deterministic())
-        && aggs.iter().all(AggExpr::is_deterministic);
-    let chunk_size = if det { ctx.chunk_size } else { usize::MAX };
-    let ranges = chunk_ranges(input.num_rows(), chunk_size);
-
-    let eval_chunk = |t: &Table, ec: &mut EvalCtx| -> Result<(Vec<Column>, Vec<Option<Column>>)> {
-        let keys: Result<Vec<_>> = group_by.iter().map(|(e, _)| eval(e, t, ec)).collect();
-        let args: Result<Vec<Option<_>>> =
-            aggs.iter().map(|a| a.arg.as_ref().map(|e| eval(e, t, ec)).transpose()).collect();
-        Ok((keys?, args?))
-    };
-    let (keys_by_chunk, args_by_chunk): (Vec<Vec<Column>>, Vec<Vec<Option<Column>>>) =
-        map_chunks(input, ctx, det, &eval_chunk)?.into_iter().unzip();
-
-    // SUM over an INT input produces INT; detect from the output schema.
-    let int_sum: Vec<bool> = aggs
-        .iter()
-        .enumerate()
-        .map(|(i, _)| schema.field(group_by.len() + i).dtype == cv_data::value::DataType::Int)
-        .collect();
-    let arg_dtypes: Vec<Option<cv_data::value::DataType>> =
-        args_by_chunk[0].iter().map(|c| c.as_ref().map(Column::dtype)).collect();
-    let new_accs = || -> Vec<Acc> {
-        aggs.iter().enumerate().map(|(i, a)| Acc::new(a.func, int_sum[i], arg_dtypes[i])).collect()
-    };
-
-    // Groups remember their first input cell (chunk, row); key output
-    // columns are rebuilt from those representative cells at the end — no
-    // per-row key boxing.
-    struct Group {
-        first: (usize, usize),
-        accs: Vec<Acc>,
-    }
-    let kcs: Vec<KeyCols<'_>> = keys_by_chunk
-        .iter()
-        .zip(&ranges)
-        .map(|(cols, &(_, len))| KeyCols::new(cols.iter().collect(), len))
-        .collect();
-    let mut groups: Vec<Group> = Vec::new();
-    let mut index: PreHashedMap<Vec<usize>> = PreHashedMap::default();
-    for (c, kc) in kcs.iter().enumerate() {
-        let hashes = kc.group_hashes();
-        for (row, &h) in hashes.iter().enumerate() {
-            let slot = index.entry(h).or_default();
-            let gid = slot
-                .iter()
-                .copied()
-                .find(|&g| {
-                    let (gc, gr) = groups[g].first;
-                    kcs[gc].rows_eq_group(gr, kc, row)
-                })
-                .unwrap_or_else(|| {
-                    let gid = groups.len();
-                    groups.push(Group { first: (c, row), accs: new_accs() });
-                    slot.push(gid);
-                    gid
-                });
-            for (i, acc) in groups[gid].accs.iter_mut().enumerate() {
-                acc.update(&ArgView { by_chunk: &args_by_chunk, agg: i }, (c, row))?;
-            }
-        }
-    }
-
-    // Global aggregate over empty input still yields one group.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.push(Group { first: (0, 0), accs: new_accs() });
-    }
-
-    // Canonical output order: sort group ids by their representative key
-    // cells ascending (NULLs first), the exact order `Table::sort_by` over
-    // the key columns produces. First-encounter order is an artifact of
-    // input row order; sorting makes aggregate output a pure function of
-    // the input *multiset*, so an incrementally maintained aggregate
-    // (cv-ivm) emitted from group state is byte-identical to inline
-    // execution. Distinct groups never compare equal, so the order is
-    // total and stability is irrelevant.
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    if !group_by.is_empty() {
-        order.sort_by(|&a, &b| {
-            let (ac, ar) = groups[a].first;
-            let (bc, br) = groups[b].first;
-            for (ka, kb) in keys_by_chunk[ac].iter().zip(&keys_by_chunk[bc]).take(group_by.len()) {
-                let o = keys::cmp_cells(ka, ar, kb, br);
-                if o != std::cmp::Ordering::Equal {
-                    return o;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    // Final merge streams chunk-at-a-time: each output chunk rebuilds its
-    // slice of key columns from representative cells and finishes its
-    // accumulators independently, then chunk-order reassembly normalizes —
-    // no monolithic materialize-then-sort. Builders produce the canonical
-    // validity form, so output bytes are independent of which chunk a
-    // representative landed in and of the emit fan-out.
-    let emit = |off: usize, len: usize| -> Result<Table> {
-        let mut columns: Vec<Column> = Vec::with_capacity(schema.len());
-        for (k, key0) in keys_by_chunk[0].iter().enumerate().take(group_by.len()) {
-            let mut b = ColumnBuilder::with_capacity(key0.dtype(), len);
-            for &g in &order[off..off + len] {
-                let (gc, gr) = groups[g].first;
-                b.push(&keys_by_chunk[gc][k].value(gr))?;
-            }
-            columns.push(b.finish());
-        }
-        for i in 0..aggs.len() {
-            let mut b = ColumnBuilder::with_capacity(schema.field(group_by.len() + i).dtype, len);
-            let view = ArgView { by_chunk: &args_by_chunk, agg: i };
-            for &g in &order[off..off + len] {
-                b.push(&groups[g].accs[i].finish(&view))?;
-            }
-            columns.push(b.finish());
-        }
-        Table::new(schema.clone(), columns)
-    };
-    let out_ranges = chunk_ranges(order.len(), chunk_size);
-    let out_chunks: Vec<Table> = if out_ranges.len() == 1 {
-        vec![emit(out_ranges[0].0, out_ranges[0].1)?]
-    } else {
-        morsel::run_indexed(ctx.runner.as_ref(), out_ranges.len(), &|i| {
-            let (off, len) = out_ranges[i];
-            emit(off, len)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?
-    };
-    let out = Table::from_chunks(schema.clone(), &out_chunks)?;
-    Ok((out, ranges.len() + out_ranges.len() - 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit};
+    use crate::expr::{col, lit, AggExpr, AggFunc, ScalarExpr};
     use crate::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext};
-    use crate::plan::{LogicalPlan, PlanBuilder};
+    use crate::plan::{JoinKind, LogicalPlan, PlanBuilder};
     use cv_data::schema::{Field, Schema};
-    use cv_data::value::DataType;
+    use cv_data::value::{DataType, Value};
     use cv_data::viewstore::ViewStore;
     use std::sync::Arc;
 

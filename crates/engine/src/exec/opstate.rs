@@ -246,8 +246,8 @@ pub fn state_deps(plan: &PhysicalPlan) -> (Vec<Sig128>, Vec<(String, VersionGuid
 #[derive(Debug)]
 pub enum OpState {
     /// A hash-join build side: the materialized build table, resolved key
-    /// column indices, and the `PreHashed` hash→rows map, restored directly
-    /// under the probe loop.
+    /// column indices, and the chained hash table over its rows, restored
+    /// directly under the probe loop.
     JoinBuild(JoinBuildState),
     /// A hash-aggregate's finished, canonically ordered group state. The
     /// accumulators have been folded; restoring replays the operator's

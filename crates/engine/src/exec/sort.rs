@@ -1,0 +1,17 @@
+//! ORDER BY: resolve the key names and gather the input through the
+//! sort-once row order ([`cv_data::sortkey`], via [`Table::sort_by`]).
+
+use cv_common::{CvError, Result};
+use cv_data::table::Table;
+
+pub(super) fn sort_table(input: &Table, keys: &[(String, bool)]) -> Result<Table> {
+    let mut resolved = Vec::with_capacity(keys.len());
+    for (name, ascending) in keys {
+        let idx = input
+            .schema()
+            .index_of(name)
+            .ok_or_else(|| CvError::exec(format!("sort key `{name}` missing")))?;
+        resolved.push((idx, *ascending));
+    }
+    input.sort_by(&resolved)
+}

@@ -410,6 +410,35 @@ impl Inner {
         if self.faults.fires(FaultPoint::ViewExpiryRace, &sig_key(sig)) {
             return Err(ViewReadFault::ExpiryRace);
         }
+        let (table, cold) = match self.read_and_verify(&meta) {
+            Ok(read) => read,
+            Err(fault) => {
+                // Pages enter the buffer pool before the view is verified.
+                // A view that failed the check must not be hot on the next
+                // read: a hot read under an empty fault plan skips
+                // verification and would serve it.
+                if fault == ViewReadFault::Corrupt {
+                    for &slot in &meta.pages {
+                        self.cache.invalidate(slot);
+                    }
+                }
+                return Err(fault);
+            }
+        };
+        self.stats.views_reused += 1;
+        self.stats.bytes_served += meta.bytes;
+        let temp = if cold { ViewTemperature::Cold } else { ViewTemperature::Hot };
+        Ok(Some((table, temp)))
+    }
+
+    /// Assemble a view's blob from its pages (buffer pool first, disk
+    /// otherwise), decode it and check it against its metadata. Returns
+    /// the table and whether any page came from disk. Cold reads always
+    /// verify the content checksum, hot reads only under a fault plan.
+    fn read_and_verify(
+        &mut self,
+        meta: &DurableViewMeta,
+    ) -> std::result::Result<(Table, bool), ViewReadFault> {
         let mut blob = Vec::with_capacity(meta.blob_len as usize);
         let mut cold = false;
         for &slot in &meta.pages {
@@ -440,10 +469,7 @@ impl Inner {
         if (cold || !self.faults.is_empty()) && meta.checksum != table_checksum(&table) {
             return Err(ViewReadFault::Corrupt);
         }
-        self.stats.views_reused += 1;
-        self.stats.bytes_served += meta.bytes;
-        let temp = if cold { ViewTemperature::Cold } else { ViewTemperature::Hot };
-        Ok(Some((table, temp)))
+        Ok((table, cold))
     }
 
     fn remove_view(&mut self, sig: Sig128) -> Option<DurableViewMeta> {

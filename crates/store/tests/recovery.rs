@@ -402,6 +402,61 @@ fn a_view_that_fails_its_cold_read_check_degrades_to_recompute() {
     }
 }
 
+/// A view that fails verification must not be served hot. Its pages enter
+/// the buffer pool while the cold read assembles the blob, before any
+/// whole-view check; left there, a second read before the driver's
+/// quarantine would be hot and — with no fault plan — skip verification.
+/// Three kinds of damage that page framing (magic, slot, length, CRC) lets
+/// through, each caught by one whole-view check only: a page re-framed
+/// around a shorter payload (blob length), around same-length garbage
+/// (decode), and intact pages under a stored checksum the content does not
+/// reproduce (content checksum, forged the way `ViewCorrupt` forges one).
+#[test]
+fn a_view_that_fails_verification_is_not_served_hot() {
+    use cv_common::FaultPoint;
+    use cv_data::viewstore::ViewReadFault;
+    use cv_store::page::{frame_page, unframe_page, PAGE_SIZE};
+
+    let ttl = SimDuration::from_days(7.0);
+    for damage in ["blob length", "decode", "content checksum"] {
+        let dir = temp_dir("cold-corrupt");
+        let store = DurableViewStore::open(&dir, ttl, small_opts()).unwrap();
+        if damage == "content checksum" {
+            store.set_fault_plan(FaultPlan::seeded(1).with_rate(FaultPoint::ViewCorrupt, 1.0));
+        }
+        store.insert(view(1, 1, 42, SimTime::EPOCH, 50)).unwrap();
+        drop(store);
+        if damage != "content checksum" {
+            // The 50-row view is one page, in slot 0.
+            let path = dir.join("pages.dat");
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mut payload = unframe_page(0, bytes[..PAGE_SIZE].to_vec()).unwrap();
+            if damage == "blob length" {
+                payload.truncate(payload.len() - 1);
+            } else {
+                payload.fill(0xff);
+            }
+            bytes[..PAGE_SIZE].copy_from_slice(&frame_page(0, &payload));
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let store = DurableViewStore::open(&dir, ttl, small_opts()).unwrap();
+        assert!(store.fault_plan().is_empty());
+        let mut misses = 0;
+        for read in ["first", "second"] {
+            assert_eq!(
+                store.read_view(Sig128(1), SimTime::EPOCH).err(),
+                Some(ViewReadFault::Corrupt),
+                "{read} read served a view damaged in its {damage}"
+            );
+            let io = store.io_stats();
+            assert!(io.page_cache_misses > misses, "{read} read ({damage}) found the page cached");
+            assert_eq!(io.page_cache_hits, 0, "{read} read ({damage}) was hot");
+            misses = io.page_cache_misses;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn page_cache_serves_hot_reads_and_reports_temperature() {
     use cv_data::viewstore::ViewTemperature;

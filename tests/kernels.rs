@@ -381,6 +381,44 @@ fn plans_agree_with_kernels_on_and_off() {
     }
 }
 
+/// `2^53`: from here on `i64 as f64` rounds, so several INT keys equal one
+/// FLOAT key and hash alike.
+const P53: i64 = 1 << 53;
+
+/// A table of `rows` rows: one key column per `(dtype, pool)` spec, values
+/// drawn from the pool (NULL at `null_rate`), named `{prefix}0..`, plus a
+/// payload column that tells rows apart.
+fn keyed_table(
+    rng: &mut DetRng,
+    prefix: &str,
+    specs: &[(DataType, Vec<Value>)],
+    rows: usize,
+    null_rate: f64,
+) -> Table {
+    let mut fields: Vec<Field> =
+        (0..specs.len()).map(|k| Field::new(format!("{prefix}{k}"), specs[k].0)).collect();
+    fields.push(Field::new(format!("{prefix}p"), DataType::Str));
+    let data: Vec<Vec<Value>> = (0..rows)
+        .map(|i| {
+            let mut row: Vec<Value> = specs
+                .iter()
+                .map(
+                    |(_, pool)| {
+                        if rng.chance(null_rate) {
+                            Value::Null
+                        } else {
+                            rng.choose(pool).clone()
+                        }
+                    },
+                )
+                .collect();
+            row.push(Value::Str(format!("{prefix}{i}")));
+            row
+        })
+        .collect();
+    Table::from_rows(Schema::new(fields).unwrap().into_ref(), &data).unwrap()
+}
+
 #[test]
 fn join_algorithms_agree_on_random_tables() {
     fn force(p: &PhysicalPlan, algo: JoinAlgo) -> PhysicalPlan {
@@ -425,6 +463,505 @@ fn join_algorithms_agree_on_random_tables() {
             assert_eq!(results[0], results[1], "hash vs merge, {kind:?}, round {round}");
             assert_eq!(results[0], results[2], "hash vs loop, {kind:?}, round {round}");
         }
+    }
+
+    // Every key shape the typed paths split on: merge and hash must give the
+    // loop join's table — cells, NULLs and row order — for every join kind
+    // at every chunk size. Validity *form* is compared per algorithm, across
+    // chunk sizes: the hash probe's chunk reassembly drops all-true bitmaps,
+    // the single gather of a merge or loop join keeps the one a padded
+    // gather always makes, so across algorithms only the normalized tables
+    // are the same bytes.
+    let vals = |vs: &[Value]| vs.to_vec();
+    let ints = || (DataType::Int, (-3..=3).map(Value::Int).collect::<Vec<_>>());
+    let strs = || (DataType::Str, vals(&["".into(), "a".into(), "ab".into(), "b".into()]));
+    let floats = || {
+        let pool = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -1.5];
+        (DataType::Float, pool.map(Value::Float).to_vec())
+    };
+    let big_ints = || {
+        let pool = [0, 1, P53, P53 + 1, P53 + 2, -P53 - 1, i64::MAX, i64::MIN];
+        (DataType::Int, pool.map(Value::Int).to_vec())
+    };
+    let big_floats = || {
+        let p53 = P53 as f64;
+        let pool = [0.0, -0.0, 1.0, p53, p53 + 2.0, -p53, i64::MAX as f64, f64::NAN];
+        (DataType::Float, pool.map(Value::Float).to_vec())
+    };
+    let dates = || (DataType::Date, [-2, -1, 0, 1, 18_293].map(Value::Date).to_vec());
+    let bools = || (DataType::Bool, vals(&[Value::Bool(false), Value::Bool(true)]));
+    type Specs = Vec<(DataType, Vec<Value>)>;
+    // (name, left keys, right keys, left rows, right rows, NULL rate)
+    let shapes: Vec<(&str, Specs, Specs, usize, usize, f64)> = vec![
+        ("int", vec![ints()], vec![ints()], 120, 50, 0.15),
+        ("date", vec![dates()], vec![dates()], 120, 50, 0.15),
+        ("bool", vec![bools()], vec![bools()], 60, 20, 0.3),
+        ("float", vec![floats()], vec![floats()], 120, 50, 0.15),
+        ("int x float", vec![big_ints()], vec![big_floats()], 120, 50, 0.1),
+        ("float x int", vec![big_floats()], vec![big_ints()], 120, 50, 0.1),
+        ("str", vec![strs()], vec![strs()], 120, 50, 0.15),
+        ("int, str", vec![ints(), strs()], vec![ints(), strs()], 150, 60, 0.1),
+        (
+            "float, int x int, float",
+            vec![big_floats(), ints()],
+            vec![big_ints(), floats()],
+            150,
+            60,
+            0.1,
+        ),
+        ("all null", vec![ints()], vec![ints()], 40, 30, 1.0),
+        (
+            "all duplicate",
+            vec![(DataType::Int, vals(&[Value::Int(7)]))],
+            vec![(DataType::Int, vals(&[Value::Int(7)]))],
+            40,
+            30,
+            0.0,
+        ),
+        (
+            "all duplicate strings",
+            vec![(DataType::Str, vals(&["x".into()]))],
+            vec![(DataType::Str, vals(&["x".into()]))],
+            40,
+            30,
+            0.0,
+        ),
+        ("empty left", vec![ints()], vec![ints()], 0, 30, 0.1),
+        ("empty right", vec![floats()], vec![floats()], 40, 0, 0.1),
+        ("both empty", vec![strs()], vec![strs()], 0, 0, 0.0),
+    ];
+    for (name, lspecs, rspecs, nl, nr, null_rate) in &shapes {
+        let left = keyed_table(&mut rng, "l", lspecs, *nl, *null_rate);
+        let right = keyed_table(&mut rng, "r", rspecs, *nr, *null_rate);
+        let (lschema, rschema) = (left.schema().clone(), right.schema().clone());
+        let tables = Tables(HashMap::from([(LEFT, left), (RIGHT, right)]));
+        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi] {
+            let join = |algo| PhysicalPlan::Join {
+                algo,
+                kind,
+                on: (0..lspecs.len()).map(|k| (format!("l{k}"), format!("r{k}"))).collect(),
+                left: Box::new(source(LEFT, &lschema)),
+                right: Box::new(source(RIGHT, &rschema)),
+                est: est(),
+                partitions: 1,
+                swapped: false,
+            };
+            let reference = run_over(&join(JoinAlgo::Loop), &tables, usize::MAX).table.normalized();
+            if *null_rate == 1.0 || *nl == 0 || (*nr == 0 && kind != JoinKind::Left) {
+                let rows = if kind == JoinKind::Left { *nl } else { 0 };
+                assert_eq!(reference.num_rows(), rows, "{name}, {kind:?}");
+            } else if !name.starts_with("empty") {
+                assert!(reference.num_rows() > 0, "{name}, {kind:?}: nothing joined");
+            }
+            for algo in [JoinAlgo::Merge, JoinAlgo::Hash] {
+                let whole = run_over(&join(algo), &tables, usize::MAX).table;
+                for chunk_size in [1, 7, 2048, usize::MAX] {
+                    let out = run_over(&join(algo), &tables, chunk_size).table;
+                    let what = format!("{algo:?}: {name}, {kind:?}, chunk {chunk_size}");
+                    assert_tables_identical(&out, &whole, &format!("{what} vs one chunk"));
+                    assert_tables_identical(
+                        &out.normalized(),
+                        &reference,
+                        &format!("{what} vs loop"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sort and aggregation against `Value`-semantics references
+// ---------------------------------------------------------------------------
+
+/// `Table::sort_by` is a stable sort on `Value::total_cmp` per key: every
+/// dtype, both directions (NULLs first ascending, last descending), two-key
+/// mixes — at sizes on both sides of the radix/comparison-sort switch.
+#[test]
+fn sort_by_matches_a_stable_sort_on_value_total_cmp() {
+    let mut rng = DetRng::seed(0x61);
+    for rows in [0, 1, 100, 5000] {
+        for null_rate in [0.0, 0.25, 1.0] {
+            let t = random_table(&mut rng, rows, null_rate);
+            let single = (0..t.num_columns()).flat_map(|c| [vec![(c, true)], vec![(c, false)]]);
+            let mixes = [
+                vec![(3, true), (2, false)],
+                vec![(0, false), (1, true)],
+                vec![(4, true), (4, false)],
+                vec![(1, false), (3, false), (2, true)],
+            ];
+            for keys in single.chain(mixes) {
+                let values: Vec<Vec<Value>> = keys
+                    .iter()
+                    .map(|&(c, _)| (0..rows).map(|i| t.column(c).value(i)).collect())
+                    .collect();
+                let mut want: Vec<usize> = (0..rows).collect();
+                want.sort_by(|&a, &b| {
+                    keys.iter()
+                        .zip(&values)
+                        .map(|(&(_, asc), v)| {
+                            let o = v[a].total_cmp(&v[b]);
+                            if asc {
+                                o
+                            } else {
+                                o.reverse()
+                            }
+                        })
+                        .find(|o| o.is_ne())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                let what = format!("{rows} rows, null rate {null_rate}, keys {keys:?}");
+                assert_tables_identical(&t.sort_by(&keys).unwrap(), &t.take(&want).unwrap(), &what);
+            }
+        }
+    }
+}
+
+/// What makes two cells one group: `Value::group_key_eq` (NULLs together,
+/// otherwise `total_cmp` equality — INTs exactly, floats by bit pattern).
+fn group_class(v: &Value) -> (u8, u64, String) {
+    match v {
+        Value::Null => (0, 0, String::new()),
+        Value::Bool(b) => (1, *b as u64, String::new()),
+        Value::Int(i) => (2, *i as u64, String::new()),
+        Value::Float(f) => (3, f.to_bits(), String::new()),
+        Value::Str(s) => (4, 0, s.clone()),
+        Value::Date(d) => (5, *d as u64, String::new()),
+    }
+}
+
+/// What COUNT(DISTINCT) tells apart: numbers by their canonical `f64` (INTs
+/// above 2^53 that round together are one value, every NaN is one value,
+/// `-0.0` is `0.0`), everything else by value.
+fn distinct_class(v: &Value) -> (u8, u64, String) {
+    let number = match v {
+        Value::Int(i) => *i as f64,
+        Value::Float(f) => *f,
+        _ => return group_class(v),
+    };
+    let canonical = if number.is_nan() {
+        f64::NAN
+    } else if number == 0.0 {
+        0.0
+    } else {
+        number
+    };
+    (2, canonical.to_bits(), String::new())
+}
+
+/// Aggregation as a fold over `Value`s, one input row at a time in row
+/// order; groups come out in key order. `Err` is SUM(INT) overflow.
+fn reference_aggregate(
+    input: &Table,
+    group_by: &[&str],
+    aggs: &[AggExpr],
+    schema: &SchemaRef,
+) -> Result<Table, String> {
+    enum Fold {
+        Count(i64),
+        Distinct(std::collections::HashSet<(u8, u64, String)>),
+        SumInt(Option<i64>),
+        SumFloat(Option<f64>),
+        Best(Option<Value>, std::cmp::Ordering),
+        Avg(f64, i64),
+    }
+    let column = |name: &str| input.column_by_name(name).unwrap();
+    let arg_of = |a: &AggExpr| a.arg.as_ref().map(|e| column(&e.to_string()));
+    let new_folds = || -> Vec<Fold> {
+        aggs.iter()
+            .map(|a| match a.func {
+                AggFunc::Count => Fold::Count(0),
+                AggFunc::CountDistinct => Fold::Distinct(Default::default()),
+                AggFunc::Sum if arg_of(a).unwrap().dtype() == DataType::Int => Fold::SumInt(None),
+                AggFunc::Sum => Fold::SumFloat(None),
+                AggFunc::Min => Fold::Best(None, std::cmp::Ordering::Less),
+                AggFunc::Max => Fold::Best(None, std::cmp::Ordering::Greater),
+                AggFunc::Avg => Fold::Avg(0.0, 0),
+            })
+            .collect()
+    };
+    let mut index: HashMap<Vec<(u8, u64, String)>, usize> = HashMap::new();
+    let mut groups: Vec<(Vec<Value>, Vec<Fold>)> = Vec::new();
+    if group_by.is_empty() {
+        groups.push((Vec::new(), new_folds()));
+        index.insert(Vec::new(), 0);
+    }
+    for row in 0..input.num_rows() {
+        let key: Vec<Value> = group_by.iter().map(|k| column(k).value(row)).collect();
+        let class = key.iter().map(group_class).collect();
+        let g = *index.entry(class).or_insert_with(|| {
+            groups.push((key, new_folds()));
+            groups.len() - 1
+        });
+        for (fold, agg) in groups[g].1.iter_mut().zip(aggs) {
+            let cell = arg_of(agg).map(|c| c.value(row));
+            if cell.as_ref().is_some_and(Value::is_null) {
+                continue;
+            }
+            match (fold, cell) {
+                (Fold::Count(n), _) => *n += 1,
+                (Fold::Distinct(seen), Some(v)) => {
+                    seen.insert(distinct_class(&v));
+                }
+                (Fold::SumInt(total), Some(v)) => {
+                    let sum = total.unwrap_or(0).checked_add(v.as_int().unwrap());
+                    *total = Some(sum.ok_or("overflow")?);
+                }
+                (Fold::SumFloat(total), Some(v)) => {
+                    *total = Some(total.unwrap_or(0.0) + v.as_f64().unwrap())
+                }
+                (Fold::Best(best, keep), Some(v)) => {
+                    if best.as_ref().is_none_or(|b| v.total_cmp(b) == *keep) {
+                        *best = Some(v);
+                    }
+                }
+                (Fold::Avg(total, n), Some(v)) => {
+                    *total += v.as_f64().unwrap();
+                    *n += 1;
+                }
+                (_, None) => unreachable!("only COUNT(*) has no argument"),
+            }
+        }
+    }
+    groups.sort_by(|(a, _), (b, _)| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let rows: Vec<Vec<Value>> = groups
+        .into_iter()
+        .map(|(mut row, folds)| {
+            row.extend(folds.into_iter().map(|f| match f {
+                Fold::Count(n) => Value::Int(n),
+                Fold::Distinct(seen) => Value::Int(seen.len() as i64),
+                Fold::SumInt(total) => total.map_or(Value::Null, Value::Int),
+                Fold::SumFloat(total) => total.map_or(Value::Null, Value::Float),
+                Fold::Best(best, _) => best.unwrap_or(Value::Null),
+                Fold::Avg(_, 0) => Value::Null,
+                Fold::Avg(total, n) => Value::Float(total / n as f64),
+            }));
+            row
+        })
+        .collect();
+    Ok(Table::from_rows(schema.clone(), &rows).unwrap())
+}
+
+/// A `HashAggregate` over the `LEFT` source grouping by plain columns.
+fn aggregate_over(over: &SchemaRef, group_by: &[&str], aggs: &[AggExpr]) -> PhysicalPlan {
+    let mut fields: Vec<Field> = group_by
+        .iter()
+        .map(|k| Field::new(*k, over.field(over.index_of(k).unwrap()).dtype))
+        .collect();
+    fields.extend(aggs.iter().map(|a| Field::new(a.alias.clone(), a.dtype(over).unwrap())));
+    PhysicalPlan::HashAggregate {
+        group_by: group_by.iter().map(|k| (col(*k), k.to_string())).collect(),
+        aggs: aggs.to_vec(),
+        schema: Schema::new(fields).unwrap().into_ref(),
+        input: Box::new(source(LEFT, over)),
+        est: est(),
+        partitions: 1,
+    }
+}
+
+/// Run `plan` at `chunk_size` on `workers` morsel workers.
+fn try_run_over(
+    plan: &PhysicalPlan,
+    sources: &Tables,
+    chunk_size: usize,
+    workers: usize,
+) -> cv_common::Result<ExecOutcome> {
+    let (cat, udos) = (DatasetCatalog::new(), UdoRegistry::with_builtins());
+    let runner: Arc<dyn cv_engine::MorselRunner> = match workers {
+        1 => Arc::new(SerialRunner),
+        n => Arc::new(cv_service::PoolMorselRunner::new(n)),
+    };
+    let mut ctx =
+        ExecContext::new(&cat, sources, &udos, SimTime::EPOCH).with_chunking(chunk_size, runner);
+    execute(plan, &mut ctx, &CostModel::default())
+}
+
+/// The aggregate of `input` equals the `Value` fold at every chunk size in
+/// `chunk_sizes`, on one morsel worker and on four.
+fn assert_aggregate_matches_fold(
+    input: Table,
+    group_by: &[&str],
+    aggs: &[AggExpr],
+    chunk_sizes: &[usize],
+    what: &str,
+) {
+    let plan = aggregate_over(input.schema(), group_by, aggs);
+    let PhysicalPlan::HashAggregate { schema, .. } = &plan else { unreachable!() };
+    let want = reference_aggregate(&input, group_by, aggs, schema);
+    let tables = Tables(HashMap::from([(LEFT, input)]));
+    for &chunk_size in chunk_sizes {
+        for workers in [1, 4] {
+            let what = format!("{what}, group by {group_by:?}, chunk {chunk_size}, {workers}w");
+            match (try_run_over(&plan, &tables, chunk_size, workers), &want) {
+                (Ok(out), Ok(want)) => assert_tables_identical(&out.table, want, &what),
+                (Err(e), Err(_)) => {
+                    assert_eq!(e.kind(), "execution", "{what}");
+                    assert!(e.to_string().contains("SUM(INT) overflow"), "{what}: {e}");
+                }
+                (Ok(_), Err(_)) => panic!("{what}: SUM(INT) overflow went unreported"),
+                (Err(e), Ok(_)) => panic!("{what}: {e}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn aggregation_matches_a_value_fold_in_row_order() {
+    const CHUNKS: [usize; 4] = [1, 333, 2048, usize::MAX];
+    let all_aggs = [
+        AggExpr::new(AggFunc::Sum, col("i"), "si"),
+        AggExpr::new(AggFunc::Sum, col("f"), "sf"),
+        AggExpr::new(AggFunc::Avg, col("f"), "af"),
+        AggExpr::new(AggFunc::Avg, col("d"), "ad"),
+        AggExpr::new(AggFunc::Min, col("s"), "ms"),
+        AggExpr::new(AggFunc::Max, col("d"), "md"),
+        AggExpr::new(AggFunc::Min, col("f"), "mf"),
+        AggExpr::new(AggFunc::Max, col("b"), "mb"),
+        AggExpr::new(AggFunc::CountDistinct, col("i"), "di"),
+        AggExpr::new(AggFunc::CountDistinct, col("f"), "df"),
+        AggExpr::new(AggFunc::CountDistinct, col("s"), "ds"),
+        AggExpr::new(AggFunc::Count, col("i"), "ci"),
+        AggExpr::count_star("n"),
+    ];
+    let mut rng = DetRng::seed(0x62);
+    // Every dtype as key and as argument, NULL keys, float keys with NaN and
+    // both zeros (float SUM/AVG are compared by bit pattern), an all-NULL
+    // input, and the global aggregate — over empty input too.
+    for (rows, null_rate) in [(700, 0.2), (700, 0.0), (90, 1.0), (0, 0.0)] {
+        let t = random_table(&mut rng, rows, null_rate);
+        let groupings: [&[&str]; 8] =
+            [&["s"], &["i"], &["f"], &["b"], &["d"], &["s", "b"], &["f", "i", "d"], &[]];
+        for group_by in groupings {
+            let what = format!("{rows} rows, null rate {null_rate}");
+            assert_aggregate_matches_fold(t.clone(), group_by, &all_aggs, &CHUNKS, &what);
+        }
+    }
+
+    // INTs above 2^53 as keys hash alike (through their rounded `f64`) and
+    // must still be separate groups; as COUNT(DISTINCT) arguments they are
+    // one value when they round together.
+    let pool = [0, 1, P53, P53 + 1, P53 + 2, -P53 - 1, i64::MAX - 1, i64::MIN + 1];
+    let ints = (DataType::Int, pool.map(Value::Int).to_vec());
+    let t = keyed_table(&mut rng, "k", &[ints.clone(), ints], 400, 0.1);
+    let aggs = [
+        AggExpr::new(AggFunc::CountDistinct, col("k1"), "d"),
+        AggExpr::new(AggFunc::Min, col("k1"), "lo"),
+        AggExpr::new(AggFunc::Max, col("kp"), "hi"),
+        AggExpr::count_star("n"),
+    ];
+    assert_aggregate_matches_fold(t, &["k0"], &aggs, &CHUNKS, "ints above 2^53");
+
+    // SUM(INT) overflow is an execution error whichever chunk it lands in,
+    // even when a later row would bring the total back.
+    let schema = Schema::new(vec![Field::new("g", DataType::Int), Field::new("x", DataType::Int)]);
+    let mut rows: Vec<Vec<Value>> =
+        (0..600).map(|i| vec![Value::Int(i % 3), Value::Int(i)]).collect();
+    rows[400][1] = Value::Int(i64::MAX);
+    rows[599][1] = Value::Int(-i64::MAX);
+    let t = Table::from_rows(schema.unwrap().into_ref(), &rows).unwrap();
+    let sum = [AggExpr::new(AggFunc::Sum, col("x"), "s")];
+    assert!(reference_aggregate(&t, &["g"], &sum, t.schema()).is_err());
+    assert_aggregate_matches_fold(t, &["g"], &sum, &CHUNKS, "SUM(INT) overflow");
+
+    // Past 10^5 groups: the group table and the DISTINCT set both grow many
+    // times over. (Chunk size 1 is covered above; here it would only slow
+    // the test down.)
+    let n = 230_000;
+    let schema = Schema::new(vec![
+        Field::new("g", DataType::Int),
+        Field::new("v", DataType::Float),
+        Field::new("x", DataType::Int),
+    ]);
+    let columns = vec![
+        Column::new(ColumnData::Int((0..n).map(|i| (i * 7919) % 115_000).collect()), None),
+        Column::new(ColumnData::Float((0..n).map(|i| i as f64 * 0.37 - 9000.0).collect()), None),
+        Column::new(ColumnData::Int((0..n).map(|i| i % 5).collect()), None),
+    ];
+    let t = Table::new(schema.unwrap().into_ref(), columns).unwrap();
+    let aggs = [
+        AggExpr::new(AggFunc::Sum, col("v"), "sv"),
+        AggExpr::new(AggFunc::CountDistinct, col("x"), "dx"),
+        AggExpr::new(AggFunc::Min, col("v"), "lo"),
+    ];
+    assert_aggregate_matches_fold(t, &["g"], &aggs, &[333, 2048, usize::MAX], "115k groups");
+}
+
+/// A hash-join build published to the operator-state cache by one execution
+/// and restored by another probes exactly like a fresh build, and the cache
+/// — charged `JoinBuildState::byte_size`, table plus chain arrays — stays
+/// within its budget.
+#[test]
+fn a_restored_join_build_probes_like_a_fresh_one_within_budget() {
+    use cv_service::{OpStateCache, TaggedOpStates};
+    let mut rng = DetRng::seed(0x63);
+    let left = random_table(&mut rng, 900, 0.2);
+    let r = random_table(&mut rng, 300, 0.2);
+    let r_schema = Schema::new(
+        r.schema().fields().iter().map(|f| Field::new(format!("r_{}", f.name), f.dtype)).collect(),
+    )
+    .unwrap()
+    .into_ref();
+    let right = Table::new(r_schema.clone(), r.columns().to_vec()).unwrap();
+    let (l_schema, right_bytes) = (left.schema().clone(), right.byte_size());
+    let tables = Tables(HashMap::from([(LEFT, left), (RIGHT, right)]));
+    let (cat, udos) = (DatasetCatalog::new(), UdoRegistry::with_builtins());
+    let run = |plan: &PhysicalPlan, chunk_size: usize, states: Option<&dyn OpStateSource>| {
+        let mut ctx = ExecContext::new(&cat, &tables, &udos, SimTime::EPOCH)
+            .with_chunking(chunk_size, Arc::new(SerialRunner));
+        ctx.op_states = states;
+        execute(plan, &mut ctx, &CostModel::default()).unwrap()
+    };
+    for on in [vec![("i", "r_i")], vec![("s", "r_s"), ("d", "r_d")]] {
+        let join = |kind| PhysicalPlan::Join {
+            algo: JoinAlgo::Hash,
+            kind,
+            on: on.iter().map(|(l, r)| (l.to_string(), r.to_string())).collect(),
+            left: Box::new(source(LEFT, &l_schema)),
+            right: Box::new(source(RIGHT, &r_schema)),
+            est: est(),
+            partitions: 1,
+            swapped: false,
+        };
+        let budget = 1 << 20;
+        let cache = Arc::new(OpStateCache::with_budget(budget));
+        let mut published = 0;
+        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi] {
+            let plan = join(kind);
+            let fresh = run(&plan, 333, None);
+            // The build key leaves the join kind out: the first kind
+            // publishes, every later execution restores.
+            let builder = TaggedOpStates::new(cache.clone(), 1);
+            let first = run(&plan, 333, Some(&builder));
+            published += first.metrics.op_state_published;
+            let consumer = TaggedOpStates::new(cache.clone(), 2);
+            for chunk_size in [1, 333, usize::MAX] {
+                let restored = run(&plan, chunk_size, Some(&consumer));
+                assert_eq!(restored.metrics.op_state_hits, 1, "{on:?} {kind:?}");
+                let what = format!("restored build, {on:?}, {kind:?}, chunk {chunk_size}");
+                assert_tables_identical(&restored.table, &fresh.table, &what);
+                assert_tables_identical(&first.table, &fresh.table, &what);
+            }
+        }
+        assert_eq!(published, 1, "{on:?}: one build serves every kind");
+        let stats = cache.stats();
+        assert!(stats.cross_job_hits > 0, "{on:?}");
+        // Resident bytes are the build table plus its two chain arrays.
+        assert!(stats.resident_bytes > right_bytes, "{on:?}: chain arrays not charged");
+        assert!(stats.resident_bytes <= budget, "{on:?}: {} B resident", stats.resident_bytes);
+
+        // A budget the state does not fit in: built, offered, not kept.
+        let tight = Arc::new(OpStateCache::with_budget(right_bytes / 2));
+        let states = TaggedOpStates::new(tight.clone(), 1);
+        let plan = join(JoinKind::Inner);
+        let (a, b) = (run(&plan, 333, Some(&states)), run(&plan, 333, None));
+        assert_tables_identical(&a.table, &b.table, &format!("tight budget, {on:?}"));
+        assert!(tight.stats().resident_bytes <= right_bytes / 2, "{on:?}: budget exceeded");
     }
 }
 
@@ -657,10 +1194,7 @@ fn sort_op(input: PhysicalPlan, keys: &[(&str, bool)]) -> PhysicalPlan {
 }
 
 fn run_over(plan: &PhysicalPlan, sources: &Tables, chunk_size: usize) -> ExecOutcome {
-    let (cat, udos) = (DatasetCatalog::new(), UdoRegistry::with_builtins());
-    let mut ctx = ExecContext::new(&cat, sources, &udos, SimTime::EPOCH)
-        .with_chunking(chunk_size, Arc::new(SerialRunner));
-    execute(plan, &mut ctx, &CostModel::default()).unwrap()
+    try_run_over(plan, sources, chunk_size, 1).unwrap()
 }
 
 #[test]
