@@ -23,7 +23,8 @@
 //!   kernels [--out PATH] [--smoke] [--baseline PATH] [--measure-secs F]
 //!           [--chunk-size N]
 //!
-//! `--smoke` runs one small size with a short measurement window (CI).
+//! `--smoke` runs one small size with a short measurement window (CI); the
+//! exit code is non-zero if any leg measures no throughput.
 //! `--chunk-size N` sets the streaming chunk granularity (default 2048;
 //! `BENCH_engine.json` records the value used).
 //! `--baseline PATH` embeds a previous run's rates into the output under
@@ -49,6 +50,24 @@ use cv_store::codec::{decode_table, encode_table};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Every leg, in report order: the plans of [`plans`], then the three
+/// whole-table legs. A leg missing from either side fails the run.
+const KERNELS: [&str; 13] = [
+    "filter",
+    "filter_str_eq",
+    "filter_wide",
+    "project",
+    "hash_join",
+    "merge_join",
+    "hash_aggregate",
+    "hash_aggregate_high",
+    "sort",
+    "sort_desc_float",
+    "digest",
+    "store_decode",
+    "udo",
+];
 
 const SEGS: [&str; 8] = ["asia", "emea", "amer", "apac", "latam", "anz", "mea", "nordics"];
 
@@ -342,23 +361,25 @@ fn main() {
     let sizes: Vec<usize> = if smoke { vec![10_000] } else { vec![10_000, 100_000, 1_000_000] };
 
     let mut kernels = cv_common::json::JsonMap::new();
-    let mut names: Vec<&str> = plans(&Bench::new(16, 8, 7)).iter().map(|(n, ..)| *n).collect();
-    names.extend(["digest", "store_decode", "udo"]);
-    let mut rates: Vec<(String, Vec<(usize, f64)>)> =
-        names.iter().map(|n| (n.to_string(), Vec::new())).collect();
+    let mut rates: Vec<(&str, Vec<(usize, f64)>)> =
+        KERNELS.iter().map(|n| (*n, Vec::new())).collect();
+    let mut record = |name: &str, n: usize, rate: f64| {
+        let slot = rates.iter_mut().find(|(k, _)| *k == name).expect("leg is in `KERNELS`");
+        slot.1.push((n, rate));
+    };
 
     for &n in &sizes {
         let dim_n = (n / 100).max(8);
         let bench = Bench::with_chunk_size(n, dim_n, 7, chunk_size);
         eprintln!("== {n} rows (dim {dim_n}, chunk {chunk_size}) ==");
-        for (ki, (name, logical, join_algo)) in plans(&bench).iter().enumerate() {
+        for (name, logical, join_algo) in &plans(&bench) {
             let physical = bench.compile(logical, *join_algo);
             // Join input rows = both sides.
             let input_rows = if name.ends_with("_join") { n + dim_n } else { n };
             let secs = time_it(measure_secs, || bench.run(&physical));
             let rps = input_rows as f64 / secs;
             eprintln!("  {name:<20} {rps:>14.0} rows/sec  ({:.1} ms/iter)", secs * 1e3);
-            rates[ki].1.push((n, rps));
+            record(name, n, rps);
         }
 
         let fact = bench.catalog.get_by_name("fact").unwrap().data().clone();
@@ -379,8 +400,7 @@ fn main() {
             let secs = time_it(measure_secs, leg);
             let rate = amount / secs;
             eprintln!("  {name:<20} {rate:>14.0} {unit}  ({:.1} ms/iter)", secs * 1e3);
-            let slot = rates.iter_mut().find(|(k, _)| k == name).expect("leg is in `names`");
-            slot.1.push((n, rate));
+            record(name, n, rate);
         }
     }
 
@@ -389,7 +409,7 @@ fn main() {
         for (n, rps) in points {
             obj.insert(n.to_string(), *rps);
         }
-        kernels.insert(name.clone(), Json::Obj(obj));
+        kernels.insert(*name, Json::Obj(obj));
     }
 
     let mut root = cv_common::json::JsonMap::new();
@@ -416,7 +436,7 @@ fn main() {
                 if let Some((now, base_v)) = common {
                     if let Some(b) = base_v.as_f64() {
                         if b > 0.0 {
-                            speedups.insert(name.clone(), now / b);
+                            speedups.insert(*name, now / b);
                         }
                     }
                 }
@@ -427,6 +447,14 @@ fn main() {
 
     std::fs::write(&out_path, Json::Obj(root).to_string_pretty()).expect("write output");
     eprintln!("wrote {out_path}");
+    for (name, points) in &rates {
+        if points.len() != sizes.len()
+            || points.iter().any(|(_, rate)| rate.is_nan() || *rate <= 0.0)
+        {
+            eprintln!("kernels: `{name}` measured no throughput at some size: {points:?}");
+            std::process::exit(1);
+        }
+    }
     // Physical-plan sanity: the compiled shapes actually exercise the
     // intended operators (guards against optimizer rewrites silently
     // changing what this benchmark measures).
@@ -451,5 +479,30 @@ fn main() {
             _ => unreachable!(),
         };
         assert!(kinds.contains(&want), "{name}: compiled plan lost its {want} operator");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed artifact is what the docs quote: a full-size run with a
+    /// rate and a recorded baseline for every leg this bin measures.
+    #[test]
+    fn committed_bench_engine_json_is_a_full_size_run_of_every_kernel() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
+        let bench = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(bench.get("name").and_then(Json::as_str), Some("kernels_microbench"));
+        assert_eq!(bench.get("smoke").and_then(Json::as_bool), Some(false), "a smoke run");
+        for name in KERNELS {
+            let rates = bench.get("kernels").and_then(|k| k.get(name)).and_then(Json::as_obj);
+            let rates = rates.unwrap_or_else(|| panic!("no rates for {name}"));
+            assert!(rates.iter().next().is_some(), "{name}: no sizes measured");
+            for (size, rate) in rates.iter() {
+                assert!(rate.as_f64().is_some_and(|r| r > 0.0), "{name} at {size} rows: {rate:?}");
+            }
+            let speedup = bench.get("speedup_vs_baseline").and_then(|s| s.get(name));
+            assert!(speedup.and_then(Json::as_f64).is_some(), "{name}: no recorded baseline");
+        }
     }
 }

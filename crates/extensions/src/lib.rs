@@ -10,8 +10,6 @@
 //! * [`checkpoint`] — CloudViews-as-checkpointing: stage checkpoint
 //!   selection + restart savings with the cluster simulator's failure
 //!   injection (§5.6 "Checkpointing");
-//! * [`sampling`] — sampled views for approximate query execution (§5.6
-//!   "Sampling");
 //! * [`bitvector`] — reusable Bloom-style bit-vector filters for semi-join
 //!   reduction (§5.6 "Bit-vector Filtering").
 
@@ -20,11 +18,9 @@ pub mod checkpoint;
 pub mod concurrent;
 pub mod containment;
 pub mod generalized;
-pub mod sampling;
 
 pub use bitvector::BloomFilter;
 pub use checkpoint::{apply_checkpoints, CheckpointPolicy};
 pub use concurrent::{concurrent_join_histogram, pipelining_savings_bound, ConcurrencyBucket};
 pub use containment::{implies, normalize_conjuncts};
 pub use generalized::{GeneralizedView, GeneralizedViewCatalog, JoinSetGroup};
-pub use sampling::{sample_table, scale_up_count, scale_up_sum};

@@ -607,7 +607,7 @@ mod tests {
     fn no_worker_starves_at_eight_workers() {
         // Regression for the intra-query parallelism ceiling: with
         // steal-one semantics most workers never accumulated local work and
-        // reported zero busy time (BENCH_service.json showed 5 of 8 workers
+        // reported zero busy time (a cv-serve run showed 5 of 8 workers
         // idle). 64 spinning tasks across 8 workers must leave every worker
         // with nonzero busy time — half-stealing spreads queued work as
         // soon as any worker goes idle.

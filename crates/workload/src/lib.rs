@@ -21,7 +21,6 @@
 
 pub mod driver;
 pub mod generator;
-pub mod morsel_bench;
 pub mod schemas;
 pub mod service_driver;
 pub mod service_obs;
@@ -34,7 +33,6 @@ pub use driver::{
     SelectionKnobs, SelectorKind, StoreBackend,
 };
 pub use generator::{generate_workload, Workload, WorkloadConfig};
-pub use morsel_bench::{run_morsel_scaling, MorselScalingPoint, MorselScalingReport};
 pub use service_driver::{
     merge_completions, run_workload_service, run_workload_service_obs,
     run_workload_service_with_store, ServiceConfig, ServiceOutcome, ServiceReport,

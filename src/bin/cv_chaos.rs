@@ -45,7 +45,8 @@ struct Args {
     /// sweeps.
     crash: bool,
     /// Root directory for the crash matrix's store instances (a temp dir
-    /// by default; each sweep uses its own subdirectory).
+    /// by default; each sweep uses its own subdirectory). A directory named
+    /// here must be absent or empty and is never removed.
     store_dir: Option<String>,
 }
 
@@ -77,7 +78,14 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json_path = Some(it.next().ok_or("--json needs a path")?),
             "--trace" => args.trace_path = Some(it.next().ok_or("--trace needs a path")?),
             "--crash" => args.crash = true,
-            "--store-dir" => args.store_dir = Some(it.next().ok_or("--store-dir needs a path")?),
+            "--store-dir" => {
+                let dir = it.next().ok_or("--store-dir needs a path")?;
+                // The directory the user names is never cleared to make room.
+                if std::fs::read_dir(&dir).is_ok_and(|mut entries| entries.next().is_some()) {
+                    return Err(format!("--store-dir `{dir}` exists and is not empty"));
+                }
+                args.store_dir = Some(dir);
+            }
             "--help" | "-h" => {
                 println!(
                     "cv-chaos: fault-injection sweep over the workload templates\n\n\
@@ -87,8 +95,9 @@ fn parse_args() -> Result<Args, String> {
                      --json PATH     also write the JSON report to PATH\n  \
                      --trace PATH    write a Chrome trace (one span per sweep) to PATH\n  \
                      --crash         run the durable-store crash-recovery matrix\n  \
-                     --store-dir P   root directory for --crash store instances\n                  \
-                     (default: a fresh temp directory, removed afterwards)"
+                     --store-dir P   root directory for --crash store instances; must be\n                  \
+                     absent or empty and is left in place (default: a fresh\n                  \
+                     temp directory, removed afterwards)"
                 );
                 std::process::exit(0);
             }
@@ -308,7 +317,9 @@ fn run_crash_matrix(workload: &Workload, args: &Args) -> (Json, usize) {
         Some(dir) => (PathBuf::from(dir), false),
         None => (std::env::temp_dir().join(format!("cv-chaos-crash-{}", std::process::id())), true),
     };
-    let _ = std::fs::remove_dir_all(&store_root);
+    if ephemeral {
+        let _ = std::fs::remove_dir_all(&store_root);
+    }
     let mut violations: Vec<String> = Vec::new();
 
     println!(

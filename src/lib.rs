@@ -26,7 +26,7 @@
 //! | [`cluster`] | discrete-event Cosmos simulator (containers, bonus, queues) |
 //! | [`core`] | CloudViews: repository, selection, insights, controls, impact |
 //! | [`workload`] | synthetic cooking + analytics workloads, multi-day driver |
-//! | [`extensions`] | §5 future work: containment, concurrency, checkpoints, sampling, Bloom filters |
+//! | [`extensions`] | §5 future work: containment, concurrency, checkpoints, Bloom filters |
 //!
 //! ## Quickstart
 //!

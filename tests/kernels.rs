@@ -467,7 +467,7 @@ fn join_algorithms_agree_on_random_tables() {
 
     // Every key shape the typed paths split on: merge and hash must give the
     // loop join's table — cells, NULLs and row order — for every join kind
-    // at every chunk size. Validity *form* is compared per algorithm, across
+    // at every chunk size, on one morsel worker and on four. Validity *form* is compared per algorithm, across
     // chunk sizes: the hash probe's chunk reassembly drops all-true bitmaps,
     // the single gather of a merge or loop join keeps the one a padded
     // gather always makes, so across algorithms only the normalized tables
@@ -556,14 +556,20 @@ fn join_algorithms_agree_on_random_tables() {
             for algo in [JoinAlgo::Merge, JoinAlgo::Hash] {
                 let whole = run_over(&join(algo), &tables, usize::MAX).table;
                 for chunk_size in [1, 7, 2048, usize::MAX] {
-                    let out = run_over(&join(algo), &tables, chunk_size).table;
-                    let what = format!("{algo:?}: {name}, {kind:?}, chunk {chunk_size}");
-                    assert_tables_identical(&out, &whole, &format!("{what} vs one chunk"));
-                    assert_tables_identical(
-                        &out.normalized(),
-                        &reference,
-                        &format!("{what} vs loop"),
-                    );
+                    // Four morsel workers probe the chunks in any order; the
+                    // table must not show it.
+                    for workers in [1, 4] {
+                        let out =
+                            try_run_over(&join(algo), &tables, chunk_size, workers).unwrap().table;
+                        let what =
+                            format!("{algo:?}: {name}, {kind:?}, chunk {chunk_size}, {workers}w");
+                        assert_tables_identical(&out, &whole, &format!("{what} vs one chunk"));
+                        assert_tables_identical(
+                            &out.normalized(),
+                            &reference,
+                            &format!("{what} vs loop"),
+                        );
+                    }
                 }
             }
         }

@@ -12,7 +12,8 @@
 //!    counters match the unobserved (`None`-sink) run bit-for-bit.
 //! 3. **Export round-trip** — the merged Chrome trace (service spans +
 //!    simulated-cluster timeline) survives `cv_common::json` parse-back
-//!    and carries the expected event shape.
+//!    and carries the expected event shape; the metrics dump of a run with
+//!    the operator-state cache on carries every `op_state.*` counter.
 
 use cv_common::json::Json;
 use cv_workload::{
@@ -119,8 +120,16 @@ fn observing_a_run_changes_nothing() {
 #[test]
 fn chrome_trace_round_trips_through_cv_json() {
     let w = obs_workload();
-    let cfg = config();
+    let mut cfg = config();
+    cfg.op_state_budget_bytes = 64 << 20;
     let (out, obs) = observed_run(&w, &cfg, 2);
+
+    // What `cv-serve --metrics` writes: with the cache on, its counters are
+    // in the dump whether or not anything hit.
+    let metrics = obs.metrics.to_json();
+    for key in ["hits", "misses", "published", "cross_job_hits", "evicted", "purged"] {
+        assert!(metrics.get(&format!("op_state.{key}")).is_some(), "dump lacks op_state.{key}");
+    }
 
     // Merge service spans (pid 1) with the simulated-cluster timeline
     // (pid 2), exactly as `cv-serve --trace` writes it.
