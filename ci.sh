@@ -13,9 +13,10 @@ cargo fmt --all -- --check
 echo "==> cargo build --release (workspace, then the frozen benchmark harness against it)"
 cargo build --release --workspace
 # perf/ compiles against the crates' public API and may not be edited to
-# follow them: an API break must be the first failure, not the last
-# (perf/check.sh reuses this build at the end).
-cargo build --release --manifest-path perf/Cargo.toml
+# follow them: an API break — or, with --locked, a changed dependency edge
+# that would rewrite perf/Cargo.lock — must be the first failure, not the
+# last (perf/check.sh reuses this build at the end).
+cargo build --release --locked --manifest-path perf/Cargo.toml
 
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings

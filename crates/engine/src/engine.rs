@@ -52,10 +52,6 @@ pub struct QueryEngine {
     /// Morsel runner shared by every execution; serial unless the service
     /// layer plugs in its pool-backed runner.
     pub runner: Arc<dyn MorselRunner>,
-    /// Operator-state cache shared by every execution, if configured.
-    /// Callers needing per-job attribution (cross-job hit accounting) pass a
-    /// tagged source to [`QueryEngine::execute_with_states`] instead.
-    pub op_states: Option<Arc<dyn OpStateSource>>,
 }
 
 impl Default for QueryEngine {
@@ -77,7 +73,6 @@ impl QueryEngine {
             optimizer: Optimizer::new(cfg),
             chunk_size: cv_data::chunk::DEFAULT_CHUNK_SIZE,
             runner: Arc::new(SerialRunner),
-            op_states: None,
         }
     }
 
@@ -108,24 +103,13 @@ impl QueryEngine {
         Ok(CompiledJob { bound: plan.clone(), outcome })
     }
 
-    /// Execute an optimized physical plan.
+    /// Execute an optimized physical plan against the engine's own store.
     pub fn execute(&self, physical: &PhysicalPlan, now: SimTime) -> Result<ExecOutcome> {
-        self.execute_with(physical, &self.views, now)
+        self.execute_with_states(physical, &self.views, now, None, None, None)
     }
 
-    /// Execute against an external view source instead of the engine's own
-    /// store — the service path, where many concurrent jobs share one
-    /// sharded store (or pipeline from in-flight builds).
-    pub fn execute_with(
-        &self,
-        physical: &PhysicalPlan,
-        views: &dyn ViewSource,
-        now: SimTime,
-    ) -> Result<ExecOutcome> {
-        self.execute_with_sink(physical, views, now, None, None)
-    }
-
-    /// [`Self::execute_with`] plus per-operator observability hooks.
+    /// Execute against an external view source with per-operator
+    /// observability hooks.
     pub fn execute_with_obs(
         &self,
         physical: &PhysicalPlan,
@@ -133,26 +117,16 @@ impl QueryEngine {
         now: SimTime,
         obs: Option<&dyn crate::obs::ObsSink>,
     ) -> Result<ExecOutcome> {
-        self.execute_with_sink(physical, views, now, obs, None)
+        self.execute_with_states(physical, views, now, obs, None, None)
     }
 
-    /// Full-control execution entry: observability hooks plus a spool sink
-    /// receiving sealed view chunks as they are produced (single-flight
-    /// chunk pipelining).
-    pub fn execute_with_sink(
-        &self,
-        physical: &PhysicalPlan,
-        views: &dyn ViewSource,
-        now: SimTime,
-        obs: Option<&dyn crate::obs::ObsSink>,
-        spool_sink: Option<&dyn SpoolSink>,
-    ) -> Result<ExecOutcome> {
-        self.execute_with_states(physical, views, now, obs, spool_sink, self.op_states.as_deref())
-    }
-
-    /// [`Self::execute_with_sink`] with an explicit operator-state source
-    /// overriding the engine-level one — the service path wraps the shared
-    /// cache in a per-job tag so hits can be attributed across jobs.
+    /// The full-control entry, and the one both workload drivers use: an
+    /// external view source (many concurrent jobs share one striped store,
+    /// or pipeline from in-flight builds), observability hooks, a spool
+    /// sink receiving sealed view chunks as they are produced (single-flight
+    /// chunk pipelining), and the job's operator-state source — the drivers
+    /// wrap the shared cache in a per-job tag so hits can be attributed
+    /// across jobs.
     pub fn execute_with_states(
         &self,
         physical: &PhysicalPlan,

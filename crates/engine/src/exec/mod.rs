@@ -123,11 +123,6 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    pub fn with_obs(mut self, obs: &'a dyn ObsSink) -> ExecContext<'a> {
-        self.obs = Some(obs);
-        self
-    }
-
     /// Override the morsel chunk size and runner (service layer plugs in
     /// its pool-backed runner here).
     pub fn with_chunking(
@@ -137,16 +132,6 @@ impl<'a> ExecContext<'a> {
     ) -> ExecContext<'a> {
         self.chunk_size = chunk_size.max(1);
         self.runner = runner;
-        self
-    }
-
-    pub fn with_spool_sink(mut self, sink: &'a dyn SpoolSink) -> ExecContext<'a> {
-        self.spool_sink = Some(sink);
-        self
-    }
-
-    pub fn with_op_states(mut self, src: &'a dyn OpStateSource) -> ExecContext<'a> {
-        self.op_states = Some(src);
         self
     }
 }
@@ -499,101 +484,46 @@ fn exec_node_inner(
         PhysicalPlan::Join { algo, kind, on, left, right, swapped, .. } => {
             let OpOutput { table: l, bytes: l_bytes } =
                 exec_node(left, ctx, model, metrics, pending)?;
+            let ln = l.num_rows() as f64;
             // Operator-state reuse applies to the hash build side only:
-            // derive the build key and ask the source before executing the
-            // right subtree at all.
-            let mut hit: Option<Arc<OpStateEntry>> = None;
-            let mut claimed = false;
-            let mut key: Option<Sig128> = None;
-            if *algo == JoinAlgo::Hash {
-                if let Some(src) = ctx.op_states {
-                    if let Some(k) = opstate::join_build_key(right, on) {
-                        key = Some(k);
-                        match src.acquire(k) {
-                            OpStateAcquire::Hit(e) if matches!(*e.state, OpState::JoinBuild(_)) => {
-                                hit = Some(e)
-                            }
-                            OpStateAcquire::Hit(_) => {}
-                            OpStateAcquire::Build { claimed: c } => claimed = c,
-                        }
-                    }
-                }
-            }
-            if let Some(entry) = hit {
-                // A restored build must still honor the stale-plan check
-                // the skipped scans would have made.
-                opstate::validate_scan_guids(right, ctx.catalog)?;
-                let OpState::JoinBuild(jb) = &*entry.state else { unreachable!() };
-                metrics.op_state_hits += 1;
-                metrics.op_state_work_avoided += entry.build_work;
-                metrics.op_state_wall_avoided += entry.build_wall;
-                if let Some(obs) = ctx.obs {
-                    obs.op_state_hit("join_build", key.expect("hit implies key"));
-                }
-                // The stage builder zips profiles 1:1 against the plan
-                // tree: emit zero-work placeholders for the skipped
-                // subtree, in the same postorder execution would have.
-                push_skipped_profiles(right, metrics);
-                metrics.data_read_bytes += l_bytes + jb.table.byte_size();
-                let (out, probe_chunks) = hash_join_probe(&l, jb, on, *kind, ctx)?;
-                let out = restore_swapped_columns(out, *swapped, l.schema().len())?;
-                metrics.join_algos.hash += 1;
-                let (ln, rn) = (l.num_rows() as f64, jb.table.num_rows() as f64);
-                let work = model.hash_join_warm(rn, ln).total()
-                    + model.morsel_dispatch(probe_chunks as f64).total();
-                return Ok(record(metrics, plan, OpOutput::new(out), work, None));
-            }
-            if key.is_some() {
-                metrics.op_state_misses += 1;
-                if let Some(obs) = ctx.obs {
-                    obs.op_state_miss("join_build");
-                }
-            }
-            let build_work_before = metrics.total_work;
-            let build_started = std::time::Instant::now();
-            let r = match exec_node(right, ctx, model, metrics, pending) {
-                Ok(out) => {
-                    metrics.data_read_bytes += l_bytes + out.bytes;
-                    out.table
-                }
-                Err(e) => {
-                    if claimed {
-                        abandon_claim(ctx, key);
-                    }
-                    return Err(e);
-                }
-            };
-            let (out, probe_chunks) = match algo {
-                JoinAlgo::Hash => {
-                    let jb = match build_join_state(&r, on) {
-                        Ok(jb) => jb,
-                        Err(e) => {
-                            if claimed {
-                                abandon_claim(ctx, key);
-                            }
-                            return Err(e);
-                        }
+            // negotiate before executing the right subtree at all.
+            let breaker = negotiate(ctx, metrics, "join_build", right, || match algo {
+                JoinAlgo::Hash => opstate::join_build_key(right, on),
+                JoinAlgo::Merge | JoinAlgo::Loop => None,
+            })?;
+            let (out, work, probe_chunks) = match breaker {
+                Breaker::Hit(entry) => {
+                    let OpState::JoinBuild(jb) = &*entry.state else {
+                        return Err(mistyped(&entry, "join_build"));
                     };
-                    let state = Arc::new(OpState::JoinBuild(jb));
-                    if claimed {
-                        let build_wall = build_started.elapsed().as_secs_f64();
-                        let build_work = metrics.total_work - build_work_before
-                            + model.hash_build(r.num_rows() as f64).total();
-                        publish_state(
-                            ctx,
-                            metrics,
-                            right,
-                            key,
-                            state.clone(),
-                            build_work,
-                            build_wall,
-                        );
-                    }
-                    let OpState::JoinBuild(jb) = &*state else { unreachable!() };
-                    hash_join_probe(&l, jb, on, *kind, ctx)?
+                    metrics.data_read_bytes += l_bytes + jb.table.byte_size();
+                    let (out, chunks) = hash_join_probe(&l, jb, on, *kind, ctx)?;
+                    (out, model.hash_join_warm(jb.table.num_rows() as f64, ln), chunks)
                 }
-                JoinAlgo::Merge => (merge_join(&l, &r, on, *kind)?, 1),
-                JoinAlgo::Loop => (loop_join(&l, &r, on, *kind)?, 1),
+                Breaker::Build(claim) => {
+                    let OpOutput { table: r, bytes: r_bytes } =
+                        exec_node(right, ctx, model, metrics, pending)?;
+                    metrics.data_read_bytes += l_bytes + r_bytes;
+                    let rn = r.num_rows() as f64;
+                    match algo {
+                        JoinAlgo::Hash => {
+                            let jb = Arc::new(build_join_state(&r, on)?);
+                            // Published before the probe: waiters on the
+                            // claim need the build, not this job's output.
+                            claim.fulfil(metrics, model.hash_build(rn).total(), || {
+                                OpState::JoinBuild(jb.clone())
+                            });
+                            let (out, chunks) = hash_join_probe(&l, &jb, on, *kind, ctx)?;
+                            (out, model.hash_join(rn, ln), chunks)
+                        }
+                        JoinAlgo::Merge => {
+                            (merge_join(&l, &r, on, *kind)?, model.merge_join(ln, rn), 1)
+                        }
+                        JoinAlgo::Loop => {
+                            (loop_join(&l, &r, on, *kind)?, model.nested_loop_join(ln, rn), 1)
+                        }
+                    }
+                }
             };
             let out = restore_swapped_columns(out, *swapped, l.schema().len())?;
             match algo {
@@ -601,100 +531,38 @@ fn exec_node_inner(
                 JoinAlgo::Merge => metrics.join_algos.merge += 1,
                 JoinAlgo::Loop => metrics.join_algos.loop_ += 1,
             }
-            let (ln, rn) = (l.num_rows() as f64, r.num_rows() as f64);
-            let work = match algo {
-                JoinAlgo::Hash => model.hash_join(rn, ln),
-                JoinAlgo::Merge => model.merge_join(ln, rn),
-                JoinAlgo::Loop => model.nested_loop_join(ln, rn),
-            }
-            .total()
-                + model.morsel_dispatch(probe_chunks as f64).total();
+            let work = work.total() + model.morsel_dispatch(probe_chunks as f64).total();
             Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::HashAggregate { group_by, aggs, schema, input, .. } => {
-            let acq = acquire_breaker(ctx, metrics, "agg_state", || {
-                opstate::agg_state_key(input, group_by, aggs)
-            });
-            if let Some(out) = restore_table_state(ctx, metrics, input, &acq, |s| match s {
-                OpState::AggOutput(t) => Some(t),
-                _ => None,
-            })? {
-                return Ok(record(metrics, plan, out, 0.0, None));
-            }
-            let build_work_before = metrics.total_work;
-            let build_started = std::time::Instant::now();
-            let in_table = match exec_node(input, ctx, model, metrics, pending) {
-                Ok(out) => {
-                    metrics.data_read_bytes += out.bytes;
-                    out.table
-                }
-                Err(e) => {
-                    if acq.claimed {
-                        abandon_claim(ctx, acq.key);
-                    }
-                    return Err(e);
-                }
+            let key = || opstate::agg_state_key(input, group_by, aggs);
+            let claim = match negotiate(ctx, metrics, "agg_state", input, key)? {
+                Breaker::Hit(entry) => return restore_table(metrics, plan, &entry),
+                Breaker::Build(claim) => claim,
             };
-            let (out, chunks) = match hash_aggregate(&in_table, group_by, aggs, schema, ctx) {
-                Ok(v) => v,
-                Err(e) => {
-                    if acq.claimed {
-                        abandon_claim(ctx, acq.key);
-                    }
-                    return Err(e);
-                }
-            };
+            let OpOutput { table: in_table, bytes } =
+                exec_node(input, ctx, model, metrics, pending)?;
+            metrics.data_read_bytes += bytes;
+            let (out, chunks) = hash_aggregate(&in_table, group_by, aggs, schema, ctx)?;
             let work = model.hash_aggregate(in_table.num_rows() as f64, aggs.len()).total()
                 + model.morsel_dispatch(chunks as f64).total();
             let out = record(metrics, plan, OpOutput::new(out), work, None);
-            if acq.claimed {
-                let build_wall = build_started.elapsed().as_secs_f64();
-                let build_work = metrics.total_work - build_work_before;
-                let state = Arc::new(OpState::AggOutput(out.table.clone().compact()));
-                publish_state(ctx, metrics, input, acq.key, state, build_work, build_wall);
-            }
+            claim.fulfil(metrics, 0.0, || OpState::AggOutput(out.table.clone().compact()));
             Ok(out)
         }
         PhysicalPlan::Sort { keys, input, .. } => {
-            let acq =
-                acquire_breaker(ctx, metrics, "sort_run", || opstate::sort_state_key(input, keys));
-            if let Some(out) = restore_table_state(ctx, metrics, input, &acq, |s| match s {
-                OpState::SortRun(t) => Some(t),
-                _ => None,
-            })? {
-                return Ok(record(metrics, plan, out, 0.0, None));
-            }
-            let build_work_before = metrics.total_work;
-            let build_started = std::time::Instant::now();
-            let in_table = match exec_node(input, ctx, model, metrics, pending) {
-                Ok(out) => {
-                    metrics.data_read_bytes += out.bytes;
-                    out.table
-                }
-                Err(e) => {
-                    if acq.claimed {
-                        abandon_claim(ctx, acq.key);
-                    }
-                    return Err(e);
-                }
+            let key = || opstate::sort_state_key(input, keys);
+            let claim = match negotiate(ctx, metrics, "sort_run", input, key)? {
+                Breaker::Hit(entry) => return restore_table(metrics, plan, &entry),
+                Breaker::Build(claim) => claim,
             };
-            let out = match sort::sort_table(&in_table, keys) {
-                Ok(t) => t,
-                Err(e) => {
-                    if acq.claimed {
-                        abandon_claim(ctx, acq.key);
-                    }
-                    return Err(e);
-                }
-            };
+            let OpOutput { table: in_table, bytes } =
+                exec_node(input, ctx, model, metrics, pending)?;
+            metrics.data_read_bytes += bytes;
+            let out = sort::sort_table(&in_table, keys)?;
             let work = model.sort(in_table.num_rows() as f64).total();
             let out = record(metrics, plan, OpOutput::new(out), work, None);
-            if acq.claimed {
-                let build_wall = build_started.elapsed().as_secs_f64();
-                let build_work = metrics.total_work - build_work_before;
-                let state = Arc::new(OpState::SortRun(out.table.clone().compact()));
-                publish_state(ctx, metrics, input, acq.key, state, build_work, build_wall);
-            }
+            claim.fulfil(metrics, 0.0, || OpState::SortRun(out.table.clone().compact()));
             Ok(out)
         }
         PhysicalPlan::Limit { n, input, .. } => {
@@ -758,100 +626,133 @@ fn exec_node_inner(
     }
 }
 
-/// One breaker's cache negotiation: the derived key (if the subtree is
-/// reuse-safe and a source is installed), a resident hit, or a
-/// single-flight claim obligating this execution to publish or abandon.
-struct BreakerAcq {
-    key: Option<Sig128>,
-    kind: &'static str,
-    hit: Option<Arc<OpStateEntry>>,
-    claimed: bool,
+/// What a pipeline breaker's negotiation with the operator-state cache
+/// settled on. [`negotiate`] and [`BuildClaim`] are the whole protocol: no
+/// operator arm talks to an [`OpStateSource`] itself.
+enum Breaker<'c> {
+    /// Resident state, already credited: restore it instead of executing
+    /// the build subtree.
+    Hit(Arc<OpStateEntry>),
+    /// Execute the subtree and build inline.
+    Build(BuildClaim<'c>),
 }
 
-fn acquire_breaker(
-    ctx: &ExecContext<'_>,
+/// The obligation an inline build carries. When this execution won the
+/// single-flight race for the key the claim is *held*: [`BuildClaim::fulfil`]
+/// publishes the finished state, and dropping the claim unfulfilled — any
+/// `?` between negotiation and the finished build — abandons the key, so
+/// waiters degrade to inline builds instead of timing out. An unheld claim
+/// (no cache, underivable key, lost race) does neither.
+struct BuildClaim<'c> {
+    held: Option<(&'c dyn OpStateSource, Sig128)>,
+    obs: Option<&'c dyn ObsSink>,
+    subtree: &'c PhysicalPlan,
+    work_before: f64,
+    started: std::time::Instant,
+}
+
+/// Negotiate one breaker's state: derive its key (`None` when the subtree
+/// is not reuse-safe), ask the source, and on a hit do everything the
+/// skipped subtree would have — the stale-plan check its scans make, the
+/// hit counters and obs event, and zero-work placeholder profiles so the
+/// stage builder's 1:1 profile/plan zip still holds.
+fn negotiate<'c>(
+    ctx: &ExecContext<'c>,
     metrics: &mut ExecMetrics,
     kind: &'static str,
+    subtree: &'c PhysicalPlan,
     derive_key: impl FnOnce() -> Option<Sig128>,
-) -> BreakerAcq {
-    let mut acq = BreakerAcq { key: None, kind, hit: None, claimed: false };
-    let Some(src) = ctx.op_states else { return acq };
-    let Some(key) = derive_key() else { return acq };
-    acq.key = Some(key);
+) -> Result<Breaker<'c>> {
+    let mut claim = BuildClaim {
+        held: None,
+        obs: ctx.obs,
+        subtree,
+        work_before: metrics.total_work,
+        started: std::time::Instant::now(),
+    };
+    let Some(src) = ctx.op_states else { return Ok(Breaker::Build(claim)) };
+    let Some(key) = derive_key() else { return Ok(Breaker::Build(claim)) };
     match src.acquire(key) {
-        OpStateAcquire::Hit(e) => acq.hit = Some(e),
+        OpStateAcquire::Hit(entry) => {
+            opstate::validate_scan_guids(subtree, ctx.catalog)?;
+            metrics.op_state_hits += 1;
+            metrics.op_state_work_avoided += entry.build_work;
+            metrics.op_state_wall_avoided += entry.build_wall;
+            if let Some(obs) = ctx.obs {
+                obs.op_state_hit(kind, key);
+            }
+            push_skipped_profiles(subtree, metrics);
+            Ok(Breaker::Hit(entry))
+        }
         OpStateAcquire::Build { claimed } => {
-            acq.claimed = claimed;
+            claim.held = claimed.then_some((src, key));
             metrics.op_state_misses += 1;
             if let Some(obs) = ctx.obs {
                 obs.op_state_miss(kind);
             }
+            Ok(Breaker::Build(claim))
         }
     }
-    acq
 }
 
-/// Restore a whole-table breaker state (aggregate output, sort run): guid
-/// validation, hit accounting, and placeholder profiles for the skipped
-/// input subtree. Returns `Ok(None)` when there is no usable hit.
-fn restore_table_state(
-    ctx: &ExecContext<'_>,
-    metrics: &mut ExecMetrics,
-    subtree: &PhysicalPlan,
-    acq: &BreakerAcq,
-    pick: impl FnOnce(&OpState) -> Option<&Table>,
-) -> Result<Option<OpOutput>> {
-    let Some(entry) = &acq.hit else { return Ok(None) };
-    let Some(table) = pick(&entry.state) else { return Ok(None) };
-    opstate::validate_scan_guids(subtree, ctx.catalog)?;
-    metrics.op_state_hits += 1;
-    metrics.op_state_work_avoided += entry.build_work;
-    metrics.op_state_wall_avoided += entry.build_wall;
-    if let Some(obs) = ctx.obs {
-        obs.op_state_hit(acq.kind, acq.key.expect("hit implies key"));
+impl BuildClaim<'_> {
+    /// The build finished: publish its state if the claim is held. The
+    /// entry's cost is the work the subtree charged since negotiation plus
+    /// `own_work` (state construction not yet on the ledger) and the wall
+    /// time since negotiation.
+    fn fulfil(mut self, metrics: &mut ExecMetrics, own_work: f64, state: impl FnOnce() -> OpState) {
+        let Some((src, key)) = self.held.take() else { return };
+        let build_wall = self.started.elapsed().as_secs_f64();
+        let build_work = metrics.total_work - self.work_before + own_work;
+        let state = Arc::new(state());
+        let bytes = match &*state {
+            OpState::JoinBuild(jb) => jb.byte_size(),
+            OpState::AggOutput(t) | OpState::SortRun(t) => t.byte_size(),
+        };
+        let (dep_sigs, scan_deps) = opstate::state_deps(self.subtree);
+        metrics.op_state_published += 1;
+        if let Some(obs) = self.obs {
+            obs.op_state_published(state.kind(), bytes);
+        }
+        src.publish(
+            key,
+            OpStateEntry { state, bytes, build_work, build_wall, dep_sigs, scan_deps },
+        );
     }
-    push_skipped_profiles(subtree, metrics);
+}
+
+impl Drop for BuildClaim<'_> {
+    fn drop(&mut self) {
+        if let Some((src, key)) = self.held.take() {
+            src.abandon(key);
+        }
+    }
+}
+
+/// Restore a whole-table breaker state (aggregate output, sort run) as the
+/// operator's output, at zero work.
+fn restore_table(
+    metrics: &mut ExecMetrics,
+    plan: &PhysicalPlan,
+    entry: &OpStateEntry,
+) -> Result<OpOutput> {
+    let (OpState::AggOutput(table) | OpState::SortRun(table)) = &*entry.state else {
+        return Err(mistyped(entry, "table"));
+    };
     let out = OpOutput::new(table.clone());
     metrics.data_read_bytes += out.bytes;
-    Ok(Some(out))
+    Ok(record(metrics, plan, out, 0.0, None))
 }
 
-fn state_bytes(state: &OpState) -> u64 {
-    match state {
-        OpState::JoinBuild(jb) => jb.byte_size(),
-        OpState::AggOutput(t) | OpState::SortRun(t) => t.byte_size(),
-    }
+/// Keys are domain-separated per breaker kind, so a source that answers one
+/// kind's key with another kind's state is broken; fail the job, not the
+/// process.
+fn mistyped(entry: &OpStateEntry, wanted: &str) -> CvError {
+    CvError::internal(format!(
+        "operator-state source returned a {} state under a {wanted} key",
+        entry.state.kind()
+    ))
 }
-
-/// Publish a freshly built breaker state under a held claim.
-fn publish_state(
-    ctx: &ExecContext<'_>,
-    metrics: &mut ExecMetrics,
-    subtree: &PhysicalPlan,
-    key: Option<Sig128>,
-    state: Arc<OpState>,
-    build_work: f64,
-    build_wall: f64,
-) {
-    let (Some(src), Some(key)) = (ctx.op_states, key) else { return };
-    let (dep_sigs, scan_deps) = opstate::state_deps(subtree);
-    let bytes = state_bytes(&state);
-    let kind = state.kind();
-    metrics.op_state_published += 1;
-    if let Some(obs) = ctx.obs {
-        obs.op_state_published(kind, bytes);
-    }
-    src.publish(key, OpStateEntry { state, bytes, build_work, build_wall, dep_sigs, scan_deps });
-}
-
-/// Release a held claim after a failed build so waiters degrade to inline
-/// builds instead of timing out.
-fn abandon_claim(ctx: &ExecContext<'_>, key: Option<Sig128>) {
-    if let (Some(src), Some(key)) = (ctx.op_states, key) {
-        src.abandon(key);
-    }
-}
-
 /// Emit zero-work placeholder profiles for a subtree a cache hit skipped,
 /// in the postorder execution would have produced, so the cluster stage
 /// builder's 1:1 profile/plan zip still holds. Skipped subtrees never

@@ -247,8 +247,9 @@ pub fn state_deps(plan: &PhysicalPlan) -> (Vec<Sig128>, Vec<(String, VersionGuid
 pub enum OpState {
     /// A hash-join build side: the materialized build table, resolved key
     /// column indices, and the chained hash table over its rows, restored
-    /// directly under the probe loop.
-    JoinBuild(JoinBuildState),
+    /// directly under the probe loop (shared with the execution that built
+    /// it, which probes the same state it publishes).
+    JoinBuild(Arc<JoinBuildState>),
     /// A hash-aggregate's finished, canonically ordered group state. The
     /// accumulators have been folded; restoring replays the operator's
     /// exact output bytes.

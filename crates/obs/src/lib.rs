@@ -5,7 +5,8 @@
 //! - [`trace::Tracer`] — hierarchical spans on logical tracks with Chrome
 //!   trace-event export. Span structure (tracks, nesting, names, counter
 //!   args) is a pure function of the workload seed; only wall-clock
-//!   `ts`/`dur` vary between runs or worker counts.
+//!   `ts`/`dur` vary between runs or worker counts. Instrumented code
+//!   holds a [`trace::SpanGuard`], which ends its span on every exit.
 //! - [`metrics::Metrics`] — a registry of atomic counters, gauges and
 //!   power-of-two histograms with sorted flat JSON/text dumps.
 //!
@@ -18,4 +19,4 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histo, Metrics};
-pub use trace::{chrome_trace, Span, Tracer};
+pub use trace::{chrome_trace, Span, SpanGuard, Tracer};

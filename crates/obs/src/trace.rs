@@ -133,6 +133,12 @@ impl Tracer {
         self.lock().unbalanced_ends
     }
 
+    /// Spans begun and not yet ended, over all tracks. Zero once a run has
+    /// returned — with `Ok` or with `Err`.
+    pub fn open_spans(&self) -> usize {
+        self.lock().stacks.values().map(Vec::len).sum()
+    }
+
     /// Snapshot of all spans, sorted by `(track, seq)` — the deterministic
     /// export order.
     pub fn spans(&self) -> Vec<Span> {
@@ -194,6 +200,45 @@ impl Tracer {
     /// Full single-tracer Chrome trace file.
     pub fn to_chrome_json(&self) -> Json {
         chrome_trace(self.chrome_events(1))
+    }
+}
+
+/// An open span that closes itself: the handle instrumented code holds
+/// instead of pairing `begin`/`end` calls by hand. Opened over `None` — an
+/// unobserved run — it is inert: no clock read, no allocation, no lock.
+///
+/// [`SpanGuard::close`] ends the span with its counters. Dropping the guard
+/// unclosed — an early return, a `?` — ends it with `failed: 1`, so no exit
+/// leaves a span open. Guards on one track must drop innermost first, which
+/// is the order locals drop in.
+#[must_use = "dropping the guard ends the span as failed"]
+pub struct SpanGuard<'a> {
+    tracer: Option<&'a Tracer>,
+    track: u64,
+}
+
+impl<'a> SpanGuard<'a> {
+    /// Begin `name` on `track` of `tracer`, if there is one.
+    pub fn open(tracer: Option<&'a Tracer>, track: u64, name: &str) -> SpanGuard<'a> {
+        if let Some(t) = tracer {
+            t.begin(track, name);
+        }
+        SpanGuard { tracer, track }
+    }
+
+    /// End the span, attaching its deterministic counter args.
+    pub fn close(mut self, args: &[(&str, u64)]) {
+        if let Some(t) = self.tracer.take() {
+            t.end_with(self.track, args);
+        }
+    }
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(t) = self.tracer.take() {
+            t.end_with(self.track, &[("failed", 1)]);
+        }
     }
 }
 
@@ -264,6 +309,39 @@ mod tests {
             assert_eq!(chunk[1].name, "execute");
             assert_eq!(chunk[1].depth, 1);
         }
+    }
+
+    #[test]
+    fn a_guard_closes_its_span_on_every_exit() {
+        let t = Tracer::new();
+        let run = |fail: bool| -> Result<(), ()> {
+            let job = SpanGuard::open(Some(&t), 1, "job");
+            let compile = SpanGuard::open(Some(&t), 1, "compile");
+            if fail {
+                return Err(());
+            }
+            compile.close(&[("built", 2)]);
+            job.close(&[]);
+            Ok(())
+        };
+        run(false).unwrap();
+        run(true).unwrap_err();
+        assert_eq!((t.open_spans(), t.unbalanced_ends()), (0, 0));
+        let args: Vec<_> = t.spans().into_iter().map(|s| (s.name, s.depth, s.args)).collect();
+        let failed = vec![("failed".to_string(), 1)];
+        assert_eq!(
+            args,
+            vec![
+                ("job".to_string(), 0, vec![]),
+                ("compile".to_string(), 1, vec![("built".to_string(), 2)]),
+                ("job".to_string(), 0, failed.clone()),
+                ("compile".to_string(), 1, failed),
+            ]
+        );
+        // Without a tracer the guard does nothing at all.
+        SpanGuard::open(None, 1, "job").close(&[("rows", 1)]);
+        drop(SpanGuard::open(None, 1, "job"));
+        assert_eq!(t.span_count(), 4);
     }
 
     #[test]

@@ -41,13 +41,12 @@ use cv_core::repository::{JobMeta, SubexpressionRepo};
 use cv_data::store_api::{SharedViewStore, StoreIoStats};
 use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
-use cv_engine::exec::{ExecMetrics, PendingView};
+use cv_engine::exec::{ExecMetrics, OpStateSource, PendingView};
 use cv_engine::optimizer::{AlwaysGrant, OptimizerConfig, ReuseContext};
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::{plan_signature, SigMode};
 use cv_ivm::{IvmEngine, IvmStats, Maintain};
-use cv_service::TaggedOpStates;
-use cv_store::DurableStoreOptions;
+use cv_service::{OpStateCache, TaggedOpStates};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -97,33 +96,12 @@ pub enum StoreBackend {
     /// surface).
     #[default]
     Memory,
-    /// On disk: WAL + pages + checkpoints under the given directory.
-    /// Survives (simulated and real) restarts.
-    Durable(DurableStoreConfig),
-}
-
-/// Configuration of the durable backend.
-#[derive(Clone, Debug)]
-pub struct DurableStoreConfig {
-    /// Store directory. Reopening an existing directory (with the same
-    /// shard count) recovers the views a previous run left behind
-    /// (restart-and-resume).
-    pub dir: std::path::PathBuf,
-    /// Buffer-pool capacity in 8 KiB pages.
-    pub cache_pages: usize,
-    /// Checkpoint after this many WAL records.
-    pub checkpoint_every: u64,
-}
-
-impl DurableStoreConfig {
-    pub fn new(dir: impl Into<std::path::PathBuf>) -> DurableStoreConfig {
-        let defaults = DurableStoreOptions::default();
-        DurableStoreConfig {
-            dir: dir.into(),
-            cache_pages: defaults.cache_pages,
-            checkpoint_every: defaults.checkpoint_every,
-        }
-    }
+    /// On disk: WAL + pages + checkpoints under the given directory, at
+    /// the store's default buffer-pool size and checkpoint cadence.
+    /// Survives (simulated and real) restarts: reopening an existing
+    /// directory (with the same shard count) recovers the views a previous
+    /// run left behind.
+    Durable(std::path::PathBuf),
 }
 
 /// How the driver treats daily regeneration and recurring views.
@@ -209,6 +187,8 @@ pub struct DriverOutcome {
     pub result_digests: BTreeMap<JobId, Sig128>,
     /// Jobs that failed to compile/execute (should be zero).
     pub failed_jobs: u64,
+    /// Why each failed job failed, in job order (`failed_jobs` long).
+    pub failures: Vec<(JobId, String)>,
     /// (analysis day, #views selected) per analysis run.
     pub selection_history: Vec<(SimDay, usize)>,
     /// Views purged by GDPR input rotations.
@@ -339,7 +319,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
     let mut pending_seals: HashMap<Sig128, PendingSeal> = HashMap::new();
     let mut result_digests = BTreeMap::new();
     let mut selection_history = Vec::new();
-    let mut failed_jobs = 0u64;
+    let mut failures: Vec<(JobId, String)> = Vec::new();
     let mut gdpr_purged_views = 0u64;
     let mut next_job = 0u64;
     let mut robustness = RobustnessStats::default();
@@ -390,8 +370,8 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                         continue;
                     }
                     Ok(None) => {}
-                    Err(_) => {
-                        failed_jobs += 1;
+                    Err(e) => {
+                        failures.push((job, e.to_string()));
                         continue;
                     }
                 }
@@ -399,14 +379,10 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
 
             let use_cv = use_cloudviews(cfg, submit, &mut robustness);
 
-            // Per-job tag on the shared cache so hits against another
-            // job's published state count as cross-job reuse.
-            if let Some(cache) = &op_states {
-                engine.op_states = Some(Arc::new(TaggedOpStates::new(cache.clone(), job.0)));
-            }
             let run = run_one_job(
                 &mut engine,
                 store,
+                op_states.as_ref(),
                 &mut insights,
                 template,
                 day,
@@ -446,9 +422,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                         stages: one.stages,
                     })?;
                 }
-                Err(_) => {
-                    failed_jobs += 1;
-                }
+                Err(e) => failures.push((job, e.to_string())),
             }
         }
 
@@ -476,7 +450,8 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
         usage: insights.usage_log().to_vec(),
         view_store_stats,
         result_digests,
-        failed_jobs,
+        failed_jobs: failures.len() as u64,
+        failures,
         selection_history,
         gdpr_purged_views,
         robustness,
@@ -581,6 +556,7 @@ struct OneJob {
 fn run_one_job(
     engine: &mut QueryEngine,
     store: &dyn SharedViewStore,
+    op_states: Option<&Arc<OpStateCache>>,
     insights: &mut InsightsService,
     template: &JobTemplate,
     day: SimDay,
@@ -609,7 +585,17 @@ fn run_one_job(
         engine.optimize(&plan, &reuse, &mut AlwaysGrant)?
     };
 
-    let exec = match engine.execute_with(&compiled.outcome.physical, store, meta.submit) {
+    // Per-job tag on the shared cache so hits against another job's
+    // published state count as cross-job reuse.
+    let tagged = op_states.map(|c| TaggedOpStates::new(c.clone(), meta.job.0));
+    let exec = match engine.execute_with_states(
+        &compiled.outcome.physical,
+        store,
+        meta.submit,
+        None,
+        None,
+        tagged.as_ref().map(|t| t as &dyn OpStateSource),
+    ) {
         Ok(e) => e,
         Err(e) => {
             // Release any creation locks this job acquired before bailing.
@@ -907,7 +893,7 @@ mod tests {
         mem_cfg.cluster = quick_cluster();
         let dir = temp_store_dir("parity");
         let mut disk_cfg = mem_cfg.clone();
-        disk_cfg.store = StoreBackend::Durable(DurableStoreConfig::new(&dir));
+        disk_cfg.store = StoreBackend::Durable(dir.clone());
 
         let mem = run_workload(&w, &mem_cfg).unwrap();
         let disk = run_workload(&w, &disk_cfg).unwrap();
@@ -928,7 +914,7 @@ mod tests {
         let dir = temp_store_dir("resume");
         let mut cfg = DriverConfig::enabled(3);
         cfg.cluster = quick_cluster();
-        cfg.store = StoreBackend::Durable(DurableStoreConfig::new(&dir));
+        cfg.store = StoreBackend::Durable(dir.clone());
         let first = run_workload(&w, &cfg).unwrap();
         assert!(first.view_store_stats.views_created > 0);
 
@@ -949,7 +935,7 @@ mod tests {
         let mut cfg = DriverConfig::enabled(3);
         cfg.cluster = quick_cluster();
         let baseline_dir = temp_store_dir("crash-base");
-        cfg.store = StoreBackend::Durable(DurableStoreConfig::new(&baseline_dir));
+        cfg.store = StoreBackend::Durable(baseline_dir.clone());
         let baseline = run_workload(&w, &cfg).unwrap();
         let budget = baseline.store_io.as_ref().unwrap().bytes_written_durably;
         assert!(budget > 0);
@@ -958,7 +944,7 @@ mod tests {
         // recover in place and finish with byte-identical per-job digests.
         let crash_dir = temp_store_dir("crash-kill");
         let mut crash_cfg = cfg.clone();
-        crash_cfg.store = StoreBackend::Durable(DurableStoreConfig::new(&crash_dir));
+        crash_cfg.store = StoreBackend::Durable(crash_dir.clone());
         crash_cfg.faults = FaultPlan::seeded(7).with_crash_after_bytes(budget / 2);
         let crashed = run_workload(&w, &crash_cfg).unwrap();
         assert_eq!(crashed.robustness.store_crashes, 1, "the crash budget must trip once");

@@ -29,8 +29,8 @@ pub mod templates;
 
 pub use cv_ivm::IvmStats;
 pub use driver::{
-    ivm_stats_json, run_workload, DriverConfig, DriverOutcome, DurableStoreConfig, IvmMode,
-    SelectionKnobs, SelectorKind, StoreBackend,
+    ivm_stats_json, run_workload, DriverConfig, DriverOutcome, IvmMode, SelectionKnobs,
+    SelectorKind, StoreBackend,
 };
 pub use generator::{generate_workload, Workload, WorkloadConfig};
 pub use service_driver::{

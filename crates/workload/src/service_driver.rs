@@ -9,8 +9,10 @@
 //!
 //! # The three-phase wave protocol
 //!
-//! Each day's due jobs are split into waves (dataset producers before their
-//! consumers) and every wave runs three phases:
+//! One `ServiceRun` owns the run's state and accumulates its outcome in
+//! place. Each day's due jobs are split into waves (dataset producers
+//! before their consumers) and every wave (`run_wave`) runs three phases,
+//! one function each — `compile_job`, `execute_job`, `commit_job`:
 //!
 //! 1. **Compile (sequential, job order)** — annotate, rewrite the reuse
 //!    context against the single-flight registry (an in-flight build of a
@@ -39,7 +41,7 @@
 
 use crate::driver::{DriverConfig, IvmMode};
 use crate::generator::Workload;
-use crate::service_obs::{job_track, ServiceObs};
+use crate::service_obs::{job_track, ObsHandle, ServiceObs};
 use crate::steps::{
     absorb_read_faults, apply_gdpr, assemble_ledger, digest_table, due_jobs, ingest_raw,
     next_job_meta, open_store, publish_output, run_analysis, seal_view, set_up, store_io_json,
@@ -62,7 +64,9 @@ use cv_engine::engine::QueryEngine;
 use cv_engine::exec::{ExecOutcome, OpStateSource, PendingView};
 use cv_engine::optimizer::{AlwaysGrant, ReuseContext, SemanticGrant, ViewMeta};
 use cv_engine::physical::PhysicalPlan;
-use cv_engine::signature::SubexprInfo;
+use cv_engine::plan::LogicalPlan;
+use cv_engine::signature::{template_signature, SubexprInfo};
+use cv_obs::SpanGuard;
 use cv_service::{
     run_tasks, FlightOutcome, OpStateCache, PipelinedViewSource, PoolConfig, PromisedView,
     ServiceStats, SingleFlight, TaggedOpStates, TaskSpec,
@@ -79,10 +83,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Lock stripes in the shared view store.
     pub store_shards: usize,
-    /// Max concurrently admitted jobs per virtual cluster.
-    pub vc_inflight_limit: usize,
-    /// Bound on each VC's deferred queue (backpressure on the submitter).
-    pub queue_cap: usize,
     /// Open-loop pacing: wall-clock microseconds of release gap per
     /// sim-hour between consecutive submissions. 0 = closed loop (release
     /// everything immediately, the pool's admission control is the only
@@ -95,8 +95,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             store_shards: cv_data::sharded::DEFAULT_SHARDS,
-            vc_inflight_limit: 4,
-            queue_cap: 32,
             pacing_us_per_sim_hour: 0,
         }
     }
@@ -246,7 +244,7 @@ impl ServiceReport {
 
 /// Everything a service run produces: the sequential driver's outcome
 /// fields plus the service counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServiceOutcome {
     pub ledger: MetricsLedger,
     pub repo: SubexpressionRepo,
@@ -254,6 +252,8 @@ pub struct ServiceOutcome {
     pub view_store_stats: ViewStoreStats,
     pub result_digests: BTreeMap<JobId, Sig128>,
     pub failed_jobs: u64,
+    /// Why each failed job failed, in job order (`failed_jobs` long).
+    pub failures: Vec<(JobId, String)>,
     pub selection_history: Vec<(SimDay, usize)>,
     pub gdpr_purged_views: u64,
     pub robustness: RobustnessStats,
@@ -286,9 +286,16 @@ impl ServiceOutcome {
 }
 
 /// One compiled job awaiting (or back from) pool execution.
-struct CompiledTask {
+struct CompiledTask<'a> {
     meta: JobMeta,
     use_cv: bool,
+    /// The job's lifecycle span, opened at compile and closed at commit.
+    job_span: SpanGuard<'a>,
+    physical: PhysicalPlan,
+    /// Signatures this plan consumes from a still-in-flight builder.
+    promised: HashSet<Sig128>,
+    /// The builders of `promised`: the pool holds this job until they finish.
+    deps: Vec<JobId>,
     matched: Vec<Sig128>,
     /// Of `matched`, views served through a certified semantic
     /// (compensated) substitution.
@@ -296,7 +303,7 @@ struct CompiledTask {
     built: Vec<Sig128>,
     /// Defining plans of the views this job builds, for semantic serving
     /// after the seal.
-    built_plans: Vec<(Sig128, std::sync::Arc<cv_engine::plan::LogicalPlan>)>,
+    built_plans: Vec<(Sig128, Arc<LogicalPlan>)>,
     subexprs: Vec<SubexprInfo>,
     output_dataset: Option<String>,
 }
@@ -332,7 +339,7 @@ struct TaskDone {
 /// containment prover see views built minutes earlier by a concurrent job.
 struct EpochView {
     strict: Sig128,
-    plan: std::sync::Arc<cv_engine::plan::LogicalPlan>,
+    plan: Arc<LogicalPlan>,
     rows: u64,
     bytes: u64,
 }
@@ -398,70 +405,101 @@ pub fn run_workload_service_with_store(
              deltas nor maintains views",
         ));
     }
-    // Jobs already run one-per-pool-worker; chunking streams inside each
-    // job serially (a nested pool per operator would oversubscribe cores).
-    let (mut engine, op_states) = set_up(cfg, store);
-    if let Some(o) = obs {
-        engine.optimizer.set_obs(o.optimizer_sink.clone());
-    }
-    let insights = SharedInsights::new(InsightsService::new(cfg.controls.clone()));
-    let flights = SingleFlight::new();
-    let stats = ServiceStats::default();
-
-    let mut repo = SubexpressionRepo::new();
-    let mut data_plane: HashMap<JobId, DataPlane> = HashMap::new();
-    let mut result_digests = BTreeMap::new();
-    let mut selection_history = Vec::new();
-    let mut failed_jobs = 0u64;
-    let mut gdpr_purged_views = 0u64;
-    let mut next_job = 0u64;
-    let mut robustness = RobustnessStats::default();
-    let mut specs_for_sim: Vec<JobSpec> = Vec::new();
-    let mut pipelined_jobs = 0u64;
-    let mut steals = 0u64;
-    let mut admission_deferrals = 0u64;
-    let mut max_inflight = 0usize;
-    let mut max_queue_depth = 0usize;
-    let mut exec_wall = Duration::ZERO;
-    let mut parallel_wall = Duration::ZERO;
-    let mut compile_wall = Duration::ZERO;
-    let mut commit_wall = Duration::ZERO;
-    let mut worker_busy: Vec<Duration> = Vec::new();
-    let mut latencies_ms: Vec<(JobId, f64)> = Vec::new();
-    let mut op_work_avoided = 0.0f64;
-    let mut op_wall_avoided = 0.0f64;
-
+    let mut run = ServiceRun::new(cfg, svc, store, ObsHandle(obs));
     for day_idx in 0..cfg.days {
-        let day = SimDay(day_idx);
-        let day_start = day.start();
-        if let Some(o) = obs {
-            o.tracer.begin(0, "day");
+        run.run_day(workload, SimDay(day_idx))?;
+    }
+    run.finish()
+}
+
+/// The state of one service run: what every phase reads and writes, and the
+/// outcome accumulated in place. A day is [`ServiceRun::run_day`]; a wave
+/// of it is the three phases of DESIGN.md §9, one function each —
+/// [`ServiceRun::compile_job`], [`ServiceRun::execute_job`],
+/// [`ServiceRun::commit_job`].
+struct ServiceRun<'a> {
+    cfg: &'a DriverConfig,
+    svc: &'a ServiceConfig,
+    store: &'a dyn SharedViewStore,
+    obs: ObsHandle<'a>,
+    /// Jobs already run one-per-pool-worker; chunking streams inside each
+    /// job serially (a nested pool per operator would oversubscribe cores).
+    engine: QueryEngine,
+    op_states: Option<Arc<OpStateCache>>,
+    insights: SharedInsights,
+    flights: SingleFlight,
+    stats: ServiceStats,
+    next_job: u64,
+    data_plane: HashMap<JobId, DataPlane>,
+    specs_for_sim: Vec<JobSpec>,
+    /// Views sealed today, queued for the day-end insights announce.
+    day_seals: Vec<(ViewInfo, JobId)>,
+    /// Template → views built earlier today, for the semantic cascade.
+    epoch_views: HashMap<Sig128, Vec<EpochView>>,
+    /// Filled as the run goes; `ledger`, `usage` and the store's counters
+    /// land in [`ServiceRun::finish`].
+    out: ServiceOutcome,
+}
+
+impl<'a> ServiceRun<'a> {
+    fn new(
+        cfg: &'a DriverConfig,
+        svc: &'a ServiceConfig,
+        store: &'a dyn SharedViewStore,
+        obs: ObsHandle<'a>,
+    ) -> ServiceRun<'a> {
+        let (mut engine, op_states) = set_up(cfg, store);
+        engine.optimizer.obs = obs.optimizer_sink();
+        let service = ServiceReport {
+            workers: svc.workers,
+            shards: store.n_shards(),
+            op_state: OpStateReport { enabled: op_states.is_some(), ..OpStateReport::default() },
+            ..ServiceReport::default()
+        };
+        ServiceRun {
+            cfg,
+            svc,
+            store,
+            obs,
+            engine,
+            op_states,
+            insights: SharedInsights::new(InsightsService::new(cfg.controls.clone())),
+            flights: SingleFlight::new(),
+            stats: ServiceStats::default(),
+            next_job: 0,
+            data_plane: HashMap::new(),
+            specs_for_sim: Vec::new(),
+            day_seals: Vec::new(),
+            epoch_views: HashMap::new(),
+            out: ServiceOutcome { service, ..ServiceOutcome::default() },
         }
+    }
+
+    fn run_day(&mut self, workload: &Workload, day: SimDay) -> Result<()> {
+        let (cfg, store) = (self.cfg, self.store);
+        let day_start = day.start();
+        let day_span = self.obs.span(0, "day");
 
         // Hygiene once per day (the sequential driver evicts before every
         // job; reads re-check expiry themselves, so only eviction-counter
         // timing differs — see DESIGN.md §9).
         store.evict_expired(day_start)?;
-        insights.lock().expire(day_start);
+        self.insights.lock().expire(day_start);
 
         // 1. Ingestion (same rng, same tables, same GUID rotations as the
         // sequential driver), then the optional GDPR forget-request.
-        if let Some(o) = obs {
-            o.tracer.begin(0, "ingest");
-        }
-        let regenerated = ingest_raw(&mut engine.catalog, workload, day, false)?;
-        if let Some(o) = obs {
-            o.tracer.end_with(0, &[("datasets", regenerated)]);
-        }
-        gdpr_purged_views += apply_gdpr(
+        let span = self.obs.span(0, "ingest");
+        let regenerated = ingest_raw(&mut self.engine.catalog, workload, day, false)?;
+        span.close(&[("datasets", regenerated)]);
+        self.out.gdpr_purged_views += apply_gdpr(
             cfg,
-            &mut engine,
+            &mut self.engine,
             store,
-            &mut insights.lock(),
-            op_states.as_deref(),
+            &mut self.insights.lock(),
+            self.op_states.as_deref(),
             workload.config.seed,
             day,
-            &mut robustness,
+            &mut self.out.robustness,
         )?;
 
         // 2. Due jobs, in the order that lines job ids up across drivers.
@@ -478,739 +516,550 @@ pub fn run_workload_service_with_store(
                 "wave partition would reorder jobs: a dataset producer submits after a consumer",
             ));
         }
+        self.epoch_views.clear();
         let (wave0, wave1) = due.split_at(first_consumer);
-
-        // Views sealed today, queued for the day-end insights announce.
-        let mut day_seals: Vec<(ViewInfo, JobId)> = Vec::new();
-        // Template → views built earlier today, for the semantic cascade.
-        let mut epoch_views: HashMap<Sig128, Vec<EpochView>> = HashMap::new();
         for wave in [wave0, wave1] {
-            if wave.is_empty() {
-                continue;
+            if !wave.is_empty() {
+                self.run_wave(wave, day)?;
             }
-            let report = run_wave(WaveCtx {
-                engine: &mut engine,
-                insights: &insights,
-                store,
-                flights: &flights,
-                stats: &stats,
-                op_states: op_states.as_ref(),
-                wave,
-                day,
-                cfg,
-                svc,
-                next_job: &mut next_job,
-                repo: &mut repo,
-                data_plane: &mut data_plane,
-                result_digests: &mut result_digests,
-                failed_jobs: &mut failed_jobs,
-                robustness: &mut robustness,
-                day_seals: &mut day_seals,
-                epoch_views: &mut epoch_views,
-                specs_for_sim: &mut specs_for_sim,
-                pipelined_jobs: &mut pipelined_jobs,
-                obs,
-            })?;
-            steals += report.steals;
-            admission_deferrals += report.admission_deferrals;
-            max_inflight = max_inflight.max(report.max_inflight);
-            max_queue_depth = max_queue_depth.max(report.max_queue_depth);
-            exec_wall += report.exec_wall;
-            parallel_wall += report.parallel_wall;
-            compile_wall += report.compile_wall;
-            commit_wall += report.commit_wall;
-            op_work_avoided += report.op_state_work_avoided;
-            op_wall_avoided += report.op_state_wall_avoided;
-            if worker_busy.len() < report.worker_busy.len() {
-                worker_busy.resize(report.worker_busy.len(), Duration::ZERO);
-            }
-            for (acc, d) in worker_busy.iter_mut().zip(&report.worker_busy) {
-                *acc += *d;
-            }
-            latencies_ms.extend(
-                report.latencies.into_iter().map(|(job, d)| (job, d.as_secs_f64() * 1000.0)),
-            );
         }
 
         // Day end: announce the views sealed this day to the insights
         // service, in job order (the sequential driver announces at the
         // simulator's seal events; the digest contract is unaffected, only
         // the announce instant differs — DESIGN.md §9).
-        if let Some(o) = obs {
-            o.tracer.begin(0, "announce");
-        }
-        let n_seals = day_seals.len() as u64;
+        let span = self.obs.span(0, "announce");
+        let n_seals = self.day_seals.len() as u64;
         {
-            let mut ins = insights.lock();
-            for (info, job) in day_seals {
+            let mut ins = self.insights.lock();
+            for (info, job) in self.day_seals.drain(..) {
                 ins.report_sealed(info, job);
             }
         }
-        flights.clear();
-        if let Some(o) = obs {
-            o.tracer.end_with(0, &[("seals", n_seals)]);
-        }
+        self.flights.clear();
+        span.close(&[("seals", n_seals)]);
 
         // 3. Workload analysis + selection publish.
         if let Some(knobs) = &cfg.cloudviews {
-            if (day_idx + 1) % knobs.analysis_every_days == 0 {
-                if let Some(o) = obs {
-                    o.tracer.begin(0, "analysis");
-                }
-                let n = run_analysis(&repo, &mut insights.lock(), knobs, day, &cfg.cluster);
-                selection_history.push((day, n));
-                if let Some(o) = obs {
-                    o.tracer.end_with(0, &[("selected", n as u64)]);
-                }
+            if (day.index() + 1).is_multiple_of(knobs.analysis_every_days) {
+                let span = self.obs.span(0, "analysis");
+                let mut ins = self.insights.lock();
+                let n = run_analysis(&self.out.repo, &mut ins, knobs, day, &cfg.cluster);
+                self.out.selection_history.push((day, n));
+                span.close(&[("selected", n as u64)]);
             }
         }
-        if let Some(o) = obs {
-            o.tracer.end_with(0, &[("day", u64::from(day_idx))]);
-        }
+        day_span.close(&[("day", u64::from(day.index()))]);
+        Ok(())
     }
 
-    // Cluster-side accounting, merged deterministically.
-    let ledger = merge_completions(
-        specs_for_sim,
-        &mut data_plane,
-        &cfg.cluster,
-        &cfg.faults,
-        &mut robustness,
-    )?;
-
-    let (store_stats, store_io) = store_tail(store, &mut robustness);
-
-    let snap = stats.snapshot();
-    latencies_ms.sort_by_key(|a| a.0);
-    let op_state = match &op_states {
-        Some(cache) => {
-            let s = cache.stats();
-            OpStateReport {
-                enabled: true,
-                hits: s.hits,
-                cross_job_hits: s.cross_job_hits,
-                misses: s.misses,
-                published: s.published,
-                evicted: s.evicted,
-                degraded_waits: s.degraded_waits,
-                purged: s.purged,
-                resident_bytes: s.resident_bytes,
-                build_work_avoided: op_work_avoided,
-                build_wall_avoided: op_wall_avoided,
+    /// One wave of a day: compile every job sequentially in job order, run
+    /// the compiled plans on the pool, commit sequentially in job order.
+    fn run_wave(&mut self, wave: &[&JobTemplate], day: SimDay) -> Result<()> {
+        let started = Instant::now();
+        let span = self.obs.span(0, "compile");
+        let mut compiled: Vec<CompiledTask<'a>> = Vec::new();
+        for template in wave {
+            let meta = next_job_meta(template, day, &mut self.next_job);
+            match self.compile_job(template, day, meta) {
+                Ok(task) => compiled.push(task),
+                Err(e) => self.fail_job(meta.job, e),
             }
         }
-        None => OpStateReport::default(),
-    };
-    let service = ServiceReport {
-        workers: svc.workers,
-        shards: store.n_shards(),
-        pipelined_jobs,
-        pipelined_reads: snap.pipelined_reads,
-        flight_waits: snap.flight_waits,
-        duplicate_materializations: snap.duplicate_materializations,
-        chunks_spooled: flights.stats().chunks_buffered,
-        chunk_assembled_reads: snap.chunk_assembled_reads,
-        realized_pipelining_savings: snap.realized_savings,
-        steals,
-        admission_deferrals,
-        max_inflight,
-        max_queue_depth,
-        exec_wall_seconds: exec_wall.as_secs_f64(),
-        parallel_wall_seconds: parallel_wall.as_secs_f64(),
-        compile_wall_seconds: compile_wall.as_secs_f64(),
-        commit_wall_seconds: commit_wall.as_secs_f64(),
-        pool_overhead_seconds: exec_wall.saturating_sub(parallel_wall).as_secs_f64(),
-        worker_busy_seconds: worker_busy.iter().map(Duration::as_secs_f64).collect(),
-        latencies_ms,
-        op_state,
-    };
+        span.close(&[("jobs", wave.len() as u64), ("compiled", compiled.len() as u64)]);
+        self.out.service.compile_wall_seconds += started.elapsed().as_secs_f64();
 
-    if let Some(o) = obs {
-        let m = &o.metrics;
-        let fl = flights.stats();
-        m.add("flight.claims", fl.claims);
-        m.add("flight.waits", fl.waits);
-        m.add("flight.resolves", fl.resolves);
-        m.add("flight.chunks_buffered", fl.chunks_buffered);
-        m.add("service.chunk_assembled_reads", snap.chunk_assembled_reads);
-        m.add("store.views_created", store_stats.views_created);
-        m.add("store.views_reused", store_stats.views_reused);
-        m.add("store.read_misses", store_stats.read_misses);
-        m.add("store.bytes_written", store_stats.bytes_written);
-        m.add("store.bytes_served", store_stats.bytes_served);
-        if let Some(io) = &store_io {
-            m.add("store.page_cache_hits", io.page_cache_hits);
-            m.add("store.page_cache_misses", io.page_cache_misses);
-            m.add("store.pages_evicted", io.pages_evicted);
-            m.add("store.wal_fsyncs", io.wal_fsyncs);
-            m.add("store.wal_records_written", io.wal_records_written);
-            m.add("store.wal_records_replayed", io.wal_records_replayed);
-            m.add("store.recoveries", io.recoveries);
-            m.add("store.checkpoints", io.checkpoints);
+        let mut results = self.execute_wave(&compiled);
+
+        let started = Instant::now();
+        let span = self.obs.span(0, "commit");
+        let n_jobs = compiled.len() as u64;
+        for task in compiled {
+            let done = results.remove(&task.meta.job);
+            self.commit_job(task, done)?;
         }
-        m.add("service.pipelined_jobs", pipelined_jobs);
-        m.add("service.pipelined_reads", snap.pipelined_reads);
-        m.add("service.flight_waits", snap.flight_waits);
-        m.add("service.duplicate_materializations", snap.duplicate_materializations);
-        m.set("pool.workers", svc.workers as u64);
-        m.add("pool.steals", steals);
-        m.add("pool.admission_deferrals", admission_deferrals);
-        m.gauge("pool.max_inflight").set_max(max_inflight as u64);
-        m.gauge("pool.max_queue_depth").set_max(max_queue_depth as u64);
-        for (i, busy) in worker_busy.iter().enumerate() {
-            m.add(&format!("pool.worker{i}.busy_us"), busy.as_micros() as u64);
-        }
-        m.add("phase.compile_us", compile_wall.as_micros() as u64);
-        m.add("phase.parallel_us", parallel_wall.as_micros() as u64);
-        m.add("phase.commit_us", commit_wall.as_micros() as u64);
-        m.add("phase.pool_us", exec_wall.as_micros() as u64);
-        // Cache-side op_state counters (the per-op hit/miss/publish
-        // counters come from each task's ExecSink).
-        m.add("op_state.cross_job_hits", service.op_state.cross_job_hits);
-        m.add("op_state.evicted", service.op_state.evicted);
-        m.add("op_state.degraded_waits", service.op_state.degraded_waits);
-        m.add("op_state.purged", service.op_state.purged);
-        m.gauge("op_state.resident_bytes").set_max(service.op_state.resident_bytes);
+        span.close(&[("jobs", n_jobs)]);
+        self.out.service.commit_wall_seconds += started.elapsed().as_secs_f64();
+        Ok(())
     }
 
-    let usage = insights.lock().usage_log().to_vec();
-    Ok(ServiceOutcome {
-        ledger,
-        repo,
-        usage,
-        view_store_stats: store_stats,
-        result_digests,
-        failed_jobs,
-        selection_history,
-        gdpr_purged_views,
-        robustness,
-        store_io,
-        service,
-    })
-}
-
-/// Everything one wave needs (bundled to keep `run_wave` callable).
-struct WaveCtx<'a, 'w> {
-    engine: &'a mut QueryEngine,
-    insights: &'a SharedInsights,
-    store: &'a dyn SharedViewStore,
-    flights: &'a SingleFlight,
-    stats: &'a ServiceStats,
-    op_states: Option<&'a Arc<OpStateCache>>,
-    wave: &'a [&'w JobTemplate],
-    day: SimDay,
-    cfg: &'a DriverConfig,
-    svc: &'a ServiceConfig,
-    next_job: &'a mut u64,
-    repo: &'a mut SubexpressionRepo,
-    data_plane: &'a mut HashMap<JobId, DataPlane>,
-    result_digests: &'a mut BTreeMap<JobId, Sig128>,
-    failed_jobs: &'a mut u64,
-    robustness: &'a mut RobustnessStats,
-    day_seals: &'a mut Vec<(ViewInfo, JobId)>,
-    epoch_views: &'a mut HashMap<Sig128, Vec<EpochView>>,
-    specs_for_sim: &'a mut Vec<JobSpec>,
-    pipelined_jobs: &'a mut u64,
-    obs: Option<&'a ServiceObs>,
-}
-
-struct WaveReport {
-    steals: u64,
-    admission_deferrals: u64,
-    max_inflight: usize,
-    max_queue_depth: usize,
-    /// Total pool wall (ready barrier → worker teardown).
-    exec_wall: Duration,
-    /// Parallel phase proper (batch epoch → last completion).
-    parallel_wall: Duration,
-    compile_wall: Duration,
-    commit_wall: Duration,
-    worker_busy: Vec<Duration>,
-    latencies: Vec<(JobId, Duration)>,
-    /// Skipped-build credit summed from the wave's executor metrics.
-    op_state_work_avoided: f64,
-    op_state_wall_avoided: f64,
-}
-
-fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
-    let WaveCtx {
-        engine,
-        insights,
-        store,
-        flights,
-        stats,
-        op_states,
-        wave,
-        day,
-        cfg,
-        svc,
-        next_job,
-        repo,
-        data_plane,
-        result_digests,
-        failed_jobs,
-        robustness,
-        day_seals,
-        epoch_views,
-        specs_for_sim,
-        pipelined_jobs,
-        obs,
-    } = ctx;
-
-    // ---- Phase A: compile sequentially, in job order. ----
-    let compile_started = Instant::now();
-    if let Some(o) = obs {
-        o.tracer.begin(0, "compile");
+    fn fail_job(&mut self, job: JobId, why: impl std::fmt::Display) {
+        self.out.failed_jobs += 1;
+        self.out.failures.push((job, why.to_string()));
     }
-    let mut compiled: Vec<CompiledTask> = Vec::new();
-    // Owned per-task execution inputs, moved into pool closures.
-    let mut exec_inputs: Vec<(PhysicalPlan, HashSet<Sig128>, Vec<JobId>)> = Vec::new();
 
-    for template in wave {
-        let meta = next_job_meta(template, day, next_job);
+    /// Phase A for one job, on the driver thread: annotate, reconcile the
+    /// wanted builds against the flight registry, widen with the epoch's
+    /// semantic grants, optimize under the insights creation locks, claim
+    /// flights for the views this job will build. An `Err` drops the open
+    /// spans, which closes each with `failed: 1`.
+    fn compile_job(
+        &mut self,
+        template: &JobTemplate,
+        day: SimDay,
+        meta: JobMeta,
+    ) -> Result<CompiledTask<'a>> {
         let (job, submit) = (meta.job, meta.submit);
         let track = job_track(job);
-        if let Some(o) = obs {
-            o.tracer.begin(track, "job");
-            o.tracer.begin(track, "compile");
-            o.optimizer_sink.set_track(track);
+        let job_span = self.obs.span(track, "job");
+        let span = self.obs.compile_span(track);
+        let use_cv = use_cloudviews(self.cfg, submit, &mut self.out.robustness);
+
+        let plan = template.build_plan(&self.engine, day)?;
+        let normalize = self.obs.span(track, "normalize");
+        let subexprs = self.engine.subexpressions(&plan);
+        normalize.close(&[("subexprs", subexprs.as_ref().map_or(0, |s| s.len() as u64))]);
+        let subexprs = subexprs?;
+
+        let mut reuse = ReuseContext::empty();
+        let mut promised: HashSet<Sig128> = HashSet::new();
+        let mut deps: Vec<JobId> = Vec::new();
+        if use_cv {
+            reuse = self.insights.lock().annotate(meta.vc, job, &subexprs, submit).0;
+            self.reconcile_flights(&mut reuse, submit, &mut promised, &mut deps);
+            self.grant_epoch_views(&mut reuse, &subexprs);
         }
-        let use_cv = use_cloudviews(cfg, submit, robustness);
 
-        let compile = (|| -> Result<(CompiledTask, PhysicalPlan, HashSet<Sig128>, Vec<JobId>)> {
-            let plan = template.build_plan(engine, day)?;
-            if let Some(o) = obs {
-                o.tracer.begin(track, "normalize");
+        let optimize = self.obs.span(track, "optimize");
+        let optimized = if use_cv {
+            let mut coord = self.insights.clone();
+            self.engine.optimize(&plan, &reuse, &mut coord)
+        } else {
+            self.engine.optimize(&plan, &reuse, &mut AlwaysGrant)
+        };
+        let outcome = optimized?.outcome;
+        let (matched, built) =
+            (outcome.matched_views.len() as u64, outcome.built_views.len() as u64);
+        optimize.close(&[("matched", matched), ("built", built)]);
+
+        for sig in &outcome.built_views {
+            let promise = spool_promise(&outcome.physical, *sig);
+            if !self.flights.claim(*sig, job, promise) {
+                continue;
             }
-            let subexprs = engine.subexpressions(&plan);
-            if let Some(o) = obs {
-                let n = subexprs.as_ref().map_or(0, |s| s.len() as u64);
-                o.tracer.end_with(track, &[("subexprs", n)]);
-            }
-            let subexprs = subexprs?;
-            let mut reuse = if use_cv {
-                insights.lock().annotate(meta.vc, job, &subexprs, submit).0
-            } else {
-                ReuseContext::empty()
+            // Advertise the claim by template so later jobs today can reach
+            // it through the containment prover.
+            let Some((_, plan)) = outcome.built_plans.iter().find(|(s, _)| s == sig) else {
+                continue;
             };
+            if let Some(template) = template_signature(plan, &self.engine.optimizer.cfg.sig) {
+                self.epoch_views.entry(template).or_default().push(EpochView {
+                    strict: *sig,
+                    plan: plan.clone(),
+                    rows: promise.rows,
+                    bytes: promise.bytes,
+                });
+            }
+        }
 
-            // Flight-state rewrite: reconcile the wanted builds against the
-            // in-flight registry before optimizing.
-            let mut promised: HashSet<Sig128> = HashSet::new();
-            let mut deps: Vec<JobId> = Vec::new();
-            if use_cv {
-                let mut wanted: Vec<Sig128> = reuse.to_build.iter().copied().collect();
-                wanted.sort();
-                for sig in wanted {
-                    if let Some((builder, pv)) = flights.promise(sig) {
-                        // A concurrent job is building it: plan against the
-                        // promised statistics and pipeline from the builder.
-                        reuse.to_build.remove(&sig);
-                        reuse.available.insert(sig, ViewMeta::hot(pv.rows, pv.bytes));
-                        promised.insert(sig);
-                        if !deps.contains(&builder) {
-                            deps.push(builder);
-                        }
-                    } else if let Some(outcome) = flights.outcome(sig) {
-                        match outcome {
-                            FlightOutcome::Published => {
-                                // Built earlier this epoch (e.g. by wave 0):
-                                // ordinary reuse with the sealed statistics.
-                                if let Some((rows, bytes, _)) = store.peek_meta(sig, submit) {
-                                    reuse.to_build.remove(&sig);
-                                    reuse.available.insert(sig, ViewMeta::hot(rows, bytes));
-                                }
-                            }
-                            // Failed builds released their creation lock in
-                            // the commit phase; leave the signature in
-                            // to_build so this job may rebuild it.
-                            FlightOutcome::Failed => {}
-                        }
+        // Compensated substitutions against a still-in-flight builder
+        // pipeline exactly like exact promised reads: record the dependency
+        // so the scheduler gates execution, and the sig so the view source
+        // blocks (and falls back) correctly.
+        for (view_sig, _) in &outcome.compensated_views {
+            if let Some((builder, _)) = self.flights.promise(*view_sig) {
+                if builder != job {
+                    promised.insert(*view_sig);
+                    if !deps.contains(&builder) {
+                        deps.push(builder);
                     }
                 }
             }
+        }
 
-            // Widened (semantic) serving within the epoch: views claimed or
-            // sealed earlier today whose *template* matches one of this
-            // job's subexpressions become semantic grants. The containment
-            // prover — not this index — decides admissibility; unproven
-            // grants cost nothing.
-            if use_cv {
-                for sub in &subexprs {
-                    if reuse.available.contains_key(&sub.strict) {
-                        continue;
-                    }
-                    let Some(views) = epoch_views.get(&sub.template) else { continue };
-                    for v in views {
-                        if v.strict == sub.strict || reuse.available.contains_key(&v.strict) {
-                            continue;
-                        }
-                        reuse.semantic.entry(v.strict).or_insert_with(|| SemanticGrant {
-                            plan: v.plan.clone(),
-                            meta: ViewMeta::hot(v.rows, v.bytes),
-                            template: sub.template,
-                        });
-                    }
-                }
-            }
+        span.close(&[
+            ("matched", matched),
+            ("built", built),
+            ("promised", promised.len() as u64),
+            ("deps", deps.len() as u64),
+        ]);
+        Ok(CompiledTask {
+            meta,
+            use_cv,
+            job_span,
+            physical: outcome.physical,
+            promised,
+            deps,
+            matched: outcome.matched_views,
+            compensated: outcome.compensated_views.len(),
+            built: outcome.built_views,
+            built_plans: outcome.built_plans,
+            subexprs,
+            output_dataset: template.output_dataset().map(str::to_string),
+        })
+    }
 
-            if let Some(o) = obs {
-                o.tracer.begin(track, "optimize");
-            }
-            let compiled_job = if use_cv {
-                let mut coord = insights.clone();
-                engine.optimize(&plan, &reuse, &mut coord)
-            } else {
-                engine.optimize(&plan, &reuse, &mut AlwaysGrant)
-            };
-            if let Some(o) = obs {
-                match &compiled_job {
-                    Ok(c) => o.tracer.end_with(
-                        track,
-                        &[
-                            ("matched", c.outcome.matched_views.len() as u64),
-                            ("built", c.outcome.built_views.len() as u64),
-                        ],
-                    ),
-                    Err(_) => o.tracer.end_with(track, &[("failed", 1)]),
+    /// Flight-state rewrite: reconcile the builds the annotation wants
+    /// against the in-flight registry before optimizing.
+    fn reconcile_flights(
+        &self,
+        reuse: &mut ReuseContext,
+        submit: SimTime,
+        promised: &mut HashSet<Sig128>,
+        deps: &mut Vec<JobId>,
+    ) {
+        let mut wanted: Vec<Sig128> = reuse.to_build.iter().copied().collect();
+        wanted.sort();
+        for sig in wanted {
+            if let Some((builder, pv)) = self.flights.promise(sig) {
+                // A concurrent job is building it: plan against the
+                // promised statistics and pipeline from the builder.
+                reuse.to_build.remove(&sig);
+                reuse.available.insert(sig, ViewMeta::hot(pv.rows, pv.bytes));
+                promised.insert(sig);
+                if !deps.contains(&builder) {
+                    deps.push(builder);
                 }
-            }
-            let compiled_job = compiled_job?;
-
-            let built = compiled_job.outcome.built_views.clone();
-            for sig in &built {
-                let promise = spool_promise(&compiled_job.outcome.physical, *sig);
-                if flights.claim(*sig, job, promise) {
-                    // Advertise the claim by template so later jobs today
-                    // can reach it through the containment prover.
-                    if let Some((_, plan)) =
-                        compiled_job.outcome.built_plans.iter().find(|(s, _)| s == sig)
-                    {
-                        if let Some(template) = cv_engine::signature::template_signature(
-                            plan,
-                            &engine.optimizer.cfg.sig,
-                        ) {
-                            epoch_views.entry(template).or_default().push(EpochView {
-                                strict: *sig,
-                                plan: plan.clone(),
-                                rows: promise.rows,
-                                bytes: promise.bytes,
-                            });
-                        }
-                    }
+            } else if let Some(FlightOutcome::Published) = self.flights.outcome(sig) {
+                // Built earlier this epoch (e.g. by wave 0): ordinary reuse
+                // with the sealed statistics. (A `Failed` build released
+                // its creation lock at commit; the signature stays in
+                // `to_build` so this job may rebuild it.)
+                if let Some((rows, bytes, _)) = self.store.peek_meta(sig, submit) {
+                    reuse.to_build.remove(&sig);
+                    reuse.available.insert(sig, ViewMeta::hot(rows, bytes));
                 }
-            }
-
-            // Compensated substitutions against a still-in-flight builder
-            // pipeline exactly like exact promised reads: record the
-            // dependency so the scheduler gates execution, and the sig so
-            // the view source blocks (and falls back) correctly.
-            for (view_sig, _) in &compiled_job.outcome.compensated_views {
-                if let Some((builder, _)) = flights.promise(*view_sig) {
-                    if builder != job {
-                        promised.insert(*view_sig);
-                        if !deps.contains(&builder) {
-                            deps.push(builder);
-                        }
-                    }
-                }
-            }
-
-            let task = CompiledTask {
-                meta,
-                use_cv,
-                matched: compiled_job.outcome.matched_views.clone(),
-                compensated: compiled_job.outcome.compensated_views.len(),
-                built,
-                built_plans: compiled_job.outcome.built_plans.clone(),
-                subexprs,
-                output_dataset: template.output_dataset().map(str::to_string),
-            };
-            Ok((task, compiled_job.outcome.physical, promised, deps))
-        })();
-
-        match compile {
-            Ok((task, physical, promised, deps)) => {
-                if let Some(o) = obs {
-                    o.tracer.end_with(
-                        track,
-                        &[
-                            ("matched", task.matched.len() as u64),
-                            ("built", task.built.len() as u64),
-                            ("promised", promised.len() as u64),
-                            ("deps", deps.len() as u64),
-                        ],
-                    );
-                }
-                compiled.push(task);
-                exec_inputs.push((physical, promised, deps));
-            }
-            Err(_) => {
-                if let Some(o) = obs {
-                    // Close the compile span, then the job span.
-                    o.tracer.end_with(track, &[("failed", 1)]);
-                    o.tracer.end_with(track, &[("failed", 1)]);
-                }
-                *failed_jobs += 1;
             }
         }
     }
-    if let Some(o) = obs {
-        o.tracer.end_with(0, &[("jobs", wave.len() as u64), ("compiled", compiled.len() as u64)]);
-    }
-    let compile_wall = compile_started.elapsed();
 
-    // ---- Phase B: execute in parallel. ----
-    let pool_cfg = PoolConfig {
-        workers: svc.workers,
-        vc_inflight_limit: svc.vc_inflight_limit,
-        queue_cap: svc.queue_cap,
-    };
-    // Open-loop release gaps scaled from sim-time submission deltas.
-    let gaps: Vec<Duration> = if svc.pacing_us_per_sim_hour == 0 {
-        vec![Duration::ZERO; compiled.len()]
-    } else {
+    /// Widened (semantic) serving within the epoch: views claimed or sealed
+    /// earlier today whose *template* matches one of this job's
+    /// subexpressions become semantic grants. The containment prover — not
+    /// this index — decides admissibility; unproven grants cost nothing.
+    fn grant_epoch_views(&self, reuse: &mut ReuseContext, subexprs: &[SubexprInfo]) {
+        for sub in subexprs {
+            if reuse.available.contains_key(&sub.strict) {
+                continue;
+            }
+            let Some(views) = self.epoch_views.get(&sub.template) else { continue };
+            for v in views {
+                if v.strict == sub.strict || reuse.available.contains_key(&v.strict) {
+                    continue;
+                }
+                reuse.semantic.entry(v.strict).or_insert_with(|| SemanticGrant {
+                    plan: v.plan.clone(),
+                    meta: ViewMeta::hot(v.rows, v.bytes),
+                    template: sub.template,
+                });
+            }
+        }
+    }
+
+    /// Phase B for a wave: every compiled job through [`Self::execute_job`]
+    /// on the work-stealing pool, gated on its builders. Returns what each
+    /// job shipped back, and books the pool's own counters.
+    fn execute_wave(&mut self, compiled: &[CompiledTask<'a>]) -> HashMap<JobId, Result<TaskDone>> {
+        let pool_cfg = PoolConfig { workers: self.svc.workers, ..PoolConfig::default() };
+        // Open-loop release gaps scaled from sim-time submission deltas
+        // (all zero in a closed loop).
+        let pacing = self.svc.pacing_us_per_sim_hour as f64;
         let mut gaps = Vec::with_capacity(compiled.len());
         let mut prev: Option<f64> = None;
-        for t in &compiled {
+        for t in compiled {
             let s = t.meta.submit.seconds();
-            let gap = prev.map_or(0.0, |p| (s - p).max(0.0) / 3600.0);
-            gaps.push(Duration::from_micros((gap * svc.pacing_us_per_sim_hour as f64) as u64));
+            let hours = prev.map_or(0.0, |p| (s - p).max(0.0) / 3600.0);
+            gaps.push(Duration::from_micros((hours * pacing) as u64));
             prev = Some(s);
         }
-        gaps
-    };
 
-    let (tx, rx) = mpsc::channel::<(JobId, Result<TaskDone>)>();
-    let mut tasks: Vec<TaskSpec<'_>> = Vec::new();
-    let engine_ref: &QueryEngine = engine;
-    for (task, (physical, promised, deps)) in compiled.iter().zip(exec_inputs) {
-        let job = task.meta.job;
-        let vc = task.meta.vc;
-        let submit = task.meta.submit;
-        let built = task.built.clone();
-        let tx = tx.clone();
-        let exec_sink = obs.map(|o| o.exec_sink(job_track(job)));
+        let (tx, rx) = mpsc::channel::<(JobId, Result<TaskDone>)>();
+        let run: &ServiceRun<'a> = self;
+        let tasks: Vec<TaskSpec<'_>> = compiled
+            .iter()
+            .map(|task| {
+                let tx = tx.clone();
+                TaskSpec {
+                    job: task.meta.job,
+                    vc: task.meta.vc,
+                    deps: task.deps.clone(),
+                    run: Box::new(move || {
+                        let _ = tx.send((task.meta.job, run.execute_job(task)));
+                    }),
+                }
+            })
+            .collect();
+        drop(tx);
+
+        let span = self.obs.span(0, "execute");
+        // Pool wall comes from the report's ready-barrier epoch, not a
+        // caller clock around `run_tasks`: the caller's clock also counts
+        // thread spawn and OS scheduling noise *before* the barrier, which
+        // once made "overhead" (exec − parallel) exceed the parallel phase
+        // itself.
+        let report = run_tasks(&pool_cfg, tasks, &gaps);
+        span.close(&[("tasks", compiled.len() as u64)]);
+
+        let svc = &mut self.out.service;
+        svc.steals += report.steals;
+        svc.admission_deferrals += report.admission_deferrals;
+        svc.max_inflight = svc.max_inflight.max(report.max_inflight);
+        svc.max_queue_depth = svc.max_queue_depth.max(report.max_queue_depth);
+        svc.exec_wall_seconds += report.total_wall.as_secs_f64();
+        svc.parallel_wall_seconds += report.parallel_wall.as_secs_f64();
+        if svc.worker_busy_seconds.len() < report.worker_busy.len() {
+            svc.worker_busy_seconds.resize(report.worker_busy.len(), 0.0);
+        }
+        for (acc, d) in svc.worker_busy_seconds.iter_mut().zip(&report.worker_busy) {
+            *acc += d.as_secs_f64();
+        }
+        svc.latencies_ms
+            .extend(report.latencies.iter().map(|(job, d)| (*job, d.as_secs_f64() * 1000.0)));
+        rx.try_iter().collect()
+    }
+
+    /// Phase B for one job, on a pool worker: run the plan against the
+    /// pipelining view source, seal what it built into the shared store,
+    /// resolve every flight it claimed, derive its stage graph.
+    fn execute_job(&self, task: &CompiledTask<'_>) -> Result<TaskDone> {
+        let (job, vc, submit) = (task.meta.job, task.meta.vc, task.meta.submit);
+        let (store, flights, stats) = (self.store, &self.flights, &self.stats);
+        let span = self.obs.span(job_track(job), "execute");
+        let sink = self.obs.exec_sink(job_track(job));
         // Per-job view of the shared op-state cache: the tag lets the cache
         // attribute hits on another job's published state as cross-job.
-        let tagged = op_states.map(|c| TaggedOpStates::new(c.clone(), job.0));
-        tasks.push(TaskSpec {
-            job,
-            vc,
-            deps,
-            run: Box::new(move || {
-                if let Some(sink) = &exec_sink {
-                    sink.begin_execute();
-                }
-                let src = PipelinedViewSource::new(store, flights, stats, promised);
-                // The flight registry doubles as the spool sink: each
-                // sealed chunk of a claimed build streams to it pre-commit
-                // so blocked consumers can assemble the view directly.
-                let res = engine_ref.execute_with_states(
-                    &physical,
-                    &src,
-                    submit,
-                    exec_sink.as_ref().map(|s| &**s as &dyn cv_engine::obs::ObsSink),
-                    Some(flights as &dyn cv_engine::SpoolSink),
-                    tagged.as_ref().map(|t| t as &dyn OpStateSource),
-                );
-                let served = src.into_served();
-                let done = res.and_then(|exec| {
-                    let mut seals = Vec::new();
-                    let mut store_error = None;
-                    let mut resolved: HashSet<Sig128> = HashSet::new();
-                    for pv in &exec.pending_views {
-                        let state =
-                            seal_pending(store, stats, pv, job, vc, submit).unwrap_or_else(|e| {
-                                store_error.get_or_insert(e);
-                                SealState::Dropped
-                            });
-                        let outcome = match state {
-                            SealState::Published | SealState::Duplicate => FlightOutcome::Published,
-                            SealState::Dropped => FlightOutcome::Failed,
-                        };
-                        flights.resolve(pv.sig, outcome);
-                        resolved.insert(pv.sig);
-                        seals.push(state);
-                    }
-                    for sig in &built {
-                        if !resolved.contains(sig) {
-                            flights.resolve(*sig, FlightOutcome::Failed);
-                        }
-                    }
-                    let stages = build_stages(&physical, &exec.metrics.op_profiles)?;
-                    stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                    Ok(TaskDone { exec, stages, served, seals, store_error })
+        let tagged = self.op_states.as_ref().map(|c| TaggedOpStates::new(c.clone(), job.0));
+        let src = PipelinedViewSource::new(store, flights, stats, task.promised.clone());
+        // The flight registry doubles as the spool sink: each sealed chunk
+        // of a claimed build streams to it pre-commit so blocked consumers
+        // can assemble the view directly.
+        let res = self.engine.execute_with_states(
+            &task.physical,
+            &src,
+            submit,
+            sink.as_deref(),
+            Some(flights as &dyn cv_engine::SpoolSink),
+            tagged.as_ref().map(|t| t as &dyn OpStateSource),
+        );
+        let served = src.into_served();
+        let done = res.and_then(|exec| {
+            let mut seals = Vec::new();
+            let mut store_error = None;
+            let mut resolved: HashSet<Sig128> = HashSet::new();
+            for pv in &exec.pending_views {
+                let state = seal_pending(store, stats, pv, job, vc, submit).unwrap_or_else(|e| {
+                    store_error.get_or_insert(e);
+                    SealState::Dropped
                 });
-                if done.is_err() {
-                    // Exec (or stage-build) failure: every claimed flight
-                    // must resolve so pipelined consumers fall back.
-                    for sig in &built {
-                        flights.resolve(*sig, FlightOutcome::Failed);
-                    }
-                }
-                if let Some(sink) = &exec_sink {
-                    match &done {
-                        Ok(d) => sink.end_execute(&[
-                            ("rows", d.exec.table.num_rows() as u64),
-                            ("served", d.served.len() as u64),
-                            ("seals", d.seals.len() as u64),
-                        ]),
-                        Err(_) => sink.end_execute(&[("failed", 1)]),
-                    }
-                }
-                let _ = tx.send((job, done));
-            }),
+                let outcome = match state {
+                    SealState::Published | SealState::Duplicate => FlightOutcome::Published,
+                    SealState::Dropped => FlightOutcome::Failed,
+                };
+                flights.resolve(pv.sig, outcome);
+                resolved.insert(pv.sig);
+                seals.push(state);
+            }
+            for sig in task.built.iter().filter(|sig| !resolved.contains(sig)) {
+                flights.resolve(*sig, FlightOutcome::Failed);
+            }
+            let stages = build_stages(&task.physical, &exec.metrics.op_profiles)?;
+            stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
+            Ok(TaskDone { exec, stages, served, seals, store_error })
         });
-    }
-    drop(tx);
-
-    if let Some(o) = obs {
-        o.tracer.begin(0, "execute");
-    }
-    // Pool wall comes from the report's ready-barrier epoch, not a caller
-    // clock around `run_tasks`: the caller's clock also counts thread spawn
-    // and OS scheduling noise *before* the barrier, which once made
-    // "overhead" (exec − parallel) exceed the parallel phase itself.
-    let report = run_tasks(&pool_cfg, tasks, &gaps);
-    let exec_wall = report.total_wall;
-    if let Some(o) = obs {
-        o.tracer.end_with(0, &[("tasks", compiled.len() as u64)]);
-    }
-
-    let mut results: HashMap<JobId, Result<TaskDone>> = HashMap::new();
-    for (job, done) in rx.try_iter() {
-        results.insert(job, done);
-    }
-
-    // ---- Phase C: commit sequentially, in job order. ----
-    let commit_started = Instant::now();
-    let mut op_work = 0.0f64;
-    let mut op_wall = 0.0f64;
-    if let Some(o) = obs {
-        o.tracer.begin(0, "commit");
-    }
-    for task in &compiled {
-        let job = task.meta.job;
-        let track = job_track(job);
-        if let Some(o) = obs {
-            o.tracer.begin(track, "commit");
-        }
-        match results.remove(&job) {
-            Some(Ok(mut done)) => {
-                if let Some(e) = done.store_error.take() {
-                    return Err(e);
-                }
-                let n_seals = done.seals.len() as u64;
-                repo.log_job(task.meta, &task.subexprs, Some(&done.exec.metrics.op_profiles));
-                result_digests.insert(job, digest_table(&done.exec.table));
-
-                absorb_read_faults(
-                    &done.exec.metrics,
-                    store,
-                    &mut insights.lock(),
-                    op_states.map(Arc::as_ref),
-                    robustness,
-                )?;
-                op_work += done.exec.metrics.op_state_work_avoided;
-                op_wall += done.exec.metrics.op_state_wall_avoided;
-
-                let dp = DataPlane::from_exec(
-                    &done.exec.metrics,
-                    task.matched.len(),
-                    task.compensated,
-                    task.built.len(),
-                );
-
-                if task.use_cv && !task.matched.is_empty() {
-                    insights.lock().record_reuse(&task.matched, job, task.meta.submit);
-                }
-
-                // Realized pipelining savings: each read served from a view
-                // a concurrent job built avoided recomputing that
-                // subexpression (the view's observed production work).
-                if !done.served.is_empty() {
-                    *pipelined_jobs += 1;
-                    for sig in &done.served {
-                        if let Some(work) = store.observed_work(*sig) {
-                            stats.add_realized_savings(work);
-                        }
-                    }
-                }
-
-                if let Some(output) = &task.output_dataset {
-                    let at = task.meta.submit;
-                    publish_output(&mut engine.catalog, output, &done.exec.table, at, false)?;
-                }
-
-                for (pv, state) in done.exec.pending_views.iter().zip(&done.seals) {
-                    match state {
-                        SealState::Published => {
-                            let plan = task
-                                .built_plans
-                                .iter()
-                                .find(|(sig, _)| *sig == pv.sig)
-                                .map(|(_, p)| p.clone());
-                            let info = view_info(cfg, pv, task.meta.vc, task.meta.submit, plan);
-                            day_seals.push((info, job));
-                        }
-                        // Write fault / quarantine race / duplicate: the
-                        // view was never (newly) advertised — release the
-                        // creation lock so a later job can rebuild.
-                        SealState::Dropped | SealState::Duplicate => {
-                            insights.lock().release_lock(pv.sig);
-                        }
-                    }
-                }
-
-                data_plane.insert(job, dp);
-                specs_for_sim.push(JobSpec {
-                    job,
-                    vc: task.meta.vc,
-                    template: task.meta.template,
-                    submit: task.meta.submit,
-                    stages: done.stages,
-                });
-                if let Some(o) = obs {
-                    // Close the commit span, then the job span opened at
-                    // compile time.
-                    o.tracer.end_with(track, &[("seals", n_seals)]);
-                    o.tracer.end(track);
+        match &done {
+            Ok(d) => span.close(&[
+                ("rows", d.exec.table.num_rows() as u64),
+                ("served", d.served.len() as u64),
+                ("seals", d.seals.len() as u64),
+            ]),
+            // Exec (or stage-build) failure: every claimed flight must
+            // resolve so pipelined consumers fall back.
+            Err(_) => {
+                for sig in &task.built {
+                    flights.resolve(*sig, FlightOutcome::Failed);
                 }
             }
-            Some(Err(_)) | None => {
-                *failed_jobs += 1;
-                let ins = insights.lock();
+        }
+        done
+    }
+
+    /// Phase C for one job, on the driver thread, in job order: log to the
+    /// repository, digest the result, propagate quarantines, attribute
+    /// realized pipelining savings, publish a cooking output to the
+    /// catalog, queue the day-end announces. A job that did not come back
+    /// releases its creation locks and is counted failed; the store failing
+    /// fails the run.
+    fn commit_job(&mut self, task: CompiledTask<'a>, done: Option<Result<TaskDone>>) -> Result<()> {
+        let (job, submit) = (task.meta.job, task.meta.submit);
+        let span = self.obs.span(job_track(job), "commit");
+        let mut done = match done {
+            Some(Ok(done)) => done,
+            failed => {
+                let ins = self.insights.lock();
                 for sig in &task.built {
                     ins.release_lock(*sig);
                 }
                 drop(ins);
-                if let Some(o) = obs {
-                    o.tracer.end_with(track, &[("failed", 1)]);
-                    o.tracer.end_with(track, &[("failed", 1)]);
+                match failed {
+                    Some(Err(e)) => self.fail_job(job, e),
+                    _ => self.fail_job(job, "the pool returned no result"),
+                }
+                return Ok(());
+            }
+        };
+        if let Some(e) = done.store_error.take() {
+            return Err(e);
+        }
+        let metrics = &done.exec.metrics;
+        self.out.repo.log_job(task.meta, &task.subexprs, Some(&metrics.op_profiles));
+        self.out.result_digests.insert(job, digest_table(&done.exec.table));
+
+        absorb_read_faults(
+            metrics,
+            self.store,
+            &mut self.insights.lock(),
+            self.op_states.as_deref(),
+            &mut self.out.robustness,
+        )?;
+        self.out.service.op_state.build_work_avoided += metrics.op_state_work_avoided;
+        self.out.service.op_state.build_wall_avoided += metrics.op_state_wall_avoided;
+
+        let dp =
+            DataPlane::from_exec(metrics, task.matched.len(), task.compensated, task.built.len());
+        self.data_plane.insert(job, dp);
+
+        if task.use_cv && !task.matched.is_empty() {
+            self.insights.lock().record_reuse(&task.matched, job, submit);
+        }
+
+        // Realized pipelining savings: each read served from a view a
+        // concurrent job built avoided recomputing that subexpression (the
+        // view's observed production work).
+        if !done.served.is_empty() {
+            self.out.service.pipelined_jobs += 1;
+            for sig in &done.served {
+                if let Some(work) = self.store.observed_work(*sig) {
+                    self.stats.add_realized_savings(work);
                 }
             }
         }
-    }
-    if let Some(o) = obs {
-        o.tracer.end_with(0, &[("jobs", compiled.len() as u64)]);
-    }
-    let commit_wall = commit_started.elapsed();
 
-    Ok(WaveReport {
-        steals: report.steals,
-        admission_deferrals: report.admission_deferrals,
-        max_inflight: report.max_inflight,
-        max_queue_depth: report.max_queue_depth,
-        exec_wall,
-        parallel_wall: report.parallel_wall,
-        compile_wall,
-        commit_wall,
-        worker_busy: report.worker_busy,
-        latencies: report.latencies,
-        op_state_work_avoided: op_work,
-        op_state_wall_avoided: op_wall,
-    })
+        if let Some(output) = &task.output_dataset {
+            publish_output(&mut self.engine.catalog, output, &done.exec.table, submit, false)?;
+        }
+
+        for (pv, state) in done.exec.pending_views.iter().zip(&done.seals) {
+            match state {
+                SealState::Published => {
+                    let plan = task
+                        .built_plans
+                        .iter()
+                        .find(|(sig, _)| *sig == pv.sig)
+                        .map(|(_, p)| p.clone());
+                    let info = view_info(self.cfg, pv, task.meta.vc, submit, plan);
+                    self.day_seals.push((info, job));
+                }
+                // Write fault / quarantine race / duplicate: the view was
+                // never (newly) advertised — release the creation lock so a
+                // later job can rebuild.
+                SealState::Dropped | SealState::Duplicate => {
+                    self.insights.lock().release_lock(pv.sig);
+                }
+            }
+        }
+
+        self.specs_for_sim.push(JobSpec {
+            job,
+            vc: task.meta.vc,
+            template: task.meta.template,
+            submit,
+            stages: done.stages,
+        });
+        span.close(&[("seals", done.seals.len() as u64)]);
+        task.job_span.close(&[]);
+        Ok(())
+    }
+
+    /// End of run: replay the cluster side deterministically, read the
+    /// store's and the service layer's counters, export the metrics.
+    fn finish(mut self) -> Result<ServiceOutcome> {
+        let mut out = self.out;
+        out.ledger = merge_completions(
+            self.specs_for_sim,
+            &mut self.data_plane,
+            &self.cfg.cluster,
+            &self.cfg.faults,
+            &mut out.robustness,
+        )?;
+        (out.view_store_stats, out.store_io) = store_tail(self.store, &mut out.robustness);
+        out.usage = self.insights.lock().usage_log().to_vec();
+        // Compile failures were booked a phase before execution failures.
+        out.failures.sort_by_key(|(job, _)| *job);
+
+        let snap = self.stats.snapshot();
+        let fl = self.flights.stats();
+        let svc = &mut out.service;
+        svc.pipelined_reads = snap.pipelined_reads;
+        svc.flight_waits = snap.flight_waits;
+        svc.duplicate_materializations = snap.duplicate_materializations;
+        svc.chunks_spooled = fl.chunks_buffered;
+        svc.chunk_assembled_reads = snap.chunk_assembled_reads;
+        svc.realized_pipelining_savings = snap.realized_savings;
+        svc.pool_overhead_seconds = (svc.exec_wall_seconds - svc.parallel_wall_seconds).max(0.0);
+        svc.latencies_ms.sort_by_key(|a| a.0);
+        if let Some(cache) = &self.op_states {
+            let s = cache.stats();
+            let os = &mut svc.op_state;
+            os.hits = s.hits;
+            os.cross_job_hits = s.cross_job_hits;
+            os.misses = s.misses;
+            os.published = s.published;
+            os.evicted = s.evicted;
+            os.degraded_waits = s.degraded_waits;
+            os.purged = s.purged;
+            os.resident_bytes = s.resident_bytes;
+        }
+
+        if let Some(o) = self.obs.0 {
+            let (m, store_stats) = (&o.metrics, &out.view_store_stats);
+            let us = |seconds: f64| (seconds * 1e6) as u64;
+            m.add("flight.claims", fl.claims);
+            m.add("flight.waits", fl.waits);
+            m.add("flight.resolves", fl.resolves);
+            m.add("flight.chunks_buffered", fl.chunks_buffered);
+            m.add("service.chunk_assembled_reads", snap.chunk_assembled_reads);
+            m.add("store.views_created", store_stats.views_created);
+            m.add("store.views_reused", store_stats.views_reused);
+            m.add("store.read_misses", store_stats.read_misses);
+            m.add("store.bytes_written", store_stats.bytes_written);
+            m.add("store.bytes_served", store_stats.bytes_served);
+            if let Some(io) = &out.store_io {
+                m.add("store.page_cache_hits", io.page_cache_hits);
+                m.add("store.page_cache_misses", io.page_cache_misses);
+                m.add("store.pages_evicted", io.pages_evicted);
+                m.add("store.wal_fsyncs", io.wal_fsyncs);
+                m.add("store.wal_records_written", io.wal_records_written);
+                m.add("store.wal_records_replayed", io.wal_records_replayed);
+                m.add("store.recoveries", io.recoveries);
+                m.add("store.checkpoints", io.checkpoints);
+            }
+            let svc = &out.service;
+            m.add("service.pipelined_jobs", svc.pipelined_jobs);
+            m.add("service.pipelined_reads", snap.pipelined_reads);
+            m.add("service.flight_waits", snap.flight_waits);
+            m.add("service.duplicate_materializations", snap.duplicate_materializations);
+            m.set("pool.workers", svc.workers as u64);
+            m.add("pool.steals", svc.steals);
+            m.add("pool.admission_deferrals", svc.admission_deferrals);
+            m.gauge("pool.max_inflight").set_max(svc.max_inflight as u64);
+            m.gauge("pool.max_queue_depth").set_max(svc.max_queue_depth as u64);
+            for (i, busy) in svc.worker_busy_seconds.iter().enumerate() {
+                m.add(&format!("pool.worker{i}.busy_us"), us(*busy));
+            }
+            m.add("phase.compile_us", us(svc.compile_wall_seconds));
+            m.add("phase.parallel_us", us(svc.parallel_wall_seconds));
+            m.add("phase.commit_us", us(svc.commit_wall_seconds));
+            m.add("phase.pool_us", us(svc.exec_wall_seconds));
+            // Cache-side op_state counters (the per-op hit/miss/publish
+            // counters come from each task's ExecSink).
+            m.add("op_state.cross_job_hits", svc.op_state.cross_job_hits);
+            m.add("op_state.evicted", svc.op_state.evicted);
+            m.add("op_state.degraded_waits", svc.op_state.degraded_waits);
+            m.add("op_state.purged", svc.op_state.purged);
+            m.gauge("op_state.resident_bytes").set_max(svc.op_state.resident_bytes);
+        }
+        Ok(out)
+    }
 }
 
 /// Seal one pending view into the shared store, classifying the outcome.
@@ -1562,16 +1411,25 @@ mod tests {
 
     /// The seal rule on the service path: only injected faults are absorbed
     /// as a dropped view. The store itself failing fails the run — it used
-    /// to pass for `SealState::Dropped` and the run carried on.
+    /// to pass for `SealState::Dropped` and the run carried on — and the
+    /// failed run's trace has no dangling span.
     #[test]
     fn store_failure_during_seal_fails_the_service_run() {
         let w = small_workload();
         let mut cfg = DriverConfig::enabled(3);
         cfg.cluster = quick_cluster();
         let svc = ServiceConfig { workers: 2, ..ServiceConfig::default() };
-        let err = run_workload_service_with_store(&w, &cfg, &svc, &BrokenStore, None).unwrap_err();
+        let obs = ServiceObs::new();
+        let err =
+            run_workload_service_with_store(&w, &cfg, &svc, &BrokenStore, Some(&obs)).unwrap_err();
         assert!(err.to_string().contains("no space left"), "unexpected error: {err}");
         assert!(!err.is_fault());
+        // The error left from inside the commit loop, under the job's
+        // `commit` and `job` spans, the wave's `commit` and the `day`: a
+        // failed run still closes every span it opened.
+        assert!(obs.tracer.span_count() > 0);
+        assert_eq!(obs.tracer.open_spans(), 0, "a failed run left spans open");
+        assert_eq!(obs.tracer.unbalanced_ends(), 0);
     }
 
     /// Maintenance modes the service does not implement are refused, not
@@ -1601,7 +1459,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("cv-svc-opener-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        cfg.store = crate::StoreBackend::Durable(crate::DurableStoreConfig::new(&dir));
+        cfg.store = crate::StoreBackend::Durable(dir.clone());
         let durable = run_workload_service(&w, &cfg, &svc).unwrap();
         let shard_dirs = std::fs::read_dir(&dir).unwrap().count();
         let _ = std::fs::remove_dir_all(&dir);

@@ -13,6 +13,9 @@
 //! * [`ExecSink`] — one per pool task, carrying its job's track by value,
 //!   because operator events arrive concurrently from worker threads.
 //!
+//! The driver reaches all of it through [`ObsHandle`], which is a no-op on
+//! an unobserved run, and holds every span as a `cv_obs::SpanGuard`.
+//!
 //! Track assignment: track 0 is the driver control loop, track `job_id + 1`
 //! is that job's lifecycle. Tracks are logical, so a job's compile (driver
 //! thread), execute (worker thread) and commit (driver thread) spans nest
@@ -21,7 +24,7 @@
 use cv_common::hash::Sig128;
 use cv_common::ids::JobId;
 use cv_engine::obs::ObsSink;
-use cv_obs::{Counter, Metrics, Tracer};
+use cv_obs::{Counter, Metrics, SpanGuard, Tracer};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,7 +39,7 @@ pub fn job_track(job: JobId) -> u64 {
 pub struct ServiceObs {
     pub tracer: Arc<Tracer>,
     pub metrics: Arc<Metrics>,
-    pub(crate) optimizer_sink: Arc<OptimizerSink>,
+    optimizer_sink: Arc<OptimizerSink>,
 }
 
 impl ServiceObs {
@@ -71,7 +74,7 @@ impl ServiceObs {
     }
 
     /// Build the per-task executor sink for a job's track.
-    pub(crate) fn exec_sink(&self, track: u64) -> Arc<ExecSink> {
+    fn exec_sink(&self, track: u64) -> Arc<dyn ObsSink> {
         Arc::new(ExecSink {
             tracer: self.tracer.clone(),
             track,
@@ -93,25 +96,53 @@ impl Default for ServiceObs {
     }
 }
 
+/// The driver's handle on a run's observer, held whether or not there is
+/// one: over `None` every method is a no-op (no clock read, no allocation),
+/// so the driver never branches on being observed.
+#[derive(Clone, Copy)]
+pub(crate) struct ObsHandle<'a>(pub(crate) Option<&'a ServiceObs>);
+
+impl<'a> ObsHandle<'a> {
+    /// Open a span; the guard ends it on every exit ([`SpanGuard`]).
+    pub(crate) fn span(self, track: u64, name: &str) -> SpanGuard<'a> {
+        SpanGuard::open(self.0.map(|o| &*o.tracer), track, name)
+    }
+
+    /// Open a job's `compile` span and route the optimizer's events onto
+    /// the same track until the next job's opens.
+    pub(crate) fn compile_span(self, track: u64) -> SpanGuard<'a> {
+        if let Some(o) = self.0 {
+            o.optimizer_sink.track.store(track, Ordering::Relaxed);
+        }
+        self.span(track, "compile")
+    }
+
+    /// The sink to install on the optimizer for the run.
+    pub(crate) fn optimizer_sink(self) -> Option<Arc<dyn ObsSink>> {
+        self.0.map(|o| o.optimizer_sink.clone() as Arc<dyn ObsSink>)
+    }
+
+    /// The executor sink of the job on `track`: operator spans nest under
+    /// whatever span is open on it.
+    pub(crate) fn exec_sink(self, track: u64) -> Option<Arc<dyn ObsSink>> {
+        self.0.map(|o| o.exec_sink(track))
+    }
+}
+
 /// Optimizer-side sink: counts view matches / build insertions and records
 /// them as zero-length child spans under the current job's `optimize` span.
-pub(crate) struct OptimizerSink {
+struct OptimizerSink {
     tracer: Arc<Tracer>,
     /// Registry handle, for the lazily-created per-veto-code counters.
     metrics: Arc<Metrics>,
     /// Track of the job currently being compiled (compilation is
-    /// sequential, so a single cell suffices).
+    /// sequential, so a single cell suffices); [`ObsHandle::compile_span`]
+    /// sets it.
     track: AtomicU64,
     matched: Counter,
     built: Counter,
     semantic_considered: Counter,
     semantic_proven: Counter,
-}
-
-impl OptimizerSink {
-    pub(crate) fn set_track(&self, track: u64) {
-        self.track.store(track, Ordering::Relaxed);
-    }
 }
 
 impl fmt::Debug for OptimizerSink {
@@ -161,7 +192,7 @@ impl ObsSink for OptimizerSink {
 /// Executor-side sink for one pool task: operator spans on the job's track
 /// plus run-wide operator counters. `op_ns` is wall time and therefore the
 /// only non-deterministic counter it touches.
-pub(crate) struct ExecSink {
+struct ExecSink {
     tracer: Arc<Tracer>,
     track: u64,
     ops: Counter,
@@ -172,19 +203,6 @@ pub(crate) struct ExecSink {
     op_state_misses: Counter,
     op_state_published: Counter,
     op_state_bytes_published: Counter,
-}
-
-impl ExecSink {
-    /// Open the job's `execute` span (called on the worker thread, so the
-    /// operator spans emitted through the `ObsSink` hooks nest under it).
-    pub(crate) fn begin_execute(&self) {
-        self.tracer.begin(self.track, "execute");
-    }
-
-    /// Close the job's `execute` span with deterministic counters.
-    pub(crate) fn end_execute(&self, args: &[(&str, u64)]) {
-        self.tracer.end_with(self.track, args);
-    }
 }
 
 impl fmt::Debug for ExecSink {

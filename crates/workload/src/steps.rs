@@ -51,12 +51,9 @@ use std::sync::Arc;
 pub fn open_store(cfg: &DriverConfig, shards: usize) -> Result<Box<dyn SharedViewStore>> {
     Ok(match &cfg.store {
         StoreBackend::Memory => Box::new(ShardedViewStore::new(cfg.view_ttl, shards)),
-        StoreBackend::Durable(d) => {
-            let opts = DurableStoreOptions {
-                cache_pages: d.cache_pages,
-                checkpoint_every: d.checkpoint_every,
-            };
-            Box::new(ShardedDurableViewStore::open(&d.dir, cfg.view_ttl, shards, opts)?)
+        StoreBackend::Durable(dir) => {
+            let opts = DurableStoreOptions::default();
+            Box::new(ShardedDurableViewStore::open(dir, cfg.view_ttl, shards, opts)?)
         }
     })
 }

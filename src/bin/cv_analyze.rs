@@ -33,8 +33,7 @@ use cv_obs::Tracer;
 use cv_workload::schemas::raw_specs;
 use cv_workload::{
     generate_workload, ivm_stats_json, run_workload, run_workload_service_obs, DriverConfig,
-    DurableStoreConfig, IvmMode, ServiceConfig, ServiceObs, StoreBackend, TemplateKind,
-    WorkloadConfig,
+    IvmMode, ServiceConfig, ServiceObs, StoreBackend, TemplateKind, WorkloadConfig,
 };
 use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
@@ -332,7 +331,7 @@ fn run_containment(args: &Args) -> ExitCode {
     let store_dir = std::env::temp_dir().join(format!("cv-analyze-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let mut cfg_durable = DriverConfig::enabled(args.days);
-    cfg_durable.store = StoreBackend::Durable(DurableStoreConfig::new(&store_dir));
+    cfg_durable.store = StoreBackend::Durable(store_dir.clone());
     let durable = match run_workload(&workload, &cfg_durable) {
         Ok(o) => o,
         Err(e) => {

@@ -29,8 +29,7 @@ use cv_common::json::{json, Json};
 use cv_common::{FaultPlan, FaultPoint, SimDuration};
 use cv_obs::Tracer;
 use cv_workload::{
-    generate_workload, run_workload, DriverConfig, DurableStoreConfig, StoreBackend, Workload,
-    WorkloadConfig,
+    generate_workload, run_workload, DriverConfig, StoreBackend, Workload, WorkloadConfig,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -287,7 +286,7 @@ fn run_matrix(workload: &Workload, args: &Args, tracer: Option<&Tracer>) -> (Vec
 
 fn durable_config(days: u32, dir: &Path, plan: FaultPlan) -> DriverConfig {
     let mut cfg = chaos_config(days, plan);
-    cfg.store = StoreBackend::Durable(DurableStoreConfig::new(dir));
+    cfg.store = StoreBackend::Durable(dir.to_path_buf());
     cfg
 }
 

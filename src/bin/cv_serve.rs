@@ -38,8 +38,8 @@ use cv_common::Sig128;
 use cv_extensions::concurrent::pipelining_savings_bound;
 use cv_obs::chrome_trace;
 use cv_workload::{
-    generate_workload, run_workload, run_workload_service_obs, DriverConfig, DurableStoreConfig,
-    ServiceConfig, ServiceObs, StoreBackend, WorkloadConfig,
+    generate_workload, run_workload, run_workload_service_obs, DriverConfig, ServiceConfig,
+    ServiceObs, StoreBackend, WorkloadConfig,
 };
 use std::process::ExitCode;
 
@@ -179,13 +179,12 @@ fn run(args: &Args) -> Result<bool, String> {
     cfg.chunk_size = args.chunk_size;
     cfg.op_state_budget_bytes = args.op_state_budget;
     if let Some(dir) = &args.store_dir {
-        cfg.store = StoreBackend::Durable(DurableStoreConfig::new(dir));
+        cfg.store = StoreBackend::Durable(dir.into());
     }
     let svc = ServiceConfig {
         workers: args.workers,
         store_shards: args.shards,
         pacing_us_per_sim_hour: if args.open_loop { 200 } else { 0 },
-        ..ServiceConfig::default()
     };
     let mode = if args.open_loop { "open" } else { "closed" };
     println!(
@@ -211,7 +210,9 @@ fn run(args: &Args) -> Result<bool, String> {
         problems.push("service digests diverge from the sequential driver".to_string());
     }
     if out.failed_jobs > 0 {
-        problems.push(format!("{} job(s) failed", out.failed_jobs));
+        let why: String =
+            out.failures.iter().map(|(job, e)| format!("\n    job {job}: {e}")).collect();
+        problems.push(format!("{} job(s) failed{why}", out.failed_jobs));
     }
     if s.duplicate_materializations > 0 {
         problems.push(format!(

@@ -1476,12 +1476,13 @@ fn nothing_that_leaves_a_query_is_a_window() {
         assert_owns_its_rows(&bare_out.table, &format!("result of `{name}`"));
         let compiled = engine.optimize(plan, &reuse, &mut AlwaysGrant).unwrap();
         let out = engine
-            .execute_with_sink(
+            .execute_with_states(
                 &compiled.outcome.physical,
                 &engine.views,
                 SimTime::EPOCH,
                 None,
                 Some(&sink),
+                None,
             )
             .unwrap();
         assert_owns_its_rows(&out.table, &format!("result of `{name}` with spools"));

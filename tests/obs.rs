@@ -69,6 +69,14 @@ fn schedule_independent(metrics: &cv_obs::Metrics) -> BTreeMap<String, u64> {
         .collect()
 }
 
+/// Digest of a trace's deterministic structure: tracks, nesting, names and
+/// counter args of every span.
+fn structure_digest(obs: &ServiceObs) -> String {
+    let mut h = cv_common::hash::StableHasher::with_domain("trace-structure");
+    h.write_str(&obs.tracer.structure_json().to_string_compact());
+    h.finish128().to_string()
+}
+
 #[test]
 fn trace_structure_is_identical_across_worker_counts() {
     let w = obs_workload();
@@ -78,6 +86,17 @@ fn trace_structure_is_identical_across_worker_counts() {
     let reference_metrics = schedule_independent(&obs1.metrics);
     assert!(obs1.tracer.span_count() > 0, "observed run recorded no spans");
     assert_eq!(obs1.tracer.unbalanced_ends(), 0);
+
+    // Pinned when the driver's instrumentation moved onto span guards
+    // (PR 17), from the commit before: span names, tracks, nesting and args
+    // are a contract (`perf/src/ledger.rs` reads them), so moving one is a
+    // deliberate edit here. The second run has the operator-state cache on
+    // — one worker, so its hits cannot depend on scheduling.
+    assert_eq!(structure_digest(&obs1), "6e027d310a3f18cab467d6957128a200");
+    let mut cached = cfg.clone();
+    cached.op_state_budget_bytes = 64 << 20;
+    let (_, obs_cached) = observed_run(&w, &cached, 1);
+    assert_eq!(structure_digest(&obs_cached), "64528c4662711e3ecf20b26fbd8cc2f6");
 
     for workers in [2usize, 8] {
         let (out, obs) = observed_run(&w, &cfg, workers);

@@ -12,11 +12,15 @@
 //! 3. **Graceful degradation** — an aggressive fault plan through the
 //!    shared sharded store completes every job with fault-free results
 //!    while the robustness counters prove the faults fired.
+//! 4. **Failed jobs stay contained** — a job that cannot compile and a job
+//!    that fails mid-execution fail alike in both drivers, say why, move
+//!    no other job's result and leave no span open.
 
 use cv_common::{FaultPlan, FaultPoint};
+use cv_workload::templates::TemplateBody;
 use cv_workload::{
-    generate_workload, run_workload, run_workload_service, DriverConfig, ServiceConfig,
-    ServiceOutcome, Workload, WorkloadConfig,
+    generate_workload, run_workload, run_workload_service, run_workload_service_obs, DriverConfig,
+    ServiceConfig, ServiceObs, ServiceOutcome, Workload, WorkloadConfig,
 };
 
 fn stress_workload(seed: u64) -> Workload {
@@ -138,4 +142,64 @@ fn concurrent_gdpr_purges_views() {
     // driver makes the same caveat); what must hold is that the sharded
     // store purges exactly what the sequential store purged.
     assert_eq!(out.gdpr_purged_views, sequential.gdpr_purged_views);
+}
+
+#[test]
+fn failed_jobs_fail_alike_in_both_drivers_and_close_their_spans() {
+    let mut w = stress_workload(7);
+    // Two daily analytics templates go bad: one cannot compile (its dataset
+    // does not exist), one compiles and fails on a worker (INT arithmetic
+    // wraps, SUM(INT) is checked: two rows of this overflow it).
+    let bad_sql = [
+        "SELECT COUNT(*) AS n FROM no_such_dataset",
+        "SELECT SUM(quantity + 9223372036854775000) AS s FROM sales",
+    ];
+    let mut broken = Vec::new();
+    for t in w.templates.iter_mut().filter(|t| t.output_dataset().is_none() && t.period_days == 1) {
+        let Some(sql) = bad_sql.get(broken.len()) else { break };
+        t.body = TemplateBody::Sql(sql.to_string());
+        broken.push(t.id);
+    }
+    assert_eq!(broken.len(), 2, "the workload has no two daily analytics templates");
+
+    let cfg = config(3, FaultPlan::none());
+    let sequential = run_workload(&w, &cfg).unwrap();
+    let obs = ServiceObs::new();
+    let svc = ServiceConfig { workers: 4, ..ServiceConfig::default() };
+    let out = run_workload_service_obs(&w, &cfg, &svc, Some(&obs)).unwrap();
+
+    // Both templates fail every day, for the reason planted, in both drivers.
+    assert_eq!(out.failed_jobs, 6);
+    assert_eq!(out.failed_jobs, out.failures.len() as u64);
+    assert_eq!(out.failures, sequential.failures);
+    assert_eq!(sequential.failed_jobs, out.failed_jobs);
+    let why = |needle: &str| out.failures.iter().filter(|(_, e)| e.contains(needle)).count();
+    assert_eq!((why("no_such_dataset"), why("overflow")), (3, 3), "{:?}", out.failures);
+
+    // No other job noticed: same digests, and none for a failed job.
+    assert_eq!(out.result_digests, sequential.result_digests);
+    assert!(out.failures.iter().all(|(job, _)| !out.result_digests.contains_key(job)));
+    assert!(out.result_digests.len() > out.failures.len());
+    assert_eq!(out.service.duplicate_materializations, 0);
+
+    // Every span the failed jobs opened was closed, marked failed.
+    assert_eq!(obs.tracer.open_spans(), 0);
+    assert_eq!(obs.tracer.unbalanced_ends(), 0);
+    let spans = obs.tracer.spans();
+    let failed = vec![("failed".to_string(), 1)];
+    for (job, _) in &out.failures {
+        let on_track = |name: &str| {
+            spans.iter().filter(|s| s.track == job.0 + 1 && s.name == name).collect::<Vec<_>>()
+        };
+        let lifecycle = on_track("job");
+        assert_eq!(lifecycle.len(), 1, "job {job}");
+        assert_eq!(lifecycle[0].args, failed, "job {job}: its `job` span");
+        // A job that got as far as a worker failed there and at commit.
+        for phase in ["execute", "commit"] {
+            assert!(on_track(phase).iter().all(|s| s.args == failed), "job {job}: `{phase}`");
+        }
+        assert_eq!(on_track("execute").len(), on_track("commit").len(), "job {job}");
+    }
+    let executed = spans.iter().filter(|s| s.name == "execute" && s.args == failed).count();
+    assert_eq!(executed, 3, "the overflow jobs fail on a worker, the others before");
 }
