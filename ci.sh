@@ -62,6 +62,7 @@ echo "==> kernels --smoke (every kernel leg runs and measures a rate)"
 target/release/kernels --smoke --out "$scratch/engine.json"
 
 echo "==> perf/check.sh (the benchmark at smoke size: every workload, every output checked)"
+mkdir -p perf/results # git-ignored; check.sh (frozen) redirects into it before anything creates it
 perf/check.sh
 
 echo "==> size: non-test code lines per crate (report only, no gate)"

@@ -13,6 +13,9 @@
 //! (a string column against a literal — the literal must stay a scalar) and
 //! `filter_wide` (an integer predicate over a table that also carries three
 //! string columns — chunking must not copy what the predicate never reads).
+//! `filter_unread` is the filter as queries use it: half the fact table's
+//! rows survive and the consumer computes over two numeric columns, so the
+//! other three (the string among them) should never be gathered at all.
 //! Three legs time what the serving path does to a whole table around the
 //! executor: `digest` (the content checksum every result and stored view
 //! gets, rows/sec over the mixed-type fact table), `store_decode` (the view
@@ -53,10 +56,11 @@ use std::time::Instant;
 
 /// Every leg, in report order: the plans of [`plans`], then the three
 /// whole-table legs. A leg missing from either side fails the run.
-const KERNELS: [&str; 13] = [
+const KERNELS: [&str; 14] = [
     "filter",
     "filter_str_eq",
     "filter_wide",
+    "filter_unread",
     "project",
     "hash_join",
     "merge_join",
@@ -273,6 +277,13 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         .filter(col("w_qty").gt(lit(50)))
         .unwrap()
         .build();
+    let filter_unread = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .filter(col("val").lt(lit(500.0)))
+        .unwrap()
+        .project(vec![(col("val").mul(lit(2.0)), "v2"), (col("id").add(lit(1)), "id1")])
+        .unwrap()
+        .build();
     let project = PlanBuilder::scan(&bench.catalog, "fact")
         .unwrap()
         .project(vec![
@@ -321,6 +332,7 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         ("filter", filter, JoinAlgo::Hash),
         ("filter_str_eq", filter_str_eq, JoinAlgo::Hash),
         ("filter_wide", filter_wide, JoinAlgo::Hash),
+        ("filter_unread", filter_unread, JoinAlgo::Hash),
         ("project", project, JoinAlgo::Hash),
         ("hash_join", join.clone(), JoinAlgo::Hash),
         ("merge_join", join, JoinAlgo::Merge),
@@ -470,7 +482,7 @@ fn main() {
         }
         walk(&physical, &mut kinds);
         let want = match name {
-            "filter" | "filter_str_eq" | "filter_wide" => "Filter",
+            "filter" | "filter_str_eq" | "filter_wide" | "filter_unread" => "Filter",
             "project" => "Project",
             "hash_join" => "HashJoin",
             "merge_join" => "MergeJoin",

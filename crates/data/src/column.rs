@@ -3,7 +3,7 @@
 use crate::bitmap::Bitmap;
 use crate::value::{DataType, Value};
 use cv_common::{CvError, Result};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The physical buffer of a column. Nulls occupy a slot with an arbitrary
 /// placeholder; validity lives in [`Column::validity`].
@@ -55,6 +55,67 @@ pub enum ColumnView<'a> {
     Date(&'a [i32]),
 }
 
+/// Index that [`Column::take_padded`] reads as "no source row": the output
+/// row is NULL over the type's default value (a left-outer join miss).
+pub const PAD: usize = usize::MAX;
+
+/// A gather not yet performed: the source rows, the row ids to read from
+/// them, and the gathered buffer once some reader has asked for it. One node
+/// is shared by every window cut from the gathered column, so the rows are
+/// copied at most once however many chunks read them — and never if no
+/// operator reads the column.
+#[derive(Debug)]
+struct Deferred {
+    source: Arc<ColumnData>,
+    /// Buffer row of the source window's row 0; `ids` are relative to it.
+    base: usize,
+    /// One vector for all columns of the same `Table` gather. [`PAD`] reads
+    /// as the type's default value.
+    ids: Arc<Vec<usize>>,
+    forced: OnceLock<Arc<ColumnData>>,
+}
+
+impl Deferred {
+    fn gather(&self, ids: &[usize]) -> ColumnData {
+        fn rows<T: Clone + Default>(v: &[T], base: usize, ids: &[usize]) -> Vec<T> {
+            ids.iter().map(|&i| if i == PAD { T::default() } else { v[base + i].clone() }).collect()
+        }
+        match &*self.source {
+            ColumnData::Bool(v) => ColumnData::Bool(rows(v, self.base, ids)),
+            ColumnData::Int(v) => ColumnData::Int(rows(v, self.base, ids)),
+            ColumnData::Float(v) => ColumnData::Float(rows(v, self.base, ids)),
+            ColumnData::Str(v) => ColumnData::Str(rows(v, self.base, ids)),
+            ColumnData::Date(v) => ColumnData::Date(rows(v, self.base, ids)),
+        }
+    }
+
+    fn force(&self) -> &Arc<ColumnData> {
+        self.forced.get_or_init(|| Arc::new(self.gather(&self.ids)))
+    }
+
+    /// True until some reader has gathered the rows.
+    fn unread(&self) -> bool {
+        self.forced.get().is_none()
+    }
+
+    /// What [`Column::byte_size`] counts for string rows, read off the
+    /// source: a pad is the empty string.
+    fn str_bytes(&self, ids: &[usize]) -> u64 {
+        let ColumnData::Str(source) = &*self.source else {
+            unreachable!("string rows gather from a string buffer")
+        };
+        let len = |&i: &usize| if i == PAD { 0 } else { source[self.base + i].len() as u64 };
+        ids.iter().map(len).sum::<u64>() + 4 * ids.len() as u64
+    }
+}
+
+/// Where a column's rows are.
+#[derive(Clone, Debug)]
+enum Rows {
+    Buffer(Arc<ColumnData>),
+    Deferred(Arc<Deferred>),
+}
+
 /// One column of a table: a row window over a shared typed buffer + optional
 /// validity bitmap (`None` means every row is valid).
 ///
@@ -68,9 +129,17 @@ pub enum ColumnView<'a> {
 /// is how chunked operators walk a table; every accessor is relative to
 /// the window. A windowed column keeps its whole parent buffer alive, so a
 /// table that leaves a query is compacted first ([`Column::compact`]).
+///
+/// **Late materialisation.** [`Column::take`] and [`Column::take_padded`]
+/// return a *deferred* column: validity is computed at once (it is bits),
+/// the typed rows are gathered on the first [`Column::view`] — by any window
+/// of the column, for all of them. Length, type, NULL-ness, slicing and
+/// [`Column::byte_size`] never gather, so a filter, sort or join pays only
+/// for the columns some operator above it reads. A deferred column keeps its
+/// source buffer alive; [`Column::compact`] ends that too.
 #[derive(Clone, Debug)]
 pub struct Column {
-    data: Arc<ColumnData>,
+    rows: Rows,
     /// First buffer row of the window.
     offset: usize,
     /// Rows in the window.
@@ -84,7 +153,7 @@ impl Column {
         if let Some(v) = &validity {
             assert_eq!(v.len(), data.len(), "validity length mismatch");
         }
-        Column { offset: 0, len: data.len(), data: Arc::new(data), validity }
+        Column { offset: 0, len: data.len(), rows: Rows::Buffer(Arc::new(data)), validity }
     }
 
     /// Build a column of the given type from row values, validating types.
@@ -105,22 +174,44 @@ impl Column {
     }
 
     pub fn dtype(&self) -> DataType {
-        self.data.dtype()
+        match &self.rows {
+            Rows::Buffer(data) => data.dtype(),
+            Rows::Deferred(node) => node.source.dtype(),
+        }
     }
 
-    /// The backing buffer. It is the column's rows only for a compact
-    /// column — which every column that leaves a query is; code that may
-    /// meet a window reads [`Column::view`] instead (debug builds assert).
+    /// The buffer the window is over, gathering it first if it is deferred.
+    fn buffer(&self) -> &ColumnData {
+        match &self.rows {
+            Rows::Buffer(data) => data,
+            Rows::Deferred(node) => node.force(),
+        }
+    }
+
+    /// True if the window covers every row of the (possibly deferred) buffer.
+    fn is_whole(&self) -> bool {
+        let rows = match &self.rows {
+            Rows::Buffer(data) => data.len(),
+            Rows::Deferred(node) => node.ids.len(),
+        };
+        self.offset == 0 && self.len == rows
+    }
+
+    /// The backing buffer. It is the column's rows only for a column that
+    /// covers its buffer — which every column that leaves a query does; code
+    /// that may meet a window reads [`Column::view`] instead (debug builds
+    /// assert).
     pub fn data(&self) -> &ColumnData {
-        debug_assert!(self.is_compact(), "Column::data() on a windowed column; use view()");
-        &self.data
+        debug_assert!(self.is_whole(), "Column::data() on a windowed column; use view()");
+        self.buffer()
     }
 
-    /// The column's rows as a typed slice (window-relative).
+    /// The column's rows as a typed slice (window-relative). The first view
+    /// of a deferred column gathers it.
     #[inline]
     pub fn view(&self) -> ColumnView<'_> {
         let w = self.offset..self.offset + self.len;
-        match &*self.data {
+        match self.buffer() {
             ColumnData::Bool(v) => ColumnView::Bool(&v[w]),
             ColumnData::Int(v) => ColumnView::Int(&v[w]),
             ColumnData::Float(v) => ColumnView::Float(&v[w]),
@@ -129,27 +220,39 @@ impl Column {
         }
     }
 
-    /// True if the window covers the whole backing buffer: the column
-    /// retains exactly the rows it exposes.
+    /// True if the column retains exactly the rows it exposes: its window
+    /// covers a buffer of its own, not a deferred gather's source.
     pub fn is_compact(&self) -> bool {
-        self.offset == 0 && self.len == self.data.len()
+        matches!(self.rows, Rows::Buffer(_)) && self.is_whole()
+    }
+
+    /// Test probe: false while the column is a gather nobody has read.
+    #[doc(hidden)]
+    pub fn is_forced(&self) -> bool {
+        !matches!(&self.rows, Rows::Deferred(node) if node.unread())
     }
 
     /// This column over a buffer of its own rows only: a no-op for a
-    /// compact column, one copy of the window otherwise. Validity is kept
+    /// compact column, one copy of the window otherwise — for a deferred
+    /// column nobody has read, a gather of just the window. Validity is kept
     /// verbatim.
     pub fn compact(self) -> Column {
-        if self.is_compact() {
-            return self;
-        }
-        let data = match self.view() {
-            ColumnView::Bool(v) => ColumnData::Bool(v.to_vec()),
-            ColumnView::Int(v) => ColumnData::Int(v.to_vec()),
-            ColumnView::Float(v) => ColumnData::Float(v.to_vec()),
-            ColumnView::Str(v) => ColumnData::Str(v.to_vec()),
-            ColumnView::Date(v) => ColumnData::Date(v.to_vec()),
+        let data = match &self.rows {
+            Rows::Buffer(_) if self.is_whole() => return self,
+            // Other holders of the node see the same gather.
+            Rows::Deferred(node) if self.is_whole() => Arc::clone(node.force()),
+            Rows::Deferred(node) if node.unread() => {
+                Arc::new(node.gather(&node.ids[self.offset..self.offset + self.len]))
+            }
+            _ => Arc::new(match self.view() {
+                ColumnView::Bool(v) => ColumnData::Bool(v.to_vec()),
+                ColumnView::Int(v) => ColumnData::Int(v.to_vec()),
+                ColumnView::Float(v) => ColumnData::Float(v.to_vec()),
+                ColumnView::Str(v) => ColumnData::Str(v.to_vec()),
+                ColumnView::Date(v) => ColumnData::Date(v.to_vec()),
+            }),
         };
-        Column::new(data, self.validity)
+        Column { rows: Rows::Buffer(data), offset: 0, len: self.len, validity: self.validity }
     }
 
     /// Validity bitmap; `None` means every row is valid.
@@ -243,49 +346,27 @@ impl Column {
         self.take(&mask.ones())
     }
 
-    /// Gather rows by index (indices may repeat or reorder) into a fresh
-    /// compact buffer.
+    /// Rows by index (indices may repeat or reorder), deferred: see the type
+    /// docs. [`Gather`] is the same for several columns at once.
     pub fn take(&self, indices: &[usize]) -> Column {
-        fn gather<T: Clone>(v: &[T], idx: &[usize]) -> Vec<T> {
-            idx.iter().map(|&i| v[i].clone()).collect()
-        }
-        let data = match self.view() {
-            ColumnView::Bool(v) => ColumnData::Bool(gather(v, indices)),
-            ColumnView::Int(v) => ColumnData::Int(gather(v, indices)),
-            ColumnView::Float(v) => ColumnData::Float(gather(v, indices)),
-            ColumnView::Str(v) => ColumnData::Str(gather(v, indices)),
-            ColumnView::Date(v) => ColumnData::Date(gather(v, indices)),
-        };
-        Column::new(data, self.validity.as_ref().map(|v| v.take(indices)))
+        Gather::new(indices.to_vec(), false).column(self)
     }
 
-    /// Gather rows by index, where `sentinel` marks a padded NULL row (the
-    /// join builds outer-miss rows this way). The result always carries a
-    /// validity bitmap: the pad row is NULL by construction.
-    pub fn take_padded(&self, indices: &[usize], sentinel: usize) -> Column {
-        fn gather<T: Clone + Default>(v: &[T], idx: &[usize], s: usize) -> Vec<T> {
-            idx.iter().map(|&i| if i == s { T::default() } else { v[i].clone() }).collect()
-        }
-        let data = match self.view() {
-            ColumnView::Bool(v) => ColumnData::Bool(gather(v, indices, sentinel)),
-            ColumnView::Int(v) => ColumnData::Int(gather(v, indices, sentinel)),
-            ColumnView::Float(v) => ColumnData::Float(gather(v, indices, sentinel)),
-            ColumnView::Str(v) => ColumnData::Str(gather(v, indices, sentinel)),
-            ColumnView::Date(v) => ColumnData::Date(gather(v, indices, sentinel)),
-        };
-        let mut validity = Bitmap::all_set(indices.len());
-        for (j, &i) in indices.iter().enumerate() {
-            if i == sentinel || self.is_null(i) {
-                validity.set(j, false);
-            }
-        }
-        Column::new(data, Some(validity))
+    /// Rows by index where [`PAD`] marks a padded NULL row (the join builds
+    /// outer-miss rows this way), deferred like [`Column::take`]. The result
+    /// always carries a validity bitmap: the pad row is NULL by construction.
+    pub fn take_padded(&self, indices: &[usize]) -> Column {
+        Gather::new(indices.to_vec(), true).column(self)
     }
 
     /// True if both columns share one underlying buffer (zero-copy check
     /// for the chunk-identity fast paths).
     pub fn ptr_eq(&self, other: &Column) -> bool {
-        Arc::ptr_eq(&self.data, &other.data)
+        match (&self.rows, &other.rows) {
+            (Rows::Buffer(a), Rows::Buffer(b)) => Arc::ptr_eq(a, b),
+            (Rows::Deferred(a), Rows::Deferred(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// The row range `[offset, offset + len)` as a window over the same
@@ -300,7 +381,7 @@ impl Column {
             return self.clone();
         }
         Column {
-            data: Arc::clone(&self.data),
+            rows: self.rows.clone(),
             offset: self.offset + offset,
             len,
             validity: self.validity.as_ref().map(|v| v.slice(offset, len)),
@@ -364,16 +445,94 @@ impl Column {
     }
 
     /// Approximate in-memory byte size of the column's rows (storage
-    /// accounting for views) — the window's, not the backing buffer's.
+    /// accounting for views) — the window's, not the backing buffer's. It is
+    /// a function of the rows, not of whether they have been gathered: a
+    /// deferred string column is sized through its row ids.
     pub fn byte_size(&self) -> u64 {
-        let base = match self.view() {
-            ColumnView::Bool(v) => v.len() as u64,
-            ColumnView::Int(v) => v.len() as u64 * 8,
-            ColumnView::Float(v) => v.len() as u64 * 8,
-            ColumnView::Str(v) => v.iter().map(|s| s.len() as u64 + 4).sum(),
-            ColumnView::Date(v) => v.len() as u64 * 4,
+        let n = self.len as u64;
+        let base = match self.dtype() {
+            DataType::Bool => n,
+            DataType::Int | DataType::Float => n * 8,
+            DataType::Date => n * 4,
+            DataType::Str => match &self.rows {
+                Rows::Deferred(node) if node.unread() => {
+                    node.str_bytes(&node.ids[self.offset..self.offset + self.len])
+                }
+                _ => self.strs().iter().map(|s| s.len() as u64 + 4).sum(),
+            },
         };
         base + self.validity.as_ref().map_or(0, |v| v.len() as u64 / 8)
+    }
+}
+
+/// One gather over any number of columns: the row ids, and what the deferred
+/// columns built from them share — the id vector itself, its composition
+/// through an unread deferred input (a gather of a gather reads the first
+/// source directly, it never gathers twice), and the validity of padded rows.
+pub(crate) struct Gather {
+    ids: Arc<Vec<usize>>,
+    /// [`PAD`] ids are NULL rows and every output carries a bitmap.
+    padded: bool,
+    /// `ids` read through the ids of an unread input node's window, per
+    /// distinct (node ids, window offset).
+    composed: Vec<(Arc<Vec<usize>>, usize, Arc<Vec<usize>>)>,
+    /// Validity of a padded gather from a column without NULLs: it depends
+    /// only on where the pads sit, so it is built once for all such columns.
+    pad_validity: Option<Bitmap>,
+}
+
+impl Gather {
+    pub(crate) fn new(ids: Vec<usize>, padded: bool) -> Gather {
+        Gather { ids: Arc::new(ids), padded, composed: Vec::new(), pad_validity: None }
+    }
+
+    pub(crate) fn column(&mut self, col: &Column) -> Column {
+        let validity = match (&col.validity, self.padded) {
+            (None, false) => None,
+            (Some(v), false) => Some(v.take(&self.ids)),
+            (None, true) => Some(self.pad_validity().clone()),
+            (Some(v), true) => {
+                let mut out = Bitmap::all_clear(self.ids.len());
+                for (j, &i) in self.ids.iter().enumerate() {
+                    out.set(j, i != PAD && v.get(i));
+                }
+                Some(out)
+            }
+        };
+        let (source, base, ids) = match &col.rows {
+            Rows::Buffer(data) => (Arc::clone(data), col.offset, Arc::clone(&self.ids)),
+            Rows::Deferred(input) => match input.forced.get() {
+                Some(data) => (Arc::clone(data), col.offset, Arc::clone(&self.ids)),
+                None => {
+                    let ids = self.composed_through(&input.ids, col.offset);
+                    (Arc::clone(&input.source), input.base, ids)
+                }
+            },
+        };
+        let node = Deferred { source, base, ids, forced: OnceLock::new() };
+        Column { rows: Rows::Deferred(Arc::new(node)), offset: 0, len: self.ids.len(), validity }
+    }
+
+    fn pad_validity(&mut self) -> &Bitmap {
+        self.pad_validity.get_or_insert_with(|| {
+            let mut v = Bitmap::all_set(self.ids.len());
+            for (j, _) in self.ids.iter().enumerate().filter(|(_, &i)| i == PAD) {
+                v.set(j, false);
+            }
+            v
+        })
+    }
+
+    fn composed_through(&mut self, inner: &Arc<Vec<usize>>, offset: usize) -> Arc<Vec<usize>> {
+        let same =
+            |(of, at, _): &&(Arc<Vec<usize>>, usize, _)| Arc::ptr_eq(of, inner) && *at == offset;
+        if let Some((.., ids)) = self.composed.iter().find(same) {
+            return Arc::clone(ids);
+        }
+        let through = |&i: &usize| if i == PAD { PAD } else { inner[offset + i] };
+        let ids = Arc::new(self.ids.iter().map(through).collect::<Vec<_>>());
+        self.composed.push((Arc::clone(inner), offset, Arc::clone(&ids)));
+        ids
     }
 }
 
@@ -520,7 +679,7 @@ mod tests {
     #[test]
     fn take_padded_nulls_at_sentinel() {
         let c = int_col(&[Some(10), None, Some(30)]);
-        let t = c.take_padded(&[2, usize::MAX, 1, 0], usize::MAX);
+        let t = c.take_padded(&[2, PAD, 1, 0]);
         assert_eq!(t.value(0), Value::Int(30));
         assert!(t.value(1).is_null());
         assert!(t.value(2).is_null());

@@ -7,7 +7,7 @@
 //! operators need no second code path.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, ColumnBuilder};
+use crate::column::{Column, ColumnBuilder, Gather};
 use crate::schema::SchemaRef;
 use crate::value::Value;
 use cv_common::{CvError, Result};
@@ -132,9 +132,7 @@ impl Table {
         if mask.all_true() {
             return Ok(self.clone());
         }
-        let indices = mask.ones();
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.take(&indices)).collect();
-        Table::new(self.schema.clone(), columns)
+        Ok(self.gather(mask.ones()))
     }
 
     /// Gather rows by index.
@@ -142,18 +140,32 @@ impl Table {
         // Identity-prefix gather (rows 0..k, in order) needs no per-row
         // gather at all: the full-table case shares the buffers outright
         // (the common case when an FK join matches each probe row exactly
-        // once), and a proper prefix is a window over them. Under
-        // chunked execution each chunk hits this independently, so one
-        // out-of-order index in some *other* chunk no longer forces a full
-        // gather of every column here.
+        // once), and a proper prefix is a window over them.
         if indices.iter().enumerate().all(|(j, &i)| j == i) {
-            if indices.len() == self.rows {
-                return Ok(self.clone());
-            }
             return Ok(self.slice(0, indices.len()));
         }
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.take(indices)).collect();
-        Table::new(self.schema.clone(), columns)
+        Ok(self.gather(indices.to_vec()))
+    }
+
+    /// [`Table::take`] for a caller that knows `indices` are not a prefix
+    /// of the table's rows (or does not care): no scan for that case, and
+    /// the vector becomes the one every output column shares. Columns are
+    /// deferred ([`Column::take`]): none is copied until it is read.
+    pub fn gather(&self, indices: Vec<usize>) -> Table {
+        self.gathered(indices, false)
+    }
+
+    /// [`Table::gather`] where [`crate::column::PAD`] marks a NULL row in
+    /// every column ([`Column::take_padded`]).
+    pub fn gather_padded(&self, indices: Vec<usize>) -> Table {
+        self.gathered(indices, true)
+    }
+
+    fn gathered(&self, indices: Vec<usize>, padded: bool) -> Table {
+        let rows = indices.len();
+        let mut gather = Gather::new(indices, padded);
+        let columns = self.columns.iter().map(|c| gather.column(c)).collect();
+        Table { schema: self.schema.clone(), columns, rows }
     }
 
     /// The row range `[offset, offset + len)` as windows over the same
@@ -309,6 +321,7 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::{ColumnData, PAD};
     use crate::schema::{Field, Schema};
     use crate::value::DataType;
 
@@ -416,7 +429,6 @@ mod tests {
     /// signs and empty strings; one column carries an all-true bitmap so
     /// validity *presence* is exercised, not just null positions.
     fn random_table(rng: &mut cv_common::rng::DetRng, rows: usize) -> Table {
-        use crate::column::ColumnData;
         let schema = Schema::new(vec![
             Field::new("b", DataType::Bool),
             Field::new("i", DataType::Int),
@@ -506,10 +518,7 @@ mod tests {
             let padded: Vec<usize> =
                 idx.iter().map(|&i| if i % 3 == 0 { usize::MAX } else { i }).collect();
             for ci in 0..w.num_columns() {
-                let (a, b) = (
-                    w.column(ci).take_padded(&padded, usize::MAX),
-                    c.column(ci).take_padded(&padded, usize::MAX),
-                );
+                let (a, b) = (w.column(ci).take_padded(&padded), c.column(ci).take_padded(&padded));
                 assert_eq!(a.validity(), b.validity(), "{what}");
                 assert_eq!(format!("{:?}", a.data()), format!("{:?}", b.data()), "{what}");
             }
@@ -519,6 +528,111 @@ mod tests {
             assert_identical(&w.sort_by(&keys).unwrap(), &c.sort_by(&keys).unwrap(), &what);
             assert_identical(&w.concat(&w).unwrap(), &c.concat(&c).unwrap(), &what);
             assert_identical(&w.clone().normalized(), &c.clone().normalized(), &what);
+        }
+    }
+
+    /// The reference for a deferred gather: the same rows built cell by
+    /// cell, NULL at [`PAD`]. Validity is present exactly when the eager
+    /// `take` / `take_padded` produced one.
+    fn eager(source: &Column, ids: &[usize], padded: bool) -> Column {
+        let cells: Vec<Value> =
+            ids.iter().map(|&i| if i == PAD { Value::Null } else { source.value(i) }).collect();
+        let built = Column::from_values(source.dtype(), &cells).unwrap();
+        let valid: Vec<bool> = cells.iter().map(|v| !v.is_null()).collect();
+        let validity = (padded || source.validity().is_some()).then(|| Bitmap::from_bools(&valid));
+        Column::new(built.data().clone(), validity)
+    }
+
+    /// `got` is `want` on everything but where its rows are: validity
+    /// presence and bits, bytes, cells. Sizing it gathers nothing.
+    fn assert_same_column(got: &Column, want: &Column, what: &str) {
+        let was_forced = got.is_forced();
+        assert_eq!((got.len(), got.dtype()), (want.len(), want.dtype()), "{what}");
+        assert_eq!(got.validity(), want.validity(), "validity (presence included) of {what}");
+        assert_eq!(got.null_count(), want.null_count(), "{what}");
+        assert_eq!(got.byte_size(), want.byte_size(), "byte size of {what}");
+        assert_eq!(got.is_forced(), was_forced, "sizing {what} gathered it");
+        for i in 0..got.len() {
+            assert_eq!(got.is_null(i), want.is_null(i), "{what}: row {i}");
+            let (a, b) = (got.value(i), want.value(i));
+            assert!(a.total_cmp(&b).is_eq(), "{what}: row {i}: {a} vs {b}");
+        }
+        assert!(got.null_count() == got.len() || got.is_forced(), "{what}: read but not gathered");
+        let compacted = got.clone().compact();
+        assert!(compacted.is_compact(), "{what}");
+        assert_eq!(format!("{:?}", compacted.data()), format!("{:?}", want.data()), "{what}");
+        assert_eq!(got.byte_size(), want.byte_size(), "byte size of {what} once gathered");
+    }
+
+    #[test]
+    fn a_deferred_column_is_its_eager_gather() {
+        let mut rng = cv_common::rng::DetRng::seed(0x79);
+        for round in 0..120 {
+            let rows = [1, 2, 63, 64, 65, 130][round % 6];
+            let t = random_table(&mut rng, rows);
+            // Every other round the source is itself a window.
+            let off = if round % 2 == 0 { 0 } else { rng.range_usize(0, rows) };
+            let src = t.slice(off, rng.range_usize(1, rows - off + 1));
+            let n = src.num_rows();
+            let ids = |rng: &mut cv_common::rng::DetRng, of: usize, len: usize, pad: bool| {
+                let id = |rng: &mut cv_common::rng::DetRng| match pad && rng.chance(0.25) {
+                    true => PAD,
+                    false => rng.range_usize(0, of),
+                };
+                (0..len).map(|_| id(rng)).collect::<Vec<usize>>()
+            };
+            let a = ids(&mut rng, n, 2 * n, false);
+            let p = ids(&mut rng, n, 2 * n, true);
+            let b = ids(&mut rng, 2 * n, n + 3, false);
+            let bp = ids(&mut rng, 2 * n, n + 3, true);
+            let (w_off, w_len) = (rng.range_usize(0, n), rng.range_usize(0, n + 1));
+            // The table-level gathers share one id vector between columns.
+            let (t_take, t_pad) = (src.gather(a.clone()), src.gather_padded(p.clone()));
+
+            for (ci, c) in src.columns().iter().enumerate() {
+                let what = format!("round {round}, column {ci}");
+                let (want_a, want_p) = (eager(c, &a, false), eager(c, &p, true));
+                let (take, padded) = (c.take(&a), c.take_padded(&p));
+                assert!(!take.is_forced() && !padded.is_forced() && !take.is_compact(), "{what}");
+
+                // Length, type, NULLs, validity, bytes, slices and validity
+                // normalisation never gather; a gather of a gather composes
+                // the ids (a pad stays a pad) and reads the first source.
+                let window = take.slice(w_off, w_len);
+                let normal = padded.clone().normalize_validity();
+                let (twice, over_pad) = (take.take(&b), padded.take(&b));
+                let (pad_twice, pad_over) = (padded.take_padded(&bp), take.take_padded(&bp));
+                let composed =
+                    [&take, &padded, &window, &normal, &twice, &over_pad, &pad_twice, &pad_over];
+                assert!(composed.iter().all(|c| !c.is_forced()), "{what}: something gathered");
+                // Compacting an unread window gathers that window alone.
+                let own = window.clone().compact();
+                assert!(own.is_compact() && !take.is_forced(), "{what}");
+                let want_window = want_a.slice(w_off, w_len).compact();
+                assert_same_column(&own, &want_window, &what);
+
+                assert_same_column(&twice, &eager(&want_a, &b, false), &what);
+                assert_same_column(&over_pad, &eager(&want_p, &b, false), &what);
+                assert_same_column(&pad_twice, &eager(&want_p, &bp, true), &what);
+                assert_same_column(&pad_over, &eager(&want_a, &bp, true), &what);
+                assert!(!take.is_forced() && !padded.is_forced(), "{what}: composing gathered");
+
+                assert_same_column(&window, &want_window, &what);
+                let read = window.null_count() < window.len();
+                assert_eq!(take.is_forced(), read, "{what}: a window's read gathers for all");
+                assert_same_column(&take, &want_a, &what);
+                assert_same_column(&normal, &want_p.clone().normalize_validity(), &what);
+                assert_same_column(&padded, &want_p, &what);
+                // Gathered by now: the next gather reads the gathered rows.
+                assert_same_column(&take.take(&b), &eager(&want_a, &b, false), &what);
+                assert_same_column(
+                    &t_take.column(ci).concat(t_pad.column(ci)).unwrap(),
+                    &want_a.concat(&want_p).unwrap(),
+                    &what,
+                );
+                assert_same_column(t_take.column(ci), &want_a, &what);
+                assert_same_column(t_pad.column(ci), &want_p, &what);
+            }
         }
     }
 

@@ -7,17 +7,14 @@
 //! tested against.
 
 use super::keys::KeyCols;
-use super::{stream_chunks, ExecContext};
+use super::{map_chunks, ExecContext};
 use crate::plan::JoinKind;
 use cv_common::{CvError, Result};
-use cv_data::column::ColumnView;
+use cv_data::column::{ColumnView, PAD};
 use cv_data::schema::Schema;
 use cv_data::sortkey::{order_rows, sorted_keys};
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
-
-/// Right-side index of a left-outer miss: the row is padded with NULLs.
-const PAD: usize = usize::MAX;
 
 /// Row-at-a-time key equality — reference semantics, kept for `loop_join`
 /// (the differential baseline the vectorized paths are tested against).
@@ -75,25 +72,31 @@ pub(super) fn restore_swapped_columns(
 }
 
 /// Assemble join output from matched row indices; a right index of [`PAD`]
-/// is a left-outer miss. A semi join ignores `right_idx`.
+/// (a left-outer miss) is a NULL row. A semi join ignores `right_idx`. Both
+/// sides are deferred gathers: a column is copied when an operator above
+/// reads it, and not otherwise.
 fn join_output_from_indices(
     left: &Table,
     right: &Table,
-    left_idx: &[usize],
-    right_idx: &[usize],
+    left_idx: Vec<usize>,
+    right_idx: Vec<usize>,
     kind: JoinKind,
 ) -> Result<Table> {
-    let left_part = left.take(left_idx)?;
+    // The joins emit left rows ascending. A left join emits each at least
+    // once and a semi join at most once, so as many rows out as in is every
+    // row once — the left side is shared, not gathered. An inner join can
+    // repeat one row and miss another: that length needs the scan.
+    let left_part = match (left_idx.len() == left.num_rows(), kind) {
+        (true, JoinKind::Left | JoinKind::Semi) => left.clone(),
+        (true, JoinKind::Inner) => left.take(&left_idx)?,
+        (false, _) => left.gather(left_idx),
+    };
     if kind == JoinKind::Semi {
         return Ok(left_part);
     }
-    // Typed padded gather: `PAD` indices become NULL rows directly,
-    // without materializing a copy of the right table first.
     let schema = left.schema().join(right.schema())?.into_ref();
     let mut columns = left_part.columns().to_vec();
-    for col in right.columns() {
-        columns.push(col.take_padded(right_idx, PAD));
-    }
+    columns.extend_from_slice(right.gather_padded(right_idx).columns());
     Table::new(schema, columns)
 }
 
@@ -182,9 +185,11 @@ fn probe_rows(
 }
 
 /// The probe side streams chunk-at-a-time against the (possibly restored)
-/// build state. Each chunk emits its own output slice (chunk-local left
-/// rows ascending, candidates ascending), so chunk-order reassembly
-/// reproduces the monolithic emit order exactly.
+/// build state. Each chunk emits its matched index pairs (chunk-local left
+/// rows ascending, candidates ascending); in chunk order they are the
+/// monolithic emit order, and the output is gathered from them once, over
+/// the whole probe table. Normalized, as every chunk reassembly is. Returns
+/// the morsel count for the work ledger.
 pub(super) fn hash_join_probe(
     left: &Table,
     state: &JoinBuildState,
@@ -195,13 +200,13 @@ pub(super) fn hash_join_probe(
     let lk = resolve_side(left, on.iter().map(|(l, _)| l), "left")?;
     let right = &state.table;
     let rkeys = KeyCols::from_table(right, &state.key_cols);
-    let probe = |chunk: &Table| -> Result<Table> {
+    let probe = |chunk: &Table| {
         let lkeys = KeyCols::from_table(chunk, &lk);
         let (hashes, valid) = lkeys.join_hashes();
         // A chain holds every build row of the bucket, not only this key's:
         // a single same-typed key is told apart on the two typed slices
         // (rows that reach the test are non-NULL on both sides).
-        let (left_idx, right_idx) = match (lkeys.single(), rkeys.single()) {
+        match (lkeys.single(), rkeys.single()) {
             (Some(ColumnView::Int(l)), Some(ColumnView::Int(r))) => {
                 probe_rows(&hashes, &valid, state, kind, |i, j| l[i] == r[j])
             }
@@ -212,10 +217,17 @@ pub(super) fn hash_join_probe(
                 probe_rows(&hashes, &valid, state, kind, |i, j| l[i] == r[j])
             }
             _ => probe_rows(&hashes, &valid, state, kind, |i, j| lkeys.rows_eq_sql(i, &rkeys, j)),
-        };
-        join_output_from_indices(chunk, right, &left_idx, &right_idx, kind)
+        }
     };
-    stream_chunks(left, ctx, true, &|chunk, _| probe(chunk))
+    let pairs = map_chunks(left, ctx, true, &|chunk, _| Ok((chunk.num_rows(), probe(chunk))))?;
+    let (mut left_idx, mut right_idx, mut off) = (Vec::new(), Vec::new(), 0);
+    for (rows, (l, r)) in &pairs {
+        left_idx.extend(l.iter().map(|i| off + i));
+        right_idx.extend_from_slice(r);
+        off += rows;
+    }
+    let out = join_output_from_indices(left, right, left_idx, right_idx, kind)?;
+    Ok((out.normalized(), pairs.len()))
 }
 
 pub(super) fn loop_join(
@@ -253,7 +265,7 @@ pub(super) fn loop_join(
             _ => {}
         }
     }
-    join_output_from_indices(left, right, &left_idx, &right_idx, kind)
+    join_output_from_indices(left, right, left_idx, right_idx, kind)
 }
 
 /// Sort both sides by key once, merge them into one equal-key *run* of the
@@ -373,5 +385,5 @@ pub(super) fn merge_join(
             right_idx.extend_from_slice(run);
         }
     }
-    join_output_from_indices(left, right, &left_idx, &right_idx, kind)
+    join_output_from_indices(left, right, left_idx, right_idx, kind)
 }

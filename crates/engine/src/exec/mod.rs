@@ -21,10 +21,13 @@
 //! out through the context's [`MorselRunner`], so a single heavy job
 //! spreads across the service's worker pool. A chunk is a *window* over
 //! the input's column buffers ([`Table::slice`]): cutting one copies no
-//! row, so an operator pays only for the columns it reads. Whatever leaves
-//! the query — the result, a spooled view and its sink chunks, a published
-//! breaker state — is compacted first ([`Table::compact`]), so no window
-//! outlives the query that cut it. Pipeline breakers — sorts,
+//! row, so an operator pays only for the columns it reads. A gather is
+//! *deferred* the same way ([`cv_data::column::Column::take`]): a filter's,
+//! a sort's or a join's output column is copied when some operator above
+//! reads it, once, and never if none does. Whatever leaves the query — the
+//! result, a spooled view and its sink chunks, a published breaker state —
+//! is compacted first ([`Table::compact`]), so no window and no deferred
+//! column outlives the query that made it. Pipeline breakers — sorts,
 //! join build sides, merge/loop joins, unions, UDOs, spools, aggregate
 //! accumulation — materialize via [`Table::from_chunks`]. Breaker states
 //! (join builds, finished aggregate/sort output) can additionally be
@@ -320,20 +323,6 @@ fn map_chunks<T: Send>(
     .collect()
 }
 
-/// [`map_chunks`] for a chunk-to-table transform: the outputs are
-/// reassembled in chunk order (normalized). Returns the table and the
-/// morsel count for the work ledger.
-fn stream_chunks(
-    input: &Table,
-    ctx: &mut ExecContext<'_>,
-    deterministic: bool,
-    transform: &(dyn Fn(&Table, &mut EvalCtx) -> Result<Table> + Sync),
-) -> Result<(Table, usize)> {
-    let chunks = map_chunks(input, ctx, deterministic, transform)?;
-    let schema = chunks[0].schema().clone();
-    Ok((Table::from_chunks(schema, &chunks)?, chunks.len()))
-}
-
 /// Dispatch one operator, emitting [`ObsSink`] events around the recursion
 /// when a sink is installed. `op_started` fires preorder and `op_finished`
 /// postorder, so a sink that maps them onto span begin/end reconstructs the
@@ -470,15 +459,16 @@ fn exec_node_inner(
                 exec_node(input, ctx, model, metrics, pending)?;
             metrics.data_read_bytes += bytes;
             let det = exprs.iter().all(|(e, _)| e.is_deterministic());
-            let (out, chunks) = stream_chunks(&in_table, ctx, det, &|t, ec| {
+            let chunks = map_chunks(&in_table, ctx, det, &|t, ec| {
                 let mut columns = Vec::with_capacity(exprs.len());
                 for (e, _) in exprs {
                     columns.push(eval(e, t, ec)?);
                 }
                 Table::new(schema.clone(), columns)
             })?;
+            let out = Table::from_chunks(schema.clone(), &chunks)?;
             let work = model.project(in_table.num_rows() as f64, exprs.len()).total()
-                + model.morsel_dispatch(chunks as f64).total();
+                + model.morsel_dispatch(chunks.len() as f64).total();
             Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::Join { algo, kind, on, left, right, swapped, .. } => {

@@ -12,7 +12,7 @@ use cv_cluster::metrics::JobRecord;
 use cv_common::hash::Sig128;
 use cv_common::ids::JobId;
 use cv_core::repository::SubexpressionRepo;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Concurrency count of one recurring join signature on one day.
 #[derive(Clone, Debug)]
@@ -111,7 +111,9 @@ pub fn pipelining_savings_bound(repo: &SubexpressionRepo, records: &[JobRecord])
         .iter()
         .map(|r| (r.result.job, (r.result.start.seconds(), r.result.finish.seconds())))
         .collect();
-    let mut groups: HashMap<(u32, Sig128), Vec<(f64, f64, f64)>> = HashMap::new();
+    // Ordered: the bound is a float sum over the groups, and a hash map's
+    // iteration order — hence the sum's last digit — differs from run to run.
+    let mut groups: BTreeMap<(u32, Sig128), Vec<(f64, f64, f64)>> = BTreeMap::new();
     for rec in repo.records() {
         let Some(work) = rec.subtree_work else { continue };
         if rec.kind == "Scan" {
@@ -174,14 +176,14 @@ mod tests {
         })
     }
 
-    fn profiles() -> Vec<OpProfile> {
+    fn profiles(work: f64) -> Vec<OpProfile> {
         ["TableScan", "TableScan", "HashJoin"]
             .iter()
             .map(|k| OpProfile {
                 kind: k,
                 rows_out: 10,
                 bytes_out: 100,
-                work: 5.0,
+                work,
                 partitions: 1,
                 spool_sig: None,
             })
@@ -227,7 +229,7 @@ mod tests {
         let mut repo = SubexpressionRepo::new();
         let subs = enumerate_subexpressions(&join_plan(), &SignatureConfig::default());
         for &(job, submit) in jobs {
-            repo.log_job(meta(job, submit), &subs, Some(&profiles()));
+            repo.log_job(meta(job, submit), &subs, Some(&profiles(5.0)));
         }
         repo
     }
@@ -279,6 +281,28 @@ mod tests {
         let bound = pipelining_savings_bound(&repo, &records);
         // Join group: (2-1) * 15 = 15 redundant units at minimum.
         assert!(bound >= 15.0 - 1e-9, "bound = {bound}");
+    }
+
+    #[test]
+    fn savings_bound_is_bit_identical_from_call_to_call() {
+        // Twelve days, one overlapping pair a day, a different work per day:
+        // twelve groups whose float sum depends on the order they are added in.
+        let subs = enumerate_subexpressions(&join_plan(), &SignatureConfig::default());
+        let (mut repo, mut records) = (SubexpressionRepo::new(), Vec::new());
+        for day in 0..12u64 {
+            let at = day as f64 * 86_400.0 + 100.0;
+            for job in [2 * day, 2 * day + 1] {
+                let work = profiles(1.0 / (day as f64 + 3.0));
+                repo.log_job(meta(job, at), &subs, Some(&work));
+                records.push(record(job, at, at + 300.0));
+            }
+        }
+        let first = pipelining_savings_bound(&repo, &records);
+        assert!(first > 0.0);
+        for call in 1..48 {
+            let again = pipelining_savings_bound(&repo, &records);
+            assert_eq!(again.to_bits(), first.to_bits(), "call {call}: {again:e} vs {first:e}");
+        }
     }
 
     #[test]

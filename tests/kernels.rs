@@ -778,13 +778,23 @@ fn try_run_over(
     chunk_size: usize,
     workers: usize,
 ) -> cv_common::Result<ExecOutcome> {
-    let (cat, udos) = (DatasetCatalog::new(), UdoRegistry::with_builtins());
+    try_run_with(plan, sources, &UdoRegistry::with_builtins(), chunk_size, workers)
+}
+
+fn try_run_with(
+    plan: &PhysicalPlan,
+    sources: &Tables,
+    udos: &UdoRegistry,
+    chunk_size: usize,
+    workers: usize,
+) -> cv_common::Result<ExecOutcome> {
+    let cat = DatasetCatalog::new();
     let runner: Arc<dyn cv_engine::MorselRunner> = match workers {
         1 => Arc::new(SerialRunner),
         n => Arc::new(cv_service::PoolMorselRunner::new(n)),
     };
     let mut ctx =
-        ExecContext::new(&cat, sources, &udos, SimTime::EPOCH).with_chunking(chunk_size, runner);
+        ExecContext::new(&cat, sources, udos, SimTime::EPOCH).with_chunking(chunk_size, runner);
     execute(plan, &mut ctx, &CostModel::default())
 }
 
@@ -1349,6 +1359,95 @@ fn operators_over_a_window_equal_operators_over_its_compacted_copy() {
                 }
                 assert_eq!(over_windows.pending_views.len(), (name == "spool") as usize);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Late materialisation: a gathered column is copied when it is read
+// ---------------------------------------------------------------------------
+
+#[test]
+fn unread_columns_are_never_gathered() {
+    use cv_engine::udo::UdoImpl;
+    let mut rng = DetRng::seed(0x71);
+    let base = random_table(&mut rng, 5000, 0.2);
+    let schema = base.schema().clone();
+    let predicate = col("i").gt(lit(0_i64));
+
+    // The scalar reference, on tables built cell by cell.
+    let mut scalar = EvalCtx::new(0);
+    scalar.vectorized = false;
+    let keep = eval_predicate(&predicate, &base, &mut scalar).unwrap().to_bools();
+    let kept: Vec<Vec<Value>> =
+        base.to_rows().into_iter().zip(&keep).filter(|(_, k)| **k).map(|(row, _)| row).collect();
+    assert!(kept.len() > 1000 && kept.len() < 4000, "the filter drops some rows and keeps some");
+    let filtered = Table::from_rows(schema.clone(), &kept).unwrap();
+    let projection = vec![(col("i").add(lit(1_i64)), "i1"), (col("f").mul(lit(2.0)), "f2")];
+    let projected = {
+        let columns = projection.iter().map(|(e, _)| eval(e, &filtered, &mut scalar).unwrap());
+        let fields = projection.iter().map(|(e, n)| Field::new(*n, e.dtype(&schema).unwrap()));
+        Table::new(Schema::new(fields.collect()).unwrap().into_ref(), columns.collect()).unwrap()
+    };
+    let mut sorted = kept.clone();
+    sorted.sort_by(|a, b| b[2].total_cmp(&a[2])); // stable, `f` descending
+    let top = Table::from_rows(schema.clone(), &sorted[..50]).unwrap();
+
+    // A pass-through UDO between the filter and its consumer keeps a handle
+    // on the filter's output, the columns nobody names included.
+    let seen: Arc<Mutex<Vec<Table>>> = Arc::default();
+    let mut udos = UdoRegistry::empty();
+    let tap = seen.clone();
+    udos.register(
+        "tap",
+        UdoImpl {
+            output_schema: Box::new(|s| Ok(Arc::new(s.clone()))),
+            apply: Box::new(move |t| {
+                tap.lock().unwrap().push(t.clone());
+                Ok(t.clone())
+            }),
+        },
+    );
+    let tapped_filter = || PhysicalPlan::Udo {
+        spec: UdoSpec::new("tap"),
+        schema: schema.clone(),
+        input: Box::new(filter_op(source(LEFT, &schema), predicate.clone())),
+        est: est(),
+        partitions: 1,
+    };
+    let filter_project = project_op(tapped_filter(), &schema, projection.clone());
+    let filter_sort_limit = PhysicalPlan::Limit {
+        n: 50,
+        input: Box::new(sort_op(tapped_filter(), &[("f", false)])),
+        est: est(),
+    };
+    // Expected table, `bytes_out` of every operator in execution order, and
+    // which of the filter's output columns (b, i, f, s, d) some operator read.
+    let (all, some) = (base.byte_size(), filtered.byte_size());
+    let cases = [
+        ("filter → project", &filter_project, &projected, vec![all, some, some], [1, 2]),
+        ("filter → sort → limit", &filter_sort_limit, &top, vec![all, some, some, some], [2, 2]),
+    ];
+
+    let sources = Tables(HashMap::from([(LEFT, base.clone())]));
+    for (name, plan, want, mut bytes, read) in cases {
+        bytes.push(want.byte_size());
+        for (chunk_size, workers) in [(usize::MAX, 1), (2048, 1), (64, 2)] {
+            let what = format!("{name}, chunk size {chunk_size}, {workers} worker(s)");
+            let out = try_run_with(plan, &sources, &udos, chunk_size, workers).unwrap();
+            assert_tables_identical(&out.table, want, &what);
+            let profiled: Vec<u64> = out.metrics.op_profiles.iter().map(|p| p.bytes_out).collect();
+            assert_eq!(profiled, bytes, "bytes_out per operator for {what}");
+
+            let filter_out = seen.lock().unwrap().pop().expect("the tap saw the filter's output");
+            assert_eq!(filter_out.num_rows(), kept.len(), "{what}");
+            for (ci, column) in filter_out.columns().iter().enumerate() {
+                assert!(!column.is_compact(), "{what}: the filter copied column {ci} up front");
+                assert_eq!(column.is_forced(), read.contains(&ci), "{what}: column {ci} gathered");
+            }
+            // Sizing the unread columns again still reads none of them.
+            assert_eq!(filter_out.byte_size(), some, "{what}");
+            assert!(!filter_out.column(3).is_forced(), "{what}: byte_size gathered the strings");
         }
     }
 }
