@@ -11,11 +11,12 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo build --release (workspace, then the frozen benchmark harness against it)"
-cargo build --release --workspace
-# perf/ compiles against the crates' public API and may not be edited to
-# follow them: an API break — or, with --locked, a changed dependency edge
-# that would rewrite perf/Cargo.lock — must be the first failure, not the
-# last (perf/check.sh reuses this build at the end).
+# --locked on both: a changed dependency edge that forgets a lockfile fails
+# here. perf/ compiles against the crates' public API and may not be edited
+# to follow them, so an API break — or an edge that would rewrite
+# perf/Cargo.lock — must be the first failure, not the last (perf/check.sh
+# reuses this build at the end).
+cargo build --release --workspace --locked
 cargo build --release --locked --manifest-path perf/Cargo.toml
 
 echo "==> cargo clippy (warnings are errors)"
@@ -66,19 +67,26 @@ mkdir -p perf/results # git-ignored; check.sh (frozen) redirects into it before 
 perf/check.sh
 
 echo "==> size: non-test code lines per crate (report only, no gate)"
-# Each src/**/*.rs up to its first #[cfg(test)], blank and // lines dropped.
-total=0
-for dir in crates/*/src src; do
-    n=$(find "$dir" -name '*.rs' -print0 | xargs -0 awk '
+# Each file up to its first #[cfg(test)], blank and // lines dropped.
+count() {
+    awk '
         FNR == 1 { in_tests = 0 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests || /^[[:space:]]*($|\/\/)/ { next }
         { n++ }
-        END { print n + 0 }')
+        END { print n + 0 }' "$@"
+}
+total=0
+for dir in crates/*/src src; do
+    n=$(count $(find "$dir" -name '*.rs'))
     printf '    %-22s %6d\n' "$dir" "$n"
     total=$((total + n))
 done
 printf '    %-22s %6d\n' total "$total"
+# The view-store seam: the catalogue and its memory medium, the router, the
+# store API and the durable medium.
+printf '    %-22s %6d\n' "store seam (4 files)" "$(count crates/data/src/viewstore.rs \
+    crates/data/src/sharded.rs crates/data/src/store_api.rs crates/store/src/store.rs)"
 printf '    %-22s %6d\n' ci.sh "$(wc -l < ci.sh)"
 
 echo "==> OK"

@@ -1,12 +1,16 @@
 //! The lock-striped view store: one type over memory or durable shards.
 //!
 //! [`StripedViewStore`] splits the signature space across N shards so that
-//! concurrent jobs rarely meet on a lock. A shard is anything that is itself
-//! a [`SharedViewStore`] and brings its own lock — the in-memory
-//! [`ViewStore`] behind a reader/writer lock (below), or cv-store's durable
-//! store behind its mutex — so the wrapper adds no locking of its own and
-//! every single-store semantic (TTL, quarantine, GDPR purge, checksums, fault
-//! injection) holds shard-locally. One shard *is* the plain store.
+//! concurrent jobs rarely meet on a lock. A [`Shard`] is one
+//! [`ViewCatalog`] behind one lock plus a medium for the rows — the
+//! in-memory [`ViewStore`] behind a reader/writer lock (below), or
+//! cv-store's pages + WAL behind its mutex — so the wrapper adds no locking
+//! of its own and every single-store semantic (TTL, quarantine, GDPR purge,
+//! checksums, fault injection) is the catalogue's, shard-locally.
+//!
+//! The store API, [`SharedViewStore`], is implemented once, for any
+//! [`ShardSet`]: the striped store is a set of N shards and a bare shard is
+//! a set of one, so one shard *is* the plain store.
 //!
 //! Routing is a pure function of the signature bits, so a view lands on the
 //! same shard in every run regardless of thread count, and fault decisions
@@ -16,7 +20,8 @@
 use crate::store_api::{SharedViewStore, StoreIoStats};
 use crate::table::Table;
 use crate::viewstore::{
-    MaterializedView, ViewReadFault, ViewSource, ViewStore, ViewStoreStats, ViewTemperature,
+    MaterializedView, ViewCatalog, ViewMutation, ViewReadFault, ViewSource, ViewStore,
+    ViewStoreStats, ViewTemperature,
 };
 use cv_common::ids::{VcId, VersionGuid};
 use cv_common::{FaultPlan, Result, Sig128, SimDuration, SimTime};
@@ -26,12 +31,78 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// Default shard count; enough stripes that 8–16 workers rarely collide.
 pub const DEFAULT_SHARDS: usize = 16;
 
+/// One catalogue behind one lock: what a medium implements. The medium owns
+/// where payloads live, its lock kind and — if it is durable — logging a
+/// mutation before applying it, residency and recovery; every rule is the
+/// catalogue's. The durability methods default to what a memory medium
+/// does: no I/O layer, always hot, nothing to recover or checkpoint.
+pub trait Shard: Sync {
+    /// What the medium keeps per view next to its [`StoredViewMeta`].
+    ///
+    /// [`StoredViewMeta`]: crate::viewstore::StoredViewMeta
+    type Payload;
+    /// Run `f` on the catalogue under the shard's lock (shared with other
+    /// readers where the medium's lock can share).
+    fn catalog<R>(&self, f: impl FnOnce(&ViewCatalog<Self::Payload>) -> R) -> R;
+    /// Seal a view: [`ViewCatalog::admit`], place the rows, publish.
+    fn insert(&self, view: MaterializedView) -> Result<()>;
+    /// [`ViewCatalog::apply`], returning how many views went (`None` if the
+    /// mutation changed nothing).
+    fn mutate(&self, op: ViewMutation) -> Result<Option<usize>>;
+    /// [`ViewCatalog::read`] over the medium's rows.
+    fn read_traced(
+        &self,
+        sig: Sig128,
+        now: SimTime,
+    ) -> std::result::Result<Option<(Table, ViewTemperature)>, ViewReadFault>;
+    fn set_fault_plan(&self, plan: FaultPlan);
+    /// This and the three below mean what they mean on [`SharedViewStore`],
+    /// for this shard.
+    fn io_stats(&self) -> Option<StoreIoStats> {
+        None
+    }
+    fn is_resident(&self, _sig: Sig128) -> bool {
+        true
+    }
+    fn recover_in_place(&self) -> Result<()> {
+        Ok(())
+    }
+    fn checkpoint_now(&self) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// Anything that is a non-empty list of shards, and so a view store.
+pub trait ShardSet: Sync {
+    type Shard: Shard;
+    fn shards(&self) -> &[Self::Shard];
+
+    /// Deterministic shard routing: pure function of the signature bits.
+    fn shard_of(&self, sig: Sig128) -> &Self::Shard {
+        let shards = self.shards();
+        let mixed = (sig.0 as u64) ^ ((sig.0 >> 64) as u64);
+        &shards[(mixed % shards.len() as u64) as usize]
+    }
+
+    /// Run a sweep on every shard, stopping at the first error.
+    fn sweep(&self, op: ViewMutation) -> Result<usize> {
+        self.shards().iter().map(|s| Ok(s.mutate(op)?.unwrap_or(0))).sum()
+    }
+}
+
 /// N independently locked shards behind one signature-routed front. All
 /// methods take `&self`, so the store is shareable across worker threads
 /// behind a plain reference.
 #[derive(Debug)]
 pub struct StripedViewStore<S> {
     shards: Vec<S>,
+}
+
+impl<S: Shard> ShardSet for StripedViewStore<S> {
+    type Shard = S;
+    fn shards(&self) -> &[S] {
+        &self.shards
+    }
 }
 
 /// The in-memory store: [`ViewStore`] shards, readers sharing a shard lock.
@@ -45,7 +116,7 @@ impl ShardedViewStore {
 }
 
 /// A shard kind that lives in a directory of its own (the durable one).
-pub trait DirShard: SharedViewStore + Sized {
+pub trait DirShard: Shard + Sized {
     type Options: Clone;
     /// Open (creating if absent) the shard rooted at `dir`, recovering
     /// whatever an earlier process left there.
@@ -74,26 +145,13 @@ impl<S: DirShard> StripedViewStore<S> {
     }
 }
 
-impl<S: SharedViewStore> StripedViewStore<S> {
-    /// Deterministic shard routing: pure function of the signature bits.
-    fn shard_of(&self, sig: Sig128) -> &S {
-        let mixed = (sig.0 as u64) ^ ((sig.0 >> 64) as u64);
-        &self.shards[(mixed % self.shards.len() as u64) as usize]
-    }
-
-    /// Run a fallible sweep on every shard, stopping at the first error.
-    fn sweep(&self, op: impl Fn(&S) -> Result<usize>) -> Result<usize> {
-        self.shards.iter().map(op).sum()
-    }
-}
-
-impl<S: SharedViewStore> ViewSource for StripedViewStore<S> {
+impl<T: ShardSet> ViewSource for T {
     fn read_view(
         &self,
         sig: Sig128,
         now: SimTime,
     ) -> std::result::Result<Option<Table>, ViewReadFault> {
-        self.shard_of(sig).read_view(sig, now)
+        self.read_view_traced(sig, now).map(|hit| hit.map(|(table, _)| table))
     }
 
     fn read_view_traced(
@@ -101,77 +159,80 @@ impl<S: SharedViewStore> ViewSource for StripedViewStore<S> {
         sig: Sig128,
         now: SimTime,
     ) -> std::result::Result<Option<(Table, ViewTemperature)>, ViewReadFault> {
-        self.shard_of(sig).read_view_traced(sig, now)
+        self.shard_of(sig).read_traced(sig, now)
     }
 }
 
-impl<S: SharedViewStore> SharedViewStore for StripedViewStore<S> {
+/// The one store API: route by signature, or visit every shard. Infallible
+/// catalogue lookups run under the owning shard's lock; everything that
+/// can fail or touch a payload is the shard's.
+impl<T: ShardSet> SharedViewStore for T {
     fn insert(&self, view: MaterializedView) -> Result<()> {
         self.shard_of(view.strict_sig).insert(view)
     }
     fn contains(&self, sig: Sig128) -> bool {
-        self.shard_of(sig).contains(sig)
+        self.shard_of(sig).catalog(|c| c.contains(sig))
     }
     fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
-        self.shard_of(sig).contains_live(sig, now)
+        self.shard_of(sig).catalog(|c| c.contains_live(sig, now))
     }
     fn is_quarantined(&self, sig: Sig128) -> bool {
-        self.shard_of(sig).is_quarantined(sig)
+        self.shard_of(sig).catalog(|c| c.is_quarantined(sig))
     }
     fn quarantine(&self, sig: Sig128) -> Result<bool> {
-        self.shard_of(sig).quarantine(sig)
+        Ok(self.shard_of(sig).mutate(ViewMutation::Quarantine { sig })?.is_some())
     }
     fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
-        self.shard_of(sig).peek_meta(sig, now)
+        self.shard_of(sig).catalog(|c| c.peek_meta(sig, now))
     }
     fn observed_work(&self, sig: Sig128) -> Option<f64> {
-        self.shard_of(sig).observed_work(sig)
+        self.shard_of(sig).catalog(|c| c.observed_work(sig))
     }
     fn evict_expired(&self, now: SimTime) -> Result<usize> {
-        self.sweep(|s| s.evict_expired(now))
+        self.sweep(ViewMutation::Expire { now })
     }
     fn purge_input(&self, guid: VersionGuid, now: SimTime) -> Result<usize> {
-        self.sweep(|s| s.purge_input(guid, now))
+        self.sweep(ViewMutation::PurgeInput { guid, now })
     }
     fn purge_vc(&self, vc: VcId, now: SimTime) -> Result<usize> {
-        self.sweep(|s| s.purge_vc(vc, now))
+        self.sweep(ViewMutation::PurgeVc { vc, now })
     }
     fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
-        let mut out: Vec<Sig128> =
-            self.shards.iter().flat_map(|s| s.sigs_with_input(guid)).collect();
+        let per_shard = self.shards().iter().map(|s| s.catalog(|c| c.sigs_with_input(guid)));
+        let mut out: Vec<Sig128> = per_shard.flatten().collect();
         out.sort();
         out
     }
     fn stats(&self) -> ViewStoreStats {
         let mut total = ViewStoreStats::default();
-        for s in &self.shards {
-            total.merge(&s.stats());
+        for s in self.shards() {
+            total.merge(&s.catalog(|c| c.stats()));
         }
         total
     }
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.shards().iter().map(|s| s.catalog(|c| c.len())).sum()
     }
     fn total_storage(&self) -> u64 {
-        self.shards.iter().map(|s| s.total_storage()).sum()
+        self.shards().iter().map(|s| s.catalog(|c| c.total_storage())).sum()
     }
     fn storage_used(&self, vc: VcId) -> u64 {
-        self.shards.iter().map(|s| s.storage_used(vc)).sum()
+        self.shards().iter().map(|s| s.catalog(|c| c.storage_used(vc))).sum()
     }
     fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.shards().len()
     }
     fn ttl(&self) -> SimDuration {
-        self.shards[0].ttl()
+        self.shards()[0].catalog(|c| c.ttl())
     }
     fn set_fault_plan(&self, plan: FaultPlan) {
-        for s in &self.shards {
+        for s in self.shards() {
             s.set_fault_plan(plan.clone());
         }
     }
     fn io_stats(&self) -> Option<StoreIoStats> {
         let mut total: Option<StoreIoStats> = None;
-        for io in self.shards.iter().filter_map(|s| s.io_stats()) {
+        for io in self.shards().iter().filter_map(|s| s.io_stats()) {
             total.get_or_insert_with(StoreIoStats::default).merge(&io);
         }
         total
@@ -180,10 +241,10 @@ impl<S: SharedViewStore> SharedViewStore for StripedViewStore<S> {
         self.shard_of(sig).is_resident(sig)
     }
     fn recover_in_place(&self) -> Result<()> {
-        self.shards.iter().try_for_each(|s| s.recover_in_place())
+        self.shards().iter().try_for_each(|s| s.recover_in_place())
     }
     fn checkpoint_now(&self) -> Result<()> {
-        self.shards.iter().try_for_each(|s| s.checkpoint_now())
+        self.shards().iter().try_for_each(|s| s.checkpoint_now())
     }
 }
 
@@ -195,70 +256,25 @@ fn write(shard: &RwLock<ViewStore>) -> RwLockWriteGuard<'_, ViewStore> {
     shard.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl ViewSource for RwLock<ViewStore> {
-    fn read_view(
-        &self,
-        sig: Sig128,
-        now: SimTime,
-    ) -> std::result::Result<Option<Table>, ViewReadFault> {
-        read(self).read_view(sig, now)
+/// The in-memory shard: lookups and reads take the shard's read lock,
+/// mutations its write lock, and none of them can fail on their own.
+impl Shard for RwLock<ViewStore> {
+    type Payload = MaterializedView;
+    fn catalog<R>(&self, f: impl FnOnce(&ViewStore) -> R) -> R {
+        f(&read(self))
     }
-}
-
-/// The in-memory shard: reads take the shard's read lock, mutations its
-/// write lock. Infallible mutations are wrapped in `Ok`; the trait's
-/// durability defaults already describe a memory store exactly.
-impl SharedViewStore for RwLock<ViewStore> {
     fn insert(&self, view: MaterializedView) -> Result<()> {
         write(self).insert(view)
     }
-    fn contains(&self, sig: Sig128) -> bool {
-        read(self).contains(sig)
+    fn mutate(&self, op: ViewMutation) -> Result<Option<usize>> {
+        Ok(write(self).apply(&op).map(|removed| removed.len()))
     }
-    fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
-        read(self).contains_live(sig, now)
-    }
-    fn is_quarantined(&self, sig: Sig128) -> bool {
-        read(self).is_quarantined(sig)
-    }
-    fn quarantine(&self, sig: Sig128) -> Result<bool> {
-        Ok(write(self).quarantine(sig))
-    }
-    fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
-        read(self).peek(sig, now).map(|v| (v.rows as u64, v.bytes, v.observed_work))
-    }
-    fn observed_work(&self, sig: Sig128) -> Option<f64> {
-        read(self).observed_work(sig)
-    }
-    fn evict_expired(&self, now: SimTime) -> Result<usize> {
-        Ok(write(self).evict_expired(now))
-    }
-    fn purge_input(&self, guid: VersionGuid, now: SimTime) -> Result<usize> {
-        Ok(write(self).purge_input(guid, now))
-    }
-    fn purge_vc(&self, vc: VcId, now: SimTime) -> Result<usize> {
-        Ok(write(self).purge_vc(vc, now))
-    }
-    fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
-        read(self).sigs_with_input(guid)
-    }
-    fn stats(&self) -> ViewStoreStats {
-        read(self).stats()
-    }
-    fn len(&self) -> usize {
-        read(self).len()
-    }
-    fn total_storage(&self) -> u64 {
-        read(self).total_storage()
-    }
-    fn storage_used(&self, vc: VcId) -> u64 {
-        read(self).storage_used(vc)
-    }
-    fn n_shards(&self) -> usize {
-        1
-    }
-    fn ttl(&self) -> SimDuration {
-        read(self).ttl()
+    fn read_traced(
+        &self,
+        sig: Sig128,
+        now: SimTime,
+    ) -> std::result::Result<Option<(Table, ViewTemperature)>, ViewReadFault> {
+        read(self).read_view_traced(sig, now)
     }
     fn set_fault_plan(&self, plan: FaultPlan) {
         write(self).set_fault_plan(plan)

@@ -1,10 +1,13 @@
 //! The view-store seam: the one store API anything above cv-store calls.
 //!
 //! Both workload drivers, the service layer's view source and the bins hold
-//! a `&dyn SharedViewStore`. Behind it sits one type,
-//! [`StripedViewStore`](crate::sharded::StripedViewStore), over shards that
-//! implement this same trait: the in-memory [`ViewStore`](crate::ViewStore)
-//! behind a reader/writer lock, or cv-store's durable store behind its mutex.
+//! a `&dyn SharedViewStore`. It is implemented once, for any
+//! [`ShardSet`](crate::sharded::ShardSet) — the
+//! [`StripedViewStore`](crate::sharded::StripedViewStore), or a bare shard —
+//! over [`Shard`](crate::sharded::Shard)s: the in-memory
+//! [`ViewStore`](crate::ViewStore) behind a reader/writer lock, or cv-store's
+//! durable medium behind its mutex. Every rule behind these methods is
+//! [`ViewCatalog`](crate::viewstore::ViewCatalog)'s.
 //!
 //! Design notes:
 //!
@@ -80,8 +83,8 @@ impl StoreIoStats {
 /// (including [`ViewSource::read_view_traced`] for hot/cold accounting);
 /// this trait adds the control-plane operations the drivers need.
 pub trait SharedViewStore: ViewSource {
-    /// Seal a view. Same idempotence contract as
-    /// [`crate::viewstore::ViewStore::insert`].
+    /// Seal a view. Idempotent per strict signature, refused for a
+    /// quarantined one: [`crate::viewstore::ViewCatalog::admit`].
     fn insert(&self, view: MaterializedView) -> Result<()>;
     /// Whether a view for this signature is stored (ignoring expiry).
     fn contains(&self, sig: Sig128) -> bool;

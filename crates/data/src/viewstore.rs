@@ -1,23 +1,35 @@
-//! The materialized-view store.
+//! The materialized-view store: one logical catalogue and its in-memory
+//! medium.
 //!
 //! CloudViews materializes common subexpressions to stable storage as part of
 //! query processing. Views here are "cheap throw-away" artifacts (paper
 //! §2.4): never maintained, keyed by *strict* signature (so a new input
 //! version simply misses), expired after a TTL (production: one week), and
 //! purged when GDPR rotates an input GUID they were derived from.
-
 //!
-//! Faults: the store owns a [`FaultPlan`] (empty by default) that can inject
-//! write failures, torn-write corruption (caught by a content checksum on
-//! read), read failures, and expiry races. Any read-side failure is reported
-//! to the caller so the engine can quarantine the signature and fall back to
-//! recomputing the subexpression — a view must never wrong-answer a query.
+//! Every rule of that policy — the insert gate, the read gate, quarantine,
+//! TTL eviction, both purges, per-VC accounting, the usage counters and each
+//! injected-fault decision — is written once, in [`ViewCatalog`], and reads
+//! nothing but an entry's [`StoredViewMeta`]. The catalogue is generic over the
+//! payload an entry carries next to it: the [`MaterializedView`] with its
+//! rows (the in-memory [`ViewStore`] *is* that catalogue) or cv-store's chain
+//! of pages the rows live in. A medium decides where payloads go, brings its
+//! lock and, if it is durable, logs a mutation before applying it; it owns no
+//! rule.
+//!
+//! Faults: the catalogue owns a [`FaultPlan`] (empty by default) that can
+//! inject write failures, torn-write corruption (caught by a content checksum
+//! on read), read failures, and expiry races. Any read-side failure is
+//! reported to the caller so the engine can quarantine the signature and fall
+//! back to recomputing the subexpression — a view must never wrong-answer a
+//! query.
 
 use crate::digest::content_digest;
 use crate::schema::SchemaRef;
 use crate::table::Table;
 use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{CvError, FaultPlan, FaultPoint, Result, Sig128, SimDuration, SimTime};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,10 +51,6 @@ pub enum ViewReadFault {
     Corrupt,
     /// The view expired between optimizer match and executor read.
     ExpiryRace,
-}
-
-fn sig_key(sig: Sig128) -> [u64; 2] {
-    [sig.0 as u64, (sig.0 >> 64) as u64]
 }
 
 /// Where a served view's bytes actually came from, for cost accounting.
@@ -126,7 +134,7 @@ impl ViewStoreStats {
 /// because the executor clones the served data anyway.
 pub trait ViewSource: Sync {
     /// Execution-time read with the same contract as
-    /// [`ViewStore::read_for_exec`]: `Ok(Some(table))` serves the view,
+    /// [`ViewCatalog::read`]: `Ok(Some(table))` serves the view,
     /// `Ok(None)` is a plain miss (recompute), `Err(fault)` quarantines the
     /// signature before recomputing.
     fn read_view(
@@ -148,25 +156,64 @@ pub trait ViewSource: Sync {
     }
 }
 
-impl ViewSource for ViewStore {
-    fn read_view(
-        &self,
-        sig: Sig128,
-        now: SimTime,
-    ) -> std::result::Result<Option<Table>, ViewReadFault> {
-        self.read_for_exec(sig, now).map(|v| v.map(|view| view.data.clone()))
+/// Everything a store remembers about a sealed view besides its rows, and
+/// all that any store rule reads. Stamped once, by the insert gate; a durable
+/// medium logs and checkpoints exactly this next to its page chain.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StoredViewMeta {
+    pub strict_sig: Sig128,
+    pub recurring_sig: Sig128,
+    pub rows: u64,
+    pub bytes: u64,
+    pub created: SimTime,
+    pub expires: SimTime,
+    pub creator_job: JobId,
+    pub vc: VcId,
+    pub input_guids: Vec<VersionGuid>,
+    pub observed_work: f64,
+    /// [`table_checksum`] of the rows as sealed.
+    pub checksum: u64,
+}
+
+/// An operational mutation of the catalogue. A durable medium logs exactly
+/// these, so replaying its log is applying them again.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ViewMutation {
+    /// Permanently denylist a signature after a read-side failure, dropping
+    /// any stored copy.
+    Quarantine { sig: Sig128 },
+    /// Drop every view past its TTL at `now`.
+    Expire { now: SimTime },
+    /// Purge all views derived from the given (now forgotten) input version.
+    PurgeInput { guid: VersionGuid, now: SimTime },
+    /// Purge every view belonging to a VC (customer opt-out / manual purge,
+    /// paper §2.4 "can even purge views whenever necessary").
+    PurgeVc { vc: VcId, now: SimTime },
+}
+
+impl ViewMutation {
+    /// Whether applying this removes the view `m` describes.
+    fn dooms(&self, m: &StoredViewMeta) -> bool {
+        match *self {
+            ViewMutation::Quarantine { sig } => m.strict_sig == sig,
+            ViewMutation::Expire { now } => now >= m.expires,
+            ViewMutation::PurgeInput { guid, .. } => m.input_guids.contains(&guid),
+            ViewMutation::PurgeVc { vc, .. } => m.vc == vc,
+        }
     }
 }
 
-/// In-memory view store with per-VC storage accounting and TTL expiry.
+/// The logical view catalogue: index, quarantine set, per-VC storage
+/// accounting, usage counters and fault plan, over entries that pair a
+/// [`StoredViewMeta`] with the medium's payload `P`.
 ///
-/// Write paths take `&mut self`; the read paths (`fetch`, `read_for_exec`)
-/// take `&self` and bump their hit/miss counters through atomics so
-/// concurrent readers never serialize on stats accounting.
+/// Mutators take `&mut self`; the read paths take `&self` and bump their
+/// hit/miss counters through atomics so concurrent readers never serialize
+/// on stats accounting.
 #[derive(Debug)]
-pub struct ViewStore {
+pub struct ViewCatalog<P> {
     ttl: SimDuration,
-    views: HashMap<Sig128, MaterializedView>,
+    entries: HashMap<Sig128, (StoredViewMeta, P)>,
     storage_by_vc: HashMap<VcId, u64>,
     stats: ViewStoreStats,
     views_reused: AtomicU64,
@@ -176,12 +223,12 @@ pub struct ViewStore {
     quarantined: HashSet<Sig128>,
 }
 
-impl ViewStore {
+impl<P> ViewCatalog<P> {
     /// `ttl` is the view lifetime; the paper's production policy is 7 days.
-    pub fn new(ttl: SimDuration) -> ViewStore {
-        ViewStore {
+    pub fn new(ttl: SimDuration) -> ViewCatalog<P> {
+        ViewCatalog {
             ttl,
-            views: HashMap::new(),
+            entries: HashMap::new(),
             storage_by_vc: HashMap::new(),
             stats: ViewStoreStats::default(),
             views_reused: AtomicU64::new(0),
@@ -190,6 +237,14 @@ impl ViewStore {
             faults: FaultPlan::none(),
             quarantined: HashSet::new(),
         }
+    }
+
+    pub fn with_default_ttl() -> ViewCatalog<P> {
+        ViewCatalog::new(SimDuration::from_days(7.0))
+    }
+
+    pub fn ttl(&self) -> SimDuration {
+        self.ttl
     }
 
     /// Install a fault plan. The default (empty) plan injects nothing and
@@ -202,32 +257,38 @@ impl ViewStore {
         &self.faults
     }
 
-    pub fn with_default_ttl() -> ViewStore {
-        ViewStore::new(SimDuration::from_days(7.0))
+    /// The plan's decision for `point` on this view. Keyed by signature
+    /// alone, so a plan fires on the same views in every medium and layout.
+    pub fn fires(&self, point: FaultPoint, sig: Sig128) -> bool {
+        self.faults.fires(point, &[sig.0 as u64, (sig.0 >> 64) as u64])
     }
 
-    pub fn ttl(&self) -> SimDuration {
-        self.ttl
+    /// Duplicate strict signatures are idempotent (the insights-service lock
+    /// normally prevents races; a second insert can still happen after a lock
+    /// timeout — or a crashed insert's retry — and must not double-count
+    /// storage), and a signature that already failed a read this run stays
+    /// dead: re-publishing it would just fail the same way again.
+    fn refuses(&self, sig: Sig128) -> bool {
+        self.entries.contains_key(&sig) || self.quarantined.contains(&sig)
     }
 
-    /// Insert a freshly sealed view. Duplicate strict signatures are
-    /// idempotent (the insights-service lock normally prevents races; a
-    /// second insert can still happen after a lock timeout and must not
-    /// double-count storage).
-    pub fn insert(&mut self, mut view: MaterializedView) -> Result<()> {
-        if self.views.contains_key(&view.strict_sig) {
-            return Ok(()); // idempotent
+    /// The insert gate. `Ok(None)`: nothing to seal (see `refuses`).
+    /// `Err`: an injected write failure. `Ok(Some(..))`: the view stamped
+    /// with its expiry, size and checksum, and the metadata saying the same,
+    /// for the medium to place and then [`publish`](ViewCatalog::publish).
+    pub fn admit(
+        &mut self,
+        mut view: MaterializedView,
+    ) -> Result<Option<(StoredViewMeta, MaterializedView)>> {
+        let sig = view.strict_sig;
+        if self.refuses(sig) {
+            return Ok(None);
         }
-        if self.quarantined.contains(&view.strict_sig) {
-            // A signature that already failed a read this run stays dead;
-            // re-publishing it would just fail the same way again.
-            return Ok(());
-        }
-        if self.faults.fires(FaultPoint::ViewWrite, &sig_key(view.strict_sig)) {
+        if self.fires(FaultPoint::ViewWrite, sig) {
             self.stats.write_failures += 1;
             return Err(CvError::fault(format!(
                 "materialization of view {} failed mid-write",
-                view.strict_sig.short()
+                sig.short()
             )));
         }
         view.expires = view.created + self.ttl;
@@ -235,167 +296,205 @@ impl ViewStore {
         view.bytes = view.data.byte_size();
         view.rows = view.data.num_rows();
         view.checksum = table_checksum(&view.data);
-        if self.faults.fires(FaultPoint::ViewCorrupt, &sig_key(view.strict_sig)) {
+        if self.fires(FaultPoint::ViewCorrupt, sig) {
             // Torn write: the view publishes, but its stored checksum no
             // longer matches the content — caught on first verified read.
             view.checksum ^= 0xdead_beef_dead_beef;
         }
-        *self.storage_by_vc.entry(view.vc).or_insert(0) += view.bytes;
+        let meta = StoredViewMeta {
+            strict_sig: sig,
+            recurring_sig: view.recurring_sig,
+            rows: view.rows as u64,
+            bytes: view.bytes,
+            created: view.created,
+            expires: view.expires,
+            creator_job: view.creator_job,
+            vc: view.vc,
+            input_guids: view.input_guids.clone(),
+            observed_work: view.observed_work,
+            checksum: view.checksum,
+        };
+        Ok(Some((meta, view)))
+    }
+
+    /// Index an admitted (or replayed) entry and account for it. A no-op for
+    /// a signature the insert gate refuses, which is what makes replaying a
+    /// commit record idempotent.
+    pub fn publish(&mut self, meta: StoredViewMeta, payload: P) {
+        if self.refuses(meta.strict_sig) {
+            return;
+        }
+        *self.storage_by_vc.entry(meta.vc).or_insert(0) += meta.bytes;
         self.stats.views_created += 1;
-        self.stats.bytes_written += view.bytes;
-        self.views.insert(view.strict_sig, view);
-        Ok(())
+        self.stats.bytes_written += meta.bytes;
+        self.entries.insert(meta.strict_sig, (meta, payload));
     }
 
-    /// Look up a live view by strict signature, recording a reuse hit.
-    /// Shared access: the hit counters are atomic, so concurrent readers
-    /// never serialize on stats bumps.
-    pub fn fetch(&self, sig: Sig128, now: SimTime) -> Option<&MaterializedView> {
-        let v = self.views.get(&sig).filter(|v| now < v.expires)?;
-        self.views_reused.fetch_add(1, Ordering::Relaxed);
-        self.bytes_served.fetch_add(v.bytes, Ordering::Relaxed);
-        Some(v)
+    /// A stored entry, regardless of liveness.
+    pub fn get(&self, sig: Sig128) -> Option<&(StoredViewMeta, P)> {
+        self.entries.get(&sig)
     }
 
-    /// Peek without counting a reuse (planning-time existence checks).
-    pub fn peek(&self, sig: Sig128, now: SimTime) -> Option<&MaterializedView> {
-        self.views.get(&sig).filter(|v| now < v.expires)
+    fn live(&self, sig: Sig128, now: SimTime) -> Option<&(StoredViewMeta, P)> {
+        self.get(sig).filter(|(m, _)| now < m.expires)
+    }
+
+    /// Peek at a live view's payload without counting a reuse
+    /// (planning-time existence checks).
+    pub fn peek(&self, sig: Sig128, now: SimTime) -> Option<&P> {
+        self.live(sig, now).map(|(_, payload)| payload)
+    }
+
+    /// Planning-time `(rows, bytes, observed_work)` of a live view.
+    pub fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
+        self.live(sig, now).map(|(m, _)| (m.rows, m.bytes, m.observed_work))
     }
 
     pub fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
-        self.peek(sig, now).is_some()
+        self.live(sig, now).is_some()
+    }
+
+    /// Whether a view for this signature is stored, ignoring expiry — used
+    /// by the service layer to detect duplicate materializations.
+    pub fn contains(&self, sig: Sig128) -> bool {
+        self.entries.contains_key(&sig)
     }
 
     /// Observed production cost of a stored view, regardless of liveness.
     /// Direct map lookup — commit-phase savings accounting calls this per
     /// reused view, so it must not scan the store.
     pub fn observed_work(&self, sig: Sig128) -> Option<f64> {
-        self.views.get(&sig).map(|v| v.observed_work)
+        self.get(sig).map(|(m, _)| m.observed_work)
     }
 
-    /// Execution-time read with fault checks and checksum verification.
+    /// Count a read that fell back to recomputation. Public for the one miss
+    /// a medium decides alone: its storage is down.
+    pub fn miss<T>(&self) -> Option<T> {
+        self.read_misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// The read gate: execution-time read with fault checks and checksum
+    /// verification. `fetch` is the medium producing the rows from its
+    /// payload and saying whether they came off disk.
     ///
-    /// `Ok(Some(view))` — serve the view. `Ok(None)` — plain miss (expired,
+    /// `Ok(Some(_))` — serve the view. `Ok(None)` — plain miss (expired,
     /// purged, or quarantined earlier); the caller should recompute.
     /// `Err(fault)` — a read-side failure that must quarantine the
     /// signature before recomputing.
     ///
-    /// Checksum verification reads every value, so it only runs when a
-    /// fault plan is active — the fault-free hot path is unchanged.
-    pub fn read_for_exec(
-        &self,
+    /// Checksum verification reads every value. Cold bytes are always
+    /// verified — a torn or bit-rotted page must be caught even in
+    /// fault-free runs; hot bytes only under an active fault plan, so the
+    /// fault-free hot path pays nothing.
+    pub fn read<'a, T: Borrow<Table>>(
+        &'a self,
         sig: Sig128,
         now: SimTime,
-    ) -> std::result::Result<Option<&MaterializedView>, ViewReadFault> {
-        if self.quarantined.contains(&sig) {
-            self.read_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        let Some(view) = self.views.get(&sig) else {
-            self.read_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
+        fetch: impl FnOnce(&'a P) -> std::result::Result<(T, ViewTemperature), ViewReadFault>,
+    ) -> std::result::Result<Option<(T, ViewTemperature)>, ViewReadFault> {
+        let Some((meta, payload)) = self.live(sig, now).filter(|_| !self.is_quarantined(sig))
+        else {
+            return Ok(self.miss());
         };
-        if now >= view.expires {
-            self.read_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        if self.faults.fires(FaultPoint::ViewRead, &sig_key(sig)) {
+        if self.fires(FaultPoint::ViewRead, sig) {
             return Err(ViewReadFault::ReadError);
         }
-        if self.faults.fires(FaultPoint::ViewExpiryRace, &sig_key(sig)) {
+        if self.fires(FaultPoint::ViewExpiryRace, sig) {
             return Err(ViewReadFault::ExpiryRace);
         }
-        if !self.faults.is_empty() && view.checksum != table_checksum(&view.data) {
+        let (data, temp) = fetch(payload)?;
+        if (temp == ViewTemperature::Cold || !self.faults.is_empty())
+            && meta.checksum != table_checksum(data.borrow())
+        {
             return Err(ViewReadFault::Corrupt);
         }
         self.views_reused.fetch_add(1, Ordering::Relaxed);
-        self.bytes_served.fetch_add(view.bytes, Ordering::Relaxed);
-        Ok(Some(view))
-    }
-
-    /// Permanently denylist a signature after a read-side failure, dropping
-    /// any stored copy. Returns true if the signature was newly quarantined.
-    pub fn quarantine(&mut self, sig: Sig128) -> bool {
-        let _ = self.remove(sig);
-        if self.quarantined.insert(sig) {
-            self.stats.views_quarantined += 1;
-            true
-        } else {
-            false
-        }
+        self.bytes_served.fetch_add(meta.bytes, Ordering::Relaxed);
+        Ok(Some((data, temp)))
     }
 
     pub fn is_quarantined(&self, sig: Sig128) -> bool {
         self.quarantined.contains(&sig)
     }
 
-    /// Drop expired views, returning how many were evicted.
-    pub fn evict_expired(&mut self, now: SimTime) -> usize {
-        let dead: Vec<Sig128> =
-            self.views.values().filter(|v| now >= v.expires).map(|v| v.strict_sig).collect();
-        for sig in &dead {
-            if self.remove(*sig).is_some() {
-                self.stats.views_expired += 1;
-            }
+    /// Whether `op` would change anything — a durable medium logs only the
+    /// mutations that do.
+    pub fn touches(&self, op: &ViewMutation) -> bool {
+        match *op {
+            ViewMutation::Quarantine { sig } => !self.is_quarantined(sig),
+            _ => self.entries.values().any(|(m, _)| op.dooms(m)),
         }
-        dead.len()
     }
 
-    /// Purge all views derived from the given (now forgotten) input version.
+    /// Apply `op`, returning the entries it removed (whose payload the
+    /// medium may now release) or `None` if it changed nothing.
     ///
-    /// A purge can race TTL expiry: a view already past `expires` at `now`
-    /// is counted as expired, not purged, so the two counters partition the
-    /// removals and neither double-counts (the storage accounting is handled
-    /// once, in `remove`, either way).
-    pub fn purge_input(&mut self, guid: VersionGuid, now: SimTime) -> usize {
-        let dead = self.sigs_with_input(guid);
-        for sig in &dead {
-            self.remove_classified(*sig, now);
+    /// A sweep can race TTL expiry: a view already past `expires` at the
+    /// sweep's `now` is counted as expired, not purged, so the two counters
+    /// partition the removals and neither double-counts (the storage
+    /// accounting is handled once, in `remove`, either way).
+    pub fn apply(&mut self, op: &ViewMutation) -> Option<Vec<(StoredViewMeta, P)>> {
+        if !self.touches(op) {
+            return None;
         }
-        dead.len()
-    }
-
-    /// Sorted strict signatures of the stored views derived from this input
-    /// version — what a purge of it would remove.
-    pub fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
-        let mut sigs: Vec<Sig128> = self
-            .views
-            .values()
-            .filter(|v| v.input_guids.contains(&guid))
-            .map(|v| v.strict_sig)
-            .collect();
-        sigs.sort();
-        sigs
-    }
-
-    /// Purge every view belonging to a VC (customer opt-out / manual purge,
-    /// paper §2.4 "can even purge views whenever necessary"). Shares the
-    /// expired-vs-purged classification with [`ViewStore::purge_input`].
-    pub fn purge_vc(&mut self, vc: VcId, now: SimTime) -> usize {
-        let dead: Vec<Sig128> =
-            self.views.values().filter(|v| v.vc == vc).map(|v| v.strict_sig).collect();
-        for sig in &dead {
-            self.remove_classified(*sig, now);
-        }
-        dead.len()
-    }
-
-    fn remove_classified(&mut self, sig: Sig128, now: SimTime) {
-        if let Some(v) = self.remove(sig) {
-            if now >= v.expires {
+        let now = match *op {
+            ViewMutation::Quarantine { sig } => {
+                self.quarantined.insert(sig);
+                self.stats.views_quarantined += 1;
+                return Some(self.remove(sig).into_iter().collect());
+            }
+            ViewMutation::Expire { now }
+            | ViewMutation::PurgeInput { now, .. }
+            | ViewMutation::PurgeVc { now, .. } => now,
+        };
+        let doomed = self.entries.values().filter(|(m, _)| op.dooms(m)).map(|(m, _)| m.strict_sig);
+        let doomed: Vec<Sig128> = doomed.collect();
+        let removed: Vec<_> = doomed.into_iter().filter_map(|sig| self.remove(sig)).collect();
+        for (m, _) in &removed {
+            if now >= m.expires {
                 self.stats.views_expired += 1;
             } else {
                 self.stats.views_purged += 1;
             }
         }
+        Some(removed)
     }
 
-    fn remove(&mut self, sig: Sig128) -> Option<MaterializedView> {
-        let v = self.views.remove(&sig)?;
-        if let Some(used) = self.storage_by_vc.get_mut(&v.vc) {
-            *used = used.saturating_sub(v.bytes);
+    fn remove(&mut self, sig: Sig128) -> Option<(StoredViewMeta, P)> {
+        let entry = self.entries.remove(&sig)?;
+        if let Some(used) = self.storage_by_vc.get_mut(&entry.0.vc) {
+            *used = used.saturating_sub(entry.0.bytes);
         }
-        Some(v)
+        Some(entry)
+    }
+
+    /// [`ViewMutation::Quarantine`]; true if the signature was newly
+    /// quarantined.
+    pub fn quarantine(&mut self, sig: Sig128) -> bool {
+        self.apply(&ViewMutation::Quarantine { sig }).is_some()
+    }
+
+    /// [`ViewMutation::Expire`], returning how many views were evicted.
+    pub fn evict_expired(&mut self, now: SimTime) -> usize {
+        self.apply(&ViewMutation::Expire { now }).map_or(0, |dead| dead.len())
+    }
+
+    /// [`ViewMutation::PurgeInput`], returning how many views went.
+    pub fn purge_input(&mut self, guid: VersionGuid, now: SimTime) -> usize {
+        self.apply(&ViewMutation::PurgeInput { guid, now }).map_or(0, |dead| dead.len())
+    }
+
+    /// [`ViewMutation::PurgeVc`], returning how many views went.
+    pub fn purge_vc(&mut self, vc: VcId, now: SimTime) -> usize {
+        self.apply(&ViewMutation::PurgeVc { vc, now }).map_or(0, |dead| dead.len())
+    }
+
+    /// Strict signatures of the stored views derived from this input version
+    /// — what a purge of it would remove — in no particular order.
+    pub fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
+        let with_input = self.entries.values().filter(|(m, _)| m.input_guids.contains(&guid));
+        with_input.map(|(m, _)| m.strict_sig).collect()
     }
 
     pub fn storage_used(&self, vc: VcId) -> u64 {
@@ -407,11 +506,11 @@ impl ViewStore {
     }
 
     pub fn len(&self) -> usize {
-        self.views.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
+        self.entries.is_empty()
     }
 
     /// Snapshot of the counters, merging the write-path struct with the
@@ -424,14 +523,29 @@ impl ViewStore {
         s
     }
 
-    /// Whether a view for this signature is stored, ignoring expiry — used
-    /// by the service layer to detect duplicate materializations.
-    pub fn contains(&self, sig: Sig128) -> bool {
-        self.views.contains_key(&sig)
+    /// Replace the counters. The counters describe a run, not history or an
+    /// incarnation: a medium that rebuilt the catalogue by replaying its log
+    /// resets them, one that recovered mid-run carries the run's across.
+    pub fn set_stats(&mut self, stats: ViewStoreStats) {
+        self.stats = stats;
+        for counter in [&mut self.views_reused, &mut self.bytes_served, &mut self.read_misses] {
+            *counter.get_mut() = 0;
+        }
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &MaterializedView> {
-        self.views.values()
+    /// The stored payloads.
+    pub fn iter(&self) -> impl Iterator<Item = &P> {
+        self.entries.values().map(|(_, payload)| payload)
+    }
+
+    /// The stored entries whole, as a checkpoint writes them.
+    pub fn entries(&self) -> impl Iterator<Item = &(StoredViewMeta, P)> {
+        self.entries.values()
+    }
+
+    /// The denylisted signatures, in no particular order.
+    pub fn quarantined(&self) -> impl Iterator<Item = Sig128> + '_ {
+        self.quarantined.iter().copied()
     }
 
     /// Validate a storage budget; used by tests and the selection property
@@ -444,6 +558,33 @@ impl ViewStore {
             )));
         }
         Ok(())
+    }
+}
+
+/// The in-memory view store: the catalogue with the sealed view itself as
+/// each entry's payload, so placing a payload is publishing it and every
+/// read is hot.
+pub type ViewStore = ViewCatalog<MaterializedView>;
+
+impl ViewStore {
+    /// Insert a freshly sealed view ([`ViewCatalog::admit`], then publish).
+    pub fn insert(&mut self, view: MaterializedView) -> Result<()> {
+        if let Some((meta, view)) = self.admit(view)? {
+            self.publish(meta, view);
+        }
+        Ok(())
+    }
+}
+
+/// [`ViewCatalog::read`] over rows that are already in memory.
+impl ViewSource for ViewStore {
+    fn read_view(
+        &self,
+        sig: Sig128,
+        now: SimTime,
+    ) -> std::result::Result<Option<Table>, ViewReadFault> {
+        let served = self.read(sig, now, |view| Ok((&view.data, ViewTemperature::Hot)));
+        served.map(|hit| hit.map(|(data, _)| data.clone()))
     }
 }
 
@@ -482,8 +623,8 @@ mod tests {
         let mut store = ViewStore::with_default_ttl();
         store.insert(view(1, 0, SimTime::EPOCH, 5)).unwrap();
         assert_eq!(store.len(), 1);
-        assert!(store.fetch(Sig128(1), SimTime::from_days(1.0)).is_some());
-        assert!(store.fetch(Sig128(2), SimTime::from_days(1.0)).is_none());
+        assert!(store.read_view(Sig128(1), SimTime::from_days(1.0)).unwrap().is_some());
+        assert!(store.read_view(Sig128(2), SimTime::from_days(1.0)).unwrap().is_none());
         assert_eq!(store.stats().views_created, 1);
         assert_eq!(store.stats().views_reused, 1);
     }
@@ -504,8 +645,8 @@ mod tests {
         let mut store = ViewStore::new(SimDuration::from_days(7.0));
         store.insert(view(1, 0, SimTime::EPOCH, 3)).unwrap();
         // Live at day 6.9, dead at day 7.1.
-        assert!(store.fetch(Sig128(1), SimTime::from_days(6.9)).is_some());
-        assert!(store.fetch(Sig128(1), SimTime::from_days(7.1)).is_none());
+        assert!(store.read_view(Sig128(1), SimTime::from_days(6.9)).unwrap().is_some());
+        assert!(store.read_view(Sig128(1), SimTime::from_days(7.1)).unwrap().is_none());
         assert_eq!(store.evict_expired(SimTime::from_days(7.1)), 1);
         assert_eq!(store.len(), 0);
         assert_eq!(store.stats().views_expired, 1);
@@ -592,7 +733,7 @@ mod tests {
         let mut corrupt = 0;
         for sig in 1..=20u128 {
             store.insert(view(sig, 0, SimTime::EPOCH, 3)).unwrap();
-            match store.read_for_exec(Sig128(sig), SimTime::EPOCH) {
+            match store.read_view(Sig128(sig), SimTime::EPOCH) {
                 Err(ViewReadFault::Corrupt) => corrupt += 1,
                 Ok(Some(_)) => {}
                 other => panic!("unexpected read outcome {other:?}"),
@@ -609,7 +750,7 @@ mod tests {
         assert!(!store.quarantine(Sig128(1)), "second quarantine is a no-op");
         assert_eq!(store.stats().views_quarantined, 1);
         assert_eq!(store.storage_used(VcId(5)), 0);
-        assert!(store.read_for_exec(Sig128(1), SimTime::EPOCH).unwrap().is_none());
+        assert!(store.read_view(Sig128(1), SimTime::EPOCH).unwrap().is_none());
         // Re-sealing the same signature is silently dropped.
         store.insert(view(1, 5, SimTime::EPOCH, 10)).unwrap();
         assert_eq!(store.len(), 0);
@@ -617,12 +758,12 @@ mod tests {
     }
 
     #[test]
-    fn read_for_exec_without_faults_matches_peek() {
+    fn read_without_faults_matches_peek() {
         let mut store = ViewStore::with_default_ttl();
         store.insert(view(1, 0, SimTime::EPOCH, 3)).unwrap();
-        assert!(store.read_for_exec(Sig128(1), SimTime::EPOCH).unwrap().is_some());
-        assert!(store.read_for_exec(Sig128(2), SimTime::EPOCH).unwrap().is_none());
-        assert!(store.read_for_exec(Sig128(1), SimTime::from_days(8.0)).unwrap().is_none());
+        assert!(store.read_view(Sig128(1), SimTime::EPOCH).unwrap().is_some());
+        assert!(store.read_view(Sig128(2), SimTime::EPOCH).unwrap().is_none());
+        assert!(store.read_view(Sig128(1), SimTime::from_days(8.0)).unwrap().is_none());
     }
 
     #[test]

@@ -278,9 +278,11 @@ impl<'env> Shared<'env> {
                 // newest (back) half moves; the victim keeps its front.
                 let take = len.div_ceil(2);
                 let mut stolen = st.local[victim].split_off(len - take);
+                let Some(t) = stolen.pop_front() else {
+                    continue; // unreachable: `take >= 1` of a non-empty deque
+                };
                 self.steals.fetch_add(take as u64, Ordering::Relaxed);
                 self.steals_by_worker[me].fetch_add(take as u64, Ordering::Relaxed);
-                let t = stolen.pop_front().expect("stole at least one task");
                 if !stolen.is_empty() {
                     st.local[me].append(&mut stolen);
                     // The surplus parked on our deque is stealable work for

@@ -110,28 +110,28 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
+    /// The next `N` bytes as an array: every fixed-width read goes through
+    /// this one bounds check, so none of them can panic.
+    fn take_array<const N: usize>(&mut self) -> CodecResult<[u8; N]> {
+        let head = self.buf[self.pos..].first_chunk::<N>().ok_or(CodecError("truncated"))?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     pub fn get_u8(&mut self) -> CodecResult<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_u32(&mut self) -> CodecResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_u64(&mut self) -> CodecResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_u128(&mut self) -> CodecResult<u128> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    pub fn get_i32(&mut self) -> CodecResult<i32> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn get_i64(&mut self) -> CodecResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u128::from_le_bytes(self.take_array()?))
     }
 
     pub fn get_f64(&mut self) -> CodecResult<f64> {
@@ -155,7 +155,7 @@ impl<'a> Dec<'a> {
         n: usize,
     ) -> CodecResult<impl Iterator<Item = [u8; W]> + 'a> {
         let run = self.take(n.checked_mul(W).ok_or(CodecError("truncated"))?)?;
-        Ok(run.chunks_exact(W).map(|b| b.try_into().expect("chunks_exact(W)")))
+        Ok(run.as_chunks::<W>().0.iter().copied())
     }
 }
 
@@ -442,7 +442,7 @@ mod tests {
                     }
                     ColumnData::Int(vs) => {
                         for _ in 0..rows {
-                            vs.push(d.get_i64()?);
+                            vs.push(d.get_u64()? as i64);
                         }
                     }
                     ColumnData::Float(vs) => {
@@ -457,7 +457,7 @@ mod tests {
                     }
                     ColumnData::Date(vs) => {
                         for _ in 0..rows {
-                            vs.push(d.get_i32()?);
+                            vs.push(d.get_u32()? as i32);
                         }
                     }
                 }

@@ -1,16 +1,20 @@
 //! `cv-store` — disk-backed, crash-recoverable materialized-view storage.
 //!
 //! CloudViews materializes views to *stable storage* (paper §2.4); this
-//! crate is that storage for the reproduction. It keeps the logical
-//! semantics of the in-memory [`cv_data::viewstore::ViewStore`] — strict
-//! signatures, TTL expiry, quarantine denylist, GDPR purge, content
-//! checksums — while adding the durability machinery production reuse
-//! systems live on:
+//! crate is that storage for the reproduction: the durable *medium* of the
+//! one view catalogue, [`cv_data::viewstore::ViewCatalog`]. Strict
+//! signatures, TTL expiry, the quarantine denylist, GDPR purge, content
+//! checksums, usage counters and injected view faults are the catalogue's —
+//! the same code the in-memory [`cv_data::viewstore::ViewStore`] runs — so
+//! nothing here decides a store rule. What this crate owns is where rows
+//! live, that a mutation is logged before it is applied, and the durability
+//! machinery production reuse systems live on:
 //!
 //! * [`page`] — fixed 8 KiB pages with per-page CRCs under a clock-evicting
 //!   buffer pool ([`cache`]);
-//! * [`wal`] — a write-ahead log with record CRCs and idempotent replay;
-//! * [`store::DurableViewStore`] — the store itself: pages-then-commit-record
+//! * [`wal`] — a write-ahead log of view commits and catalogue mutations,
+//!   with record CRCs; replay hands them back to the catalogue's mutators;
+//! * [`store::DurableViewStore`] — the medium itself: pages-then-commit-record
 //!   inserts, record-first operational mutations, periodic checkpoints,
 //!   byte-budget crash injection
 //!   ([`cv_common::FaultPoint::CrashAt`]) and torn-record injection

@@ -8,6 +8,13 @@
 //! * `checkpoint.dat` — periodic full-state snapshot, published atomically
 //!   via `checkpoint.tmp` + rename, that lets the WAL be truncated.
 //!
+//! What is stored, live, quarantined, counted or faulted is decided by the one
+//! [`ViewCatalog`] every medium shares (cv-data's `viewstore.rs`); this file
+//! is the durable medium under it: where a view's rows go, that a mutation is
+//! logged before the catalogue applies it, what is resident, and recovery —
+//! which rebuilds the catalogue by calling the same mutators replaying the
+//! checkpoint and the log.
+//!
 //! Crash consistency argument (DESIGN.md §13 has the long form):
 //!
 //! * **Inserts** write pages first, then the WAL commit record, then update
@@ -28,7 +35,7 @@
 //! Simulated crashes ([`FaultPlan::crash_after_bytes`]) fire inside the
 //! durable-write helper: the write that crosses the byte budget persists
 //! only a prefix, the store poisons itself, and every subsequent operation
-//! returns [`CvError::is_crash`] until [`SharedViewStore::recover_in_place`]
+//! returns [`CvError::is_crash`] until [`Shard::recover_in_place`]
 //! rebuilds the in-memory state from disk.
 
 use crate::cache::PageCache;
@@ -36,27 +43,22 @@ use crate::codec::{decode_table, encode_table, Dec, Enc};
 use crate::page::{chunk_payload, frame_page, unframe_page, PageFile, PAGE_SIZE};
 use crate::wal::{
     decode_meta, decode_wal_header, encode_meta, encode_record, encode_wal_header, frame_record,
-    record_crc, scan_records, DurableViewMeta, WalRecord, REC_HEADER, WAL_HEADER,
+    record_crc, scan_records, DurableViewMeta, PageChain, WalRecord, REC_HEADER, WAL_HEADER,
 };
-use cv_common::ids::{VcId, VersionGuid};
 use cv_common::{CvError, FaultPlan, FaultPoint, Result, Sig128, SimDuration, SimTime};
-use cv_data::sharded::DirShard;
-use cv_data::store_api::{SharedViewStore, StoreIoStats};
+use cv_data::sharded::{DirShard, Shard, ShardSet};
+use cv_data::store_api::StoreIoStats;
 use cv_data::table::Table;
 use cv_data::viewstore::{
-    table_checksum, MaterializedView, ViewReadFault, ViewSource, ViewStoreStats, ViewTemperature,
+    MaterializedView, ViewCatalog, ViewMutation, ViewReadFault, ViewStoreStats, ViewTemperature,
 };
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const CKPT_MAGIC: u64 = 0x4356_434b_5054_3031; // "CVCKPT01"
-
-fn sig_key(sig: Sig128) -> [u64; 2] {
-    [sig.0 as u64, (sig.0 >> 64) as u64]
-}
 
 fn io_err(e: std::io::Error) -> CvError {
     CvError::internal(format!("store io: {e}"))
@@ -128,7 +130,6 @@ fn durable_write(
 #[derive(Debug)]
 struct Inner {
     dir: PathBuf,
-    ttl: SimDuration,
     opts: DurableStoreOptions,
     wal_file: File,
     /// Current end-of-log offset (file header included).
@@ -137,20 +138,19 @@ struct Inner {
     records_since_checkpoint: u64,
     pages: PageFile,
     cache: PageCache,
-    index: HashMap<Sig128, DurableViewMeta>,
-    quarantined: HashSet<Sig128>,
-    storage_by_vc: HashMap<VcId, u64>,
-    stats: ViewStoreStats,
+    /// Every logical rule is the catalogue's; the rest of this struct
+    /// places bytes.
+    catalog: ViewCatalog<PageChain>,
     io: StoreIoStats,
-    faults: FaultPlan,
     gate: CrashGate,
     poisoned: bool,
 }
 
 impl Inner {
-    /// Open (or create) the store directory and rebuild in-memory state
-    /// from checkpoint + WAL replay. Replay is stats-neutral: logical
-    /// counters describe this process's activity, not history.
+    /// Open (or create) the store directory and rebuild the catalogue by
+    /// handing the checkpoint and then the WAL to the mutators the live
+    /// store calls. Replay is stats-neutral: logical counters describe this
+    /// process's activity, not history, so they are reset afterwards.
     fn open(
         dir: &Path,
         ttl: SimDuration,
@@ -162,20 +162,14 @@ impl Inner {
         // it holds nothing the durable files don't.
         let _ = fs::remove_file(dir.join("checkpoint.tmp"));
 
-        let mut index: HashMap<Sig128, DurableViewMeta> = HashMap::new();
-        let mut quarantined: HashSet<Sig128> = HashSet::new();
+        let mut catalog = ViewCatalog::new(ttl);
         let ckpt_path = dir.join("checkpoint.dat");
         let mut ckpt_epoch = 1u64;
         let mut found_checkpoint = false;
         if ckpt_path.exists() {
             let bytes = fs::read(&ckpt_path).map_err(io_err)?;
-            let (epoch, metas, quar) = decode_checkpoint(&bytes)
+            ckpt_epoch = replay_checkpoint(&bytes, &mut catalog)
                 .ok_or_else(|| CvError::internal("corrupt checkpoint.dat"))?;
-            ckpt_epoch = epoch;
-            for m in metas {
-                index.insert(m.strict_sig, m);
-            }
-            quarantined.extend(quar);
             found_checkpoint = true;
         }
 
@@ -194,11 +188,14 @@ impl Inner {
         let wal_len = match decode_wal_header(&bytes) {
             Some(epoch) if epoch == ckpt_epoch => {
                 let scan = scan_records(&bytes[WAL_HEADER..]);
-                for rec in &scan.records {
-                    apply_record(&mut index, &mut quarantined, rec);
-                }
                 replayed = scan.records.len() as u64;
                 skipped = scan.skipped;
+                for rec in scan.records {
+                    match rec {
+                        WalRecord::ViewCommit((meta, chain)) => catalog.publish(meta, chain),
+                        WalRecord::Op(op) => drop(catalog.apply(&op)),
+                    }
+                }
                 let len = (WAL_HEADER + scan.valid_len) as u64;
                 // Truncate any torn tail so new appends start at a record
                 // boundary.
@@ -216,10 +213,11 @@ impl Inner {
             }
         };
 
-        let mut storage_by_vc: HashMap<VcId, u64> = HashMap::new();
-        for m in index.values() {
-            *storage_by_vc.entry(m.vc).or_insert(0) += m.bytes;
-        }
+        // Replay went through the live mutators; what they counted is
+        // history, not this process's activity.
+        catalog.set_stats(ViewStoreStats::default());
+        let gate = CrashGate::new(faults.crash_after_bytes);
+        catalog.set_fault_plan(faults);
 
         let pages_path = dir.join("pages.dat");
         let pages_file = OpenOptions::new()
@@ -232,7 +230,7 @@ impl Inner {
         let pages_len = pages_file.metadata().map_err(io_err)?.len();
         let mut pages = PageFile::new(pages_file, pages_len);
         let referenced: BTreeSet<u64> =
-            index.values().flat_map(|m| m.pages.iter().copied()).collect();
+            catalog.iter().flat_map(|chain| chain.pages.iter().copied()).collect();
         pages.rebuild_free_list(&referenced);
 
         let found_state = found_checkpoint || replayed > 0 || skipped > 0;
@@ -242,10 +240,8 @@ impl Inner {
             recoveries: found_state as u64,
             ..StoreIoStats::default()
         };
-        let gate = CrashGate::new(faults.crash_after_bytes);
         Ok(Inner {
             dir: dir.to_path_buf(),
-            ttl,
             cache: PageCache::new(opts.cache_pages),
             opts,
             wal_file,
@@ -253,12 +249,8 @@ impl Inner {
             wal_epoch: ckpt_epoch,
             records_since_checkpoint: 0,
             pages,
-            index,
-            quarantined,
-            storage_by_vc,
-            stats: ViewStoreStats::default(),
+            catalog,
             io,
-            faults,
             gate,
             poisoned: false,
         })
@@ -272,18 +264,16 @@ impl Inner {
         }
     }
 
-    /// Append one record. `WalTornWrite` only applies to view commits (the
-    /// `tearable` flag): the frame lands complete but a payload byte is
-    /// flipped *after* the CRC was computed, so the damage is invisible
-    /// until replay skips the record.
-    fn append_wal(&mut self, rec: &WalRecord, tearable: bool) -> Result<()> {
+    /// Append one record. `WalTornWrite` only applies to view commits: the
+    /// frame lands complete but a payload byte is flipped *after* the CRC
+    /// was computed, so the damage is invisible until replay skips the
+    /// record.
+    fn append_wal(&mut self, rec: &WalRecord) -> Result<()> {
         let payload = encode_record(rec);
         let mut frame = frame_record(&payload);
-        if tearable {
-            if let WalRecord::ViewCommit(m) = rec {
-                if self.faults.fires(FaultPoint::WalTornWrite, &sig_key(m.strict_sig)) {
-                    frame[REC_HEADER + payload.len() / 2] ^= 0xff;
-                }
+        if let WalRecord::ViewCommit((meta, _)) = rec {
+            if self.catalog.fires(FaultPoint::WalTornWrite, meta.strict_sig) {
+                frame[REC_HEADER + payload.len() / 2] ^= 0xff;
             }
         }
         let res =
@@ -319,51 +309,22 @@ impl Inner {
         Ok(())
     }
 
-    fn insert(&mut self, mut view: MaterializedView) -> Result<()> {
+    fn insert(&mut self, view: MaterializedView) -> Result<()> {
         self.check_poisoned()?;
-        if self.index.contains_key(&view.strict_sig) {
-            return Ok(()); // idempotent (and how a crashed insert's retry lands)
-        }
-        if self.quarantined.contains(&view.strict_sig) {
+        // Nothing to seal: quarantined, or a duplicate (which is also how a
+        // crashed insert's retry lands).
+        let Some((meta, view)) = self.catalog.admit(view)? else {
             return Ok(());
-        }
-        if self.faults.fires(FaultPoint::ViewWrite, &sig_key(view.strict_sig)) {
-            self.stats.write_failures += 1;
-            return Err(CvError::fault(format!(
-                "materialization of view {} failed mid-write",
-                view.strict_sig.short()
-            )));
-        }
-        view.expires = view.created + self.ttl;
-        view.bytes = view.data.byte_size();
-        view.rows = view.data.num_rows();
-        view.checksum = table_checksum(&view.data);
-        if self.faults.fires(FaultPoint::ViewCorrupt, &sig_key(view.strict_sig)) {
-            view.checksum ^= 0xdead_beef_dead_beef;
-        }
+        };
         let blob = encode_table(&view.data);
         let chunks = chunk_payload(&blob);
         let slots: Vec<u64> = chunks.iter().map(|_| self.pages.alloc()).collect();
-        let meta = DurableViewMeta {
-            strict_sig: view.strict_sig,
-            recurring_sig: view.recurring_sig,
-            rows: view.rows as u64,
-            bytes: view.bytes,
-            created: view.created,
-            expires: view.expires,
-            creator_job: view.creator_job,
-            vc: view.vc,
-            input_guids: view.input_guids.clone(),
-            observed_work: view.observed_work,
-            checksum: view.checksum,
-            pages: slots.clone(),
-            blob_len: blob.len() as u64,
-        };
+        let entry = (meta, PageChain { pages: slots.clone(), blob_len: blob.len() as u64 });
         let written: Result<()> = (|| {
             for (slot, chunk) in slots.iter().zip(&chunks) {
                 self.write_page(*slot, chunk)?;
             }
-            self.append_wal(&WalRecord::ViewCommit(meta.clone()), true)
+            self.append_wal(&WalRecord::ViewCommit(entry.clone()))
         })();
         if let Err(e) = written {
             // Nothing committed: hand the slots back (after a crash the
@@ -376,186 +337,50 @@ impl Inner {
         for (slot, chunk) in slots.iter().zip(&chunks) {
             self.cache.insert(*slot, chunk.to_vec());
         }
-        *self.storage_by_vc.entry(view.vc).or_insert(0) += view.bytes;
-        self.stats.views_created += 1;
-        self.stats.bytes_written += view.bytes;
-        self.index.insert(view.strict_sig, meta);
+        self.catalog.publish(entry.0, entry.1);
         self.maybe_checkpoint()
     }
 
-    /// Execution-time read. Cold reads (any page off disk) *always* verify
-    /// the content checksum — a torn or bit-rotted page must be caught even
-    /// in fault-free runs; hot reads verify only under an active fault plan
-    /// (cost parity with the in-memory store's hot path).
+    /// Execution-time read: the catalogue's read gate over rows fetched
+    /// from the buffer pool or disk. A store that is down misses.
     fn read_for_exec(
         &mut self,
         sig: Sig128,
         now: SimTime,
     ) -> std::result::Result<Option<(Table, ViewTemperature)>, ViewReadFault> {
-        if self.poisoned || self.quarantined.contains(&sig) {
-            self.stats.read_misses += 1;
-            return Ok(None);
+        if self.poisoned {
+            return Ok(self.catalog.miss());
         }
-        let Some(meta) = self.index.get(&sig).cloned() else {
-            self.stats.read_misses += 1;
-            return Ok(None);
-        };
-        if now >= meta.expires {
-            self.stats.read_misses += 1;
-            return Ok(None);
-        }
-        if self.faults.fires(FaultPoint::ViewRead, &sig_key(sig)) {
-            return Err(ViewReadFault::ReadError);
-        }
-        if self.faults.fires(FaultPoint::ViewExpiryRace, &sig_key(sig)) {
-            return Err(ViewReadFault::ExpiryRace);
-        }
-        let (table, cold) = match self.read_and_verify(&meta) {
-            Ok(read) => read,
-            Err(fault) => {
-                // Pages enter the buffer pool before the view is verified.
-                // A view that failed the check must not be hot on the next
-                // read: a hot read under an empty fault plan skips
-                // verification and would serve it.
-                if fault == ViewReadFault::Corrupt {
-                    for &slot in &meta.pages {
-                        self.cache.invalidate(slot);
-                    }
-                }
-                return Err(fault);
+        let Inner { catalog, pages, cache, io, .. } = self;
+        let served = catalog.read(sig, now, |chain| fetch(pages, cache, io, chain));
+        if let (Err(ViewReadFault::Corrupt), Some((_, chain))) = (&served, catalog.get(sig)) {
+            // Pages enter the buffer pool before the view is verified. A
+            // view that failed the check must not be hot on the next read:
+            // a hot read under an empty fault plan skips verification and
+            // would serve it.
+            for &slot in &chain.pages {
+                cache.invalidate(slot);
             }
-        };
-        self.stats.views_reused += 1;
-        self.stats.bytes_served += meta.bytes;
-        let temp = if cold { ViewTemperature::Cold } else { ViewTemperature::Hot };
-        Ok(Some((table, temp)))
+        }
+        served
     }
 
-    /// Assemble a view's blob from its pages (buffer pool first, disk
-    /// otherwise), decode it and check it against its metadata. Returns
-    /// the table and whether any page came from disk. Cold reads always
-    /// verify the content checksum, hot reads only under a fault plan.
-    fn read_and_verify(
-        &mut self,
-        meta: &DurableViewMeta,
-    ) -> std::result::Result<(Table, bool), ViewReadFault> {
-        let mut blob = Vec::with_capacity(meta.blob_len as usize);
-        let mut cold = false;
-        for &slot in &meta.pages {
-            if let Some(bytes) = self.cache.get(slot) {
-                self.io.page_cache_hits += 1;
-                blob.extend_from_slice(bytes);
-                continue;
-            }
-            cold = true;
-            self.io.page_cache_misses += 1;
-            let raw = match self.pages.read_raw(slot) {
-                Err(_) => return Err(ViewReadFault::ReadError),
-                Ok(None) => return Err(ViewReadFault::Corrupt),
-                Ok(Some(raw)) => raw,
-            };
-            let Some(payload) = unframe_page(slot, raw) else {
-                return Err(ViewReadFault::Corrupt);
-            };
-            blob.extend_from_slice(&payload);
-            self.cache.insert(slot, payload);
+    /// Apply an operational mutation: the record is appended *before* the
+    /// catalogue changes, and only if it will change, and the pages of
+    /// whatever it removed are handed back.
+    fn mutate(&mut self, op: ViewMutation) -> Result<Option<usize>> {
+        self.check_poisoned()?;
+        if !self.catalog.touches(&op) {
+            return Ok(None); // no mutation, no WAL record
         }
-        if blob.len() as u64 != meta.blob_len {
-            return Err(ViewReadFault::Corrupt);
-        }
-        let Ok(table) = decode_table(&blob) else {
-            return Err(ViewReadFault::Corrupt);
-        };
-        if (cold || !self.faults.is_empty()) && meta.checksum != table_checksum(&table) {
-            return Err(ViewReadFault::Corrupt);
-        }
-        Ok((table, cold))
-    }
-
-    fn remove_view(&mut self, sig: Sig128) -> Option<DurableViewMeta> {
-        let m = self.index.remove(&sig)?;
-        if let Some(used) = self.storage_by_vc.get_mut(&m.vc) {
-            *used = used.saturating_sub(m.bytes);
-        }
-        for &slot in &m.pages {
+        self.append_wal(&WalRecord::Op(op))?;
+        let removed = self.catalog.apply(&op).unwrap_or_default();
+        for &slot in removed.iter().flat_map(|(_, chain)| &chain.pages) {
             self.pages.release(slot);
             self.cache.invalidate(slot);
         }
-        Some(m)
-    }
-
-    fn remove_classified(&mut self, sig: Sig128, now: SimTime) {
-        if let Some(m) = self.remove_view(sig) {
-            if now >= m.expires {
-                self.stats.views_expired += 1;
-            } else {
-                self.stats.views_purged += 1;
-            }
-        }
-    }
-
-    fn quarantine(&mut self, sig: Sig128) -> Result<bool> {
-        self.check_poisoned()?;
-        if self.quarantined.contains(&sig) {
-            return Ok(false);
-        }
-        self.append_wal(&WalRecord::Quarantine { sig }, false)?;
-        self.remove_view(sig);
-        self.quarantined.insert(sig);
-        self.stats.views_quarantined += 1;
         self.maybe_checkpoint()?;
-        Ok(true)
-    }
-
-    fn evict_expired(&mut self, now: SimTime) -> Result<usize> {
-        self.check_poisoned()?;
-        let dead: Vec<Sig128> =
-            self.index.values().filter(|m| now >= m.expires).map(|m| m.strict_sig).collect();
-        if dead.is_empty() {
-            return Ok(0); // no mutation, no WAL record
-        }
-        self.append_wal(&WalRecord::Expire { now }, false)?;
-        for sig in &dead {
-            if self.remove_view(*sig).is_some() {
-                self.stats.views_expired += 1;
-            }
-        }
-        self.maybe_checkpoint()?;
-        Ok(dead.len())
-    }
-
-    fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
-        let with_input = self.index.values().filter(|m| m.input_guids.contains(&guid));
-        with_input.map(|m| m.strict_sig).collect()
-    }
-
-    fn purge_input(&mut self, guid: VersionGuid, now: SimTime) -> Result<usize> {
-        self.check_poisoned()?;
-        let dead = self.sigs_with_input(guid);
-        if dead.is_empty() {
-            return Ok(0);
-        }
-        self.append_wal(&WalRecord::PurgeInput { guid, now }, false)?;
-        for sig in &dead {
-            self.remove_classified(*sig, now);
-        }
-        self.maybe_checkpoint()?;
-        Ok(dead.len())
-    }
-
-    fn purge_vc(&mut self, vc: VcId, now: SimTime) -> Result<usize> {
-        self.check_poisoned()?;
-        let dead: Vec<Sig128> =
-            self.index.values().filter(|m| m.vc == vc).map(|m| m.strict_sig).collect();
-        if dead.is_empty() {
-            return Ok(0);
-        }
-        self.append_wal(&WalRecord::PurgeVc { vc, now }, false)?;
-        for sig in &dead {
-            self.remove_classified(*sig, now);
-        }
-        self.maybe_checkpoint()?;
-        Ok(dead.len())
+        Ok(Some(removed.len()))
     }
 
     fn maybe_checkpoint(&mut self) -> Result<()> {
@@ -568,7 +393,7 @@ impl Inner {
     fn checkpoint(&mut self) -> Result<()> {
         self.check_poisoned()?;
         let new_epoch = self.wal_epoch + 1;
-        let buf = encode_checkpoint(new_epoch, &self.index, &self.quarantined);
+        let buf = encode_checkpoint(new_epoch, &self.catalog);
         let tmp = self.dir.join("checkpoint.tmp");
         let mut tf = File::create(&tmp).map_err(io_err)?;
         let res = durable_write(&mut tf, 0, &buf, &mut self.gate, &mut self.io);
@@ -603,47 +428,53 @@ impl Inner {
     }
 }
 
-fn apply_record(
-    index: &mut HashMap<Sig128, DurableViewMeta>,
-    quarantined: &mut HashSet<Sig128>,
-    rec: &WalRecord,
-) {
-    match rec {
-        WalRecord::ViewCommit(m) => {
-            if !quarantined.contains(&m.strict_sig) {
-                index.entry(m.strict_sig).or_insert_with(|| m.clone());
-            }
+/// Assemble a view's blob from its pages (buffer pool first, disk
+/// otherwise) and decode it. Reports whether any page came from disk; the
+/// catalogue checks the rows against the entry's checksum.
+fn fetch(
+    pages: &PageFile,
+    cache: &mut PageCache,
+    io: &mut StoreIoStats,
+    chain: &PageChain,
+) -> std::result::Result<(Table, ViewTemperature), ViewReadFault> {
+    let mut blob = Vec::with_capacity(chain.blob_len as usize);
+    let mut temp = ViewTemperature::Hot;
+    for &slot in &chain.pages {
+        if let Some(bytes) = cache.get(slot) {
+            io.page_cache_hits += 1;
+            blob.extend_from_slice(bytes);
+            continue;
         }
-        WalRecord::Quarantine { sig } => {
-            index.remove(sig);
-            quarantined.insert(*sig);
-        }
-        WalRecord::PurgeInput { guid, .. } => {
-            index.retain(|_, m| !m.input_guids.contains(guid));
-        }
-        WalRecord::PurgeVc { vc, .. } => {
-            index.retain(|_, m| m.vc != *vc);
-        }
-        WalRecord::Expire { now } => {
-            index.retain(|_, m| *now < m.expires);
-        }
+        temp = ViewTemperature::Cold;
+        io.page_cache_misses += 1;
+        let raw = match pages.read_raw(slot) {
+            Err(_) => return Err(ViewReadFault::ReadError),
+            Ok(None) => return Err(ViewReadFault::Corrupt),
+            Ok(Some(raw)) => raw,
+        };
+        let Some(payload) = unframe_page(slot, raw) else {
+            return Err(ViewReadFault::Corrupt);
+        };
+        blob.extend_from_slice(&payload);
+        cache.insert(slot, payload);
     }
+    if blob.len() as u64 != chain.blob_len {
+        return Err(ViewReadFault::Corrupt);
+    }
+    let table = decode_table(&blob).map_err(|_| ViewReadFault::Corrupt)?;
+    Ok((table, temp))
 }
 
-fn encode_checkpoint(
-    wal_epoch: u64,
-    index: &HashMap<Sig128, DurableViewMeta>,
-    quarantined: &HashSet<Sig128>,
-) -> Vec<u8> {
+fn encode_checkpoint(wal_epoch: u64, catalog: &ViewCatalog<PageChain>) -> Vec<u8> {
     let mut e = Enc::new();
     e.put_u64(wal_epoch);
-    e.put_u64(index.len() as u64);
-    let mut metas: Vec<&DurableViewMeta> = index.values().collect();
-    metas.sort_by_key(|m| m.strict_sig); // deterministic bytes
+    e.put_u64(catalog.len() as u64);
+    let mut metas: Vec<&DurableViewMeta> = catalog.entries().collect();
+    metas.sort_by_key(|(meta, _)| meta.strict_sig); // deterministic bytes
     for m in metas {
         encode_meta(&mut e, m);
     }
-    let mut quar: Vec<Sig128> = quarantined.iter().copied().collect();
+    let mut quar: Vec<Sig128> = catalog.quarantined().collect();
     quar.sort();
     e.put_u64(quar.len() as u64);
     for sig in quar {
@@ -658,7 +489,9 @@ fn encode_checkpoint(
     f.into_bytes()
 }
 
-fn decode_checkpoint(buf: &[u8]) -> Option<(u64, Vec<DurableViewMeta>, Vec<Sig128>)> {
+/// Hand a checkpoint's views and denylist to the catalogue's mutators,
+/// returning the epoch of the log it truncated; `None` if it is damaged.
+fn replay_checkpoint(buf: &[u8], catalog: &mut ViewCatalog<PageChain>) -> Option<u64> {
     let mut d = Dec::new(buf);
     if d.get_u64().ok()? != CKPT_MAGIC {
         return None;
@@ -671,32 +504,24 @@ fn decode_checkpoint(buf: &[u8]) -> Option<(u64, Vec<DurableViewMeta>, Vec<Sig12
     }
     let mut p = Dec::new(payload);
     let wal_epoch = p.get_u64().ok()?;
-    let n_views = p.get_u64().ok()? as usize;
-    let mut metas = Vec::with_capacity(n_views);
-    for _ in 0..n_views {
-        metas.push(decode_meta(&mut p).ok()?);
+    for _ in 0..p.get_u64().ok()? {
+        let (meta, chain) = decode_meta(&mut p).ok()?;
+        catalog.publish(meta, chain);
     }
-    let n_quar = p.get_u64().ok()? as usize;
-    let mut quar = Vec::with_capacity(n_quar);
-    for _ in 0..n_quar {
-        quar.push(Sig128(p.get_u128().ok()?));
+    for _ in 0..p.get_u64().ok()? {
+        catalog.apply(&ViewMutation::Quarantine { sig: Sig128(p.get_u128().ok()?) });
     }
-    if !p.is_done() {
-        return None;
-    }
-    Some((wal_epoch, metas, quar))
+    p.is_done().then_some(wal_epoch)
 }
 
-/// Disk-backed view store with the same logical semantics as
-/// [`cv_data::viewstore::ViewStore`]. Interior locking (one mutex — reads
-/// mutate the page cache) makes it shareable behind `&self`, which is what
-/// lets it be a shard of [`cv_data::sharded::StripedViewStore`]; its store
-/// API is the [`SharedViewStore`] impl below.
+/// Disk-backed view store: the durable medium of the one view catalogue,
+/// so its logical semantics are [`cv_data::viewstore::ViewStore`]'s by
+/// construction. Interior locking (one mutex — reads mutate the page cache)
+/// makes it shareable behind `&self`. It is a [`Shard`] of
+/// [`cv_data::sharded::StripedViewStore`] and, as a set of one shard, a
+/// [`cv_data::store_api::SharedViewStore`] itself.
 #[derive(Debug)]
 pub struct DurableViewStore {
-    dir: PathBuf,
-    ttl: SimDuration,
-    opts: DurableStoreOptions,
     inner: Mutex<Inner>,
 }
 
@@ -708,9 +533,8 @@ impl DurableViewStore {
         ttl: SimDuration,
         opts: DurableStoreOptions,
     ) -> Result<DurableViewStore> {
-        let dir = dir.into();
-        let inner = Inner::open(&dir, ttl, opts.clone(), FaultPlan::none())?;
-        Ok(DurableViewStore { dir, ttl, opts, inner: Mutex::new(inner) })
+        let inner = Inner::open(&dir.into(), ttl, opts, FaultPlan::none())?;
+        Ok(DurableViewStore { inner: Mutex::new(inner) })
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -718,7 +542,7 @@ impl DurableViewStore {
     }
 
     pub fn fault_plan(&self) -> FaultPlan {
-        self.lock().faults.clone()
+        self.lock().catalog.fault_plan().clone()
     }
 
     /// The I/O counters, unwrapped: a durable store always has them.
@@ -734,85 +558,36 @@ impl DirShard for DurableViewStore {
     }
 }
 
-impl ViewSource for DurableViewStore {
-    fn read_view(
-        &self,
-        sig: Sig128,
-        now: SimTime,
-    ) -> std::result::Result<Option<Table>, ViewReadFault> {
-        self.lock().read_for_exec(sig, now).map(|o| o.map(|(t, _)| t))
+impl ShardSet for DurableViewStore {
+    type Shard = DurableViewStore;
+    fn shards(&self) -> &[DurableViewStore] {
+        std::slice::from_ref(self)
     }
+}
 
-    fn read_view_traced(
+impl Shard for DurableViewStore {
+    type Payload = PageChain;
+    fn catalog<R>(&self, f: impl FnOnce(&ViewCatalog<PageChain>) -> R) -> R {
+        f(&self.lock().catalog)
+    }
+    fn insert(&self, view: MaterializedView) -> Result<()> {
+        self.lock().insert(view)
+    }
+    fn mutate(&self, op: ViewMutation) -> Result<Option<usize>> {
+        self.lock().mutate(op)
+    }
+    fn read_traced(
         &self,
         sig: Sig128,
         now: SimTime,
     ) -> std::result::Result<Option<(Table, ViewTemperature)>, ViewReadFault> {
         self.lock().read_for_exec(sig, now)
     }
-}
-
-impl SharedViewStore for DurableViewStore {
-    fn insert(&self, view: MaterializedView) -> Result<()> {
-        self.lock().insert(view)
-    }
-    fn contains(&self, sig: Sig128) -> bool {
-        self.lock().index.contains_key(&sig)
-    }
-    fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
-        self.lock().index.get(&sig).is_some_and(|m| now < m.expires)
-    }
-    fn is_quarantined(&self, sig: Sig128) -> bool {
-        self.lock().quarantined.contains(&sig)
-    }
-    fn quarantine(&self, sig: Sig128) -> Result<bool> {
-        self.lock().quarantine(sig)
-    }
-    fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
-        let g = self.lock();
-        let m = g.index.get(&sig).filter(|m| now < m.expires)?;
-        Some((m.rows, m.bytes, m.observed_work))
-    }
-    fn observed_work(&self, sig: Sig128) -> Option<f64> {
-        self.lock().index.get(&sig).map(|m| m.observed_work)
-    }
-    fn evict_expired(&self, now: SimTime) -> Result<usize> {
-        self.lock().evict_expired(now)
-    }
-    fn purge_input(&self, guid: VersionGuid, now: SimTime) -> Result<usize> {
-        self.lock().purge_input(guid, now)
-    }
-    fn purge_vc(&self, vc: VcId, now: SimTime) -> Result<usize> {
-        self.lock().purge_vc(vc, now)
-    }
-    fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
-        let mut out = self.lock().sigs_with_input(guid);
-        out.sort();
-        out
-    }
-    fn stats(&self) -> ViewStoreStats {
-        self.lock().stats.clone()
-    }
-    fn len(&self) -> usize {
-        self.lock().index.len()
-    }
-    fn total_storage(&self) -> u64 {
-        self.lock().storage_by_vc.values().sum()
-    }
-    fn storage_used(&self, vc: VcId) -> u64 {
-        self.lock().storage_by_vc.get(&vc).copied().unwrap_or(0)
-    }
-    fn n_shards(&self) -> usize {
-        1
-    }
-    fn ttl(&self) -> SimDuration {
-        self.ttl
-    }
     /// Install a fault plan; re-arms the crash byte budget from zero.
     fn set_fault_plan(&self, plan: FaultPlan) {
         let mut g = self.lock();
         g.gate = CrashGate::new(plan.crash_after_bytes);
-        g.faults = plan;
+        g.catalog.set_fault_plan(plan);
     }
     fn io_stats(&self) -> Option<StoreIoStats> {
         Some(DurableViewStore::io_stats(self))
@@ -822,10 +597,8 @@ impl SharedViewStore for DurableViewStore {
     /// read will happen).
     fn is_resident(&self, sig: Sig128) -> bool {
         let g = self.lock();
-        match g.index.get(&sig) {
-            Some(m) => m.pages.iter().all(|&p| g.cache.contains(p)),
-            None => true,
-        }
+        let pages = g.catalog.get(sig).map(|(_, chain)| chain.pages.as_slice());
+        pages.is_none_or(|pages| pages.iter().all(|&p| g.cache.contains(p)))
     }
     /// Crash recovery: rebuild in-memory state from disk, exactly as a
     /// process restart would, and clear the poison. The recovered store
@@ -834,14 +607,13 @@ impl SharedViewStore for DurableViewStore {
     /// the run, not the incarnation.
     fn recover_in_place(&self) -> Result<()> {
         let mut g = self.lock();
-        let prev_stats = g.stats.clone();
         let mut prev_io = g.io_snapshot();
-        let faults = g.faults.without_crash();
-        let mut fresh = Inner::open(&self.dir, self.ttl, self.opts.clone(), faults)?;
+        let faults = g.catalog.fault_plan().without_crash();
+        let mut fresh = Inner::open(&g.dir, g.catalog.ttl(), g.opts.clone(), faults)?;
         fresh.io.recoveries = fresh.io.recoveries.max(1);
         prev_io.merge(&fresh.io);
         fresh.io = prev_io;
-        fresh.stats = prev_stats;
+        fresh.catalog.set_stats(g.catalog.stats());
         *g = fresh;
         Ok(())
     }

@@ -26,6 +26,7 @@
 use crate::codec::{CodecError, CodecResult, Dec, Enc};
 use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{Sig128, SimTime, StableHasher};
+use cv_data::viewstore::{StoredViewMeta, ViewMutation};
 
 pub const WAL_MAGIC: u64 = 0x4356_5741_4c4f_4731; // "CVWALOG1"
 pub const WAL_HEADER: usize = 16;
@@ -38,30 +39,22 @@ pub fn record_crc(payload: &[u8]) -> u64 {
     h.finish64()
 }
 
-/// Everything the store must remember about a committed view besides its
-/// row bytes (which live in pages). Serialized into view-commit WAL records
-/// and checkpoints.
+/// Where a committed view's encoded table lives: the durable medium's
+/// catalogue payload.
 #[derive(Clone, Debug, PartialEq)]
-pub struct DurableViewMeta {
-    pub strict_sig: Sig128,
-    pub recurring_sig: Sig128,
-    pub rows: u64,
-    pub bytes: u64,
-    pub created: SimTime,
-    pub expires: SimTime,
-    pub creator_job: JobId,
-    pub vc: VcId,
-    pub input_guids: Vec<VersionGuid>,
-    pub observed_work: f64,
-    /// Content checksum of the table ([`cv_data::viewstore::table_checksum`]).
-    pub checksum: u64,
+pub struct PageChain {
     /// Page slots holding the encoded table, in payload order.
     pub pages: Vec<u64>,
     /// Total encoded-table length (the page payloads concatenate to this).
     pub blob_len: u64,
 }
 
-pub fn encode_meta(e: &mut Enc, m: &DurableViewMeta) {
+/// A durable catalogue entry — everything the store must remember about a
+/// committed view besides its row bytes (which live in the pages named).
+/// The unit view-commit WAL records and checkpoints serialize.
+pub type DurableViewMeta = (StoredViewMeta, PageChain);
+
+pub fn encode_meta(e: &mut Enc, (m, chain): &DurableViewMeta) {
     e.put_u128(m.strict_sig.0);
     e.put_u128(m.recurring_sig.0);
     e.put_u64(m.rows);
@@ -76,11 +69,11 @@ pub fn encode_meta(e: &mut Enc, m: &DurableViewMeta) {
     }
     e.put_f64(m.observed_work);
     e.put_u64(m.checksum);
-    e.put_u32(m.pages.len() as u32);
-    for p in &m.pages {
+    e.put_u32(chain.pages.len() as u32);
+    for p in &chain.pages {
         e.put_u64(*p);
     }
-    e.put_u64(m.blob_len);
+    e.put_u64(chain.blob_len);
 }
 
 pub fn decode_meta(d: &mut Dec<'_>) -> CodecResult<DurableViewMeta> {
@@ -105,7 +98,7 @@ pub fn decode_meta(d: &mut Dec<'_>) -> CodecResult<DurableViewMeta> {
         pages.push(d.get_u64()?);
     }
     let blob_len = d.get_u64()?;
-    Ok(DurableViewMeta {
+    let meta = StoredViewMeta {
         strict_sig,
         recurring_sig,
         rows,
@@ -117,20 +110,17 @@ pub fn decode_meta(d: &mut Dec<'_>) -> CodecResult<DurableViewMeta> {
         input_guids,
         observed_work,
         checksum,
-        pages,
-        blob_len,
-    })
+    };
+    Ok((meta, PageChain { pages, blob_len }))
 }
 
-/// One logged mutation. Replay applies these in order to the checkpoint
-/// state; every variant is idempotent under re-application.
+/// One logged mutation: a view commit, or an operational mutation of the
+/// catalogue. Replay hands these in order to the same catalogue mutators
+/// the live store calls; every one is idempotent under re-application.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
     ViewCommit(DurableViewMeta),
-    Quarantine { sig: Sig128 },
-    PurgeInput { guid: VersionGuid, now: SimTime },
-    PurgeVc { vc: VcId, now: SimTime },
-    Expire { now: SimTime },
+    Op(ViewMutation),
 }
 
 const TAG_COMMIT: u8 = 1;
@@ -146,21 +136,21 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
             e.put_u8(TAG_COMMIT);
             encode_meta(&mut e, m);
         }
-        WalRecord::Quarantine { sig } => {
+        WalRecord::Op(ViewMutation::Quarantine { sig }) => {
             e.put_u8(TAG_QUARANTINE);
             e.put_u128(sig.0);
         }
-        WalRecord::PurgeInput { guid, now } => {
+        WalRecord::Op(ViewMutation::PurgeInput { guid, now }) => {
             e.put_u8(TAG_PURGE_INPUT);
             e.put_u128(guid.0);
             e.put_f64(now.0);
         }
-        WalRecord::PurgeVc { vc, now } => {
+        WalRecord::Op(ViewMutation::PurgeVc { vc, now }) => {
             e.put_u8(TAG_PURGE_VC);
             e.put_u64(vc.0);
             e.put_f64(now.0);
         }
-        WalRecord::Expire { now } => {
+        WalRecord::Op(ViewMutation::Expire { now }) => {
             e.put_u8(TAG_EXPIRE);
             e.put_f64(now.0);
         }
@@ -172,12 +162,16 @@ pub fn decode_record(payload: &[u8]) -> CodecResult<WalRecord> {
     let mut d = Dec::new(payload);
     let rec = match d.get_u8()? {
         TAG_COMMIT => WalRecord::ViewCommit(decode_meta(&mut d)?),
-        TAG_QUARANTINE => WalRecord::Quarantine { sig: Sig128(d.get_u128()?) },
-        TAG_PURGE_INPUT => {
-            WalRecord::PurgeInput { guid: VersionGuid(d.get_u128()?), now: SimTime(d.get_f64()?) }
-        }
-        TAG_PURGE_VC => WalRecord::PurgeVc { vc: VcId(d.get_u64()?), now: SimTime(d.get_f64()?) },
-        TAG_EXPIRE => WalRecord::Expire { now: SimTime(d.get_f64()?) },
+        TAG_QUARANTINE => WalRecord::Op(ViewMutation::Quarantine { sig: Sig128(d.get_u128()?) }),
+        TAG_PURGE_INPUT => WalRecord::Op(ViewMutation::PurgeInput {
+            guid: VersionGuid(d.get_u128()?),
+            now: SimTime(d.get_f64()?),
+        }),
+        TAG_PURGE_VC => WalRecord::Op(ViewMutation::PurgeVc {
+            vc: VcId(d.get_u64()?),
+            now: SimTime(d.get_f64()?),
+        }),
+        TAG_EXPIRE => WalRecord::Op(ViewMutation::Expire { now: SimTime(d.get_f64()?) }),
         _ => return Err(CodecError("unknown wal record tag")),
     };
     if !d.is_done() {
@@ -268,7 +262,7 @@ mod tests {
     use super::*;
 
     fn meta(sig: u128) -> DurableViewMeta {
-        DurableViewMeta {
+        let meta = StoredViewMeta {
             strict_sig: Sig128(sig),
             recurring_sig: Sig128(sig ^ 0xff),
             rows: 10,
@@ -280,18 +274,17 @@ mod tests {
             input_guids: vec![VersionGuid(42), VersionGuid(43)],
             observed_work: 12.5,
             checksum: 0xabcd,
-            pages: vec![0, 3, 7],
-            blob_len: 20000,
-        }
+        };
+        (meta, PageChain { pages: vec![0, 3, 7], blob_len: 20000 })
     }
 
     fn all_records() -> Vec<WalRecord> {
         vec![
             WalRecord::ViewCommit(meta(1)),
-            WalRecord::Quarantine { sig: Sig128(2) },
-            WalRecord::PurgeInput { guid: VersionGuid(9), now: SimTime(3.0) },
-            WalRecord::PurgeVc { vc: VcId(1), now: SimTime(4.0) },
-            WalRecord::Expire { now: SimTime(5.0) },
+            WalRecord::Op(ViewMutation::Quarantine { sig: Sig128(2) }),
+            WalRecord::Op(ViewMutation::PurgeInput { guid: VersionGuid(9), now: SimTime(3.0) }),
+            WalRecord::Op(ViewMutation::PurgeVc { vc: VcId(1), now: SimTime(4.0) }),
+            WalRecord::Op(ViewMutation::Expire { now: SimTime(5.0) }),
         ]
     }
 

@@ -3,11 +3,14 @@
 //! One script — inserts, an idempotent duplicate, peeks vs reads, a
 //! quarantine and its refused re-insert, GDPR purges of live and of
 //! already-expired views, TTL eviction, a VC purge, injected write / corrupt
-//! / read faults — runs through `&dyn SharedViewStore` over the in-memory
-//! store at 1 and 16 shards and the durable store at 1 and 4 shards. Every
-//! call's observable result, the final counters and the storage accounting
-//! must be identical across all four: sharding and durability are
-//! implementation choices, not behaviour.
+//! / read / expiry-race faults — runs through `&dyn SharedViewStore` over the
+//! in-memory store at 1 and 16 shards and the durable store at 1 and 4
+//! shards. Every call's observable result, the final counters and the
+//! storage accounting must be identical across all four: sharding and
+//! durability are implementation choices, not behaviour. Both media run the
+//! one catalogue in `cv_data::viewstore`, so this holds by construction; the
+//! script stays as the check that it does, and that a durable store's replay
+//! (the same mutators, fed from the log) rebuilds the state it had live.
 
 use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{FaultPlan, FaultPoint, Sig128, SimDuration, SimTime};
@@ -136,7 +139,8 @@ fn run_script(store: &dyn SharedViewStore) -> Observed {
         FaultPlan::seeded(11)
             .with_rate(FaultPoint::ViewWrite, 0.3)
             .with_rate(FaultPoint::ViewCorrupt, 0.3)
-            .with_rate(FaultPoint::ViewRead, 0.3),
+            .with_rate(FaultPoint::ViewRead, 0.3)
+            .with_rate(FaultPoint::ViewExpiryRace, 0.3),
     );
     for sig in 100..140 {
         let sealed = store.insert(view(sig, 7, day(8.0)));
@@ -152,6 +156,19 @@ fn run_script(store: &dyn SharedViewStore) -> Observed {
         total_storage: store.total_storage(),
         storage_by_vc: (0..3).map(|vc| store.storage_used(VcId(vc))).collect(),
     }
+}
+
+/// The logical state a reopened store must reproduce: what is stored, for
+/// whom, under which inputs, what is denylisted, and every signature the
+/// script ever touched as planning sees it.
+fn logical_state(store: &dyn SharedViewStore) -> impl PartialEq + std::fmt::Debug {
+    let now = SimTime::from_days(8.0);
+    (
+        (store.len(), store.total_storage(), store.is_quarantined(Sig128(3))),
+        (0..3).map(|vc| store.storage_used(VcId(vc))).collect::<Vec<_>>(),
+        [42, 43, 77, 99, 7].map(|guid| store.sigs_with_input(VersionGuid(guid))),
+        (1..140).map(|sig| store.peek_meta(Sig128(sig), now)).collect::<Vec<_>>(),
+    )
 }
 
 fn small_opts() -> DurableStoreOptions {
@@ -182,6 +199,7 @@ fn one_script_observes_the_same_store_in_all_four_forms() {
     assert!(s.write_failures > 0 && s.views_reused > 0 && s.read_misses > 0);
     assert!(reference.log.iter().any(|l| l.contains("Err(Corrupt)")));
     assert!(reference.log.iter().any(|l| l.contains("Err(ReadError)")));
+    assert!(reference.log.iter().any(|l| l.contains("Err(ExpiryRace)")));
     assert!(reference.len > 0 && reference.total_storage > 0);
 
     with_every_store("script", |form, store| {
@@ -191,6 +209,36 @@ fn one_script_observes_the_same_store_in_all_four_forms() {
         }
         assert_eq!(reference, observed, "{form}: end state diverges");
     });
+
+    // Replay: a durable store dropped after the script and reopened — from
+    // the WAL alone, then from a checkpoint alone — is logically the store
+    // that was dropped. (The forms above checkpoint every 16 records; this
+    // one never does on its own, so the first reopen replays every record.)
+    for shards in [1, 4] {
+        let dir = temp_dir(&format!("replay-{shards}"));
+        let opts = DurableStoreOptions { checkpoint_every: u64::MAX, ..small_opts() };
+        let open = || ShardedDurableViewStore::open(&dir, ttl(), shards, opts.clone()).unwrap();
+        let store = open();
+        assert_eq!(reference, run_script(&store), "durable x{shards}, no checkpoints");
+        let live = logical_state(&store);
+        assert_eq!(store.io_stats().unwrap().checkpoints, 0);
+        drop(store);
+
+        let from_wal = open();
+        let io = from_wal.io_stats().unwrap();
+        assert!(io.wal_records_replayed > 0 && io.checkpoints == 0, "{io:?}");
+        assert_eq!(from_wal.stats(), ViewStoreStats::default(), "replay must be stats-neutral");
+        assert_eq!(live, logical_state(&from_wal), "durable x{shards}: WAL replay diverges");
+        from_wal.checkpoint_now().unwrap();
+        drop(from_wal);
+
+        let from_checkpoint = open();
+        assert_eq!(from_checkpoint.io_stats().unwrap().wal_records_replayed, 0);
+        assert_eq!(from_checkpoint.stats(), ViewStoreStats::default());
+        assert_eq!(live, logical_state(&from_checkpoint), "durable x{shards}: checkpoint diverges");
+        drop(from_checkpoint);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// Routing is a pure function of the signature: views spread over the
