@@ -66,16 +66,24 @@ echo "==> perf/check.sh (the benchmark at smoke size: every workload, every outp
 mkdir -p perf/results # git-ignored; check.sh (frozen) redirects into it before anything creates it
 perf/check.sh
 
-echo "==> size: non-test code lines per crate (report only, no gate)"
-# Each file up to its first #[cfg(test)], blank and // lines dropped.
-count() {
+# Non-test code: each file up to its first #[cfg(test)], blank and // lines
+# dropped, as `file:line: text`.
+code() {
     awk '
         FNR == 1 { in_tests = 0 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests || /^[[:space:]]*($|\/\/)/ { next }
-        { n++ }
-        END { print n + 0 }' "$@"
+        { print FILENAME ":" FNR ": " $0 }' "$@"
 }
+count() { code "$@" | wc -l; }
+
+echo "==> operator paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,keys,sort}.rs"
+if code crates/engine/src/exec/{mod,aggregate,join,keys,sort}.rs \
+    | grep -E '\.unwrap\(\)|\.expect\(|unreachable!|panic!'; then
+    exit 1
+fi
+
+echo "==> size: non-test code lines per crate (report only, no gate)"
 total=0
 for dir in crates/*/src src; do
     n=$(count $(find "$dir" -name '*.rs'))

@@ -8,7 +8,12 @@
 //! pipeline breakers' other shapes: `merge_join` (the same fact ⋈ dimension
 //! join, merge forced), `hash_aggregate_high` (a group per ~12 rows — 80k
 //! groups at 10^6 — under SUM, AVG and COUNT DISTINCT) and
-//! `sort_desc_float` (one descending float key). Two more filters keep
+//! `sort_desc_float` (one descending float key). Two legs isolate what the
+//! aggregate does with its keys: `hash_aggregate_dim_str` groups the fact ⋈
+//! dimension join by the dimension's string (8 groups; the string reaches
+//! the aggregate as a gather through the join, and should be coded per
+//! dimension row, never gathered) and `count_distinct` is COUNT(DISTINCT
+//! qty) alone, a group per 100 rows × 100 values. Two more filters keep
 //! the executor's own bookkeeping visible at this altitude: `filter_str_eq`
 //! (a string column against a literal — the literal must stay a scalar) and
 //! `filter_wide` (an integer predicate over a table that also carries three
@@ -56,7 +61,7 @@ use std::time::Instant;
 
 /// Every leg, in report order: the plans of [`plans`], then the three
 /// whole-table legs. A leg missing from either side fails the run.
-const KERNELS: [&str; 14] = [
+const KERNELS: [&str; 16] = [
     "filter",
     "filter_str_eq",
     "filter_wide",
@@ -66,6 +71,8 @@ const KERNELS: [&str; 14] = [
     "merge_join",
     "hash_aggregate",
     "hash_aggregate_high",
+    "hash_aggregate_dim_str",
+    "count_distinct",
     "sort",
     "sort_desc_float",
     "digest",
@@ -321,6 +328,24 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         )
         .unwrap()
         .build();
+    let agg_dim_str = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .join(PlanBuilder::scan(&bench.catalog, "dim").unwrap(), &[("id", "d_id")], JoinKind::Inner)
+        .unwrap()
+        .aggregate(
+            vec![(col("label"), "label")],
+            vec![AggExpr::new(AggFunc::Sum, col("val"), "total"), AggExpr::count_star("n")],
+        )
+        .unwrap()
+        .build();
+    let count_distinct = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .aggregate(
+            vec![(col("id"), "id")],
+            vec![AggExpr::new(AggFunc::CountDistinct, col("qty"), "qtys")],
+        )
+        .unwrap()
+        .build();
     let sort = PlanBuilder::scan(&bench.catalog, "fact")
         .unwrap()
         .sort(&[("seg", true), ("val", false)])
@@ -338,6 +363,8 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         ("merge_join", join, JoinAlgo::Merge),
         ("hash_aggregate", agg, JoinAlgo::Hash),
         ("hash_aggregate_high", agg_high, JoinAlgo::Hash),
+        ("hash_aggregate_dim_str", agg_dim_str, JoinAlgo::Hash),
+        ("count_distinct", count_distinct, JoinAlgo::Hash),
         ("sort", sort, JoinAlgo::Hash),
         ("sort_desc_float", sort_desc_float, JoinAlgo::Hash),
     ]
@@ -486,7 +513,10 @@ fn main() {
             "project" => "Project",
             "hash_join" => "HashJoin",
             "merge_join" => "MergeJoin",
-            "hash_aggregate" | "hash_aggregate_high" => "HashAggregate",
+            "hash_aggregate"
+            | "hash_aggregate_high"
+            | "hash_aggregate_dim_str"
+            | "count_distinct" => "HashAggregate",
             "sort" | "sort_desc_float" => "Sort",
             _ => unreachable!(),
         };

@@ -40,6 +40,16 @@ impl ColumnData {
             ColumnData::Date(_) => DataType::Date,
         }
     }
+
+    fn rows(&self, w: std::ops::Range<usize>) -> ColumnView<'_> {
+        match self {
+            ColumnData::Bool(v) => ColumnView::Bool(&v[w]),
+            ColumnData::Int(v) => ColumnView::Int(&v[w]),
+            ColumnData::Float(v) => ColumnView::Float(&v[w]),
+            ColumnData::Str(v) => ColumnView::Str(&v[w]),
+            ColumnData::Date(v) => ColumnView::Date(&v[w]),
+        }
+    }
 }
 
 /// Borrowed typed rows of a column, exactly its window: `view[i]` is row
@@ -133,9 +143,11 @@ enum Rows {
 /// **Late materialisation.** [`Column::take`] and [`Column::take_padded`]
 /// return a *deferred* column: validity is computed at once (it is bits),
 /// the typed rows are gathered on the first [`Column::view`] — by any window
-/// of the column, for all of them. Length, type, NULL-ness, slicing and
-/// [`Column::byte_size`] never gather, so a filter, sort or join pays only
-/// for the columns some operator above it reads. A deferred column keeps its
+/// of the column, for all of them. Length, type, NULL-ness, slicing,
+/// [`Column::byte_size`] and boxing one cell ([`Column::value`]) never
+/// gather, so a filter, sort or join pays only for the columns some operator
+/// above it reads — and a reader that can work per source row
+/// ([`Column::unread_gather`]) need not gather either. A deferred column keeps its
 /// source buffer alive; [`Column::compact`] ends that too.
 #[derive(Clone, Debug)]
 pub struct Column {
@@ -210,13 +222,21 @@ impl Column {
     /// of a deferred column gathers it.
     #[inline]
     pub fn view(&self) -> ColumnView<'_> {
-        let w = self.offset..self.offset + self.len;
-        match self.buffer() {
-            ColumnData::Bool(v) => ColumnView::Bool(&v[w]),
-            ColumnData::Int(v) => ColumnView::Int(&v[w]),
-            ColumnData::Float(v) => ColumnView::Float(&v[w]),
-            ColumnData::Str(v) => ColumnView::Str(&v[w]),
-            ColumnData::Date(v) => ColumnView::Date(&v[w]),
+        self.buffer().rows(self.offset..self.offset + self.len)
+    }
+
+    /// A gather nobody has read yet, as `(source rows, this window's row
+    /// ids into them)`, for a reader that can work per *source* row or needs
+    /// one cell: it gathers nothing. An id of [`PAD`] is a row the validity
+    /// already calls NULL. `None` for a buffer and for a gather some reader
+    /// has performed — [`Column::view`] is as cheap there.
+    pub fn unread_gather(&self) -> Option<(ColumnView<'_>, &[usize])> {
+        match &self.rows {
+            Rows::Deferred(node) if node.unread() => Some((
+                node.source.rows(node.base..node.source.len()),
+                &node.ids[self.offset..self.offset + self.len],
+            )),
+            _ => None,
         }
     }
 
@@ -284,17 +304,24 @@ impl Column {
         }
     }
 
-    /// Row accessor (boxing into [`Value`]; fine off the hot path).
+    /// Row accessor (boxing into [`Value`]; fine off the hot path). One cell
+    /// of an unread gather is read through its row id: boxing a cell never
+    /// gathers the column.
     pub fn value(&self, i: usize) -> Value {
         if self.is_null(i) {
             return Value::Null;
         }
-        match self.view() {
-            ColumnView::Bool(v) => Value::Bool(v[i]),
-            ColumnView::Int(v) => Value::Int(v[i]),
-            ColumnView::Float(v) => Value::Float(v[i]),
-            ColumnView::Str(v) => Value::Str(v[i].clone()),
-            ColumnView::Date(v) => Value::Date(v[i]),
+        let (rows, at) = match self.unread_gather() {
+            Some((_, ids)) if ids[i] == PAD => return Value::Null,
+            Some((source, ids)) => (source, ids[i]),
+            None => (self.view(), i),
+        };
+        match rows {
+            ColumnView::Bool(v) => Value::Bool(v[at]),
+            ColumnView::Int(v) => Value::Int(v[at]),
+            ColumnView::Float(v) => Value::Float(v[at]),
+            ColumnView::Str(v) => Value::Str(v[at].clone()),
+            ColumnView::Date(v) => Value::Date(v[at]),
         }
     }
 
@@ -685,6 +712,24 @@ mod tests {
         assert!(t.value(2).is_null());
         assert_eq!(t.value(3), Value::Int(10));
         assert!(t.validity().is_some());
+    }
+
+    #[test]
+    fn a_cell_of_an_unread_gather_is_read_through_its_row_id() {
+        let c = int_col(&[Some(10), None, Some(30)]);
+        let t = c.take_padded(&[2, PAD, 1, 0]).slice(1, 3);
+        assert_eq!(
+            [t.value(0), t.value(1), t.value(2)],
+            [Value::Null, Value::Null, Value::Int(10)]
+        );
+        assert!(!t.is_forced(), "boxing a cell gathered the column");
+        let (source, ids) = t.unread_gather().expect("nobody has read it");
+        assert_eq!(ids, [PAD, 1, 0], "the window's ids");
+        assert!(matches!(source, ColumnView::Int([10, _, 30])));
+        // Once some reader has gathered it there is nothing left to read through.
+        assert_eq!(t.ints(), [0, 0, 10]);
+        assert!(t.unread_gather().is_none());
+        assert_eq!(t.value(2), Value::Int(10));
     }
 
     #[test]

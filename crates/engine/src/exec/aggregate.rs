@@ -1,24 +1,27 @@
-//! Hash aggregation in two typed passes.
+//! Hash aggregation: encode the keys, then combine integers.
 //!
 //! Group keys and aggregate arguments are evaluated chunk-at-a-time (the
 //! parallel part, fanned through the morsel runner). Then, serially:
 //!
-//! 1. every input row gets a dense **group id** through one open-addressing
-//!    table over the key hashes ([`DenseIds`]) — ids in first-seen order;
+//! 1. every key column becomes dense integer codes, once
+//!    ([`keys::encode`]), and the code columns fold left to right into a
+//!    dense **group id** per input row ([`keys::pair_ids`]) — ids in
+//!    first-seen row order, each with the row it was first seen at;
 //! 2. each aggregate runs one tight loop per chunk over `(group id, typed
 //!    argument slice)` into struct-of-arrays accumulators sized to the group
-//!    count ([`Accumulator`]).
+//!    count ([`Accumulator`]). COUNT(DISTINCT) is step 1 again: its argument
+//!    is encoded, and a group's count is the first sightings of
+//!    `(group id, code)`.
 //!
 //! An aggregate still meets the rows of a group in global row order (chunks
 //! in order, rows in order within each), so order-sensitive accumulation —
 //! float SUM/AVG — produces the monolithic bit pattern at every chunk size
 //! and worker count.
 
-use super::keys::{self, KeyCols};
+use super::keys::{self, Class};
 use super::{map_chunks, morsel, ExecContext};
 use crate::expr::eval::{eval, EvalCtx};
 use crate::expr::{AggExpr, AggFunc, ScalarExpr};
-use cv_common::hash::mix64;
 use cv_common::{CvError, Result};
 use cv_data::bitmap::Bitmap;
 use cv_data::chunk::chunk_ranges;
@@ -27,61 +30,6 @@ use cv_data::schema::SchemaRef;
 use cv_data::table::Table;
 use cv_data::value::DataType;
 use std::cmp::Ordering;
-
-const EMPTY: u32 = u32::MAX;
-
-/// Open-addressing index (linear probing, at most half full) from 64-bit
-/// hashes to dense ids `0..len()`, handed out in insertion order. The
-/// caller keeps what an id stands for and tells two entries of one hash
-/// apart.
-struct DenseIds {
-    slots: Vec<u32>,
-    /// Hash of each id: a cheap first rejection, and what growth re-inserts.
-    hashes: Vec<u64>,
-}
-
-impl DenseIds {
-    fn new() -> DenseIds {
-        DenseIds { slots: vec![EMPTY; 16], hashes: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// The id whose hash is `hash` and that `same` accepts, or a new one
-    /// (`== len()` before the call).
-    fn find_or_insert(&mut self, hash: u64, same: impl Fn(usize) -> bool) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut at = hash as usize & mask;
-        loop {
-            let id = self.slots[at];
-            if id == EMPTY {
-                break;
-            }
-            if self.hashes[id as usize] == hash && same(id as usize) {
-                return id as usize;
-            }
-            at = (at + 1) & mask;
-        }
-        let id = self.hashes.len();
-        assert!(id < EMPTY as usize, "dense ids are 32-bit");
-        self.slots[at] = id as u32;
-        self.hashes.push(hash);
-        if self.hashes.len() * 2 > self.slots.len() {
-            self.slots = vec![EMPTY; self.slots.len() * 2];
-            let mask = self.slots.len() - 1;
-            for (id, &h) in self.hashes.iter().enumerate() {
-                let mut at = h as usize & mask;
-                while self.slots[at] != EMPTY {
-                    at = (at + 1) & mask;
-                }
-                self.slots[at] = id as u32;
-            }
-        }
-        id
-    }
-}
 
 /// Calls `f(row)` for every non-NULL row of `col`, in order.
 #[inline]
@@ -105,30 +53,10 @@ fn for_each_number(col: &Column, mut f: impl FnMut(usize, f64)) {
     }
 }
 
-/// One aggregate's argument column in every input chunk. MIN/MAX address
-/// cells as `(chunk, row)` so the best cell is a handle, not a copied value.
-struct ArgChunks<'a> {
-    by_chunk: &'a [Vec<Option<Column>>],
-    agg: usize,
-}
-
-impl ArgChunks<'_> {
-    fn at(&self, chunk: usize) -> Option<&Column> {
-        self.by_chunk[chunk][self.agg].as_ref()
-    }
-}
-
 /// One aggregate's state for every group, a vector per component.
-enum Accumulator {
+enum Accumulator<'a> {
+    /// COUNT, and COUNT(DISTINCT) once its first sightings are counted.
     Count(Vec<i64>),
-    /// DISTINCT over typed value hashes (the key-hash kernel's, so
-    /// `Int(1)` and `Float(1.0)` are one value and `"1"` another): one flat
-    /// set of `(group, value hash)` for all groups.
-    Distinct {
-        counts: Vec<i64>,
-        index: DenseIds,
-        seen: Vec<(u32, u64)>,
-    },
     /// SUM over INT accumulates in checked i64 — overflow is an execution
     /// error, not a silent drift through f64 rounding.
     SumInt {
@@ -140,11 +68,14 @@ enum Accumulator {
         any: Vec<bool>,
         int_out: bool,
     },
-    /// MIN (`keep == Less`) or MAX (`Greater`): a cell replaces the best
-    /// one only when it compares strictly so, hence ties keep the first.
+    /// MIN (`keep == Less`) or MAX (`Greater`): the best cell of a group as
+    /// `(chunk, row)` into `args`, the argument column of every chunk — a
+    /// handle, not a copied value. A cell replaces the best one only when it
+    /// compares strictly so, hence ties keep the first.
     Best {
         cells: Vec<Option<(u32, u32)>>,
         keep: Ordering,
+        args: &'a [&'a Column],
     },
     Avg {
         totals: Vec<f64>,
@@ -152,15 +83,36 @@ enum Accumulator {
     },
 }
 
-impl Accumulator {
-    fn new(func: AggFunc, int_out: bool, arg_dtype: Option<DataType>, groups: usize) -> Self {
-        match func {
+impl<'a> Accumulator<'a> {
+    /// The aggregate over every input row, in row order: `gids[row]` is the
+    /// row's group (below `groups`), `ranges` cuts the rows into the chunks
+    /// `args` holds the argument column of (`None` for COUNT(*)).
+    fn over(
+        func: AggFunc,
+        int_out: bool,
+        gids: &[u32],
+        groups: usize,
+        ranges: &[(usize, usize)],
+        args: Option<&'a [&'a Column]>,
+    ) -> Result<Accumulator<'a>> {
+        let Some(args) = args else {
+            // COUNT(*) has no argument: every row counts.
+            let mut counts = vec![0; groups];
+            gids.iter().for_each(|&g| counts[g as usize] += 1);
+            return Ok(Accumulator::Count(counts));
+        };
+        let arg_dtype = args.first().map(|c| c.dtype());
+        let mut acc = match func {
             AggFunc::Count => Accumulator::Count(vec![0; groups]),
-            AggFunc::CountDistinct => Accumulator::Distinct {
-                counts: vec![0; groups],
-                index: DenseIds::new(),
-                seen: Vec::new(),
-            },
+            AggFunc::CountDistinct => {
+                let mut counts = vec![0; groups];
+                let values = keys::encode(args, gids.len(), Class::Distinct);
+                let seen = keys::pair_ids(gids, groups, &values);
+                for &row in seen.first.iter().filter(|&&row| values.codes[row] != 0) {
+                    counts[gids[row] as usize] += 1;
+                }
+                return Ok(Accumulator::Count(counts));
+            }
             AggFunc::Sum if int_out && arg_dtype == Some(DataType::Int) => {
                 Accumulator::SumInt { totals: vec![0; groups], any: vec![false; groups] }
             }
@@ -169,38 +121,25 @@ impl Accumulator {
                 any: vec![false; groups],
                 int_out,
             },
-            AggFunc::Min => Accumulator::Best { cells: vec![None; groups], keep: Ordering::Less },
-            AggFunc::Max => {
-                Accumulator::Best { cells: vec![None; groups], keep: Ordering::Greater }
-            }
+            AggFunc::Min | AggFunc::Max => Accumulator::Best {
+                cells: vec![None; groups],
+                keep: if func == AggFunc::Min { Ordering::Less } else { Ordering::Greater },
+                args,
+            },
             AggFunc::Avg => Accumulator::Avg { totals: vec![0.0; groups], counts: vec![0; groups] },
+        };
+        for (chunk, (&(off, len), col)) in ranges.iter().zip(args).enumerate() {
+            acc.update(&gids[off..off + len], chunk, col)?;
         }
+        Ok(acc)
     }
 
-    /// Fold one chunk in: `gids[row]` is the group of the chunk's `row`.
-    fn update(&mut self, gids: &[u32], chunk: usize, args: &ArgChunks<'_>) -> Result<()> {
+    /// Fold one chunk in: `gids[row]` is the group of row `row` of `col`,
+    /// the argument in chunk `chunk`.
+    fn update(&mut self, gids: &[u32], chunk: usize, col: &Column) -> Result<()> {
         let gid = |row: usize| gids[row] as usize;
-        let Some(col) = args.at(chunk) else {
-            // COUNT(*) has no argument: every row counts.
-            if let Accumulator::Count(counts) = self {
-                gids.iter().for_each(|&g| counts[g as usize] += 1);
-            }
-            return Ok(());
-        };
         match self {
             Accumulator::Count(counts) => for_each_valid(col, |i| counts[gid(i)] += 1),
-            Accumulator::Distinct { counts, index, seen } => {
-                let hashes = KeyCols::new(vec![col], col.len()).group_hashes();
-                for_each_valid(col, |i| {
-                    let entry = (gids[i], hashes[i]);
-                    let id = index
-                        .find_or_insert(mix64(entry.1 ^ entry.0 as u64), |id| seen[id] == entry);
-                    if id == seen.len() {
-                        seen.push(entry);
-                        counts[gid(i)] += 1;
-                    }
-                });
-            }
             Accumulator::SumInt { totals, any } => {
                 let v = col.ints();
                 let mut overflow = false;
@@ -220,11 +159,10 @@ impl Accumulator {
                 totals[gid(i)] += x;
                 any[gid(i)] = true;
             }),
-            Accumulator::Best { cells, keep } => for_each_valid(col, |i| {
+            Accumulator::Best { cells, keep, args } => for_each_valid(col, |i| {
                 let best = &mut cells[gid(i)];
                 let better = best.is_none_or(|(c, r)| {
-                    let held = args.at(c as usize).expect("best cell column");
-                    keys::cmp_cells(col, i, held, r as usize) == *keep
+                    keys::cmp_cells(col, i, args[c as usize], r as usize) == *keep
                 });
                 if better {
                     *best = Some((chunk as u32, i as u32));
@@ -240,9 +178,9 @@ impl Accumulator {
 
     /// The aggregate's output cells for `groups`, in that order. `&self`, so
     /// output chunks finish from shared state in parallel.
-    fn finish(&self, groups: &[usize], args: &ArgChunks<'_>, dtype: DataType) -> Result<Column> {
+    fn finish(&self, groups: &[usize], dtype: DataType) -> Result<Column> {
         Ok(match self {
-            Accumulator::Count(counts) | Accumulator::Distinct { counts, .. } => {
+            Accumulator::Count(counts) => {
                 Column::new(ColumnData::Int(groups.iter().map(|&g| counts[g]).collect()), None)
             }
             Accumulator::SumInt { totals, any } => nullable(
@@ -257,14 +195,11 @@ impl Accumulator {
                 },
                 groups.iter().map(|&g| any[g]),
             ),
-            Accumulator::Best { cells, .. } => {
+            Accumulator::Best { cells, args, .. } => {
                 let mut b = ColumnBuilder::with_capacity(dtype, groups.len());
                 for &g in groups {
                     match cells[g] {
-                        Some((c, r)) => {
-                            let col = args.at(c as usize).expect("best cell column");
-                            b.push(&col.value(r as usize))?;
-                        }
+                        Some((c, r)) => b.push(&args[c as usize].value(r as usize))?,
                         None => b.push_null(),
                     }
                 }
@@ -302,7 +237,8 @@ pub(super) fn hash_aggregate(
     let det = group_by.iter().all(|(e, _)| e.is_deterministic())
         && aggs.iter().all(AggExpr::is_deterministic);
     let chunk_size = if det { ctx.chunk_size } else { usize::MAX };
-    let ranges = chunk_ranges(input.num_rows(), chunk_size);
+    let rows = input.num_rows();
+    let ranges = chunk_ranges(rows, chunk_size);
 
     let eval_chunk = |t: &Table, ec: &mut EvalCtx| -> Result<(Vec<Column>, Vec<Option<Column>>)> {
         let keys: Result<Vec<_>> = group_by.iter().map(|(e, _)| eval(e, t, ec)).collect();
@@ -312,88 +248,82 @@ pub(super) fn hash_aggregate(
     };
     let (keys_by_chunk, args_by_chunk): (Vec<Vec<Column>>, Vec<Vec<Option<Column>>>) =
         map_chunks(input, ctx, det, &eval_chunk)?.into_iter().unzip();
-
-    // Pass one — group ids. A group is named by its first input cell
-    // (chunk, row); key output columns are rebuilt from those cells at the
-    // end, no key is boxed per row.
-    let kcs: Vec<KeyCols<'_>> = keys_by_chunk
-        .iter()
-        .zip(&ranges)
-        .map(|(cols, &(_, len))| KeyCols::new(cols.iter().collect(), len))
+    // Per key and per aggregate, the column of every chunk.
+    let key_chunks: Vec<Vec<&Column>> =
+        (0..group_by.len()).map(|k| keys_by_chunk.iter().map(|cols| &cols[k]).collect()).collect();
+    let args: Vec<Option<Vec<&Column>>> = (0..aggs.len())
+        .map(|i| args_by_chunk.iter().map(|chunk| chunk[i].as_ref()).collect())
         .collect();
-    let mut index = DenseIds::new();
-    let mut first: Vec<(usize, usize)> = Vec::new();
-    let mut gids: Vec<u32> = Vec::with_capacity(input.num_rows());
-    for (c, kc) in kcs.iter().enumerate() {
-        for (row, &h) in kc.group_hashes().iter().enumerate() {
-            let gid = index.find_or_insert(h, |g| {
-                let (gc, gr) = first[g];
-                kcs[gc].rows_eq_group(gr, kc, row)
-            });
-            if gid == first.len() {
-                first.push((c, row));
-            }
-            gids.push(gid as u32);
-        }
+
+    // Pass one — group ids: the code columns folded left to right. `first`
+    // names each group by the input row it was first seen at. A global
+    // aggregate has one group, over empty input too.
+    let mut gids = vec![0u32; rows];
+    let mut first = vec![0usize];
+    for chunks in &key_chunks {
+        let codes = keys::encode(chunks, rows, Class::Group);
+        let folded = keys::pair_ids(&gids, first.len(), &codes);
+        (gids, first) = (folded.ids, folded.first);
     }
-    // Global aggregate over empty input still yields one group.
-    let groups = if group_by.is_empty() { 1 } else { index.len() };
+    let groups = first.len();
 
     // Pass two — one aggregate at a time over every chunk. SUM over an INT
     // input produces INT; detect from the output schema.
     let out_dtype = |i: usize| schema.field(group_by.len() + i).dtype;
     let mut accs = Vec::with_capacity(aggs.len());
     for (i, agg) in aggs.iter().enumerate() {
-        let args = ArgChunks { by_chunk: &args_by_chunk, agg: i };
-        let arg_dtype = args.at(0).map(Column::dtype);
-        let mut acc = Accumulator::new(agg.func, out_dtype(i) == DataType::Int, arg_dtype, groups);
-        for (c, &(off, len)) in ranges.iter().enumerate() {
-            acc.update(&gids[off..off + len], c, &args)?;
+        let int_out = out_dtype(i) == DataType::Int;
+        let args = args[i].as_deref();
+        accs.push(Accumulator::over(agg.func, int_out, &gids, groups, &ranges, args)?);
+    }
+
+    // Each group's key cells, boxed from the row it was first seen at —
+    // through the row ids where the column is a gather nobody has read, so
+    // naming the groups does not gather it either.
+    let first_cells: Vec<(usize, usize)> = first
+        .iter()
+        .map(|&row| {
+            let chunk = ranges.partition_point(|&(off, _)| off <= row) - 1;
+            (chunk, row - ranges[chunk].0)
+        })
+        .collect();
+    let mut group_keys: Vec<Column> = Vec::with_capacity(group_by.len());
+    for chunks in &key_chunks {
+        let mut b = ColumnBuilder::with_capacity(chunks[0].dtype(), groups);
+        for &(chunk, row) in &first_cells {
+            b.push(&chunks[chunk].value(row))?;
         }
-        accs.push(acc);
+        group_keys.push(b.finish());
     }
 
-    // Canonical output order: sort group ids by their representative key
-    // cells ascending (NULLs first), the exact order `Table::sort_by` over
-    // the key columns produces. First-encounter order is an artifact of
-    // input row order; sorting makes aggregate output a pure function of
-    // the input *multiset*, so an incrementally maintained aggregate
-    // (cv-ivm) emitted from group state is byte-identical to inline
-    // execution. Distinct groups never compare equal, so the order is
-    // total and stability is irrelevant.
+    // Canonical output order: sort group ids by their key cells ascending
+    // (NULLs first), the exact order `Table::sort_by` over the key columns
+    // produces. First-encounter order is an artifact of input row order;
+    // sorting makes aggregate output a pure function of the input
+    // *multiset*, so an incrementally maintained aggregate (cv-ivm) emitted
+    // from group state is byte-identical to inline execution. Distinct
+    // groups never compare equal, so the order is total and stability is
+    // irrelevant.
     let mut order: Vec<usize> = (0..groups).collect();
-    if !group_by.is_empty() {
-        order.sort_by(|&a, &b| {
-            let ((ac, ar), (bc, br)) = (first[a], first[b]);
-            keys_by_chunk[ac]
-                .iter()
-                .zip(&keys_by_chunk[bc])
-                .map(|(ka, kb)| keys::cmp_cells(ka, ar, kb, br))
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
-        });
-    }
+    order.sort_by(|&a, &b| {
+        group_keys
+            .iter()
+            .map(|key| keys::cmp_cells(key, a, key, b))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
 
-    // Final merge streams chunk-at-a-time: each output chunk rebuilds its
-    // slice of key columns from representative cells and reads out its
-    // accumulators independently, then chunk-order reassembly normalizes —
-    // no monolithic materialize-then-sort. Every column is in the canonical
-    // validity form, so output bytes are independent of which chunk a
-    // representative landed in and of the emit fan-out.
+    // Final merge streams chunk-at-a-time: each output chunk takes its
+    // slice of the key cells and reads out its accumulators independently,
+    // then chunk-order reassembly normalizes — no monolithic
+    // materialize-then-sort. Every column is in the canonical validity form
+    // after that, so output bytes are independent of the emit fan-out.
     let emit = |off: usize, len: usize| -> Result<Table> {
         let groups = &order[off..off + len];
         let mut columns: Vec<Column> = Vec::with_capacity(schema.len());
-        for (k, key0) in keys_by_chunk[0].iter().enumerate() {
-            let mut b = ColumnBuilder::with_capacity(key0.dtype(), len);
-            for &g in groups {
-                let (gc, gr) = first[g];
-                b.push(&keys_by_chunk[gc][k].value(gr))?;
-            }
-            columns.push(b.finish());
-        }
+        columns.extend(group_keys.iter().map(|key| key.take(groups).compact()));
         for (i, acc) in accs.iter().enumerate() {
-            let args = ArgChunks { by_chunk: &args_by_chunk, agg: i };
-            columns.push(acc.finish(groups, &args, out_dtype(i))?);
+            columns.push(acc.finish(groups, out_dtype(i))?);
         }
         Table::new(schema.clone(), columns)
     };

@@ -1,38 +1,35 @@
-//! Column-wise multi-key hash kernel shared by hash join, hash aggregate
-//! and DISTINCT counting.
+//! Keys, two ways.
 //!
-//! [`KeyCols`] wraps the resolved key columns of one table side and hashes
-//! them *per column* into a `Vec<u64>` for the whole batch — no per-row
-//! `Vec<Value>` key materialization on the hot path. Hash-bucket collisions
-//! are resolved with typed column-vs-column equality that matches the
-//! [`Value`] reference semantics exactly: `sql_eq` for join keys (NULL
-//! matches nothing), `group_key_eq` for group keys (NULLs compare equal),
-//! and `total_cmp` ordering for merge joins.
+//! **Joins** hash. [`KeyCols`] wraps the resolved key columns of one table
+//! side and hashes them *per column* into a `Vec<u64>` for the whole batch —
+//! no per-row `Vec<Value>` key materialization on the hot path. Hash-bucket
+//! collisions are resolved with typed column-vs-column equality that matches
+//! the [`Value`] reference semantics exactly: `sql_eq` (NULL matches
+//! nothing), and `total_cmp` ordering for merge joins. Int values hash
+//! through their canonical `f64` bit pattern so `Int(1)` and `Float(1.0)` —
+//! equal under `total_cmp` — always land in the same bucket; equality then
+//! decides. NaNs collapse to one bucket and ±0.0 to another, mirroring
+//! `StableHasher::write_f64`.
 //!
-//! Int values hash through their canonical `f64` bit pattern so `Int(1)`
-//! and `Float(1.0)` — equal under `total_cmp` — always land in the same
-//! bucket; equality then decides. NaNs collapse to one bucket and ±0.0 to
-//! another, mirroring `StableHasher::write_f64`.
+//! **Aggregation** encodes. [`encode`] turns one key column — a group key or
+//! a COUNT(DISTINCT) argument — into dense `u32` [`Codes`] once, and
+//! [`pair_ids`] combines two integer columns into dense ids in first-seen
+//! row order. Past the encoder no row's key is gathered, hashed as a string
+//! or compared as one: a group id is a fold of `pair_ids` over the code
+//! columns, a distinct count is the first sightings of `(group id, code)`.
 
-use cv_data::column::{Column, ColumnView};
+use cv_common::hash::mix64;
+use cv_data::bitmap::Bitmap;
+use cv_data::column::{Column, ColumnView, PAD};
 use cv_data::table::Table;
 use cv_data::value::DataType;
 use std::cmp::Ordering;
-
-/// SplitMix64 finalizer (same permutation as `cv_common::hash`).
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 const SEED: u64 = 0x517c_c1b7_2722_0a95;
 const BOOL_TAG: u64 = 0x1b87_3b4e_0dd2_91a1;
 const NUM_TAG: u64 = 0x2cf1_8e0a_9b73_55c3;
 const STR_TAG: u64 = 0x3a91_c57f_44d0_8be5;
 const DATE_TAG: u64 = 0x4d26_71b9_e80f_3d07;
-const NULL_TAG: u64 = 0x5e44_92d3_17ab_6f29;
 
 /// Hash a float by canonical bit pattern: every NaN is one key, ±0.0 is one
 /// key (numeric equality), everything else by exact bits.
@@ -114,7 +111,7 @@ fn cells_eq(a: ColumnView<'_>, i: usize, b: ColumnView<'_>, j: usize) -> bool {
     }
 }
 
-/// The key columns of one join/aggregate side, hashed column-wise.
+/// The key columns of one join side, hashed column-wise.
 pub(super) struct KeyCols<'a> {
     cols: Vec<Viewed<'a>>,
     n: usize,
@@ -143,14 +140,9 @@ impl<'a> KeyCols<'a> {
         self.cols.iter().any(|(c, _)| c.is_null(row))
     }
 
-    /// Combine one column into the running per-row hashes. `on_null` maps
-    /// the running hash of a null cell (join keys invalidate the row,
-    /// group keys mix a NULL tag).
-    fn fold_column(
-        (c, view): Viewed<'_>,
-        hashes: &mut [u64],
-        mut mix_cell: impl FnMut(u64, usize) -> u64,
-    ) {
+    /// Combine one column into the running per-row hashes; a NULL cell
+    /// leaves the hash alone and clears the row's valid flag.
+    fn fold_column((c, view): Viewed<'_>, hashes: &mut [u64], valid: &mut [bool]) {
         macro_rules! fold {
             ($v:ident, $hash_one:expr) => {
                 match c.validity() {
@@ -164,7 +156,7 @@ impl<'a> KeyCols<'a> {
                             if val.get(i) {
                                 *h = mix64(*h ^ $hash_one(&$v[i]));
                             } else {
-                                *h = mix_cell(*h, i);
+                                valid[i] = false;
                             }
                         }
                     }
@@ -186,22 +178,9 @@ impl<'a> KeyCols<'a> {
         let mut hashes = vec![SEED; self.n];
         let mut valid = vec![true; self.n];
         for &c in &self.cols {
-            Self::fold_column(c, &mut hashes, |h, i| {
-                valid[i] = false;
-                h
-            });
+            Self::fold_column(c, &mut hashes, &mut valid);
         }
         (hashes, valid)
-    }
-
-    /// Per-row group-key hashes; NULL components mix a fixed tag so NULL
-    /// keys group together (SQL GROUP BY).
-    pub fn group_hashes(&self) -> Vec<u64> {
-        let mut hashes = vec![SEED; self.n];
-        for &c in &self.cols {
-            Self::fold_column(c, &mut hashes, |h, _| mix64(h ^ NULL_TAG));
-        }
-        hashes
     }
 
     /// Join-key equality (`sql_eq` semantics). Callers only invoke this on
@@ -212,17 +191,6 @@ impl<'a> KeyCols<'a> {
             .iter()
             .zip(&other.cols)
             .all(|((a, av), (b, bv))| !a.is_null(i) && !b.is_null(j) && cells_eq(*av, i, *bv, j))
-    }
-
-    /// Group-key equality (`group_key_eq` semantics: NULLs equal).
-    pub fn rows_eq_group(&self, i: usize, other: &KeyCols<'_>, j: usize) -> bool {
-        self.cols.iter().zip(&other.cols).all(|((a, av), (b, bv))| {
-            match (a.is_null(i), b.is_null(j)) {
-                (true, true) => true,
-                (false, false) => cells_eq(*av, i, *bv, j),
-                _ => false,
-            }
-        })
     }
 
     /// Lexicographic key ordering (`Value::total_cmp` per component) for
@@ -238,6 +206,272 @@ impl<'a> KeyCols<'a> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Keys as codes
+// ---------------------------------------------------------------------------
+
+const EMPTY: u32 = u32::MAX;
+
+/// Open-addressing index (linear probing, at most half full) from 64-bit
+/// hashes to dense ids `0..len()`, handed out in insertion order. The
+/// caller keeps what an id stands for and tells two entries of one hash
+/// apart — or hashes with a permutation ([`mix64`] of a `u64` key), so that
+/// one hash *is* one key.
+struct DenseIds {
+    slots: Vec<u32>,
+    /// Hash of each id: a cheap first rejection, and what growth re-inserts.
+    hashes: Vec<u64>,
+}
+
+impl DenseIds {
+    fn new() -> DenseIds {
+        DenseIds { slots: vec![EMPTY; 16], hashes: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The id whose hash is `hash` and that `same` accepts, or a new one
+    /// (`== len()` before the call).
+    fn find_or_insert(&mut self, hash: u64, same: impl Fn(usize) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let id = self.slots[at];
+            if id == EMPTY {
+                break;
+            }
+            if self.hashes[id as usize] == hash && same(id as usize) {
+                return id as usize;
+            }
+            at = (at + 1) & mask;
+        }
+        let id = self.hashes.len();
+        assert!(id < EMPTY as usize, "dense ids are 32-bit");
+        self.slots[at] = id as u32;
+        self.hashes.push(hash);
+        if self.hashes.len() * 2 > self.slots.len() {
+            self.slots = vec![EMPTY; self.slots.len() * 2];
+            let mask = self.slots.len() - 1;
+            for (id, &h) in self.hashes.iter().enumerate() {
+                let mut at = h as usize & mask;
+                while self.slots[at] != EMPTY {
+                    at = (at + 1) & mask;
+                }
+                self.slots[at] = id as u32;
+            }
+        }
+        id
+    }
+}
+
+/// The largest key space that is addressed by the key itself — a code that
+/// is `word - min`, a table with a slot per `(id, code)` — when `rows` rows
+/// carry the keys: a few slots a row, so such a table is never much larger
+/// than the input that fills it. A wider space goes through [`DenseIds`].
+fn direct_limit(rows: usize) -> u64 {
+    (4 * rows as u64 + 64).min(u32::MAX as u64)
+}
+
+/// Which cells are one key.
+#[derive(Clone, Copy)]
+pub(super) enum Class {
+    /// GROUP BY (`Value::group_key_eq`): INTs exactly, floats by bit pattern
+    /// (`0.0` and `-0.0`, two NaN payloads, are two groups).
+    Group,
+    /// COUNT(DISTINCT): a number is its canonical `f64` — INTs above 2^53
+    /// that round together are one value, every NaN is one value, `-0.0` is
+    /// `0.0`.
+    Distinct,
+}
+
+/// One key column over every input row as dense integers: `codes[row] <
+/// cardinality`, 0 is NULL, and two rows carry one code iff their cells are
+/// one key of the column's [`Class`].
+pub(super) struct Codes {
+    pub codes: Vec<u32>,
+    pub cardinality: usize,
+}
+
+const SIGN: u64 = 1 << 63;
+
+/// Encode the column whose rows are `chunks` in order, `rows` in all.
+pub(super) fn encode(chunks: &[&Column], rows: usize, class: Class) -> Codes {
+    // A fixed-width cell is a `u64` word, equal words one key; signed types
+    // flip the sign bit so that a narrow value range is a narrow word range.
+    let int_word = |x: i64| x as u64 ^ SIGN;
+    match (chunks.first().map(|c| c.dtype()), class) {
+        (None, _) => Codes { codes: Vec::new(), cardinality: 1 },
+        (Some(DataType::Str), _) => code_strs(chunks, rows),
+        (Some(DataType::Bool), _) => code_words(chunks, rows, Column::bools, |b| b as u64),
+        (Some(DataType::Date), _) => {
+            code_words(chunks, rows, Column::dates, |d| int_word(d as i64))
+        }
+        (Some(DataType::Int), Class::Group) => code_words(chunks, rows, Column::ints, int_word),
+        // An INT's class is the `f64` it rounds to, named by that float's
+        // integer value: the identity inside ±2^53 (so a narrow range stays
+        // narrow), one word per rounding class outside (`as` saturates only
+        // at 2^63, which only the class of 2^63 reaches).
+        (Some(DataType::Int), Class::Distinct) => {
+            code_words(chunks, rows, Column::ints, |x| int_word(x as f64 as i64))
+        }
+        (Some(DataType::Float), Class::Group) => {
+            code_words(chunks, rows, Column::floats, f64::to_bits)
+        }
+        (Some(DataType::Float), Class::Distinct) => {
+            code_words(chunks, rows, Column::floats, |f| match f {
+                _ if f.is_nan() => f64::NAN.to_bits(),
+                _ if f == 0.0 => 0,
+                _ => f.to_bits(),
+            })
+        }
+    }
+}
+
+/// Every cell of the column in order, `None` for a NULL.
+#[inline]
+fn cells_of<'v, T>(
+    v: &'v [T],
+    valid: Option<&'v Bitmap>,
+) -> impl Iterator<Item = Option<&'v T>> + 'v {
+    v.iter().enumerate().map(move |(i, x)| valid.is_none_or(|valid| valid.get(i)).then_some(x))
+}
+
+/// Fixed-width cells: `word - min + 1` when the words' range is within
+/// [`direct_limit`], their dictionary id + 1 otherwise.
+fn code_words<T: Copy>(
+    chunks: &[&Column],
+    rows: usize,
+    cells: fn(&Column) -> &[T],
+    word: impl Fn(T) -> u64,
+) -> Codes {
+    let (mut lo, mut hi) = (u64::MAX, u64::MIN);
+    for col in chunks {
+        for w in cells_of(cells(col), col.validity()).flatten().map(|&x| word(x)) {
+            lo = lo.min(w);
+            hi = hi.max(w);
+        }
+    }
+    let mut codes = Vec::with_capacity(rows);
+    if lo > hi {
+        // Not one valid cell.
+        codes.resize(rows, 0);
+        return Codes { codes, cardinality: 1 };
+    }
+    let direct = hi - lo < direct_limit(rows) - 1;
+    let mut dict = DenseIds::new();
+    for col in chunks {
+        codes.extend(cells_of(cells(col), col.validity()).map(|cell| match cell {
+            None => 0,
+            Some(&x) if direct => (word(x) - lo) as u32 + 1,
+            // `mix64` permutes: equal hashes are equal words.
+            Some(&x) => dict.find_or_insert(mix64(word(x)), |_| true) as u32 + 1,
+        }));
+    }
+    let cardinality = if direct { (hi - lo) as usize + 2 } else { dict.len() + 1 };
+    Codes { codes, cardinality }
+}
+
+/// Strings by first appearance, compared as strings.
+struct StrDict<'a> {
+    index: DenseIds,
+    strs: Vec<&'a str>,
+}
+
+impl<'a> StrDict<'a> {
+    fn code(&mut self, s: &'a str) -> u32 {
+        let strs = &self.strs;
+        let id = self.index.find_or_insert(str_key_hash(s), |id| strs[id] == s);
+        if id == self.strs.len() {
+            self.strs.push(s);
+        }
+        id as u32 + 1
+    }
+}
+
+/// Strings: dictionary id + 1. A column that arrives as a gather nobody has
+/// read, from a source no longer than the input (a dimension column a join
+/// carried up), is coded per *source* row, the first time a row id reaches
+/// it; every other row is a lookup through its id. Each distinct source
+/// string is hashed once and the column is never gathered.
+fn code_strs(chunks: &[&Column], rows: usize) -> Codes {
+    const UNSEEN: u32 = u32::MAX;
+    let mut dict = StrDict { index: DenseIds::new(), strs: Vec::new() };
+    let mut codes = Vec::with_capacity(rows);
+    // The gather the chunks are windows of, and the codes of its source rows.
+    let mut gather: Option<(&Column, Vec<u32>)> = None;
+    for col in chunks {
+        let through = col.unread_gather().and_then(|(source, ids)| match source {
+            ColumnView::Str(source)
+                if source.len() <= rows && gather.as_ref().is_none_or(|(of, _)| of.ptr_eq(col)) =>
+            {
+                Some((source, ids))
+            }
+            _ => None,
+        });
+        let Some((source, ids)) = through else {
+            let cells = cells_of(col.strs(), col.validity());
+            codes.extend(cells.map(|cell| cell.map_or(0, |s| dict.code(s))));
+            continue;
+        };
+        let (_, seen) = gather.get_or_insert_with(|| (col, vec![UNSEEN; source.len()]));
+        for (i, &id) in ids.iter().enumerate() {
+            if id == PAD || col.is_null(i) {
+                codes.push(0);
+                continue;
+            }
+            if seen[id] == UNSEEN {
+                seen[id] = dict.code(&source[id]);
+            }
+            codes.push(seen[id]);
+        }
+    }
+    let cardinality = dict.strs.len() + 1;
+    Codes { codes, cardinality }
+}
+
+/// What [`pair_ids`] returns: `ids[row]` per input row, and `first[id]`, the
+/// row each id was first seen at.
+pub(super) struct PairIds {
+    pub ids: Vec<u32>,
+    pub first: Vec<usize>,
+}
+
+/// Dense ids of the pairs `(a[row], b.codes[row])`, handed out in first-seen
+/// row order; `a`'s values are below `a_card`. A pair is its own table slot
+/// when the pair space is within [`direct_limit`], and one `u64` key of a
+/// [`DenseIds`] otherwise — both halves are 32-bit, so the packed key always
+/// fits.
+pub(super) fn pair_ids(a: &[u32], a_card: usize, b: &Codes) -> PairIds {
+    let mut first = Vec::new();
+    let space = a_card as u64 * b.cardinality as u64;
+    let rows = a.iter().zip(&b.codes).enumerate();
+    let ids = if space <= direct_limit(a.len()) {
+        let mut table = vec![EMPTY; space as usize];
+        rows.map(|(row, (&x, &y))| {
+            let slot = &mut table[x as usize * b.cardinality + y as usize];
+            if *slot == EMPTY {
+                *slot = first.len() as u32;
+                first.push(row);
+            }
+            *slot
+        })
+        .collect()
+    } else {
+        let mut index = DenseIds::new();
+        rows.map(|(row, (&x, &y))| {
+            let id = index.find_or_insert(mix64((x as u64) << 32 | y as u64), |_| true);
+            if id == first.len() {
+                first.push(row);
+            }
+            id as u32
+        })
+        .collect()
+    };
+    PairIds { ids, first }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,16 +481,15 @@ mod tests {
         Column::from_values(dtype, vals).unwrap()
     }
 
-    /// One-column value hashes, as COUNT(DISTINCT) takes them.
+    /// One-column join-key hashes.
     fn value_hashes(c: &Column) -> Vec<u64> {
-        KeyCols::new(vec![c], c.len()).group_hashes()
+        KeyCols::new(vec![c], c.len()).join_hashes().0
     }
 
     #[test]
     fn int_and_float_hash_equal_but_str_differs() {
         // Int(1) and Float(1.0) are equal under total_cmp and must share a
-        // bucket; the string "1" must not collide with either (the old
-        // COUNT(DISTINCT) string-rendering bug).
+        // bucket; the string "1" must not collide with either.
         let ints = value_hashes(&col(DataType::Int, &[Value::Int(1)]));
         let floats = value_hashes(&col(DataType::Float, &[Value::Float(1.0)]));
         let strs = value_hashes(&col(DataType::Str, &[Value::Str("1".into())]));
@@ -285,23 +518,63 @@ mod tests {
     }
 
     #[test]
-    fn group_hashes_put_nulls_in_one_group() {
-        let a = col(DataType::Str, &[Value::Null, Value::Str("x".into()), Value::Null]);
-        let kc = KeyCols::new(vec![&a], 3);
-        let h = kc.group_hashes();
-        assert_eq!(h[0], h[2]);
-        assert_ne!(h[0], h[1]);
-        assert!(kc.rows_eq_group(0, &kc, 2), "GROUP BY: NULLs equal");
-        assert!(!kc.rows_eq_group(0, &kc, 1));
-    }
-
-    #[test]
     fn multi_key_hash_is_order_sensitive() {
         let a = col(DataType::Int, &[Value::Int(1)]);
         let b = col(DataType::Int, &[Value::Int(2)]);
         let ab = KeyCols::new(vec![&a, &b], 1);
         let ba = KeyCols::new(vec![&b, &a], 1);
-        assert_ne!(ab.group_hashes()[0], ba.group_hashes()[0]);
+        assert_ne!(ab.join_hashes().0[0], ba.join_hashes().0[0]);
+    }
+
+    /// `codes[i] == codes[j]` for exactly the pairs in `same`; NULL is 0.
+    fn assert_classes(c: &Column, class: Class, same: &[(usize, usize)], what: &str) {
+        let Codes { codes, cardinality } = encode(&[c], c.len(), class);
+        assert!(codes.iter().all(|&code| (code as usize) < cardinality), "{what}: {codes:?}");
+        for i in 0..c.len() {
+            assert_eq!(codes[i] == 0, c.is_null(i), "{what}: NULL is code 0, row {i}");
+            for j in i + 1..c.len() {
+                let want = same.contains(&(i, j));
+                assert_eq!(codes[i] == codes[j], want, "{what}: rows {i} and {j} of {codes:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn codes_follow_the_group_and_the_distinct_classes() {
+        const P53: i64 = 1 << 53;
+        let strs = ["x", "", "x"].map(|s| Value::Str(s.into()));
+        let with_null = [&strs[..], &[Value::Null, Value::Null]].concat();
+        assert_classes(&col(DataType::Str, &with_null), Class::Group, &[(0, 2), (3, 4)], "strings");
+
+        // Above 2^53 two INTs can round to one `f64`: one DISTINCT value,
+        // two groups. The range is wide, so this is the dictionary.
+        let ints = [P53, P53 + 1, P53 + 2, -P53 - 1, -P53, i64::MAX, i64::MAX - 1, i64::MIN];
+        let c = col(DataType::Int, &ints.map(Value::Int));
+        assert_classes(&c, Class::Group, &[], "wide ints");
+        assert_classes(&c, Class::Distinct, &[(0, 1), (3, 4), (5, 6)], "wide ints");
+        // A narrow range is `value - min` in both classes.
+        let c = col(DataType::Int, &[-2, 5, -2, 0].map(Value::Int));
+        assert_classes(&c, Class::Group, &[(0, 2)], "narrow ints");
+        assert_classes(&c, Class::Distinct, &[(0, 2)], "narrow ints");
+
+        let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+        let c = col(DataType::Float, &[0.0, -0.0, f64::NAN, nan2, 1.5, 1.5].map(Value::Float));
+        assert_classes(&c, Class::Group, &[(4, 5)], "floats");
+        assert_classes(&c, Class::Distinct, &[(0, 1), (2, 3), (4, 5)], "floats");
+    }
+
+    #[test]
+    fn pair_ids_are_first_seen_order_on_both_sides_of_the_direct_limit() {
+        let a = [0u32, 2, 0, 1, 2, 0];
+        let b = Codes { codes: vec![1, 0, 1, 1, 0, 2], cardinality: 3 };
+        // The claimed cardinality of `a` alone moves the pair space past the
+        // limit: same pairs, hashed.
+        for a_card in [3, 1 << 20] {
+            assert!((a_card as u64 * 3 <= direct_limit(a.len())) == (a_card == 3));
+            let PairIds { ids, first } = pair_ids(&a, a_card, &b);
+            assert_eq!(ids, [0, 1, 0, 2, 1, 3], "a below {a_card}");
+            assert_eq!(first, [0, 1, 3, 5], "a below {a_card}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use cv_common::rng::DetRng;
 use cv_common::{Sig128, SimTime};
 use cv_data::bitmap::Bitmap;
 use cv_data::catalog::DatasetCatalog;
-use cv_data::column::{Column, ColumnData};
+use cv_data::column::{Column, ColumnData, PAD};
 use cv_data::schema::{Field, Schema, SchemaRef};
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
@@ -798,22 +798,26 @@ fn try_run_with(
     execute(plan, &mut ctx, &CostModel::default())
 }
 
-/// The aggregate of `input` equals the `Value` fold at every chunk size in
-/// `chunk_sizes`, on one morsel worker and on four.
+/// The aggregate of `input()` equals the `Value` fold at every chunk size in
+/// `chunk_sizes`, on one morsel worker and on four. Every run gets a table
+/// of its own — what one run gathers, the next must not find gathered — and
+/// leaves the columns named in `unread` ungathered.
 fn assert_aggregate_matches_fold(
-    input: Table,
+    input: &dyn Fn() -> Table,
     group_by: &[&str],
     aggs: &[AggExpr],
     chunk_sizes: &[usize],
+    unread: &[&str],
     what: &str,
 ) {
-    let plan = aggregate_over(input.schema(), group_by, aggs);
+    let reference = input();
+    let plan = aggregate_over(reference.schema(), group_by, aggs);
     let PhysicalPlan::HashAggregate { schema, .. } = &plan else { unreachable!() };
-    let want = reference_aggregate(&input, group_by, aggs, schema);
-    let tables = Tables(HashMap::from([(LEFT, input)]));
+    let want = reference_aggregate(&reference, group_by, aggs, schema);
     for &chunk_size in chunk_sizes {
         for workers in [1, 4] {
             let what = format!("{what}, group by {group_by:?}, chunk {chunk_size}, {workers}w");
+            let tables = Tables(HashMap::from([(LEFT, input())]));
             match (try_run_over(&plan, &tables, chunk_size, workers), &want) {
                 (Ok(out), Ok(want)) => assert_tables_identical(&out.table, want, &what),
                 (Err(e), Err(_)) => {
@@ -822,6 +826,10 @@ fn assert_aggregate_matches_fold(
                 }
                 (Ok(_), Err(_)) => panic!("{what}: SUM(INT) overflow went unreported"),
                 (Err(e), Ok(_)) => panic!("{what}: {e}"),
+            }
+            for name in unread {
+                let column = tables.0[&LEFT].column_by_name(name).unwrap();
+                assert!(!column.is_forced(), "{what}: the aggregate gathered `{name}`");
             }
         }
     }
@@ -855,7 +863,7 @@ fn aggregation_matches_a_value_fold_in_row_order() {
             [&["s"], &["i"], &["f"], &["b"], &["d"], &["s", "b"], &["f", "i", "d"], &[]];
         for group_by in groupings {
             let what = format!("{rows} rows, null rate {null_rate}");
-            assert_aggregate_matches_fold(t.clone(), group_by, &all_aggs, &CHUNKS, &what);
+            assert_aggregate_matches_fold(&|| t.clone(), group_by, &all_aggs, &CHUNKS, &[], &what);
         }
     }
 
@@ -871,7 +879,7 @@ fn aggregation_matches_a_value_fold_in_row_order() {
         AggExpr::new(AggFunc::Max, col("kp"), "hi"),
         AggExpr::count_star("n"),
     ];
-    assert_aggregate_matches_fold(t, &["k0"], &aggs, &CHUNKS, "ints above 2^53");
+    assert_aggregate_matches_fold(&|| t.clone(), &["k0"], &aggs, &CHUNKS, &[], "ints above 2^53");
 
     // SUM(INT) overflow is an execution error whichever chunk it lands in,
     // even when a later row would bring the total back.
@@ -883,7 +891,109 @@ fn aggregation_matches_a_value_fold_in_row_order() {
     let t = Table::from_rows(schema.unwrap().into_ref(), &rows).unwrap();
     let sum = [AggExpr::new(AggFunc::Sum, col("x"), "s")];
     assert!(reference_aggregate(&t, &["g"], &sum, t.schema()).is_err());
-    assert_aggregate_matches_fold(t, &["g"], &sum, &CHUNKS, "SUM(INT) overflow");
+    assert_aggregate_matches_fold(&|| t.clone(), &["g"], &sum, &CHUNKS, &[], "SUM(INT) overflow");
+
+    // Keys as codes. INT keys whose range does not fit an `i64`.
+    let wide = (DataType::Int, [i64::MIN, i64::MAX, -1, 0, 1].map(Value::Int).to_vec());
+    let t = keyed_table(&mut rng, "k", &[wide.clone(), wide], 300, 0.1);
+    let aggs = [
+        AggExpr::new(AggFunc::CountDistinct, col("k1"), "d"),
+        AggExpr::new(AggFunc::Max, col("k1"), "hi"),
+        AggExpr::count_star("n"),
+    ];
+    for group_by in [&["k0"][..], &["k0", "k1"]] {
+        assert_aggregate_matches_fold(&|| t.clone(), group_by, &aggs, &CHUNKS, &[], "i64 range");
+    }
+
+    // An INT key and an INT DISTINCT argument whose range is the last one
+    // coded as `value - min` (4 × rows + 64 codes, NULL's included) and the
+    // first one that goes through the dictionary.
+    let n = 500;
+    for span in [4 * n + 62, 4 * n + 63] {
+        let mut spread = |null_rate: f64| {
+            let mut values: Vec<Value> =
+                (0..n).map(|_| Value::Int(rng.range_i64(0, span + 1) - 1000)).collect();
+            (values[7], values[400]) = (Value::Int(span - 1000), Value::Int(-1000));
+            for at in (0..n as usize).filter(|at| ![7, 400].contains(at)) {
+                if rng.chance(null_rate) {
+                    values[at] = Value::Null;
+                }
+            }
+            Column::from_values(DataType::Int, &values).unwrap()
+        };
+        let schema =
+            Schema::new(vec![Field::new("g", DataType::Int), Field::new("x", DataType::Int)]);
+        let t = Table::new(schema.unwrap().into_ref(), vec![spread(0.1), spread(0.0)]).unwrap();
+        let aggs = [AggExpr::new(AggFunc::CountDistinct, col("x"), "dx"), AggExpr::count_star("n")];
+        let what = format!("INT range {span}");
+        assert_aggregate_matches_fold(&|| t.clone(), &["g"], &aggs, &CHUNKS, &[], &what);
+        assert_aggregate_matches_fold(&|| t.clone(), &[], &aggs, &CHUNKS, &[], &what);
+    }
+
+    // FLOAT keys are groups by bit pattern — both zeros, two NaN payloads and
+    // a negative NaN are five groups — and two DISTINCT values; strings are
+    // distinct as strings.
+    let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+    let floats = [0.0, -0.0, f64::NAN, nan2, -f64::NAN, 1.5, -1.5, f64::INFINITY];
+    let floats = (DataType::Float, floats.map(Value::Float).to_vec());
+    let strs = (DataType::Str, ["", "a", "A", "a ", "ab"].map(|s| Value::Str(s.into())).to_vec());
+    let t = keyed_table(&mut rng, "k", &[floats.clone(), floats, strs], 400, 0.1);
+    let aggs = [
+        AggExpr::new(AggFunc::CountDistinct, col("k1"), "df"),
+        AggExpr::new(AggFunc::CountDistinct, col("k2"), "ds"),
+        AggExpr::new(AggFunc::Min, col("k1"), "lo"),
+        AggExpr::count_star("n"),
+    ];
+    for group_by in [&["k0"][..], &["k2", "k0"]] {
+        assert_aggregate_matches_fold(&|| t.clone(), group_by, &aggs, &CHUNKS, &[], "float keys");
+    }
+
+    // A string key that arrives as a gather nobody has read — with padded
+    // rows (a left join's misses: the NULL group), cut into a window at a
+    // non-zero offset — is grouped through its row ids when its source is no
+    // longer than the input, and left ungathered.
+    for (source_rows, unread) in [(40, &["s"][..]), (5000, &[])] {
+        let valid: Vec<bool> = (0..source_rows).map(|i| i % 11 != 3).collect();
+        let names = (0..source_rows).map(|i| format!("region-{}", i % 7)).collect();
+        let source = Column::new(ColumnData::Str(names), Some(Bitmap::from_bools(&valid)));
+        let ids: Vec<usize> = (0..1500)
+            .map(|_| if rng.chance(0.1) { PAD } else { rng.range_usize(0, source_rows) })
+            .collect();
+        let x = Column::new(ColumnData::Int((0..1500).map(|i| i % 3).collect()), None);
+        let v = Column::new(ColumnData::Float((0..1500).map(|i| i as f64 * 0.25).collect()), None);
+        let schema = Schema::new(vec![
+            Field::new("s", DataType::Str),
+            Field::new("x", DataType::Int),
+            Field::new("v", DataType::Float),
+        ]);
+        let schema = schema.unwrap().into_ref();
+        let input = || {
+            let columns = vec![source.take_padded(&ids), x.clone(), v.clone()];
+            Table::new(schema.clone(), columns).unwrap().slice(100, 1200)
+        };
+        let aggs = [AggExpr::new(AggFunc::Sum, col("v"), "sv"), AggExpr::count_star("n")];
+        let what = format!("a gather from {source_rows} rows");
+        for group_by in [&["s"][..], &["x", "s"]] {
+            assert_aggregate_matches_fold(&input, group_by, &aggs, &CHUNKS, unread, &what);
+        }
+    }
+
+    // Three keys whose cardinalities multiply past `u32`: the fold's pair
+    // space outgrows any table after the second.
+    let n = 6000;
+    let schema = Schema::new(vec![
+        Field::new("a", DataType::Int),
+        Field::new("b", DataType::Int),
+        Field::new("c", DataType::Int),
+        Field::new("v", DataType::Float),
+    ]);
+    let mut key =
+        || Column::new(ColumnData::Int((0..n).map(|_| rng.range_i64(0, 2000)).collect()), None);
+    let columns = vec![key(), key(), key()];
+    let v = Column::new(ColumnData::Float((0..n).map(|i| i as f64 * 0.5).collect()), None);
+    let t = Table::new(schema.unwrap().into_ref(), [columns, vec![v]].concat()).unwrap();
+    let aggs = [AggExpr::new(AggFunc::Sum, col("v"), "sv"), AggExpr::count_star("n")];
+    assert_aggregate_matches_fold(&|| t.clone(), &["a", "b", "c"], &aggs, &CHUNKS, &[], "3 keys");
 
     // Past 10^5 groups: the group table and the DISTINCT set both grow many
     // times over. (Chunk size 1 is covered above; here it would only slow
@@ -905,7 +1015,8 @@ fn aggregation_matches_a_value_fold_in_row_order() {
         AggExpr::new(AggFunc::CountDistinct, col("x"), "dx"),
         AggExpr::new(AggFunc::Min, col("v"), "lo"),
     ];
-    assert_aggregate_matches_fold(t, &["g"], &aggs, &[333, 2048, usize::MAX], "115k groups");
+    let chunks = [333, 2048, usize::MAX];
+    assert_aggregate_matches_fold(&|| t.clone(), &["g"], &aggs, &chunks, &[], "115k groups");
 }
 
 /// A hash-join build published to the operator-state cache by one execution
@@ -1449,6 +1560,96 @@ fn unread_columns_are_never_gathered() {
             assert_eq!(filter_out.byte_size(), some, "{what}");
             assert!(!filter_out.column(3).is_forced(), "{what}: byte_size gathered the strings");
         }
+    }
+}
+
+/// The `q_join_wide` shape — fact ⋈ dimension ⋈ dimension, GROUP BY a string
+/// of the far dimension: the string reaches the aggregate as a gather
+/// through both joins, and neither boxing one of its cells nor grouping by it
+/// performs that gather.
+#[test]
+fn a_dimension_string_is_grouped_without_being_gathered() {
+    use cv_engine::udo::UdoImpl;
+    let ints = |v: Vec<i64>| Column::new(ColumnData::Int(v), None);
+    let table = |fields: &[(&str, DataType)], columns: Vec<Column>| {
+        let fields = fields.iter().map(|(n, t)| Field::new(*n, *t)).collect();
+        Table::new(Schema::new(fields).unwrap().into_ref(), columns).unwrap()
+    };
+    let n = 3000;
+    let fact = table(
+        &[("k", DataType::Int), ("v", DataType::Float)],
+        vec![
+            ints((0..n).map(|i| (i * 37) % 64).collect()),
+            Column::new(ColumnData::Float((0..n).map(|i| i as f64 * 0.5).collect()), None),
+        ],
+    );
+    let mid = table(
+        &[("m_id", DataType::Int), ("m_far", DataType::Int)],
+        // Far keys 8 and 9 have no row in `far`: the left join pads them.
+        vec![ints((0..64).collect()), ints((0..64).map(|i| i % 10).collect())],
+    );
+    let regions = (0..8).map(|i| format!("region-{}", i / 2)).collect();
+    let far = table(
+        &[("f_id", DataType::Int), ("region", DataType::Str)],
+        vec![ints((0..8).collect()), Column::new(ColumnData::Str(regions), None)],
+    );
+
+    let seen: Arc<Mutex<Vec<Table>>> = Arc::default();
+    let mut udos = UdoRegistry::empty();
+    let tap = seen.clone();
+    udos.register(
+        "tap",
+        UdoImpl {
+            output_schema: Box::new(|s| Ok(Arc::new(s.clone()))),
+            apply: Box::new(move |t| {
+                tap.lock().unwrap().push(t.clone());
+                Ok(t.clone())
+            }),
+        },
+    );
+    let join =
+        |left: PhysicalPlan, right: (Sig128, &Table), on: (&str, &str), kind| PhysicalPlan::Join {
+            algo: JoinAlgo::Hash,
+            kind,
+            on: vec![(on.0.to_string(), on.1.to_string())],
+            left: Box::new(left),
+            right: Box::new(source(right.0, right.1.schema())),
+            est: est(),
+            partitions: 1,
+            swapped: false,
+        };
+    let joined = join(
+        join(source(LEFT, fact.schema()), (LEFT2, &mid), ("k", "m_id"), JoinKind::Inner),
+        (RIGHT, &far),
+        ("m_far", "f_id"),
+        JoinKind::Left,
+    );
+    let wide = fact.schema().join(mid.schema()).unwrap().join(far.schema()).unwrap().into_ref();
+    let aggs = [AggExpr::new(AggFunc::Sum, col("v"), "total"), AggExpr::count_star("n")];
+    let mut plan = aggregate_over(&wide, &["region"], &aggs);
+    let PhysicalPlan::HashAggregate { input, schema, .. } = &mut plan else { unreachable!() };
+    **input = PhysicalPlan::Udo {
+        spec: UdoSpec::new("tap"),
+        schema: wide.clone(),
+        input: Box::new(joined),
+        est: est(),
+        partitions: 1,
+    };
+    let out_schema = schema.clone();
+
+    let sources = Tables(HashMap::from([(LEFT, fact), (LEFT2, mid), (RIGHT, far)]));
+    for (chunk_size, workers) in [(usize::MAX, 1), (2048, 1), (64, 2)] {
+        let what = format!("chunk size {chunk_size}, {workers} worker(s)");
+        let out = try_run_with(&plan, &sources, &udos, chunk_size, workers).unwrap();
+        let joined = seen.lock().unwrap().pop().expect("the tap saw the joins' output");
+        let region = joined.column_by_name("region").unwrap();
+        assert!(!region.is_forced(), "{what}: grouping by the string gathered it");
+        assert!(joined.column_by_name("v").unwrap().is_forced(), "{what}: SUM reads `v`");
+        // The fold reads every key cell through `Column::value`.
+        let want = reference_aggregate(&joined, &["region"], &aggs, &out_schema).unwrap();
+        assert!(!region.is_forced(), "{what}: boxing a cell gathered the column");
+        assert_tables_identical(&out.table, &want, &what);
+        assert_eq!(out.table.num_rows(), 5, "{what}: four regions and the padded NULL group");
     }
 }
 
