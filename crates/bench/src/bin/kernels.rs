@@ -6,7 +6,10 @@
 //! typed kernels replace; the JSON artifact records the achieved rates so
 //! speedups are *recorded*, not asserted in prose. Three legs cover the
 //! pipeline breakers' other shapes: `merge_join` (the same fact ⋈ dimension
-//! join, merge forced), `hash_aggregate_high` (a group per ~12 rows — 80k
+//! join, merge forced: a dense foreign key, coded `key - min`; beside it
+//! `merge_join_sparse`, the same sizes with keys spread over the `i64` range,
+//! and `merge_join_str`, a string key — both coded through a dictionary),
+//! `hash_aggregate_high` (a group per ~12 rows — 80k
 //! groups at 10^6 — under SUM, AVG and COUNT DISTINCT) and
 //! `sort_desc_float` (one descending float key). Two legs isolate what the
 //! aggregate does with its keys: `hash_aggregate_dim_str` groups the fact ⋈
@@ -61,7 +64,7 @@ use std::time::Instant;
 
 /// Every leg, in report order: the plans of [`plans`], then the three
 /// whole-table legs. A leg missing from either side fails the run.
-const KERNELS: [&str; 16] = [
+const KERNELS: [&str; 18] = [
     "filter",
     "filter_str_eq",
     "filter_wide",
@@ -69,6 +72,8 @@ const KERNELS: [&str; 16] = [
     "project",
     "hash_join",
     "merge_join",
+    "merge_join_sparse",
+    "merge_join_str",
     "hash_aggregate",
     "hash_aggregate_high",
     "hash_aggregate_dim_str",
@@ -179,6 +184,29 @@ fn dim_table(n: usize) -> Table {
     Table::from_rows(schema, &rows).unwrap()
 }
 
+/// A narrow fact ⋈ dimension pair for a join leg, `fact_{tag}` (`{tag}_k`,
+/// `{tag}_val`) and `dim_{tag}` (`{tag}_dk`, `{tag}_label`): fact row `i`
+/// carries `key(i % dim_n)`, so every probe hits and a key repeats `n /
+/// dim_n` times.
+fn register_keyed_pair(
+    catalog: &mut DatasetCatalog,
+    tag: &str,
+    (n, dim_n): (usize, usize),
+    dtype: DataType,
+    key: impl Fn(usize) -> Value,
+) {
+    let table = |fields: [(&str, DataType); 2], rows: Vec<Vec<Value>>| {
+        let fields = fields.map(|(name, dtype)| Field::new(format!("{tag}_{name}"), dtype));
+        Table::from_rows(Schema::new(fields.to_vec()).unwrap().into_ref(), &rows).unwrap()
+    };
+    let fact = (0..n).map(|i| vec![key(i % dim_n), Value::Float(i as f64 * 0.5)]).collect();
+    let dim = (0..dim_n).map(|i| vec![key(i), Value::Str(SEGS[i % SEGS.len()].into())]).collect();
+    let fact = table([("k", dtype), ("val", DataType::Float)], fact);
+    let dim = table([("dk", dtype), ("label", DataType::Str)], dim);
+    catalog.register(format!("fact_{tag}"), fact, SimTime::EPOCH).unwrap();
+    catalog.register(format!("dim_{tag}"), dim, SimTime::EPOCH).unwrap();
+}
+
 struct Bench {
     catalog: DatasetCatalog,
     views: ViewStore,
@@ -211,6 +239,12 @@ impl Bench {
         catalog.bulk_update(id, keyed, SimTime::EPOCH).unwrap();
         catalog.register("dim", dim_table(dim_n), SimTime::EPOCH).unwrap();
         catalog.register("wide", wide_table(n, &mut rng), SimTime::EPOCH).unwrap();
+        // An odd multiplier permutes the `i64`s: distinct keys, far apart.
+        let spread =
+            |i: usize| Value::Int((i as i64).wrapping_mul(0x9e37_79b9_7f4a_7c15_u64 as i64));
+        register_keyed_pair(&mut catalog, "sparse", (n, dim_n), DataType::Int, spread);
+        let name = |i: usize| Value::Str(format!("key-{i:08}"));
+        register_keyed_pair(&mut catalog, "str", (n, dim_n), DataType::Str, name);
         Bench {
             catalog,
             views: ViewStore::with_default_ttl(),
@@ -304,6 +338,14 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         .join(PlanBuilder::scan(&bench.catalog, "dim").unwrap(), &[("id", "d_id")], JoinKind::Inner)
         .unwrap()
         .build();
+    let keyed_join = |tag: &str| {
+        let dim = PlanBuilder::scan(&bench.catalog, &format!("dim_{tag}")).unwrap();
+        PlanBuilder::scan(&bench.catalog, &format!("fact_{tag}"))
+            .unwrap()
+            .join(dim, &[(&format!("{tag}_k"), &format!("{tag}_dk"))], JoinKind::Inner)
+            .unwrap()
+            .build()
+    };
     let agg = PlanBuilder::scan(&bench.catalog, "fact")
         .unwrap()
         .aggregate(
@@ -361,6 +403,8 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         ("project", project, JoinAlgo::Hash),
         ("hash_join", join.clone(), JoinAlgo::Hash),
         ("merge_join", join, JoinAlgo::Merge),
+        ("merge_join_sparse", keyed_join("sparse"), JoinAlgo::Merge),
+        ("merge_join_str", keyed_join("str"), JoinAlgo::Merge),
         ("hash_aggregate", agg, JoinAlgo::Hash),
         ("hash_aggregate_high", agg_high, JoinAlgo::Hash),
         ("hash_aggregate_dim_str", agg_dim_str, JoinAlgo::Hash),
@@ -414,7 +458,7 @@ fn main() {
         for (name, logical, join_algo) in &plans(&bench) {
             let physical = bench.compile(logical, *join_algo);
             // Join input rows = both sides.
-            let input_rows = if name.ends_with("_join") { n + dim_n } else { n };
+            let input_rows = if name.contains("_join") { n + dim_n } else { n };
             let secs = time_it(measure_secs, || bench.run(&physical));
             let rps = input_rows as f64 / secs;
             eprintln!("  {name:<20} {rps:>14.0} rows/sec  ({:.1} ms/iter)", secs * 1e3);
@@ -512,7 +556,7 @@ fn main() {
             "filter" | "filter_str_eq" | "filter_wide" | "filter_unread" => "Filter",
             "project" => "Project",
             "hash_join" => "HashJoin",
-            "merge_join" => "MergeJoin",
+            "merge_join" | "merge_join_sparse" | "merge_join_str" => "MergeJoin",
             "hash_aggregate"
             | "hash_aggregate_high"
             | "hash_aggregate_dim_str"

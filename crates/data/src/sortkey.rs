@@ -2,19 +2,16 @@
 //!
 //! [`order_rows`] returns the row ids of a set of key columns in key order,
 //! ties in row order (exactly what a stable sort on `Value::total_cmp` per
-//! key gives): `Table::sort_by` gathers through it and the merge join walks
-//! it. NULL ranks below every value, so NULL rows come first ascending and
-//! last descending.
+//! key gives); `Table::sort_by` gathers through it. NULL ranks below every
+//! value, so NULL rows come first ascending and last descending.
 //!
 //! A single `Bool`/`Int`/`Float`/`Date` key is not compared at all. Each
 //! non-NULL row becomes one `(key, row)` pair whose `u64` key orders like
 //! the value — integers by flipping the sign bit, floats by the
 //! `f64::total_cmp` bit transform, descending by complementing the key —
-//! and the pairs are sorted as plain integers ([`sorted_keys`]). The row id
-//! is the low-order part of the pair, so equal keys stay in row order
-//! without a stable sort. NULL rows are listed apart, never encoded. The
-//! merge join reads the sorted pairs directly: two sides of one type
-//! compare by key word.
+//! and the pairs are sorted as plain integers. The row id is the low-order
+//! part of the pair, so equal keys stay in row order without a stable sort.
+//! NULL rows are listed apart, never encoded.
 //!
 //! Strings and multi-column keys keep a comparator, built once per sort
 //! over each column's typed slice (type and validity presence are resolved
@@ -22,19 +19,17 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnView};
-use crate::value::DataType;
 use std::cmp::Ordering;
 
 /// The non-NULL rows of a fixed-width key column as sorted `(key, row)`
 /// pairs, and its NULL rows.
-#[derive(Debug)]
-pub struct SortedKeys {
+struct SortedKeys {
     /// Ascending by key word, then by row. With `ascending = false` the
     /// key words are complemented, so ascending words are descending
     /// values; rows under one value still ascend.
-    pub pairs: Vec<(u64, u32)>,
+    pairs: Vec<(u64, u32)>,
     /// NULL rows, ascending.
-    pub nulls: Vec<u32>,
+    nulls: Vec<u32>,
 }
 
 #[inline]
@@ -51,16 +46,14 @@ fn float_key(x: f64) -> u64 {
 
 /// Sort-once keys of a `Bool`, `Int`, `Float` or `Date` column; `None` for
 /// strings, which have no fixed-width order-preserving image.
-pub fn sorted_keys(col: &Column, ascending: bool) -> Option<SortedKeys> {
-    if col.dtype() == DataType::Str {
-        return None;
-    }
+fn sorted_keys(col: &Column, ascending: bool) -> Option<SortedKeys> {
     assert!(col.len() <= u32::MAX as usize, "row ids are 32-bit");
     let flip = if ascending { 0 } else { u64::MAX };
     let mut nulls = Vec::new();
-    let mut pairs = Vec::with_capacity(col.len() - col.null_count());
+    let mut pairs = Vec::new();
     macro_rules! encode {
-        ($v:ident, $key:expr) => {
+        ($v:ident, $key:expr) => {{
+            pairs.reserve($v.len() - col.null_count());
             match col.validity() {
                 None => {
                     pairs.extend($v.iter().enumerate().map(|(i, x)| ($key(*x) ^ flip, i as u32)))
@@ -75,14 +68,14 @@ pub fn sorted_keys(col: &Column, ascending: bool) -> Option<SortedKeys> {
                     }
                 }
             }
-        };
+        }};
     }
     match col.view() {
+        ColumnView::Str(_) => return None,
         ColumnView::Bool(v) => encode!(v, |x: bool| x as u64),
         ColumnView::Int(v) => encode!(v, int_key),
         ColumnView::Float(v) => encode!(v, float_key),
         ColumnView::Date(v) => encode!(v, |x: i32| int_key(x as i64)),
-        ColumnView::Str(_) => unreachable!("strings returned above"),
     }
     sort_pairs(&mut pairs);
     Some(SortedKeys { pairs, nulls })
@@ -191,7 +184,7 @@ pub fn order_rows(keys: &[(&Column, bool)], rows: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
+    use crate::value::{DataType, Value};
     use cv_common::rng::DetRng;
 
     #[test]

@@ -5,14 +5,21 @@
 //! optimizer's algorithm choice never moves a byte of the result.
 //! [`loop_join`] is the `Value`-semantics reference the other two are
 //! tested against.
+//!
+//! "Merge" names the plan operator the optimizer picks for big inputs, and
+//! what the simulated cluster is charged for: a sort-merge. In this process
+//! [`merge_join`] sorts nothing. It codes the keys of both sides to dense
+//! integers (`keys::encode`, as the aggregate does), buckets the right
+//! side's rows by code and emits each left row's bucket; the hash join is
+//! the kernel for inputs small enough that a chained table over one side,
+//! kept for the operator-state cache, is the cheaper state.
 
-use super::keys::KeyCols;
+use super::keys::{self, Class, Codes, KeyCols};
 use super::{map_chunks, ExecContext};
 use crate::plan::JoinKind;
 use cv_common::{CvError, Result};
 use cv_data::column::{ColumnView, PAD};
 use cv_data::schema::Schema;
-use cv_data::sortkey::{order_rows, sorted_keys};
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
 
@@ -268,10 +275,39 @@ pub(super) fn loop_join(
     join_output_from_indices(left, right, left_idx, right_idx, kind)
 }
 
-/// Sort both sides by key once, merge them into one equal-key *run* of the
-/// sorted right side per left row, then emit left rows in row order — each
-/// with its run, whose rows ascend because the sort breaks key ties on the
-/// row id. No pair list is built or re-sorted.
+/// The join key of every row of both sides as dense codes, right rows then
+/// left rows: two rows carry one code iff their keys are equal column by
+/// column under `sql_eq`, and code 0 is a key with a NULL in it, which joins
+/// nothing. Each column pair is encoded as one column of both sides' rows
+/// and the columns fold pairwise; a pair's types only choose its word.
+fn key_codes(left: &Table, lk: &[usize], right: &Table, rk: &[usize]) -> Result<Codes> {
+    let rows = right.num_rows() + left.num_rows();
+    if rows >= u32::MAX as usize {
+        return Err(CvError::exec(format!("merge join of {rows} rows: key codes are 32-bit")));
+    }
+    let mut key: Option<Codes> = None;
+    for (&l, &r) in lk.iter().zip(rk) {
+        let (l, r) = (left.column(l), right.column(r));
+        let class = match (l.dtype(), r.dtype()) {
+            (a, b) if a == b => Class::Group,
+            (DataType::Int, DataType::Float) | (DataType::Float, DataType::Int) => Class::AsFloat,
+            (a, b) => return Err(CvError::exec(format!("join key of {a} against {b}"))),
+        };
+        let column = keys::encode(&[r, l], rows, class);
+        key = Some(match key {
+            None => column,
+            Some(key) => keys::pair_codes(&key, &column),
+        });
+    }
+    // No key column: every row carries the one empty key.
+    Ok(key.unwrap_or_else(|| Codes { codes: vec![1; rows], cardinality: 2 }))
+}
+
+/// Encode, bucket, emit. Both sides' keys become dense codes
+/// ([`key_codes`]); one counting sort lays the right side's rows out by code
+/// (`rows[offsets[c]..offsets[c + 1]]` are the rows of code `c`, scattered in
+/// row order, so each bucket ascends); then every left row, in row order,
+/// emits its code's bucket. Nothing is sorted and no two keys are compared.
 pub(super) fn merge_join(
     left: &Table,
     right: &Table,
@@ -279,94 +315,41 @@ pub(super) fn merge_join(
     kind: JoinKind,
 ) -> Result<Table> {
     let (lk, rk) = resolve_keys(left, right, on)?;
-    let dtypes =
-        |t: &Table, cols: &[usize]| cols.iter().map(|&c| t.column(c).dtype()).collect::<Vec<_>>();
-    let (ltypes, rtypes) = (dtypes(left, &lk), dtypes(right, &rk));
-    // `runs[l]` is left row `l`'s `[start, end)` in `rorder`; empty (as for
-    // every NULL-key row) unless the merge finds its key on the right.
-    let mut runs = vec![(0usize, 0usize); left.num_rows()];
-    let single = match (&lk[..], &rk[..]) {
-        ([l], [r]) if ltypes == rtypes => {
-            sorted_keys(left.column(*l), true).zip(sorted_keys(right.column(*r), true))
-        }
-        _ => None,
-    };
-    let rorder: Vec<usize> = if let Some((ls, rs)) = single {
-        // One fixed-width key of one type on both sides: the sort-once key
-        // words compare across sides, NULL rows are not in the pairs at all.
-        let (lp, rp) = (&ls.pairs, &rs.pairs);
-        let (mut i, mut j) = (0, 0);
-        while i < lp.len() {
-            let key = lp[i].0;
-            while j < rp.len() && rp[j].0 < key {
-                j += 1;
-            }
-            let start = j;
-            while j < rp.len() && rp[j].0 == key {
-                j += 1;
-            }
-            while i < lp.len() && lp[i].0 == key {
-                runs[lp[i].1 as usize] = (start, j);
-                i += 1;
-            }
-        }
-        rp.iter().map(|&(_, row)| row as usize).collect()
-    } else {
-        // Strings, several key columns, INT against FLOAT: each side is
-        // ordered by its own columns and the merge compares across sides
-        // by `Value::total_cmp`, NULL keys matching nothing.
-        let lkeys = KeyCols::from_table(left, &lk);
-        let rkeys = KeyCols::from_table(right, &rk);
-        let by_key = |t: &Table, cols: &[usize]| {
-            let keys: Vec<_> = cols.iter().map(|&c| (t.column(c), true)).collect();
-            order_rows(&keys, t.num_rows())
-        };
-        let (lorder, rorder) = (by_key(left, &lk), by_key(right, &rk));
-        let (mut i, mut j) = (0, 0);
-        while i < lorder.len() {
-            let lrow = lorder[i];
-            if lkeys.has_null(lrow) {
-                i += 1;
-                continue;
-            }
-            while j < rorder.len()
-                && (rkeys.has_null(rorder[j]) || rkeys.cmp_rows(rorder[j], &lkeys, lrow).is_lt())
-            {
-                j += 1;
-            }
-            // `j` stays at the run's start: the next left key may compare
-            // equal to the same right rows (two INTs above 2^53 that one
-            // FLOAT equals).
-            let mut end = j;
-            while end < rorder.len() && rkeys.cmp_rows(rorder[end], &lkeys, lrow).is_eq() {
-                end += 1;
-            }
-            while i < lorder.len() && lkeys.cmp_rows(lorder[i], &lkeys, lrow).is_eq() {
-                runs[lorder[i]] = (j, end);
-                i += 1;
-            }
-        }
-        rorder
-    };
-    // A run holds right rows of one key in row order — except that a FLOAT
-    // left key can equal several distinct INT right keys (above 2^53),
-    // whose rows then ascend only within each INT.
-    let runs_ascend =
-        !ltypes.iter().zip(&rtypes).any(|(l, r)| (*l, *r) == (DataType::Float, DataType::Int));
+    let Codes { codes, cardinality } = key_codes(left, &lk, right, &rk)?;
+    let (rcodes, lcodes) = codes.split_at(right.num_rows());
 
-    let out_rows: usize = runs
+    // Counts land two slots up and the running sums one slot up, so that
+    // the scatter, bumping `offsets[c + 1]` from the bucket's start to its
+    // end, leaves `offsets[c]` its start. Code 0 — NULL — is never counted:
+    // its bucket stays empty, and a NULL left row finds nothing in it.
+    let mut offsets = vec![0u32; cardinality + 2];
+    for &c in rcodes.iter().filter(|&&c| c != 0) {
+        offsets[c as usize + 2] += 1;
+    }
+    for c in 2..offsets.len() {
+        offsets[c] += offsets[c - 1];
+    }
+    let mut rows = vec![0u32; offsets[cardinality + 1] as usize];
+    for (row, &c) in rcodes.iter().enumerate().filter(|(_, &c)| c != 0) {
+        let at = &mut offsets[c as usize + 1];
+        rows[*at as usize] = row as u32;
+        *at += 1;
+    }
+    let bucket = |c: u32| &rows[offsets[c as usize] as usize..offsets[c as usize + 1] as usize];
+
+    let out_rows: usize = lcodes
         .iter()
-        .map(|&(start, end)| match kind {
-            JoinKind::Inner => end - start,
-            JoinKind::Left => (end - start).max(1),
-            JoinKind::Semi => (end > start) as usize,
+        .map(|&c| match kind {
+            JoinKind::Inner => bucket(c).len(),
+            JoinKind::Left => bucket(c).len().max(1),
+            JoinKind::Semi => !bucket(c).is_empty() as usize,
         })
         .sum();
     let mut left_idx = Vec::with_capacity(out_rows);
     let mut right_idx = Vec::with_capacity(if kind == JoinKind::Semi { 0 } else { out_rows });
-    let mut sorted_run = Vec::new();
-    for (lrow, &(start, end)) in runs.iter().enumerate() {
-        if start == end {
+    for (lrow, &c) in lcodes.iter().enumerate() {
+        let matches = bucket(c);
+        if matches.is_empty() {
             if kind == JoinKind::Left {
                 left_idx.push(lrow);
                 right_idx.push(PAD);
@@ -374,15 +357,8 @@ pub(super) fn merge_join(
         } else if kind == JoinKind::Semi {
             left_idx.push(lrow);
         } else {
-            let mut run = &rorder[start..end];
-            if !runs_ascend {
-                sorted_run.clear();
-                sorted_run.extend_from_slice(run);
-                sorted_run.sort_unstable();
-                run = &sorted_run;
-            }
-            left_idx.extend(std::iter::repeat_n(lrow, run.len()));
-            right_idx.extend_from_slice(run);
+            left_idx.extend(std::iter::repeat_n(lrow, matches.len()));
+            right_idx.extend(matches.iter().map(|&rrow| rrow as usize));
         }
     }
     join_output_from_indices(left, right, left_idx, right_idx, kind)

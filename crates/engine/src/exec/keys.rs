@@ -1,22 +1,23 @@
 //! Keys, two ways.
 //!
-//! **Joins** hash. [`KeyCols`] wraps the resolved key columns of one table
-//! side and hashes them *per column* into a `Vec<u64>` for the whole batch —
-//! no per-row `Vec<Value>` key materialization on the hot path. Hash-bucket
-//! collisions are resolved with typed column-vs-column equality that matches
-//! the [`Value`] reference semantics exactly: `sql_eq` (NULL matches
-//! nothing), and `total_cmp` ordering for merge joins. Int values hash
-//! through their canonical `f64` bit pattern so `Int(1)` and `Float(1.0)` —
-//! equal under `total_cmp` — always land in the same bucket; equality then
-//! decides. NaNs collapse to one bucket and ±0.0 to another, mirroring
-//! `StableHasher::write_f64`.
+//! **The hash join** hashes. [`KeyCols`] wraps the resolved key columns of
+//! one table side and hashes them *per column* into a `Vec<u64>` for the
+//! whole batch — no per-row `Vec<Value>` key materialization on the hot
+//! path. Hash-bucket collisions are resolved with typed column-vs-column
+//! equality that matches the [`Value`] reference semantics exactly: `sql_eq`
+//! (NULL matches nothing). Int values hash through their canonical `f64` bit
+//! pattern so `Int(1)` and `Float(1.0)` — equal under `total_cmp` — always
+//! land in the same bucket; equality then decides. NaNs collapse to one
+//! bucket and ±0.0 to another, mirroring `StableHasher::write_f64`.
 //!
-//! **Aggregation** encodes. [`encode`] turns one key column — a group key or
-//! a COUNT(DISTINCT) argument — into dense `u32` [`Codes`] once, and
-//! [`pair_ids`] combines two integer columns into dense ids in first-seen
-//! row order. Past the encoder no row's key is gathered, hashed as a string
-//! or compared as one: a group id is a fold of `pair_ids` over the code
-//! columns, a distinct count is the first sightings of `(group id, code)`.
+//! **Aggregation and the merge join** encode. [`encode`] turns one key
+//! column — a group key, a COUNT(DISTINCT) argument, the two sides of a join
+//! key laid end to end — into dense `u32` [`Codes`] once, and [`pair_ids`]
+//! combines two integer columns into dense ids in first-seen row order. Past
+//! the encoder no row's key is gathered, hashed as a string or compared as
+//! one: a group id is a fold of `pair_ids` over the code columns, a distinct
+//! count is the first sightings of `(group id, code)`, a join is the rows of
+//! one side bucketed by code.
 
 use cv_common::hash::mix64;
 use cv_data::bitmap::Bitmap;
@@ -70,20 +71,13 @@ fn rank(t: DataType) -> u8 {
 /// Typed cell comparison matching `Value::total_cmp` (NULL ranks below
 /// everything, NULLs compare equal).
 pub(super) fn cmp_cells(a: &Column, i: usize, b: &Column, j: usize) -> Ordering {
-    cmp_viewed((a, a.view()), i, (b, b.view()), j)
-}
-
-/// A column with its typed rows resolved once, for row-at-a-time loops.
-type Viewed<'a> = (&'a Column, ColumnView<'a>);
-
-fn cmp_viewed((a, av): Viewed<'_>, i: usize, (b, bv): Viewed<'_>, j: usize) -> Ordering {
     match (a.is_null(i), b.is_null(j)) {
         (true, true) => return Ordering::Equal,
         (true, false) => return Ordering::Less,
         (false, true) => return Ordering::Greater,
         (false, false) => {}
     }
-    match (av, bv) {
+    match (a.view(), b.view()) {
         (ColumnView::Bool(x), ColumnView::Bool(y)) => x[i].cmp(&y[j]),
         (ColumnView::Int(x), ColumnView::Int(y)) => x[i].cmp(&y[j]),
         (ColumnView::Float(x), ColumnView::Float(y)) => x[i].total_cmp(&y[j]),
@@ -111,6 +105,9 @@ fn cells_eq(a: ColumnView<'_>, i: usize, b: ColumnView<'_>, j: usize) -> bool {
     }
 }
 
+/// A column with its typed rows resolved once, for row-at-a-time loops.
+type Viewed<'a> = (&'a Column, ColumnView<'a>);
+
 /// The key columns of one join side, hashed column-wise.
 pub(super) struct KeyCols<'a> {
     cols: Vec<Viewed<'a>>,
@@ -133,11 +130,6 @@ impl<'a> KeyCols<'a> {
             [(_, view)] => Some(*view),
             _ => None,
         }
-    }
-
-    /// True if any key component of the row is NULL.
-    pub fn has_null(&self, row: usize) -> bool {
-        self.cols.iter().any(|(c, _)| c.is_null(row))
     }
 
     /// Combine one column into the running per-row hashes; a NULL cell
@@ -191,18 +183,6 @@ impl<'a> KeyCols<'a> {
             .iter()
             .zip(&other.cols)
             .all(|((a, av), (b, bv))| !a.is_null(i) && !b.is_null(j) && cells_eq(*av, i, *bv, j))
-    }
-
-    /// Lexicographic key ordering (`Value::total_cmp` per component) for
-    /// merge joins.
-    pub fn cmp_rows(&self, i: usize, other: &KeyCols<'_>, j: usize) -> Ordering {
-        for (&a, &b) in self.cols.iter().zip(&other.cols) {
-            let o = cmp_viewed(a, i, b, j);
-            if o != Ordering::Equal {
-                return o;
-            }
-        }
-        Ordering::Equal
     }
 }
 
@@ -277,13 +257,17 @@ fn direct_limit(rows: usize) -> u64 {
 /// Which cells are one key.
 #[derive(Clone, Copy)]
 pub(super) enum Class {
-    /// GROUP BY (`Value::group_key_eq`): INTs exactly, floats by bit pattern
-    /// (`0.0` and `-0.0`, two NaN payloads, are two groups).
+    /// GROUP BY (`Value::group_key_eq`), and a join of two columns of one
+    /// type (`sql_eq`, the same relation off NULL): INTs exactly, floats by
+    /// bit pattern (`0.0` and `-0.0`, two NaN payloads, are two keys).
     Group,
     /// COUNT(DISTINCT): a number is its canonical `f64` — INTs above 2^53
     /// that round together are one value, every NaN is one value, `-0.0` is
     /// `0.0`.
     Distinct,
+    /// An INT column joined to a FLOAT one: an INT is the `f64` it converts
+    /// to and a float its bit pattern, which is what [`cells_eq`] compares.
+    AsFloat,
 }
 
 /// One key column over every input row as dense integers: `codes[row] <
@@ -298,34 +282,44 @@ const SIGN: u64 = 1 << 63;
 
 /// Encode the column whose rows are `chunks` in order, `rows` in all.
 pub(super) fn encode(chunks: &[&Column], rows: usize, class: Class) -> Codes {
-    // A fixed-width cell is a `u64` word, equal words one key; signed types
-    // flip the sign bit so that a narrow value range is a narrow word range.
+    if chunks.first().is_some_and(|c| c.dtype() == DataType::Str) {
+        return code_strs(chunks, rows);
+    }
+    code_words(chunks, rows, class)
+}
+
+/// Receives the cells of a fixed-width column a chunk at a time, each
+/// chunk as its typed slice, its validity and its cells' word function.
+trait WordSink {
+    fn chunk<T: Copy>(&mut self, cells: &[T], valid: Option<&Bitmap>, word: impl Fn(T) -> u64);
+}
+
+/// Hands `sink` the cells of one chunk with the word of `class`: a `u64`
+/// per cell, equal words one key. Signed types flip the sign bit, so that a
+/// narrow value range is a narrow word range. A string has no word:
+/// [`encode`] sends those to [`code_strs`].
+fn words_of(col: &Column, class: Class, sink: &mut impl WordSink) {
     let int_word = |x: i64| x as u64 ^ SIGN;
-    match (chunks.first().map(|c| c.dtype()), class) {
-        (None, _) => Codes { codes: Vec::new(), cardinality: 1 },
-        (Some(DataType::Str), _) => code_strs(chunks, rows),
-        (Some(DataType::Bool), _) => code_words(chunks, rows, Column::bools, |b| b as u64),
-        (Some(DataType::Date), _) => {
-            code_words(chunks, rows, Column::dates, |d| int_word(d as i64))
-        }
-        (Some(DataType::Int), Class::Group) => code_words(chunks, rows, Column::ints, int_word),
+    let valid = col.validity();
+    match (col.view(), class) {
+        (ColumnView::Str(_), _) => {}
+        (ColumnView::Bool(v), _) => sink.chunk(v, valid, |b| b as u64),
+        (ColumnView::Date(v), _) => sink.chunk(v, valid, |d| int_word(d as i64)),
+        (ColumnView::Int(v), Class::Group) => sink.chunk(v, valid, int_word),
         // An INT's class is the `f64` it rounds to, named by that float's
         // integer value: the identity inside ±2^53 (so a narrow range stays
         // narrow), one word per rounding class outside (`as` saturates only
         // at 2^63, which only the class of 2^63 reaches).
-        (Some(DataType::Int), Class::Distinct) => {
-            code_words(chunks, rows, Column::ints, |x| int_word(x as f64 as i64))
+        (ColumnView::Int(v), Class::Distinct) => {
+            sink.chunk(v, valid, |x| int_word(x as f64 as i64))
         }
-        (Some(DataType::Float), Class::Group) => {
-            code_words(chunks, rows, Column::floats, f64::to_bits)
-        }
-        (Some(DataType::Float), Class::Distinct) => {
-            code_words(chunks, rows, Column::floats, |f| match f {
-                _ if f.is_nan() => f64::NAN.to_bits(),
-                _ if f == 0.0 => 0,
-                _ => f.to_bits(),
-            })
-        }
+        (ColumnView::Int(v), Class::AsFloat) => sink.chunk(v, valid, |x| (x as f64).to_bits()),
+        (ColumnView::Float(v), Class::Group | Class::AsFloat) => sink.chunk(v, valid, f64::to_bits),
+        (ColumnView::Float(v), Class::Distinct) => sink.chunk(v, valid, |f| match f {
+            _ if f.is_nan() => f64::NAN.to_bits(),
+            _ if f == 0.0 => 0,
+            _ => f.to_bits(),
+        }),
     }
 }
 
@@ -338,39 +332,58 @@ fn cells_of<'v, T>(
     v.iter().enumerate().map(move |(i, x)| valid.is_none_or(|valid| valid.get(i)).then_some(x))
 }
 
-/// Fixed-width cells: `word - min + 1` when the words' range is within
-/// [`direct_limit`], their dictionary id + 1 otherwise.
-fn code_words<T: Copy>(
-    chunks: &[&Column],
-    rows: usize,
-    cells: fn(&Column) -> &[T],
-    word: impl Fn(T) -> u64,
-) -> Codes {
-    let (mut lo, mut hi) = (u64::MAX, u64::MIN);
-    for col in chunks {
-        for w in cells_of(cells(col), col.validity()).flatten().map(|&x| word(x)) {
-            lo = lo.min(w);
-            hi = hi.max(w);
+/// Pass one over a column's words: their range.
+struct WordRange {
+    lo: u64,
+    hi: u64,
+}
+
+impl WordSink for WordRange {
+    fn chunk<T: Copy>(&mut self, cells: &[T], valid: Option<&Bitmap>, word: impl Fn(T) -> u64) {
+        for w in cells_of(cells, valid).flatten().map(|&x| word(x)) {
+            self.lo = self.lo.min(w);
+            self.hi = self.hi.max(w);
         }
     }
-    let mut codes = Vec::with_capacity(rows);
-    if lo > hi {
-        // Not one valid cell.
-        codes.resize(rows, 0);
-        return Codes { codes, cardinality: 1 };
-    }
-    let direct = hi - lo < direct_limit(rows) - 1;
-    let mut dict = DenseIds::new();
-    for col in chunks {
-        codes.extend(cells_of(cells(col), col.validity()).map(|cell| match cell {
+}
+
+/// Pass two: `word - lo + 1` if `direct`, the word's dictionary id + 1
+/// otherwise.
+struct WordCoder {
+    lo: u64,
+    direct: bool,
+    dict: DenseIds,
+    codes: Vec<u32>,
+}
+
+impl WordSink for WordCoder {
+    fn chunk<T: Copy>(&mut self, cells: &[T], valid: Option<&Bitmap>, word: impl Fn(T) -> u64) {
+        let WordCoder { lo, direct, dict, codes } = self;
+        codes.extend(cells_of(cells, valid).map(|cell| match cell {
             None => 0,
-            Some(&x) if direct => (word(x) - lo) as u32 + 1,
+            Some(&x) if *direct => (word(x) - *lo) as u32 + 1,
             // `mix64` permutes: equal hashes are equal words.
             Some(&x) => dict.find_or_insert(mix64(word(x)), |_| true) as u32 + 1,
         }));
     }
-    let cardinality = if direct { (hi - lo) as usize + 2 } else { dict.len() + 1 };
-    Codes { codes, cardinality }
+}
+
+/// Fixed-width cells: `word - min + 1` when the words' range is within
+/// [`direct_limit`], their dictionary id + 1 otherwise.
+fn code_words(chunks: &[&Column], rows: usize, class: Class) -> Codes {
+    let mut range = WordRange { lo: u64::MAX, hi: u64::MIN };
+    chunks.iter().for_each(|col| words_of(col, class, &mut range));
+    let WordRange { lo, hi } = range;
+    if lo > hi {
+        // Not one valid cell.
+        return Codes { codes: vec![0; rows], cardinality: 1 };
+    }
+    let direct = hi - lo < direct_limit(rows) - 1;
+    let mut coder =
+        WordCoder { lo, direct, dict: DenseIds::new(), codes: Vec::with_capacity(rows) };
+    chunks.iter().for_each(|col| words_of(col, class, &mut coder));
+    let cardinality = if direct { (hi - lo) as usize + 2 } else { coder.dict.len() + 1 };
+    Codes { codes: coder.codes, cardinality }
 }
 
 /// Strings by first appearance, compared as strings.
@@ -470,6 +483,16 @@ pub(super) fn pair_ids(a: &[u32], a_card: usize, b: &Codes) -> PairIds {
         .collect()
     };
     PairIds { ids, first }
+}
+
+/// The codes of the two-column key `(a, b)`: a [`pair_ids`] id + 1, and 0 —
+/// NULL — where either half is.
+pub(super) fn pair_codes(a: &Codes, b: &Codes) -> Codes {
+    let PairIds { ids: mut codes, first } = pair_ids(&a.codes, a.cardinality, b);
+    for (code, (&x, &y)) in codes.iter_mut().zip(a.codes.iter().zip(&b.codes)) {
+        *code = if x == 0 || y == 0 { 0 } else { *code + 1 };
+    }
+    Codes { codes, cardinality: first.len() + 1 }
 }
 
 #[cfg(test)]
@@ -578,7 +601,40 @@ mod tests {
     }
 
     #[test]
-    fn cmp_rows_matches_value_total_cmp() {
+    fn an_int_column_meets_a_float_column_as_sql_eq_pairs_them() {
+        const P53: i64 = 1 << 53;
+        let ints =
+            [Value::Int(P53), Value::Int(P53 + 1), Value::Int(0), Value::Int(3), Value::Null];
+        let floats = [P53 as f64, 0.0, -0.0, 3.0, f64::NAN]
+            .map(Value::Float)
+            .into_iter()
+            .chain([Value::Null]);
+        let cells: Vec<Value> = ints.iter().cloned().chain(floats).collect();
+        let (a, b) = (col(DataType::Int, &cells[..5]), col(DataType::Float, &cells[5..]));
+        let Codes { codes, cardinality } = encode(&[&a, &b], cells.len(), Class::AsFloat);
+        assert!(codes.iter().all(|&code| (code as usize) < cardinality), "{codes:?}");
+        // Across the two columns, that is: two INTs that one FLOAT equals
+        // share its code without being equal.
+        for (i, x) in cells.iter().enumerate().take(5) {
+            for (j, y) in cells.iter().enumerate().skip(5) {
+                let same = codes[i] != 0 && codes[i] == codes[j];
+                assert_eq!(same, x.sql_eq(y) == Some(true), "{x} and {y} of {codes:?}");
+            }
+        }
+        assert_eq!((codes[4], codes[10]), (0, 0), "NULL is code 0");
+    }
+
+    #[test]
+    fn pair_codes_are_null_where_a_half_is() {
+        let a = Codes { codes: vec![1, 0, 1, 2, 1], cardinality: 3 };
+        let b = Codes { codes: vec![1, 1, 0, 1, 1], cardinality: 2 };
+        let Codes { codes, cardinality } = pair_codes(&a, &b);
+        assert_eq!(codes, [1, 0, 0, 4, 1]);
+        assert_eq!(cardinality, 5);
+    }
+
+    #[test]
+    fn cmp_cells_matches_value_total_cmp() {
         let vals = [
             Value::Null,
             Value::Bool(true),

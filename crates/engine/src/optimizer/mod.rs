@@ -131,7 +131,10 @@ pub struct OptimizerConfig {
     pub max_partitions: usize,
     /// Smaller join side below this row count → nested-loop join.
     pub loop_join_threshold: f64,
-    /// Larger join side above this row count → sort-merge join.
+    /// Larger join side above this row count → `JoinAlgo::Merge`: priced
+    /// as the cluster's sort-merge, and run in process by the join that
+    /// buckets one side on key codes and keeps no build state
+    /// (`exec/join.rs::merge_join`; it sorts nothing).
     pub merge_join_threshold: f64,
     pub cost: CostModel,
     /// Run the installed [`PlanVerifier`] over every optimized plan.

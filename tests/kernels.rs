@@ -419,6 +419,17 @@ fn keyed_table(
     Table::from_rows(Schema::new(fields).unwrap().into_ref(), &data).unwrap()
 }
 
+/// [`keyed_table`]'s layout for one INT key column given cell by cell.
+fn int_keyed_table(prefix: &str, keys: impl Iterator<Item = Value>) -> Table {
+    let fields = vec![
+        Field::new(format!("{prefix}0"), DataType::Int),
+        Field::new(format!("{prefix}p"), DataType::Str),
+    ];
+    let data: Vec<Vec<Value>> =
+        keys.enumerate().map(|(i, key)| vec![key, Value::Str(format!("{prefix}{i}"))]).collect();
+    Table::from_rows(Schema::new(fields).unwrap().into_ref(), &data).unwrap()
+}
+
 #[test]
 fn join_algorithms_agree_on_random_tables() {
     fn force(p: &PhysicalPlan, algo: JoinAlgo) -> PhysicalPlan {
@@ -465,13 +476,6 @@ fn join_algorithms_agree_on_random_tables() {
         }
     }
 
-    // Every key shape the typed paths split on: merge and hash must give the
-    // loop join's table — cells, NULLs and row order — for every join kind
-    // at every chunk size, on one morsel worker and on four. Validity *form* is compared per algorithm, across
-    // chunk sizes: the hash probe's chunk reassembly drops all-true bitmaps,
-    // the single gather of a merge or loop join keeps the one a padded
-    // gather always makes, so across algorithms only the normalized tables
-    // are the same bytes.
     let vals = |vs: &[Value]| vs.to_vec();
     let ints = || (DataType::Int, (-3..=3).map(Value::Int).collect::<Vec<_>>());
     let strs = || (DataType::Str, vals(&["".into(), "a".into(), "ab".into(), "b".into()]));
@@ -488,6 +492,9 @@ fn join_algorithms_agree_on_random_tables() {
         let pool = [0.0, -0.0, 1.0, p53, p53 + 2.0, -p53, i64::MAX as f64, f64::NAN];
         (DataType::Float, pool.map(Value::Float).to_vec())
     };
+    fn int_pool(keys: impl IntoIterator<Item = i64>) -> (DataType, Vec<Value>) {
+        (DataType::Int, keys.into_iter().map(Value::Int).collect())
+    }
     let dates = || (DataType::Date, [-2, -1, 0, 1, 18_293].map(Value::Date).to_vec());
     let bools = || (DataType::Bool, vals(&[Value::Bool(false), Value::Bool(true)]));
     type Specs = Vec<(DataType, Vec<Value>)>;
@@ -529,38 +536,86 @@ fn join_algorithms_agree_on_random_tables() {
         ("empty left", vec![ints()], vec![ints()], 0, 30, 0.1),
         ("empty right", vec![floats()], vec![floats()], 40, 0, 0.1),
         ("both empty", vec![strs()], vec![strs()], 0, 0, 0.0),
+        // INT keys on both sides of the bound under which a key is coded as
+        // `key - min`: a dense range, a range that does not fit `i64`, and a
+        // dense right side met by a left side most of whose keys it lacks, a
+        // few of them far away.
+        ("dense ints", vec![int_pool(0..300)], vec![int_pool(0..300)], 600, 400, 0.05),
+        ("ints across i64", vec![big_ints()], vec![big_ints()], 120, 50, 0.1),
+        (
+            "far-out left ints",
+            vec![int_pool((0..200).chain([i64::MAX, i64::MIN + 1, 1 << 40]))],
+            vec![int_pool(0..40)],
+            600,
+            100,
+            0.05,
+        ),
+        // Two key columns of 66,002 codes each: their pairs outgrow `u32`.
+        (
+            "two wide int columns",
+            vec![int_pool((0..60).chain([66_000])), int_pool((0..40).chain([66_000]))],
+            vec![int_pool((0..60).chain([66_000])), int_pool((0..40).chain([66_000]))],
+            16_000,
+            500,
+            0.05,
+        ),
     ];
-    for (name, lspecs, rspecs, nl, nr, null_rate) in &shapes {
-        let left = keyed_table(&mut rng, "l", lspecs, *nl, *null_rate);
-        let right = keyed_table(&mut rng, "r", rspecs, *nr, *null_rate);
-        let (lschema, rschema) = (left.schema().clone(), right.schema().clone());
-        let tables = Tables(HashMap::from([(LEFT, left), (RIGHT, right)]));
+    // Every key shape: merge and hash must give the loop join's table —
+    // cells, NULLs and row order — for every join kind at every chunk size,
+    // on one morsel worker and on four. Validity *form* is compared per
+    // algorithm, across chunk sizes: the hash probe's chunk reassembly drops
+    // all-true bitmaps, the single gather of a merge or loop join keeps the
+    // one a padded gather always makes, so across algorithms only the
+    // normalized tables are the same bytes. Every run gets tables of its own
+    // from `input` — what one run gathers, the next must not find gathered —
+    // and the merge join leaves the left column named in `unread` ungathered.
+    // `joins_nothing`: no key of the left side is on the right.
+    let check = |name: &str,
+                 keys: usize,
+                 input: &dyn Fn() -> (Table, Table),
+                 joins_nothing: bool,
+                 unread: Option<&str>| {
+        let tables = || {
+            let (left, right) = input();
+            Tables(HashMap::from([(LEFT, left), (RIGHT, right)]))
+        };
+        let (left, right) = input();
         for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi] {
             let join = |algo| PhysicalPlan::Join {
                 algo,
                 kind,
-                on: (0..lspecs.len()).map(|k| (format!("l{k}"), format!("r{k}"))).collect(),
-                left: Box::new(source(LEFT, &lschema)),
-                right: Box::new(source(RIGHT, &rschema)),
+                on: (0..keys).map(|k| (format!("l{k}"), format!("r{k}"))).collect(),
+                left: Box::new(source(LEFT, left.schema())),
+                right: Box::new(source(RIGHT, right.schema())),
                 est: est(),
                 partitions: 1,
                 swapped: false,
             };
-            let reference = run_over(&join(JoinAlgo::Loop), &tables, usize::MAX).table.normalized();
-            if *null_rate == 1.0 || *nl == 0 || (*nr == 0 && kind != JoinKind::Left) {
-                let rows = if kind == JoinKind::Left { *nl } else { 0 };
+            let reference =
+                run_over(&join(JoinAlgo::Loop), &tables(), usize::MAX).table.normalized();
+            if joins_nothing {
+                let rows = if kind == JoinKind::Left { left.num_rows() } else { 0 };
                 assert_eq!(reference.num_rows(), rows, "{name}, {kind:?}");
-            } else if !name.starts_with("empty") {
+            } else {
                 assert!(reference.num_rows() > 0, "{name}, {kind:?}: nothing joined");
             }
             for algo in [JoinAlgo::Merge, JoinAlgo::Hash] {
-                let whole = run_over(&join(algo), &tables, usize::MAX).table;
+                let sources = tables();
+                let whole = run_over(&join(algo), &sources, usize::MAX).table;
+                if let (JoinAlgo::Merge, Some(unread)) = (algo, unread) {
+                    let key = sources.0[&LEFT].column_by_name(unread).unwrap();
+                    assert!(
+                        !key.is_forced(),
+                        "{name}, {kind:?}: the merge join gathered `{unread}`"
+                    );
+                }
                 for chunk_size in [1, 7, 2048, usize::MAX] {
                     // Four morsel workers probe the chunks in any order; the
                     // table must not show it.
                     for workers in [1, 4] {
-                        let out =
-                            try_run_over(&join(algo), &tables, chunk_size, workers).unwrap().table;
+                        let out = try_run_over(&join(algo), &tables(), chunk_size, workers)
+                            .unwrap()
+                            .table;
                         let what =
                             format!("{algo:?}: {name}, {kind:?}, chunk {chunk_size}, {workers}w");
                         assert_tables_identical(&out, &whole, &format!("{what} vs one chunk"));
@@ -573,7 +628,45 @@ fn join_algorithms_agree_on_random_tables() {
                 }
             }
         }
+    };
+    for (name, lspecs, rspecs, nl, nr, null_rate) in &shapes {
+        let left = keyed_table(&mut rng, "l", lspecs, *nl, *null_rate);
+        let right = keyed_table(&mut rng, "r", rspecs, *nr, *null_rate);
+        let joins_nothing = *null_rate == 1.0 || *nl == 0 || *nr == 0;
+        check(name, lspecs.len(), &|| (left.clone(), right.clone()), joins_nothing, None);
     }
+
+    // Right sides drawn from no pool, 5,000 rows and more a side so that
+    // neither input is small. Every key four times: N:M, each bucket longer
+    // than one, some left keys absent. Then no key twice and every left row
+    // matching once — a foreign key, whose output shares the left table
+    // instead of gathering it.
+    let right = int_keyed_table("r", (0..5000).map(|i| Value::Int(i % 1250)));
+    let left = keyed_table(&mut rng, "l", &[int_pool(0..1500)], 5000, 0.05);
+    check("every key four times", 1, &|| (left.clone(), right.clone()), false, None);
+    let right = int_keyed_table("r", (0..5000).map(|i| Value::Int(i * 7919 % 5000)));
+    let left = keyed_table(&mut rng, "l", &[int_pool(0..5000)], 6000, 0.0);
+    check("foreign key", 1, &|| (left.clone(), right.clone()), false, None);
+
+    // A string key that reaches the join as a gather nobody has read — with
+    // padded rows, which are NULL keys and join nothing, cut into a window at
+    // a non-zero offset — is coded through its row ids and left ungathered.
+    let valid: Vec<bool> = (0..40).map(|i| i % 11 != 3).collect();
+    let names = (0..40).map(|i| format!("region-{}", i % 7)).collect();
+    let source = Column::new(ColumnData::Str(names), Some(Bitmap::from_bools(&valid)));
+    let ids: Vec<usize> =
+        (0..1500).map(|_| if rng.chance(0.1) { PAD } else { rng.range_usize(0, 40) }).collect();
+    let payload = Column::new(ColumnData::Str((0..1500).map(|i| format!("l{i}")).collect()), None);
+    let schema =
+        Schema::new(vec![Field::new("l0", DataType::Str), Field::new("lp", DataType::Str)]);
+    let schema = schema.unwrap().into_ref();
+    let regions = (DataType::Str, (2..9).map(|i| Value::Str(format!("region-{i}"))).collect());
+    let right = keyed_table(&mut rng, "r", &[regions], 60, 0.1);
+    let input = || {
+        let columns = vec![source.take_padded(&ids), payload.clone()];
+        (Table::new(schema.clone(), columns).unwrap().slice(100, 1200), right.clone())
+    };
+    check("a gathered string", 1, &input, false, Some("l0"));
 }
 
 // ---------------------------------------------------------------------------
