@@ -77,8 +77,9 @@ code() {
 }
 count() { code "$@" | wc -l; }
 
-echo "==> operator paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,keys,sort}.rs, data/sortkey.rs"
-if code crates/engine/src/exec/{mod,aggregate,join,keys,sort}.rs crates/data/src/sortkey.rs \
+echo "==> operator paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,keys,sort}.rs, expr/kernels.rs, data/sortkey.rs"
+if code crates/engine/src/exec/{mod,aggregate,join,keys,sort}.rs crates/engine/src/expr/kernels.rs \
+    crates/data/src/sortkey.rs \
     | grep -E '\.unwrap\(\)|\.expect\(|unreachable!|panic!'; then
     exit 1
 fi
@@ -99,6 +100,10 @@ printf '    %-22s %6d\n' "store seam (4 files)" "$(count crates/data/src/viewsto
 # this line, one that forks beside it grows it.
 printf '    %-22s %6d\n' "join + keys + sortkey" "$(count crates/engine/src/exec/join.rs \
     crates/engine/src/exec/keys.rs crates/data/src/sortkey.rs)"
+# Expression evaluation: a predicate has one entry point and a comparison one
+# typed dispatch; a second way to evaluate a node would show here.
+printf '    %-22s %6d\n' "eval + kernels" "$(count crates/engine/src/expr/eval.rs \
+    crates/engine/src/expr/kernels.rs)"
 printf '    %-22s %6d\n' ci.sh "$(wc -l < ci.sh)"
 
 echo "==> OK"

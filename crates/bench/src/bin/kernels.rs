@@ -24,6 +24,12 @@
 //! `filter_unread` is the filter as queries use it: half the fact table's
 //! rows survive and the consumer computes over two numeric columns, so the
 //! other three (the string among them) should never be gathered at all.
+//! `filter_narrow` is `heavy_scan`'s `q_filter`: a string equality written
+//! before a selective integer conjunct — the integer should run first and
+//! the strings be reached only at its survivors. `project_passthrough`
+//! (`q_sort_limit`'s shape) projects two columns by name over a filter and
+//! should copy neither; `case_when` is `q_project`'s third expression, a
+//! CASE between two literals.
 //! Three legs time what the serving path does to a whole table around the
 //! executor: `digest` (the content checksum every result and stored view
 //! gets, rows/sec over the mixed-type fact table), `store_decode` (the view
@@ -52,7 +58,7 @@ use cv_data::value::{DataType, Value};
 use cv_data::viewstore::{table_checksum, ViewStore};
 use cv_engine::cost::CostModel;
 use cv_engine::exec::{execute, ExecContext};
-use cv_engine::expr::{col, lit, AggExpr, AggFunc};
+use cv_engine::expr::{col, lit, AggExpr, AggFunc, ScalarExpr};
 use cv_engine::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext};
 use cv_engine::physical::{JoinAlgo, PhysicalPlan};
 use cv_engine::plan::{JoinKind, LogicalPlan, PlanBuilder};
@@ -64,12 +70,15 @@ use std::time::Instant;
 
 /// Every leg, in report order: the plans of [`plans`], then the three
 /// whole-table legs. A leg missing from either side fails the run.
-const KERNELS: [&str; 18] = [
+const KERNELS: [&str; 21] = [
     "filter",
     "filter_str_eq",
     "filter_wide",
     "filter_unread",
+    "filter_narrow",
     "project",
+    "project_passthrough",
+    "case_when",
     "hash_join",
     "merge_join",
     "merge_join_sparse",
@@ -325,12 +334,33 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         .project(vec![(col("val").mul(lit(2.0)), "v2"), (col("id").add(lit(1)), "id1")])
         .unwrap()
         .build();
+    let filter_narrow = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .filter(col("seg").eq(lit("emea")).and(col("qty").gt(lit(90))))
+        .unwrap()
+        .build();
     let project = PlanBuilder::scan(&bench.catalog, "fact")
         .unwrap()
         .project(vec![
             (col("val").mul(col("qty").cast(DataType::Float)).add(lit(1.0)), "v"),
             (col("qty").add(lit(1)), "q1"),
         ])
+        .unwrap()
+        .build();
+    let project_passthrough = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .filter(col("qty").gt(lit(50)))
+        .unwrap()
+        .project(vec![(col("id"), "id"), (col("val"), "val")])
+        .unwrap()
+        .build();
+    let high = ScalarExpr::Case {
+        branches: vec![(col("val").gt(lit(500.0)), lit(1))],
+        else_expr: Some(Box::new(lit(0))),
+    };
+    let case_when = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .project(vec![(high, "high")])
         .unwrap()
         .build();
     let join = PlanBuilder::scan(&bench.catalog, "fact")
@@ -400,7 +430,10 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         ("filter_str_eq", filter_str_eq, JoinAlgo::Hash),
         ("filter_wide", filter_wide, JoinAlgo::Hash),
         ("filter_unread", filter_unread, JoinAlgo::Hash),
+        ("filter_narrow", filter_narrow, JoinAlgo::Hash),
         ("project", project, JoinAlgo::Hash),
+        ("project_passthrough", project_passthrough, JoinAlgo::Hash),
+        ("case_when", case_when, JoinAlgo::Hash),
         ("hash_join", join.clone(), JoinAlgo::Hash),
         ("merge_join", join, JoinAlgo::Merge),
         ("merge_join_sparse", keyed_join("sparse"), JoinAlgo::Merge),
@@ -553,8 +586,10 @@ fn main() {
         }
         walk(&physical, &mut kinds);
         let want = match name {
-            "filter" | "filter_str_eq" | "filter_wide" | "filter_unread" => "Filter",
-            "project" => "Project",
+            "filter" | "filter_str_eq" | "filter_wide" | "filter_unread" | "filter_narrow" => {
+                "Filter"
+            }
+            "project" | "project_passthrough" | "case_when" => "Project",
             "hash_join" => "HashJoin",
             "merge_join" | "merge_join_sparse" | "merge_join_str" => "MergeJoin",
             "hash_aggregate"

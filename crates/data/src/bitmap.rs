@@ -20,15 +20,10 @@ impl Bitmap {
         Bitmap { words: vec![0; len.div_ceil(64)], len }
     }
 
-    /// Build from a bool slice (`true` = valid).
+    /// Build from a bool slice (`true` = valid), 64 bools to a word.
     pub fn from_bools(bits: &[bool]) -> Bitmap {
-        let mut b = Bitmap::all_clear(bits.len());
-        for (i, &v) in bits.iter().enumerate() {
-            if v {
-                b.set(i, true);
-            }
-        }
-        b
+        let pack = |c: &[bool]| c.iter().enumerate().fold(0, |w, (j, &b)| w | (b as u64) << j);
+        Bitmap { words: bits.chunks(64).map(pack).collect(), len: bits.len() }
     }
 
     pub fn len(&self) -> usize {
@@ -87,6 +82,13 @@ impl Bitmap {
     pub fn extend_set(&mut self, n: usize) {
         for done in (0..n).step_by(64) {
             self.push_bits(u64::MAX, (n - done).min(64));
+        }
+    }
+
+    /// Append every bit of `other`, a word at a time at any alignment.
+    pub fn extend(&mut self, other: &Bitmap) {
+        for (k, &word) in other.words.iter().enumerate() {
+            self.push_bits(word, (other.len - k * 64).min(64));
         }
     }
 
@@ -276,6 +278,26 @@ mod tests {
                 let s = b.slice(offset, len);
                 // Equality covers the masked tail too.
                 assert_eq!(s, Bitmap::from_bools(&bools[offset..offset + len]), "{offset}+{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_bools_and_extend_match_bitwise_pushes_at_every_alignment() {
+        let bools: Vec<bool> = (0..300).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+        let pushed = |bits: &[bool]| {
+            let mut b = Bitmap::all_clear(0);
+            bits.iter().for_each(|&v| b.push(v));
+            b
+        };
+        for len in [0, 1, 63, 64, 65, 127, 128, 129, 300] {
+            // Equality covers the word count and the masked tail too.
+            assert_eq!(Bitmap::from_bools(&bools[..len]), pushed(&bools[..len]), "{len} bools");
+            for prefix in [0, 1, 63, 64, 65, 130] {
+                let mut out = Bitmap::from_bools(&bools[..prefix]);
+                out.extend(&Bitmap::from_bools(&bools[prefix..prefix + len.min(300 - prefix)]));
+                let upto = prefix + len.min(300 - prefix);
+                assert_eq!(out, pushed(&bools[..upto]), "{prefix} + {len}");
             }
         }
     }

@@ -3,6 +3,8 @@
 use crate::bitmap::Bitmap;
 use crate::value::{DataType, Value};
 use cv_common::{CvError, Result};
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The physical buffer of a column. Nulls occupy a slot with an arbitrary
@@ -41,7 +43,7 @@ impl ColumnData {
         }
     }
 
-    fn rows(&self, w: std::ops::Range<usize>) -> ColumnView<'_> {
+    fn rows(&self, w: Range<usize>) -> ColumnView<'_> {
         match self {
             ColumnData::Bool(v) => ColumnView::Bool(&v[w]),
             ColumnData::Int(v) => ColumnView::Int(&v[w]),
@@ -79,10 +81,77 @@ struct Deferred {
     source: Arc<ColumnData>,
     /// Buffer row of the source window's row 0; `ids` are relative to it.
     base: usize,
-    /// One vector for all columns of the same `Table` gather. [`PAD`] reads
-    /// as the type's default value.
-    ids: Arc<Vec<usize>>,
+    /// [`PAD`] reads as the type's default value.
+    ids: RowIds,
     forced: OnceLock<Arc<ColumnData>>,
+}
+
+/// A composition of row ids made at most once, by whichever column of a
+/// table gather wants it first, for all of them.
+type Composed = Arc<OnceLock<Arc<Vec<usize>>>>;
+
+/// The row ids of a [`Deferred`] gather, into its source.
+#[derive(Debug)]
+enum RowIds {
+    /// One vector for all columns of the same `Table` gather.
+    Given(Arc<Vec<usize>>),
+    /// A gather taken from a gather nobody had read reads that one's source:
+    /// its ids are `outer` read through the window at `offset` of `inner`.
+    /// The composition is deferred like the rows are — made when a reader
+    /// wants the whole column, never for the rows a window compacts or the
+    /// cell that is boxed (`ORDER BY … LIMIT 100` composes nothing for the
+    /// columns it only carries).
+    Through { outer: Arc<Vec<usize>>, inner: Arc<Vec<usize>>, offset: usize, composed: Composed },
+}
+
+impl RowIds {
+    fn len(&self) -> usize {
+        match self {
+            RowIds::Given(ids) | RowIds::Through { outer: ids, .. } => ids.len(),
+        }
+    }
+
+    /// All of them, composing first if need be.
+    fn all(&self) -> &Arc<Vec<usize>> {
+        match self {
+            RowIds::Given(ids) => ids,
+            RowIds::Through { outer, inner, offset, composed } => composed.get_or_init(|| {
+                Arc::new(outer.iter().map(|&i| through(inner, *offset, i)).collect())
+            }),
+        }
+    }
+
+    /// The `k`-th, composing nothing that is not composed yet.
+    fn at(&self, k: usize) -> usize {
+        match self {
+            RowIds::Through { outer, inner, offset, composed } if composed.get().is_none() => {
+                through(inner, *offset, outer[k])
+            }
+            _ => self.all()[k],
+        }
+    }
+
+    /// Those of `window`. A proper window of an uncomposed gather composes
+    /// its own rows only.
+    fn of(&self, window: Range<usize>) -> Cow<'_, [usize]> {
+        match self {
+            RowIds::Through { outer, composed, .. }
+                if composed.get().is_none() && window.len() < outer.len() =>
+            {
+                window.map(|k| self.at(k)).collect()
+            }
+            _ => Cow::Borrowed(&self.all()[window]),
+        }
+    }
+}
+
+/// Row `i` of the window at `offset` of an unread gather's `ids`.
+fn through(ids: &[usize], offset: usize, i: usize) -> usize {
+    if i == PAD {
+        PAD
+    } else {
+        ids[offset + i]
+    }
 }
 
 impl Deferred {
@@ -100,7 +169,7 @@ impl Deferred {
     }
 
     fn force(&self) -> &Arc<ColumnData> {
-        self.forced.get_or_init(|| Arc::new(self.gather(&self.ids)))
+        self.forced.get_or_init(|| Arc::new(self.gather(self.ids.all())))
     }
 
     /// True until some reader has gathered the rows.
@@ -218,11 +287,16 @@ impl Column {
         self.buffer()
     }
 
+    /// The window's rows of the (possibly deferred) buffer.
+    fn window(&self) -> Range<usize> {
+        self.offset..self.offset + self.len
+    }
+
     /// The column's rows as a typed slice (window-relative). The first view
     /// of a deferred column gathers it.
     #[inline]
     pub fn view(&self) -> ColumnView<'_> {
-        self.buffer().rows(self.offset..self.offset + self.len)
+        self.buffer().rows(self.window())
     }
 
     /// A gather nobody has read yet, as `(source rows, this window's row
@@ -234,7 +308,7 @@ impl Column {
         match &self.rows {
             Rows::Deferred(node) if node.unread() => Some((
                 node.source.rows(node.base..node.source.len()),
-                &node.ids[self.offset..self.offset + self.len],
+                &node.ids.all()[self.window()],
             )),
             _ => None,
         }
@@ -262,7 +336,7 @@ impl Column {
             // Other holders of the node see the same gather.
             Rows::Deferred(node) if self.is_whole() => Arc::clone(node.force()),
             Rows::Deferred(node) if node.unread() => {
-                Arc::new(node.gather(&node.ids[self.offset..self.offset + self.len]))
+                Arc::new(node.gather(&node.ids.of(self.window())))
             }
             _ => Arc::new(match self.view() {
                 ColumnView::Bool(v) => ColumnData::Bool(v.to_vec()),
@@ -311,10 +385,12 @@ impl Column {
         if self.is_null(i) {
             return Value::Null;
         }
-        let (rows, at) = match self.unread_gather() {
-            Some((_, ids)) if ids[i] == PAD => return Value::Null,
-            Some((source, ids)) => (source, ids[i]),
-            None => (self.view(), i),
+        let (rows, at) = match &self.rows {
+            Rows::Deferred(node) if node.unread() => match node.ids.at(self.offset + i) {
+                PAD => return Value::Null,
+                id => (node.source.rows(node.base..node.source.len()), id),
+            },
+            _ => (self.view(), i),
         };
         match rows {
             ColumnView::Bool(v) => Value::Bool(v[at]),
@@ -451,17 +527,24 @@ impl Column {
             DataType::Str => splice!(Str),
             DataType::Date => splice!(Date),
         };
-        let validity = if parts.iter().any(|p| p.null_count() > 0) {
-            let mut v = Bitmap::all_clear(0);
-            for p in parts {
-                for i in 0..p.len() {
-                    v.push(!p.is_null(i));
+        // Appended by words. No bitmap exists until a part has a NULL: the
+        // rows before it are then one run of set bits.
+        let mut validity: Option<Bitmap> = None;
+        let mut rows = 0;
+        for p in parts {
+            match (&mut validity, p.validity().filter(|v| !v.all_true())) {
+                (Some(out), Some(v)) => out.extend(v),
+                (Some(out), None) => out.extend_set(p.len()),
+                (None, Some(v)) => {
+                    let mut out = Bitmap::all_clear(0);
+                    out.extend_set(rows);
+                    out.extend(v);
+                    validity = Some(out);
                 }
+                (None, None) => {}
             }
-            Some(v)
-        } else {
-            None
-        };
+            rows += p.len();
+        }
         Ok(Column::new(data, validity))
     }
 
@@ -483,7 +566,7 @@ impl Column {
             DataType::Date => n * 4,
             DataType::Str => match &self.rows {
                 Rows::Deferred(node) if node.unread() => {
-                    node.str_bytes(&node.ids[self.offset..self.offset + self.len])
+                    node.str_bytes(&node.ids.of(self.window()))
                 }
                 _ => self.strs().iter().map(|s| s.len() as u64 + 4).sum(),
             },
@@ -500,9 +583,9 @@ pub(crate) struct Gather {
     ids: Arc<Vec<usize>>,
     /// [`PAD`] ids are NULL rows and every output carries a bitmap.
     padded: bool,
-    /// `ids` read through the ids of an unread input node's window, per
-    /// distinct (node ids, window offset).
-    composed: Vec<(Arc<Vec<usize>>, usize, Arc<Vec<usize>>)>,
+    /// Where `ids` read through the ids of an unread input node's window
+    /// will be composed, per distinct (node ids, window offset).
+    composed: Vec<(Arc<Vec<usize>>, usize, Composed)>,
     /// Validity of a padded gather from a column without NULLs: it depends
     /// only on where the pads sit, so it is built once for all such columns.
     pad_validity: Option<Bitmap>,
@@ -526,12 +609,13 @@ impl Gather {
                 Some(out)
             }
         };
+        let given = || RowIds::Given(Arc::clone(&self.ids));
         let (source, base, ids) = match &col.rows {
-            Rows::Buffer(data) => (Arc::clone(data), col.offset, Arc::clone(&self.ids)),
+            Rows::Buffer(data) => (Arc::clone(data), col.offset, given()),
             Rows::Deferred(input) => match input.forced.get() {
-                Some(data) => (Arc::clone(data), col.offset, Arc::clone(&self.ids)),
+                Some(data) => (Arc::clone(data), col.offset, given()),
                 None => {
-                    let ids = self.composed_through(&input.ids, col.offset);
+                    let ids = self.through(input.ids.all(), col.offset);
                     (Arc::clone(&input.source), input.base, ids)
                 }
             },
@@ -550,16 +634,18 @@ impl Gather {
         })
     }
 
-    fn composed_through(&mut self, inner: &Arc<Vec<usize>>, offset: usize) -> Arc<Vec<usize>> {
+    fn through(&mut self, inner: &Arc<Vec<usize>>, offset: usize) -> RowIds {
         let same =
             |(of, at, _): &&(Arc<Vec<usize>>, usize, _)| Arc::ptr_eq(of, inner) && *at == offset;
-        if let Some((.., ids)) = self.composed.iter().find(same) {
-            return Arc::clone(ids);
-        }
-        let through = |&i: &usize| if i == PAD { PAD } else { inner[offset + i] };
-        let ids = Arc::new(self.ids.iter().map(through).collect::<Vec<_>>());
-        self.composed.push((Arc::clone(inner), offset, Arc::clone(&ids)));
-        ids
+        let composed = match self.composed.iter().find(same) {
+            Some((.., composed)) => Arc::clone(composed),
+            None => {
+                let composed = Composed::default();
+                self.composed.push((Arc::clone(inner), offset, Arc::clone(&composed)));
+                composed
+            }
+        };
+        RowIds::Through { outer: Arc::clone(&self.ids), inner: Arc::clone(inner), offset, composed }
     }
 }
 
@@ -733,6 +819,46 @@ mod tests {
     }
 
     #[test]
+    fn a_gather_of_an_unread_gather_composes_its_ids_only_when_asked_for_the_column() {
+        let strs: Vec<Value> = (0..40).map(|i| Value::Str(format!("s{i}"))).collect();
+        let base = Column::from_values(DataType::Str, &strs).unwrap();
+        let (inner, outer) = ([7, PAD, 3, 3, 39, 0, 12, 20], [5, PAD, 0, 4, 1, 2, 4]);
+        // `outer` reads rows 2.. of `inner`: 3, 3, 39, 0, 12, 20.
+        let want = ["s20", "", "s3", "s12", "s3", "s39", "s12"];
+        let taken = || base.take_padded(&inner).slice(2, 6).take_padded(&outer);
+        let composed = |c: &Column| match &c.rows {
+            Rows::Deferred(node) => match &node.ids {
+                RowIds::Through { composed, .. } => composed.get().is_some(),
+                RowIds::Given(_) => panic!("taken from an unread gather"),
+            },
+            Rows::Buffer(_) => panic!("a take is deferred"),
+        };
+        let strings = |c: &Column| c.strs().to_vec();
+
+        // A window's cells, its size and its compacted copy: its own ids only.
+        let t = taken();
+        let window = t.slice(3, 3);
+        assert_eq!([window.value(0), t.value(1)], [Value::Str("s12".into()), Value::Null]);
+        assert_eq!(window.byte_size(), 3 + 2 + 3 + 3 * 4);
+        assert_eq!(strings(&window.clone().compact()), want[3..6]);
+        assert!(!composed(&t) && !t.is_forced(), "a window composed or gathered the column");
+
+        // The whole column — sized, read per source row, or gathered — composes once.
+        assert_eq!(t.byte_size(), want.iter().map(|s| s.len() as u64 + 4).sum::<u64>());
+        assert!(composed(&t) && !t.is_forced());
+        let (_, ids) = window.unread_gather().expect("nobody has read it");
+        assert_eq!(ids, [12, 3, 39]);
+        assert_eq!(strings(&t), want);
+        assert_eq!(strings(&taken()), want, "gathered before anything composed");
+
+        // Through a third gather the ids still reach the first source.
+        let third = taken().slice(1, 5).take(&[4, 0, 2]);
+        assert_eq!((third.value(0), third.value(1)), (Value::Str("s39".into()), Value::Null));
+        assert_eq!(strings(&third), ["s39", "", "s12"]);
+        assert!(!taken().slice(1, 5).take(&[4, 0, 2]).compact().is_null(0));
+    }
+
+    #[test]
     fn normalize_validity_drops_all_true() {
         let c = int_col(&[Some(1), None, Some(3)]);
         // Filtering out the null leaves an all-true bitmap behind.
@@ -760,6 +886,36 @@ mod tests {
         let c = a.concat(&b).unwrap();
         assert_eq!(c.len(), 3);
         assert!(c.value(1).is_null());
+    }
+
+    #[test]
+    fn concat_many_validity_matches_bitwise_at_every_alignment() {
+        // Parts that start NULL-free, carry an all-true bitmap, or have NULLs,
+        // cut at word boundaries and one off them.
+        let cell = |i: usize| if i % 5 == 3 { None } else { Some(i as i64) };
+        for first in [0, 1, 63, 64, 65, 130] {
+            for second in [0, 1, 63, 64, 65] {
+                let parts = [
+                    int_col(&(0..first).map(|i| Some(i as i64)).collect::<Vec<_>>()),
+                    int_col(&(0..70).map(cell).collect::<Vec<_>>()).slice(3, 1),
+                    int_col(&(0..second).map(cell).collect::<Vec<_>>()),
+                    int_col(&(0..64).map(cell).collect::<Vec<_>>()),
+                ];
+                let c = Column::concat_many(&parts).unwrap();
+                let bits: Vec<bool> =
+                    parts.iter().flat_map(|p| (0..p.len()).map(|i| !p.is_null(i))).collect();
+                assert_eq!(
+                    c.validity(),
+                    Some(&Bitmap::from_bools(&bits)),
+                    "{first} + 1 + {second}"
+                );
+            }
+        }
+        // Presence is canonical: all-true bitmaps on every part leave none.
+        let whole = int_col(&(0..70).map(cell).collect::<Vec<_>>());
+        let valid = [whole.slice(0, 3), whole.slice(4, 4), whole.slice(64, 4)];
+        assert!(valid.iter().all(|p| p.validity().is_some()));
+        assert!(Column::concat_many(&valid).unwrap().validity().is_none());
     }
 
     #[test]

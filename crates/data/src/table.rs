@@ -11,6 +11,7 @@ use crate::column::{Column, ColumnBuilder, Gather};
 use crate::schema::SchemaRef;
 use crate::value::Value;
 use cv_common::{CvError, Result};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -137,14 +138,18 @@ impl Table {
 
     /// Gather rows by index.
     pub fn take(&self, indices: &[usize]) -> Result<Table> {
+        Ok(self.take_ids(Cow::Borrowed(indices)))
+    }
+
+    fn take_ids(&self, indices: Cow<'_, [usize]>) -> Table {
         // Identity-prefix gather (rows 0..k, in order) needs no per-row
         // gather at all: the full-table case shares the buffers outright
         // (the common case when an FK join matches each probe row exactly
         // once), and a proper prefix is a window over them.
         if indices.iter().enumerate().all(|(j, &i)| j == i) {
-            return Ok(self.slice(0, indices.len()));
+            return self.slice(0, indices.len());
         }
-        Ok(self.gather(indices.to_vec()))
+        self.gather(indices.into_owned())
     }
 
     /// [`Table::take`] for a caller that knows `indices` are not a prefix
@@ -247,7 +252,7 @@ impl Table {
     pub fn sort_by(&self, keys: &[(usize, bool)]) -> Result<Table> {
         let key_cols: Vec<(&Column, bool)> =
             keys.iter().map(|&(ci, asc)| (&self.columns[ci], asc)).collect();
-        self.take(&crate::sortkey::order_rows(&key_cols, self.rows))
+        Ok(self.take_ids(Cow::Owned(crate::sortkey::order_rows(&key_cols, self.rows))))
     }
 
     /// Approximate in-memory size in bytes.

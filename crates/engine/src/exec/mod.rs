@@ -19,7 +19,10 @@
 //! hash aggregation — process their input as a sequence of fixed-size
 //! chunks ([`cv_data::chunk::DEFAULT_CHUNK_SIZE`] rows) and fan the chunks
 //! out through the context's [`MorselRunner`], so a single heavy job
-//! spreads across the service's worker pool. A chunk is a *window* over
+//! spreads across the service's worker pool. A filter's per-chunk work is a
+//! *selection* — the surviving row ids ([`crate::expr::eval::select`]) —
+//! gathered once from the unsliced input; a projection chunks only what it
+//! computes and hands on, uncopied, the columns it merely names. A chunk is a *window* over
 //! the input's column buffers ([`Table::slice`]): cutting one copies no
 //! row, so an operator pays only for the columns it reads. A gather is
 //! *deferred* the same way ([`cv_data::column::Column::take`]): a filter's,
@@ -52,7 +55,8 @@ pub mod opstate;
 mod sort;
 
 use crate::cost::CostModel;
-use crate::expr::eval::{eval, eval_predicate, EvalCtx};
+use crate::expr::eval::{eval, select, EvalCtx};
+use crate::expr::ScalarExpr;
 use crate::obs::ObsSink;
 use crate::physical::{JoinAlgo, JoinAlgoCounts, PhysicalPlan};
 use crate::udo::UdoRegistry;
@@ -62,6 +66,7 @@ use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{CvError, Result, SimTime};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::chunk::{chunk_ranges, ChunkedTable};
+use cv_data::column::Column;
 use cv_data::schema::SchemaRef;
 use cv_data::table::Table;
 use cv_data::viewstore::{MaterializedView, ViewSource};
@@ -432,43 +437,78 @@ fn exec_node_inner(
             let OpOutput { table: in_table, bytes } =
                 exec_node(input, ctx, model, metrics, pending)?;
             metrics.data_read_bytes += bytes;
-            // Per-chunk work is the mask alone. Survivors are gathered once,
-            // straight from the unsliced input (or the input is shared when
-            // every row passes) — not once per chunk and again to
+            // Per-chunk work is the selection alone. Survivors are gathered
+            // once, straight from the unsliced input (or the input is shared
+            // when every row passes) — not once per chunk and again to
             // reassemble. Normalized like any chunk reassembly.
-            let masks = map_chunks(&in_table, ctx, predicate.is_deterministic(), &|t, ec| {
-                eval_predicate(predicate, t, ec)
+            let selections = map_chunks(&in_table, ctx, predicate.is_deterministic(), &|t, ec| {
+                Ok((t.num_rows(), select(predicate, t, None, ec)?))
             })?;
-            let mut keep: Vec<usize> = Vec::new();
-            let mut off = 0;
-            for mask in &masks {
-                keep.extend(mask.ones().into_iter().map(|i| off + i));
-                off += mask.len();
+            let chunks = selections.len();
+            let survivors: usize = selections.iter().map(|(_, ids)| ids.len()).sum();
+            let mut selections = selections.into_iter();
+            let (mut off, mut keep) = selections.next().unwrap_or_default();
+            keep.reserve_exact(survivors - keep.len());
+            for (rows, ids) in selections {
+                keep.extend(ids.iter().map(|i| off + i));
+                off += rows;
             }
+            // The ids ascend, so they are rows `0..len` exactly when the last
+            // one is `len - 1`: a window, no gather.
             let out = if keep.len() == in_table.num_rows() {
                 in_table.clone()
+            } else if keep.last().map_or(0, |last| last + 1) == keep.len() {
+                in_table.slice(0, keep.len())
             } else {
-                in_table.take(&keep)?
+                in_table.gather(keep)
             };
             let work = model.filter(in_table.num_rows() as f64).total()
-                + model.morsel_dispatch(masks.len() as f64).total();
+                + model.morsel_dispatch(chunks as f64).total();
             Ok(record(metrics, plan, OpOutput::new(out.normalized()), work, None))
         }
         PhysicalPlan::Project { exprs, schema, input, .. } => {
             let OpOutput { table: in_table, bytes } =
                 exec_node(input, ctx, model, metrics, pending)?;
             metrics.data_read_bytes += bytes;
-            let det = exprs.iter().all(|(e, _)| e.is_deterministic());
-            let chunks = map_chunks(&in_table, ctx, det, &|t, ec| {
-                let mut columns = Vec::with_capacity(exprs.len());
-                for (e, _) in exprs {
-                    columns.push(eval(e, t, ec)?);
-                }
-                Table::new(schema.clone(), columns)
-            })?;
-            let out = Table::from_chunks(schema.clone(), &chunks)?;
+            // A column the projection only names is the input's column — a
+            // reference bump, a deferred gather stays unread — and only the
+            // computed expressions are chunked. (A chunk still looks a named
+            // column up, so an unknown one fails where it always did.)
+            let named = |e: &ScalarExpr| matches!(e, ScalarExpr::Column(_));
+            let parts = if exprs.iter().all(|(e, _)| named(e)) {
+                None
+            } else {
+                let det = exprs.iter().all(|(e, _)| e.is_deterministic());
+                Some(map_chunks(&in_table, ctx, det, &|t, ec| {
+                    let mut computed = Vec::new();
+                    for (e, _) in exprs {
+                        let column = eval(e, t, ec)?;
+                        if !named(e) {
+                            computed.push(column);
+                        }
+                    }
+                    Ok(computed)
+                })?)
+            };
+            let chunks = match &parts {
+                Some(parts) => parts.len(),
+                None => chunk_ranges(in_table.num_rows(), ctx.chunk_size).len(),
+            };
+            let mut computed = 0;
+            let mut columns = Vec::with_capacity(exprs.len());
+            for (e, _) in exprs {
+                columns.push(if named(e) {
+                    eval(e, &in_table, &mut ctx.eval)?.normalize_validity()
+                } else {
+                    let of_chunks: Vec<Column> =
+                        parts.iter().flatten().map(|p| p[computed].clone()).collect();
+                    computed += 1;
+                    Column::concat_many(&of_chunks)?
+                });
+            }
+            let out = Table::new(schema.clone(), columns)?;
             let work = model.project(in_table.num_rows() as f64, exprs.len()).total()
-                + model.morsel_dispatch(chunks.len() as f64).total();
+                + model.morsel_dispatch(chunks as f64).total();
             Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::Join { algo, kind, on, left, right, swapped, .. } => {
@@ -1343,18 +1383,32 @@ mod tests {
             )
             .unwrap()
             .build();
-        let (physical, model) = optimize_physical(&plan, &cat);
-        for vectorized in [true, false] {
-            let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX, vectorized);
-            assert!(mono.num_rows() > 0);
-            for chunk_size in [1, 3, 7, 50, 2048] {
-                let chunked =
-                    exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size, vectorized);
-                assert_byte_identical(
-                    &chunked,
-                    &mono,
-                    &format!("chunk {chunk_size} vectorized {vectorized}"),
-                );
+        // A projection that computes one column and only names the others —
+        // one of them twice — over a filter's (deferred) output.
+        let named = PlanBuilder::scan(&cat, "facts")
+            .unwrap()
+            .filter(col("v").gt(lit(1.0)))
+            .unwrap()
+            .project(vec![
+                (col("tag"), "tag"),
+                (col("v").mul(lit(2.0)), "v2"),
+                (col("tag"), "tag_again"),
+                (col("k"), "k"),
+            ])
+            .unwrap()
+            .build();
+        for (what, plan) in [("pipeline", plan), ("named columns", named)] {
+            let (physical, model) = optimize_physical(&plan, &cat);
+            for vectorized in [true, false] {
+                let run = |chunk_size| {
+                    exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size, vectorized)
+                };
+                let mono = run(usize::MAX);
+                assert!(mono.num_rows() > 0);
+                for chunk_size in [1, 3, 7, 50, 2048] {
+                    let what = format!("{what}, chunk {chunk_size}, vectorized {vectorized}");
+                    assert_byte_identical(&run(chunk_size), &mono, &what);
+                }
             }
         }
     }

@@ -5,12 +5,17 @@
 //! [`Value`]s with SQL ternary-logic null semantics; the same scalar kernels
 //! back the constant folder in [`super::fold`], so folding and runtime can
 //! never disagree.
+//!
+//! A predicate is not a column: [`select`] returns the ids of the rows where
+//! it is TRUE. That is the one way the Filter operator evaluates one — the
+//! typed comparison loops write ids, an `AND` evaluates each conjunct at the
+//! survivors of the ones before it, and whatever has no such form goes
+//! through [`eval`] over every row, as the scalar reference always does.
 
 use super::kernels::{self, Operand};
 use super::{BinOp, FuncKind, ScalarExpr, UnOp};
 use cv_common::hash::StableHasher;
 use cv_common::{CvError, Result};
-use cv_data::bitmap::Bitmap;
 use cv_data::column::{Column, ColumnBuilder};
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
@@ -154,24 +159,25 @@ pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Colum
             let when_cols: Result<Vec<Column>> =
                 branches.iter().map(|(w, _)| eval(w, table, ctx)).collect();
             let when_cols = when_cols?;
-            let then_cols: Result<Vec<Column>> =
-                branches.iter().map(|(_, t)| eval(t, table, ctx)).collect();
-            let then_cols = then_cols?;
+            // A constant THEN/ELSE reaches the kernel as the scalar it is.
+            let thens: Result<Vec<Operand<'_>>> =
+                branches.iter().map(|(_, t)| operand(t, true, table, ctx)).collect();
+            let thens = thens?;
             let else_col = match else_expr {
-                Some(e) => Some(eval(e, table, ctx)?),
+                Some(e) => Some(operand(e, true, table, ctx)?),
                 None => None,
             };
             let out_type = expr.dtype(table.schema())?;
             if ctx.vectorized {
                 if let Some(c) =
-                    kernels::case_select(&when_cols, &then_cols, else_col.as_ref(), out_type, n)
+                    kernels::case_select(&when_cols, &thens, else_col.as_ref(), out_type, n)
                 {
                     return Ok(c);
                 }
             }
             let mut b = ColumnBuilder::with_capacity(out_type, n);
             'rows: for i in 0..n {
-                for (w, t) in when_cols.iter().zip(&then_cols) {
+                for (w, t) in when_cols.iter().zip(&thens) {
                     if w.value(i).as_bool() == Some(true) {
                         b.push(&t.value(i))?;
                         continue 'rows;
@@ -201,19 +207,125 @@ pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Colum
     }
 }
 
-/// Evaluate a predicate into a selection mask; SQL semantics: NULL → false.
-/// The mask is a [`Bitmap`] (bit set = row selected) so `Table::filter` can
-/// gather word-at-a-time and short-circuit the all-true case.
-pub fn eval_predicate(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Bitmap> {
+/// The ids, ascending, of the rows of `table` where `expr` is TRUE — SQL
+/// semantics: a NULL verdict does not select — among `within` when given
+/// (itself ascending), among all rows otherwise.
+///
+/// `within` restricts the answer, and the evaluation too wherever that is
+/// safe: a typed comparison loop reads only those rows, an `AND` hands each
+/// conjunct the survivors of the ones before it. Everything else is
+/// evaluated over every row by [`eval`] and then read at `within`, so it
+/// raises what it always raised and advances the non-determinism counter as
+/// it always did. With `vectorized` off that general arm is the only one.
+pub fn select(
+    expr: &ScalarExpr,
+    table: &Table,
+    within: Option<&[usize]>,
+    ctx: &mut EvalCtx,
+) -> Result<Vec<usize>> {
+    if let (true, ScalarExpr::Binary { op, left, right }) = (ctx.vectorized, expr) {
+        let typed = match op {
+            BinOp::And => select_conjuncts(expr, table, within, ctx)?,
+            _ if op.is_comparison() => {
+                match (plain_operand(left, table), plain_operand(right, table)) {
+                    (Some(l), Some(r)) => kernels::select(*op, &l, &r, table.num_rows(), within),
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        if let Some(ids) = typed {
+            return Ok(ids);
+        }
+    }
     let c = eval(expr, table, ctx)?;
     if c.dtype() != DataType::Bool {
         return Err(CvError::exec(format!("predicate must be BOOL, got {}", c.dtype())));
     }
-    let mask = Bitmap::from_bools(c.bools());
-    Ok(match c.validity() {
-        Some(v) => mask.and(v),
-        None => mask,
+    let (verdicts, validity) = (c.bools(), c.validity());
+    let selected = |i: &usize| verdicts[*i] && validity.is_none_or(|v| v.get(*i));
+    Ok(match within {
+        Some(ids) => ids.iter().copied().filter(selected).collect(),
+        None => (0..c.len()).filter(selected).collect(),
     })
+}
+
+/// What a typed selection loop compares: a column of the chunk, or a
+/// non-NULL constant.
+fn plain_operand<'e>(expr: &'e ScalarExpr, table: &Table) -> Option<Operand<'e>> {
+    match expr {
+        ScalarExpr::Column(name) => table.column_by_name(name).cloned().map(Operand::Col),
+        _ => constant(expr).map(Operand::Const),
+    }
+}
+
+/// `Some(reads a string column)` for an expression that is *narrowable*:
+/// deterministic, and unable to raise on a row — given that it type-checks,
+/// it cannot raise at all, so it may run before its neighbours, at fewer
+/// rows than they, or not at all once no row is left. The set is closed:
+/// columns, non-NULL constants, and every binary and unary operator over
+/// them (comparisons, `AND`/`OR`/`NOT`, `IS [NOT] NULL`, arithmetic — which
+/// wraps, and divides by zero to NULL). A function, a `CAST` or a `CASE` is
+/// outside it whatever it contains: some raise on a row's value
+/// (`CAST(f AS BOOL)`), some count rows (`RANDOM_NEXT()`), and nothing here
+/// is meant to know which.
+fn narrowable(expr: &ScalarExpr, table: &Table) -> Option<bool> {
+    match expr {
+        ScalarExpr::Column(name) => Some(table.column_by_name(name)?.dtype() == DataType::Str),
+        ScalarExpr::Literal(_) | ScalarExpr::Param { .. } => constant(expr).map(|_| false),
+        ScalarExpr::Binary { left, right, .. } => {
+            Some(narrowable(left, table)? | narrowable(right, table)?)
+        }
+        ScalarExpr::Unary { expr, .. } => narrowable(expr, table),
+        ScalarExpr::Func { .. } | ScalarExpr::Case { .. } | ScalarExpr::Cast { .. } => None,
+    }
+}
+
+/// The `AND` arm of [`select`]: the conjuncts of `expr` (nested `AND`s
+/// flattened) each select within the survivors of those before. Narrowable
+/// conjuncts go first — those over fixed-width columns before those that
+/// reach for a `String` per row — and are skipped once nothing survives;
+/// the rest follow in written order and always run, over every row, so the
+/// first of them to raise is the one the reference raises and the
+/// non-deterministic ones count rows in the reference's order. The order is
+/// a function of the predicate and the column types, nothing else.
+///
+/// `None` — the caller's general arm — unless every conjunct type-checks as
+/// BOOL: a mistyped conjunct is reported by the `AND` node that holds it.
+fn select_conjuncts(
+    expr: &ScalarExpr,
+    table: &Table,
+    within: Option<&[usize]>,
+    ctx: &mut EvalCtx,
+) -> Result<Option<Vec<usize>>> {
+    fn flatten<'e>(expr: &'e ScalarExpr, out: &mut Vec<&'e ScalarExpr>) {
+        match expr {
+            ScalarExpr::Binary { op: BinOp::And, left, right } => {
+                flatten(left, out);
+                flatten(right, out);
+            }
+            conjunct => out.push(conjunct),
+        }
+    }
+    let mut conjuncts = Vec::new();
+    flatten(expr, &mut conjuncts);
+    if !conjuncts.iter().all(|c| matches!(c.dtype(table.schema()), Ok(DataType::Bool))) {
+        return Ok(None);
+    }
+    const REST: u8 = 2;
+    let rank =
+        |c: &ScalarExpr| narrowable(c, table).map_or(REST, |reads_strings| reads_strings as u8);
+    let mut ranked: Vec<(u8, &ScalarExpr)> = conjuncts.into_iter().map(|c| (rank(c), c)).collect();
+    ranked.sort_by_key(|(rank, _)| *rank); // stable: written order within a rank
+    let mut survivors: Option<Vec<usize>> = None;
+    for (rank, conjunct) in ranked {
+        let so_far = survivors.as_deref().or(within);
+        if rank < REST && so_far.is_some_and(<[usize]>::is_empty) {
+            continue;
+        }
+        survivors = Some(select(conjunct, table, so_far, ctx)?);
+    }
+    Ok(Some(survivors.unwrap_or_default()))
 }
 
 /// Scalar binary kernel with SQL null propagation (AND/OR use ternary logic).
@@ -485,13 +597,15 @@ mod tests {
 
     #[test]
     fn comparisons() {
-        let mask =
-            eval_predicate(&col("seg").eq(lit("asia")), &table(), &mut EvalCtx::default()).unwrap();
-        assert_eq!(mask.to_bools(), vec![true, false, true]);
+        let rows = |e: &ScalarExpr| select(e, &table(), None, &mut EvalCtx::default()).unwrap();
+        assert_eq!(rows(&col("seg").eq(lit("asia"))), [0, 2]);
         // NULL comparison is not true.
-        let mask2 =
-            eval_predicate(&col("qty").gt(lit(0)), &table(), &mut EvalCtx::default()).unwrap();
-        assert_eq!(mask2.to_bools(), vec![true, false, true]);
+        assert_eq!(rows(&col("qty").gt(lit(0))), [0, 2]);
+        // A conjunction narrows; `within` bounds the answer.
+        assert_eq!(rows(&col("seg").eq(lit("asia")).and(col("qty").lt(lit(3)))), [2]);
+        let within =
+            select(&col("qty").gt(lit(0)), &table(), Some(&[1, 2]), &mut EvalCtx::default());
+        assert_eq!(within.unwrap(), [2]);
     }
 
     #[test]
@@ -599,7 +713,7 @@ mod tests {
 
     #[test]
     fn predicate_type_enforced() {
-        let err = eval_predicate(&col("qty"), &table(), &mut EvalCtx::default()).unwrap_err();
+        let err = select(&col("qty"), &table(), None, &mut EvalCtx::default()).unwrap_err();
         assert_eq!(err.kind(), "execution");
     }
 }

@@ -15,18 +15,31 @@
 //! either handles it or raises the same error the scalar path always did.
 //!
 //! A binary kernel's operand is an [`Operand`]: an evaluated column, or a
-//! literal/parameter passed as the scalar it is. Both reach the loops as a
-//! typed [`Lane`], so `region = 'asia'` compares each row against one
-//! `&String` — nothing is materialized per row for the constant side. The
-//! lane types are exactly the column types a broadcast literal would have
-//! had, so every coercion (Int literal against a Float column, either
-//! operand order) goes through the same arm it always did.
+//! literal/parameter passed as the scalar it is, so `region = 'asia'`
+//! compares each row against one `&String` — nothing is materialized per
+//! row for the constant side. The lane types are exactly the column types a
+//! broadcast literal would have had, so every coercion (Int literal against
+//! a Float column, either operand order) goes through the same arm it
+//! always did.
+//!
+//! **Everything a loop does not vary is decided outside it.** The operand
+//! shape (column or constant, each side: [`rows!`]), the operator
+//! ([`by_op`], and one `match` per arithmetic kernel) and the presence of a
+//! validity bitmap ([`map_rows`], [`try_map_rows`], [`Verdicts::fill`]) each
+//! pick a monomorphic loop; no loop calls through a pointer, matches on the
+//! operator or asks an operand what it is. Operands without NULLs take
+//! loops that never look at a bitmap and allocate one only if a row of the
+//! *result* is NULL (`x / 0`, a failed parse, a CASE without ELSE).
+//!
+//! A comparison is one typed dispatch ([`compare`]) with two outlets: the
+//! dense kernel writes a `bool` per row (a projected boolean, a `CASE WHEN`,
+//! an `OR`), the selection ([`select`]) writes the ids of the rows that
+//! passed — the Filter operator's form ([`super::eval::select`]).
 
 use super::{BinOp, UnOp};
 use cv_data::bitmap::Bitmap;
 use cv_data::column::{Column, ColumnData, ColumnView};
 use cv_data::value::{DataType, Value};
-use std::cmp::Ordering;
 
 /// Broadcast a literal/parameter into a constant column (one allocation,
 /// no per-row push) — for a literal that *is* an output column; operands of
@@ -46,7 +59,7 @@ pub(super) fn broadcast(v: &Value, out_type: DataType, n: usize) -> Option<Colum
     Some(Column::new(data, None))
 }
 
-/// One side of a binary kernel.
+/// One side of a binary kernel, or one THEN/ELSE of a CASE.
 pub(super) enum Operand<'e> {
     Col(Column),
     /// A non-NULL literal or parameter, standing for the constant column a
@@ -97,16 +110,6 @@ enum Lane<'a, T> {
     Const(&'a T),
 }
 
-impl<'a, T> Lane<'a, T> {
-    #[inline]
-    fn get(&self, i: usize) -> &'a T {
-        match *self {
-            Lane::Col(v) => &v[i],
-            Lane::Const(k) => k,
-        }
-    }
-}
-
 enum Lanes<'a> {
     Bool(Lane<'a, bool>),
     Int(Lane<'a, i64>),
@@ -115,14 +118,56 @@ enum Lanes<'a> {
     Date(Lane<'a, i32>),
 }
 
+/// Binds two lanes as row readers (`Fn(usize) -> &T`) and expands `$body`,
+/// an `Option`, once per column/constant shape: which side is a constant is
+/// settled here, outside whatever loops `$body` runs. Two constants have no
+/// rows of their own (the evaluator hands at most one side over as a
+/// scalar) and take the caller's fallback.
+macro_rules! rows {
+    (($a:expr, $b:expr) => |$x:ident, $y:ident| $body:expr) => {
+        match ($a, $b) {
+            (Lane::Col(a), Lane::Col(b)) => {
+                let ($x, $y) = (|i: usize| &a[i], |i: usize| &b[i]);
+                $body
+            }
+            (Lane::Col(a), Lane::Const(b)) => {
+                let ($x, $y) = (|i: usize| &a[i], |_: usize| b);
+                $body
+            }
+            (Lane::Const(a), Lane::Col(b)) => {
+                let ($x, $y) = (|_: usize| a, |i: usize| &b[i]);
+                $body
+            }
+            (Lane::Const(_), Lane::Const(_)) => None,
+        }
+    };
+}
+
 /// Typed binary kernel over `n` rows. `None` means "no kernel for this
 /// combination".
 pub(super) fn binary(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
     match op {
         BinOp::And | BinOp::Or => and_or(op, l, r, n),
-        _ if op.is_comparison() => compare(op, l, r, n),
+        _ if op.is_comparison() => {
+            let validity = combine_validity(l, r);
+            let data = compare(op, l, r, validity.as_ref(), Dense(n))?;
+            Some(Column::new(ColumnData::Bool(data), normalize(validity)))
+        }
         _ => arith(op, l, r, n),
     }
+}
+
+/// The ids, ascending, of the rows among `within` (all `n` when `None`)
+/// where `l <op> r` is TRUE: the comparison kernel writing row ids instead
+/// of a `bool` per row. Only the rows of `within` are compared.
+pub(super) fn select(
+    op: BinOp,
+    l: &Operand<'_>,
+    r: &Operand<'_>,
+    n: usize,
+    within: Option<&[usize]>,
+) -> Option<Vec<usize>> {
+    compare(op, l, r, combine_validity(l, r).as_ref(), Selected { n, within })
 }
 
 #[inline]
@@ -130,39 +175,41 @@ fn valid(v: Option<&Bitmap>, i: usize) -> bool {
     v.is_none_or(|b| b.get(i))
 }
 
-/// AND/OR with SQL ternary logic on Bool operands.
+/// AND/OR with SQL ternary logic on Bool operands. A row's verdict is known
+/// when one side decides alone (a valid FALSE under AND, a valid TRUE under
+/// OR) or both sides are valid; an unknown row is NULL over `false`.
 fn and_or(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
-    let (Lanes::Bool(lv), Lanes::Bool(rv)) = (l.lanes()?, r.lanes()?) else {
+    /// `(TRUE, FALSE)` from each side's `(TRUE, FALSE)`.
+    fn ternary(
+        n: usize,
+        x: impl Fn(usize) -> (bool, bool),
+        y: impl Fn(usize) -> (bool, bool),
+        combine: impl Fn((bool, bool), (bool, bool)) -> (bool, bool),
+    ) -> Column {
+        let (mut data, mut known) = (vec![false; n], vec![false; n]);
+        for i in 0..n {
+            let (t, f) = combine(x(i), y(i));
+            (data[i], known[i]) = (t, t | f);
+        }
+        Column::new(ColumnData::Bool(data), normalize(Some(Bitmap::from_bools(&known))))
+    }
+    let (Lanes::Bool(a), Lanes::Bool(b)) = (l.lanes()?, r.lanes()?) else {
         return None;
     };
-    let (lval, rval) = (l.validity(), r.validity());
-    let mut data = vec![false; n];
-    let mut validity = Bitmap::all_set(n);
-    let mut any_null = false;
-    for (i, slot) in data.iter_mut().enumerate() {
-        let a = if valid(lval, i) { Some(*lv.get(i)) } else { None };
-        let b = if valid(rval, i) { Some(*rv.get(i)) } else { None };
-        let out = match op {
-            BinOp::And => match (a, b) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            _ => match (a, b) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-        };
-        match out {
-            Some(x) => *slot = x,
-            None => {
-                validity.set(i, false);
-                any_null = true;
+    let (lv, rv) = (l.validity(), r.validity());
+    let no_nulls = |data: Vec<bool>| Column::new(ColumnData::Bool(data), None);
+    rows!((a, b) => |x, y| Some(match (op, lv.or(rv)) {
+        (BinOp::And, None) => no_nulls((0..n).map(|i| *x(i) & *y(i)).collect()),
+        (_, None) => no_nulls((0..n).map(|i| *x(i) | *y(i)).collect()),
+        (op, Some(_)) => {
+            let x = |i: usize| (valid(lv, i) & *x(i), valid(lv, i) & !*x(i));
+            let y = |i: usize| (valid(rv, i) & *y(i), valid(rv, i) & !*y(i));
+            match op {
+                BinOp::And => ternary(n, x, y, |(xt, xf), (yt, yf)| (xt & yt, xf | yf)),
+                _ => ternary(n, x, y, |(xt, xf), (yt, yf)| (xt | yt, xf & yf)),
             }
         }
-    }
-    Some(Column::new(ColumnData::Bool(data), if any_null { Some(validity) } else { None }))
+    }))
 }
 
 fn combine_validity(l: &Operand<'_>, r: &Operand<'_>) -> Option<Bitmap> {
@@ -180,78 +227,158 @@ fn normalize(v: Option<Bitmap>) -> Option<Bitmap> {
     v.filter(|b| !b.all_true())
 }
 
-/// Comparison kernels: typed per-pair loops matching `Value::total_cmp`
-/// (Int/Float mixes widen to f64, floats via `f64::total_cmp`).
-fn compare(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
-    let pred: fn(Ordering) -> bool = match op {
-        BinOp::Eq => |o| o == Ordering::Equal,
-        BinOp::NotEq => |o| o != Ordering::Equal,
-        BinOp::Lt => |o| o == Ordering::Less,
-        BinOp::LtEq => |o| o != Ordering::Greater,
-        BinOp::Gt => |o| o == Ordering::Greater,
-        BinOp::GtEq => |o| o != Ordering::Less,
-        _ => unreachable!("compare called with non-comparison op"),
-    };
-    let validity = combine_validity(l, r);
-    let mut data = vec![false; n];
-    macro_rules! fill {
-        ($ord:expr) => {{
-            let ord = $ord;
-            match &validity {
-                None => {
-                    for i in 0..n {
-                        data[i] = pred(ord(i));
-                    }
-                }
-                Some(v) => {
-                    for i in 0..n {
-                        if v.get(i) {
-                            data[i] = pred(ord(i));
-                        }
-                    }
-                }
+/// Where a comparison's per-row verdicts go. `keep(i)` is asked only of rows
+/// `validity` calls valid; a NULL row is never kept.
+trait Verdicts {
+    type Out;
+    fn fill(self, validity: Option<&Bitmap>, keep: impl Fn(usize) -> bool) -> Self::Out;
+}
+
+/// A `bool` for each of the `n` rows, `false` under a NULL.
+struct Dense(usize);
+
+impl Verdicts for Dense {
+    type Out = Vec<bool>;
+    fn fill(self, validity: Option<&Bitmap>, keep: impl Fn(usize) -> bool) -> Vec<bool> {
+        match validity {
+            None => (0..self.0).map(keep).collect(),
+            Some(v) => (0..self.0).map(|i| v.get(i) && keep(i)).collect(),
+        }
+    }
+}
+
+/// The ids of the kept rows among `within` (all `n` when `None`), ascending
+/// as `within` is.
+struct Selected<'a> {
+    n: usize,
+    within: Option<&'a [usize]>,
+}
+
+impl Verdicts for Selected<'_> {
+    type Out = Vec<usize>;
+    fn fill(self, validity: Option<&Bitmap>, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+        /// Every candidate is written where the next survivor goes and the
+        /// cursor moves only past a kept one: no branch on the verdict.
+        fn compress(
+            candidates: usize,
+            ids: impl Iterator<Item = usize>,
+            keep: impl Fn(usize) -> bool,
+        ) -> Vec<usize> {
+            let mut out = vec![0; candidates];
+            let mut kept = 0;
+            for i in ids {
+                out[kept] = i;
+                kept += keep(i) as usize;
             }
-        }};
+            out.truncate(kept);
+            // A chunk's selection outlives the chunk: it keeps its survivors,
+            // not the room its candidates needed.
+            out.shrink_to_fit();
+            out
+        }
+        match (self.within, validity) {
+            (None, None) => compress(self.n, 0..self.n, keep),
+            (None, Some(v)) => compress(self.n, 0..self.n, |i| v.get(i) && keep(i)),
+            (Some(w), None) => compress(w.len(), w.iter().copied(), keep),
+            (Some(w), Some(v)) => compress(w.len(), w.iter().copied(), |i| v.get(i) && keep(i)),
+        }
+    }
+}
+
+/// The operator is chosen here, once: each arm is its own loop over keys of
+/// a totally ordered type.
+fn by_op<K: PartialOrd, S: Verdicts>(
+    op: BinOp,
+    validity: Option<&Bitmap>,
+    out: S,
+    l: impl Fn(usize) -> K,
+    r: impl Fn(usize) -> K,
+) -> Option<S::Out> {
+    Some(match op {
+        BinOp::Eq => out.fill(validity, |i| l(i) == r(i)),
+        BinOp::NotEq => out.fill(validity, |i| l(i) != r(i)),
+        BinOp::Lt => out.fill(validity, |i| l(i) < r(i)),
+        BinOp::LtEq => out.fill(validity, |i| l(i) <= r(i)),
+        BinOp::Gt => out.fill(validity, |i| l(i) > r(i)),
+        BinOp::GtEq => out.fill(validity, |i| l(i) >= r(i)),
+        _ => return None,
+    })
+}
+
+/// Comparison kernels: one loop per (type pair, operand shape, operator)
+/// matching `Value::total_cmp` to the bit — Int/Float mixes widen to f64,
+/// floats order as `f64::total_cmp` does (−0.0 below +0.0, NaNs by payload),
+/// strings compare as bytes (`=` by length first).
+fn compare<S: Verdicts>(
+    op: BinOp,
+    l: &Operand<'_>,
+    r: &Operand<'_>,
+    validity: Option<&Bitmap>,
+    out: S,
+) -> Option<S::Out> {
+    /// The integer that orders as `f64::total_cmp` orders `x`.
+    fn total(x: f64) -> i64 {
+        let bits = x.to_bits() as i64;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
     }
     match (l.lanes()?, r.lanes()?) {
-        (Lanes::Int(a), Lanes::Int(b)) => fill!(|i: usize| a.get(i).cmp(b.get(i))),
-        (Lanes::Float(a), Lanes::Float(b)) => fill!(|i: usize| a.get(i).total_cmp(b.get(i))),
-        (Lanes::Int(a), Lanes::Float(b)) => {
-            fill!(|i: usize| (*a.get(i) as f64).total_cmp(b.get(i)))
+        (Lanes::Int(a), Lanes::Int(b)) => {
+            rows!((a, b) => |x, y| by_op(op, validity, out, |i| *x(i), |i| *y(i)))
         }
-        (Lanes::Float(a), Lanes::Int(b)) => {
-            fill!(|i: usize| a.get(i).total_cmp(&(*b.get(i) as f64)))
+        (Lanes::Float(a), Lanes::Float(b)) => {
+            rows!((a, b) => |x, y| by_op(op, validity, out, |i| total(*x(i)), |i| total(*y(i))))
         }
-        (Lanes::Str(a), Lanes::Str(b)) => fill!(|i: usize| a.get(i).cmp(b.get(i))),
-        (Lanes::Date(a), Lanes::Date(b)) => fill!(|i: usize| a.get(i).cmp(b.get(i))),
-        (Lanes::Bool(a), Lanes::Bool(b)) => fill!(|i: usize| a.get(i).cmp(b.get(i))),
-        _ => return None,
-    }
-    Some(Column::new(ColumnData::Bool(data), normalize(validity)))
-}
-
-/// Numeric lane widening Int to f64 (the `as_f64` coercion).
-enum NumLane<'a> {
-    Int(Lane<'a, i64>),
-    Float(Lane<'a, f64>),
-}
-
-impl NumLane<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        match self {
-            NumLane::Int(v) => *v.get(i) as f64,
-            NumLane::Float(v) => *v.get(i),
+        (Lanes::Int(a), Lanes::Float(b)) => rows!((a, b) => |x, y| {
+            by_op(op, validity, out, |i| total(*x(i) as f64), |i| total(*y(i)))
+        }),
+        (Lanes::Float(a), Lanes::Int(b)) => rows!((a, b) => |x, y| {
+            by_op(op, validity, out, |i| total(*x(i)), |i| total(*y(i) as f64))
+        }),
+        (Lanes::Str(a), Lanes::Str(b)) => rows!((a, b) => |x, y| by_op(op, validity, out, x, y)),
+        (Lanes::Date(a), Lanes::Date(b)) => {
+            rows!((a, b) => |x, y| by_op(op, validity, out, |i| *x(i), |i| *y(i)))
         }
-    }
-}
-
-fn num_lane(l: Lanes<'_>) -> Option<NumLane<'_>> {
-    match l {
-        Lanes::Int(v) => Some(NumLane::Int(v)),
-        Lanes::Float(v) => Some(NumLane::Float(v)),
+        (Lanes::Bool(a), Lanes::Bool(b)) => {
+            rows!((a, b) => |x, y| by_op(op, validity, out, |i| *x(i), |i| *y(i)))
+        }
         _ => None,
     }
+}
+
+/// `f` at every valid row, the type's default under a NULL. Without a bitmap
+/// the loop asks nothing per row.
+fn map_rows<O: Default>(
+    n: usize,
+    validity: Option<&Bitmap>,
+    mut f: impl FnMut(usize) -> O,
+) -> Vec<O> {
+    match validity {
+        None => (0..n).map(f).collect(),
+        Some(v) => (0..n).map(|i| if v.get(i) { f(i) } else { O::default() }).collect(),
+    }
+}
+
+/// [`map_rows`] for an `f` that can refuse a row (`x / 0`, a string that does
+/// not parse): the row becomes NULL over the default. A bitmap is made only
+/// if the operands had one or some row was refused.
+fn try_map_rows<O: Default>(
+    n: usize,
+    validity: Option<Bitmap>,
+    f: impl Fn(usize) -> Option<O>,
+) -> (Vec<O>, Option<Bitmap>) {
+    let mut refused = Vec::new();
+    let data = map_rows(n, validity.as_ref(), |i| {
+        f(i).unwrap_or_else(|| {
+            refused.push(i);
+            O::default()
+        })
+    });
+    if refused.is_empty() {
+        return (data, validity);
+    }
+    let mut validity = validity.unwrap_or_else(|| Bitmap::all_set(n));
+    refused.into_iter().for_each(|i| validity.set(i, false));
+    (data, Some(validity))
 }
 
 /// Arithmetic kernels: Int×Int stays Int (wrapping, except Div which
@@ -259,280 +386,274 @@ fn num_lane(l: Lanes<'_>) -> Option<NumLane<'_>> {
 /// to f64. Div/Mod by zero produce NULL.
 fn arith(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
     use BinOp::*;
-    let mut validity = match combine_validity(l, r) {
-        Some(v) => v,
-        None => Bitmap::all_set(n),
-    };
-    let data = match (l.lanes()?, r.lanes()?) {
-        (Lanes::Date(a), Lanes::Int(b)) => {
-            if !matches!(op, Add | Sub) {
-                return None;
+    type Out = Option<(ColumnData, Option<Bitmap>)>;
+    fn ints(
+        op: BinOp,
+        n: usize,
+        v: Option<Bitmap>,
+        x: impl Fn(usize) -> i64,
+        y: impl Fn(usize) -> i64,
+    ) -> Out {
+        let data = match op {
+            Add => map_rows(n, v.as_ref(), |i| x(i).wrapping_add(y(i))),
+            Sub => map_rows(n, v.as_ref(), |i| x(i).wrapping_sub(y(i))),
+            Mul => map_rows(n, v.as_ref(), |i| x(i).wrapping_mul(y(i))),
+            Mod => {
+                let (data, v) = try_map_rows(n, v, |i| (y(i) != 0).then(|| x(i) % y(i)));
+                return Some((ColumnData::Int(data), v));
             }
-            let mut out = vec![0i32; n];
-            for (i, slot) in out.iter_mut().enumerate() {
-                if validity.get(i) {
-                    let (a, d) = (*a.get(i), *b.get(i) as i32);
-                    *slot = if op == Add { a.wrapping_add(d) } else { a.wrapping_sub(d) };
-                }
-            }
-            ColumnData::Date(out)
-        }
-        (Lanes::Int(a), Lanes::Int(b)) if op != Div => {
-            let mut out = vec![0i64; n];
-            for (i, slot) in out.iter_mut().enumerate() {
-                if !validity.get(i) {
-                    continue;
-                }
-                let (a, b) = (*a.get(i), *b.get(i));
-                *slot = match op {
-                    Add => a.wrapping_add(b),
-                    Sub => a.wrapping_sub(b),
-                    Mul => a.wrapping_mul(b),
-                    Mod => {
-                        if b == 0 {
-                            validity.set(i, false);
-                            0
-                        } else {
-                            a % b
-                        }
-                    }
-                    _ => unreachable!(),
+            _ => return None,
+        };
+        Some((ColumnData::Int(data), v))
+    }
+    fn floats(
+        op: BinOp,
+        n: usize,
+        v: Option<Bitmap>,
+        x: impl Fn(usize) -> f64,
+        y: impl Fn(usize) -> f64,
+    ) -> Out {
+        let data = match op {
+            Add => map_rows(n, v.as_ref(), |i| x(i) + y(i)),
+            Sub => map_rows(n, v.as_ref(), |i| x(i) - y(i)),
+            Mul => map_rows(n, v.as_ref(), |i| x(i) * y(i)),
+            Div | Mod => {
+                let (data, v) = match op {
+                    Div => try_map_rows(n, v, |i| (y(i) != 0.0).then(|| x(i) / y(i))),
+                    _ => try_map_rows(n, v, |i| (y(i) != 0.0).then(|| x(i) % y(i))),
                 };
+                return Some((ColumnData::Float(data), v));
             }
-            ColumnData::Int(out)
-        }
-        (ld, rd) => {
-            let (Some(va), Some(vb)) = (num_lane(ld), num_lane(rd)) else {
-                return None;
+            _ => return None,
+        };
+        Some((ColumnData::Float(data), v))
+    }
+    let v = combine_validity(l, r);
+    let (data, validity) = match (l.lanes()?, r.lanes()?) {
+        (Lanes::Date(a), Lanes::Int(b)) => rows!((a, b) => |x, y| {
+            let days = match op {
+                Add => map_rows(n, v.as_ref(), |i| x(i).wrapping_add(*y(i) as i32)),
+                Sub => map_rows(n, v.as_ref(), |i| x(i).wrapping_sub(*y(i) as i32)),
+                _ => return None,
             };
-            let mut out = vec![0.0f64; n];
-            for (i, slot) in out.iter_mut().enumerate() {
-                if !validity.get(i) {
-                    continue;
-                }
-                let (x, y) = (va.get(i), vb.get(i));
-                *slot = match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div | Mod => {
-                        if y == 0.0 {
-                            validity.set(i, false);
-                            0.0
-                        } else if op == Div {
-                            x / y
-                        } else {
-                            x % y
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-            }
-            ColumnData::Float(out)
+            Some((ColumnData::Date(days), v))
+        }),
+        (Lanes::Int(a), Lanes::Int(b)) if op != Div => {
+            rows!((a, b) => |x, y| ints(op, n, v, |i| *x(i), |i| *y(i)))
         }
-    };
-    Some(Column::new(data, normalize(Some(validity))))
+        (Lanes::Int(a), Lanes::Int(b)) => {
+            rows!((a, b) => |x, y| floats(op, n, v, |i| *x(i) as f64, |i| *y(i) as f64))
+        }
+        (Lanes::Int(a), Lanes::Float(b)) => {
+            rows!((a, b) => |x, y| floats(op, n, v, |i| *x(i) as f64, |i| *y(i)))
+        }
+        (Lanes::Float(a), Lanes::Int(b)) => {
+            rows!((a, b) => |x, y| floats(op, n, v, |i| *x(i), |i| *y(i) as f64))
+        }
+        (Lanes::Float(a), Lanes::Float(b)) => {
+            rows!((a, b) => |x, y| floats(op, n, v, |i| *x(i), |i| *y(i)))
+        }
+        _ => None,
+    }?;
+    Some(Column::new(data, normalize(validity)))
 }
 
 /// Typed unary kernel.
 pub(super) fn unary(op: UnOp, c: &Column) -> Option<Column> {
-    let n = c.len();
-    match op {
-        UnOp::Not => {
-            let ColumnView::Bool(v) = c.view() else { return None };
-            let data: Vec<bool> = match c.validity() {
-                None => v.iter().map(|b| !b).collect(),
-                Some(val) => (0..n).map(|i| if val.get(i) { !v[i] } else { false }).collect(),
+    let (n, v) = (c.len(), c.validity());
+    let data = match (op, c.view()) {
+        (UnOp::Not, ColumnView::Bool(s)) => ColumnData::Bool(map_rows(n, v, |i| !s[i])),
+        (UnOp::Neg, ColumnView::Int(s)) => ColumnData::Int(map_rows(n, v, |i| s[i].wrapping_neg())),
+        (UnOp::Neg, ColumnView::Float(s)) => ColumnData::Float(map_rows(n, v, |i| -s[i])),
+        (UnOp::Not | UnOp::Neg, _) => return None,
+        (UnOp::IsNull | UnOp::IsNotNull, _) => {
+            let null = op == UnOp::IsNull;
+            let data = match v {
+                None => vec![!null; n],
+                Some(v) => (0..n).map(|i| v.get(i) != null).collect(),
             };
-            Some(Column::new(ColumnData::Bool(data), normalize(c.validity().cloned())))
+            return Some(Column::new(ColumnData::Bool(data), None));
         }
-        UnOp::Neg => {
-            let validity = normalize(c.validity().cloned());
-            let data = match c.view() {
-                ColumnView::Int(v) => {
-                    let mut out = vec![0i64; n];
-                    for i in 0..n {
-                        if valid(c.validity(), i) {
-                            out[i] = v[i].wrapping_neg();
-                        }
-                    }
-                    ColumnData::Int(out)
-                }
-                ColumnView::Float(v) => {
-                    let mut out = vec![0.0f64; n];
-                    for i in 0..n {
-                        if valid(c.validity(), i) {
-                            out[i] = -v[i];
-                        }
-                    }
-                    ColumnData::Float(out)
-                }
-                _ => return None,
-            };
-            Some(Column::new(data, validity))
-        }
-        UnOp::IsNull => {
-            let data: Vec<bool> = match c.validity() {
-                None => vec![false; n],
-                Some(v) => (0..n).map(|i| !v.get(i)).collect(),
-            };
-            Some(Column::new(ColumnData::Bool(data), None))
-        }
-        UnOp::IsNotNull => {
-            let data: Vec<bool> = match c.validity() {
-                None => vec![true; n],
-                Some(v) => (0..n).map(|i| v.get(i)).collect(),
-            };
-            Some(Column::new(ColumnData::Bool(data), None))
-        }
-    }
+    };
+    Some(Column::new(data, normalize(v.cloned())))
 }
 
 /// Typed cast kernel. Identity casts share the source column, window and
 /// all (reference bump); string parses that fail produce NULL, matching
 /// `cast_value`.
 pub(super) fn cast(c: &Column, to: DataType) -> Option<Column> {
-    let n = c.len();
+    use ColumnData as D;
     if c.dtype() == to {
         return Some(c.clone().normalize_validity());
     }
-    let mut validity = c.validity().cloned().unwrap_or_else(|| Bitmap::all_set(n));
-    macro_rules! convert {
-        ($src:ident, $default:expr, $wrap:expr, $f:expr) => {{
-            let mut out = vec![$default; n];
-            for i in 0..n {
-                if validity.get(i) {
-                    out[i] = $f(&$src[i]);
-                }
-            }
-            $wrap(out)
-        }};
-    }
+    let (n, v) = (c.len(), c.validity());
     // Fallible string parses clear validity on failure.
-    macro_rules! parse {
-        ($src:ident, $default:expr, $wrap:expr, $f:expr) => {{
-            let mut out = vec![$default; n];
-            for i in 0..n {
-                if validity.get(i) {
-                    match $f(&$src[i]) {
-                        Some(x) => out[i] = x,
-                        None => validity.set(i, false),
-                    }
-                }
-            }
-            $wrap(out)
-        }};
+    fn parsed<O>(wrap: fn(Vec<O>) -> D, (data, v): (Vec<O>, Option<Bitmap>)) -> Option<Column> {
+        Some(Column::new(wrap(data), normalize(v)))
     }
     let data = match (c.view(), to) {
-        (ColumnView::Int(v), DataType::Float) => {
-            convert!(v, 0.0, ColumnData::Float, |x: &i64| *x as f64)
+        (ColumnView::Int(s), DataType::Float) => D::Float(map_rows(n, v, |i| s[i] as f64)),
+        (ColumnView::Int(s), DataType::Date) => D::Date(map_rows(n, v, |i| s[i] as i32)),
+        (ColumnView::Int(s), DataType::Str) => D::Str(map_rows(n, v, |i| s[i].to_string())),
+        (ColumnView::Int(s), DataType::Bool) => D::Bool(map_rows(n, v, |i| s[i] != 0)),
+        (ColumnView::Float(s), DataType::Int) => D::Int(map_rows(n, v, |i| s[i] as i64)),
+        (ColumnView::Float(s), DataType::Str) => D::Str(map_rows(n, v, |i| s[i].to_string())),
+        (ColumnView::Str(s), DataType::Int) => {
+            return parsed(D::Int, try_map_rows(n, v.cloned(), |i| s[i].trim().parse().ok()));
         }
-        (ColumnView::Int(v), DataType::Date) => {
-            convert!(v, 0, ColumnData::Date, |x: &i64| *x as i32)
+        (ColumnView::Str(s), DataType::Float) => {
+            return parsed(D::Float, try_map_rows(n, v.cloned(), |i| s[i].trim().parse().ok()));
         }
-        (ColumnView::Int(v), DataType::Str) => {
-            convert!(v, String::new(), ColumnData::Str, |x: &i64| x.to_string())
+        (ColumnView::Str(s), DataType::Date) => {
+            let parse = |i: usize| cv_data::value::parse_date(&s[i]);
+            return parsed(D::Date, try_map_rows(n, v.cloned(), parse));
         }
-        (ColumnView::Int(v), DataType::Bool) => {
-            convert!(v, false, ColumnData::Bool, |x: &i64| *x != 0)
-        }
-        (ColumnView::Float(v), DataType::Int) => {
-            convert!(v, 0, ColumnData::Int, |x: &f64| *x as i64)
-        }
-        (ColumnView::Float(v), DataType::Str) => {
-            convert!(v, String::new(), ColumnData::Str, |x: &f64| x.to_string())
-        }
-        (ColumnView::Str(v), DataType::Int) => {
-            parse!(v, 0, ColumnData::Int, |s: &String| s.trim().parse::<i64>().ok())
-        }
-        (ColumnView::Str(v), DataType::Float) => {
-            parse!(v, 0.0, ColumnData::Float, |s: &String| s.trim().parse::<f64>().ok())
-        }
-        (ColumnView::Str(v), DataType::Date) => {
-            parse!(v, 0, ColumnData::Date, |s: &String| cv_data::value::parse_date(s))
-        }
-        (ColumnView::Bool(v), DataType::Int) => {
-            convert!(v, 0, ColumnData::Int, |x: &bool| *x as i64)
-        }
-        (ColumnView::Bool(v), DataType::Str) => {
-            convert!(v, String::new(), ColumnData::Str, |x: &bool| x.to_string())
-        }
-        (ColumnView::Date(v), DataType::Int) => {
-            convert!(v, 0, ColumnData::Int, |x: &i32| *x as i64)
-        }
-        (ColumnView::Date(v), DataType::Str) => {
-            convert!(v, String::new(), ColumnData::Str, |x: &i32| cv_data::value::format_date(*x))
+        (ColumnView::Bool(s), DataType::Int) => D::Int(map_rows(n, v, |i| s[i] as i64)),
+        (ColumnView::Bool(s), DataType::Str) => D::Str(map_rows(n, v, |i| s[i].to_string())),
+        (ColumnView::Date(s), DataType::Int) => D::Int(map_rows(n, v, |i| s[i] as i64)),
+        (ColumnView::Date(s), DataType::Str) => {
+            D::Str(map_rows(n, v, |i| cv_data::value::format_date(s[i])))
         }
         _ => return None,
     };
-    Some(Column::new(data, normalize(Some(validity))))
+    Some(Column::new(data, normalize(v.cloned())))
 }
 
-/// CASE kernel: compute a per-row branch-selection vector from the WHEN
-/// columns, coerce every source column to the output type (Int widens into
-/// Float/Date outputs, exactly like `ColumnBuilder::push`), then gather
-/// typed. `None` falls back to the scalar loop.
+/// One THEN or ELSE of a CASE, read as the output type.
+enum Source<'a, T> {
+    Rows(&'a [T], Option<&'a Bitmap>),
+    Const(T),
+}
+
+/// A cell a CASE branch can overwrite without a branch on `take`: the
+/// fixed-width types select, a string is cloned only when taken.
+trait Cell: Clone + Default {
+    fn set_if(&mut self, take: bool, from: &Self);
+}
+
+macro_rules! fixed_width_cell {
+    ($($t:ty),*) => {$(
+        impl Cell for $t {
+            #[inline]
+            fn set_if(&mut self, take: bool, from: &Self) {
+                *self = if take { *from } else { *self };
+            }
+        }
+    )*};
+}
+fixed_width_cell!(bool, i64, f64, i32);
+
+impl Cell for String {
+    #[inline]
+    fn set_if(&mut self, take: bool, from: &Self) {
+        if take {
+            self.clone_from(from);
+        }
+    }
+}
+
+/// Lay `source` over the rows of `out` that `take`: one pass, the source's
+/// kind and validity settled before it. `valid`, kept only when some row
+/// can be NULL, follows; a NULL row holds the default value.
+fn overlay<T: Cell>(
+    out: &mut [T],
+    valid: Option<&mut Vec<bool>>,
+    take: impl Fn(usize) -> bool,
+    source: &Source<'_, T>,
+) {
+    let rows = out.iter_mut().enumerate();
+    match source {
+        Source::Const(k) => rows.for_each(|(i, cell)| cell.set_if(take(i), k)),
+        Source::Rows(from, None) => rows.for_each(|(i, cell)| cell.set_if(take(i), &from[i])),
+        Source::Rows(from, Some(v)) => {
+            let null = T::default();
+            rows.for_each(|(i, cell)| cell.set_if(take(i), if v.get(i) { &from[i] } else { &null }))
+        }
+    }
+    if let Some(valid) = valid {
+        match source {
+            Source::Rows(_, Some(v)) => valid
+                .iter_mut()
+                .enumerate()
+                .for_each(|(i, ok)| *ok = if take(i) { v.get(i) } else { *ok }),
+            _ => valid.iter_mut().enumerate().for_each(|(i, ok)| *ok |= take(i)),
+        }
+    }
+}
+
+/// CASE kernel: every source is read as the output type (Int widens into
+/// Float/Date outputs, exactly like `ColumnBuilder::push`; a constant
+/// THEN/ELSE stays the scalar it is), the output starts as the ELSE (NULL
+/// without one) and the branches are laid over it last to first, so a row
+/// keeps the first WHEN that is TRUE. `None` falls back to the scalar loop.
 pub(super) fn case_select(
     when_cols: &[Column],
-    then_cols: &[Column],
-    else_col: Option<&Column>,
+    thens: &[Operand<'_>],
+    else_: Option<&Operand<'_>>,
     out_type: DataType,
     n: usize,
 ) -> Option<Column> {
-    const NO_BRANCH: usize = usize::MAX;
-    let mut sel = vec![NO_BRANCH; n];
-    for (bi, w) in when_cols.iter().enumerate() {
-        let ColumnView::Bool(wv) = w.view() else { return None };
-        let wval = w.validity();
-        for i in 0..n {
-            if sel[i] == NO_BRANCH && valid(wval, i) && wv[i] {
-                sel[i] = bi;
+    fn coerce<'e>(source: &Operand<'e>, out_type: DataType) -> Option<Operand<'e>> {
+        let widens = matches!(out_type, DataType::Float | DataType::Date);
+        match source {
+            Operand::Col(c) if c.dtype() == out_type => Some(Operand::Col(c.clone())),
+            Operand::Col(c) if c.dtype() == DataType::Int && widens => {
+                cast(c, out_type).map(Operand::Col)
             }
+            Operand::Col(_) => None,
+            Operand::Const(k) => Some(Operand::Const(k)),
         }
     }
-    // Coerce sources up front so the gather below is monomorphic.
-    let coerce = |c: &Column| -> Option<Column> {
-        if c.dtype() == out_type {
-            Some(c.clone())
-        } else if c.dtype() == DataType::Int && matches!(out_type, DataType::Float | DataType::Date)
-        {
-            cast(c, out_type)
-        } else {
-            None
-        }
-    };
-    let srcs: Option<Vec<Column>> = then_cols.iter().map(coerce).collect();
-    let srcs = srcs?;
-    let else_src = match else_col {
-        Some(c) => Some(coerce(c)?),
-        None => None,
-    };
-    let mut validity = Bitmap::all_set(n);
-    macro_rules! gather {
-        ($variant:ident, $ty:ty, $default:expr, $get:expr) => {{
-            let mut out: Vec<$ty> = vec![$default; n];
-            for i in 0..n {
-                let src: Option<&Column> =
-                    if sel[i] != NO_BRANCH { Some(&srcs[sel[i]]) } else { else_src.as_ref() };
-                match src {
-                    Some(c) if !c.is_null(i) => {
-                        let ColumnView::$variant(v) = c.view() else {
-                            unreachable!("coerced to output type above")
-                        };
-                        out[i] = $get(&v[i]);
+    let mut whens = Vec::with_capacity(when_cols.len());
+    for w in when_cols {
+        let ColumnView::Bool(verdicts) = w.view() else { return None };
+        whens.push((verdicts, w.validity()));
+    }
+    let sources: Option<Vec<Operand<'_>>> =
+        thens.iter().chain(else_).map(|source| coerce(source, out_type)).collect();
+    let sources = sources?;
+    // A row can be NULL only without an ELSE or under a source's NULL.
+    let nullable = else_.is_none() || sources.iter().any(|s| s.validity().is_some());
+    macro_rules! branches {
+        ($variant:ident, $konst:expr) => {{
+            let mut typed = Vec::with_capacity(sources.len());
+            for source in &sources {
+                typed.push(match source {
+                    Operand::Col(c) => {
+                        let ColumnView::$variant(rows) = c.view() else { return None };
+                        Source::Rows(rows, c.validity())
                     }
-                    _ => validity.set(i, false),
+                    Operand::Const(k) => Source::Const($konst(*k)?),
+                });
+            }
+            let mut out = vec![Default::default(); n];
+            let mut valid = nullable.then(|| vec![false; n]);
+            if else_.is_some() {
+                overlay(&mut out, valid.as_mut(), |_| true, &typed[thens.len()]);
+            }
+            for ((verdicts, validity), then) in whens.iter().zip(&typed).rev() {
+                match validity {
+                    None => overlay(&mut out, valid.as_mut(), |i| verdicts[i], then),
+                    Some(v) => overlay(&mut out, valid.as_mut(), |i| v.get(i) & verdicts[i], then),
                 }
             }
-            ColumnData::$variant(out)
+            let validity = valid.map(|ok| Bitmap::from_bools(&ok));
+            Column::new(ColumnData::$variant(out), normalize(validity))
         }};
     }
-    let data = match out_type {
-        DataType::Bool => gather!(Bool, bool, false, |x: &bool| *x),
-        DataType::Int => gather!(Int, i64, 0, |x: &i64| *x),
-        DataType::Float => gather!(Float, f64, 0.0, |x: &f64| *x),
-        DataType::Str => gather!(Str, String, String::new(), |x: &String| x.clone()),
-        DataType::Date => gather!(Date, i32, 0, |x: &i32| *x),
-    };
-    Some(Column::new(data, normalize(Some(validity))))
+    Some(match out_type {
+        DataType::Bool => branches!(Bool, Value::as_bool),
+        DataType::Int => branches!(Int, Value::as_int),
+        DataType::Float => branches!(Float, |k: &Value| match k {
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
+            _ => None,
+        }),
+        DataType::Str => branches!(Str, |k: &Value| k.as_str().map(str::to_string)),
+        DataType::Date => branches!(Date, |k: &Value| match k {
+            Value::Int(i) => Some(*i as i32),
+            Value::Date(d) => Some(*d),
+            _ => None,
+        }),
+    })
 }

@@ -22,7 +22,7 @@ use cv_engine::exec::{
     execute, ExecContext, ExecOutcome, OpState, OpStateAcquire, OpStateEntry, OpStateSource,
     SerialRunner, SpoolSink,
 };
-use cv_engine::expr::eval::{eval, eval_predicate, EvalCtx};
+use cv_engine::expr::eval::{eval, select, EvalCtx};
 use cv_engine::expr::{col, lit, param, AggExpr, AggFunc, BinOp, ScalarExpr, UnOp};
 use cv_engine::normalize::normalize;
 use cv_engine::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext};
@@ -240,14 +240,17 @@ fn vectorized_eval_matches_scalar_fallback() {
                 assert_columns_equal(&a, &b, &format!("{e}"));
                 checked += 1;
                 if a.dtype() == DataType::Bool {
-                    // Bool results also exercise the predicate → bitmap →
-                    // filter path used by the Filter operator.
-                    let ma = eval_predicate(&e, &t, &mut on).unwrap();
-                    let mb = eval_predicate(&e, &t, &mut off).unwrap();
-                    assert_eq!(ma.to_bools(), mb.to_bools(), "mask for {e}");
-                    let fa = t.filter(&ma).unwrap();
-                    let fb = t.filter(&mb).unwrap();
-                    assert_eq!(fa.canonical_rows(), fb.canonical_rows(), "filter for {e}");
+                    // Bool results also exercise the predicate → selection
+                    // path used by the Filter operator: the same ids, and
+                    // the same ids of any subset asked for.
+                    let sa = select(&e, &t, None, &mut on).unwrap();
+                    let sb = select(&e, &t, None, &mut off).unwrap();
+                    assert_eq!(sa, sb, "selection for {e}");
+                    let within: Vec<usize> = (0..rows).filter(|_| rng.chance(0.5)).collect();
+                    let wa = select(&e, &t, Some(&within), &mut on).unwrap();
+                    let kept: Vec<usize> =
+                        within.iter().copied().filter(|i| sb.binary_search(i).is_ok()).collect();
+                    assert_eq!(wa, kept, "selection within {within:?} for {e}");
                 }
             }
             (Err(_), Err(_)) => {} // both paths must reject together
@@ -1234,12 +1237,47 @@ const ALL_BINOPS: [BinOp; 13] = [
     BinOp::Or,
 ];
 
+/// The `random_table` schema over the values where the typed comparison
+/// loops could part from `Value::total_cmp`: both zeros, NaNs of either sign
+/// and two payloads, and integers around 2^53, where `i64 as f64` rounds.
+fn edge_table(rows: usize, null_rate: f64, rng: &mut DetRng) -> Table {
+    let floats = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        P53 as f64,
+        (P53 + 2) as f64,
+        f64::INFINITY,
+        -1.5,
+    ];
+    let ints = [P53 - 1, P53, P53 + 1, P53 + 2, -P53 - 1, 0, i64::MAX, i64::MIN];
+    let schema = random_table(rng, 0, 0.0).schema().clone();
+    let data: Vec<Vec<Value>> = (0..rows)
+        .map(|r| {
+            let row = vec![
+                Value::Bool(r % 2 == 0),
+                Value::Int(ints[r % ints.len()]),
+                Value::Float(floats[r % floats.len()]),
+                Value::Str(["", "a", "ab", "b"][r % 4].to_string()),
+                Value::Date([i32::MIN, -1, 0, 100, i32::MAX][r % 5]),
+            ];
+            row.into_iter().map(|v| if rng.chance(null_rate) { Value::Null } else { v }).collect()
+        })
+        .collect();
+    Table::from_rows(schema, &data).unwrap()
+}
+
 /// `col <op> constant` three ways: the constant as a scalar kernel operand,
 /// the constant materialized as a column (what a broadcast handed the
 /// column-vs-column kernel), and the scalar row loop. All three must be the
 /// same bytes — or reject together — for every operator, operand type
 /// pairing (same-type, Int-vs-Float both ways), operand order, and for
-/// literals and parameters alike.
+/// literals and parameters alike. As predicates the same three select the
+/// same rows — of the whole table and of any subset asked for — or reject
+/// together: the typed selection loops against the scalar reference, for
+/// every column type × comparison × side of the constant × validity.
 #[test]
 fn constant_operand_kernels_match_broadcast_columns_and_the_scalar_reference() {
     let cases: Vec<(&str, Value)> = vec![
@@ -1259,13 +1297,27 @@ fn constant_operand_kernels_match_broadcast_columns_and_the_scalar_reference() {
         ("d", Value::Int(7)), // date shifts; comparisons reject
         ("b", Value::Bool(true)),
         ("b", Value::Bool(false)),
+        // Where widening rounds and where floats are equal but not the same.
+        ("i", Value::Float(P53 as f64)),
+        ("i", Value::Int(P53 + 1)),
+        ("f", Value::Int(P53 + 1)),
+        ("f", Value::Float(-f64::NAN)),
+        ("f", Value::Float(f64::from_bits(0x7ff8_0000_0000_0001))),
+        ("d", Value::Date(i32::MIN)),
+        ("s", Value::Str("ab".into())),
     ];
     let mut rng = DetRng::seed(0x52);
-    let mut checked = 0usize;
-    for round in 0..9 {
+    let (mut checked, mut selected) = (0usize, 0usize);
+    for round in 0..12 {
         let rows = [0, 1, 70][round % 3];
-        // Null-free rounds pin "no validity bitmap when every row is valid".
-        let t = random_table(&mut rng, rows, [0.0, 0.3, 1.0][round / 3]);
+        // Null-free rounds pin "no validity bitmap when every row is valid";
+        // at a null rate of 1 every column is all-NULL.
+        let null_rate = [0.0, 0.3, 1.0][round / 3 % 3];
+        let t = match round / 9 {
+            0 => random_table(&mut rng, rows, null_rate),
+            _ => edge_table(rows + 60, [0.0, 0.3, 1.0][round % 3], &mut rng),
+        };
+        let rows = t.num_rows();
         for (name, k) in &cases {
             let mut fields = t.schema().fields().to_vec();
             fields.push(Field::new("k", k.dtype().unwrap()));
@@ -1305,6 +1357,28 @@ fn constant_operand_kernels_match_broadcast_columns_and_the_scalar_reference() {
                             c.is_ok()
                         ),
                     }
+                    let within: Vec<usize> = (0..rows).filter(|_| rng.chance(0.4)).collect();
+                    for within in [None, Some(within.as_slice())] {
+                        let by = |e: &ScalarExpr, ctx: &mut EvalCtx| select(e, &tk, within, ctx);
+                        let reference = by(&scalar_e, &mut off);
+                        let typed = [
+                            by(&scalar_e, &mut EvalCtx::new(0)),
+                            by(&column_e, &mut EvalCtx::new(0)),
+                        ];
+                        for (typed, of) in typed.into_iter().zip([&scalar_e, &column_e]) {
+                            match (&typed, &reference) {
+                                (Ok(a), Ok(b)) => assert_eq!(a, b, "{of} within {within:?}"),
+                                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                                (a, b) => {
+                                    panic!("{of}: ok={} reference ok={}", a.is_ok(), b.is_ok())
+                                }
+                            }
+                        }
+                        if let (Ok(ids), Some(within)) = (&reference, within) {
+                            assert!(ids.iter().all(|i| within.contains(i)), "{scalar_e}: {ids:?}");
+                        }
+                        selected += reference.is_ok() as usize;
+                    }
                 }
             }
         }
@@ -1335,6 +1409,104 @@ fn constant_operand_kernels_match_broadcast_columns_and_the_scalar_reference() {
         }
     }
     assert!(checked >= 1000, "only {checked} constant-operand cases evaluated");
+    assert!(selected >= 1000, "only {selected} constant-operand predicates selected");
+}
+
+fn random_next() -> ScalarExpr {
+    ScalarExpr::Func { func: cv_engine::expr::FuncKind::RandomNext, args: vec![] }
+}
+
+/// A conjunction selects what the scalar reference selects however it is
+/// written: the narrowing `AND` arm orders its conjuncts itself, so all six
+/// orders of three conjuncts are one selection; a `RANDOM_NEXT()` conjunct
+/// counts every row, in its written place among its like, wherever it
+/// stands; and a conjunct that raises still raises — the reference's error —
+/// after conjuncts that left it no row.
+#[test]
+fn conjunctions_narrow_to_the_reference_selection() {
+    let mut rng = DetRng::seed(0x54);
+    let scalar = || {
+        let mut ctx = EvalCtx::new(0);
+        ctx.vectorized = false;
+        ctx
+    };
+    let and = |cs: &[&ScalarExpr]| cs[1..].iter().fold(cs[0].clone(), |a, c| a.and((*c).clone()));
+    for null_rate in [0.0, 0.3] {
+        let t = random_table(&mut rng, 700, null_rate);
+        let (a, b, c) = (col("s").eq(lit("bb")), lit(-20_i64).lt(col("i")), col("f").lt_eq(lit(9)));
+        let want = select(&and(&[&a, &b, &c]), &t, None, &mut scalar()).unwrap();
+        assert!(!want.is_empty() && want.len() < 200, "{} rows pass", want.len());
+        let within: Vec<usize> = (0..t.num_rows()).filter(|i| i % 3 != 1).collect();
+        let want_within: Vec<usize> = want.iter().copied().filter(|i| i % 3 != 1).collect();
+        for order in
+            [[&a, &b, &c], [&a, &c, &b], [&b, &a, &c], [&b, &c, &a], [&c, &a, &b], [&c, &b, &a]]
+        {
+            // Left-deep and right-deep nestings flatten alike.
+            let left_deep = and(&order);
+            let right_deep = order[0].clone().and(order[1].clone().and(order[2].clone()));
+            for e in [left_deep, right_deep] {
+                assert_eq!(select(&e, &t, None, &mut EvalCtx::new(0)).unwrap(), want, "{e}");
+                let narrowed = select(&e, &t, Some(&within), &mut EvalCtx::new(0)).unwrap();
+                assert_eq!(narrowed, want_within, "{e} within");
+            }
+        }
+
+        // RANDOM_NEXT() before, between and after narrowable conjuncts, twice
+        // in one predicate too: the counter sequence is the reference's.
+        let coin = |modulus: i64| {
+            ScalarExpr::binary(BinOp::Mod, random_next(), lit(modulus)).not_eq(lit(0_i64))
+        };
+        let (r3, r5) = (coin(3), coin(5));
+        let sources = Tables(HashMap::from([(LEFT, t.clone())]));
+        for conjuncts in [
+            vec![&r3, &a, &b],
+            vec![&a, &r3, &b],
+            vec![&a, &b, &r3],
+            vec![&r5, &a, &r3, &c],
+            vec![&a, &r3, &r5],
+        ] {
+            let predicate = and(&conjuncts);
+            let keep = select(&predicate, &t, None, &mut scalar()).unwrap();
+            assert!(!keep.is_empty() && keep.len() < t.num_rows() / 2, "{predicate}");
+            let rows: Vec<Vec<Value>> = keep.iter().map(|&i| t.row(i)).collect();
+            let want = Table::from_rows(t.schema().clone(), &rows).unwrap();
+            assert_eq!(select(&predicate, &t, None, &mut EvalCtx::new(0)).unwrap(), keep);
+            let plan = filter_op(source(LEFT, t.schema()), predicate.clone());
+            for chunk_size in [1, 333, 2048, usize::MAX] {
+                for workers in [1, 4] {
+                    let out = try_run_over(&plan, &sources, chunk_size, workers).unwrap();
+                    let what = format!("{predicate}, chunk {chunk_size}, {workers} worker(s)");
+                    assert_tables_identical(&out.table, &want, &what);
+                }
+            }
+        }
+
+        // Error parity. INT against STRING has no kernel; the reference
+        // rejects it when it types the node, rows or no rows.
+        let nothing = col("i").gt(lit(1000_i64));
+        let mistyped = col("i").eq(lit("x"));
+        let unknown = col("nope").gt(lit(1_i64));
+        let cast = col("f").cast(DataType::Bool).is_not_null(); // raises on a row's value
+        for conjuncts in [
+            vec![&nothing, &mistyped],
+            vec![&nothing, &a, &mistyped],
+            vec![&nothing, &unknown],
+            vec![&nothing, &cast],
+            vec![&cast, &nothing, &unknown],
+            vec![&unknown, &nothing, &cast],
+        ] {
+            let predicate = and(&conjuncts);
+            let reference = select(&predicate, &t, None, &mut scalar()).unwrap_err();
+            let typed = select(&predicate, &t, None, &mut EvalCtx::new(0)).unwrap_err();
+            assert_eq!(typed.to_string(), reference.to_string(), "{predicate}");
+            assert_eq!(typed.kind(), reference.kind(), "{predicate}");
+            let plan = filter_op(source(LEFT, t.schema()), predicate.clone());
+            for chunk_size in [333, usize::MAX] {
+                let raised = try_run_over(&plan, &sources, chunk_size, 1).unwrap_err();
+                assert_eq!(raised.to_string(), reference.to_string(), "{predicate}");
+            }
+        }
+    }
 }
 
 /// Serves fixed tables as "views" so hand-built physical plans can be fed
@@ -1465,6 +1637,9 @@ fn operators_over_a_window_equal_operators_over_its_compacted_copy() {
             (col("s"), "s"),
             (col("i").cast(DataType::Str), "is"),
             (lit("k"), "k"),
+            // Named twice more, once under another name: shared, not copied.
+            (col("s"), "s_again"),
+            (col("i"), "i"),
         ];
         let mut plans: Vec<(String, PhysicalPlan)> = vec![
             ("filter".into(), filter_op(left(), predicate.clone())),
@@ -1582,9 +1757,8 @@ fn unread_columns_are_never_gathered() {
     // The scalar reference, on tables built cell by cell.
     let mut scalar = EvalCtx::new(0);
     scalar.vectorized = false;
-    let keep = eval_predicate(&predicate, &base, &mut scalar).unwrap().to_bools();
-    let kept: Vec<Vec<Value>> =
-        base.to_rows().into_iter().zip(&keep).filter(|(_, k)| **k).map(|(row, _)| row).collect();
+    let keep = select(&predicate, &base, None, &mut scalar).unwrap();
+    let kept: Vec<Vec<Value>> = keep.iter().map(|&i| base.row(i)).collect();
     assert!(kept.len() > 1000 && kept.len() < 4000, "the filter drops some rows and keeps some");
     let filtered = Table::from_rows(schema.clone(), &kept).unwrap();
     let projection = vec![(col("i").add(lit(1_i64)), "i1"), (col("f").mul(lit(2.0)), "f2")];
@@ -1652,6 +1826,43 @@ fn unread_columns_are_never_gathered() {
             // Sizing the unread columns again still reads none of them.
             assert_eq!(filter_out.byte_size(), some, "{what}");
             assert!(!filter_out.column(3).is_forced(), "{what}: byte_size gathered the strings");
+        }
+    }
+
+    // A projection that only names columns hands its input's columns on: the
+    // same deferred nodes, not gathered by it — nor by anything else when the
+    // query keeps ten rows of them.
+    let names_only = PhysicalPlan::Udo {
+        spec: UdoSpec::new("tap"),
+        schema: Schema::new(vec![
+            Field::new("seg", DataType::Str),
+            Field::new("i", DataType::Int),
+            Field::new("seg2", DataType::Str),
+        ])
+        .unwrap()
+        .into_ref(),
+        input: Box::new(project_op(
+            tapped_filter(),
+            &schema,
+            vec![(col("s"), "seg"), (col("i"), "i"), (col("s"), "seg2")],
+        )),
+        est: est(),
+        partitions: 1,
+    };
+    let names_only = PhysicalPlan::Limit { n: 10, input: Box::new(names_only), est: est() };
+    let want = filtered.project(&[3, 1, 3]).unwrap().slice(0, 10);
+    for (chunk_size, workers) in [(usize::MAX, 1), (2048, 1), (64, 2)] {
+        let what = format!("names only, chunk size {chunk_size}, {workers} worker(s)");
+        let out = try_run_with(&names_only, &sources, &udos, chunk_size, workers).unwrap();
+        assert!(out.table.is_compact(), "{what}");
+        assert_eq!(out.table.to_rows(), want.to_rows(), "{what}");
+        assert_eq!(out.table.byte_size(), want.byte_size(), "{what}");
+        let project_out = seen.lock().unwrap().pop().expect("the tap saw the projection");
+        let filter_out = seen.lock().unwrap().pop().expect("the tap saw the filter's output");
+        for (pi, fi) in [(0, 3), (1, 1), (2, 3)] {
+            let (p, f) = (project_out.column(pi), filter_out.column(fi));
+            assert!(p.ptr_eq(f), "{what}: column {pi} of the projection is a copy");
+            assert!(!p.is_forced(), "{what}: the projection gathered column {pi}");
         }
     }
 }
