@@ -77,9 +77,10 @@ code() {
 }
 count() { code "$@" | wc -l; }
 
-echo "==> operator paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,keys,sort}.rs, expr/kernels.rs, data/sortkey.rs"
+echo "==> serving paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,keys,sort}.rs, expr/kernels.rs, data/sortkey.rs, store/src, service/src, workload/src/{driver,service_driver,steps}.rs"
 if code crates/engine/src/exec/{mod,aggregate,join,keys,sort}.rs crates/engine/src/expr/kernels.rs \
-    crates/data/src/sortkey.rs \
+    crates/data/src/sortkey.rs crates/store/src/*.rs crates/service/src/*.rs \
+    crates/workload/src/{driver,service_driver,steps}.rs \
     | grep -E '\.unwrap\(\)|\.expect\(|unreachable!|panic!'; then
     exit 1
 fi

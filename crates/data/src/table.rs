@@ -190,9 +190,9 @@ impl Table {
 
     /// This table over buffers of its own rows only ([`Column::compact`]):
     /// a no-op unless some column is a window. The boundary rule: results,
-    /// views, operator-state snapshots, spool chunks and catalog contents
-    /// are compact, so no window outlives the query that cut it and
-    /// `Column::data()` is always the column's rows out there.
+    /// views, spool chunks and catalog contents are compact, so no window
+    /// outlives the query that cut it and `Column::data()` is always the
+    /// column's rows out there.
     pub fn compact(self) -> Table {
         let columns = self.columns.into_iter().map(Column::compact).collect();
         Table { schema: self.schema, columns, rows: self.rows }

@@ -61,11 +61,6 @@ pub struct CostModel {
     /// has to fault pages in from disk. Hot (cached) view scans pay
     /// `read_per_byte`; cold ones pay `read_per_byte * cold_read_factor`.
     pub cold_read_factor: f64,
-    /// Residual per-row charge for restoring a hash-join build from the
-    /// operator-state cache instead of rebuilding it — the hand-off and
-    /// pointer-chasing overhead of a warm build. Must stay well below
-    /// `hash_build_factor` or warm reuse would never be preferred.
-    pub warm_build_factor: f64,
 }
 
 impl Default for CostModel {
@@ -78,7 +73,6 @@ impl Default for CostModel {
             loop_compare_cost: 2e-6,
             sort_row_cost: 2.5e-4,
             cold_read_factor: 3.0,
-            warm_build_factor: 0.05,
         }
     }
 }
@@ -98,19 +92,6 @@ impl CostModel {
 
     pub fn hash_join(&self, build_rows: f64, probe_rows: f64) -> Cost {
         Cost { cpu: (build_rows * self.hash_build_factor + probe_rows) * self.cpu_per_row, io: 0.0 }
-    }
-
-    /// Just the build-side share of [`CostModel::hash_join`] — the work an
-    /// operator-state hit avoids, credited to the published entry.
-    pub fn hash_build(&self, build_rows: f64) -> Cost {
-        Cost { cpu: build_rows * self.hash_build_factor * self.cpu_per_row, io: 0.0 }
-    }
-
-    /// A hash join whose build side was restored from the operator-state
-    /// cache: the probe streams as usual, the build collapses to the warm
-    /// hand-off residue.
-    pub fn hash_join_warm(&self, build_rows: f64, probe_rows: f64) -> Cost {
-        Cost { cpu: (build_rows * self.warm_build_factor + probe_rows) * self.cpu_per_row, io: 0.0 }
     }
 
     pub fn merge_join(&self, left_rows: f64, right_rows: f64) -> Cost {
@@ -242,25 +223,6 @@ mod tests {
         assert!(sane.total() < m.filter(rows).total() * 0.01);
         let degenerate = m.morsel_dispatch(rows);
         assert!(degenerate.total() > m.filter(rows).total());
-    }
-
-    #[test]
-    fn warm_build_beats_cold_and_biases_toward_hash() {
-        let m = CostModel::default();
-        let (build, probe) = (50_000.0, 200_000.0);
-        let warm = m.hash_join_warm(build, probe);
-        let cold = m.hash_join(build, probe);
-        assert!(warm.total() < cold.total());
-        // The avoided share is exactly the build term the executor credits.
-        let avoided = cold.total() - warm.total();
-        let expected = build * (m.hash_build_factor - m.warm_build_factor) * m.cpu_per_row;
-        assert!((avoided - expected).abs() < 1e-9);
-        // A warm hash build must beat the merge join the threshold rule
-        // would otherwise pick at these sizes — the optimizer's
-        // warm-preference hook depends on this ordering.
-        assert!(warm.total() < m.merge_join(probe, build).total());
-        // But it still charges more than the probe alone: hits are not free.
-        assert!(warm.total() > Cost { cpu: probe * m.cpu_per_row, io: 0.0 }.total());
     }
 
     #[test]

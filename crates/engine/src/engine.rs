@@ -2,8 +2,8 @@
 //! registry and optimizer — one simulated SCOPE engine instance per cluster.
 
 use crate::exec::{
-    execute, ExecContext, ExecMetrics, ExecOutcome, MorselRunner, OpStateSource, PendingView,
-    SerialRunner, SpoolSink,
+    execute, ExecContext, ExecMetrics, ExecOutcome, MorselRunner, PendingView, SerialRunner,
+    SpoolSink,
 };
 use crate::optimizer::{
     AlwaysGrant, BuildCoordinator, OptimizeOutcome, Optimizer, OptimizerConfig, ReuseContext,
@@ -105,7 +105,7 @@ impl QueryEngine {
 
     /// Execute an optimized physical plan against the engine's own store.
     pub fn execute(&self, physical: &PhysicalPlan, now: SimTime) -> Result<ExecOutcome> {
-        self.execute_with_states(physical, &self.views, now, None, None, None)
+        self.execute_with(physical, &self.views, now, None, None)
     }
 
     /// Execute against an external view source with per-operator
@@ -117,30 +117,26 @@ impl QueryEngine {
         now: SimTime,
         obs: Option<&dyn crate::obs::ObsSink>,
     ) -> Result<ExecOutcome> {
-        self.execute_with_states(physical, views, now, obs, None, None)
+        self.execute_with(physical, views, now, obs, None)
     }
 
     /// The full-control entry, and the one both workload drivers use: an
     /// external view source (many concurrent jobs share one striped store,
-    /// or pipeline from in-flight builds), observability hooks, a spool
+    /// or pipeline from in-flight builds), observability hooks, and a spool
     /// sink receiving sealed view chunks as they are produced (single-flight
-    /// chunk pipelining), and the job's operator-state source — the drivers
-    /// wrap the shared cache in a per-job tag so hits can be attributed
-    /// across jobs.
-    pub fn execute_with_states(
+    /// chunk pipelining).
+    pub fn execute_with(
         &self,
         physical: &PhysicalPlan,
         views: &dyn ViewSource,
         now: SimTime,
         obs: Option<&dyn crate::obs::ObsSink>,
         spool_sink: Option<&dyn SpoolSink>,
-        op_states: Option<&dyn OpStateSource>,
     ) -> Result<ExecOutcome> {
         let mut ctx = ExecContext::new(&self.catalog, views, &self.udos, now)
             .with_chunking(self.chunk_size, self.runner.clone());
         ctx.obs = obs;
         ctx.spool_sink = spool_sink;
-        ctx.op_states = op_states;
         execute(physical, &mut ctx, &self.optimizer.cfg.cost)
     }
 

@@ -10,9 +10,8 @@
 //! what the simulated cluster is charged for: a sort-merge. In this process
 //! [`merge_join`] sorts nothing. It codes the keys of both sides to dense
 //! integers (`keys::encode`, as the aggregate does), buckets the right
-//! side's rows by code and emits each left row's bucket; the hash join is
-//! the kernel for inputs small enough that a chained table over one side,
-//! kept for the operator-state cache, is the cheaper state.
+//! side's rows by code and emits each left row's bucket; the hash join, a
+//! chained table over one side, is the kernel for smaller inputs.
 
 use super::keys::{self, Class, Codes, KeyCols};
 use super::{map_chunks, ExecContext};
@@ -110,32 +109,19 @@ fn join_output_from_indices(
 /// End of a hash chain / empty bucket.
 const NIL: u32 = u32::MAX;
 
-/// The finished hash-join build side — a pipeline-breaker state the
-/// operator-state cache can snapshot and restore: the materialized build
-/// table, its resolved key column indices, and a chained hash table over
-/// its rows (`head[hash & mask]` is a bucket's first row, `next[row]` the
-/// following one; chains ascend, NULL-key rows are in none).
-#[derive(Debug)]
-pub struct JoinBuildState {
-    pub table: Table,
-    pub key_cols: Vec<usize>,
+/// The finished hash-join build side: a chained hash table over the right
+/// input's rows (`head[hash & mask]` is a bucket's first row, `next[row]`
+/// the following one; chains ascend, NULL-key rows are in none).
+struct JoinBuildState {
     head: Vec<u32>,
     next: Vec<u32>,
 }
 
-impl JoinBuildState {
-    /// Resident bytes: the table plus the two chain arrays.
-    pub fn byte_size(&self) -> u64 {
-        self.table.byte_size() + 4 * (self.head.len() + self.next.len()) as u64
-    }
-}
-
-/// Build side is a pipeline breaker: hash the build table column-wise in
-/// one pass and chain its rows before any probe chunk runs.
-pub(super) fn build_join_state(right: &Table, on: &[(String, String)]) -> Result<JoinBuildState> {
-    let rk = resolve_side(right, on.iter().map(|(_, r)| r), "right")?;
-    let (hashes, valid) = KeyCols::from_table(right, &rk).join_hashes();
-    let n = right.num_rows();
+/// Build side is a pipeline breaker: hash the build keys column-wise in one
+/// pass and chain their rows before any probe chunk runs.
+fn build_join_state(rkeys: &KeyCols<'_>) -> JoinBuildState {
+    let (hashes, valid) = rkeys.join_hashes();
+    let n = hashes.len();
     assert!(n < NIL as usize, "build rows are 32-bit");
     // Two buckets a row: chains of distinct keys stay near one entry.
     let mut head = vec![NIL; (2 * n).next_power_of_two()];
@@ -147,8 +133,7 @@ pub(super) fn build_join_state(right: &Table, on: &[(String, String)]) -> Result
         next[row] = *bucket;
         *bucket = row as u32;
     }
-    // The state may be published to the operator-state cache: it owns its rows.
-    Ok(JoinBuildState { table: right.clone().compact(), key_cols: rk, head, next })
+    JoinBuildState { head, next }
 }
 
 /// Walk each probe row's bucket chain, keeping the build rows `same`
@@ -191,22 +176,22 @@ fn probe_rows(
     (left_idx, right_idx)
 }
 
-/// The probe side streams chunk-at-a-time against the (possibly restored)
-/// build state. Each chunk emits its matched index pairs (chunk-local left
-/// rows ascending, candidates ascending); in chunk order they are the
-/// monolithic emit order, and the output is gathered from them once, over
-/// the whole probe table. Normalized, as every chunk reassembly is. Returns
-/// the morsel count for the work ledger.
-pub(super) fn hash_join_probe(
+/// Build on the right input, then stream the probe side chunk-at-a-time
+/// against the build state. Each chunk emits its matched index pairs
+/// (chunk-local left rows ascending, candidates ascending); in chunk order
+/// they are the monolithic emit order, and the output is gathered from them
+/// once, over the whole probe table. Normalized, as every chunk reassembly
+/// is. Returns the morsel count for the work ledger.
+pub(super) fn hash_join(
     left: &Table,
-    state: &JoinBuildState,
+    right: &Table,
     on: &[(String, String)],
     kind: JoinKind,
     ctx: &mut ExecContext<'_>,
 ) -> Result<(Table, usize)> {
-    let lk = resolve_side(left, on.iter().map(|(l, _)| l), "left")?;
-    let right = &state.table;
-    let rkeys = KeyCols::from_table(right, &state.key_cols);
+    let (lk, rk) = resolve_keys(left, right, on)?;
+    let rkeys = KeyCols::from_table(right, &rk);
+    let state = &build_join_state(&rkeys);
     let probe = |chunk: &Table| {
         let lkeys = KeyCols::from_table(chunk, &lk);
         let (hashes, valid) = lkeys.join_hashes();

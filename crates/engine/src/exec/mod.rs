@@ -28,13 +28,12 @@
 //! *deferred* the same way ([`cv_data::column::Column::take`]): a filter's,
 //! a sort's or a join's output column is copied when some operator above
 //! reads it, once, and never if none does. Whatever leaves the query — the
-//! result, a spooled view and its sink chunks, a published breaker state —
-//! is compacted first ([`Table::compact`]), so no window and no deferred
-//! column outlives the query that made it. Pipeline breakers — sorts,
-//! join build sides, merge/loop joins, unions, UDOs, spools, aggregate
-//! accumulation — materialize via [`Table::from_chunks`]. Breaker states
-//! (join builds, finished aggregate/sort output) can additionally be
-//! restored from an [`OpStateSource`] instead of rebuilt; see [`opstate`].
+//! result, a spooled view and its sink chunks — is compacted first
+//! ([`Table::compact`]), so no window and no deferred column outlives the
+//! query that made it. Pipeline breakers — sorts, join build sides,
+//! merge/loop joins, unions, UDOs, spools, aggregate accumulation —
+//! materialize via [`Table::from_chunks`], and every execution builds its
+//! own.
 //!
 //! Two invariants keep results *byte-identical* at every chunk size and
 //! worker count:
@@ -51,7 +50,6 @@ mod aggregate;
 mod join;
 mod keys;
 pub mod morsel;
-pub mod opstate;
 mod sort;
 
 use crate::cost::CostModel;
@@ -70,10 +68,8 @@ use cv_data::column::Column;
 use cv_data::schema::SchemaRef;
 use cv_data::table::Table;
 use cv_data::viewstore::{MaterializedView, ViewSource};
-pub use join::JoinBuildState;
-use join::{build_join_state, hash_join_probe, loop_join, merge_join, restore_swapped_columns};
+use join::{hash_join, loop_join, merge_join, restore_swapped_columns};
 pub use morsel::{MorselRunner, SerialRunner};
-pub use opstate::{OpState, OpStateAcquire, OpStateEntry, OpStateSource};
 use std::sync::Arc;
 
 /// Receives sealed view chunks as a spool produces them, before the view is
@@ -104,9 +100,6 @@ pub struct ExecContext<'a> {
     /// Per-operator observability hooks; `None` keeps the hot path free of
     /// timing calls entirely (a single branch per operator).
     pub obs: Option<&'a dyn ObsSink>,
-    /// Operator-state cache for pipeline breakers (hash-join builds,
-    /// aggregate states, sort runs); `None` disables reuse entirely.
-    pub op_states: Option<&'a dyn OpStateSource>,
 }
 
 impl<'a> ExecContext<'a> {
@@ -127,7 +120,6 @@ impl<'a> ExecContext<'a> {
             runner: Arc::new(SerialRunner),
             spool_sink: None,
             obs: None,
-            op_states: None,
         }
     }
 
@@ -188,19 +180,6 @@ pub struct ExecMetrics {
     /// failure lands here; the driver denylists them in the view store and
     /// the insights service.
     pub quarantined_sigs: Vec<Sig128>,
-    /// Pipeline-breaker states restored from the operator-state cache.
-    pub op_state_hits: u64,
-    /// Breaker keys that were derivable but not resident (built inline,
-    /// published when this execution held the claim).
-    pub op_state_misses: u64,
-    /// States this execution built and published to the cache.
-    pub op_state_published: u64,
-    /// Work units of skipped builds, credited from each hit entry's
-    /// recorded build cost.
-    pub op_state_work_avoided: f64,
-    /// Measured wall seconds of skipped builds (the `build_wall_avoided`
-    /// currency in BENCH reports).
-    pub op_state_wall_avoided: f64,
 }
 
 /// A view captured by a spool, not yet sealed into the store.
@@ -514,45 +493,18 @@ fn exec_node_inner(
         PhysicalPlan::Join { algo, kind, on, left, right, swapped, .. } => {
             let OpOutput { table: l, bytes: l_bytes } =
                 exec_node(left, ctx, model, metrics, pending)?;
-            let ln = l.num_rows() as f64;
-            // Operator-state reuse applies to the hash build side only:
-            // negotiate before executing the right subtree at all.
-            let breaker = negotiate(ctx, metrics, "join_build", right, || match algo {
-                JoinAlgo::Hash => opstate::join_build_key(right, on),
-                JoinAlgo::Merge | JoinAlgo::Loop => None,
-            })?;
-            let (out, work, probe_chunks) = match breaker {
-                Breaker::Hit(entry) => {
-                    let OpState::JoinBuild(jb) = &*entry.state else {
-                        return Err(mistyped(&entry, "join_build"));
-                    };
-                    metrics.data_read_bytes += l_bytes + jb.table.byte_size();
-                    let (out, chunks) = hash_join_probe(&l, jb, on, *kind, ctx)?;
-                    (out, model.hash_join_warm(jb.table.num_rows() as f64, ln), chunks)
+            let OpOutput { table: r, bytes: r_bytes } =
+                exec_node(right, ctx, model, metrics, pending)?;
+            metrics.data_read_bytes += l_bytes + r_bytes;
+            let (ln, rn) = (l.num_rows() as f64, r.num_rows() as f64);
+            let (out, work, probe_chunks) = match algo {
+                JoinAlgo::Hash => {
+                    let (out, chunks) = hash_join(&l, &r, on, *kind, ctx)?;
+                    (out, model.hash_join(rn, ln), chunks)
                 }
-                Breaker::Build(claim) => {
-                    let OpOutput { table: r, bytes: r_bytes } =
-                        exec_node(right, ctx, model, metrics, pending)?;
-                    metrics.data_read_bytes += l_bytes + r_bytes;
-                    let rn = r.num_rows() as f64;
-                    match algo {
-                        JoinAlgo::Hash => {
-                            let jb = Arc::new(build_join_state(&r, on)?);
-                            // Published before the probe: waiters on the
-                            // claim need the build, not this job's output.
-                            claim.fulfil(metrics, model.hash_build(rn).total(), || {
-                                OpState::JoinBuild(jb.clone())
-                            });
-                            let (out, chunks) = hash_join_probe(&l, &jb, on, *kind, ctx)?;
-                            (out, model.hash_join(rn, ln), chunks)
-                        }
-                        JoinAlgo::Merge => {
-                            (merge_join(&l, &r, on, *kind)?, model.merge_join(ln, rn), 1)
-                        }
-                        JoinAlgo::Loop => {
-                            (loop_join(&l, &r, on, *kind)?, model.nested_loop_join(ln, rn), 1)
-                        }
-                    }
+                JoinAlgo::Merge => (merge_join(&l, &r, on, *kind)?, model.merge_join(ln, rn), 1),
+                JoinAlgo::Loop => {
+                    (loop_join(&l, &r, on, *kind)?, model.nested_loop_join(ln, rn), 1)
                 }
             };
             let out = restore_swapped_columns(out, *swapped, l.schema().len())?;
@@ -565,35 +517,21 @@ fn exec_node_inner(
             Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::HashAggregate { group_by, aggs, schema, input, .. } => {
-            let key = || opstate::agg_state_key(input, group_by, aggs);
-            let claim = match negotiate(ctx, metrics, "agg_state", input, key)? {
-                Breaker::Hit(entry) => return restore_table(metrics, plan, &entry),
-                Breaker::Build(claim) => claim,
-            };
             let OpOutput { table: in_table, bytes } =
                 exec_node(input, ctx, model, metrics, pending)?;
             metrics.data_read_bytes += bytes;
             let (out, chunks) = hash_aggregate(&in_table, group_by, aggs, schema, ctx)?;
             let work = model.hash_aggregate(in_table.num_rows() as f64, aggs.len()).total()
                 + model.morsel_dispatch(chunks as f64).total();
-            let out = record(metrics, plan, OpOutput::new(out), work, None);
-            claim.fulfil(metrics, 0.0, || OpState::AggOutput(out.table.clone().compact()));
-            Ok(out)
+            Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::Sort { keys, input, .. } => {
-            let key = || opstate::sort_state_key(input, keys);
-            let claim = match negotiate(ctx, metrics, "sort_run", input, key)? {
-                Breaker::Hit(entry) => return restore_table(metrics, plan, &entry),
-                Breaker::Build(claim) => claim,
-            };
             let OpOutput { table: in_table, bytes } =
                 exec_node(input, ctx, model, metrics, pending)?;
             metrics.data_read_bytes += bytes;
             let out = sort::sort_table(&in_table, keys)?;
             let work = model.sort(in_table.num_rows() as f64).total();
-            let out = record(metrics, plan, OpOutput::new(out), work, None);
-            claim.fulfil(metrics, 0.0, || OpState::SortRun(out.table.clone().compact()));
-            Ok(out)
+            Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::Limit { n, input, .. } => {
             let in_table = exec_node(input, ctx, model, metrics, pending)?.table;
@@ -654,152 +592,6 @@ fn exec_node_inner(
             Ok(record(metrics, plan, OpOutput { table: in_table, bytes }, write_work, Some(*sig)))
         }
     }
-}
-
-/// What a pipeline breaker's negotiation with the operator-state cache
-/// settled on. [`negotiate`] and [`BuildClaim`] are the whole protocol: no
-/// operator arm talks to an [`OpStateSource`] itself.
-enum Breaker<'c> {
-    /// Resident state, already credited: restore it instead of executing
-    /// the build subtree.
-    Hit(Arc<OpStateEntry>),
-    /// Execute the subtree and build inline.
-    Build(BuildClaim<'c>),
-}
-
-/// The obligation an inline build carries. When this execution won the
-/// single-flight race for the key the claim is *held*: [`BuildClaim::fulfil`]
-/// publishes the finished state, and dropping the claim unfulfilled — any
-/// `?` between negotiation and the finished build — abandons the key, so
-/// waiters degrade to inline builds instead of timing out. An unheld claim
-/// (no cache, underivable key, lost race) does neither.
-struct BuildClaim<'c> {
-    held: Option<(&'c dyn OpStateSource, Sig128)>,
-    obs: Option<&'c dyn ObsSink>,
-    subtree: &'c PhysicalPlan,
-    work_before: f64,
-    started: std::time::Instant,
-}
-
-/// Negotiate one breaker's state: derive its key (`None` when the subtree
-/// is not reuse-safe), ask the source, and on a hit do everything the
-/// skipped subtree would have — the stale-plan check its scans make, the
-/// hit counters and obs event, and zero-work placeholder profiles so the
-/// stage builder's 1:1 profile/plan zip still holds.
-fn negotiate<'c>(
-    ctx: &ExecContext<'c>,
-    metrics: &mut ExecMetrics,
-    kind: &'static str,
-    subtree: &'c PhysicalPlan,
-    derive_key: impl FnOnce() -> Option<Sig128>,
-) -> Result<Breaker<'c>> {
-    let mut claim = BuildClaim {
-        held: None,
-        obs: ctx.obs,
-        subtree,
-        work_before: metrics.total_work,
-        started: std::time::Instant::now(),
-    };
-    let Some(src) = ctx.op_states else { return Ok(Breaker::Build(claim)) };
-    let Some(key) = derive_key() else { return Ok(Breaker::Build(claim)) };
-    match src.acquire(key) {
-        OpStateAcquire::Hit(entry) => {
-            opstate::validate_scan_guids(subtree, ctx.catalog)?;
-            metrics.op_state_hits += 1;
-            metrics.op_state_work_avoided += entry.build_work;
-            metrics.op_state_wall_avoided += entry.build_wall;
-            if let Some(obs) = ctx.obs {
-                obs.op_state_hit(kind, key);
-            }
-            push_skipped_profiles(subtree, metrics);
-            Ok(Breaker::Hit(entry))
-        }
-        OpStateAcquire::Build { claimed } => {
-            claim.held = claimed.then_some((src, key));
-            metrics.op_state_misses += 1;
-            if let Some(obs) = ctx.obs {
-                obs.op_state_miss(kind);
-            }
-            Ok(Breaker::Build(claim))
-        }
-    }
-}
-
-impl BuildClaim<'_> {
-    /// The build finished: publish its state if the claim is held. The
-    /// entry's cost is the work the subtree charged since negotiation plus
-    /// `own_work` (state construction not yet on the ledger) and the wall
-    /// time since negotiation.
-    fn fulfil(mut self, metrics: &mut ExecMetrics, own_work: f64, state: impl FnOnce() -> OpState) {
-        let Some((src, key)) = self.held.take() else { return };
-        let build_wall = self.started.elapsed().as_secs_f64();
-        let build_work = metrics.total_work - self.work_before + own_work;
-        let state = Arc::new(state());
-        let bytes = match &*state {
-            OpState::JoinBuild(jb) => jb.byte_size(),
-            OpState::AggOutput(t) | OpState::SortRun(t) => t.byte_size(),
-        };
-        let (dep_sigs, scan_deps) = opstate::state_deps(self.subtree);
-        metrics.op_state_published += 1;
-        if let Some(obs) = self.obs {
-            obs.op_state_published(state.kind(), bytes);
-        }
-        src.publish(
-            key,
-            OpStateEntry { state, bytes, build_work, build_wall, dep_sigs, scan_deps },
-        );
-    }
-}
-
-impl Drop for BuildClaim<'_> {
-    fn drop(&mut self) {
-        if let Some((src, key)) = self.held.take() {
-            src.abandon(key);
-        }
-    }
-}
-
-/// Restore a whole-table breaker state (aggregate output, sort run) as the
-/// operator's output, at zero work.
-fn restore_table(
-    metrics: &mut ExecMetrics,
-    plan: &PhysicalPlan,
-    entry: &OpStateEntry,
-) -> Result<OpOutput> {
-    let (OpState::AggOutput(table) | OpState::SortRun(table)) = &*entry.state else {
-        return Err(mistyped(entry, "table"));
-    };
-    let out = OpOutput::new(table.clone());
-    metrics.data_read_bytes += out.bytes;
-    Ok(record(metrics, plan, out, 0.0, None))
-}
-
-/// Keys are domain-separated per breaker kind, so a source that answers one
-/// kind's key with another kind's state is broken; fail the job, not the
-/// process.
-fn mistyped(entry: &OpStateEntry, wanted: &str) -> CvError {
-    CvError::internal(format!(
-        "operator-state source returned a {} state under a {wanted} key",
-        entry.state.kind()
-    ))
-}
-/// Emit zero-work placeholder profiles for a subtree a cache hit skipped,
-/// in the postorder execution would have produced, so the cluster stage
-/// builder's 1:1 profile/plan zip still holds. Skipped subtrees never
-/// contain spools (their keys are underivable), so no spool profile or
-/// pending view can be lost here.
-fn push_skipped_profiles(plan: &PhysicalPlan, metrics: &mut ExecMetrics) {
-    for c in plan.children() {
-        push_skipped_profiles(c, metrics);
-    }
-    metrics.op_profiles.push(OpProfile {
-        kind: plan.kind_name(),
-        rows_out: 0,
-        bytes_out: 0,
-        work: 0.0,
-        partitions: plan.partitions(),
-        spool_sig: None,
-    });
 }
 
 #[cfg(test)]
@@ -1562,193 +1354,5 @@ mod tests {
         assert_eq!(out.table.num_rows(), 80);
         // 100 rows at chunk size 30 → 4 morsels through the runner.
         assert_eq!(runner.0.load(std::sync::atomic::Ordering::Relaxed), 4);
-    }
-
-    /// Minimal in-memory `OpStateSource` for executor-level tests: always
-    /// grants the claim on a miss, keeps published entries forever.
-    #[derive(Debug, Default)]
-    struct MemOpStates {
-        entries: std::sync::Mutex<std::collections::HashMap<Sig128, Arc<OpStateEntry>>>,
-        abandoned: std::sync::atomic::AtomicU64,
-    }
-
-    impl OpStateSource for MemOpStates {
-        fn acquire(&self, key: Sig128) -> OpStateAcquire {
-            match self.entries.lock().unwrap().get(&key) {
-                Some(e) => OpStateAcquire::Hit(e.clone()),
-                None => OpStateAcquire::Build { claimed: true },
-            }
-        }
-        fn publish(&self, key: Sig128, entry: OpStateEntry) {
-            self.entries.lock().unwrap().insert(key, Arc::new(entry));
-        }
-        fn abandon(&self, _key: Sig128) {
-            self.abandoned.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        fn is_warm(&self, key: Sig128) -> bool {
-            self.entries.lock().unwrap().contains_key(&key)
-        }
-    }
-
-    fn exec_with_states(
-        physical: &PhysicalPlan,
-        model: &CostModel,
-        cat: &DatasetCatalog,
-        views: &ViewStore,
-        udos: &UdoRegistry,
-        states: Option<&dyn OpStateSource>,
-    ) -> Result<ExecOutcome> {
-        let mut ctx = ExecContext::new(cat, views, udos, SimTime::EPOCH)
-            .with_chunking(16, Arc::new(SerialRunner));
-        ctx.op_states = states;
-        execute(physical, &mut ctx, model)
-    }
-
-    fn force_hash(p: &PhysicalPlan) -> PhysicalPlan {
-        match p.clone() {
-            PhysicalPlan::Join { kind, on, left, right, est, partitions, swapped, .. } => {
-                PhysicalPlan::Join {
-                    algo: JoinAlgo::Hash,
-                    kind,
-                    on,
-                    left: Box::new(force_hash(&left)),
-                    right: Box::new(force_hash(&right)),
-                    est,
-                    partitions,
-                    swapped,
-                }
-            }
-            other => other,
-        }
-    }
-
-    #[test]
-    fn join_build_state_is_reused_across_executions() {
-        let (cat, views, udos) = setup();
-        let plan = join_plan(&cat, JoinKind::Inner);
-        let (physical, model) = optimize_physical(&plan, &cat);
-        let physical = force_hash(&physical);
-
-        let states = MemOpStates::default();
-        let cold = exec_with_states(&physical, &model, &cat, &views, &udos, Some(&states)).unwrap();
-        assert_eq!(cold.metrics.op_state_hits, 0);
-        assert_eq!(cold.metrics.op_state_misses, 1);
-        assert_eq!(cold.metrics.op_state_published, 1);
-
-        let warm = exec_with_states(&physical, &model, &cat, &views, &udos, Some(&states)).unwrap();
-        assert_eq!(warm.metrics.op_state_hits, 1);
-        assert_eq!(warm.metrics.op_state_published, 0);
-        assert!(warm.metrics.op_state_work_avoided > 0.0, "hit must credit the skipped build");
-
-        // The tentpole invariant: the cache never moves bytes.
-        let off = exec_with_states(&physical, &model, &cat, &views, &udos, None).unwrap();
-        assert_byte_identical(&warm.table, &off.table, "hash join warm vs cache-off");
-        assert_byte_identical(&cold.table, &off.table, "hash join cold vs cache-off");
-
-        // The skipped build side still yields placeholder profiles, so the
-        // stage builder's 1:1 plan/profile zip survives a hit.
-        assert_eq!(warm.metrics.op_profiles.len(), off.metrics.op_profiles.len());
-        let kinds = |m: &ExecMetrics| m.op_profiles.iter().map(|p| p.kind).collect::<Vec<_>>();
-        assert_eq!(kinds(&warm.metrics), kinds(&off.metrics));
-        // And the warm run did measurably less work.
-        assert!(warm.metrics.total_work < off.metrics.total_work);
-    }
-
-    #[test]
-    fn aggregate_and_sort_states_are_reused() {
-        let (cat, views, udos) = setup();
-        let agg = PlanBuilder::scan(&cat, "sales")
-            .unwrap()
-            .aggregate(
-                vec![(col("s_cust"), "c")],
-                vec![AggExpr::new(AggFunc::Sum, col("qty"), "sq")],
-            )
-            .unwrap()
-            .build();
-        let sort =
-            PlanBuilder::scan(&cat, "sales").unwrap().sort(&[("price", false)]).unwrap().build();
-        for plan in [agg, sort] {
-            let (physical, model) = optimize_physical(&plan, &cat);
-            let states = MemOpStates::default();
-            let cold =
-                exec_with_states(&physical, &model, &cat, &views, &udos, Some(&states)).unwrap();
-            assert_eq!(cold.metrics.op_state_published, 1);
-            let warm =
-                exec_with_states(&physical, &model, &cat, &views, &udos, Some(&states)).unwrap();
-            assert_eq!(warm.metrics.op_state_hits, 1);
-            let off = exec_with_states(&physical, &model, &cat, &views, &udos, None).unwrap();
-            assert_byte_identical(&warm.table, &off.table, "state restore vs cache-off");
-            assert_eq!(warm.metrics.op_profiles.len(), off.metrics.op_profiles.len());
-        }
-    }
-
-    /// A hit for a stale plan must raise the exact error the cache-off
-    /// execution would: the entry key pins the old guid, but the plan is
-    /// stale either way — the cache must not mask that.
-    #[test]
-    fn stale_plan_hit_raises_the_same_error_as_cache_off() {
-        let (mut cat, views, udos) = setup();
-        let agg = PlanBuilder::scan(&cat, "sales")
-            .unwrap()
-            .aggregate(
-                vec![(col("s_cust"), "c")],
-                vec![AggExpr::new(AggFunc::Sum, col("qty"), "sq")],
-            )
-            .unwrap()
-            .build();
-        let (physical, model) = optimize_physical(&agg, &cat);
-        let states = MemOpStates::default();
-        exec_with_states(&physical, &model, &cat, &views, &udos, Some(&states)).unwrap();
-
-        // Rotate the input under the already-compiled plan.
-        let id = cat.id_of("sales").unwrap();
-        let data = cat.get(id).unwrap().data().clone();
-        cat.bulk_update(id, data, SimTime::from_days(1.0)).unwrap();
-
-        let err_off =
-            exec_with_states(&physical, &model, &cat, &views, &udos, None).unwrap_err().to_string();
-        let err_on = exec_with_states(&physical, &model, &cat, &views, &udos, Some(&states))
-            .unwrap_err()
-            .to_string();
-        assert!(err_off.contains("stale plan"), "baseline error: {err_off}");
-        assert_eq!(err_on, err_off, "cache-on must surface the identical stale-plan error");
-    }
-
-    /// A failed build under a held claim abandons the key instead of
-    /// leaving waiters stuck — observed through the test source's counter.
-    #[test]
-    fn failed_build_abandons_the_claim() {
-        let (mut cat, views, udos) = setup();
-        let join = join_plan(&cat, JoinKind::Inner);
-        let (physical, model) = optimize_physical(&join, &cat);
-        let physical = force_hash(&physical);
-        // Rotate only the build (right) side so the probe-side scan
-        // succeeds and the failure happens while the claim is held.
-        fn build_side_dataset(p: &PhysicalPlan) -> Option<String> {
-            if let PhysicalPlan::Join { right, .. } = p {
-                let mut node: &PhysicalPlan = right;
-                loop {
-                    if let PhysicalPlan::TableScan { dataset, .. } = node {
-                        return Some(dataset.clone());
-                    }
-                    node = *node.children().first()?;
-                }
-            }
-            p.children().iter().find_map(|c| build_side_dataset(c))
-        }
-        let build_ds = build_side_dataset(&physical).unwrap();
-        let id = cat.id_of(&build_ds).unwrap();
-        let data = cat.get(id).unwrap().data().clone();
-        cat.bulk_update(id, data, SimTime::from_days(1.0)).unwrap();
-        let states = MemOpStates::default();
-        let err = exec_with_states(&physical, &model, &cat, &views, &udos, Some(&states))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("stale plan"), "unexpected error: {err}");
-        assert!(states.entries.lock().unwrap().is_empty(), "nothing published");
-        assert!(
-            states.abandoned.load(std::sync::atomic::Ordering::Relaxed) >= 1,
-            "claim must be released on failure"
-        );
     }
 }

@@ -59,23 +59,6 @@ pub trait ObsSink: fmt::Debug + Send + Sync {
     fn semantic_vetoed(&self, sig: Sig128, code: &'static str) {
         let _ = (sig, code);
     }
-
-    /// A pipeline-breaker state (`join_build`, `agg_state`, `sort_run`) was
-    /// restored from the operator-state cache instead of rebuilt.
-    fn op_state_hit(&self, kind: &'static str, key: Sig128) {
-        let _ = (kind, key);
-    }
-
-    /// A breaker key was derivable but no state was resident; the build ran
-    /// inline.
-    fn op_state_miss(&self, kind: &'static str) {
-        let _ = kind;
-    }
-
-    /// This execution built a breaker state and published it to the cache.
-    fn op_state_published(&self, kind: &'static str, bytes: u64) {
-        let _ = (kind, bytes);
-    }
 }
 
 /// A sink that ignores everything — for tests that need a concrete no-op.

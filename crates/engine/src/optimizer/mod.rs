@@ -197,21 +197,11 @@ pub struct Optimizer {
     /// `cv-analyzer`). Semantic matching is disabled while absent — the
     /// optimizer never substitutes a compensation plan it cannot certify.
     pub prover: Option<Arc<dyn ContainmentProver>>,
-    /// Operator-state cache probed during physical planning: when a join's
-    /// build side is already resident (warm), the lowering step may prefer a
-    /// hash join over the threshold rule's merge join, costed at
-    /// [`CostModel::hash_join_warm`]. Safe because every join algorithm
-    /// produces byte-identical output (`all_join_algorithms_agree`).
-    pub warm_states: Option<Arc<dyn crate::exec::OpStateSource>>,
 }
 
 impl Optimizer {
     pub fn new(cfg: OptimizerConfig) -> Optimizer {
-        Optimizer { cfg, verifier: None, obs: None, prover: None, warm_states: None }
-    }
-
-    pub fn set_warm_states(&mut self, states: Arc<dyn crate::exec::OpStateSource>) {
-        self.warm_states = Some(states);
+        Optimizer { cfg, verifier: None, obs: None, prover: None }
     }
 
     pub fn set_verifier(&mut self, verifier: Arc<dyn PlanVerifier>) {
@@ -656,18 +646,15 @@ impl Optimizer {
                 // The hash build is the right side: for commutative joins,
                 // put the smaller estimated input there. The normalizer
                 // orders sides by signature (for plan identity), which is
-                // arbitrary w.r.t. size — building on the bigger side costs
-                // more and, worse for the op-state cache, tends to key the
-                // build on the daily-rotating fact instead of the stable
-                // dimension. The decision comes from `swaps`, computed on
+                // arbitrary w.r.t. size, and building on the bigger side
+                // costs more. The decision comes from `swaps`, computed on
                 // the *pre-substitution* plan (see
-                // `collect_swap_decisions`): never cache- or
-                // view-state-dependent, so every driver and every
-                // cache/reuse configuration lowers the same logical join
-                // the same way and join output row order cannot diverge
-                // between runs. The executor restores the logical column
-                // order for swapped joins, so the swap never leaks into
-                // output schemas.
+                // `collect_swap_decisions`): never view-state-dependent,
+                // so every driver and every reuse configuration lowers the
+                // same logical join the same way and join output row order
+                // cannot diverge between runs. The executor restores the
+                // logical column order for swapped joins, so the swap
+                // never leaks into output schemas.
                 let swapped = *kind == JoinKind::Inner
                     && Self::join_swap_key(&on, left, right)
                         .is_some_and(|key| swaps.get(&key).copied().unwrap_or(false));
@@ -679,31 +666,17 @@ impl Optimizer {
                 }
                 let l_rows = l.est().rows;
                 let r_rows = r.est().rows;
-                let mut algo = if l_rows.min(r_rows) <= self.cfg.loop_join_threshold {
+                let algo = if l_rows.min(r_rows) <= self.cfg.loop_join_threshold {
                     JoinAlgo::Loop
                 } else if l_rows.max(r_rows) >= self.cfg.merge_join_threshold {
                     JoinAlgo::Merge
                 } else {
                     JoinAlgo::Hash
                 };
-                if algo == JoinAlgo::Merge {
-                    if let Some(warm) = &self.warm_states {
-                        // A resident build side collapses the hash join's
-                        // dominant term; prefer it over the merge join the
-                        // size thresholds would pick, when actually cheaper.
-                        let key = crate::exec::opstate::join_build_key(&r, &on);
-                        if key.is_some_and(|k| warm.is_warm(k))
-                            && self.cfg.cost.hash_join_warm(r_rows, l_rows).total()
-                                < self.cfg.cost.merge_join(l_rows, r_rows).total()
-                        {
-                            algo = JoinAlgo::Hash;
-                        }
-                    }
-                }
                 PhysicalPlan::Join {
                     algo,
                     kind: *kind,
-                    on: on.clone(),
+                    on,
                     left: Box::new(l),
                     right: Box::new(r),
                     est,

@@ -14,10 +14,6 @@
 //!   one builder per unsealed signature, everyone else pipelines;
 //! * [`source`] — the per-job [`cv_data::viewstore::ViewSource`] that reads
 //!   the sharded store and blocks on in-flight builds when promised;
-//! * [`opstate`] — the lock-striped, size-budgeted operator-state cache
-//!   reusing pipeline-breaker state (hash-join builds, aggregate states,
-//!   sort runs) across concurrent and recurring jobs, with its own
-//!   single-flight claim/wait and quarantine/GDPR purge coupling;
 //! * [`stats`] — lock-free service-wide counters.
 //!
 //! The concurrent *driver* composing these with the engine, insights, and
@@ -25,14 +21,12 @@
 //! wraps it with a load generator.
 
 pub mod morsel;
-pub mod opstate;
 pub mod pool;
 pub mod singleflight;
 pub mod source;
 pub mod stats;
 
 pub use morsel::PoolMorselRunner;
-pub use opstate::{OpStateCache, OpStateCacheConfig, OpStateCacheStats, TaggedOpStates};
 pub use pool::{run_tasks, PoolConfig, PoolReport, TaskSpec};
 pub use singleflight::{FlightOutcome, PromisedView, SingleFlight, SingleFlightStats};
 pub use source::PipelinedViewSource;
@@ -42,8 +36,6 @@ pub use stats::{ServiceStats, ServiceStatsSnapshot};
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SingleFlight>();
-    assert_send_sync::<OpStateCache>();
-    assert_send_sync::<TaggedOpStates>();
     assert_send_sync::<ServiceStats>();
     assert_send_sync::<PipelinedViewSource<'static>>();
     assert_send_sync::<cv_data::ShardedViewStore>();

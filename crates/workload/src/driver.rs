@@ -41,12 +41,11 @@ use cv_core::repository::{JobMeta, SubexpressionRepo};
 use cv_data::store_api::{SharedViewStore, StoreIoStats};
 use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
-use cv_engine::exec::{ExecMetrics, OpStateSource, PendingView};
+use cv_engine::exec::{ExecMetrics, PendingView};
 use cv_engine::optimizer::{AlwaysGrant, OptimizerConfig, ReuseContext};
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::{plan_signature, SigMode};
 use cv_ivm::{IvmEngine, IvmStats, Maintain};
-use cv_service::{OpStateCache, TaggedOpStates};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -144,12 +143,6 @@ pub struct DriverConfig {
     /// Rows per execution chunk (morsel). Results are byte-identical at
     /// every value; this only moves the streaming granularity.
     pub chunk_size: usize,
-    /// Resident-bytes budget for the operator-state cache (hash-join
-    /// builds, aggregate states, sort runs keyed by input signature — keys
-    /// embed the scanned GUIDs, so rotated inputs self-invalidate). 0
-    /// disables it. Hits skip the build subtree, so work accounting shifts
-    /// between jobs while results stay byte-identical at every budget.
-    pub op_state_budget_bytes: u64,
 }
 
 impl DriverConfig {
@@ -166,7 +159,6 @@ impl DriverConfig {
             store: StoreBackend::Memory,
             ivm: IvmMode::Off,
             chunk_size: cv_data::chunk::DEFAULT_CHUNK_SIZE,
-            op_state_budget_bytes: 0,
         }
     }
 
@@ -199,8 +191,6 @@ pub struct DriverOutcome {
     pub store_io: Option<StoreIoStats>,
     /// Incremental-maintenance counters (`None` unless `ivm: Maintain`).
     pub ivm: Option<IvmStats>,
-    /// Operator-state cache counters (`None` when the cache is disabled).
-    pub op_state: Option<cv_service::OpStateCacheStats>,
 }
 
 impl DriverOutcome {
@@ -310,7 +300,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
     // One job at a time: one shard, the plain store.
     let store = open_store(cfg, 1)?;
     let store: &dyn SharedViewStore = &*store;
-    let (mut engine, op_states) = set_up(cfg, store);
+    let mut engine = set_up(cfg, store);
     let mut insights = InsightsService::new(cfg.controls.clone());
     let mut sim = ClusterSim::new(cfg.cluster.clone());
     sim.set_fault_plan(cfg.faults.clone());
@@ -339,7 +329,6 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
             &mut engine,
             store,
             &mut insights,
-            op_states.as_deref(),
             workload.config.seed,
             day,
             &mut robustness,
@@ -382,7 +371,6 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
             let run = run_one_job(
                 &mut engine,
                 store,
-                op_states.as_ref(),
                 &mut insights,
                 template,
                 day,
@@ -400,13 +388,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                     if let Some(iv) = ivm.as_mut() {
                         ivm_track(iv, &engine, template, day);
                     }
-                    absorb_read_faults(
-                        &one.metrics,
-                        store,
-                        &mut insights,
-                        op_states.as_deref(),
-                        &mut robustness,
-                    )?;
+                    absorb_read_faults(&one.metrics, store, &mut insights, &mut robustness)?;
                     data_plane.insert(job, one.data_plane);
                     let mut built_plans: HashMap<_, _> = one.built_plans.into_iter().collect();
                     for pv in one.pending_views {
@@ -457,7 +439,6 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
         robustness,
         store_io,
         ivm: ivm.map(|iv| iv.stats),
-        op_state: op_states.map(|c| c.stats()),
     })
 }
 
@@ -556,7 +537,6 @@ struct OneJob {
 fn run_one_job(
     engine: &mut QueryEngine,
     store: &dyn SharedViewStore,
-    op_states: Option<&Arc<OpStateCache>>,
     insights: &mut InsightsService,
     template: &JobTemplate,
     day: SimDay,
@@ -585,17 +565,8 @@ fn run_one_job(
         engine.optimize(&plan, &reuse, &mut AlwaysGrant)?
     };
 
-    // Per-job tag on the shared cache so hits against another job's
-    // published state count as cross-job reuse.
-    let tagged = op_states.map(|c| TaggedOpStates::new(c.clone(), meta.job.0));
-    let exec = match engine.execute_with_states(
-        &compiled.outcome.physical,
-        store,
-        meta.submit,
-        None,
-        None,
-        tagged.as_ref().map(|t| t as &dyn OpStateSource),
-    ) {
+    let exec = match engine.execute_with(&compiled.outcome.physical, store, meta.submit, None, None)
+    {
         Ok(e) => e,
         Err(e) => {
             // Release any creation locks this job acquired before bailing.
@@ -648,19 +619,6 @@ mod tests {
 
     fn quick_cluster() -> ClusterConfig {
         ClusterConfig { total_containers: 200, ..ClusterConfig::default() }
-    }
-
-    /// Workload big enough that dimension tables clear the nested-loop
-    /// threshold: joins against `users`/`part` lower to *hash* joins, whose
-    /// build states are what the operator-state cache keys on. At
-    /// `small_workload` scale every dim is ~20 rows, every join is a loop
-    /// join, and no build state would ever be published.
-    fn join_heavy_workload() -> Workload {
-        generate_workload(WorkloadConfig {
-            scale: 0.25,
-            n_analytics: 12,
-            ..WorkloadConfig::default()
-        })
     }
 
     #[test]
@@ -777,56 +735,6 @@ mod tests {
         // least once in 6 days if any were built over `users`.
         // (Not asserted >0: selection may not pick user-joined views.)
         let _ = out.gdpr_purged_views;
-    }
-
-    /// Tentpole contract, sequential edition: the operator-state cache may
-    /// only move work accounting — per-job result digests are byte-identical
-    /// cache-on vs cache-off, and the recurring second day restores state
-    /// published by (differently-numbered) first-day jobs.
-    #[test]
-    fn op_state_cache_keeps_digests_and_reuses_across_days() {
-        let w = join_heavy_workload();
-        let mut cfg = DriverConfig::enabled(2);
-        cfg.cluster = quick_cluster();
-        let off = run_workload(&w, &cfg).unwrap();
-        assert!(off.op_state.is_none());
-
-        let mut on_cfg = cfg.clone();
-        on_cfg.op_state_budget_bytes = 64 << 20;
-        let on = run_workload(&w, &on_cfg).unwrap();
-        assert_eq!(on.failed_jobs, 0);
-        assert_eq!(on.result_digests, off.result_digests, "cache changed result bytes");
-        let stats = on.op_state.expect("cache enabled");
-        assert!(stats.published > 0, "no breaker state ever published: {stats:?}");
-        assert!(stats.hits > 0, "nothing restored from cache: {stats:?}");
-        assert!(
-            stats.cross_job_hits > 0,
-            "a recurring day-2 job (new job id) must hit day-1 state: {stats:?}"
-        );
-    }
-
-    /// GDPR regression: a forget-request against `users` must also evict
-    /// cached operator state derived from it, without moving any digest.
-    #[test]
-    fn gdpr_purge_evicts_operator_state() {
-        let w = join_heavy_workload();
-        let mut cfg = DriverConfig::enabled(3);
-        cfg.cluster = quick_cluster();
-        cfg.gdpr_every_days = Some(1);
-        cfg.op_state_budget_bytes = 64 << 20;
-        let on = run_workload(&w, &cfg).unwrap();
-        assert_eq!(on.failed_jobs, 0);
-
-        let mut off_cfg = cfg.clone();
-        off_cfg.op_state_budget_bytes = 0;
-        let off = run_workload(&w, &off_cfg).unwrap();
-        assert_eq!(on.result_digests, off.result_digests, "cache changed result bytes");
-
-        let stats = on.op_state.expect("cache enabled");
-        assert!(
-            stats.purged > 0,
-            "the forget-request must purge user-derived operator state: {stats:?}"
-        );
     }
 
     fn temp_store_dir(tag: &str) -> std::path::PathBuf {

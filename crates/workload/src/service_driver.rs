@@ -61,15 +61,15 @@ use cv_core::SharedInsights;
 use cv_data::store_api::SharedViewStore;
 use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
-use cv_engine::exec::{ExecOutcome, OpStateSource, PendingView};
+use cv_engine::exec::{ExecOutcome, PendingView};
 use cv_engine::optimizer::{AlwaysGrant, ReuseContext, SemanticGrant, ViewMeta};
 use cv_engine::physical::PhysicalPlan;
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::{template_signature, SubexprInfo};
 use cv_obs::SpanGuard;
 use cv_service::{
-    run_tasks, FlightOutcome, OpStateCache, PipelinedViewSource, PoolConfig, PromisedView,
-    ServiceStats, SingleFlight, TaggedOpStates, TaskSpec,
+    run_tasks, FlightOutcome, PipelinedViewSource, PoolConfig, PromisedView, ServiceStats,
+    SingleFlight, TaskSpec,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -146,61 +146,23 @@ pub struct ServiceReport {
     /// Per-job wall latency (release → completion) in milliseconds, sorted
     /// by job id.
     pub latencies_ms: Vec<(JobId, f64)>,
-    /// Operator-state cache outcome (all-zero when the cache is disabled).
+    /// Always zero; see [`OpStateReport`].
     pub op_state: OpStateReport,
 }
 
-/// Operator-state cache counters for one run, merged from the cache's own
-/// stats and the per-job executor metrics.
+/// What is left of the removed operator-state cache: the three values the
+/// benchmark harness (`perf/src/service.rs`) still reads, always zero
+/// because every pipeline breaker builds its own state. It goes once the
+/// harness stops reading it.
 #[derive(Clone, Debug, Default)]
 pub struct OpStateReport {
-    /// Cache was configured with a nonzero budget.
-    pub enabled: bool,
-    /// Breaker states restored instead of rebuilt.
     pub hits: u64,
-    /// Of `hits`, those where the publisher was a *different* job — the
-    /// cross-job reuse the ci gate asserts on.
-    pub cross_job_hits: u64,
-    pub misses: u64,
-    pub published: u64,
-    pub evicted: u64,
-    /// Waits on an in-flight build that degraded to an inline rebuild
-    /// (builder abandoned, or wait timed out).
-    pub degraded_waits: u64,
-    /// Entries dropped by quarantine / GDPR purge coupling.
-    pub purged: u64,
-    pub resident_bytes: u64,
-    /// Modeled work units of skipped builds, summed over hits.
-    pub build_work_avoided: f64,
-    /// Measured wall seconds of skipped builds, summed over hits.
     pub build_wall_avoided: f64,
 }
 
 impl OpStateReport {
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    pub fn to_json(&self) -> Json {
-        json!({
-            "enabled": self.enabled,
-            "hits": self.hits,
-            "cross_job_hits": self.cross_job_hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate(),
-            "published": self.published,
-            "evicted": self.evicted,
-            "degraded_waits": self.degraded_waits,
-            "purged": self.purged,
-            "resident_bytes": self.resident_bytes,
-            "build_work_avoided": self.build_work_avoided,
-            "build_wall_avoided_seconds": self.build_wall_avoided,
-        })
+        0.0
     }
 }
 
@@ -237,7 +199,6 @@ impl ServiceReport {
                 self.worker_busy_seconds.iter().map(|b| Json::from(*b)).collect()
             ),
             "worker_idle_seconds": Json::Arr(idle.into_iter().map(Json::from).collect()),
-            "op_state": self.op_state.to_json(),
         })
     }
 }
@@ -425,7 +386,6 @@ struct ServiceRun<'a> {
     /// Jobs already run one-per-pool-worker; chunking streams inside each
     /// job serially (a nested pool per operator would oversubscribe cores).
     engine: QueryEngine,
-    op_states: Option<Arc<OpStateCache>>,
     insights: SharedInsights,
     flights: SingleFlight,
     stats: ServiceStats,
@@ -448,21 +408,16 @@ impl<'a> ServiceRun<'a> {
         store: &'a dyn SharedViewStore,
         obs: ObsHandle<'a>,
     ) -> ServiceRun<'a> {
-        let (mut engine, op_states) = set_up(cfg, store);
+        let mut engine = set_up(cfg, store);
         engine.optimizer.obs = obs.optimizer_sink();
-        let service = ServiceReport {
-            workers: svc.workers,
-            shards: store.n_shards(),
-            op_state: OpStateReport { enabled: op_states.is_some(), ..OpStateReport::default() },
-            ..ServiceReport::default()
-        };
+        let service =
+            ServiceReport { workers: svc.workers, shards: store.n_shards(), ..Default::default() };
         ServiceRun {
             cfg,
             svc,
             store,
             obs,
             engine,
-            op_states,
             insights: SharedInsights::new(InsightsService::new(cfg.controls.clone())),
             flights: SingleFlight::new(),
             stats: ServiceStats::default(),
@@ -496,7 +451,6 @@ impl<'a> ServiceRun<'a> {
             &mut self.engine,
             store,
             &mut self.insights.lock(),
-            self.op_states.as_deref(),
             workload.config.seed,
             day,
             &mut self.out.robustness,
@@ -816,20 +770,16 @@ impl<'a> ServiceRun<'a> {
         let (store, flights, stats) = (self.store, &self.flights, &self.stats);
         let span = self.obs.span(job_track(job), "execute");
         let sink = self.obs.exec_sink(job_track(job));
-        // Per-job view of the shared op-state cache: the tag lets the cache
-        // attribute hits on another job's published state as cross-job.
-        let tagged = self.op_states.as_ref().map(|c| TaggedOpStates::new(c.clone(), job.0));
         let src = PipelinedViewSource::new(store, flights, stats, task.promised.clone());
         // The flight registry doubles as the spool sink: each sealed chunk
         // of a claimed build streams to it pre-commit so blocked consumers
         // can assemble the view directly.
-        let res = self.engine.execute_with_states(
+        let res = self.engine.execute_with(
             &task.physical,
             &src,
             submit,
             sink.as_deref(),
             Some(flights as &dyn cv_engine::SpoolSink),
-            tagged.as_ref().map(|t| t as &dyn OpStateSource),
         );
         let served = src.into_served();
         let done = res.and_then(|exec| {
@@ -908,11 +858,8 @@ impl<'a> ServiceRun<'a> {
             metrics,
             self.store,
             &mut self.insights.lock(),
-            self.op_states.as_deref(),
             &mut self.out.robustness,
         )?;
-        self.out.service.op_state.build_work_avoided += metrics.op_state_work_avoided;
-        self.out.service.op_state.build_wall_avoided += metrics.op_state_wall_avoided;
 
         let dp =
             DataPlane::from_exec(metrics, task.matched.len(), task.compensated, task.built.len());
@@ -997,18 +944,6 @@ impl<'a> ServiceRun<'a> {
         svc.realized_pipelining_savings = snap.realized_savings;
         svc.pool_overhead_seconds = (svc.exec_wall_seconds - svc.parallel_wall_seconds).max(0.0);
         svc.latencies_ms.sort_by_key(|a| a.0);
-        if let Some(cache) = &self.op_states {
-            let s = cache.stats();
-            let os = &mut svc.op_state;
-            os.hits = s.hits;
-            os.cross_job_hits = s.cross_job_hits;
-            os.misses = s.misses;
-            os.published = s.published;
-            os.evicted = s.evicted;
-            os.degraded_waits = s.degraded_waits;
-            os.purged = s.purged;
-            os.resident_bytes = s.resident_bytes;
-        }
 
         if let Some(o) = self.obs.0 {
             let (m, store_stats) = (&o.metrics, &out.view_store_stats);
@@ -1050,13 +985,6 @@ impl<'a> ServiceRun<'a> {
             m.add("phase.parallel_us", us(svc.parallel_wall_seconds));
             m.add("phase.commit_us", us(svc.commit_wall_seconds));
             m.add("phase.pool_us", us(svc.exec_wall_seconds));
-            // Cache-side op_state counters (the per-op hit/miss/publish
-            // counters come from each task's ExecSink).
-            m.add("op_state.cross_job_hits", svc.op_state.cross_job_hits);
-            m.add("op_state.evicted", svc.op_state.evicted);
-            m.add("op_state.degraded_waits", svc.op_state.degraded_waits);
-            m.add("op_state.purged", svc.op_state.purged);
-            m.gauge("op_state.resident_bytes").set_max(svc.op_state.resident_bytes);
         }
         Ok(out)
     }
@@ -1148,17 +1076,6 @@ mod tests {
 
     fn quick_cluster() -> ClusterConfig {
         ClusterConfig { total_containers: 200, ..ClusterConfig::default() }
-    }
-
-    /// Workload whose dimension tables clear the nested-loop threshold, so
-    /// joins against `users`/`part` lower to hash joins and publish build
-    /// states (see the sequential driver's `join_heavy_workload`).
-    fn join_heavy_workload() -> Workload {
-        generate_workload(WorkloadConfig {
-            scale: 0.25,
-            n_analytics: 12,
-            ..WorkloadConfig::default()
-        })
     }
 
     fn spec(job: u64, submit_hours: f64, work: f64) -> JobSpec {
@@ -1312,62 +1229,6 @@ mod tests {
         let io = durable.store_io.expect("durable service run reports io stats");
         assert!(io.bytes_written_durably > 0, "nothing reached disk");
         assert!(io.wal_records_written > 0, "no WAL records written");
-    }
-
-    /// Tentpole contract: the shared operator-state cache may shift build
-    /// work between jobs but never moves a digest — at one worker and at
-    /// several, against the cache-off reference.
-    #[test]
-    fn op_state_cache_never_changes_service_digests() {
-        let w = join_heavy_workload();
-        let mut cfg = DriverConfig::enabled(2);
-        cfg.cluster = quick_cluster();
-        let off = run_workload_service(
-            &w,
-            &cfg,
-            &ServiceConfig { workers: 1, ..ServiceConfig::default() },
-        )
-        .unwrap();
-        assert!(!off.service.op_state.enabled);
-
-        cfg.op_state_budget_bytes = 64 << 20;
-        for workers in [1usize, 4] {
-            let svc = ServiceConfig { workers, ..ServiceConfig::default() };
-            let on = run_workload_service(&w, &cfg, &svc).unwrap();
-            assert_eq!(on.failed_jobs, 0);
-            assert_eq!(
-                on.result_digests, off.result_digests,
-                "cache changed digests at {workers} workers"
-            );
-            let os = &on.service.op_state;
-            assert!(os.enabled);
-            assert!(os.published > 0, "no breaker state published at {workers} workers: {os:?}");
-            assert!(os.hits > 0, "nothing restored at {workers} workers: {os:?}");
-            assert!(
-                os.cross_job_hits > 0,
-                "recurring jobs must hit other jobs' state at {workers} workers: {os:?}"
-            );
-            assert!(os.build_wall_avoided >= 0.0 && os.build_work_avoided > 0.0, "{os:?}");
-        }
-    }
-
-    /// GDPR regression, service edition: the forget-request purges cached
-    /// operator state (the rotated guid already invalidates the keys; the
-    /// purge frees the bytes) and digests still match the cache-off run.
-    #[test]
-    fn service_gdpr_purge_evicts_operator_state() {
-        let w = join_heavy_workload();
-        let mut cfg = DriverConfig::enabled(3);
-        cfg.cluster = quick_cluster();
-        cfg.gdpr_every_days = Some(1);
-        let svc = ServiceConfig { workers: 4, ..ServiceConfig::default() };
-        let off = run_workload_service(&w, &cfg, &svc).unwrap();
-        cfg.op_state_budget_bytes = 64 << 20;
-        let on = run_workload_service(&w, &cfg, &svc).unwrap();
-        assert_eq!(on.failed_jobs, 0);
-        assert_eq!(on.result_digests, off.result_digests);
-        let os = &on.service.op_state;
-        assert!(os.purged > 0, "forget-request must purge operator state: {os:?}");
     }
 
     /// A store that holds nothing and whose every seal fails with a real

@@ -82,10 +82,6 @@ impl ServiceObs {
             rows: self.metrics.counter("executor.rows"),
             bytes: self.metrics.counter("executor.bytes"),
             op_ns: self.metrics.counter("executor.op_ns"),
-            op_state_hits: self.metrics.counter("op_state.hits"),
-            op_state_misses: self.metrics.counter("op_state.misses"),
-            op_state_published: self.metrics.counter("op_state.published"),
-            op_state_bytes_published: self.metrics.counter("op_state.bytes_published"),
         })
     }
 }
@@ -199,10 +195,6 @@ struct ExecSink {
     rows: Counter,
     bytes: Counter,
     op_ns: Counter,
-    op_state_hits: Counter,
-    op_state_misses: Counter,
-    op_state_published: Counter,
-    op_state_bytes_published: Counter,
 }
 
 impl fmt::Debug for ExecSink {
@@ -223,25 +215,5 @@ impl ObsSink for ExecSink {
         self.bytes.add(bytes);
         self.op_ns.add(ns);
         self.tracer.end_with(self.track, &[("rows", rows), ("bytes", bytes)]);
-    }
-
-    fn op_state_hit(&self, kind: &'static str, key: Sig128) {
-        let _ = kind;
-        self.op_state_hits.inc();
-        self.tracer.begin(self.track, "op-state-hit");
-        self.tracer.end_with(self.track, &[("key", key.0 as u64)]);
-    }
-
-    fn op_state_miss(&self, kind: &'static str) {
-        let _ = kind;
-        self.op_state_misses.inc();
-    }
-
-    fn op_state_published(&self, kind: &'static str, bytes: u64) {
-        let _ = kind;
-        self.op_state_published.inc();
-        self.op_state_bytes_published.add(bytes);
-        self.tracer.begin(self.track, "op-state-publish");
-        self.tracer.end_with(self.track, &[("bytes", bytes)]);
     }
 }

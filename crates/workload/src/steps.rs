@@ -37,7 +37,6 @@ use cv_engine::engine::QueryEngine;
 use cv_engine::exec::{ExecMetrics, PendingView};
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::template_signature;
-use cv_service::OpStateCache;
 use cv_store::{DurableStoreOptions, ShardedDurableViewStore};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,13 +60,9 @@ pub fn open_store(cfg: &DriverConfig, shards: usize) -> Result<Box<dyn SharedVie
 /// The engine a run compiles and executes with — analyzer wired in as the
 /// containment prover (semantic view matches only happen when it certifies
 /// them) and, under `verify_plans`, as the auditor that fails a corrupted
-/// rewrite with a CV0xx diagnostic instead of sealing bad results — plus
-/// the operator-state cache, if budgeted. All view traffic goes through
-/// `store`; the engine's own `views` stays empty.
-pub(crate) fn set_up(
-    cfg: &DriverConfig,
-    store: &dyn SharedViewStore,
-) -> (QueryEngine, Option<Arc<OpStateCache>>) {
+/// rewrite with a CV0xx diagnostic instead of sealing bad results. All view
+/// traffic goes through `store`; the engine's own `views` stays empty.
+pub(crate) fn set_up(cfg: &DriverConfig, store: &dyn SharedViewStore) -> QueryEngine {
     let mut engine = QueryEngine::with_config(cfg.optimizer.clone());
     engine.chunk_size = cfg.chunk_size.max(1);
     let analyzer = Arc::new(cv_analyzer::Analyzer::new(&cfg.optimizer));
@@ -76,16 +71,7 @@ pub(crate) fn set_up(
         engine.optimizer.set_verifier(analyzer);
     }
     store.set_fault_plan(cfg.faults.clone());
-    // Recurring jobs skip rebuilding breaker state whose inputs didn't
-    // rotate (keys embed the scanned GUIDs, so rotated inputs
-    // self-invalidate); a resident build side can also flip a merge-join
-    // pick back to hash — byte-safe, all join algorithms agree bit-for-bit.
-    let op_states = (cfg.op_state_budget_bytes > 0)
-        .then(|| Arc::new(OpStateCache::with_budget(cfg.op_state_budget_bytes)));
-    if let Some(cache) = &op_states {
-        engine.optimizer.set_warm_states(cache.clone());
-    }
-    (engine, op_states)
+    engine
 }
 
 /// Deterministic per-(dataset, day) data stream, independent of everything
@@ -202,15 +188,13 @@ pub(crate) fn with_crash_retry<T>(
 
 /// On the configured cadence, apply one GDPR forget-request (§4): pick a
 /// deterministic user id, delete it from `users` (rotating the GUID), purge
-/// every view derived from the retired version from the store, the serving
-/// index and the operator-state cache. Returns the number of views purged.
-#[allow(clippy::too_many_arguments)]
+/// every view derived from the retired version from the store and the
+/// serving index. Returns the number of views purged.
 pub(crate) fn apply_gdpr(
     cfg: &DriverConfig,
     engine: &mut QueryEngine,
     store: &dyn SharedViewStore,
     insights: &mut InsightsService,
-    op_states: Option<&OpStateCache>,
     seed: u64,
     day: SimDay,
     robustness: &mut RobustnessStats,
@@ -227,12 +211,6 @@ pub(crate) fn apply_gdpr(
     let purged =
         with_crash_retry(store, robustness, |s| s.purge_input(outcome.old_guid, day.start()))?;
     insights.purge_sigs(&stale);
-    // The rotated guid already invalidates the cache keys; the eager purge
-    // frees the budget and drops any bytes derived from the forgotten rows.
-    if let Some(cache) = op_states {
-        cache.purge_input("users");
-        cache.purge_sigs(&stale);
-    }
     Ok(purged as u64)
 }
 
@@ -298,22 +276,18 @@ pub(crate) fn publish_output(
 }
 
 /// Book the read-side faults one execution absorbed. Any such fault
-/// quarantines the signature in the store, the serving index and the
-/// operator-state cache for the rest of the run: the engine recomputes
-/// instead of retrying a bad artifact.
+/// quarantines the signature in the store and the serving index for the
+/// rest of the run: the engine recomputes instead of retrying a bad
+/// artifact.
 pub(crate) fn absorb_read_faults(
     metrics: &ExecMetrics,
     store: &dyn SharedViewStore,
     insights: &mut InsightsService,
-    op_states: Option<&OpStateCache>,
     robustness: &mut RobustnessStats,
 ) -> Result<()> {
     for sig in &metrics.quarantined_sigs {
         with_crash_retry(store, robustness, |s| s.quarantine(*sig))?;
         insights.quarantine(*sig);
-    }
-    if let Some(cache) = op_states.filter(|_| !metrics.quarantined_sigs.is_empty()) {
-        cache.purge_sigs(&metrics.quarantined_sigs);
     }
     robustness.fallbacks_recompute += metrics.fallbacks_recompute;
     robustness.view_read_failures += metrics.view_read_failures;

@@ -2,14 +2,13 @@
 //! service and check the run against the sequential driver.
 //!
 //! Two runs of the same workload: the sequential driver on the in-memory
-//! store at the default chunk size with no operator-state cache (the
-//! reference), then the service with `--workers N` on the chosen backend —
-//! the in-memory store, or the durable (disk-backed) store when
-//! `--store-dir` is given — at `--chunk-size` and `--op-state-budget`. The
-//! self-check is what every knob must leave alone:
+//! store at the default chunk size (the reference), then the service with
+//! `--workers N` on the chosen backend — the in-memory store, or the
+//! durable (disk-backed) store when `--store-dir` is given — at
+//! `--chunk-size`. The self-check is what every knob must leave alone:
 //!
 //! * **Determinism** — per-job result digests are byte-identical to the
-//!   reference, for any seed, worker count, chunk size, backend and budget.
+//!   reference, for any seed, worker count, chunk size and backend.
 //! * **Single flight** — the duplicate-materialization counter is 0.
 //! * **No lost jobs** — every job completes under concurrency.
 //!
@@ -30,8 +29,8 @@
 //! Usage:
 //!   cv-serve [--days N] [--scale F] [--seed N] [--analytics N]
 //!            [--workers N] [--shards N] [--chunk-size N]
-//!            [--mode closed|open] [--op-state-budget N]
-//!            [--store-dir PATH] [--json PATH] [--trace PATH] [--metrics PATH]
+//!            [--mode closed|open] [--store-dir PATH]
+//!            [--json PATH] [--trace PATH] [--metrics PATH]
 
 use cv_common::json::{json, Json};
 use cv_common::Sig128;
@@ -52,7 +51,6 @@ struct Args {
     shards: usize,
     chunk_size: usize,
     open_loop: bool,
-    op_state_budget: u64,
     store_dir: Option<String>,
     json_path: Option<String>,
     trace_path: Option<String>,
@@ -72,7 +70,6 @@ options:
   --chunk-size N       rows per execution chunk (default 2048; results are
                        byte-identical at any value)
   --mode M             closed|open load generation (default closed)
-  --op-state-budget N  operator-state cache budget in bytes (default 0: off)
   --store-dir P        run on the durable view store in P (must be absent or
                        empty; default: the in-memory store)
   --json PATH          write the full JSON report to PATH
@@ -98,7 +95,6 @@ fn parse_args() -> Result<Args, String> {
         shards: 16,
         chunk_size: cv_data::chunk::DEFAULT_CHUNK_SIZE,
         open_loop: false,
-        op_state_budget: 0,
         store_dir: None,
         json_path: None,
         trace_path: None,
@@ -122,7 +118,6 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("bad --mode value `{other}`")),
                 }
             }
-            "--op-state-budget" => args.op_state_budget = value(&mut it, flag)?,
             "--store-dir" => {
                 let dir: String = value(&mut it, flag)?;
                 // The directory the user names is never cleared to make room.
@@ -177,7 +172,6 @@ fn run(args: &Args) -> Result<bool, String> {
     reference_cfg.cluster.total_containers = 200;
     let mut cfg = reference_cfg.clone();
     cfg.chunk_size = args.chunk_size;
-    cfg.op_state_budget_bytes = args.op_state_budget;
     if let Some(dir) = &args.store_dir {
         cfg.store = StoreBackend::Durable(dir.into());
     }

@@ -18,10 +18,7 @@ use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
 use cv_data::viewstore::{ViewReadFault, ViewSource, ViewStore};
 use cv_engine::cost::CostModel;
-use cv_engine::exec::{
-    execute, ExecContext, ExecOutcome, OpState, OpStateAcquire, OpStateEntry, OpStateSource,
-    SerialRunner, SpoolSink,
-};
+use cv_engine::exec::{execute, ExecContext, ExecOutcome, SerialRunner, SpoolSink};
 use cv_engine::expr::eval::{eval, select, EvalCtx};
 use cv_engine::expr::{col, lit, param, AggExpr, AggFunc, BinOp, ScalarExpr, UnOp};
 use cv_engine::normalize::normalize;
@@ -1115,79 +1112,6 @@ fn aggregation_matches_a_value_fold_in_row_order() {
     assert_aggregate_matches_fold(&|| t.clone(), &["g"], &aggs, &chunks, &[], "115k groups");
 }
 
-/// A hash-join build published to the operator-state cache by one execution
-/// and restored by another probes exactly like a fresh build, and the cache
-/// — charged `JoinBuildState::byte_size`, table plus chain arrays — stays
-/// within its budget.
-#[test]
-fn a_restored_join_build_probes_like_a_fresh_one_within_budget() {
-    use cv_service::{OpStateCache, TaggedOpStates};
-    let mut rng = DetRng::seed(0x63);
-    let left = random_table(&mut rng, 900, 0.2);
-    let r = random_table(&mut rng, 300, 0.2);
-    let r_schema = Schema::new(
-        r.schema().fields().iter().map(|f| Field::new(format!("r_{}", f.name), f.dtype)).collect(),
-    )
-    .unwrap()
-    .into_ref();
-    let right = Table::new(r_schema.clone(), r.columns().to_vec()).unwrap();
-    let (l_schema, right_bytes) = (left.schema().clone(), right.byte_size());
-    let tables = Tables(HashMap::from([(LEFT, left), (RIGHT, right)]));
-    let (cat, udos) = (DatasetCatalog::new(), UdoRegistry::with_builtins());
-    let run = |plan: &PhysicalPlan, chunk_size: usize, states: Option<&dyn OpStateSource>| {
-        let mut ctx = ExecContext::new(&cat, &tables, &udos, SimTime::EPOCH)
-            .with_chunking(chunk_size, Arc::new(SerialRunner));
-        ctx.op_states = states;
-        execute(plan, &mut ctx, &CostModel::default()).unwrap()
-    };
-    for on in [vec![("i", "r_i")], vec![("s", "r_s"), ("d", "r_d")]] {
-        let join = |kind| PhysicalPlan::Join {
-            algo: JoinAlgo::Hash,
-            kind,
-            on: on.iter().map(|(l, r)| (l.to_string(), r.to_string())).collect(),
-            left: Box::new(source(LEFT, &l_schema)),
-            right: Box::new(source(RIGHT, &r_schema)),
-            est: est(),
-            partitions: 1,
-            swapped: false,
-        };
-        let budget = 1 << 20;
-        let cache = Arc::new(OpStateCache::with_budget(budget));
-        let mut published = 0;
-        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi] {
-            let plan = join(kind);
-            let fresh = run(&plan, 333, None);
-            // The build key leaves the join kind out: the first kind
-            // publishes, every later execution restores.
-            let builder = TaggedOpStates::new(cache.clone(), 1);
-            let first = run(&plan, 333, Some(&builder));
-            published += first.metrics.op_state_published;
-            let consumer = TaggedOpStates::new(cache.clone(), 2);
-            for chunk_size in [1, 333, usize::MAX] {
-                let restored = run(&plan, chunk_size, Some(&consumer));
-                assert_eq!(restored.metrics.op_state_hits, 1, "{on:?} {kind:?}");
-                let what = format!("restored build, {on:?}, {kind:?}, chunk {chunk_size}");
-                assert_tables_identical(&restored.table, &fresh.table, &what);
-                assert_tables_identical(&first.table, &fresh.table, &what);
-            }
-        }
-        assert_eq!(published, 1, "{on:?}: one build serves every kind");
-        let stats = cache.stats();
-        assert!(stats.cross_job_hits > 0, "{on:?}");
-        // Resident bytes are the build table plus its two chain arrays.
-        assert!(stats.resident_bytes > right_bytes, "{on:?}: chain arrays not charged");
-        assert!(stats.resident_bytes <= budget, "{on:?}: {} B resident", stats.resident_bytes);
-
-        // A budget the state does not fit in: built, offered, not kept.
-        let tight = Arc::new(OpStateCache::with_budget(right_bytes / 2));
-        let states = TaggedOpStates::new(tight.clone(), 1);
-        let plan = join(JoinKind::Inner);
-        let (a, b) = (run(&plan, 333, Some(&states)), run(&plan, 333, None));
-        assert_tables_identical(&a.table, &b.table, &format!("tight budget, {on:?}"));
-        assert!(tight.stats().resident_bytes <= right_bytes / 2, "{on:?}: budget exceeded");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Windows: kernels and operators over `t.slice(o, l)` ≡ over its compacted copy
 // ---------------------------------------------------------------------------
@@ -1961,20 +1885,6 @@ fn a_dimension_string_is_grouped_without_being_gathered() {
 // The escape rule: no window outlives the query that cut it
 // ---------------------------------------------------------------------------
 
-/// Always tells the executor to build and publish, and keeps what it gets.
-#[derive(Debug, Default)]
-struct RecordingStates(Mutex<Vec<Arc<OpState>>>);
-
-impl OpStateSource for RecordingStates {
-    fn acquire(&self, _: Sig128) -> OpStateAcquire {
-        OpStateAcquire::Build { claimed: true }
-    }
-    fn publish(&self, _: Sig128, entry: OpStateEntry) {
-        self.0.lock().unwrap().push(entry.state);
-    }
-    fn abandon(&self, _: Sig128) {}
-}
-
 #[derive(Default)]
 struct RecordingSink(Mutex<Vec<Table>>);
 
@@ -2051,12 +1961,11 @@ fn nothing_that_leaves_a_query_is_a_window() {
         ),
     ];
 
-    let (states, sink) = (RecordingStates::default(), RecordingSink::default());
+    let sink = RecordingSink::default();
     let mut sealed = 0;
     for (name, plan) in &plans {
-        // Once with a view requested for every subexpression (spools feed
-        // the sink), once bare (a spool makes breaker keys underivable, so
-        // only the bare run publishes operator states).
+        // Once bare, once with a view requested for every subexpression
+        // (spools feed the sink).
         let mut reuse = ReuseContext::empty();
         reuse.to_build.extend(
             engine
@@ -2067,26 +1976,16 @@ fn nothing_that_leaves_a_query_is_a_window() {
                 .map(|s| s.strict),
         );
         let bare = engine.optimize(plan, &ReuseContext::empty(), &mut AlwaysGrant).unwrap();
-        let bare_out = engine
-            .execute_with_states(
-                &bare.outcome.physical,
-                &engine.views,
-                SimTime::EPOCH,
-                None,
-                None,
-                Some(&states),
-            )
-            .unwrap();
+        let bare_out = engine.execute(&bare.outcome.physical, SimTime::EPOCH).unwrap();
         assert_owns_its_rows(&bare_out.table, &format!("result of `{name}`"));
         let compiled = engine.optimize(plan, &reuse, &mut AlwaysGrant).unwrap();
         let out = engine
-            .execute_with_states(
+            .execute_with(
                 &compiled.outcome.physical,
                 &engine.views,
                 SimTime::EPOCH,
                 None,
                 Some(&sink),
-                None,
             )
             .unwrap();
         assert_owns_its_rows(&out.table, &format!("result of `{name}` with spools"));
@@ -2114,15 +2013,4 @@ fn nothing_that_leaves_a_query_is_a_window() {
     for chunk in chunks.iter() {
         assert_owns_its_rows(chunk, "a spool-sink chunk");
     }
-    let states = states.0.lock().unwrap();
-    let mut kinds = std::collections::BTreeSet::new();
-    for state in states.iter() {
-        kinds.insert(state.kind());
-        match &**state {
-            OpState::JoinBuild(jb) => assert_owns_its_rows(&jb.table, "a published join build"),
-            OpState::AggOutput(t) => assert_owns_its_rows(t, "a published aggregate state"),
-            OpState::SortRun(t) => assert_owns_its_rows(t, "a published sort run"),
-        }
-    }
-    assert_eq!(kinds.len(), 3, "expected all three breaker kinds to publish, got {kinds:?}");
 }

@@ -12,8 +12,7 @@
 //!    counters match the unobserved (`None`-sink) run bit-for-bit.
 //! 3. **Export round-trip** — the merged Chrome trace (service spans +
 //!    simulated-cluster timeline) survives `cv_common::json` parse-back
-//!    and carries the expected event shape; the metrics dump of a run with
-//!    the operator-state cache on carries every `op_state.*` counter.
+//!    and carries the expected event shape.
 
 use cv_common::json::Json;
 use cv_workload::{
@@ -90,13 +89,8 @@ fn trace_structure_is_identical_across_worker_counts() {
     // Pinned when the driver's instrumentation moved onto span guards
     // (PR 17), from the commit before: span names, tracks, nesting and args
     // are a contract (`perf/src/ledger.rs` reads them), so moving one is a
-    // deliberate edit here. The second run has the operator-state cache on
-    // — one worker, so its hits cannot depend on scheduling.
+    // deliberate edit here.
     assert_eq!(structure_digest(&obs1), "6e027d310a3f18cab467d6957128a200");
-    let mut cached = cfg.clone();
-    cached.op_state_budget_bytes = 64 << 20;
-    let (_, obs_cached) = observed_run(&w, &cached, 1);
-    assert_eq!(structure_digest(&obs_cached), "64528c4662711e3ecf20b26fbd8cc2f6");
 
     for workers in [2usize, 8] {
         let (out, obs) = observed_run(&w, &cfg, workers);
@@ -139,16 +133,7 @@ fn observing_a_run_changes_nothing() {
 #[test]
 fn chrome_trace_round_trips_through_cv_json() {
     let w = obs_workload();
-    let mut cfg = config();
-    cfg.op_state_budget_bytes = 64 << 20;
-    let (out, obs) = observed_run(&w, &cfg, 2);
-
-    // What `cv-serve --metrics` writes: with the cache on, its counters are
-    // in the dump whether or not anything hit.
-    let metrics = obs.metrics.to_json();
-    for key in ["hits", "misses", "published", "cross_job_hits", "evicted", "purged"] {
-        assert!(metrics.get(&format!("op_state.{key}")).is_some(), "dump lacks op_state.{key}");
-    }
+    let (out, obs) = observed_run(&w, &config(), 2);
 
     // Merge service spans (pid 1) with the simulated-cluster timeline
     // (pid 2), exactly as `cv-serve --trace` writes it.
