@@ -11,14 +11,17 @@
 //! and `merge_join_str`, a string key — both coded through a dictionary),
 //! `hash_aggregate_high` (a group per ~12 rows — 80k
 //! groups at 10^6 — under SUM, AVG and COUNT DISTINCT) and
-//! `sort_desc_float` (one descending float key). Two legs isolate what the
-//! aggregate does with its keys: `hash_aggregate_dim_str` groups the fact ⋈
-//! dimension join by the dimension's string (8 groups; the string reaches
-//! the aggregate as a gather through the join, and should be coded per
-//! dimension row, never gathered) and `count_distinct` is COUNT(DISTINCT
-//! qty) alone, a group per 100 rows × 100 values. Two more filters keep
-//! the executor's own bookkeeping visible at this altitude: `filter_str_eq`
-//! (a string column against a literal — the literal must stay a scalar) and
+//! `sort_desc_float` (one descending float key), beside `sort_limit`,
+//! `heavy_scan`'s `q_sort_limit` (`qty > 50`, two columns, `ORDER BY val DESC
+//! LIMIT 100`: the sort should keep 100 rows, not order all). Two legs
+//! isolate what the aggregate does with its keys: `hash_aggregate_dim_str`
+//! groups the fact ⋈ dimension join by the dimension's string (8 groups; the
+//! string reaches the aggregate as a gather through the join, and should be
+//! coded per dimension row, never gathered) and `count_distinct` is
+//! COUNT(DISTINCT qty) alone, a group per 100 rows × 100 values. Two more
+//! filters keep the executor's own bookkeeping visible at this altitude:
+//! `filter_str_eq` (a string column against a literal — the literal must
+//! stay a scalar) and
 //! `filter_wide` (an integer predicate over a table that also carries three
 //! string columns — chunking must not copy what the predicate never reads).
 //! `filter_unread` is the filter as queries use it: half the fact table's
@@ -70,7 +73,7 @@ use std::time::Instant;
 
 /// Every leg, in report order: the plans of [`plans`], then the three
 /// whole-table legs. A leg missing from either side fails the run.
-const KERNELS: [&str; 21] = [
+const KERNELS: [&str; 22] = [
     "filter",
     "filter_str_eq",
     "filter_wide",
@@ -89,6 +92,7 @@ const KERNELS: [&str; 21] = [
     "count_distinct",
     "sort",
     "sort_desc_float",
+    "sort_limit",
     "digest",
     "store_decode",
     "udo",
@@ -425,6 +429,16 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         .build();
     let sort_desc_float =
         PlanBuilder::scan(&bench.catalog, "fact").unwrap().sort(&[("val", false)]).unwrap().build();
+    let sort_limit = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .filter(col("qty").gt(lit(50)))
+        .unwrap()
+        .project(vec![(col("id"), "id"), (col("val"), "val")])
+        .unwrap()
+        .sort(&[("val", false)])
+        .unwrap()
+        .limit(100)
+        .build();
     vec![
         ("filter", filter, JoinAlgo::Hash),
         ("filter_str_eq", filter_str_eq, JoinAlgo::Hash),
@@ -444,6 +458,7 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         ("count_distinct", count_distinct, JoinAlgo::Hash),
         ("sort", sort, JoinAlgo::Hash),
         ("sort_desc_float", sort_desc_float, JoinAlgo::Hash),
+        ("sort_limit", sort_limit, JoinAlgo::Hash),
     ]
 }
 
@@ -596,7 +611,7 @@ fn main() {
             | "hash_aggregate_high"
             | "hash_aggregate_dim_str"
             | "count_distinct" => "HashAggregate",
-            "sort" | "sort_desc_float" => "Sort",
+            "sort" | "sort_desc_float" | "sort_limit" => "Sort",
             _ => unreachable!(),
         };
         assert!(kinds.contains(&want), "{name}: compiled plan lost its {want} operator");

@@ -18,6 +18,7 @@
 pub mod bitmap;
 pub mod catalog;
 pub mod chunk;
+pub mod codes;
 pub mod column;
 pub mod delta;
 pub mod digest;

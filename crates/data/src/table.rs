@@ -244,15 +244,17 @@ impl Table {
         Table::new(self.schema.clone(), columns?)
     }
 
-    /// Stable sort by the given column indices (ascending flags parallel):
-    /// a gather through [`crate::sortkey::order_rows`]. NULLs sort first
-    /// ascending (mirroring `Value::total_cmp`, where Null is the smallest
-    /// rank), floats by `f64::total_cmp` so NaN and signed zero order
-    /// deterministically.
-    pub fn sort_by(&self, keys: &[(usize, bool)]) -> Result<Table> {
+    /// The first `limit` rows of a stable sort by the given column indices
+    /// (ascending flags parallel) — every row when `limit` is at least the
+    /// row count: a gather through [`crate::sortkey::order_rows`]. NULLs sort
+    /// first ascending (mirroring `Value::total_cmp`, where Null is the
+    /// smallest rank), floats by `f64::total_cmp` so NaN and signed zero
+    /// order deterministically.
+    pub fn sort_by(&self, keys: &[(usize, bool)], limit: usize) -> Result<Table> {
         let key_cols: Vec<(&Column, bool)> =
             keys.iter().map(|&(ci, asc)| (&self.columns[ci], asc)).collect();
-        Ok(self.take_ids(Cow::Owned(crate::sortkey::order_rows(&key_cols, self.rows))))
+        let order = crate::sortkey::order_rows(&key_cols, self.rows, limit)?;
+        Ok(self.take_ids(Cow::Owned(order)))
     }
 
     /// Approximate in-memory size in bytes.
@@ -390,19 +392,19 @@ mod tests {
     #[test]
     fn sort_ascending_and_descending() {
         let t = demo();
-        let asc = t.sort_by(&[(0, true)]).unwrap();
+        let asc = t.sort_by(&[(0, true)], usize::MAX).unwrap();
         assert_eq!(
             asc.to_rows().iter().map(|r| r[0].clone()).collect::<Vec<_>>(),
             vec![Value::Int(1), Value::Int(2), Value::Int(3)]
         );
-        let desc = t.sort_by(&[(0, false)]).unwrap();
+        let desc = t.sort_by(&[(0, false)], usize::MAX).unwrap();
         assert_eq!(desc.row(0)[0], Value::Int(3));
     }
 
     #[test]
     fn sort_nulls_first() {
         let t = demo();
-        let sorted = t.sort_by(&[(2, true)]).unwrap();
+        let sorted = t.sort_by(&[(2, true)], usize::MAX).unwrap();
         assert!(sorted.row(0)[2].is_null());
     }
 
@@ -530,7 +532,11 @@ mod tests {
             let mask = Bitmap::from_bools(&(0..len).map(|_| rng.chance(0.6)).collect::<Vec<_>>());
             assert_identical(&w.filter(&mask).unwrap(), &c.filter(&mask).unwrap(), &what);
             let keys = [(2, true), (3, false), (1, true)];
-            assert_identical(&w.sort_by(&keys).unwrap(), &c.sort_by(&keys).unwrap(), &what);
+            assert_identical(
+                &w.sort_by(&keys, usize::MAX).unwrap(),
+                &c.sort_by(&keys, usize::MAX).unwrap(),
+                &what,
+            );
             assert_identical(&w.concat(&w).unwrap(), &c.concat(&c).unwrap(), &what);
             assert_identical(&w.clone().normalized(), &c.clone().normalized(), &what);
         }

@@ -4,8 +4,8 @@
 //! parallel part, fanned through the morsel runner). Then, serially:
 //!
 //! 1. every key column becomes dense integer codes, once
-//!    ([`keys::encode`]), and the code columns fold left to right into a
-//!    dense **group id** per input row ([`keys::pair_ids`]) — ids in
+//!    ([`codes::encode`]), and the code columns fold left to right into a
+//!    dense **group id** per input row ([`codes::pair_ids`]) — ids in
 //!    first-seen row order, each with the row it was first seen at;
 //! 2. each aggregate runs one tight loop per chunk over `(group id, typed
 //!    argument slice)` into struct-of-arrays accumulators sized to the group
@@ -18,13 +18,14 @@
 //! float SUM/AVG — produces the monolithic bit pattern at every chunk size
 //! and worker count.
 
-use super::keys::{self, Class};
+use super::keys;
 use super::{map_chunks, morsel, ExecContext};
 use crate::expr::eval::{eval, EvalCtx};
 use crate::expr::{AggExpr, AggFunc, ScalarExpr};
 use cv_common::{CvError, Result};
 use cv_data::bitmap::Bitmap;
 use cv_data::chunk::chunk_ranges;
+use cv_data::codes::{self, Class};
 use cv_data::column::{Column, ColumnBuilder, ColumnData, ColumnView};
 use cv_data::schema::SchemaRef;
 use cv_data::table::Table;
@@ -106,8 +107,8 @@ impl<'a> Accumulator<'a> {
             AggFunc::Count => Accumulator::Count(vec![0; groups]),
             AggFunc::CountDistinct => {
                 let mut counts = vec![0; groups];
-                let values = keys::encode(args, gids.len(), Class::Distinct);
-                let seen = keys::pair_ids(gids, groups, &values);
+                let values = codes::encode(args, gids.len(), Class::Distinct);
+                let seen = codes::pair_ids(gids, groups, &values);
                 for &row in seen.first.iter().filter(|&&row| values.codes[row] != 0) {
                     counts[gids[row] as usize] += 1;
                 }
@@ -238,6 +239,9 @@ pub(super) fn hash_aggregate(
         && aggs.iter().all(AggExpr::is_deterministic);
     let chunk_size = if det { ctx.chunk_size } else { usize::MAX };
     let rows = input.num_rows();
+    if rows >= u32::MAX as usize {
+        return Err(CvError::exec(format!("aggregate of {rows} rows: group ids are 32-bit")));
+    }
     let ranges = chunk_ranges(rows, chunk_size);
 
     let eval_chunk = |t: &Table, ec: &mut EvalCtx| -> Result<(Vec<Column>, Vec<Option<Column>>)> {
@@ -261,8 +265,8 @@ pub(super) fn hash_aggregate(
     let mut gids = vec![0u32; rows];
     let mut first = vec![0usize];
     for chunks in &key_chunks {
-        let codes = keys::encode(chunks, rows, Class::Group);
-        let folded = keys::pair_ids(&gids, first.len(), &codes);
+        let codes = codes::encode(chunks, rows, Class::Group);
+        let folded = codes::pair_ids(&gids, first.len(), &codes);
         (gids, first) = (folded.ids, folded.first);
     }
     let groups = first.len();
@@ -296,22 +300,15 @@ pub(super) fn hash_aggregate(
         group_keys.push(b.finish());
     }
 
-    // Canonical output order: sort group ids by their key cells ascending
-    // (NULLs first), the exact order `Table::sort_by` over the key columns
-    // produces. First-encounter order is an artifact of input row order;
-    // sorting makes aggregate output a pure function of the input
-    // *multiset*, so an incrementally maintained aggregate (cv-ivm) emitted
-    // from group state is byte-identical to inline execution. Distinct
-    // groups never compare equal, so the order is total and stability is
-    // irrelevant.
-    let mut order: Vec<usize> = (0..groups).collect();
-    order.sort_by(|&a, &b| {
-        group_keys
-            .iter()
-            .map(|key| keys::cmp_cells(key, a, key, b))
-            .find(|o| o.is_ne())
-            .unwrap_or(Ordering::Equal)
-    });
+    // Canonical output order: group ids by their key cells ascending (NULLs
+    // first), through the one row-ordering function `Table::sort_by` uses.
+    // First-encounter order is an artifact of input row order; sorting makes
+    // aggregate output a pure function of the input *multiset*, so an
+    // incrementally maintained aggregate (cv-ivm) emitted from group state is
+    // byte-identical to inline execution. Distinct groups never tie, so the
+    // order is total.
+    let key_order: Vec<(&Column, bool)> = group_keys.iter().map(|key| (key, true)).collect();
+    let order = cv_data::sortkey::order_rows(&key_order, groups, groups)?;
 
     // Final merge streams chunk-at-a-time: each output chunk takes its
     // slice of the key cells and reads out its accumulators independently,

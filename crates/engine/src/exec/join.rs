@@ -9,14 +9,15 @@
 //! "Merge" names the plan operator the optimizer picks for big inputs, and
 //! what the simulated cluster is charged for: a sort-merge. In this process
 //! [`merge_join`] sorts nothing. It codes the keys of both sides to dense
-//! integers (`keys::encode`, as the aggregate does), buckets the right
+//! integers ([`codes::encode`], as the aggregate does), buckets the right
 //! side's rows by code and emits each left row's bucket; the hash join, a
 //! chained table over one side, is the kernel for smaller inputs.
 
-use super::keys::{self, Class, Codes, KeyCols};
+use super::keys::KeyCols;
 use super::{map_chunks, ExecContext};
 use crate::plan::JoinKind;
 use cv_common::{CvError, Result};
+use cv_data::codes::{self, Class, Codes};
 use cv_data::column::{ColumnView, PAD};
 use cv_data::schema::Schema;
 use cv_data::table::Table;
@@ -122,7 +123,7 @@ struct JoinBuildState {
 fn build_join_state(rkeys: &KeyCols<'_>) -> JoinBuildState {
     let (hashes, valid) = rkeys.join_hashes();
     let n = hashes.len();
-    assert!(n < NIL as usize, "build rows are 32-bit");
+    debug_assert!(n < NIL as usize, "build rows are 32-bit");
     // Two buckets a row: chains of distinct keys stay near one entry.
     let mut head = vec![NIL; (2 * n).next_power_of_two()];
     let mut next = vec![NIL; n];
@@ -190,6 +191,10 @@ pub(super) fn hash_join(
     ctx: &mut ExecContext<'_>,
 ) -> Result<(Table, usize)> {
     let (lk, rk) = resolve_keys(left, right, on)?;
+    let rows = right.num_rows();
+    if rows >= NIL as usize {
+        return Err(CvError::exec(format!("hash join build of {rows} rows: rows are 32-bit")));
+    }
     let rkeys = KeyCols::from_table(right, &rk);
     let state = &build_join_state(&rkeys);
     let probe = |chunk: &Table| {
@@ -278,10 +283,10 @@ fn key_codes(left: &Table, lk: &[usize], right: &Table, rk: &[usize]) -> Result<
             (DataType::Int, DataType::Float) | (DataType::Float, DataType::Int) => Class::AsFloat,
             (a, b) => return Err(CvError::exec(format!("join key of {a} against {b}"))),
         };
-        let column = keys::encode(&[r, l], rows, class);
+        let column = codes::encode(&[r, l], rows, class);
         key = Some(match key {
             None => column,
-            Some(key) => keys::pair_codes(&key, &column),
+            Some(key) => codes::pair_codes(&key, &column),
         });
     }
     // No key column: every row carries the one empty key.

@@ -14,9 +14,9 @@
 //!
 //! # Chunked execution
 //!
-//! Streamable operators — filter, project, the hash-join *probe* side,
-//! limit, and both the evaluation phase and the final merge emission of
-//! hash aggregation — process their input as a sequence of fixed-size
+//! Streamable operators — filter, project, the hash-join *probe* side, and
+//! both the evaluation phase and the final merge emission of hash
+//! aggregation — process their input as a sequence of fixed-size
 //! chunks ([`cv_data::chunk::DEFAULT_CHUNK_SIZE`] rows) and fan the chunks
 //! out through the context's [`MorselRunner`], so a single heavy job
 //! spreads across the service's worker pool. A filter's per-chunk work is a
@@ -34,6 +34,12 @@
 //! merge/loop joins, unions, UDOs, spools, aggregate accumulation —
 //! materialize via [`Table::from_chunks`], and every execution builds its
 //! own.
+//!
+//! A limit is not chunked: it is a window over its input's first rows. Over
+//! a sort it also tells the sort how many rows it reads, and the sort orders
+//! only those (top-N). The sort is still accounted as the full sort — its
+//! profile, its obs span and every byte the simulator is charged describe
+//! every input row ordered — so the limit changes wall time and nothing else.
 //!
 //! Two invariants keep results *byte-identical* at every chunk size and
 //! worker count:
@@ -236,7 +242,7 @@ pub fn execute(
 ) -> Result<ExecOutcome> {
     let mut metrics = ExecMetrics::default();
     let mut pending = Vec::new();
-    let out = exec_node(plan, ctx, model, &mut metrics, &mut pending)?;
+    let out = exec_node(plan, ctx, model, &mut metrics, &mut pending, ALL)?;
     // The result leaves the query: a window (a LIMIT prefix, an
     // identity-prefix join side) must not leave with it.
     let table = out.table.compact();
@@ -266,16 +272,29 @@ fn record(
     work: f64,
     spool_sig: Option<Sig128>,
 ) -> OpOutput {
+    profile(metrics, plan, out.table.num_rows(), out.bytes, work, spool_sig);
+    out
+}
+
+/// Charge an operator's `work` and record its profile: `rows` and `bytes`
+/// out.
+fn profile(
+    metrics: &mut ExecMetrics,
+    plan: &PhysicalPlan,
+    rows: usize,
+    bytes: u64,
+    work: f64,
+    spool_sig: Option<Sig128>,
+) {
     metrics.total_work += work;
     metrics.op_profiles.push(OpProfile {
         kind: plan.kind_name(),
-        rows_out: out.table.num_rows() as u64,
-        bytes_out: out.bytes,
+        rows_out: rows as u64,
+        bytes_out: bytes,
         work,
         partitions: plan.partitions(),
         spool_sig,
     });
-    out
 }
 
 /// Run `f` over every morsel of the input — each a window over the
@@ -307,29 +326,38 @@ fn map_chunks<T: Send>(
     .collect()
 }
 
+/// The `keep` of a node whose parent reads every row of it.
+const ALL: usize = usize::MAX;
+
 /// Dispatch one operator, emitting [`ObsSink`] events around the recursion
 /// when a sink is installed. `op_started` fires preorder and `op_finished`
 /// postorder, so a sink that maps them onto span begin/end reconstructs the
-/// exact plan-tree nesting. With `obs: None` this is a single branch — no
+/// exact plan-tree nesting; `op_finished` reports the rows and bytes the
+/// operator's profile records. With `obs: None` this is a single branch — no
 /// clock reads, no virtual calls.
+///
+/// `keep` is how many of the node's first rows its parent reads: [`ALL`],
+/// except for a Sort directly under a Limit, which returns only those.
 fn exec_node(
     plan: &PhysicalPlan,
     ctx: &mut ExecContext<'_>,
     model: &CostModel,
     metrics: &mut ExecMetrics,
     pending: &mut Vec<PendingView>,
+    keep: usize,
 ) -> Result<OpOutput> {
     let Some(obs) = ctx.obs else {
-        return exec_node_inner(plan, ctx, model, metrics, pending);
+        return exec_node_inner(plan, ctx, model, metrics, pending, keep);
     };
     let kind = plan.kind_name();
     obs.op_started(kind);
     let started = std::time::Instant::now();
-    let result = exec_node_inner(plan, ctx, model, metrics, pending);
+    let result = exec_node_inner(plan, ctx, model, metrics, pending, keep);
     let ns = started.elapsed().as_nanos() as u64;
-    match &result {
-        Ok(out) => obs.op_finished(kind, out.table.num_rows() as u64, out.bytes, ns),
-        Err(_) => obs.op_finished(kind, 0, 0, ns),
+    // Every arm records its own profile last.
+    match (&result, metrics.op_profiles.last()) {
+        (Ok(_), Some(p)) => obs.op_finished(kind, p.rows_out, p.bytes_out, ns),
+        _ => obs.op_finished(kind, 0, 0, ns),
     }
     result
 }
@@ -340,6 +368,7 @@ fn exec_node_inner(
     model: &CostModel,
     metrics: &mut ExecMetrics,
     pending: &mut Vec<PendingView>,
+    keep: usize,
 ) -> Result<OpOutput> {
     match plan {
         PhysicalPlan::TableScan { dataset, guid, .. } => {
@@ -400,7 +429,7 @@ fn exec_node_inner(
             // leaf here. The subtree's work/bytes have already accumulated
             // into the aggregate metrics (the recomputation really ran).
             let profiles_before = metrics.op_profiles.len();
-            let out = exec_node(fb, ctx, model, metrics, pending)?;
+            let out = exec_node(fb, ctx, model, metrics, pending, ALL)?;
             let sub_work: f64 = metrics.op_profiles.drain(profiles_before..).map(|p| p.work).sum();
             metrics.op_profiles.push(OpProfile {
                 kind: plan.kind_name(),
@@ -414,7 +443,7 @@ fn exec_node_inner(
         }
         PhysicalPlan::Filter { predicate, input, .. } => {
             let OpOutput { table: in_table, bytes } =
-                exec_node(input, ctx, model, metrics, pending)?;
+                exec_node(input, ctx, model, metrics, pending, ALL)?;
             metrics.data_read_bytes += bytes;
             // Per-chunk work is the selection alone. Survivors are gathered
             // once, straight from the unsliced input (or the input is shared
@@ -447,7 +476,7 @@ fn exec_node_inner(
         }
         PhysicalPlan::Project { exprs, schema, input, .. } => {
             let OpOutput { table: in_table, bytes } =
-                exec_node(input, ctx, model, metrics, pending)?;
+                exec_node(input, ctx, model, metrics, pending, ALL)?;
             metrics.data_read_bytes += bytes;
             // A column the projection only names is the input's column — a
             // reference bump, a deferred gather stays unread — and only the
@@ -492,9 +521,9 @@ fn exec_node_inner(
         }
         PhysicalPlan::Join { algo, kind, on, left, right, swapped, .. } => {
             let OpOutput { table: l, bytes: l_bytes } =
-                exec_node(left, ctx, model, metrics, pending)?;
+                exec_node(left, ctx, model, metrics, pending, ALL)?;
             let OpOutput { table: r, bytes: r_bytes } =
-                exec_node(right, ctx, model, metrics, pending)?;
+                exec_node(right, ctx, model, metrics, pending, ALL)?;
             metrics.data_read_bytes += l_bytes + r_bytes;
             let (ln, rn) = (l.num_rows() as f64, r.num_rows() as f64);
             let (out, work, probe_chunks) = match algo {
@@ -518,7 +547,7 @@ fn exec_node_inner(
         }
         PhysicalPlan::HashAggregate { group_by, aggs, schema, input, .. } => {
             let OpOutput { table: in_table, bytes } =
-                exec_node(input, ctx, model, metrics, pending)?;
+                exec_node(input, ctx, model, metrics, pending, ALL)?;
             metrics.data_read_bytes += bytes;
             let (out, chunks) = hash_aggregate(&in_table, group_by, aggs, schema, ctx)?;
             let work = model.hash_aggregate(in_table.num_rows() as f64, aggs.len()).total()
@@ -527,14 +556,20 @@ fn exec_node_inner(
         }
         PhysicalPlan::Sort { keys, input, .. } => {
             let OpOutput { table: in_table, bytes } =
-                exec_node(input, ctx, model, metrics, pending)?;
+                exec_node(input, ctx, model, metrics, pending, ALL)?;
             metrics.data_read_bytes += bytes;
-            let out = sort::sort_table(&in_table, keys)?;
-            let work = model.sort(in_table.num_rows() as f64).total();
-            Ok(record(metrics, plan, OpOutput::new(out), work, None))
+            let rows = in_table.num_rows();
+            let out = sort::sort_table(&in_table, keys, keep)?;
+            // Profiled as the full sort whatever `keep` cut: every row out, and
+            // a permutation of the input is the input's size.
+            profile(metrics, plan, rows, bytes, model.sort(rows as f64).total(), None);
+            let out_bytes = if out.num_rows() == rows { bytes } else { out.byte_size() };
+            debug_assert_eq!(out_bytes, out.byte_size());
+            Ok(OpOutput { table: out, bytes: out_bytes })
         }
         PhysicalPlan::Limit { n, input, .. } => {
-            let in_table = exec_node(input, ctx, model, metrics, pending)?.table;
+            let keep = if matches!(**input, PhysicalPlan::Sort { .. }) { *n } else { ALL };
+            let in_table = exec_node(input, ctx, model, metrics, pending, keep)?.table;
             // A prefix is a window over the input: O(1) here, one copy of
             // the kept rows wherever the table leaves the query.
             let out = in_table.slice(0, in_table.num_rows().min(*n)).normalized();
@@ -543,9 +578,9 @@ fn exec_node_inner(
         PhysicalPlan::Union { inputs, .. } => {
             let mut iter = inputs.iter();
             let first = iter.next().ok_or_else(|| CvError::exec("empty UNION"))?;
-            let mut acc = exec_node(first, ctx, model, metrics, pending)?.table;
+            let mut acc = exec_node(first, ctx, model, metrics, pending, ALL)?.table;
             for i in iter {
-                let t = exec_node(i, ctx, model, metrics, pending)?.table;
+                let t = exec_node(i, ctx, model, metrics, pending, ALL)?.table;
                 acc = acc.concat(&t)?;
             }
             let out = OpOutput::new(acc);
@@ -555,7 +590,7 @@ fn exec_node_inner(
         }
         PhysicalPlan::Udo { spec, input, .. } => {
             let OpOutput { table: in_table, bytes } =
-                exec_node(input, ctx, model, metrics, pending)?;
+                exec_node(input, ctx, model, metrics, pending, ALL)?;
             metrics.data_read_bytes += bytes;
             let out = ctx.udos.apply(spec, &in_table)?;
             let work = model.udo(in_table.num_rows() as f64).total();
@@ -563,7 +598,7 @@ fn exec_node_inner(
         }
         PhysicalPlan::Spool { sig, recurring_sig, input_guids, input, .. } => {
             let work_before = metrics.total_work;
-            let OpOutput { table, bytes } = exec_node(input, ctx, model, metrics, pending)?;
+            let OpOutput { table, bytes } = exec_node(input, ctx, model, metrics, pending, ALL)?;
             // The view outlives this query, in the store and in consumers'
             // hands: it (and each chunk handed to the sink) owns its rows.
             let in_table = table.compact();
@@ -1325,6 +1360,98 @@ mod tests {
         let distinct: std::collections::HashSet<String> =
             (0..mono.num_rows()).map(|i| format!("{:?}", mono.column(r_idx).value(i))).collect();
         assert!(distinct.len() > 1, "RANDOM_NEXT must vary across rows");
+    }
+
+    /// Morsels on `n` threads, each taking the next task as it finishes one.
+    struct Threads(usize);
+
+    impl MorselRunner for Threads {
+        fn run(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
+            let next = std::sync::atomic::AtomicUsize::new(0);
+            let work = || loop {
+                match next.fetch_add(1, std::sync::atomic::Ordering::Relaxed) {
+                    i if i < tasks => task(i),
+                    _ => break,
+                }
+            };
+            std::thread::scope(|s| (0..self.0).for_each(|_| drop(s.spawn(work))));
+        }
+    }
+
+    /// `Limit n` over a `Sort` is the sort's first `n` rows byte for byte, at
+    /// every chunk size on one morsel worker and on four, and the sort under
+    /// it is accounted exactly as the full sort: the same profile for every
+    /// operator below the limit, the same bytes read, the same work but the
+    /// limit's. Under a `Spool` the sort still produces, and the view holds,
+    /// every row.
+    #[test]
+    fn a_limit_over_a_sort_is_the_sorts_first_rows_accounted_as_the_full_sort() {
+        let mut rng = cv_common::DetRng::seed(26);
+        let mut cat = DatasetCatalog::new();
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Float),
+            Field::new("tag", DataType::Str),
+        ])
+        .unwrap()
+        .into_ref();
+        let mut or_null = |v: Value| if rng.chance(0.1) { Value::Null } else { v };
+        let rows: Vec<Vec<Value>> = (0..1000)
+            .map(|i| {
+                let v = [f64::NAN, -0.0, 0.0, 1.5, -2.5][i % 5];
+                vec![
+                    or_null(Value::Int(i as i64 % 9)),
+                    or_null(Value::Float(v)),
+                    or_null(Value::Str(format!("t{}", i % 7))),
+                ]
+            })
+            .collect();
+        let kept = rows.iter().filter(|row| matches!(row[0], Value::Int(k) if k > 0)).count();
+        cat.register("facts", Table::from_rows(schema, &rows).unwrap(), SimTime::EPOCH).unwrap();
+        let (views, udos) = (ViewStore::with_default_ttl(), UdoRegistry::with_builtins());
+        let runners: [Arc<dyn MorselRunner>; 2] = [Arc::new(SerialRunner), Arc::new(Threads(4))];
+        for keys in [&[("v", false)][..], &[("tag", true), ("v", false), ("k", true)]] {
+            for n in [0, 1, 7, kept - 1, kept, kept + 3] {
+                let plan = PlanBuilder::scan(&cat, "facts").unwrap();
+                let plan = plan.filter(col("k").gt(lit(0))).unwrap().sort(keys).unwrap();
+                let (limited, model) = optimize_physical(&plan.limit(n).build(), &cat);
+                let PhysicalPlan::Limit { input: sort, est, .. } = &limited else {
+                    panic!("not a limit over a sort: {limited:?}")
+                };
+                assert!(matches!(**sort, PhysicalPlan::Sort { .. }), "{limited:?}");
+                let spool = PhysicalPlan::Spool {
+                    sig: Sig128(7),
+                    recurring_sig: Sig128(7),
+                    input_guids: Vec::new(),
+                    input: sort.clone(),
+                    est: *est,
+                    partitions: 1,
+                };
+                let spooled = PhysicalPlan::Limit { n, input: Box::new(spool), est: *est };
+                for (chunk_size, runner) in [1, 333, 2048, usize::MAX]
+                    .iter()
+                    .flat_map(|&c| runners.iter().map(move |r| (c, r)))
+                {
+                    let run = |plan: &PhysicalPlan| {
+                        let mut ctx = ExecContext::new(&cat, &views, &udos, SimTime::EPOCH)
+                            .with_chunking(chunk_size, runner.clone());
+                        execute(plan, &mut ctx, &model).unwrap()
+                    };
+                    let (top, full) = (run(&limited), run(sort));
+                    let what = format!("{keys:?} limit {n}, chunk {chunk_size}");
+                    assert_eq!(full.table.num_rows(), kept, "{what}");
+                    let first = full.table.slice(0, n.min(kept)).normalized().compact();
+                    assert_byte_identical(&top.table, &first, &what);
+                    let (t, f) = (&top.metrics, &full.metrics);
+                    let below = &t.op_profiles[..f.op_profiles.len()];
+                    assert_eq!(format!("{below:?}"), format!("{:?}", f.op_profiles), "{what}");
+                    assert_eq!(t.data_read_bytes, f.data_read_bytes, "{what}");
+                    assert_eq!(t.total_work, f.total_work + model.limit().total(), "{what}");
+                    let view = &run(&spooled).pending_views[0].data;
+                    assert_byte_identical(view, &full.table, &what);
+                }
+            }
+        }
     }
 
     /// The morsel runner really receives one task per chunk (the tentpole's

@@ -1,10 +1,12 @@
-//! ORDER BY: resolve the key names and gather the input through the
-//! sort-once row order ([`cv_data::sortkey`], via [`Table::sort_by`]).
+//! ORDER BY: resolve the key names and gather the input's first `limit`
+//! rows in key order ([`cv_data::sortkey`], via [`Table::sort_by`]). A
+//! `Limit` directly above passes its row count; anything else reads every
+//! row.
 
 use cv_common::{CvError, Result};
 use cv_data::table::Table;
 
-pub(super) fn sort_table(input: &Table, keys: &[(String, bool)]) -> Result<Table> {
+pub(super) fn sort_table(input: &Table, keys: &[(String, bool)], limit: usize) -> Result<Table> {
     let mut resolved = Vec::with_capacity(keys.len());
     for (name, ascending) in keys {
         let idx = input
@@ -13,5 +15,5 @@ pub(super) fn sort_table(input: &Table, keys: &[(String, bool)]) -> Result<Table
             .ok_or_else(|| CvError::exec(format!("sort key `{name}` missing")))?;
         resolved.push((idx, *ascending));
     }
-    input.sort_by(&resolved)
+    input.sort_by(&resolved, limit)
 }

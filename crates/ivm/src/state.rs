@@ -314,7 +314,7 @@ impl ViewState {
         }
         let table = Table::from_rows(schema.clone(), &rows)?;
         let sort_keys: Vec<(usize, bool)> = (0..self.n_keys).map(|i| (i, true)).collect();
-        table.sort_by(&sort_keys)
+        table.sort_by(&sort_keys, usize::MAX)
     }
 }
 
