@@ -77,8 +77,8 @@ code() {
 }
 count() { code "$@" | wc -l; }
 
-echo "==> serving paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,keys,sort}.rs, expr/kernels.rs, data/{sortkey,codes}.rs, store/src, service/src, workload/src/{driver,service_driver,steps}.rs"
-if code crates/engine/src/exec/{mod,aggregate,join,keys,sort}.rs crates/engine/src/expr/kernels.rs \
+echo "==> serving paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,sort}.rs, expr/kernels.rs, data/{sortkey,codes}.rs, store/src, service/src, workload/src/{driver,service_driver,steps}.rs"
+if code crates/engine/src/exec/{mod,aggregate,join,sort}.rs crates/engine/src/expr/kernels.rs \
     crates/data/src/{sortkey,codes}.rs crates/store/src/*.rs crates/service/src/*.rs \
     crates/workload/src/{driver,service_driver,steps}.rs \
     | grep -E '\.unwrap\(\)|\.expect\(|unreachable!|panic!'; then
@@ -86,8 +86,8 @@ if code crates/engine/src/exec/{mod,aggregate,join,keys,sort}.rs crates/engine/s
 fi
 # The kernels check a size bound once, at entry, and return the error; an
 # inner bound is a debug_assert!.
-echo "==> kernels return errors: no assert! in exec/{mod,aggregate,join,keys,sort}.rs, expr/kernels.rs, data/{sortkey,codes}.rs"
-if code crates/engine/src/exec/{mod,aggregate,join,keys,sort}.rs crates/engine/src/expr/kernels.rs \
+echo "==> kernels return errors: no assert! in exec/{mod,aggregate,join,sort}.rs, expr/kernels.rs, data/{sortkey,codes}.rs"
+if code crates/engine/src/exec/{mod,aggregate,join,sort}.rs crates/engine/src/expr/kernels.rs \
     crates/data/src/{sortkey,codes}.rs | grep -E '(^|[^_])assert!\('; then
     exit 1
 fi
@@ -104,11 +104,10 @@ printf '    %-22s %6d\n' total "$total"
 # store API and the durable medium.
 printf '    %-22s %6d\n' "store seam (4 files)" "$(count crates/data/src/viewstore.rs \
     crates/data/src/sharded.rs crates/data/src/store_api.rs crates/store/src/store.rs)"
-# Join, key coding (the hash join's keys and the shared coder) and row
-# ordering: a kernel that replaces another shrinks this line, one that forks
-# beside it grows it.
-printf '    %-22s %6d\n' "join + keys + sortkey" "$(count crates/engine/src/exec/join.rs \
-    crates/engine/src/exec/keys.rs crates/data/src/codes.rs crates/data/src/sortkey.rs)"
+# Join, key coding (the shared coder) and row ordering: a kernel that
+# replaces another shrinks this line, one that forks beside it grows it.
+printf '    %-22s %6d\n' "join + codes + sortkey" "$(count crates/engine/src/exec/join.rs \
+    crates/data/src/codes.rs crates/data/src/sortkey.rs)"
 # Expression evaluation: a predicate has one entry point and a comparison one
 # typed dispatch; a second way to evaluate a node would show here.
 printf '    %-22s %6d\n' "eval + kernels" "$(count crates/engine/src/expr/eval.rs \

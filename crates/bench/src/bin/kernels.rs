@@ -4,7 +4,11 @@
 //! executor on synthetic tables at 10^4–10^6 rows: filter, project,
 //! hash-join, hash-aggregate, sort. These are the hot paths the vectorized
 //! typed kernels replace; the JSON artifact records the achieved rates so
-//! speedups are *recorded*, not asserted in prose. Three legs cover the
+//! speedups are *recorded*, not asserted in prose. Every join leg runs the
+//! one join kernel under the label it forces; the label changes the charge
+//! and the validity form, not the algorithm. `hash_join_str` is the string
+//! key under the Hash label, `loop_join` the fact ⋈ a 64-row dimension (the
+//! optimizer's loop-join bound) under the Loop label. Three legs cover the
 //! pipeline breakers' other shapes: `merge_join` (the same fact ⋈ dimension
 //! join, merge forced: a dense foreign key, coded `key - min`; beside it
 //! `merge_join_sparse`, the same sizes with keys spread over the `i64` range,
@@ -73,7 +77,7 @@ use std::time::Instant;
 
 /// Every leg, in report order: the plans of [`plans`], then the three
 /// whole-table legs. A leg missing from either side fails the run.
-const KERNELS: [&str; 22] = [
+const KERNELS: [&str; 24] = [
     "filter",
     "filter_str_eq",
     "filter_wide",
@@ -83,9 +87,11 @@ const KERNELS: [&str; 22] = [
     "project_passthrough",
     "case_when",
     "hash_join",
+    "hash_join_str",
     "merge_join",
     "merge_join_sparse",
     "merge_join_str",
+    "loop_join",
     "hash_aggregate",
     "hash_aggregate_high",
     "hash_aggregate_dim_str",
@@ -97,6 +103,9 @@ const KERNELS: [&str; 22] = [
     "store_decode",
     "udo",
 ];
+
+/// The `loop_join` leg's dimension rows: the optimizer's loop-join bound.
+const LOOP_DIM: usize = 64;
 
 const SEGS: [&str; 8] = ["asia", "emea", "amer", "apac", "latam", "anz", "mea", "nordics"];
 
@@ -258,6 +267,8 @@ impl Bench {
         register_keyed_pair(&mut catalog, "sparse", (n, dim_n), DataType::Int, spread);
         let name = |i: usize| Value::Str(format!("key-{i:08}"));
         register_keyed_pair(&mut catalog, "str", (n, dim_n), DataType::Str, name);
+        let id = |i: usize| Value::Int(i as i64);
+        register_keyed_pair(&mut catalog, "loop", (n, LOOP_DIM), DataType::Int, id);
         Bench {
             catalog,
             views: ViewStore::with_default_ttl(),
@@ -449,9 +460,11 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         ("project_passthrough", project_passthrough, JoinAlgo::Hash),
         ("case_when", case_when, JoinAlgo::Hash),
         ("hash_join", join.clone(), JoinAlgo::Hash),
+        ("hash_join_str", keyed_join("str"), JoinAlgo::Hash),
         ("merge_join", join, JoinAlgo::Merge),
         ("merge_join_sparse", keyed_join("sparse"), JoinAlgo::Merge),
         ("merge_join_str", keyed_join("str"), JoinAlgo::Merge),
+        ("loop_join", keyed_join("loop"), JoinAlgo::Loop),
         ("hash_aggregate", agg, JoinAlgo::Hash),
         ("hash_aggregate_high", agg_high, JoinAlgo::Hash),
         ("hash_aggregate_dim_str", agg_dim_str, JoinAlgo::Hash),
@@ -506,7 +519,11 @@ fn main() {
         for (name, logical, join_algo) in &plans(&bench) {
             let physical = bench.compile(logical, *join_algo);
             // Join input rows = both sides.
-            let input_rows = if name.contains("_join") { n + dim_n } else { n };
+            let input_rows = match *name {
+                "loop_join" => n + LOOP_DIM,
+                _ if name.contains("_join") => n + dim_n,
+                _ => n,
+            };
             let secs = time_it(measure_secs, || bench.run(&physical));
             let rps = input_rows as f64 / secs;
             eprintln!("  {name:<20} {rps:>14.0} rows/sec  ({:.1} ms/iter)", secs * 1e3);
@@ -605,8 +622,9 @@ fn main() {
                 "Filter"
             }
             "project" | "project_passthrough" | "case_when" => "Project",
-            "hash_join" => "HashJoin",
+            "hash_join" | "hash_join_str" => "HashJoin",
             "merge_join" | "merge_join_sparse" | "merge_join_str" => "MergeJoin",
+            "loop_join" => "LoopJoin",
             "hash_aggregate"
             | "hash_aggregate_high"
             | "hash_aggregate_dim_str"

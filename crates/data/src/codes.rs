@@ -22,7 +22,7 @@ const STR_TAG: u64 = 0x3a91_c57f_44d0_8be5;
 
 /// A string's 64-bit hash: FNV-1a over the bytes, finalized for avalanche.
 #[inline]
-pub fn str_hash(s: &str) -> u64 {
+fn str_hash(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in s.as_bytes() {
         h ^= b as u64;

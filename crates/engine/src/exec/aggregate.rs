@@ -18,7 +18,6 @@
 //! float SUM/AVG — produces the monolithic bit pattern at every chunk size
 //! and worker count.
 
-use super::keys;
 use super::{map_chunks, morsel, ExecContext};
 use crate::expr::eval::{eval, EvalCtx};
 use crate::expr::{AggExpr, AggFunc, ScalarExpr};
@@ -51,6 +50,38 @@ fn for_each_number(col: &Column, mut f: impl FnMut(usize, f64)) {
         ColumnView::Float(v) => for_each_valid(col, |i| f(i, v[i])),
         ColumnView::Date(v) => for_each_valid(col, |i| f(i, v[i] as f64)),
         ColumnView::Bool(_) | ColumnView::Str(_) => {}
+    }
+}
+
+/// Type rank matching `Value::total_cmp` (Int and Float share a rank and
+/// compare numerically).
+fn rank(t: DataType) -> u8 {
+    match t {
+        DataType::Bool => 1,
+        DataType::Int | DataType::Float => 2,
+        DataType::Str => 3,
+        DataType::Date => 4,
+    }
+}
+
+/// Typed cell comparison matching `Value::total_cmp` (NULL ranks below
+/// everything, NULLs compare equal): MIN/MAX's comparison.
+fn cmp_cells(a: &Column, i: usize, b: &Column, j: usize) -> Ordering {
+    match (a.is_null(i), b.is_null(j)) {
+        (true, true) => return Ordering::Equal,
+        (true, false) => return Ordering::Less,
+        (false, true) => return Ordering::Greater,
+        (false, false) => {}
+    }
+    match (a.view(), b.view()) {
+        (ColumnView::Bool(x), ColumnView::Bool(y)) => x[i].cmp(&y[j]),
+        (ColumnView::Int(x), ColumnView::Int(y)) => x[i].cmp(&y[j]),
+        (ColumnView::Float(x), ColumnView::Float(y)) => x[i].total_cmp(&y[j]),
+        (ColumnView::Int(x), ColumnView::Float(y)) => (x[i] as f64).total_cmp(&y[j]),
+        (ColumnView::Float(x), ColumnView::Int(y)) => x[i].total_cmp(&(y[j] as f64)),
+        (ColumnView::Str(x), ColumnView::Str(y)) => x[i].cmp(&y[j]),
+        (ColumnView::Date(x), ColumnView::Date(y)) => x[i].cmp(&y[j]),
+        _ => rank(a.dtype()).cmp(&rank(b.dtype())),
     }
 }
 
@@ -162,9 +193,8 @@ impl<'a> Accumulator<'a> {
             }),
             Accumulator::Best { cells, keep, args } => for_each_valid(col, |i| {
                 let best = &mut cells[gid(i)];
-                let better = best.is_none_or(|(c, r)| {
-                    keys::cmp_cells(col, i, args[c as usize], r as usize) == *keep
-                });
+                let better = best
+                    .is_none_or(|(c, r)| cmp_cells(col, i, args[c as usize], r as usize) == *keep);
                 if better {
                     *best = Some((chunk as u32, i as u32));
                 }
@@ -337,4 +367,39 @@ pub(super) fn hash_aggregate(
     };
     let out = Table::from_chunks(schema.clone(), &out_chunks)?;
     Ok((out, ranges.len() + out_ranges.len() - 1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cv_data::value::Value;
+
+    #[test]
+    fn cmp_cells_matches_value_total_cmp() {
+        let vals = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(3),
+            Value::Float(3.5),
+            Value::Str("s".into()),
+            Value::Date(9),
+        ];
+        // Compare every pair across two single-type columns via a shared
+        // mixed ordering check (cross-dtype ranks line up with total_cmp).
+        for x in &vals {
+            for y in &vals {
+                let cx = Column::from_values(
+                    x.dtype().unwrap_or(DataType::Int),
+                    std::slice::from_ref(x),
+                )
+                .unwrap();
+                let cy = Column::from_values(
+                    y.dtype().unwrap_or(DataType::Int),
+                    std::slice::from_ref(y),
+                )
+                .unwrap();
+                assert_eq!(cmp_cells(&cx, 0, &cy, 0), x.total_cmp(y), "{x} vs {y}");
+            }
+        }
+    }
 }

@@ -1,33 +1,26 @@
-//! The three join algorithms (paper Fig. 9: hash, merge, loop).
+//! The equi-join kernel behind the plan's three join labels (paper Fig. 9:
+//! hash, merge, loop).
 //!
-//! All three emit `(left row, right row)` matches in the same order — left
-//! rows ascending, each left row's right matches ascending — so the
-//! optimizer's algorithm choice never moves a byte of the result.
-//! [`loop_join`] is the `Value`-semantics reference the other two are
-//! tested against.
+//! One kernel, [`equi_join`], produces the rows of every join. It codes the
+//! keys of both sides to dense integers ([`codes::encode`], as the aggregate
+//! does), buckets the right side's rows by code and emits each left row's
+//! bucket: left rows ascending, each left row's right matches ascending. So
+//! the optimizer's label never moves a byte of the result. The label is what
+//! the simulated cluster is charged for, and the executor's Join arm reads
+//! two things off it:
 //!
-//! "Merge" names the plan operator the optimizer picks for big inputs, and
-//! what the simulated cluster is charged for: a sort-merge. In this process
-//! [`merge_join`] sorts nothing. It codes the keys of both sides to dense
-//! integers ([`codes::encode`], as the aggregate does), buckets the right
-//! side's rows by code and emits each left row's bucket; the hash join, a
-//! chained table over one side, is the kernel for smaller inputs.
+//! - the charge: `CostModel::hash_join`, `merge_join` or `nested_loop_join`,
+//!   plus `morsel_dispatch` of the morsels the label stands for (Hash: the
+//!   left rows cut at `ctx.chunk_size`; Merge and Loop: one);
+//! - the validity form: Hash normalizes its output, the others do not.
 
-use super::keys::KeyCols;
-use super::{map_chunks, ExecContext};
 use crate::plan::JoinKind;
 use cv_common::{CvError, Result};
 use cv_data::codes::{self, Class, Codes};
-use cv_data::column::{ColumnView, PAD};
+use cv_data::column::PAD;
 use cv_data::schema::Schema;
 use cv_data::table::Table;
-use cv_data::value::{DataType, Value};
-
-/// Row-at-a-time key equality — reference semantics, kept for `loop_join`
-/// (the differential baseline the vectorized paths are tested against).
-fn keys_equal(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.sql_eq(y) == Some(true))
-}
+use cv_data::value::DataType;
 
 fn resolve_side<'a>(
     t: &Table,
@@ -89,7 +82,7 @@ fn join_output_from_indices(
     right_idx: Vec<usize>,
     kind: JoinKind,
 ) -> Result<Table> {
-    // The joins emit left rows ascending. A left join emits each at least
+    // The join emits left rows ascending. A left join emits each at least
     // once and a semi join at most once, so as many rows out as in is every
     // row once — the left side is shared, not gathered. An inner join can
     // repeat one row and miss another: that length needs the scan.
@@ -107,164 +100,6 @@ fn join_output_from_indices(
     Table::new(schema, columns)
 }
 
-/// End of a hash chain / empty bucket.
-const NIL: u32 = u32::MAX;
-
-/// The finished hash-join build side: a chained hash table over the right
-/// input's rows (`head[hash & mask]` is a bucket's first row, `next[row]`
-/// the following one; chains ascend, NULL-key rows are in none).
-struct JoinBuildState {
-    head: Vec<u32>,
-    next: Vec<u32>,
-}
-
-/// Build side is a pipeline breaker: hash the build keys column-wise in one
-/// pass and chain their rows before any probe chunk runs.
-fn build_join_state(rkeys: &KeyCols<'_>) -> JoinBuildState {
-    let (hashes, valid) = rkeys.join_hashes();
-    let n = hashes.len();
-    debug_assert!(n < NIL as usize, "build rows are 32-bit");
-    // Two buckets a row: chains of distinct keys stay near one entry.
-    let mut head = vec![NIL; (2 * n).next_power_of_two()];
-    let mut next = vec![NIL; n];
-    let mask = head.len() - 1;
-    // Pushing rows front-first in descending order leaves chains ascending.
-    for row in (0..n).rev().filter(|&row| valid[row]) {
-        let bucket = &mut head[hashes[row] as usize & mask];
-        next[row] = *bucket;
-        *bucket = row as u32;
-    }
-    JoinBuildState { head, next }
-}
-
-/// Walk each probe row's bucket chain, keeping the build rows `same`
-/// accepts: `(probe rows, build rows)` of the matches, probe rows ascending
-/// and each one's build rows ascending.
-fn probe_rows(
-    hashes: &[u64],
-    valid: &[bool],
-    state: &JoinBuildState,
-    kind: JoinKind,
-    same: impl Fn(usize, usize) -> bool,
-) -> (Vec<usize>, Vec<usize>) {
-    let mask = state.head.len() - 1;
-    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-    for lrow in 0..hashes.len() {
-        let mut matched = false;
-        if valid[lrow] {
-            let mut rrow = state.head[hashes[lrow] as usize & mask];
-            while rrow != NIL {
-                if same(lrow, rrow as usize) {
-                    matched = true;
-                    if kind == JoinKind::Semi {
-                        break;
-                    }
-                    left_idx.push(lrow);
-                    right_idx.push(rrow as usize);
-                }
-                rrow = state.next[rrow as usize];
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => left_idx.push(lrow),
-            JoinKind::Left if !matched => {
-                left_idx.push(lrow);
-                right_idx.push(PAD);
-            }
-            _ => {}
-        }
-    }
-    (left_idx, right_idx)
-}
-
-/// Build on the right input, then stream the probe side chunk-at-a-time
-/// against the build state. Each chunk emits its matched index pairs
-/// (chunk-local left rows ascending, candidates ascending); in chunk order
-/// they are the monolithic emit order, and the output is gathered from them
-/// once, over the whole probe table. Normalized, as every chunk reassembly
-/// is. Returns the morsel count for the work ledger.
-pub(super) fn hash_join(
-    left: &Table,
-    right: &Table,
-    on: &[(String, String)],
-    kind: JoinKind,
-    ctx: &mut ExecContext<'_>,
-) -> Result<(Table, usize)> {
-    let (lk, rk) = resolve_keys(left, right, on)?;
-    let rows = right.num_rows();
-    if rows >= NIL as usize {
-        return Err(CvError::exec(format!("hash join build of {rows} rows: rows are 32-bit")));
-    }
-    let rkeys = KeyCols::from_table(right, &rk);
-    let state = &build_join_state(&rkeys);
-    let probe = |chunk: &Table| {
-        let lkeys = KeyCols::from_table(chunk, &lk);
-        let (hashes, valid) = lkeys.join_hashes();
-        // A chain holds every build row of the bucket, not only this key's:
-        // a single same-typed key is told apart on the two typed slices
-        // (rows that reach the test are non-NULL on both sides).
-        match (lkeys.single(), rkeys.single()) {
-            (Some(ColumnView::Int(l)), Some(ColumnView::Int(r))) => {
-                probe_rows(&hashes, &valid, state, kind, |i, j| l[i] == r[j])
-            }
-            (Some(ColumnView::Str(l)), Some(ColumnView::Str(r))) => {
-                probe_rows(&hashes, &valid, state, kind, |i, j| l[i] == r[j])
-            }
-            (Some(ColumnView::Date(l)), Some(ColumnView::Date(r))) => {
-                probe_rows(&hashes, &valid, state, kind, |i, j| l[i] == r[j])
-            }
-            _ => probe_rows(&hashes, &valid, state, kind, |i, j| lkeys.rows_eq_sql(i, &rkeys, j)),
-        }
-    };
-    let pairs = map_chunks(left, ctx, true, &|chunk, _| Ok((chunk.num_rows(), probe(chunk))))?;
-    let (mut left_idx, mut right_idx, mut off) = (Vec::new(), Vec::new(), 0);
-    for (rows, (l, r)) in &pairs {
-        left_idx.extend(l.iter().map(|i| off + i));
-        right_idx.extend_from_slice(r);
-        off += rows;
-    }
-    let out = join_output_from_indices(left, right, left_idx, right_idx, kind)?;
-    Ok((out.normalized(), pairs.len()))
-}
-
-pub(super) fn loop_join(
-    left: &Table,
-    right: &Table,
-    on: &[(String, String)],
-    kind: JoinKind,
-) -> Result<Table> {
-    let (lk, rk) = resolve_keys(left, right, on)?;
-    let key_row = |t: &Table, cols: &[usize], row: usize| -> Vec<Value> {
-        cols.iter().map(|&c| t.column(c).value(row)).collect()
-    };
-    // The right side's key rows are boxed once per join, not once per pair.
-    let rkeys: Vec<Vec<Value>> = (0..right.num_rows()).map(|r| key_row(right, &rk, r)).collect();
-    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-    for lrow in 0..left.num_rows() {
-        let lkey = key_row(left, &lk, lrow);
-        let mut matched = false;
-        for (rrow, rkey) in rkeys.iter().enumerate() {
-            if keys_equal(&lkey, rkey) {
-                matched = true;
-                if kind == JoinKind::Semi {
-                    break;
-                }
-                left_idx.push(lrow);
-                right_idx.push(rrow);
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => left_idx.push(lrow),
-            JoinKind::Left if !matched => {
-                left_idx.push(lrow);
-                right_idx.push(PAD);
-            }
-            _ => {}
-        }
-    }
-    join_output_from_indices(left, right, left_idx, right_idx, kind)
-}
-
 /// The join key of every row of both sides as dense codes, right rows then
 /// left rows: two rows carry one code iff their keys are equal column by
 /// column under `sql_eq`, and code 0 is a key with a NULL in it, which joins
@@ -273,7 +108,7 @@ pub(super) fn loop_join(
 fn key_codes(left: &Table, lk: &[usize], right: &Table, rk: &[usize]) -> Result<Codes> {
     let rows = right.num_rows() + left.num_rows();
     if rows >= u32::MAX as usize {
-        return Err(CvError::exec(format!("merge join of {rows} rows: key codes are 32-bit")));
+        return Err(CvError::exec(format!("join of {rows} rows: key codes are 32-bit")));
     }
     let mut key: Option<Codes> = None;
     for (&l, &r) in lk.iter().zip(rk) {
@@ -297,8 +132,9 @@ fn key_codes(left: &Table, lk: &[usize], right: &Table, rk: &[usize]) -> Result<
 /// ([`key_codes`]); one counting sort lays the right side's rows out by code
 /// (`rows[offsets[c]..offsets[c + 1]]` are the rows of code `c`, scattered in
 /// row order, so each bucket ascends); then every left row, in row order,
-/// emits its code's bucket. Nothing is sorted and no two keys are compared.
-pub(super) fn merge_join(
+/// emits its code's bucket into index vectors sized by a counting pass.
+/// Nothing is sorted and no two keys are compared.
+pub(super) fn equi_join(
     left: &Table,
     right: &Table,
     on: &[(String, String)],
@@ -335,20 +171,25 @@ pub(super) fn merge_join(
             JoinKind::Semi => !bucket(c).is_empty() as usize,
         })
         .sum();
+    // A semi join emits left rows only; a left join's miss pads its right.
     let mut left_idx = Vec::with_capacity(out_rows);
     let mut right_idx = Vec::with_capacity(if kind == JoinKind::Semi { 0 } else { out_rows });
     for (lrow, &c) in lcodes.iter().enumerate() {
-        let matches = bucket(c);
-        if matches.is_empty() {
-            if kind == JoinKind::Left {
+        match (bucket(c), kind) {
+            ([], JoinKind::Left) => {
                 left_idx.push(lrow);
                 right_idx.push(PAD);
             }
-        } else if kind == JoinKind::Semi {
-            left_idx.push(lrow);
-        } else {
-            left_idx.extend(std::iter::repeat_n(lrow, matches.len()));
-            right_idx.extend(matches.iter().map(|&rrow| rrow as usize));
+            ([], _) => {}
+            (_, JoinKind::Semi) => left_idx.push(lrow),
+            // A pair at a time: most left rows match once, and two pushes
+            // beat two `extend`s of one.
+            (matches, _) => {
+                for &rrow in matches {
+                    left_idx.push(lrow);
+                    right_idx.push(rrow as usize);
+                }
+            }
         }
     }
     join_output_from_indices(left, right, left_idx, right_idx, kind)

@@ -14,9 +14,8 @@
 //!
 //! # Chunked execution
 //!
-//! Streamable operators — filter, project, the hash-join *probe* side, and
-//! both the evaluation phase and the final merge emission of hash
-//! aggregation — process their input as a sequence of fixed-size
+//! Streamable operators — filter, project, and both the evaluation phase and
+//! the final merge emission of hash aggregation — process their input as a sequence of fixed-size
 //! chunks ([`cv_data::chunk::DEFAULT_CHUNK_SIZE`] rows) and fan the chunks
 //! out through the context's [`MorselRunner`], so a single heavy job
 //! spreads across the service's worker pool. A filter's per-chunk work is a
@@ -30,9 +29,9 @@
 //! reads it, once, and never if none does. Whatever leaves the query — the
 //! result, a spooled view and its sink chunks — is compacted first
 //! ([`Table::compact`]), so no window and no deferred column outlives the
-//! query that made it. Pipeline breakers — sorts, join build sides,
-//! merge/loop joins, unions, UDOs, spools, aggregate accumulation —
-//! materialize via [`Table::from_chunks`], and every execution builds its
+//! query that made it. Pipeline breakers — sorts, joins (one kernel under
+//! every label; a Hash label is still charged per morsel), unions, UDOs,
+//! spools, aggregate accumulation — materialize via [`Table::from_chunks`], and every execution builds its
 //! own.
 //!
 //! A limit is not chunked: it is a window over its input's first rows. Over
@@ -54,7 +53,6 @@
 
 mod aggregate;
 mod join;
-mod keys;
 pub mod morsel;
 mod sort;
 
@@ -74,7 +72,7 @@ use cv_data::column::Column;
 use cv_data::schema::SchemaRef;
 use cv_data::table::Table;
 use cv_data::viewstore::{MaterializedView, ViewSource};
-use join::{hash_join, loop_join, merge_join, restore_swapped_columns};
+use join::{equi_join, restore_swapped_columns};
 pub use morsel::{MorselRunner, SerialRunner};
 use std::sync::Arc;
 
@@ -526,23 +524,29 @@ fn exec_node_inner(
                 exec_node(right, ctx, model, metrics, pending, ALL)?;
             metrics.data_read_bytes += l_bytes + r_bytes;
             let (ln, rn) = (l.num_rows() as f64, r.num_rows() as f64);
-            let (out, work, probe_chunks) = match algo {
+            // One kernel under every label. The label picks the charge, the
+            // morsels it stands for and the validity form — normalizing every
+            // label alike would move `data_read_bytes` (DESIGN §15 *One join
+            // kernel, three labels*).
+            let (charge, chunks, normalize) = match algo {
                 JoinAlgo::Hash => {
-                    let (out, chunks) = hash_join(&l, &r, on, *kind, ctx)?;
-                    (out, model.hash_join(rn, ln), chunks)
+                    metrics.join_algos.hash += 1;
+                    let chunks = chunk_ranges(l.num_rows(), ctx.chunk_size).len();
+                    (model.hash_join(rn, ln), chunks, true)
                 }
-                JoinAlgo::Merge => (merge_join(&l, &r, on, *kind)?, model.merge_join(ln, rn), 1),
+                JoinAlgo::Merge => {
+                    metrics.join_algos.merge += 1;
+                    (model.merge_join(ln, rn), 1, false)
+                }
                 JoinAlgo::Loop => {
-                    (loop_join(&l, &r, on, *kind)?, model.nested_loop_join(ln, rn), 1)
+                    metrics.join_algos.loop_ += 1;
+                    (model.nested_loop_join(ln, rn), 1, false)
                 }
             };
+            let out = equi_join(&l, &r, on, *kind)?;
+            let out = if normalize { out.normalized() } else { out };
             let out = restore_swapped_columns(out, *swapped, l.schema().len())?;
-            match algo {
-                JoinAlgo::Hash => metrics.join_algos.hash += 1,
-                JoinAlgo::Merge => metrics.join_algos.merge += 1,
-                JoinAlgo::Loop => metrics.join_algos.loop_ += 1,
-            }
-            let work = work.total() + model.morsel_dispatch(probe_chunks as f64).total();
+            let work = charge.total() + model.morsel_dispatch(chunks as f64).total();
             Ok(record(metrics, plan, OpOutput::new(out), work, None))
         }
         PhysicalPlan::HashAggregate { group_by, aggs, schema, input, .. } => {
@@ -746,17 +750,38 @@ mod tests {
                 other => other,
             }
         }
+        // The reference: every sale beside the customer its key names.
+        let (sales, cust) =
+            (cat.get_by_name("sales").unwrap(), cat.get_by_name("customer").unwrap());
+        let (sales, cust) = (sales.data(), cust.data());
+        let pairs: Vec<(usize, usize)> = (0..sales.num_rows())
+            .flat_map(|i| {
+                let key = sales.column(0).value(i);
+                (0..cust.num_rows())
+                    .filter(move |&j| cust.column(0).value(j).sql_eq(&key) == Some(true))
+                    .map(move |j| (i, j))
+            })
+            .collect();
+        assert_eq!(pairs.len(), 100);
         let model = CostModel::default();
-        let mut results = Vec::new();
         for algo in [JoinAlgo::Hash, JoinAlgo::Merge, JoinAlgo::Loop] {
             let forced = force(&physical, algo);
             let mut ctx = ExecContext::new(&cat, &views, &udos, SimTime::EPOCH);
             let out = execute(&forced, &mut ctx, &model).unwrap();
-            assert_eq!(out.table.num_rows(), 100, "{algo:?} row count");
-            results.push(out.table.canonical_rows());
+            // In the plan's column order, which puts the sides in signature
+            // order.
+            let schema = out.table.schema();
+            let cell = |name: &str, (i, j): (usize, usize)| match sales.column_by_name(name) {
+                Some(c) => c.value(i),
+                None => cust.column_by_name(name).unwrap().value(j),
+            };
+            let rows: Vec<Vec<Value>> = pairs
+                .iter()
+                .map(|&pair| schema.fields().iter().map(|f| cell(&f.name, pair)).collect())
+                .collect();
+            let expected = Table::from_rows(schema.clone(), &rows).unwrap();
+            assert_eq!(out.table.canonical_rows(), expected.canonical_rows(), "{algo:?}");
         }
-        assert_eq!(results[0], results[1], "hash vs merge");
-        assert_eq!(results[0], results[2], "hash vs loop");
     }
 
     #[test]
@@ -1274,9 +1299,9 @@ mod tests {
         }
     }
 
-    /// Chunks whose join/group keys are entirely NULL stream through the
-    /// hash-join probe and the aggregate without producing matches or
-    /// spurious groups — and stay byte-identical to monolithic execution.
+    /// Chunks whose join/group keys are entirely NULL pass through the join
+    /// and the aggregate without producing matches or spurious groups — and
+    /// stay byte-identical to monolithic execution.
     #[test]
     fn all_null_key_chunks_through_join_and_aggregate() {
         let mut cat = DatasetCatalog::new();

@@ -129,12 +129,14 @@ pub struct OptimizerConfig {
     /// Rows per stage partition; estimates above this fan out more tasks.
     pub rows_per_partition: f64,
     pub max_partitions: usize,
-    /// Smaller join side below this row count → nested-loop join.
+    /// Smaller join side below this row count → `JoinAlgo::Loop`: charged
+    /// as the cluster's nested-loop join over one morsel. It picks a label,
+    /// not a kernel: every label runs `exec/join.rs::equi_join`.
     pub loop_join_threshold: f64,
-    /// Larger join side above this row count → `JoinAlgo::Merge`: priced
-    /// as the cluster's sort-merge, and run in process by the join that
-    /// buckets one side on key codes and keeps no build state
-    /// (`exec/join.rs::merge_join`; it sorts nothing).
+    /// Larger join side above this row count → `JoinAlgo::Merge`: charged
+    /// as the cluster's sort-merge over one morsel; below it (and above the
+    /// loop bound) `JoinAlgo::Hash` is charged as a hash join over a morsel
+    /// per chunk of left rows. Either way the same kernel runs.
     pub merge_join_threshold: f64,
     pub cost: CostModel,
     /// Run the installed [`PlanVerifier`] over every optimized plan.

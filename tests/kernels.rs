@@ -430,6 +430,53 @@ fn int_keyed_table(prefix: &str, keys: impl Iterator<Item = Value>) -> Table {
     Table::from_rows(Schema::new(fields).unwrap().into_ref(), &data).unwrap()
 }
 
+/// The equi-join's matches as `Value::sql_eq` defines them, row by row:
+/// for each left row in order, the right rows whose every key cell equals
+/// its own (a NULL equals nothing), ascending. The reference every join
+/// label is held to — it is not a production path.
+fn reference_matches(left: &Table, right: &Table, on: &[(String, String)]) -> Vec<Vec<usize>> {
+    // Every row's key cells, boxed.
+    let keys = |t: &Table, names: Vec<&String>| -> Vec<Vec<Value>> {
+        let cells = |row| names.iter().map(|n| t.column_by_name(n).unwrap().value(row)).collect();
+        (0..t.num_rows()).map(cells).collect()
+    };
+    let lkeys = keys(left, on.iter().map(|(l, _)| l).collect());
+    let rkeys = keys(right, on.iter().map(|(_, r)| r).collect());
+    let equal = |a: &[Value], b: &[Value]| a.iter().zip(b).all(|(x, y)| x.sql_eq(y) == Some(true));
+    lkeys.iter().map(|l| (0..rkeys.len()).filter(|&r| equal(l, &rkeys[r])).collect()).collect()
+}
+
+/// The table a `kind` join of `left` and `right` is, given the
+/// [`reference_matches`]: left rows in order, each beside its matches — a
+/// NULL row for a left join's miss, the left row alone (once, if it
+/// matches) for a semi join — gathered as the executor gathers, in the
+/// validity form a gather leaves (a padded gather always carries a bitmap).
+fn reference_join(left: &Table, right: &Table, matches: &[Vec<usize>], kind: JoinKind) -> Table {
+    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
+    for (lrow, rows) in matches.iter().enumerate() {
+        match kind {
+            JoinKind::Semi if rows.is_empty() => {}
+            JoinKind::Semi => left_idx.push(lrow),
+            JoinKind::Left if rows.is_empty() => {
+                left_idx.push(lrow);
+                right_idx.push(PAD);
+            }
+            JoinKind::Inner | JoinKind::Left => {
+                left_idx.extend(rows.iter().map(|_| lrow));
+                right_idx.extend_from_slice(rows);
+            }
+        }
+    }
+    let left_part = left.gather(left_idx);
+    if kind == JoinKind::Semi {
+        return left_part;
+    }
+    let mut columns = left_part.columns().to_vec();
+    columns.extend_from_slice(right.gather_padded(right_idx).columns());
+    let schema = left.schema().join(right.schema()).unwrap().into_ref();
+    Table::new(schema, columns).unwrap()
+}
+
 #[test]
 fn join_algorithms_agree_on_random_tables() {
     fn force(p: &PhysicalPlan, algo: JoinAlgo) -> PhysicalPlan {
@@ -455,6 +502,8 @@ fn join_algorithms_agree_on_random_tables() {
         let (cat, views, udos) = random_catalog(&mut rng);
         let stats =
             |name: &str| cat.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64));
+        let (fact, dim) = (cat.get_by_name("fact").unwrap(), cat.get_by_name("dim").unwrap());
+        let matches = reference_matches(fact.data(), dim.data(), &[("k".into(), "k2".into())]);
         for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi] {
             let logical = PlanBuilder::scan(&cat, "fact")
                 .unwrap()
@@ -464,15 +513,13 @@ fn join_algorithms_agree_on_random_tables() {
             let opt = Optimizer::new(OptimizerConfig::default());
             let physical =
                 opt.to_physical(&normalize(&logical, &opt.cfg.sig).unwrap(), &stats).unwrap();
-            let mut results = Vec::new();
+            let want = reference_join(fact.data(), dim.data(), &matches, kind).canonical_rows();
             for algo in [JoinAlgo::Hash, JoinAlgo::Merge, JoinAlgo::Loop] {
                 let forced = force(&physical, algo);
                 let mut ctx = ExecContext::new(&cat, &views, &udos, SimTime::EPOCH);
                 let out = execute(&forced, &mut ctx, &CostModel::default()).unwrap();
-                results.push(out.table.canonical_rows());
+                assert_eq!(out.table.canonical_rows(), want, "{algo:?}, {kind:?}, round {round}");
             }
-            assert_eq!(results[0], results[1], "hash vs merge, {kind:?}, round {round}");
-            assert_eq!(results[0], results[2], "hash vs loop, {kind:?}, round {round}");
         }
     }
 
@@ -560,16 +607,18 @@ fn join_algorithms_agree_on_random_tables() {
             0.05,
         ),
     ];
-    // Every key shape: merge and hash must give the loop join's table —
-    // cells, NULLs and row order — for every join kind at every chunk size,
-    // on one morsel worker and on four. Validity *form* is compared per
-    // algorithm, across chunk sizes: the hash probe's chunk reassembly drops
-    // all-true bitmaps, the single gather of a merge or loop join keeps the
-    // one a padded gather always makes, so across algorithms only the
-    // normalized tables are the same bytes. Every run gets tables of its own
-    // from `input` — what one run gathers, the next must not find gathered —
-    // and the merge join leaves the left column named in `unread` ungathered.
-    // `joins_nothing`: no key of the left side is on the right.
+    // Every key shape under every label is the reference's table — cells,
+    // NULLs, row order and validity form — for every join kind at every
+    // chunk size, on one morsel worker and on four. The validity form is
+    // the label's own: a Hash join's output is normalized (all-true bitmaps
+    // dropped), a Merge or Loop join's keeps the bitmap a padded gather
+    // always makes. So is the simulator's currency: a join's work is its
+    // label's `CostModel` term plus `morsel_dispatch` of the morsels it
+    // stands for: the left rows cut at the chunk size under Hash, one under
+    // Merge and Loop. Every run gets tables of its own from `input` — what
+    // one run gathers, the next must not find gathered — and no label
+    // gathers the left column named in `unread`. `joins_nothing`: no key of
+    // the left side is on the right.
     let check = |name: &str,
                  keys: usize,
                  input: &dyn Fn() -> (Table, Table),
@@ -580,50 +629,56 @@ fn join_algorithms_agree_on_random_tables() {
             Tables(HashMap::from([(LEFT, left), (RIGHT, right)]))
         };
         let (left, right) = input();
+        let on: Vec<(String, String)> =
+            (0..keys).map(|k| (format!("l{k}"), format!("r{k}"))).collect();
+        let matches = reference_matches(&left, &right, &on);
+        let model = CostModel::default();
+        let (ln, rn) = (left.num_rows() as f64, right.num_rows() as f64);
         for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi] {
             let join = |algo| PhysicalPlan::Join {
                 algo,
                 kind,
-                on: (0..keys).map(|k| (format!("l{k}"), format!("r{k}"))).collect(),
+                on: on.clone(),
                 left: Box::new(source(LEFT, left.schema())),
                 right: Box::new(source(RIGHT, right.schema())),
                 est: est(),
                 partitions: 1,
                 swapped: false,
             };
-            let reference =
-                run_over(&join(JoinAlgo::Loop), &tables(), usize::MAX).table.normalized();
+            let gathered = reference_join(&left, &right, &matches, kind);
             if joins_nothing {
                 let rows = if kind == JoinKind::Left { left.num_rows() } else { 0 };
-                assert_eq!(reference.num_rows(), rows, "{name}, {kind:?}");
+                assert_eq!(gathered.num_rows(), rows, "{name}, {kind:?}");
             } else {
-                assert!(reference.num_rows() > 0, "{name}, {kind:?}: nothing joined");
+                assert!(gathered.num_rows() > 0, "{name}, {kind:?}: nothing joined");
             }
-            for algo in [JoinAlgo::Merge, JoinAlgo::Hash] {
-                let sources = tables();
-                let whole = run_over(&join(algo), &sources, usize::MAX).table;
-                if let (JoinAlgo::Merge, Some(unread)) = (algo, unread) {
+            let normalized = gathered.clone().normalized();
+            for algo in [JoinAlgo::Hash, JoinAlgo::Merge, JoinAlgo::Loop] {
+                if let Some(unread) = unread {
+                    let sources = tables();
+                    run_over(&join(algo), &sources, usize::MAX);
                     let key = sources.0[&LEFT].column_by_name(unread).unwrap();
-                    assert!(
-                        !key.is_forced(),
-                        "{name}, {kind:?}: the merge join gathered `{unread}`"
-                    );
+                    assert!(!key.is_forced(), "{algo:?}: {name}, {kind:?}: gathered `{unread}`");
                 }
+                let want = if algo == JoinAlgo::Hash { &normalized } else { &gathered };
                 for chunk_size in [1, 7, 2048, usize::MAX] {
-                    // Four morsel workers probe the chunks in any order; the
-                    // table must not show it.
+                    let (charge, chunks) = match algo {
+                        JoinAlgo::Hash => {
+                            (model.hash_join(rn, ln), left.num_rows().max(1).div_ceil(chunk_size))
+                        }
+                        JoinAlgo::Merge => (model.merge_join(ln, rn), 1),
+                        JoinAlgo::Loop => (model.nested_loop_join(ln, rn), 1),
+                    };
+                    let work = charge.total() + model.morsel_dispatch(chunks as f64).total();
+                    // Neither the chunk size nor the worker count may show
+                    // in the table, only in a Hash join's work.
                     for workers in [1, 4] {
-                        let out = try_run_over(&join(algo), &tables(), chunk_size, workers)
-                            .unwrap()
-                            .table;
+                        let out = try_run_over(&join(algo), &tables(), chunk_size, workers);
+                        let ExecOutcome { table: out, metrics, .. } = out.unwrap();
                         let what =
                             format!("{algo:?}: {name}, {kind:?}, chunk {chunk_size}, {workers}w");
-                        assert_tables_identical(&out, &whole, &format!("{what} vs one chunk"));
-                        assert_tables_identical(
-                            &out.normalized(),
-                            &reference,
-                            &format!("{what} vs loop"),
-                        );
+                        assert_tables_identical(&out, want, &what);
+                        assert_eq!(metrics.op_profiles.last().unwrap().work, work, "{what}: work");
                     }
                 }
             }
