@@ -36,6 +36,12 @@ echo "==> cv-serve smoke (8 workers vs the sequential driver; trace and metrics 
 target/release/cv-serve --days 3 --scale 0.05 --analytics 12 --seed 42 --workers 8 \
   --trace "$scratch/trace.json" --metrics "$scratch/metrics.json" > /dev/null
 
+echo "==> cv-serve at --chunk-size 333 and on a durable store (same self-check)"
+target/release/cv-serve --days 3 --scale 0.05 --analytics 12 --seed 42 --workers 8 \
+  --chunk-size 333 > /dev/null
+target/release/cv-serve --days 3 --scale 0.05 --analytics 12 --seed 42 --workers 8 \
+  --store-dir "$scratch/serve-store" > /dev/null
+
 # The two audits are deterministic counter reports, not performance: a run
 # must reproduce the committed file byte for byte.
 golden() { # golden <committed file> <cv-analyze args...>

@@ -336,11 +336,6 @@ impl ClusterSim {
         &self.results
     }
 
-    /// Jobs currently queued (not yet started).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     fn push_event(&mut self, time: f64, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;

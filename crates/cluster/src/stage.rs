@@ -54,10 +54,6 @@ impl StageGraph {
         self.stages.iter().map(|s| s.work).sum()
     }
 
-    pub fn total_partitions(&self) -> u64 {
-        self.stages.iter().map(|s| s.partitions as u64).sum()
-    }
-
     pub fn widest_stage(&self) -> usize {
         self.stages.iter().map(|s| s.partitions).max().unwrap_or(1)
     }

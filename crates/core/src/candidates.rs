@@ -87,10 +87,6 @@ pub struct SelectionProblem {
 }
 
 impl SelectionProblem {
-    pub fn candidate_index(&self, sig: Sig128) -> Option<usize> {
-        self.candidates.iter().position(|c| c.recurring == sig)
-    }
-
     /// Evaluate a selection (bitset over candidates).
     ///
     /// Savings model, mirroring the runtime exactly:

@@ -147,20 +147,6 @@ impl Bitmap {
         (0..self.len).map(|i| self.get(i)).collect()
     }
 
-    /// Keep only positions where `mask[i]` is true, preserving order.
-    pub fn filter(&self, mask: &[bool]) -> Bitmap {
-        assert_eq!(mask.len(), self.len);
-        let mut out = Bitmap::all_clear(mask.iter().filter(|&&m| m).count());
-        let mut j = 0;
-        for (i, &m) in mask.iter().enumerate() {
-            if m {
-                out.set(j, self.get(i));
-                j += 1;
-            }
-        }
-        out
-    }
-
     /// Copy of the `len` bits starting at `offset` (chunk slicing), moved a
     /// word at a time: `len / 8` bytes, the only per-row data a column
     /// window copies.
@@ -244,17 +230,6 @@ mod tests {
         for (i, &v) in bools.iter().enumerate() {
             assert_eq!(b.get(i), v);
         }
-    }
-
-    #[test]
-    fn filter_keeps_selected() {
-        let b = Bitmap::from_bools(&[true, false, true, false, true]);
-        let mask = [true, true, false, false, true];
-        let f = b.filter(&mask);
-        assert_eq!(f.len(), 3);
-        assert!(f.get(0));
-        assert!(!f.get(1));
-        assert!(f.get(2));
     }
 
     #[test]

@@ -316,13 +316,10 @@ impl DatasetCatalog {
             .ok_or_else(|| CvError::not_found(format!("column `{column}` in `{}`", ds.name)))?;
         let old_guid = ds.current_guid();
         let col = ds.data.column(col_idx);
-        let mask = crate::bitmap::Bitmap::from_bools(
-            &(0..ds.data.num_rows())
-                .map(|i| col.value(i).sql_eq(key) != Some(true))
-                .collect::<Vec<_>>(),
-        );
-        let removed = mask.len() - mask.count_set();
-        let new_data = ds.data.filter(&mask)?;
+        let keep: Vec<usize> =
+            (0..ds.data.num_rows()).filter(|&i| col.value(i).sql_eq(key) != Some(true)).collect();
+        let removed = ds.data.num_rows() - keep.len();
+        let new_data = if removed == 0 { ds.data.clone() } else { ds.data.gather(keep) };
         if let Some(last) = ds.versions.last_mut() {
             last.forgotten = true;
         }

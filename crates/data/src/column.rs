@@ -438,17 +438,6 @@ impl Column {
         }
     }
 
-    /// Keep rows where the selection mask is set. An all-true mask returns a
-    /// shared column (reference bump, no copy) — the common case when a
-    /// predicate was folded away or selects everything.
-    pub fn filter(&self, mask: &Bitmap) -> Column {
-        assert_eq!(mask.len(), self.len());
-        if mask.all_true() {
-            return self.clone();
-        }
-        self.take(&mask.ones())
-    }
-
     /// Rows by index (indices may repeat or reorder), deferred: see the type
     /// docs. [`Gather`] is the same for several columns at once.
     pub fn take(&self, indices: &[usize]) -> Column {
@@ -772,24 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_preserves_nulls() {
-        let c = int_col(&[Some(1), None, Some(3), None]);
-        let f = c.filter(&Bitmap::from_bools(&[true, true, false, true]));
-        assert_eq!(f.len(), 3);
-        assert_eq!(f.value(0), Value::Int(1));
-        assert!(f.value(1).is_null());
-        assert!(f.value(2).is_null());
-    }
-
-    #[test]
-    fn filter_all_true_shares_the_buffer() {
-        let c = int_col(&[Some(1), None, Some(3)]);
-        let f = c.filter(&Bitmap::all_set(3));
-        assert!(c.ptr_eq(&f));
-        assert_eq!(f.null_count(), 1);
-    }
-
-    #[test]
     fn take_padded_nulls_at_sentinel() {
         let c = int_col(&[Some(10), None, Some(30)]);
         let t = c.take_padded(&[2, PAD, 1, 0]);
@@ -861,8 +832,8 @@ mod tests {
     #[test]
     fn normalize_validity_drops_all_true() {
         let c = int_col(&[Some(1), None, Some(3)]);
-        // Filtering out the null leaves an all-true bitmap behind.
-        let f = c.filter(&Bitmap::from_bools(&[true, false, true]));
+        // Gathering around the null leaves an all-true bitmap behind.
+        let f = c.take(&[0, 2]);
         assert!(f.validity().is_some());
         let n = f.normalize_validity();
         assert!(n.validity().is_none());

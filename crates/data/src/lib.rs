@@ -5,7 +5,7 @@
 //! * typed scalar [`value::Value`]s and [`schema::Schema`]s,
 //! * columnar [`column::Column`]s with validity bitmaps, the
 //!   [`table::Table`] abstraction the executor operates on, and
-//!   [`chunk::ChunkedTable`] — tables as fixed-size chunk sequences for
+//!   [`chunk::chunk_ranges`] — the fixed-size chunk layout of
 //!   morsel-driven parallel pipelines,
 //! * a [`catalog::DatasetCatalog`] of *versioned* shared datasets — Cosmos
 //!   datasets are bulk-regenerated (never updated in place), each
@@ -32,7 +32,7 @@ pub mod viewstore;
 
 pub use bitmap::Bitmap;
 pub use catalog::{Dataset, DatasetCatalog, DatasetVersion};
-pub use chunk::{chunk_ranges, ChunkedTable, DEFAULT_CHUNK_SIZE};
+pub use chunk::{chunk_ranges, DEFAULT_CHUNK_SIZE};
 pub use column::{Column, ColumnBuilder, ColumnData, ColumnView};
 pub use delta::{diff_tables, TableDelta};
 pub use digest::content_digest;
@@ -49,7 +49,6 @@ pub use viewstore::{MaterializedView, ViewSource, ViewStore, ViewStoreStats, Vie
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Table>();
-    assert_send_sync::<ChunkedTable>();
     assert_send_sync::<SchemaRef>();
     assert_send_sync::<DatasetCatalog>();
     assert_send_sync::<MaterializedView>();

@@ -1,12 +1,11 @@
 //! Columnar tables: the unit of data the executor operates on.
 //!
 //! A [`Table`] is one contiguous chunk of rows. Morsel-driven execution
-//! slices tables into fixed-size chunks ([`crate::chunk::ChunkedTable`],
+//! slices tables into fixed-size chunks ([`crate::chunk::chunk_ranges`],
 //! default [`crate::chunk::DEFAULT_CHUNK_SIZE`] rows) that stream through
 //! operator pipelines one at a time; every chunk is itself a `Table`, so
 //! operators need no second code path.
 
-use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnBuilder, Gather};
 use crate::schema::SchemaRef;
 use crate::value::Value;
@@ -121,19 +120,6 @@ impl Table {
     /// All rows (test/debug path).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         (0..self.rows).map(|i| self.row(i)).collect()
-    }
-
-    /// Keep rows where the selection mask is set. An all-true mask returns
-    /// shared columns (reference bumps, no copy); otherwise the mask is
-    /// turned into a gather list once and every column gathers through it.
-    pub fn filter(&self, mask: &Bitmap) -> Result<Table> {
-        if mask.len() != self.rows {
-            return Err(CvError::internal("filter mask length mismatch"));
-        }
-        if mask.all_true() {
-            return Ok(self.clone());
-        }
-        Ok(self.gather(mask.ones()))
     }
 
     /// Gather rows by index.
@@ -328,6 +314,7 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmap::Bitmap;
     use crate::column::{ColumnData, PAD};
     use crate::schema::{Field, Schema};
     use crate::value::DataType;
@@ -374,12 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn filter_take_project() {
+    fn take_project() {
         let t = demo();
-        let f = t.filter(&Bitmap::from_bools(&[true, false, true])).unwrap();
-        assert_eq!(f.num_rows(), 2);
-        assert_eq!(f.row(1)[1], Value::Str("b".into()));
-
         let tk = t.take(&[2, 2]).unwrap();
         assert_eq!(tk.num_rows(), 2);
         assert_eq!(tk.row(0)[0], Value::Int(2));
@@ -517,7 +500,7 @@ mod tests {
             let l2 = rng.range_usize(0, len - o2 + 1);
             assert_identical(&w.slice(o2, l2), &t.slice(off + o2, l2), &what);
 
-            // Gathers, filters, sorts and concats read through the window.
+            // Gathers, sorts and concats read through the window.
             let idx: Vec<usize> = (0..len * 2).map(|_| rng.range_usize(0, len)).collect();
             assert_identical(&w.take(&idx).unwrap(), &c.take(&idx).unwrap(), &what);
             let prefix: Vec<usize> = (0..len / 2).collect();
@@ -529,8 +512,6 @@ mod tests {
                 assert_eq!(a.validity(), b.validity(), "{what}");
                 assert_eq!(format!("{:?}", a.data()), format!("{:?}", b.data()), "{what}");
             }
-            let mask = Bitmap::from_bools(&(0..len).map(|_| rng.chance(0.6)).collect::<Vec<_>>());
-            assert_identical(&w.filter(&mask).unwrap(), &c.filter(&mask).unwrap(), &what);
             let keys = [(2, true), (3, false), (1, true)];
             assert_identical(
                 &w.sort_by(&keys, usize::MAX).unwrap(),

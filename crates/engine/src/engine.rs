@@ -3,7 +3,6 @@
 
 use crate::exec::{
     execute, ExecContext, ExecMetrics, ExecOutcome, MorselRunner, PendingView, SerialRunner,
-    SpoolSink,
 };
 use crate::optimizer::{
     AlwaysGrant, BuildCoordinator, OptimizeOutcome, Optimizer, OptimizerConfig, ReuseContext,
@@ -105,11 +104,12 @@ impl QueryEngine {
 
     /// Execute an optimized physical plan against the engine's own store.
     pub fn execute(&self, physical: &PhysicalPlan, now: SimTime) -> Result<ExecOutcome> {
-        self.execute_with(physical, &self.views, now, None, None)
+        self.execute_with_obs(physical, &self.views, now, None)
     }
 
     /// Execute against an external view source with per-operator
-    /// observability hooks.
+    /// observability hooks — the entry both workload drivers use: many
+    /// concurrent jobs share one striped store, or wait on in-flight builds.
     pub fn execute_with_obs(
         &self,
         physical: &PhysicalPlan,
@@ -117,26 +117,9 @@ impl QueryEngine {
         now: SimTime,
         obs: Option<&dyn crate::obs::ObsSink>,
     ) -> Result<ExecOutcome> {
-        self.execute_with(physical, views, now, obs, None)
-    }
-
-    /// The full-control entry, and the one both workload drivers use: an
-    /// external view source (many concurrent jobs share one striped store,
-    /// or pipeline from in-flight builds), observability hooks, and a spool
-    /// sink receiving sealed view chunks as they are produced (single-flight
-    /// chunk pipelining).
-    pub fn execute_with(
-        &self,
-        physical: &PhysicalPlan,
-        views: &dyn ViewSource,
-        now: SimTime,
-        obs: Option<&dyn crate::obs::ObsSink>,
-        spool_sink: Option<&dyn SpoolSink>,
-    ) -> Result<ExecOutcome> {
         let mut ctx = ExecContext::new(&self.catalog, views, &self.udos, now)
             .with_chunking(self.chunk_size, self.runner.clone());
         ctx.obs = obs;
-        ctx.spool_sink = spool_sink;
         execute(physical, &mut ctx, &self.optimizer.cfg.cost)
     }
 

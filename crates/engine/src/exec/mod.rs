@@ -10,7 +10,9 @@
 //!   intermediates (Fig. 7c);
 //! * executed **join-algorithm counts** (Fig. 9);
 //! * **pending views** captured by spool operators, to be sealed by the job
-//!   manager (early sealing happens in the cluster layer).
+//!   manager (early sealing happens in the cluster layer). A spool hands its
+//!   view over whole; a consumer reads it from the store once it is sealed,
+//!   never from the builder's execution.
 //!
 //! # Chunked execution
 //!
@@ -27,7 +29,7 @@
 //! *deferred* the same way ([`cv_data::column::Column::take`]): a filter's,
 //! a sort's or a join's output column is copied when some operator above
 //! reads it, once, and never if none does. Whatever leaves the query — the
-//! result, a spooled view and its sink chunks — is compacted first
+//! result and a spooled view — is compacted first
 //! ([`Table::compact`]), so no window and no deferred column outlives the
 //! query that made it. Pipeline breakers — sorts, joins (one kernel under
 //! every label; a Hash label is still charged per morsel), unions, UDOs,
@@ -67,7 +69,7 @@ use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{CvError, Result, SimTime};
 use cv_data::catalog::DatasetCatalog;
-use cv_data::chunk::{chunk_ranges, ChunkedTable};
+use cv_data::chunk::chunk_ranges;
 use cv_data::column::Column;
 use cv_data::schema::SchemaRef;
 use cv_data::table::Table;
@@ -75,14 +77,6 @@ use cv_data::viewstore::{MaterializedView, ViewSource};
 use join::{equi_join, restore_swapped_columns};
 pub use morsel::{MorselRunner, SerialRunner};
 use std::sync::Arc;
-
-/// Receives sealed view chunks as a spool produces them, before the view is
-/// sealed into the store — the single-flight layer hands them to concurrent
-/// consumers that would otherwise wait for the full materialization.
-pub trait SpoolSink: Sync {
-    /// Chunk `chunk` of the view `sig`; `last` marks the final chunk.
-    fn publish_chunk(&self, sig: Sig128, chunk: &Table, last: bool);
-}
 
 /// Execution context: read access to storage plus the evaluation state.
 ///
@@ -99,8 +93,6 @@ pub struct ExecContext<'a> {
     pub chunk_size: usize,
     /// Fans per-chunk work across workers; [`SerialRunner`] by default.
     pub runner: Arc<dyn MorselRunner>,
-    /// Receives sealed view chunks as spools produce them.
-    pub spool_sink: Option<&'a dyn SpoolSink>,
     /// Per-operator observability hooks; `None` keeps the hot path free of
     /// timing calls entirely (a single branch per operator).
     pub obs: Option<&'a dyn ObsSink>,
@@ -122,7 +114,6 @@ impl<'a> ExecContext<'a> {
             eval,
             chunk_size: cv_data::chunk::DEFAULT_CHUNK_SIZE,
             runner: Arc::new(SerialRunner),
-            spool_sink: None,
             obs: None,
         }
     }
@@ -603,22 +594,11 @@ fn exec_node_inner(
         PhysicalPlan::Spool { sig, recurring_sig, input_guids, input, .. } => {
             let work_before = metrics.total_work;
             let OpOutput { table, bytes } = exec_node(input, ctx, model, metrics, pending, ALL)?;
-            // The view outlives this query, in the store and in consumers'
-            // hands: it (and each chunk handed to the sink) owns its rows.
+            // The view outlives this query, in the store: it owns its rows.
             let in_table = table.compact();
             let production_work = metrics.total_work - work_before;
             let write_work = model.spool(in_table.num_rows() as f64, bytes as f64).total();
             metrics.bytes_written_views += bytes;
-            // Hand sealed chunks to concurrent consumers as they are
-            // produced — the single-flight layer buffers them so a job
-            // waiting on this view can start before the store commit.
-            if let Some(sink) = ctx.spool_sink {
-                let ct = ChunkedTable::from_table(&in_table, ctx.chunk_size);
-                let last = ct.num_chunks() - 1;
-                for (i, chunk) in ct.chunks().iter().enumerate() {
-                    sink.publish_chunk(*sig, &chunk.clone().compact(), i == last);
-                }
-            }
             pending.push(PendingView {
                 sig: *sig,
                 recurring_sig: *recurring_sig,

@@ -44,7 +44,7 @@ pub use containment::{
     build_compensation, ContainmentProof, ContainmentProver, ContainmentRefusal, RollupSpec,
 };
 pub use engine::{CompiledJob, JobOutcome, QueryEngine};
-pub use exec::{MorselRunner, SerialRunner, SpoolSink};
+pub use exec::{MorselRunner, SerialRunner};
 pub use expr::{col, lit, param, AggExpr, AggFunc, BinOp, FuncKind, ScalarExpr, UnOp};
 pub use obs::{NoopSink, ObsSink};
 pub use optimizer::{

@@ -210,10 +210,6 @@ impl Optimizer {
         self.verifier = Some(verifier);
     }
 
-    pub fn set_obs(&mut self, obs: Arc<dyn crate::obs::ObsSink>) {
-        self.obs = Some(obs);
-    }
-
     pub fn set_prover(&mut self, prover: Arc<dyn ContainmentProver>) {
         self.prover = Some(prover);
     }

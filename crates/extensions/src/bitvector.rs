@@ -93,10 +93,9 @@ impl BloomFilter {
             .index_of(key)
             .ok_or_else(|| CvError::not_found(format!("column `{key}`")))?;
         let col = probe.column(idx);
-        let mask = cv_data::bitmap::Bitmap::from_bools(
-            &(0..probe.num_rows()).map(|i| self.contains(&col.value(i))).collect::<Vec<_>>(),
-        );
-        probe.filter(&mask)
+        let keep: Vec<usize> =
+            (0..probe.num_rows()).filter(|&i| self.contains(&col.value(i))).collect();
+        Ok(if keep.len() == probe.num_rows() { probe.clone() } else { probe.gather(keep) })
     }
 }
 

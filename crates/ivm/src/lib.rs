@@ -196,14 +196,6 @@ impl IvmEngine {
         self.tracked.contains_key(&template)
     }
 
-    pub fn tracked_views(&self) -> usize {
-        self.tracked.len()
-    }
-
-    pub fn untrack(&mut self, template: Sig128) {
-        self.tracked.remove(&template);
-    }
-
     /// Start maintaining a view that a job just built by full execution.
     /// The plan is normalized, gated through the analyzer's CV07x check,
     /// and — if certified — its group state is bootstrapped from the

@@ -4,8 +4,8 @@
 //! subexpressions because the view is not sealed yet. The service closes
 //! that gap — when N in-flight jobs hit the same unsealed signature, exactly
 //! one (the first to claim at compile time) materializes it; the others are
-//! planned against the *promised* view and pipeline from the builder's
-//! result once it lands. This registry tracks the in-flight claims:
+//! planned against the *promised* view and read it from the store once the
+//! builder has sealed it. This registry tracks the in-flight claims:
 //!
 //! * `claim` — the builder registers a signature with its estimated
 //!   statistics (the promise later jobs plan against);
@@ -16,17 +16,9 @@
 //! * `wait` — execution-time block until resolution, for consumers that
 //!   reach the read before the builder sealed (the scheduler's dependency
 //!   gating makes this rare; it is the safety net, not the fast path).
-//!
-//! With chunked execution the registry is also the hand-off buffer: the
-//! builder's `Spool` operator publishes each sealed chunk pre-commit (the
-//! engine's [`SpoolSink`]), and consumers that were blocked on the flight
-//! reassemble the view from those chunks via [`SingleFlight::sealed_chunks`]
-//! without a second trip through the store.
 
 use cv_common::ids::JobId;
 use cv_common::Sig128;
-use cv_data::table::Table;
-use cv_engine::SpoolSink;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -59,12 +51,6 @@ enum FlightState {
 struct Flight {
     state: FlightState,
     promise: PromisedView,
-    /// Sealed chunks streamed out of the builder's `Spool` operator, in
-    /// chunk order. Columns are `Arc`-backed, so buffering shares the
-    /// builder's memory rather than copying it.
-    chunks: Vec<Table>,
-    /// True once the builder published its final chunk (`last == true`).
-    chunks_sealed: bool,
 }
 
 /// Lifetime counters of one [`SingleFlight`] registry. Everything here is
@@ -77,8 +63,6 @@ pub struct SingleFlightStats {
     pub waits: u64,
     /// First resolutions (sticky; duplicate resolutions not counted).
     pub resolves: u64,
-    /// Chunks buffered from builders' `Spool` operators.
-    pub chunks_buffered: u64,
 }
 
 /// Registry of in-flight materializations, shared by every worker.
@@ -89,7 +73,6 @@ pub struct SingleFlight {
     claims: AtomicU64,
     waits: AtomicU64,
     resolves: AtomicU64,
-    chunks_buffered: AtomicU64,
 }
 
 impl SingleFlight {
@@ -109,33 +92,9 @@ impl SingleFlight {
         if flights.contains_key(&sig) {
             return false;
         }
-        flights.insert(
-            sig,
-            Flight {
-                state: FlightState::InFlight { builder },
-                promise,
-                chunks: Vec::new(),
-                chunks_sealed: false,
-            },
-        );
+        flights.insert(sig, Flight { state: FlightState::InFlight { builder }, promise });
         self.claims.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// The sealed chunk stream of a *published* flight, if the builder
-    /// streamed one. Chunk order is the builder's emit order, so
-    /// [`Table::from_chunks`] over the result reproduces the sealed view
-    /// byte-for-byte. Cheap: the tables share the builder's column buffers.
-    pub fn sealed_chunks(&self, sig: Sig128) -> Option<Vec<Table>> {
-        match self.lock().get(&sig) {
-            Some(Flight {
-                state: FlightState::Done(FlightOutcome::Published),
-                chunks,
-                chunks_sealed: true,
-                ..
-            }) if !chunks.is_empty() => Some(chunks.clone()),
-            _ => None,
-        }
     }
 
     /// The builder and promised statistics of an *unresolved* flight, if
@@ -168,11 +127,6 @@ impl SingleFlight {
             if let FlightState::InFlight { .. } = f.state {
                 f.state = FlightState::Done(outcome);
                 self.resolves.fetch_add(1, Ordering::Relaxed);
-                if outcome == FlightOutcome::Failed {
-                    // Chunks from a failed build are never served.
-                    f.chunks = Vec::new();
-                    f.chunks_sealed = false;
-                }
             }
         }
         drop(flights);
@@ -207,35 +161,12 @@ impl SingleFlight {
         self.resolved.notify_all();
     }
 
-    /// Fail every unresolved flight, returning how many were failed. Called
-    /// after a store crash/recovery: builders that were mid-materialization
-    /// when the store died never sealed, so their consumers must recompute
-    /// rather than block on a builder that will not report back. Resolved
-    /// flights keep their outcome (resolution stays sticky).
-    pub fn fail_inflight(&self) -> usize {
-        let mut flights = self.lock();
-        let mut failed = 0;
-        for f in flights.values_mut() {
-            if let FlightState::InFlight { .. } = f.state {
-                f.state = FlightState::Done(FlightOutcome::Failed);
-                f.chunks = Vec::new();
-                f.chunks_sealed = false;
-                self.resolves.fetch_add(1, Ordering::Relaxed);
-                failed += 1;
-            }
-        }
-        drop(flights);
-        self.resolved.notify_all();
-        failed
-    }
-
     /// Snapshot of lifetime event counters (survives [`Self::clear`]).
     pub fn stats(&self) -> SingleFlightStats {
         SingleFlightStats {
             claims: self.claims.load(Ordering::Relaxed),
             waits: self.waits.load(Ordering::Relaxed),
             resolves: self.resolves.load(Ordering::Relaxed),
-            chunks_buffered: self.chunks_buffered.load(Ordering::Relaxed),
         }
     }
 
@@ -245,28 +176,6 @@ impl SingleFlight {
 
     pub fn is_empty(&self) -> bool {
         self.lock().is_empty()
-    }
-}
-
-/// The registry is the engine's spool sink: a builder's `Spool` operator
-/// streams each sealed chunk here as it is produced, before the view
-/// commits to the store. Publications for signatures without an unresolved
-/// flight are dropped — only claimed builds buffer.
-impl SpoolSink for SingleFlight {
-    fn publish_chunk(&self, sig: Sig128, chunk: &Table, last: bool) {
-        let mut flights = self.lock();
-        let Some(f) = flights.get_mut(&sig) else { return };
-        if !matches!(f.state, FlightState::InFlight { .. }) {
-            return;
-        }
-        if f.chunks_sealed {
-            // A retried builder restarts the stream from its first chunk.
-            f.chunks = Vec::new();
-            f.chunks_sealed = false;
-        }
-        f.chunks.push(chunk.clone());
-        f.chunks_sealed = last;
-        self.chunks_buffered.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -298,79 +207,6 @@ mod tests {
         assert_eq!(sf.wait(Sig128(2)), Some(FlightOutcome::Published));
         // Resolved flights no longer advertise a promise.
         assert!(sf.promise(Sig128(2)).is_none());
-    }
-
-    #[test]
-    fn fail_inflight_fails_open_flights_but_keeps_resolved_outcomes() {
-        let sf = SingleFlight::new();
-        sf.claim(Sig128(1), JobId(1), PromisedView::default());
-        sf.claim(Sig128(2), JobId(2), PromisedView::default());
-        sf.resolve(Sig128(2), FlightOutcome::Published);
-        assert_eq!(sf.fail_inflight(), 1, "only the unresolved flight fails");
-        assert_eq!(sf.wait(Sig128(1)), Some(FlightOutcome::Failed));
-        assert_eq!(sf.wait(Sig128(2)), Some(FlightOutcome::Published));
-        assert_eq!(sf.fail_inflight(), 0, "idempotent once everything resolved");
-        assert_eq!(sf.stats().resolves, 2);
-    }
-
-    fn chunk(vals: &[i64]) -> Table {
-        use cv_data::schema::{Field, Schema};
-        use cv_data::value::{DataType, Value};
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap().into_ref();
-        let rows: Vec<Vec<Value>> = vals.iter().map(|v| vec![Value::Int(*v)]).collect();
-        Table::from_rows(schema, &rows).unwrap()
-    }
-
-    #[test]
-    fn spool_chunks_reassemble_after_publish() {
-        let sf = SingleFlight::new();
-        sf.claim(Sig128(7), JobId(1), PromisedView::default());
-        sf.publish_chunk(Sig128(7), &chunk(&[1, 2]), false);
-        sf.publish_chunk(Sig128(7), &chunk(&[3]), true);
-        // Not served while the flight is unresolved.
-        assert!(sf.sealed_chunks(Sig128(7)).is_none());
-        sf.resolve(Sig128(7), FlightOutcome::Published);
-        let chunks = sf.sealed_chunks(Sig128(7)).expect("sealed stream");
-        assert_eq!(chunks.len(), 2);
-        let schema = chunks[0].schema().clone();
-        let table = Table::from_chunks(schema, &chunks).unwrap();
-        assert_eq!(table.num_rows(), 3);
-        assert_eq!(sf.stats().chunks_buffered, 2);
-    }
-
-    #[test]
-    fn failed_flight_drops_its_chunk_buffer() {
-        let sf = SingleFlight::new();
-        sf.claim(Sig128(8), JobId(1), PromisedView::default());
-        sf.publish_chunk(Sig128(8), &chunk(&[1]), true);
-        sf.resolve(Sig128(8), FlightOutcome::Failed);
-        assert!(sf.sealed_chunks(Sig128(8)).is_none());
-    }
-
-    #[test]
-    fn unclaimed_or_unsealed_streams_are_not_served() {
-        let sf = SingleFlight::new();
-        // No claim: publication dropped.
-        sf.publish_chunk(Sig128(9), &chunk(&[1]), true);
-        assert_eq!(sf.stats().chunks_buffered, 0);
-        // Claimed but the builder never sent `last`: stream incomplete.
-        sf.claim(Sig128(10), JobId(1), PromisedView::default());
-        sf.publish_chunk(Sig128(10), &chunk(&[1]), false);
-        sf.resolve(Sig128(10), FlightOutcome::Published);
-        assert!(sf.sealed_chunks(Sig128(10)).is_none());
-    }
-
-    #[test]
-    fn retried_builder_restarts_the_chunk_stream() {
-        let sf = SingleFlight::new();
-        sf.claim(Sig128(11), JobId(1), PromisedView::default());
-        sf.publish_chunk(Sig128(11), &chunk(&[1]), true);
-        // Retry re-streams from scratch; the stale sealed buffer resets.
-        sf.publish_chunk(Sig128(11), &chunk(&[5, 6]), false);
-        sf.publish_chunk(Sig128(11), &chunk(&[7]), true);
-        sf.resolve(Sig128(11), FlightOutcome::Published);
-        let chunks = sf.sealed_chunks(Sig128(11)).unwrap();
-        assert_eq!(chunks.iter().map(Table::num_rows).sum::<usize>(), 3);
     }
 
     #[test]

@@ -78,29 +78,13 @@ impl ViewSource for PipelinedViewSource<'_> {
         // safety net.
         self.stats.flight_waits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         match self.flights.wait(sig) {
-            Some(FlightOutcome::Published) => {
-                // Fast path: reassemble the builder's spool-published chunk
-                // stream (shared column buffers, no store round-trip). The
-                // chunks were sealed in emit order, so concatenation is the
-                // view byte-for-byte.
-                if let Some(chunks) = self.flights.sealed_chunks(sig) {
-                    let schema = chunks[0].schema().clone();
-                    if let Ok(table) = Table::from_chunks(schema, &chunks) {
-                        self.stats
-                            .chunk_assembled_reads
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        self.record_served(sig);
-                        return Ok(Some((table, ViewTemperature::Hot)));
-                    }
+            Some(FlightOutcome::Published) => match self.store.read_view_traced(sig, now)? {
+                Some(hit) => {
+                    self.record_served(sig);
+                    Ok(Some(hit))
                 }
-                match self.store.read_view_traced(sig, now)? {
-                    Some(hit) => {
-                        self.record_served(sig);
-                        Ok(Some(hit))
-                    }
-                    None => Ok(None), // sealed then purged/quarantined: recompute
-                }
-            }
+                None => Ok(None), // sealed then purged/quarantined: recompute
+            },
             // Build failed or flight vanished: recompute via fallback.
             Some(FlightOutcome::Failed) | None => Ok(None),
         }
@@ -165,30 +149,19 @@ mod tests {
     }
 
     #[test]
-    fn promised_read_assembles_from_spooled_chunks_without_store() {
-        use cv_engine::SpoolSink;
+    fn published_flight_absent_from_the_store_is_a_miss() {
+        // The builder resolved `Published`, but the view is not in the store
+        // (purged or quarantined right after sealing): the read is a miss and
+        // the consumer recomputes through its fallback.
         let store = ShardedViewStore::new(SimDuration::from_days(7.0), 4);
         let flights = SingleFlight::new();
         let stats = ServiceStats::default();
         flights.claim(Sig128(5), JobId(1), PromisedView::default());
+        flights.resolve(Sig128(5), FlightOutcome::Published);
         let src = PipelinedViewSource::new(&store, &flights, &stats, HashSet::from([Sig128(5)]));
-        std::thread::scope(|s| {
-            let reader = s.spawn(|| src.read_view_traced(Sig128(5), SimTime::EPOCH));
-            // The builder streams two chunks and resolves, but the view
-            // never lands in the store (e.g. purged immediately) — the
-            // consumer must still be served from the buffered stream.
-            let v = view(5);
-            let c0 = v.data.slice(0, 1);
-            flights.publish_chunk(Sig128(5), &c0, false);
-            flights.publish_chunk(Sig128(5), &c0, true);
-            flights.resolve(Sig128(5), FlightOutcome::Published);
-            let (table, temp) = reader.join().unwrap().unwrap().expect("chunk-assembled serve");
-            assert_eq!(table.num_rows(), 2);
-            assert_eq!(temp, ViewTemperature::Hot);
-        });
-        assert_eq!(stats.snapshot().chunk_assembled_reads, 1);
-        assert_eq!(stats.snapshot().pipelined_reads, 1);
-        assert_eq!(src.into_served(), vec![Sig128(5)]);
+        assert!(src.read_view_traced(Sig128(5), SimTime::EPOCH).unwrap().is_none());
+        assert_eq!(stats.snapshot().pipelined_reads, 0);
+        assert!(src.into_served().is_empty());
     }
 
     #[test]

@@ -18,9 +18,6 @@ pub struct ServiceStats {
     /// Same signature materialized more than once in one epoch — single
     /// flight guarantees this stays 0.
     pub duplicate_materializations: AtomicU64,
-    /// Promised reads served by reassembling the builder's spool-published
-    /// chunk stream instead of re-reading the store.
-    pub chunk_assembled_reads: AtomicU64,
     realized_savings_bits: AtomicU64,
 }
 
@@ -53,7 +50,6 @@ impl ServiceStats {
             pipelined_reads: self.pipelined_reads.load(Ordering::Relaxed),
             flight_waits: self.flight_waits.load(Ordering::Relaxed),
             duplicate_materializations: self.duplicate_materializations.load(Ordering::Relaxed),
-            chunk_assembled_reads: self.chunk_assembled_reads.load(Ordering::Relaxed),
             realized_savings: self.realized_savings(),
         }
     }
@@ -66,7 +62,6 @@ pub struct ServiceStatsSnapshot {
     pub pipelined_reads: u64,
     pub flight_waits: u64,
     pub duplicate_materializations: u64,
-    pub chunk_assembled_reads: u64,
     pub realized_savings: f64,
 }
 

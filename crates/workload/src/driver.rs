@@ -565,8 +565,7 @@ fn run_one_job(
         engine.optimize(&plan, &reuse, &mut AlwaysGrant)?
     };
 
-    let exec = match engine.execute_with(&compiled.outcome.physical, store, meta.submit, None, None)
-    {
+    let exec = match engine.execute_with_obs(&compiled.outcome.physical, store, meta.submit, None) {
         Ok(e) => e,
         Err(e) => {
             // Release any creation locks this job acquired before bailing.

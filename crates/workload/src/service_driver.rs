@@ -111,10 +111,6 @@ pub struct ServiceReport {
     pub pipelined_reads: u64,
     pub flight_waits: u64,
     pub duplicate_materializations: u64,
-    /// Sealed chunks builders streamed into the flight registry pre-commit.
-    pub chunks_spooled: u64,
-    /// Promised reads served by reassembling a builder's chunk stream.
-    pub chunk_assembled_reads: u64,
     /// Work units of recomputation avoided by pipelining — compare against
     /// `pipelining_savings_bound` (the Fig. 9 opportunity).
     pub realized_pipelining_savings: f64,
@@ -180,8 +176,6 @@ impl ServiceReport {
             "pipelined_reads": self.pipelined_reads,
             "flight_waits": self.flight_waits,
             "duplicate_materializations": self.duplicate_materializations,
-            "chunks_spooled": self.chunks_spooled,
-            "chunk_assembled_reads": self.chunk_assembled_reads,
             "realized_pipelining_savings": self.realized_pipelining_savings,
             "steals": self.steals,
             "admission_deferrals": self.admission_deferrals,
@@ -771,16 +765,7 @@ impl<'a> ServiceRun<'a> {
         let span = self.obs.span(job_track(job), "execute");
         let sink = self.obs.exec_sink(job_track(job));
         let src = PipelinedViewSource::new(store, flights, stats, task.promised.clone());
-        // The flight registry doubles as the spool sink: each sealed chunk
-        // of a claimed build streams to it pre-commit so blocked consumers
-        // can assemble the view directly.
-        let res = self.engine.execute_with(
-            &task.physical,
-            &src,
-            submit,
-            sink.as_deref(),
-            Some(flights as &dyn cv_engine::SpoolSink),
-        );
+        let res = self.engine.execute_with_obs(&task.physical, &src, submit, sink.as_deref());
         let served = src.into_served();
         let done = res.and_then(|exec| {
             let mut seals = Vec::new();
@@ -939,8 +924,6 @@ impl<'a> ServiceRun<'a> {
         svc.pipelined_reads = snap.pipelined_reads;
         svc.flight_waits = snap.flight_waits;
         svc.duplicate_materializations = snap.duplicate_materializations;
-        svc.chunks_spooled = fl.chunks_buffered;
-        svc.chunk_assembled_reads = snap.chunk_assembled_reads;
         svc.realized_pipelining_savings = snap.realized_savings;
         svc.pool_overhead_seconds = (svc.exec_wall_seconds - svc.parallel_wall_seconds).max(0.0);
         svc.latencies_ms.sort_by_key(|a| a.0);
@@ -951,8 +934,6 @@ impl<'a> ServiceRun<'a> {
             m.add("flight.claims", fl.claims);
             m.add("flight.waits", fl.waits);
             m.add("flight.resolves", fl.resolves);
-            m.add("flight.chunks_buffered", fl.chunks_buffered);
-            m.add("service.chunk_assembled_reads", snap.chunk_assembled_reads);
             m.add("store.views_created", store_stats.views_created);
             m.add("store.views_reused", store_stats.views_reused);
             m.add("store.read_misses", store_stats.read_misses);

@@ -18,7 +18,7 @@ use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
 use cv_data::viewstore::{ViewReadFault, ViewSource, ViewStore};
 use cv_engine::cost::CostModel;
-use cv_engine::exec::{execute, ExecContext, ExecOutcome, SerialRunner, SpoolSink};
+use cv_engine::exec::{execute, ExecContext, ExecOutcome, SerialRunner};
 use cv_engine::expr::eval::{eval, select, EvalCtx};
 use cv_engine::expr::{col, lit, param, AggExpr, AggFunc, BinOp, ScalarExpr, UnOp};
 use cv_engine::normalize::normalize;
@@ -1945,15 +1945,6 @@ fn a_dimension_string_is_grouped_without_being_gathered() {
 // The escape rule: no window outlives the query that cut it
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct RecordingSink(Mutex<Vec<Table>>);
-
-impl SpoolSink for RecordingSink {
-    fn publish_chunk(&self, _: Sig128, chunk: &Table, _: bool) {
-        self.0.lock().unwrap().push(chunk.clone());
-    }
-}
-
 /// "Backing buffer length equals row count", read through the public API.
 fn assert_owns_its_rows(t: &Table, what: &str) {
     assert!(t.is_compact(), "{what} is a window");
@@ -2021,11 +2012,9 @@ fn nothing_that_leaves_a_query_is_a_window() {
         ),
     ];
 
-    let sink = RecordingSink::default();
     let mut sealed = 0;
     for (name, plan) in &plans {
-        // Once bare, once with a view requested for every subexpression
-        // (spools feed the sink).
+        // Once bare, once with a view requested for every subexpression.
         let mut reuse = ReuseContext::empty();
         reuse.to_build.extend(
             engine
@@ -2039,15 +2028,7 @@ fn nothing_that_leaves_a_query_is_a_window() {
         let bare_out = engine.execute(&bare.outcome.physical, SimTime::EPOCH).unwrap();
         assert_owns_its_rows(&bare_out.table, &format!("result of `{name}`"));
         let compiled = engine.optimize(plan, &reuse, &mut AlwaysGrant).unwrap();
-        let out = engine
-            .execute_with(
-                &compiled.outcome.physical,
-                &engine.views,
-                SimTime::EPOCH,
-                None,
-                Some(&sink),
-            )
-            .unwrap();
+        let out = engine.execute(&compiled.outcome.physical, SimTime::EPOCH).unwrap();
         assert_owns_its_rows(&out.table, &format!("result of `{name}` with spools"));
         for pv in &out.pending_views {
             assert_owns_its_rows(&pv.data, &format!("pending view of `{name}`"));
@@ -2067,10 +2048,4 @@ fn nothing_that_leaves_a_query_is_a_window() {
         }
     }
     assert!(sealed >= plans.len(), "only {sealed} views sealed");
-
-    let chunks = sink.0.lock().unwrap();
-    assert!(chunks.len() > sealed, "expected multi-chunk spools, got {} chunks", chunks.len());
-    for chunk in chunks.iter() {
-        assert_owns_its_rows(chunk, "a spool-sink chunk");
-    }
 }
