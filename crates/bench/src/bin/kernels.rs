@@ -37,9 +37,12 @@
 //! (`q_sort_limit`'s shape) projects two columns by name over a filter and
 //! should copy neither; `case_when` is `q_project`'s third expression, a
 //! CASE between two literals.
-//! Three legs time what the serving path does to a whole table around the
-//! executor: `digest` (the content checksum every result and stored view
-//! gets, rows/sec over the mixed-type fact table), `store_decode` (the view
+//! Four legs time what happens to a whole column or table around the
+//! operators: `gather_str` (a deferred gather of the fact table's string
+//! column through a shuffled id vector, forced — what every filter, sort or
+//! join output that some reader wants costs for a string, rows/sec),
+//! `digest` (the content checksum every result and stored view gets,
+//! rows/sec over the mixed-type fact table), `store_decode` (the view
 //! store's codec, encode → decode, MB/sec of encoded bytes) and `udo` (the
 //! cooking pair `parse_user_agent` → `geo_enrich`, rows/sec).
 //!
@@ -75,9 +78,10 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Every leg, in report order: the plans of [`plans`], then the three
-/// whole-table legs. A leg missing from either side fails the run.
-const KERNELS: [&str; 24] = [
+/// Every leg, in report order: the plans of [`plans`], then the four
+/// whole-column and whole-table legs. A leg missing from either side fails
+/// the run.
+const KERNELS: [&str; 25] = [
     "filter",
     "filter_str_eq",
     "filter_wide",
@@ -99,6 +103,7 @@ const KERNELS: [&str; 24] = [
     "sort",
     "sort_desc_float",
     "sort_limit",
+    "gather_str",
     "digest",
     "store_decode",
     "udo",
@@ -537,7 +542,11 @@ fn main() {
             let parsed = bench.udos.apply(&UdoSpec::new("parse_user_agent"), t).unwrap();
             bench.udos.apply(&UdoSpec::new("geo_enrich"), &parsed).unwrap().num_rows()
         };
-        let legs: [(&str, f64, &str, &dyn Fn() -> usize); 3] = [
+        let seg = fact.column(fact.schema().index_of("seg").unwrap());
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        DetRng::seed(13).shuffle(&mut shuffled);
+        let legs: [(&str, f64, &str, &dyn Fn() -> usize); 4] = [
+            ("gather_str", n as f64, "rows/sec", &|| seg.take(&shuffled).compact().len()),
             ("digest", n as f64, "rows/sec", &|| table_checksum(&fact) as usize),
             ("store_decode", encoded_mb, "MB/sec", &|| {
                 decode_table(&encode_table(&fact)).unwrap().num_rows()

@@ -168,10 +168,10 @@ fn words_of(col: &Column, class: Class, sink: &mut impl WordSink) {
 /// Every cell of the column in order, `None` for a NULL.
 #[inline]
 fn cells_of<'v, T>(
-    v: &'v [T],
+    v: impl IntoIterator<Item = T> + 'v,
     valid: Option<&'v Bitmap>,
-) -> impl Iterator<Item = Option<&'v T>> + 'v {
-    v.iter().enumerate().map(move |(i, x)| valid.is_none_or(|valid| valid.get(i)).then_some(x))
+) -> impl Iterator<Item = Option<T>> + 'v {
+    v.into_iter().enumerate().map(move |(i, x)| valid.is_none_or(|valid| valid.get(i)).then_some(x))
 }
 
 /// Pass one over a column's words: their range.
@@ -268,7 +268,7 @@ pub(crate) fn code_strs<'a>(chunks: &[&'a Column], rows: usize) -> (Codes, Vec<&
             _ => None,
         });
         let Some((source, ids)) = through else {
-            let cells = cells_of(col.strs(), col.validity());
+            let cells = cells_of(col.strs().iter(), col.validity());
             codes.extend(cells.map(|cell| cell.map_or(0, |s| dict.code(s))));
             continue;
         };
@@ -279,7 +279,7 @@ pub(crate) fn code_strs<'a>(chunks: &[&'a Column], rows: usize) -> (Codes, Vec<&
                 continue;
             }
             if seen[id] == UNSEEN {
-                seen[id] = dict.code(&source[id]);
+                seen[id] = dict.code(source.get(id));
             }
             codes.push(seen[id]);
         }

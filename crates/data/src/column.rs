@@ -1,6 +1,7 @@
 //! Typed columnar arrays with validity bitmaps.
 
 use crate::bitmap::Bitmap;
+use crate::strs::{StrColumn, StrView};
 use crate::value::{DataType, Value};
 use cv_common::{CvError, Result};
 use std::borrow::Cow;
@@ -14,7 +15,7 @@ pub enum ColumnData {
     Bool(Vec<bool>),
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Str(Vec<String>),
+    Str(StrColumn),
     Date(Vec<i32>),
 }
 
@@ -48,7 +49,7 @@ impl ColumnData {
             ColumnData::Bool(v) => ColumnView::Bool(&v[w]),
             ColumnData::Int(v) => ColumnView::Int(&v[w]),
             ColumnData::Float(v) => ColumnView::Float(&v[w]),
-            ColumnData::Str(v) => ColumnView::Str(&v[w]),
+            ColumnData::Str(v) => ColumnView::Str(v.view().slice(w)),
             ColumnData::Date(v) => ColumnView::Date(&v[w]),
         }
     }
@@ -63,7 +64,7 @@ pub enum ColumnView<'a> {
     Bool(&'a [bool]),
     Int(&'a [i64]),
     Float(&'a [f64]),
-    Str(&'a [String]),
+    Str(StrView<'a>),
     Date(&'a [i32]),
 }
 
@@ -163,7 +164,9 @@ impl Deferred {
             ColumnData::Bool(v) => ColumnData::Bool(rows(v, self.base, ids)),
             ColumnData::Int(v) => ColumnData::Int(rows(v, self.base, ids)),
             ColumnData::Float(v) => ColumnData::Float(rows(v, self.base, ids)),
-            ColumnData::Str(v) => ColumnData::Str(rows(v, self.base, ids)),
+            ColumnData::Str(v) => {
+                ColumnData::Str(StrColumn::gather(v.view().slice(self.base..v.len()), ids))
+            }
             ColumnData::Date(v) => ColumnData::Date(rows(v, self.base, ids)),
         }
     }
@@ -183,7 +186,8 @@ impl Deferred {
         let ColumnData::Str(source) = &*self.source else {
             unreachable!("string rows gather from a string buffer")
         };
-        let len = |&i: &usize| if i == PAD { 0 } else { source[self.base + i].len() as u64 };
+        let len =
+            |&i: &usize| if i == PAD { 0 } else { source.view().len_of(self.base + i) as u64 };
         ids.iter().map(len).sum::<u64>() + 4 * ids.len() as u64
     }
 }
@@ -342,7 +346,7 @@ impl Column {
                 ColumnView::Bool(v) => ColumnData::Bool(v.to_vec()),
                 ColumnView::Int(v) => ColumnData::Int(v.to_vec()),
                 ColumnView::Float(v) => ColumnData::Float(v.to_vec()),
-                ColumnView::Str(v) => ColumnData::Str(v.to_vec()),
+                ColumnView::Str(v) => ColumnData::Str(v.to_column()),
                 ColumnView::Date(v) => ColumnData::Date(v.to_vec()),
             }),
         };
@@ -396,7 +400,7 @@ impl Column {
             ColumnView::Bool(v) => Value::Bool(v[at]),
             ColumnView::Int(v) => Value::Int(v[at]),
             ColumnView::Float(v) => Value::Float(v[at]),
-            ColumnView::Str(v) => Value::Str(v[at].clone()),
+            ColumnView::Str(v) => Value::Str(v.get(at).to_string()),
             ColumnView::Date(v) => Value::Date(v[at]),
         }
     }
@@ -424,7 +428,7 @@ impl Column {
         }
     }
 
-    pub fn strs(&self) -> &[String] {
+    pub fn strs(&self) -> StrView<'_> {
         match self.view() {
             ColumnView::Str(v) => v,
             _ => panic!("expected STRING column, got {}", self.dtype()),
@@ -513,7 +517,13 @@ impl Column {
             DataType::Bool => splice!(Bool),
             DataType::Int => splice!(Int),
             DataType::Float => splice!(Float),
-            DataType::Str => splice!(Str),
+            DataType::Str => {
+                let views: Vec<StrView<'_>> = parts.iter().map(Column::strs).collect();
+                let bytes = views.iter().map(StrView::text_len).sum();
+                let mut buf = StrColumn::with_capacity(total, bytes);
+                views.into_iter().for_each(|v| buf.extend_from_view(v));
+                ColumnData::Str(buf)
+            }
             DataType::Date => splice!(Date),
         };
         // Appended by words. No bitmap exists until a part has a NULL: the
@@ -557,7 +567,7 @@ impl Column {
                 Rows::Deferred(node) if node.unread() => {
                     node.str_bytes(&node.ids.of(self.window()))
                 }
-                _ => self.strs().iter().map(|s| s.len() as u64 + 4).sum(),
+                _ => self.strs().text_len() as u64 + 4 * n,
             },
         };
         base + self.validity.as_ref().map_or(0, |v| v.len() as u64 / 8)
@@ -652,7 +662,7 @@ impl ColumnBuilder {
             DataType::Bool => ColumnData::Bool(Vec::new()),
             DataType::Int => ColumnData::Int(Vec::new()),
             DataType::Float => ColumnData::Float(Vec::new()),
-            DataType::Str => ColumnData::Str(Vec::new()),
+            DataType::Str => ColumnData::Str(StrColumn::new()),
             DataType::Date => ColumnData::Date(Vec::new()),
         };
         ColumnBuilder { data, validity: Bitmap::all_clear(0), has_null: false }
@@ -663,7 +673,7 @@ impl ColumnBuilder {
             DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
             DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
-            DataType::Str => ColumnData::Str(Vec::with_capacity(cap)),
+            DataType::Str => ColumnData::Str(StrColumn::with_capacity(cap, 0)),
             DataType::Date => ColumnData::Date(Vec::with_capacity(cap)),
         };
         ColumnBuilder { data, validity: Bitmap::all_clear(0), has_null: false }
@@ -689,7 +699,7 @@ impl ColumnBuilder {
             (ColumnData::Int(buf), Value::Int(i)) => buf.push(*i),
             (ColumnData::Float(buf), Value::Float(f)) => buf.push(*f),
             (ColumnData::Float(buf), Value::Int(i)) => buf.push(*i as f64),
-            (ColumnData::Str(buf), Value::Str(s)) => buf.push(s.clone()),
+            (ColumnData::Str(buf), Value::Str(s)) => buf.push(s),
             (ColumnData::Date(buf), Value::Date(d)) => buf.push(*d),
             (ColumnData::Date(buf), Value::Int(i)) => buf.push(*i as i32),
             (data, v) => {
@@ -708,7 +718,7 @@ impl ColumnBuilder {
             ColumnData::Bool(buf) => buf.push(false),
             ColumnData::Int(buf) => buf.push(0),
             ColumnData::Float(buf) => buf.push(0.0),
-            ColumnData::Str(buf) => buf.push(String::new()),
+            ColumnData::Str(buf) => buf.push(""),
             ColumnData::Date(buf) => buf.push(0),
         }
         self.validity.push(false);
@@ -804,7 +814,7 @@ mod tests {
             },
             Rows::Buffer(_) => panic!("a take is deferred"),
         };
-        let strings = |c: &Column| c.strs().to_vec();
+        let strings = |c: &Column| c.strs().iter().map(str::to_string).collect::<Vec<_>>();
 
         // A window's cells, its size and its compacted copy: its own ids only.
         let t = taken();
@@ -904,7 +914,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.value(0), Value::Str("asia".into()));
-        assert_eq!(c.strs()[2], "emea");
+        assert_eq!(&c.strs()[2], "emea");
         assert!(c.byte_size() > 0);
     }
 

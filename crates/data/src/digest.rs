@@ -53,10 +53,10 @@ impl RowHash {
 #[inline]
 fn fold<T>(
     rows: &mut [RowHash],
-    values: &[T],
+    values: impl IntoIterator<Item = T>,
     validity: Option<&Bitmap>,
     tag: u64,
-    write: impl Fn(&mut RowHash, &T),
+    write: impl Fn(&mut RowHash, T),
 ) {
     for (i, (row, v)) in rows.iter_mut().zip(values).enumerate() {
         if validity.is_some_and(|valid| !valid.get(i)) {
@@ -91,7 +91,7 @@ pub fn content_digest(domain: &str, t: &Table) -> Sig128 {
                 r.absorb(if f.is_nan() { f64::NAN.to_bits() } else { f.to_bits() })
             }),
             ColumnView::Str(v) => {
-                fold(&mut rows, v, valid, STR, |r, s| r.absorb_bytes(s.as_bytes()))
+                fold(&mut rows, v.iter(), valid, STR, |r, s| r.absorb_bytes(s.as_bytes()))
             }
             ColumnView::Date(v) => fold(&mut rows, v, valid, DATE, |r, &d| r.absorb(d as u64)),
         }
@@ -224,7 +224,7 @@ mod tests {
             schema.clone(),
             vec![
                 Column::new(ColumnData::Int(vec![1, 2]), None),
-                Column::new(ColumnData::Str(vec!["a".into(), "b".into()]), None),
+                Column::new(ColumnData::Str(["a", "b"].into_iter().collect()), None),
             ],
         )
         .unwrap();

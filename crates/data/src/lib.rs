@@ -26,6 +26,7 @@ pub mod schema;
 pub mod sharded;
 pub mod sortkey;
 pub mod store_api;
+pub mod strs;
 pub mod table;
 pub mod value;
 pub mod viewstore;
@@ -39,6 +40,7 @@ pub use digest::content_digest;
 pub use schema::{Field, Schema, SchemaRef};
 pub use sharded::{ShardedViewStore, StripedViewStore};
 pub use store_api::{SharedViewStore, StoreIoStats};
+pub use strs::{StrColumn, StrView};
 pub use table::Table;
 pub use value::{DataType, Value};
 pub use viewstore::{MaterializedView, ViewSource, ViewStore, ViewStoreStats, ViewTemperature};

@@ -16,7 +16,7 @@
 //!
 //! A binary kernel's operand is an [`Operand`]: an evaluated column, or a
 //! literal/parameter passed as the scalar it is, so `region = 'asia'`
-//! compares each row against one `&String` — nothing is materialized per
+//! compares each row against one `&str` — nothing is materialized per
 //! row for the constant side. The lane types are exactly the column types a
 //! broadcast literal would have had, so every coercion (Int literal against
 //! a Float column, either operand order) goes through the same arm it
@@ -39,6 +39,7 @@
 use super::{BinOp, UnOp};
 use cv_data::bitmap::Bitmap;
 use cv_data::column::{Column, ColumnData, ColumnView};
+use cv_data::strs::{StrColumn, StrView};
 use cv_data::value::{DataType, Value};
 
 /// Broadcast a literal/parameter into a constant column (one allocation,
@@ -52,7 +53,7 @@ pub(super) fn broadcast(v: &Value, out_type: DataType, n: usize) -> Option<Colum
         (Value::Int(i), DataType::Float) => ColumnData::Float(vec![*i as f64; n]),
         (Value::Int(i), DataType::Date) => ColumnData::Date(vec![*i as i32; n]),
         (Value::Float(f), DataType::Float) => ColumnData::Float(vec![*f; n]),
-        (Value::Str(s), DataType::Str) => ColumnData::Str(vec![s.clone(); n]),
+        (Value::Str(s), DataType::Str) => ColumnData::Str(StrColumn::repeat(s, n)),
         (Value::Date(d), DataType::Date) => ColumnData::Date(vec![*d; n]),
         _ => return None,
     };
@@ -104,9 +105,10 @@ impl Operand<'_> {
     }
 }
 
-/// Typed rows of one operand: a column slice, or one constant at every row.
-enum Lane<'a, T> {
-    Col(&'a [T]),
+/// Typed rows of one operand: a column's rows (a slice, or a string view),
+/// or one constant at every row.
+enum Lane<'a, T: ?Sized, Rows = &'a [T]> {
+    Col(Rows),
     Const(&'a T),
 }
 
@@ -114,7 +116,7 @@ enum Lanes<'a> {
     Bool(Lane<'a, bool>),
     Int(Lane<'a, i64>),
     Float(Lane<'a, f64>),
-    Str(Lane<'a, String>),
+    Str(Lane<'a, str, StrView<'a>>),
     Date(Lane<'a, i32>),
 }
 
@@ -334,6 +336,8 @@ fn compare<S: Verdicts>(
         (Lanes::Float(a), Lanes::Int(b)) => rows!((a, b) => |x, y| {
             by_op(op, validity, out, |i| total(*x(i)), |i| total(*y(i) as f64))
         }),
+        // `==` on two `&str` compares their lengths — an offsets difference
+        // on a column side — before any byte.
         (Lanes::Str(a), Lanes::Str(b)) => rows!((a, b) => |x, y| by_op(op, validity, out, x, y)),
         (Lanes::Date(a), Lanes::Date(b)) => {
             rows!((a, b) => |x, y| by_op(op, validity, out, |i| *x(i), |i| *y(i)))
@@ -356,6 +360,23 @@ fn map_rows<O: Default>(
         None => (0..n).map(f).collect(),
         Some(v) => (0..n).map(|i| if v.get(i) { f(i) } else { O::default() }).collect(),
     }
+}
+
+/// [`map_rows`] into one string buffer: `f`'s text at every valid row, `""`
+/// under a NULL.
+fn str_rows<D: std::fmt::Display>(
+    n: usize,
+    validity: Option<&Bitmap>,
+    f: impl Fn(usize) -> D,
+) -> StrColumn {
+    let mut out = StrColumn::with_capacity(n, 0);
+    for i in 0..n {
+        match valid(validity, i) {
+            true => out.push_display(f(i)),
+            false => out.push(""),
+        }
+    }
+    out
 }
 
 /// [`map_rows`] for an `f` that can refuse a row (`x / 0`, a string that does
@@ -494,10 +515,10 @@ pub(super) fn cast(c: &Column, to: DataType) -> Option<Column> {
     let data = match (c.view(), to) {
         (ColumnView::Int(s), DataType::Float) => D::Float(map_rows(n, v, |i| s[i] as f64)),
         (ColumnView::Int(s), DataType::Date) => D::Date(map_rows(n, v, |i| s[i] as i32)),
-        (ColumnView::Int(s), DataType::Str) => D::Str(map_rows(n, v, |i| s[i].to_string())),
+        (ColumnView::Int(s), DataType::Str) => D::Str(str_rows(n, v, |i| s[i])),
         (ColumnView::Int(s), DataType::Bool) => D::Bool(map_rows(n, v, |i| s[i] != 0)),
         (ColumnView::Float(s), DataType::Int) => D::Int(map_rows(n, v, |i| s[i] as i64)),
-        (ColumnView::Float(s), DataType::Str) => D::Str(map_rows(n, v, |i| s[i].to_string())),
+        (ColumnView::Float(s), DataType::Str) => D::Str(str_rows(n, v, |i| s[i])),
         (ColumnView::Str(s), DataType::Int) => {
             return parsed(D::Int, try_map_rows(n, v.cloned(), |i| s[i].trim().parse().ok()));
         }
@@ -509,25 +530,25 @@ pub(super) fn cast(c: &Column, to: DataType) -> Option<Column> {
             return parsed(D::Date, try_map_rows(n, v.cloned(), parse));
         }
         (ColumnView::Bool(s), DataType::Int) => D::Int(map_rows(n, v, |i| s[i] as i64)),
-        (ColumnView::Bool(s), DataType::Str) => D::Str(map_rows(n, v, |i| s[i].to_string())),
+        (ColumnView::Bool(s), DataType::Str) => D::Str(str_rows(n, v, |i| s[i])),
         (ColumnView::Date(s), DataType::Int) => D::Int(map_rows(n, v, |i| s[i] as i64)),
         (ColumnView::Date(s), DataType::Str) => {
-            D::Str(map_rows(n, v, |i| cv_data::value::format_date(s[i])))
+            D::Str(str_rows(n, v, |i| cv_data::value::format_date(s[i])))
         }
         _ => return None,
     };
     Some(Column::new(data, normalize(v.cloned())))
 }
 
-/// One THEN or ELSE of a CASE, read as the output type.
-enum Source<'a, T> {
-    Rows(&'a [T], Option<&'a Bitmap>),
+/// One THEN or ELSE of a CASE, read as the output type: its rows (a slice,
+/// or a string view) or a constant.
+enum Source<'a, T, Rows = &'a [T]> {
+    Rows(Rows, Option<&'a Bitmap>),
     Const(T),
 }
 
-/// A cell a CASE branch can overwrite without a branch on `take`: the
-/// fixed-width types select, a string is cloned only when taken.
-trait Cell: Clone + Default {
+/// A cell a CASE branch can overwrite without a branch on `take`.
+trait Cell: Copy + Default {
     fn set_if(&mut self, take: bool, from: &Self);
 }
 
@@ -542,15 +563,6 @@ macro_rules! fixed_width_cell {
     )*};
 }
 fixed_width_cell!(bool, i64, f64, i32);
-
-impl Cell for String {
-    #[inline]
-    fn set_if(&mut self, take: bool, from: &Self) {
-        if take {
-            self.clone_from(from);
-        }
-    }
-}
 
 /// Lay `source` over the rows of `out` that `take`: one pass, the source's
 /// kind and validity settled before it. `valid`, kept only when some row
@@ -649,7 +661,46 @@ pub(super) fn case_select(
             Value::Float(f) => Some(*f),
             _ => None,
         }),
-        DataType::Str => branches!(Str, |k: &Value| k.as_str().map(str::to_string)),
+        DataType::Str => {
+            // Each row's text is copied once, from the source that wins it:
+            // the winners are settled first, as source indices.
+            let mut typed = Vec::with_capacity(sources.len());
+            for source in &sources {
+                typed.push(match source {
+                    Operand::Col(c) => {
+                        let ColumnView::Str(rows) = c.view() else { return None };
+                        Source::<_, StrView<'_>>::Rows(rows, c.validity())
+                    }
+                    Operand::Const(k) => Source::Const(k.as_str()?),
+                });
+            }
+            let mut winner = vec![usize::MAX; n];
+            if else_.is_some() {
+                winner.fill(thens.len());
+            }
+            for (j, (verdicts, validity)) in whens.iter().enumerate().rev() {
+                for (i, w) in winner.iter_mut().enumerate() {
+                    if valid(*validity, i) & verdicts[i] {
+                        *w = j;
+                    }
+                }
+            }
+            let mut out = StrColumn::with_capacity(n, 0);
+            let mut valid_rows = nullable.then(|| vec![false; n]);
+            for (i, &w) in winner.iter().enumerate() {
+                let cell = match typed.get(w) {
+                    None => None,
+                    Some(Source::Const(k)) => Some(*k),
+                    Some(Source::Rows(rows, v)) => valid(*v, i).then(|| rows.get(i)),
+                };
+                out.push(cell.unwrap_or(""));
+                if let Some(ok) = valid_rows.as_mut() {
+                    ok[i] = cell.is_some();
+                }
+            }
+            let validity = valid_rows.map(|ok| Bitmap::from_bools(&ok));
+            Column::new(ColumnData::Str(out), normalize(validity))
+        }
         DataType::Date => branches!(Date, |k: &Value| match k {
             Value::Int(i) => Some(*i as i32),
             Value::Date(d) => Some(*d),

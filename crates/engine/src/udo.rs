@@ -13,6 +13,7 @@ use cv_common::{CvError, Result};
 use cv_data::bitmap::Bitmap;
 use cv_data::column::{Column, ColumnData, ColumnView};
 use cv_data::schema::{Field, Schema, SchemaRef};
+use cv_data::strs::StrColumn;
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
 use std::collections::HashMap;
@@ -189,15 +190,16 @@ fn derived_column_udo(
             let source = t.column(idx);
             let view = source.view();
             let mut valid = Bitmap::all_clear(t.num_rows());
-            let values: Vec<String> = (0..t.num_rows())
-                .map(|i| match derive(view, i) {
+            let mut values = StrColumn::with_capacity(t.num_rows(), 0);
+            for i in 0..t.num_rows() {
+                match derive(view, i) {
                     Some(v) if !source.is_null(i) => {
                         valid.set(i, true);
-                        v.to_string()
+                        values.push(v);
                     }
-                    _ => String::new(),
-                })
-                .collect();
+                    _ => values.push(""),
+                }
+            }
             let validity = if valid.all_true() { None } else { Some(valid) };
             let mut columns = t.columns().iter().map(passed_through).collect::<Result<Vec<_>>>()?;
             columns.push(Column::new(ColumnData::Str(values), validity));

@@ -9,6 +9,7 @@
 use cv_data::bitmap::Bitmap;
 use cv_data::column::{Column, ColumnData, ColumnView};
 use cv_data::schema::{Field, Schema};
+use cv_data::strs::StrColumn;
 use cv_data::table::Table;
 use cv_data::value::DataType;
 
@@ -139,9 +140,28 @@ impl<'a> Dec<'a> {
     }
 
     pub fn get_str(&mut self) -> CodecResult<String> {
+        self.get_str_ref().map(str::to_string)
+    }
+
+    /// The next length-prefixed string, borrowed from the buffer: each
+    /// string is checked as UTF-8 on its own, so a run of strings that is
+    /// valid only laid end to end is refused.
+    fn get_str_ref(&mut self) -> CodecResult<&'a str> {
         let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError("invalid utf-8"))
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError("invalid utf-8"))
+    }
+
+    /// The text bytes of the next `n` length-prefixed strings, found by
+    /// their prefixes without moving the cursor.
+    fn peek_str_bytes(&self, n: usize) -> CodecResult<usize> {
+        let mut probe = Dec { buf: self.buf, pos: self.pos };
+        let mut total = 0;
+        for _ in 0..n {
+            let len = probe.get_u32()? as usize;
+            probe.take(len)?;
+            total += len;
+        }
+        Ok(total)
     }
 
     pub fn get_bytes(&mut self, n: usize) -> CodecResult<&'a [u8]> {
@@ -221,7 +241,7 @@ pub fn encode_table_chunked(t: &Table, chunk_size: usize) -> Vec<u8> {
                 ColumnView::Bool(vs) => e.put_bytes(&pack_bools(&vs[off..off + len])),
                 ColumnView::Int(vs) => vs[off..off + len].iter().for_each(|&v| e.put_i64(v)),
                 ColumnView::Float(vs) => vs[off..off + len].iter().for_each(|&v| e.put_f64(v)),
-                ColumnView::Str(vs) => vs[off..off + len].iter().for_each(|v| e.put_str(v)),
+                ColumnView::Str(vs) => vs.slice(off..off + len).iter().for_each(|v| e.put_str(v)),
                 ColumnView::Date(vs) => vs[off..off + len].iter().for_each(|&v| e.put_i32(v)),
             }
         }
@@ -270,7 +290,7 @@ pub fn decode_table(buf: &[u8]) -> CodecResult<Table> {
             }
             DataType::Int => ColumnData::Int(Vec::with_capacity(n_rows.min(rest / 8))),
             DataType::Float => ColumnData::Float(Vec::with_capacity(n_rows.min(rest / 8))),
-            DataType::Str => ColumnData::Str(Vec::with_capacity(n_rows.min(rest / 4))),
+            DataType::Str => ColumnData::Str(StrColumn::with_capacity(n_rows.min(rest / 4), 0)),
             DataType::Date => ColumnData::Date(Vec::with_capacity(n_rows.min(rest / 4))),
         })
         .collect();
@@ -310,8 +330,11 @@ pub fn decode_table(buf: &[u8]) -> CodecResult<Table> {
                     vs.extend(d.get_run::<8>(rows)?.map(|b| f64::from_bits(u64::from_le_bytes(b))))
                 }
                 ColumnData::Str(vs) => {
+                    // Sized first from the length prefixes: the text is one
+                    // buffer, not a string per cell.
+                    vs.reserve(rows, d.peek_str_bytes(rows)?);
                     for _ in 0..rows {
-                        vs.push(d.get_str()?);
+                        vs.push(d.get_str_ref()?);
                     }
                 }
                 ColumnData::Date(vs) => vs.extend(d.get_run::<4>(rows)?.map(i32::from_le_bytes)),
@@ -414,7 +437,7 @@ mod tests {
                 DataType::Bool => ColumnData::Bool(Vec::with_capacity(n_rows)),
                 DataType::Int => ColumnData::Int(Vec::with_capacity(n_rows)),
                 DataType::Float => ColumnData::Float(Vec::with_capacity(n_rows)),
-                DataType::Str => ColumnData::Str(Vec::with_capacity(n_rows)),
+                DataType::Str => ColumnData::Str(StrColumn::with_capacity(n_rows, 0)),
                 DataType::Date => ColumnData::Date(Vec::with_capacity(n_rows)),
             })
             .collect();
@@ -452,7 +475,7 @@ mod tests {
                     }
                     ColumnData::Str(vs) => {
                         for _ in 0..rows {
-                            vs.push(d.get_str()?);
+                            vs.push(&d.get_str()?);
                         }
                     }
                     ColumnData::Date(vs) => {
@@ -695,6 +718,85 @@ mod tests {
         let hdr = 4 + (4 + 2 + 2) + (4 + 4 + 2) + (4 + 5 + 2) + (4 + 6 + 2) + (4 + 3 + 2);
         bytes[hdr] = bytes[hdr].wrapping_add(1);
         assert!(decode_table(&bytes).is_err());
+    }
+
+    /// Five chunks at the default chunk size: every type, NULLs, empty and
+    /// multibyte strings, a NULL slot over a non-empty placeholder.
+    fn multi_chunk_table() -> Table {
+        let schema = Schema::new(vec![
+            Field::not_null("id", DataType::Int),
+            Field::new("name", DataType::Str),
+            Field::new("score", DataType::Float),
+            Field::new("active", DataType::Bool),
+            Field::new("day", DataType::Date),
+        ])
+        .unwrap()
+        .into_ref();
+        let words = ["", "é", "asia", "€uro", "nordics"];
+        let rows: Vec<Vec<Value>> = (0..9000i64)
+            .map(|i| {
+                let null = |v: Value| if i % 7 == 3 { Value::Null } else { v };
+                vec![
+                    Value::Int(i * 31 - 4000),
+                    null(Value::Str(words[i as usize % 5].repeat(i as usize % 3))),
+                    null(Value::Float(i as f64 / 8.0 - 100.0)),
+                    null(Value::Bool(i % 2 == 0)),
+                    Value::Date(i as i32 - 300),
+                ]
+            })
+            .collect();
+        let t = Table::from_rows(schema.clone(), &rows).unwrap();
+        let mut columns = t.columns().to_vec();
+        let junk = |i: usize| if i % 7 == 3 { "junk" } else { "" };
+        let names = columns[1].strs().iter().enumerate().map(|(i, s)| format!("{s}{}", junk(i)));
+        columns[1] = Column::new(ColumnData::Str(names.collect()), columns[1].validity().cloned());
+        Table::new(schema, columns).unwrap()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The blob format is pinned: the bytes `encode_table` wrote before
+    /// string columns became one buffer, so every store directory written
+    /// since still opens.
+    #[test]
+    fn encode_table_bytes_are_pinned() {
+        const SAMPLE: &str = concat!(
+            "050000000200000069640100040000006e616d6503010500000073636f726502010600000061637469",
+            "766500010300000064617904010300000000000000010000000300000000000000000100000000000000",
+            "feffffffffffffffffffffffffffff7f01050300000061646100000000000000000103000000000000f8",
+            "3f000000000000f0ff0000000000000000010501010364000000fbffffff00000000",
+        );
+        assert_eq!(hex(&encode_table(&sample_table())), SAMPLE);
+        let t = multi_chunk_table();
+        let bytes = encode_table(&t);
+        assert_eq!(
+            (bytes.len(), cv_common::Sig128::of_bytes(&bytes).0),
+            (255_084, 0x7bc4_2679_0050_b8b6_25a9_b8ee_c2ec_c1c9)
+        );
+        assert_identical(&decode_table(&bytes).unwrap(), &t, "multi-chunk round trip");
+        assert_identical(&decode_table_per_value(&bytes).unwrap(), &t, "per-value decoder");
+    }
+
+    /// Each string is UTF-8 on its own or the blob is refused: `C3` and `A9`
+    /// are both invalid alone and `"é"` laid end to end, so a decoder that
+    /// checked only the whole text buffer would accept them and a later
+    /// slice would split a char.
+    #[test]
+    fn strings_valid_only_when_concatenated_are_refused() {
+        assert_eq!(std::str::from_utf8(&[0xC3, 0xA9]), Ok("é"));
+        let schema = Schema::new(vec![Field::new("s", DataType::Str)]).unwrap().into_ref();
+        let t =
+            Table::from_rows(schema, &[vec![Value::Str("q".into())], vec![Value::Str("z".into())]])
+                .unwrap();
+        let mut bytes = encode_table(&t);
+        // The blob ends `01 00 00 00 'q' 01 00 00 00 'z'`.
+        let end = bytes.len();
+        assert_eq!((bytes[end - 6], bytes[end - 1]), (b'q', b'z'));
+        (bytes[end - 6], bytes[end - 1]) = (0xC3, 0xA9);
+        assert_eq!(decode_table(&bytes).err(), Some(CodecError("invalid utf-8")));
+        assert!(decode_table_per_value(&bytes).is_err());
     }
 
     #[test]

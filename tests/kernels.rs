@@ -261,6 +261,47 @@ fn vectorized_eval_matches_scalar_fallback() {
     assert!(checked >= 100, "only {checked} expressions type-checked; generator drifted");
 }
 
+/// A STRING CASE against the scalar loop, byte for byte: overlapping WHENs
+/// (the first TRUE one wins), no ELSE, NULL WHENs, NULL column sources under
+/// taken rows, constant and column THENs, and computed sources.
+#[test]
+fn a_string_case_matches_the_scalar_loop() {
+    let case = |branches: Vec<(ScalarExpr, ScalarExpr)>, else_: Option<ScalarExpr>| {
+        ScalarExpr::Case { branches, else_expr: else_.map(Box::new) }
+    };
+    let shapes = [
+        case(
+            vec![
+                (col("i").gt(lit(0_i64)), col("s")),
+                (col("i").gt(lit(-10_i64)), lit("bb")),
+                (col("b"), col("s")),
+            ],
+            Some(lit("zzz")),
+        ),
+        case(vec![(col("f").gt(lit(0.0)), lit("a")), (col("i").is_null(), col("s"))], None),
+        case(vec![(col("s").eq(lit("a")), lit("zzz"))], Some(col("s"))),
+        case(
+            vec![(col("b"), col("i").cast(DataType::Str)), (col("b").not(), lit(""))],
+            Some(col("f").cast(DataType::Str)),
+        ),
+    ];
+    let mut rng = DetRng::seed(0x5ca5e);
+    for round in 0..24 {
+        let null_rate = [0.0, 0.3, 1.0][round % 3];
+        let t = match round % 2 {
+            0 => random_table(&mut rng, [0, 1, 70][round / 2 % 3], null_rate),
+            _ => edge_table(64, null_rate, &mut rng),
+        };
+        for e in &shapes {
+            let mut off = EvalCtx::new(0);
+            off.vectorized = false;
+            let typed = eval(e, &t, &mut EvalCtx::new(0)).unwrap();
+            assert_eq!(typed.dtype(), DataType::Str, "{e}");
+            assert_columns_identical(&typed, &eval(e, &t, &mut off).unwrap(), &format!("{e}"));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Plan-level differential tests
 // ---------------------------------------------------------------------------
