@@ -45,6 +45,19 @@ impl StrColumn {
         StrColumn { offsets: (0..=n).map(|i| i * s.len()).collect(), text }
     }
 
+    /// Rows from raw parts, as a decoder reads them: `text` is checked as
+    /// UTF-8 once, whole, and `offsets` must start at 0, never decrease, end
+    /// at the text's length and fall on char boundaries. `None` otherwise —
+    /// so two rows `C3` and `A9`, which only laid end to end spell `"é"`,
+    /// are refused.
+    pub fn from_utf8_parts(offsets: Vec<usize>, text: Vec<u8>) -> Option<StrColumn> {
+        let text = String::from_utf8(text).ok()?;
+        let ends = offsets.first() == Some(&0) && offsets.last() == Some(&text.len());
+        let cuts = offsets.windows(2).all(|w| w[0] <= w[1])
+            && offsets.iter().all(|&o| text.is_char_boundary(o));
+        (ends && cuts).then_some(StrColumn { offsets, text })
+    }
+
     /// The rows of `source` at `ids`, a [`PAD`] reading as `""`: one pass
     /// sums the lengths, the second copies into a buffer of exactly that
     /// size.
@@ -368,6 +381,25 @@ mod tests {
         built.push_display(-2.5);
         built.extend_from_view(middle);
         assert!(built.iter().eq(["-2.5", "é", "asia", ""]));
+        let parts = |offsets: &[usize], text: &[u8]| {
+            StrColumn::from_utf8_parts(offsets.to_vec(), text.to_vec())
+        };
+        assert_eq!(
+            parts(&[0, 0, 2, 6], "éasia".as_bytes()).unwrap(),
+            words.view().slice(0..3).to_column()
+        );
+        assert_eq!(parts(&[0], b"").unwrap(), StrColumn::new());
+        for (offsets, text) in [
+            (&[0, 1, 2][..], &[0xC3, 0xA9][..]), // "é" cut inside its char
+            (&[0, 1], &[0xC3][..]),              // not UTF-8
+            (&[1, 2], b"ab"),                    // does not start at 0
+            (&[0, 2, 1, 2], b"ab"),              // decreases
+            (&[0, 1], b"ab"),                    // stops short of the text
+            (&[0, 3], b"ab"),                    // runs past it
+            (&[], b""),                          // no offsets at all
+        ] {
+            assert_eq!(parts(offsets, text), None, "{offsets:?} over {text:?}");
+        }
         let gathered = StrColumn::gather(words.view(), &[4, PAD, 1]);
         assert!(gathered.iter().eq(["€uro", "", "é"]));
         assert_eq!(gathered.view().text_len(), 6 + 2);

@@ -18,8 +18,9 @@
 //! rule.
 //!
 //! Faults: the catalogue owns a [`FaultPlan`] (empty by default) that can
-//! inject write failures, torn-write corruption (caught by a content checksum
-//! on read), read failures, and expiry races. Any read-side failure is
+//! inject write failures, torn-write corruption (caught on read: by the
+//! content checksum under the plan, and by a durable medium's own page check
+//! on a cold read), read failures, and expiry races. Any read-side failure is
 //! reported to the caller so the engine can quarantine the signature and fall
 //! back to recomputing the subexpression — a view must never wrong-answer a
 //! query.
@@ -34,9 +35,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Content checksum of a view: [`content_digest`] of its rows under the
-/// view-checksum domain. Stamped on every sealed view at insert; verified
-/// on every cold read of a durable store and, under an active fault plan,
-/// on hot reads too.
+/// view-checksum domain. Stamped on every sealed view at insert; verified on
+/// every read, hot or cold, under an active fault plan, and on no read
+/// without one. A durable medium verifies cold bytes itself, against the
+/// page CRCs it recorded at seal, before it decodes them.
 pub fn table_checksum(data: &Table) -> u64 {
     content_digest("view-checksum", data).low64()
 }
@@ -57,7 +59,10 @@ pub enum ViewReadFault {
 ///
 /// A disk-backed store distinguishes buffer-pool hits from reads that had to
 /// touch storage; the in-memory store always serves hot. Temperature feeds
-/// the engine's cold-read cost term — it never changes the served rows.
+/// the engine's cold-read cost term — it never changes the served rows, and
+/// it does not decide verification: cold bytes are verified by their medium
+/// as they are read, and the catalogue's row digest runs on every read
+/// under an active fault plan whatever the temperature.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ViewTemperature {
     /// Served entirely from memory (in-memory store, or full page-cache hit).
@@ -383,10 +388,15 @@ impl<P> ViewCatalog<P> {
     /// `Err(fault)` — a read-side failure that must quarantine the
     /// signature before recomputing.
     ///
-    /// Checksum verification reads every value. Cold bytes are always
-    /// verified — a torn or bit-rotted page must be caught even in
-    /// fault-free runs; hot bytes only under an active fault plan, so the
-    /// fault-free hot path pays nothing.
+    /// The rule: cold bytes are verified by their medium before they are
+    /// decoded; the row digest ([`table_checksum`]) runs on every read, hot
+    /// or cold, under an active fault plan. A torn or bit-rotted page, or a
+    /// chain slot that points at another view's page, must be caught in a
+    /// fault-free run too, and `fetch` catches it: a durable medium holds
+    /// every page it reads off disk to the CRC its chain recorded at seal
+    /// and refuses it before decoding. Digesting the decoded rows again
+    /// would read every value a second time, so a fault-free read, hot or
+    /// cold, does not.
     pub fn read<'a, T: Borrow<Table>>(
         &'a self,
         sig: Sig128,
@@ -404,9 +414,7 @@ impl<P> ViewCatalog<P> {
             return Err(ViewReadFault::ExpiryRace);
         }
         let (data, temp) = fetch(payload)?;
-        if (temp == ViewTemperature::Cold || !self.faults.is_empty())
-            && meta.checksum != table_checksum(data.borrow())
-        {
+        if !self.faults.is_empty() && meta.checksum != table_checksum(data.borrow()) {
             return Err(ViewReadFault::Corrupt);
         }
         self.views_reused.fetch_add(1, Ordering::Relaxed);

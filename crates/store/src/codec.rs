@@ -140,28 +140,37 @@ impl<'a> Dec<'a> {
     }
 
     pub fn get_str(&mut self) -> CodecResult<String> {
-        self.get_str_ref().map(str::to_string)
-    }
-
-    /// The next length-prefixed string, borrowed from the buffer: each
-    /// string is checked as UTF-8 on its own, so a run of strings that is
-    /// valid only laid end to end is refused.
-    fn get_str_ref(&mut self) -> CodecResult<&'a str> {
         let len = self.get_u32()? as usize;
-        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError("invalid utf-8"))
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError("invalid utf-8"))
     }
 
-    /// The text bytes of the next `n` length-prefixed strings, found by
-    /// their prefixes without moving the cursor.
-    fn peek_str_bytes(&self, n: usize) -> CodecResult<usize> {
-        let mut probe = Dec { buf: self.buf, pos: self.pos };
-        let mut total = 0;
+    /// Append the next `n` length-prefixed strings to a string column's raw
+    /// parts: their bytes to `text`, the offset where each ends to
+    /// `offsets`. One walk over the prefixes sizes `text`, a second copies
+    /// the bytes. Nothing is checked as UTF-8 here; the caller checks the
+    /// whole text once ([`StrColumn::from_utf8_parts`]).
+    fn get_str_run(
+        &mut self,
+        n: usize,
+        offsets: &mut Vec<usize>,
+        text: &mut Vec<u8>,
+    ) -> CodecResult<()> {
+        let start = self.pos;
+        let mut end = text.len();
         for _ in 0..n {
-            let len = probe.get_u32()? as usize;
-            probe.take(len)?;
-            total += len;
+            let len = self.get_u32()? as usize;
+            self.take(len)?;
+            end += len;
+            offsets.push(end);
         }
-        Ok(total)
+        text.reserve(end - text.len());
+        let mut run = Dec::new(&self.buf[start..self.pos]);
+        while !run.is_done() {
+            let len = run.get_u32()? as usize;
+            text.extend_from_slice(run.take(len)?);
+        }
+        Ok(())
     }
 
     pub fn get_bytes(&mut self, n: usize) -> CodecResult<&'a [u8]> {
@@ -252,10 +261,12 @@ pub fn encode_table_chunked(t: &Table, chunk_size: usize) -> Vec<u8> {
 /// Inverse of [`encode_table`]: concatenates the chunk sections back into
 /// whole columns, each section's fixed-width run converted in one pass and
 /// its validity bytes appended to the column's bitmap a word at a time. A
-/// column's validity presence is preserved exactly — if any chunk carries a
-/// bitmap the reassembled column does too (flag-0 chunks contribute
-/// all-valid runs), so the round trip is byte-faithful even for
-/// non-canonical all-true bitmaps.
+/// string column's bytes are appended to one text buffer, chunk after
+/// chunk, and the buffer is checked as UTF-8 once, at the end, with every
+/// string's offset on a char boundary. A column's validity presence is
+/// preserved exactly — if any chunk carries a bitmap the reassembled column
+/// does too (flag-0 chunks contribute all-valid runs), so the round trip is
+/// byte-faithful even for non-canonical all-true bitmaps.
 ///
 /// Total over arbitrary bytes: every run is bounds-checked before it is
 /// read, and no buffer is sized from a count the remaining bytes could not
@@ -290,8 +301,21 @@ pub fn decode_table(buf: &[u8]) -> CodecResult<Table> {
             }
             DataType::Int => ColumnData::Int(Vec::with_capacity(n_rows.min(rest / 8))),
             DataType::Float => ColumnData::Float(Vec::with_capacity(n_rows.min(rest / 8))),
-            DataType::Str => ColumnData::Str(StrColumn::with_capacity(n_rows.min(rest / 4), 0)),
+            // Filled from `strs` once every chunk is in.
+            DataType::Str => ColumnData::Str(StrColumn::new()),
             DataType::Date => ColumnData::Date(Vec::with_capacity(n_rows.min(rest / 4))),
+        })
+        .collect();
+    // A string column's raw parts, `(offsets, text)`: empty for other types.
+    let mut strs: Vec<(Vec<usize>, Vec<u8>)> = fields
+        .iter()
+        .map(|f| match f.dtype {
+            DataType::Str => {
+                let mut offsets = Vec::with_capacity(n_rows.min(rest / 4) + 1);
+                offsets.push(0);
+                (offsets, Vec::new())
+            }
+            _ => (Vec::new(), Vec::new()),
         })
         .collect();
     let mut decoded_rows = 0usize;
@@ -329,13 +353,9 @@ pub fn decode_table(buf: &[u8]) -> CodecResult<Table> {
                 ColumnData::Float(vs) => {
                     vs.extend(d.get_run::<8>(rows)?.map(|b| f64::from_bits(u64::from_le_bytes(b))))
                 }
-                ColumnData::Str(vs) => {
-                    // Sized first from the length prefixes: the text is one
-                    // buffer, not a string per cell.
-                    vs.reserve(rows, d.peek_str_bytes(rows)?);
-                    for _ in 0..rows {
-                        vs.push(d.get_str_ref()?);
-                    }
+                ColumnData::Str(_) => {
+                    let (offsets, text) = &mut strs[i];
+                    d.get_str_run(rows, offsets, text)?;
                 }
                 ColumnData::Date(vs) => vs.extend(d.get_run::<4>(rows)?.map(i32::from_le_bytes)),
             }
@@ -347,7 +367,16 @@ pub fn decode_table(buf: &[u8]) -> CodecResult<Table> {
     if !d.is_done() {
         return Err(CodecError("trailing bytes after table"));
     }
-    let columns = datas.into_iter().zip(validity).map(|(data, v)| Column::new(data, v)).collect();
+    let mut columns = Vec::with_capacity(n_fields);
+    for ((data, v), (offsets, text)) in datas.into_iter().zip(validity).zip(strs) {
+        let data = match data {
+            ColumnData::Str(_) => ColumnData::Str(
+                StrColumn::from_utf8_parts(offsets, text).ok_or(CodecError("invalid utf-8"))?,
+            ),
+            data => data,
+        };
+        columns.push(Column::new(data, v));
+    }
     let schema = Schema::new_unchecked(fields).into_ref();
     Table::new(schema, columns).map_err(|_| CodecError("table validation failed"))
 }
@@ -781,8 +810,8 @@ mod tests {
 
     /// Each string is UTF-8 on its own or the blob is refused: `C3` and `A9`
     /// are both invalid alone and `"é"` laid end to end, so a decoder that
-    /// checked only the whole text buffer would accept them and a later
-    /// slice would split a char.
+    /// checked the whole text buffer but not that every offset falls on a
+    /// char boundary would accept them and a later slice would split a char.
     #[test]
     fn strings_valid_only_when_concatenated_are_refused() {
         assert_eq!(std::str::from_utf8(&[0xC3, 0xA9]), Ok("é"));

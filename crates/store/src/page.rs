@@ -44,6 +44,15 @@ pub fn frame_page(page_id: u64, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
+/// The payload CRC a framed page's header records (`None` for a buffer
+/// shorter than a header). A view's page chain records each of its pages'
+/// CRCs at seal, so a page read back can be held to the one its chain was
+/// sealed with before its payload is hashed at all.
+pub fn frame_crc(frame: &[u8]) -> Option<u64> {
+    let crc = frame.get(PAGE_HEADER - 8..PAGE_HEADER)?;
+    Some(u64::from_le_bytes(crc.try_into().ok()?))
+}
+
 /// Validate a raw page buffer and cut it down, in place, to its payload.
 pub fn unframe_page(page_id: u64, mut buf: Vec<u8>) -> Option<Vec<u8>> {
     if buf.len() != PAGE_SIZE {
@@ -143,6 +152,8 @@ mod tests {
         let payload = vec![7u8; 1000];
         let buf = frame_page(3, &payload);
         assert_eq!(buf.len(), PAGE_SIZE);
+        assert_eq!(frame_crc(&buf), Some(page_crc(&payload)));
+        assert_eq!(frame_crc(&buf[..PAGE_HEADER - 1]), None);
         assert_eq!(unframe_page(3, buf.clone()).unwrap(), payload);
         // Wrong slot id (misdirected write) is rejected.
         assert!(unframe_page(4, buf).is_none());

@@ -40,10 +40,11 @@
 
 use crate::cache::PageCache;
 use crate::codec::{decode_table, encode_table, Dec, Enc};
-use crate::page::{chunk_payload, frame_page, unframe_page, PageFile, PAGE_SIZE};
+use crate::page::{chunk_payload, frame_crc, frame_page, unframe_page, PageFile, PAGE_SIZE};
 use crate::wal::{
     decode_meta, decode_wal_header, encode_meta, encode_record, encode_wal_header, frame_record,
     record_crc, scan_records, DurableViewMeta, PageChain, WalRecord, REC_HEADER, WAL_HEADER,
+    WAL_MAGIC,
 };
 use cv_common::{CvError, FaultPlan, FaultPoint, Result, Sig128, SimDuration, SimTime};
 use cv_data::sharded::{DirShard, Shard, ShardSet};
@@ -58,10 +59,37 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-const CKPT_MAGIC: u64 = 0x4356_434b_5054_3031; // "CVCKPT01"
+/// Format v2, like the log's [`WAL_MAGIC`]: its entries' page chains carry
+/// CRCs.
+const CKPT_MAGIC: u64 = 0x4356_434b_5054_3032; // "CVCKPT02"
+
+/// What `ViewCorrupt` does to a chain CRC it forges.
+const FORGED_CRC: u64 = 0xdead_beef_dead_beef;
 
 fn io_err(e: std::io::Error) -> CvError {
     CvError::internal(format!("store io: {e}"))
+}
+
+/// Refuse `file` if it starts with `magic` under another format version (a
+/// magic's last byte is its version). Checked before recovery touches
+/// anything, so a directory written in another format is refused whole and
+/// left as it was — never read as damage, which would reset its log or
+/// quarantine its views one by one. A torn or foreign header is not a
+/// version and is left to recovery.
+fn check_format(file: &str, bytes: &[u8], magic: u64) -> Result<()> {
+    let Some(head) = bytes.first_chunk::<8>() else {
+        return Ok(());
+    };
+    let found = u64::from_le_bytes(*head);
+    if found != magic && found >> 8 == magic >> 8 {
+        let version = |m: u64| char::from(m as u8);
+        return Err(CvError::constraint(format!(
+            "unsupported store format: {file} is store format v{}, this build reads v{} only",
+            version(found),
+            version(magic)
+        )));
+    }
+    Ok(())
 }
 
 /// Tuning knobs for a [`DurableViewStore`].
@@ -168,6 +196,7 @@ impl Inner {
         let mut found_checkpoint = false;
         if ckpt_path.exists() {
             let bytes = fs::read(&ckpt_path).map_err(io_err)?;
+            check_format("checkpoint.dat", &bytes, CKPT_MAGIC)?;
             ckpt_epoch = replay_checkpoint(&bytes, &mut catalog)
                 .ok_or_else(|| CvError::internal("corrupt checkpoint.dat"))?;
             found_checkpoint = true;
@@ -183,6 +212,7 @@ impl Inner {
             .map_err(io_err)?;
         let mut bytes = Vec::new();
         wal_file.read_to_end(&mut bytes).map_err(io_err)?;
+        check_format("wal.log", &bytes, WAL_MAGIC)?;
         let mut replayed = 0u64;
         let mut skipped = 0u64;
         let wal_len = match decode_wal_header(&bytes) {
@@ -291,8 +321,11 @@ impl Inner {
         Ok(())
     }
 
-    fn write_page(&mut self, slot: u64, payload: &[u8]) -> Result<()> {
+    /// Frame and write one page, returning the payload CRC its frame
+    /// carries, for the view's chain.
+    fn write_page(&mut self, slot: u64, payload: &[u8]) -> Result<u64> {
         let buf = frame_page(slot, payload);
+        let crc = frame_crc(&buf).ok_or_else(|| CvError::internal("page frame without header"))?;
         let res = durable_write(
             &mut self.pages.file,
             slot * PAGE_SIZE as u64,
@@ -306,7 +339,7 @@ impl Inner {
             }
             return Err(e);
         }
-        Ok(())
+        Ok(crc)
     }
 
     fn insert(&mut self, view: MaterializedView) -> Result<()> {
@@ -319,25 +352,36 @@ impl Inner {
         let blob = encode_table(&view.data);
         let chunks = chunk_payload(&blob);
         let slots: Vec<u64> = chunks.iter().map(|_| self.pages.alloc()).collect();
-        let entry = (meta, PageChain { pages: slots.clone(), blob_len: blob.len() as u64 });
-        let written: Result<()> = (|| {
+        // A torn write on this medium: the chain records CRCs its pages do
+        // not carry, so the first cold read refuses them (the catalogue
+        // forged the row checksum too, for reads of pages still resident).
+        let forged = self.catalog.fires(FaultPoint::ViewCorrupt, meta.strict_sig);
+        let written: Result<DurableViewMeta> = (|| {
+            let mut crcs = Vec::with_capacity(slots.len());
             for (slot, chunk) in slots.iter().zip(&chunks) {
-                self.write_page(*slot, chunk)?;
+                let crc = self.write_page(*slot, chunk)?;
+                crcs.push(if forged { crc ^ FORGED_CRC } else { crc });
             }
-            self.append_wal(&WalRecord::ViewCommit(entry.clone()))
+            let chain = PageChain { pages: slots.clone(), crcs, blob_len: blob.len() as u64 };
+            let entry = (meta, chain);
+            self.append_wal(&WalRecord::ViewCommit(entry.clone()))?;
+            Ok(entry)
         })();
-        if let Err(e) = written {
-            // Nothing committed: hand the slots back (after a crash the
-            // rebuilt free list reclaims them anyway).
-            for s in &slots {
-                self.pages.release(*s);
+        let (meta, chain) = match written {
+            Ok(entry) => entry,
+            Err(e) => {
+                // Nothing committed: hand the slots back (after a crash the
+                // rebuilt free list reclaims them anyway).
+                for s in &slots {
+                    self.pages.release(*s);
+                }
+                return Err(e);
             }
-            return Err(e);
-        }
+        };
         for (slot, chunk) in slots.iter().zip(&chunks) {
             self.cache.insert(*slot, chunk.to_vec());
         }
-        self.catalog.publish(entry.0, entry.1);
+        self.catalog.publish(meta, chain);
         self.maybe_checkpoint()
     }
 
@@ -354,10 +398,11 @@ impl Inner {
         let Inner { catalog, pages, cache, io, .. } = self;
         let served = catalog.read(sig, now, |chain| fetch(pages, cache, io, chain));
         if let (Err(ViewReadFault::Corrupt), Some((_, chain))) = (&served, catalog.get(sig)) {
-            // Pages enter the buffer pool before the view is verified. A
-            // view that failed the check must not be hot on the next read:
-            // a hot read under an empty fault plan skips verification and
-            // would serve it.
+            // A disk page enters the buffer pool once its own checks pass,
+            // before the whole view's (blob length, decode and, under a
+            // fault plan, the row digest). A view that failed one must not
+            // be hot on the next read: a hot read under an empty fault plan
+            // verifies nothing and would serve it.
             for &slot in &chain.pages {
                 cache.invalidate(slot);
             }
@@ -429,8 +474,15 @@ impl Inner {
 }
 
 /// Assemble a view's blob from its pages (buffer pool first, disk
-/// otherwise) and decode it. Reports whether any page came from disk; the
-/// catalogue checks the rows against the entry's checksum.
+/// otherwise) and decode it, reporting whether any page came from disk.
+///
+/// This is where cold bytes are verified, once, before they are decoded: a
+/// page read from disk must carry the CRC its chain recorded at seal (a slot
+/// that now holds another view's page, or a forged chain, fails here), must
+/// be framed for its slot, and its payload must hash to that CRC. Only then
+/// does it enter the buffer pool. The assembled blob must have the sealed
+/// length and decode. The catalogue re-digests the rows only under an
+/// active fault plan.
 fn fetch(
     pages: &PageFile,
     cache: &mut PageCache,
@@ -439,7 +491,7 @@ fn fetch(
 ) -> std::result::Result<(Table, ViewTemperature), ViewReadFault> {
     let mut blob = Vec::with_capacity(chain.blob_len as usize);
     let mut temp = ViewTemperature::Hot;
-    for &slot in &chain.pages {
+    for (&slot, &crc) in chain.pages.iter().zip(&chain.crcs) {
         if let Some(bytes) = cache.get(slot) {
             io.page_cache_hits += 1;
             blob.extend_from_slice(bytes);
@@ -452,6 +504,9 @@ fn fetch(
             Ok(None) => return Err(ViewReadFault::Corrupt),
             Ok(Some(raw)) => raw,
         };
+        if frame_crc(&raw) != Some(crc) {
+            return Err(ViewReadFault::Corrupt);
+        }
         let Some(payload) = unframe_page(slot, raw) else {
             return Err(ViewReadFault::Corrupt);
         };

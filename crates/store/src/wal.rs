@@ -28,7 +28,9 @@ use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{Sig128, SimTime, StableHasher};
 use cv_data::viewstore::{StoredViewMeta, ViewMutation};
 
-pub const WAL_MAGIC: u64 = 0x4356_5741_4c4f_4731; // "CVWALOG1"
+/// Format v2: a view commit's page chain carries each page's CRC. The last
+/// byte of a magic is its format version, so `CVWALOG1` is a v1 log.
+pub const WAL_MAGIC: u64 = 0x4356_5741_4c4f_4732; // "CVWALOG2"
 pub const WAL_HEADER: usize = 16;
 pub const REC_MAGIC: u32 = 0x4356_5243; // "CVRC"
 pub const REC_HEADER: usize = 16;
@@ -39,12 +41,16 @@ pub fn record_crc(payload: &[u8]) -> u64 {
     h.finish64()
 }
 
-/// Where a committed view's encoded table lives: the durable medium's
-/// catalogue payload.
+/// Where a committed view's encoded table lives, and what its pages held
+/// when it was sealed: the durable medium's catalogue payload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PageChain {
     /// Page slots holding the encoded table, in payload order.
     pub pages: Vec<u64>,
+    /// The payload CRC each of those pages was framed with at seal, one per
+    /// page: a page read back from disk must carry the same one, so a slot
+    /// that now holds another view's page is refused before it is decoded.
+    pub crcs: Vec<u64>,
     /// Total encoded-table length (the page payloads concatenate to this).
     pub blob_len: u64,
 }
@@ -70,8 +76,9 @@ pub fn encode_meta(e: &mut Enc, (m, chain): &DurableViewMeta) {
     e.put_f64(m.observed_work);
     e.put_u64(m.checksum);
     e.put_u32(chain.pages.len() as u32);
-    for p in &chain.pages {
-        e.put_u64(*p);
+    for (&slot, &crc) in chain.pages.iter().zip(&chain.crcs) {
+        e.put_u64(slot);
+        e.put_u64(crc);
     }
     e.put_u64(chain.blob_len);
 }
@@ -85,17 +92,21 @@ pub fn decode_meta(d: &mut Dec<'_>) -> CodecResult<DurableViewMeta> {
     let expires = SimTime(d.get_f64()?);
     let creator_job = JobId(d.get_u64()?);
     let vc = VcId(d.get_u64()?);
+    // Counts come off disk: no vector is sized beyond what the remaining
+    // bytes could hold (16 bytes a guid, 16 a page).
     let n_guids = d.get_u32()? as usize;
-    let mut input_guids = Vec::with_capacity(n_guids);
+    let mut input_guids = Vec::with_capacity(n_guids.min(d.remaining() / 16));
     for _ in 0..n_guids {
         input_guids.push(VersionGuid(d.get_u128()?));
     }
     let observed_work = d.get_f64()?;
     let checksum = d.get_u64()?;
     let n_pages = d.get_u32()? as usize;
-    let mut pages = Vec::with_capacity(n_pages);
+    let mut pages = Vec::with_capacity(n_pages.min(d.remaining() / 16));
+    let mut crcs = Vec::with_capacity(pages.capacity());
     for _ in 0..n_pages {
         pages.push(d.get_u64()?);
+        crcs.push(d.get_u64()?);
     }
     let blob_len = d.get_u64()?;
     let meta = StoredViewMeta {
@@ -111,7 +122,7 @@ pub fn decode_meta(d: &mut Dec<'_>) -> CodecResult<DurableViewMeta> {
         observed_work,
         checksum,
     };
-    Ok((meta, PageChain { pages, blob_len }))
+    Ok((meta, PageChain { pages, crcs, blob_len }))
 }
 
 /// One logged mutation: a view commit, or an operational mutation of the
@@ -275,7 +286,7 @@ mod tests {
             observed_work: 12.5,
             checksum: 0xabcd,
         };
-        (meta, PageChain { pages: vec![0, 3, 7], blob_len: 20000 })
+        (meta, PageChain { pages: vec![0, 3, 7], crcs: vec![11, 12, 13], blob_len: 20000 })
     }
 
     fn all_records() -> Vec<WalRecord> {
@@ -346,6 +357,26 @@ mod tests {
             assert_eq!(scan.records[..], recs[..expect_n], "cut at {cut}");
             assert_eq!(scan.valid_len, boundaries[expect_n], "cut at {cut}");
             assert_eq!(scan.skipped, 0);
+        }
+    }
+
+    /// A record whose CRC holds but whose counts do not: every count read off
+    /// disk is bounded by the bytes left, so a claim of `u32::MAX` guids or
+    /// pages is a decode error (and a skipped frame), not a 64 GiB
+    /// allocation.
+    #[test]
+    fn a_count_the_record_cannot_hold_is_an_error_not_an_allocation() {
+        let payload = encode_record(&WalRecord::ViewCommit(meta(1)));
+        // Tag, two signatures and six 8-byte fields, then the guid count;
+        // after two guids, observed work and checksum, the page count.
+        let (guids_at, pages_at) = (1 + 32 + 48, 1 + 32 + 48 + 4 + 32 + 16);
+        for (at, count) in [(guids_at, 2u32), (pages_at, 3)] {
+            let mut bad = payload.clone();
+            assert_eq!(bad[at..at + 4], count.to_le_bytes(), "count at {at}");
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(decode_record(&bad), Err(CodecError("truncated")), "count at {at}");
+            let scan = scan_records(&frame_record(&bad));
+            assert_eq!((scan.records.len(), scan.skipped), (0, 1), "count at {at}");
         }
     }
 

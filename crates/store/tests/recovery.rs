@@ -329,39 +329,93 @@ fn corrupt_page_on_disk_is_caught_without_a_fault_plan() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One filter job over a 400-row table: its recompute plan and its result
+/// without reuse.
+struct FilterJob {
+    engine: cv_engine::engine::QueryEngine,
+    recompute: cv_engine::physical::PhysicalPlan,
+    no_reuse: Table,
+}
+
+impl FilterJob {
+    fn new() -> FilterJob {
+        use cv_engine::sql::Params;
+        let mut engine = cv_engine::engine::QueryEngine::new();
+        let schema =
+            Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Str)]);
+        let rows: Vec<Vec<Value>> =
+            (0..400).map(|i| vec![Value::Int(i % 7), Value::Str(format!("row-{i}"))]).collect();
+        let fact = Table::from_rows(schema.unwrap().into_ref(), &rows).unwrap();
+        engine.catalog.register("fact", fact, SimTime::EPOCH).unwrap();
+        let logical =
+            engine.compile_sql("SELECT k, v FROM fact WHERE k > 2", &Params::none()).unwrap();
+        let stats = |name: &str| {
+            engine.catalog.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64))
+        };
+        let recompute = engine.optimizer.to_physical(&logical, &stats).unwrap();
+        let views = cv_data::viewstore::ViewStore::with_default_ttl();
+        let no_reuse = run_job(&engine, &recompute, &views).table;
+        FilterJob { engine, recompute, no_reuse }
+    }
+
+    fn run(
+        &self,
+        plan: &cv_engine::physical::PhysicalPlan,
+        views: &dyn ViewSource,
+    ) -> cv_engine::exec::ExecOutcome {
+        run_job(&self.engine, plan, views)
+    }
+
+    /// The job reading its result as view `sig`, recomputing if the read
+    /// fails.
+    fn scan(&self, sig: u128) -> cv_engine::physical::PhysicalPlan {
+        cv_engine::physical::PhysicalPlan::ViewScan {
+            sig: Sig128(sig),
+            schema: self.no_reuse.schema().clone(),
+            est: cv_engine::stats::Statistics::accurate(1.0, 1.0),
+            partitions: 1,
+            fallback: Some(Box::new(self.recompute.clone())),
+        }
+    }
+
+    /// The job's result sealed as view `sig`.
+    fn sealed(&self, sig: u128, data: Table) -> MaterializedView {
+        let mut sealed = view(sig, 1, 42, SimTime::EPOCH, 0);
+        sealed.schema = data.schema().clone();
+        sealed.data = data;
+        sealed
+    }
+}
+
+fn run_job(
+    engine: &cv_engine::engine::QueryEngine,
+    plan: &cv_engine::physical::PhysicalPlan,
+    views: &dyn ViewSource,
+) -> cv_engine::exec::ExecOutcome {
+    use cv_engine::exec::{execute, ExecContext};
+    let mut ctx = ExecContext::new(&engine.catalog, views, &engine.udos, SimTime::EPOCH);
+    execute(plan, &mut ctx, &engine.optimizer.cfg.cost).unwrap()
+}
+
+fn digest(t: &Table) -> cv_common::Sig128 {
+    cv_data::content_digest("result-digest", t)
+}
+
 /// What a job sees of a view the store can no longer vouch for, fault plan
 /// or none: the cold read reports `Corrupt`, the executor names the
 /// signature for quarantine and recomputes, and the result is the no-reuse
-/// run's, digest for digest. Two ways to get there: a byte of `pages.dat`
-/// flipped on disk (`flip`), and a stored checksum the content digest does
-/// not reproduce — a store written before the digest changed — forged the
-/// way `ViewCorrupt` forges one.
+/// run's, digest for digest. Two ways to get there, both caught by the
+/// medium as it reads the page, before anything is decoded: a byte of
+/// `pages.dat` flipped on disk (`flip`), which fails the page's own CRC, and
+/// a view sealed under `ViewCorrupt`, whose chain records CRCs its pages do
+/// not carry.
 #[test]
 fn a_view_that_fails_its_cold_read_check_degrades_to_recompute() {
     use cv_common::FaultPoint;
-    use cv_engine::engine::QueryEngine;
-    use cv_engine::exec::{execute, ExecContext};
-    use cv_engine::physical::PhysicalPlan;
-    use cv_engine::sql::Params;
 
-    let mut engine = QueryEngine::new();
-    let schema = Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Str)]);
-    let rows: Vec<Vec<Value>> =
-        (0..400).map(|i| vec![Value::Int(i % 7), Value::Str(format!("row-{i}"))]).collect();
-    let fact = Table::from_rows(schema.unwrap().into_ref(), &rows).unwrap();
-    engine.catalog.register("fact", fact, SimTime::EPOCH).unwrap();
-    let logical = engine.compile_sql("SELECT k, v FROM fact WHERE k > 2", &Params::none()).unwrap();
-    let stats = |name: &str| {
-        engine.catalog.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64))
-    };
-    let recompute = engine.optimizer.to_physical(&logical, &stats).unwrap();
-    let run = |plan: &PhysicalPlan, views: &dyn ViewSource| {
-        let mut ctx = ExecContext::new(&engine.catalog, views, &engine.udos, SimTime::EPOCH);
-        execute(plan, &mut ctx, &engine.optimizer.cfg.cost).unwrap()
-    };
+    let job = FilterJob::new();
     let ttl = SimDuration::from_days(7.0);
-    let no_reuse = run(&recompute, &cv_data::viewstore::ViewStore::with_default_ttl());
-    let digest = |t: &Table| cv_data::content_digest("result-digest", t);
+    let no_reuse = &job.no_reuse;
 
     for flip in [true, false] {
         let dir = temp_dir("degrade");
@@ -369,10 +423,7 @@ fn a_view_that_fails_its_cold_read_check_degrades_to_recompute() {
         if !flip {
             store.set_fault_plan(FaultPlan::seeded(1).with_rate(FaultPoint::ViewCorrupt, 1.0));
         }
-        let mut sealed = view(77, 1, 42, SimTime::EPOCH, 0);
-        sealed.schema = no_reuse.table.schema().clone();
-        sealed.data = no_reuse.table.clone();
-        store.insert(sealed).unwrap();
+        store.insert(job.sealed(77, no_reuse.clone())).unwrap();
         drop(store);
         if flip {
             let pages = dir.join("pages.dat");
@@ -383,18 +434,11 @@ fn a_view_that_fails_its_cold_read_check_degrades_to_recompute() {
         // Reopened: nothing is resident, no fault plan is installed.
         let store = DurableViewStore::open(&dir, ttl, small_opts()).unwrap();
         assert!(store.fault_plan().is_empty());
-        let scan = PhysicalPlan::ViewScan {
-            sig: Sig128(77),
-            schema: no_reuse.table.schema().clone(),
-            est: cv_engine::stats::Statistics::accurate(1.0, 1.0),
-            partitions: 1,
-            fallback: Some(Box::new(recompute.clone())),
-        };
-        let out = run(&scan, &store);
+        let out = job.run(&job.scan(77), &store);
         assert_eq!(out.metrics.view_corruptions, 1, "flip {flip}");
         assert_eq!(out.metrics.fallbacks_recompute, 1, "flip {flip}");
         assert_eq!(out.metrics.quarantined_sigs, vec![Sig128(77)], "flip {flip}");
-        assert_eq!(digest(&out.table), digest(&no_reuse.table), "flip {flip}");
+        assert_eq!(digest(&out.table), digest(no_reuse), "flip {flip}");
         // The driver's half: quarantine sticks, the view is gone for good.
         assert!(store.quarantine(Sig128(77)).unwrap());
         assert!(matches!(store.read_view(Sig128(77), SimTime::EPOCH), Ok(None)));
@@ -402,15 +446,88 @@ fn a_view_that_fails_its_cold_read_check_degrades_to_recompute() {
     }
 }
 
+/// A chain slot that points at another view's live page (say, a slot
+/// reused under a stale chain). The page there is framed for that slot,
+/// the two views have one encoded length and the page decodes, so framing,
+/// blob length and decode all pass; only the CRC the chain recorded at
+/// seal tells the pages apart. A fault-free cold read reports `Corrupt`, caches
+/// nothing, and the job recomputes to the no-reuse digest.
+#[test]
+fn a_chain_slot_pointing_at_another_views_page_is_refused() {
+    use cv_data::viewstore::ViewReadFault;
+    use cv_store::wal::{encode_record, frame_record, scan_records, WalRecord, WAL_HEADER};
+
+    let job = FilterJob::new();
+    let ttl = SimDuration::from_days(7.0);
+    // View 77 is the job's result; view 78 the same rows with `k` negated:
+    // the same shape and encoded length, other content.
+    let negated: Vec<Vec<Value>> = (job.no_reuse.to_rows().into_iter())
+        .map(|row| match &row[..] {
+            [Value::Int(k), v] => vec![Value::Int(-k), v.clone()],
+            other => panic!("unexpected row {other:?}"),
+        })
+        .collect();
+    let other = Table::from_rows(job.no_reuse.schema().clone(), &negated).unwrap();
+    assert_ne!(digest(&other), digest(&job.no_reuse));
+
+    let dir = temp_dir("misdirected");
+    let store = DurableViewStore::open(&dir, ttl, small_opts()).unwrap();
+    store.insert(job.sealed(77, job.no_reuse.clone())).unwrap();
+    store.insert(job.sealed(78, other.clone())).unwrap();
+    drop(store);
+
+    // Rewrite the log with 77's chain pointing at 78's pages; 77 keeps its
+    // own CRCs and blob length.
+    let wal = dir.join("wal.log");
+    let bytes = std::fs::read(&wal).unwrap();
+    let mut records = scan_records(&bytes[WAL_HEADER..]).records;
+    let chain = |records: &[WalRecord], sig: u128| {
+        let commit = records.iter().find_map(|r| match r {
+            WalRecord::ViewCommit((m, chain)) if m.strict_sig == Sig128(sig) => Some(chain),
+            _ => None,
+        });
+        commit.unwrap().clone()
+    };
+    let (ours, theirs) = (chain(&records, 77), chain(&records, 78));
+    assert_eq!(ours.blob_len, theirs.blob_len, "the blob length would catch it");
+    assert_ne!(ours.pages, theirs.pages);
+    for rec in &mut records {
+        if let WalRecord::ViewCommit((m, chain)) = rec {
+            if m.strict_sig == Sig128(77) {
+                chain.pages = theirs.pages.clone();
+            }
+        }
+    }
+    let mut log = bytes[..WAL_HEADER].to_vec();
+    records.iter().for_each(|rec| log.extend(frame_record(&encode_record(rec))));
+    std::fs::write(&wal, log).unwrap();
+
+    let store = DurableViewStore::open(&dir, ttl, small_opts()).unwrap();
+    assert!(store.fault_plan().is_empty());
+    assert_eq!(store.read_view(Sig128(77), SimTime::EPOCH).err(), Some(ViewReadFault::Corrupt));
+    assert!(!store.is_resident(Sig128(77)), "a refused page entered the buffer pool");
+    let out = job.run(&job.scan(77), &store);
+    assert_eq!(store.io_stats().page_cache_hits, 0, "the second read was hot");
+    assert_eq!(out.metrics.view_corruptions, 1);
+    assert_eq!(out.metrics.fallbacks_recompute, 1);
+    assert_eq!(out.metrics.quarantined_sigs, vec![Sig128(77)]);
+    assert_eq!(digest(&out.table), digest(&job.no_reuse));
+    // The page itself is sound: its own view still serves it.
+    let served = store.read_view(Sig128(78), SimTime::EPOCH).unwrap().unwrap();
+    assert_eq!(served.canonical_rows(), other.canonical_rows());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A view that fails verification must not be served hot. Its pages enter
-/// the buffer pool while the cold read assembles the blob, before any
-/// whole-view check; left there, a second read before the driver's
-/// quarantine would be hot and — with no fault plan — skip verification.
-/// Three kinds of damage that page framing (magic, slot, length, CRC) lets
-/// through, each caught by one whole-view check only: a page re-framed
-/// around a shorter payload (blob length), around same-length garbage
-/// (decode), and intact pages under a stored checksum the content does not
-/// reproduce (content checksum, forged the way `ViewCorrupt` forges one).
+/// the buffer pool only once they pass the medium's page checks; left there
+/// after a later whole-view check failed, a second read before the driver's
+/// quarantine would be hot and — with no fault plan — verify nothing. Three
+/// kinds of damage that page framing (magic, slot, length, own CRC) lets
+/// through, all three refused by the CRC the chain recorded at seal,
+/// before the page is cached or decoded: a page re-framed around a shorter
+/// payload (the blob length would catch it next), around same-length
+/// garbage (the decoder would), and intact pages under the forged chain
+/// CRCs and row checksum of a view sealed under `ViewCorrupt`.
 #[test]
 fn a_view_that_fails_verification_is_not_served_hot() {
     use cv_common::FaultPoint;
@@ -455,6 +572,33 @@ fn a_view_that_fails_verification_is_not_served_hot() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A directory written in store format v1, whose page chains carry no CRCs,
+/// is refused at `open` with a named error and left as it was: never read
+/// as a torn log (which would reset it) or as damaged views (which would be
+/// quarantined one by one).
+#[test]
+fn a_v1_store_directory_is_refused_at_open() {
+    let ttl = SimDuration::from_days(7.0);
+    // The v1 headers: "CVWALOG1" with epoch 1, and "CVCKPT01".
+    let wal_v1 = [0x4356_5741_4c4f_4731u64, 1].map(u64::to_le_bytes).concat();
+    let ckpt_v1 = [0x4356_434b_5054_3031u64, 0, 0].map(u64::to_le_bytes).concat();
+    for (file, header) in [("wal.log", wal_v1), ("checkpoint.dat", ckpt_v1)] {
+        let dir = temp_dir("format-v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(file), &header).unwrap();
+        let err = DurableViewStore::open(&dir, ttl, small_opts()).unwrap_err();
+        assert_eq!(err.kind(), "constraint", "{file}: {err}");
+        assert!(err.to_string().contains(&format!("{file} is store format v1")), "{err}");
+        assert_eq!(std::fs::read(dir.join(file)).unwrap(), header, "{file} was rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    // A current store in the same place opens, and reopens.
+    let dir = temp_dir("format-v2");
+    DurableViewStore::open(&dir, ttl, small_opts()).unwrap().checkpoint_now().unwrap();
+    assert!(DurableViewStore::open(&dir, ttl, small_opts()).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
