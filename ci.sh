@@ -83,9 +83,10 @@ code() {
 }
 count() { code "$@" | wc -l; }
 
-echo "==> serving paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,sort}.rs, expr/kernels.rs, data/{sortkey,codes,strs,viewstore,sharded}.rs, store/src, service/src, workload/src/{driver,service_driver,steps}.rs"
-# viewstore.rs holds the read gate every view read passes, sharded.rs routes it.
-if code crates/engine/src/exec/{mod,aggregate,join,sort}.rs crates/engine/src/expr/kernels.rs \
+echo "==> serving paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,sort}.rs, expr/{eval,kernels}.rs, data/{sortkey,codes,strs,viewstore,sharded}.rs, store/src, service/src, workload/src/{driver,service_driver,steps}.rs"
+# viewstore.rs holds the read gate every view read passes, sharded.rs routes it;
+# eval.rs is every expression's evaluator and the constant folder's kernels.
+if code crates/engine/src/exec/{mod,aggregate,join,sort}.rs crates/engine/src/expr/{eval,kernels}.rs \
     crates/data/src/{sortkey,codes,strs,viewstore,sharded}.rs crates/store/src/*.rs crates/service/src/*.rs \
     crates/workload/src/{driver,service_driver,steps}.rs \
     | grep -E '\.unwrap\(\)|\.expect\(|unreachable!|panic!'; then

@@ -25,7 +25,10 @@
 //! COUNT(DISTINCT qty) alone, a group per 100 rows × 100 values. Two more
 //! filters keep the executor's own bookkeeping visible at this altitude:
 //! `filter_str_eq` (a string column against a literal — the literal must
-//! stay a scalar) and
+//! stay a scalar, and the rows are compared as bytes cut by their offsets),
+//! `filter_nondet` (the same equality `AND RANDOM_NEXT() >= 0`, the service
+//! workloads' non-deterministic templates: the draw runs at every row, into
+//! a typed column) and
 //! `filter_wide` (an integer predicate over a table that also carries three
 //! string columns — chunking must not copy what the predicate never reads).
 //! `filter_unread` is the filter as queries use it: half the fact table's
@@ -68,7 +71,7 @@ use cv_data::value::{DataType, Value};
 use cv_data::viewstore::{table_checksum, ViewStore};
 use cv_engine::cost::CostModel;
 use cv_engine::exec::{execute, ExecContext};
-use cv_engine::expr::{col, lit, AggExpr, AggFunc, ScalarExpr};
+use cv_engine::expr::{col, lit, AggExpr, AggFunc, FuncKind, ScalarExpr};
 use cv_engine::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext};
 use cv_engine::physical::{JoinAlgo, PhysicalPlan};
 use cv_engine::plan::{JoinKind, LogicalPlan, PlanBuilder};
@@ -81,9 +84,10 @@ use std::time::Instant;
 /// Every leg, in report order: the plans of [`plans`], then the four
 /// whole-column and whole-table legs. A leg missing from either side fails
 /// the run.
-const KERNELS: [&str; 25] = [
+const KERNELS: [&str; 26] = [
     "filter",
     "filter_str_eq",
+    "filter_nondet",
     "filter_wide",
     "filter_unread",
     "filter_narrow",
@@ -342,6 +346,12 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
         .filter(col("seg").eq(lit("asia")))
         .unwrap()
         .build();
+    let random_next = ScalarExpr::Func { func: FuncKind::RandomNext, args: vec![] };
+    let filter_nondet = PlanBuilder::scan(&bench.catalog, "fact")
+        .unwrap()
+        .filter(col("seg").eq(lit("asia")).and(random_next.gt_eq(lit(0))))
+        .unwrap()
+        .build();
     let filter_wide = PlanBuilder::scan(&bench.catalog, "wide")
         .unwrap()
         .filter(col("w_qty").gt(lit(50)))
@@ -458,6 +468,7 @@ fn plans(bench: &Bench) -> Vec<(&'static str, Arc<LogicalPlan>, JoinAlgo)> {
     vec![
         ("filter", filter, JoinAlgo::Hash),
         ("filter_str_eq", filter_str_eq, JoinAlgo::Hash),
+        ("filter_nondet", filter_nondet, JoinAlgo::Hash),
         ("filter_wide", filter_wide, JoinAlgo::Hash),
         ("filter_unread", filter_unread, JoinAlgo::Hash),
         ("filter_narrow", filter_narrow, JoinAlgo::Hash),
@@ -627,9 +638,8 @@ fn main() {
         }
         walk(&physical, &mut kinds);
         let want = match name {
-            "filter" | "filter_str_eq" | "filter_wide" | "filter_unread" | "filter_narrow" => {
-                "Filter"
-            }
+            "filter" | "filter_str_eq" | "filter_nondet" | "filter_wide" | "filter_unread"
+            | "filter_narrow" => "Filter",
             "project" | "project_passthrough" | "case_when" => "Project",
             "hash_join" | "hash_join_str" => "HashJoin",
             "merge_join" | "merge_join_sparse" | "merge_join_str" => "MergeJoin",

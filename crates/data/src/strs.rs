@@ -165,6 +165,14 @@ impl<'a> StrView<'a> {
         &self.text[self.offsets[i]..self.offsets[i + 1]]
     }
 
+    /// Row `i`'s bytes, cut by the offsets alone: no `&str` is built, so
+    /// neither end is checked for a char boundary. Bytes order as their
+    /// `str` does.
+    #[inline]
+    pub fn bytes_of(&self, i: usize) -> &'a [u8] {
+        &self.text.as_bytes()[self.offsets[i]..self.offsets[i + 1]]
+    }
+
     /// Row `i`'s length in bytes, read off the offsets.
     #[inline]
     pub fn len_of(&self, i: usize) -> usize {
@@ -300,6 +308,7 @@ mod tests {
             assert_eq!(v.text_len(), text, "{what}: text bytes");
             for (i, s) in model.text.iter().enumerate() {
                 assert_eq!((&v[i], v.len_of(i)), (s.as_str(), s.len()), "{what}: row {i}");
+                assert_eq!(v.bytes_of(i), s.as_bytes(), "{what}: bytes of row {i}");
             }
             let valid: Vec<bool> = (0..rows).map(|i| !c.is_null(i)).collect();
             assert_eq!(valid, model.valid, "{what}: validity");

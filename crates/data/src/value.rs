@@ -264,41 +264,53 @@ impl fmt::Display for Value {
     }
 }
 
-/// Parse a `YYYY-MM-DD` literal into days since the 1970-01-01 epoch.
+/// Parse a `YYYY-MM-DD` literal into days since the 1970-01-01 epoch. The
+/// year may be signed and of any width; a date whose day does not fit an
+/// `i32` is `None`.
 pub fn parse_date(s: &str) -> Option<i32> {
-    let mut parts = s.split('-');
-    let y: i32 = parts.next()?.parse().ok()?;
+    // The year ends at the first `-` after its sign.
+    let cut = 1 + s.get(1..)?.find('-')?;
+    let y: i32 = s[..cut].parse().ok()?;
+    let mut parts = s[cut + 1..].split('-');
     let m: u32 = parts.next()?.parse().ok()?;
     let d: u32 = parts.next()?.parse().ok()?;
     if parts.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
         return None;
     }
-    Some(days_from_civil(y, m, d))
+    i32::try_from(days_from_civil(y.into(), m, d)).ok()
 }
 
-/// Render days-since-epoch as `YYYY-MM-DD`.
+/// Render days-since-epoch as `YYYY-MM-DD` (a wider or negative year as it
+/// comes: `10000-01-01`, `-9999-03-01`).
 pub fn format_date(days: i32) -> String {
-    let (y, m, d) = civil_from_days(days);
+    let (y, m, d) = date_parts(days);
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// Howard Hinnant's `days_from_civil` algorithm.
-fn days_from_civil(y: i32, m: u32, d: u32) -> i32 {
+/// The `(year, month, day)` of days-since-epoch, for every `i32` day.
+pub fn date_parts(days: i32) -> (i64, u32, u32) {
+    civil_from_days(days.into())
+}
+
+/// Howard Hinnant's `days_from_civil` algorithm, in `i64` so that no `i32`
+/// year overflows it.
+fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
     let y = if m <= 2 { y - 1 } else { y };
     let era = if y >= 0 { y } else { y - 399 } / 400;
     let yoe = (y - era * 400) as u32;
     let doy = (153 * (if m > 2 { m - 3 } else { m + 9 }) + 2) / 5 + d - 1;
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-    era * 146_097 + doe as i32 - 719_468
+    era * 146_097 + i64::from(doe) - 719_468
 }
 
-/// Inverse of [`days_from_civil`].
-fn civil_from_days(z: i32) -> (i32, u32, u32) {
+/// Inverse of [`days_from_civil`]; in `i64`, because `z + 719_468`
+/// overflows an `i32` near `i32::MAX`.
+fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let z = z + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
     let doe = (z - era * 146_097) as u32;
     let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe as i32 + era * 400;
+    let y = i64::from(yoe) + era * 400;
     let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
     let mp = (5 * doy + 2) / 153;
     let d = doy - (153 * mp + 2) / 5 + 1;
@@ -362,12 +374,44 @@ mod tests {
         assert_eq!(parse_date("1970-01-02"), Some(1));
     }
 
+    /// Years past 9999 and before 0, and the first and last `i32` days,
+    /// round-trip through their text and split into the parts that text
+    /// spells.
+    #[test]
+    fn dates_round_trip_at_every_width_of_year() {
+        for (text, parts) in [
+            ("10000-01-01", (10_000, 1, 1)),
+            ("-9999-03-01", (-9999, 3, 1)),
+            ("-10000-12-31", (-10_000, 12, 31)),
+            ("0000-02-29", (0, 2, 29)),
+            ("-001-12-31", (-1, 12, 31)),
+        ] {
+            let days = parse_date(text).unwrap_or_else(|| panic!("{text} parses"));
+            assert_eq!(format_date(days), text);
+            assert_eq!(date_parts(days), parts, "{text}");
+        }
+        for days in [i32::MIN, i32::MIN + 1, -1, 0, i32::MAX - 1, i32::MAX] {
+            let text = format_date(days);
+            assert_eq!(parse_date(&text), Some(days), "{days} as {text}");
+            let (y, m, d) = date_parts(days);
+            assert_eq!(text, format!("{y:04}-{m:02}-{d:02}"));
+        }
+        assert_eq!(format_date(i32::MAX), "5881580-07-11");
+        assert_eq!(format_date(i32::MIN), "-5877641-06-23");
+        // One day either side of the `i32` range has no day number.
+        assert_eq!(parse_date("5881580-07-12"), None);
+        assert_eq!(parse_date("-5877641-06-22"), None);
+    }
+
     #[test]
     fn date_rejects_garbage() {
         assert_eq!(parse_date("2020-13-01"), None);
         assert_eq!(parse_date("2020-01"), None);
         assert_eq!(parse_date("hello"), None);
         assert_eq!(parse_date("2020-01-01-01"), None);
+        for garbage in ["", "-", "--5-01-01", "-+5-01-01", "é-01-01", "2020--1-01"] {
+            assert_eq!(parse_date(garbage), None, "{garbage:?}");
+        }
     }
 
     #[test]
@@ -375,7 +419,7 @@ mod tests {
         let feb29 = parse_date("2020-02-29").unwrap();
         let mar1 = parse_date("2020-03-01").unwrap();
         assert_eq!(mar1 - feb29, 1);
-        assert_eq!(parse_date("2021-02-29"), Some(days_from_civil(2021, 2, 29)));
+        assert_eq!(parse_date("2021-02-29").map(i64::from), Some(days_from_civil(2021, 2, 29)));
         // not validated beyond 31
     }
 

@@ -16,9 +16,11 @@ use super::kernels::{self, Operand};
 use super::{BinOp, FuncKind, ScalarExpr, UnOp};
 use cv_common::hash::StableHasher;
 use cv_common::{CvError, Result};
-use cv_data::column::{Column, ColumnBuilder};
+use cv_data::column::{Column, ColumnBuilder, ColumnData};
+use cv_data::strs::StrColumn;
 use cv_data::table::Table;
-use cv_data::value::{DataType, Value};
+use cv_data::value::{date_parts, DataType, Value};
+use std::sync::OnceLock;
 
 /// Evaluation context: carries the simulated "now" and the counter behind
 /// the non-deterministic builtins. Those builtins are *reproducible* given
@@ -41,12 +43,20 @@ impl EvalCtx {
         EvalCtx { now_days, vectorized: true, nd_counter: 0 }
     }
 
+    /// The next draw of the non-deterministic builtins. The domain tag is
+    /// hashed once per process; each draw clones that state.
     fn next_nd(&mut self) -> u64 {
+        static DOMAIN: OnceLock<StableHasher> = OnceLock::new();
         self.nd_counter = self.nd_counter.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut h = StableHasher::with_domain("nondeterministic");
+        let mut h = DOMAIN.get_or_init(|| StableHasher::with_domain("nondeterministic")).clone();
         h.write_u64(self.nd_counter);
         h.write_i64(self.now_days as i64);
         h.finish64()
+    }
+
+    /// The next `RANDOM_NEXT()`: a draw's top 31 bits.
+    fn random_next(&mut self) -> i64 {
+        (self.next_nd() >> 33) as i64
     }
 }
 
@@ -143,7 +153,25 @@ pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Colum
         ScalarExpr::Func { func, args } => {
             let arg_cols: Result<Vec<Column>> = args.iter().map(|a| eval(a, table, ctx)).collect();
             let arg_cols = arg_cols?;
-            let mut b = ColumnBuilder::with_capacity(expr.dtype(table.schema())?, n);
+            let out_type = expr.dtype(table.schema())?;
+            if ctx.vectorized {
+                // A draw per row, in row order, written straight into its
+                // typed column: the scalar loop's sequence, no `Value` boxed.
+                // `dtype` ran first, so a malformed call raises as it would.
+                match func {
+                    FuncKind::RandomNext => {
+                        let draws = (0..n).map(|_| ctx.random_next()).collect();
+                        return Ok(Column::new(ColumnData::Int(draws), None));
+                    }
+                    FuncKind::NewGuid => {
+                        let mut guids = StrColumn::with_capacity(n, 16 * n);
+                        (0..n).for_each(|_| guids.push_display(guid(ctx.next_nd())));
+                        return Ok(Column::new(ColumnData::Str(guids), None));
+                    }
+                    _ => {}
+                }
+            }
+            let mut b = ColumnBuilder::with_capacity(out_type, n);
             let mut row_args: Vec<Value> = Vec::with_capacity(arg_cols.len());
             for i in 0..n {
                 row_args.clear();
@@ -330,95 +358,72 @@ fn select_conjuncts(
 
 /// Scalar binary kernel with SQL null propagation (AND/OR use ternary logic).
 pub fn binary_value(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
     use BinOp::*;
+    // A comparison is TRUE at the orderings it accepts.
+    let compare = |less: bool, equal: bool, greater: bool| {
+        let verdict = match a.total_cmp(b) {
+            Less => less,
+            Equal => equal,
+            Greater => greater,
+        };
+        Ok(Value::Bool(verdict))
+    };
     match op {
-        And => {
-            return Ok(match (a.as_bool(), b.as_bool()) {
-                (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                (Some(true), Some(true)) => Value::Bool(true),
-                _ => Value::Null,
-            })
-        }
-        Or => {
-            return Ok(match (a.as_bool(), b.as_bool()) {
-                (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                (Some(false), Some(false)) => Value::Bool(false),
-                _ => Value::Null,
-            })
-        }
-        _ => {}
+        And => Ok(match (a.as_bool(), b.as_bool()) {
+            (Some(false), _) | (_, Some(false)) => Value::Bool(false),
+            (Some(true), Some(true)) => Value::Bool(true),
+            _ => Value::Null,
+        }),
+        Or => Ok(match (a.as_bool(), b.as_bool()) {
+            (Some(true), _) | (_, Some(true)) => Value::Bool(true),
+            (Some(false), Some(false)) => Value::Bool(false),
+            _ => Value::Null,
+        }),
+        _ if a.is_null() || b.is_null() => Ok(Value::Null),
+        Eq => compare(false, true, false),
+        NotEq => compare(true, false, true),
+        Lt => compare(true, false, false),
+        LtEq => compare(true, true, false),
+        Gt => compare(false, false, true),
+        GtEq => compare(false, true, true),
+        Add | Sub | Mul | Div | Mod => arith_value(op, a, b),
     }
-    if a.is_null() || b.is_null() {
-        return Ok(Value::Null);
-    }
-    if op.is_comparison() {
-        let ord = a.total_cmp(b);
-        let res = match op {
-            Eq => ord == std::cmp::Ordering::Equal,
-            NotEq => ord != std::cmp::Ordering::Equal,
-            Lt => ord == std::cmp::Ordering::Less,
-            LtEq => ord != std::cmp::Ordering::Greater,
-            Gt => ord == std::cmp::Ordering::Greater,
-            GtEq => ord != std::cmp::Ordering::Less,
-            _ => unreachable!(),
-        };
-        return Ok(Value::Bool(res));
-    }
-    // Arithmetic.
-    if let (Value::Date(d), Value::Int(i)) = (a, b) {
-        return match op {
-            Add => Ok(Value::Date(d.wrapping_add(*i as i32))),
-            Sub => Ok(Value::Date(d.wrapping_sub(*i as i32))),
-            _ => Err(CvError::exec("only +/- allowed on dates")),
-        };
-    }
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) if op != Div => {
-            let r = match op {
-                Add => x.wrapping_add(*y),
-                Sub => x.wrapping_sub(*y),
-                Mul => x.wrapping_mul(*y),
-                Mod => {
-                    if *y == 0 {
-                        return Ok(Value::Null);
-                    }
-                    x % y
-                }
-                _ => unreachable!(),
-            };
-            Ok(Value::Int(r))
-        }
+}
+
+/// The arithmetic arm of [`binary_value`], on non-NULL operands: Date±Int
+/// shifts days, Int×Int stays Int (wrapping) except `/`, anything else
+/// numeric widens to f64; `/` and `%` by zero are NULL.
+fn arith_value(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
+    use BinOp::*;
+    use Value::{Date, Float, Int};
+    Ok(match (op, a, b) {
+        (Add, Date(d), Int(i)) => Date(d.wrapping_add(*i as i32)),
+        (Sub, Date(d), Int(i)) => Date(d.wrapping_sub(*i as i32)),
+        (_, Date(_), Int(_)) => return Err(CvError::exec("only +/- allowed on dates")),
+        (Add, Int(x), Int(y)) => Int(x.wrapping_add(*y)),
+        (Sub, Int(x), Int(y)) => Int(x.wrapping_sub(*y)),
+        (Mul, Int(x), Int(y)) => Int(x.wrapping_mul(*y)),
+        (Mod, Int(_), Int(0)) => Value::Null,
+        (Mod, Int(x), Int(y)) => Int(x % y),
         _ => {
-            let (x, y) = match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => (x, y),
-                _ => {
-                    return Err(CvError::exec(format!(
-                        "arithmetic {} on non-numeric values {a} and {b}",
-                        op.symbol()
-                    )))
-                }
+            let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else {
+                return Err(CvError::exec(format!(
+                    "arithmetic {} on non-numeric values {a} and {b}",
+                    op.symbol()
+                )));
             };
-            let r = match op {
-                Add => x + y,
-                Sub => x - y,
-                Mul => x * y,
-                Div => {
-                    if y == 0.0 {
-                        return Ok(Value::Null); // SQL: division by zero → NULL here
-                    }
-                    x / y
-                }
-                Mod => {
-                    if y == 0.0 {
-                        return Ok(Value::Null);
-                    }
-                    x % y
-                }
-                _ => unreachable!(),
-            };
-            Ok(Value::Float(r))
+            match op {
+                Add => Float(x + y),
+                Sub => Float(x - y),
+                Mul => Float(x * y),
+                Div | Mod if y == 0.0 => Value::Null, // SQL: division by zero → NULL here
+                Div => Float(x / y),
+                Mod => Float(x % y),
+                _ => return Err(CvError::exec(format!("{} is not arithmetic", op.symbol()))),
+            }
         }
-    }
+    })
 }
 
 /// Scalar unary kernel.
@@ -465,14 +470,11 @@ pub fn func_value(func: FuncKind, args: &[Value], ctx: &mut EvalCtx) -> Result<V
         },
         FuncKind::Year => {
             let days = args[0].as_date().ok_or_else(|| CvError::exec("YEAR requires a DATE"))?;
-            let y = cv_data::value::format_date(days)[..4].parse::<i64>().expect("4-digit year");
-            Ok(Value::Int(y))
+            Ok(Value::Int(date_parts(days).0))
         }
         FuncKind::Month => {
             let days = args[0].as_date().ok_or_else(|| CvError::exec("MONTH requires a DATE"))?;
-            let formatted = cv_data::value::format_date(days);
-            let m = formatted[5..7].parse::<i64>().expect("2-digit month");
-            Ok(Value::Int(m))
+            Ok(Value::Int(date_parts(days).1.into()))
         }
         FuncKind::Hash64 => {
             let mut h = StableHasher::with_domain("hash64-fn");
@@ -480,8 +482,8 @@ pub fn func_value(func: FuncKind, args: &[Value], ctx: &mut EvalCtx) -> Result<V
             Ok(Value::Int((h.finish64() >> 1) as i64))
         }
         FuncKind::Now => Ok(Value::Date(ctx.now_days)),
-        FuncKind::RandomNext => Ok(Value::Int((ctx.next_nd() >> 33) as i64)),
-        FuncKind::NewGuid => Ok(Value::Str(format!("{:016x}", ctx.next_nd()))),
+        FuncKind::RandomNext => Ok(Value::Int(ctx.random_next())),
+        FuncKind::NewGuid => Ok(Value::Str(guid(ctx.next_nd()).to_string())),
     }
 }
 
@@ -523,6 +525,11 @@ pub fn cast_value(v: &Value, to: DataType) -> Result<Value> {
         }
     };
     Ok(out)
+}
+
+/// A `NEW_GUID()` draw's text: 16 hex digits.
+fn guid(draw: u64) -> impl std::fmt::Display {
+    std::fmt::from_fn(move |f| write!(f, "{draw:016x}"))
 }
 
 fn req_str(v: &Value) -> Result<&str> {
@@ -638,6 +645,44 @@ mod tests {
         assert_eq!(m.value(1), Value::Int(2)); // day 31 = 1970-02-01
     }
 
+    /// `YEAR`/`MONTH` read the calendar, not the text: years of five digits
+    /// and negative ones, and the first and last `i32` days, on both paths
+    /// and in the constant folder.
+    #[test]
+    fn date_parts_hold_outside_years_0_to_9999() {
+        use cv_data::value::{date_parts, parse_date};
+        let mut days: Vec<i32> = ["10000-01-01", "-9999-03-01", "-10000-12-31", "9999-12-31"]
+            .iter()
+            .map(|text| parse_date(text).unwrap())
+            .collect();
+        days.extend([i32::MIN, i32::MAX]);
+        let schema = Schema::new(vec![Field::new("day", DataType::Date)]).unwrap().into_ref();
+        let rows: Vec<Vec<Value>> = days.iter().map(|d| vec![Value::Date(*d)]).collect();
+        let t = Table::from_rows(schema, &rows).unwrap();
+        let parts = [(FuncKind::Year, 0), (FuncKind::Month, 1)];
+        for (func, part) in parts {
+            let e = ScalarExpr::Func { func, args: vec![col("day")] };
+            let mut off = EvalCtx::new(0);
+            off.vectorized = false;
+            let (on, off) = (eval(&e, &t, &mut EvalCtx::new(0)).unwrap(), eval(&e, &t, &mut off));
+            for (i, d) in days.iter().enumerate() {
+                let (y, m, _) = date_parts(*d);
+                let want = Value::Int([y, m.into()][part]);
+                assert_eq!(
+                    (on.value(i), off.as_ref().unwrap().value(i)),
+                    (want.clone(), want.clone())
+                );
+                let folded = super::super::fold::fold(&ScalarExpr::Func {
+                    func,
+                    args: vec![lit(Value::Date(*d))],
+                });
+                assert_eq!(folded, lit(want), "{func:?} of day {d} folded");
+            }
+        }
+        let year = |text| date_parts(parse_date(text).unwrap());
+        assert_eq!((year("10000-01-01"), year("-9999-03-01")), ((10_000, 1, 1), (-9999, 3, 1)));
+    }
+
     #[test]
     fn string_functions() {
         let c = ev(&ScalarExpr::Func { func: FuncKind::Upper, args: vec![col("seg")] });
@@ -699,6 +744,55 @@ mod tests {
         assert_ne!(c.value(0), c.value(1));
         let r = ev(&ScalarExpr::Func { func: FuncKind::RandomNext, args: vec![] });
         assert_ne!(r.value(0), r.value(1));
+    }
+
+    /// The typed `RANDOM_NEXT()` / `NEW_GUID()` columns are the scalar
+    /// loop's draws, value for value, and leave the counter where it leaves
+    /// it: over one chunk, and through a filter's non-deterministic conjunct
+    /// at two chunk sizes.
+    #[test]
+    fn typed_draws_are_the_scalar_draws() {
+        use cv_data::chunk::chunk_ranges;
+        let scalar = || {
+            let mut ctx = EvalCtx::new(100);
+            ctx.vectorized = false;
+            ctx
+        };
+        let mut rng = cv_common::DetRng::seed(0xd4a);
+        let schema = Schema::new(vec![Field::new("s", DataType::Str)]).unwrap().into_ref();
+        let rows: Vec<Vec<Value>> = (0..300)
+            .map(|_| match rng.range_usize(0, 4) {
+                0 => vec![Value::Null],
+                1 => vec![Value::from("emea")],
+                _ => vec![Value::from("asia")],
+            })
+            .collect();
+        let t = Table::from_rows(schema, &rows).unwrap();
+        for func in [FuncKind::RandomNext, FuncKind::NewGuid] {
+            let e = ScalarExpr::Func { func, args: vec![] };
+            let (mut on, mut off) = (EvalCtx::new(100), scalar());
+            let (a, b) = (eval(&e, &t, &mut on).unwrap(), eval(&e, &t, &mut off).unwrap());
+            assert_eq!((a.dtype(), a.len(), a.validity()), (b.dtype(), b.len(), None));
+            assert!((0..t.num_rows()).all(|i| a.value(i) == b.value(i)), "{func:?}");
+            assert_eq!(on.next_nd(), off.next_nd(), "{func:?}: the draw after");
+        }
+        let random_next = || ScalarExpr::Func { func: FuncKind::RandomNext, args: vec![] };
+        for nondeterministic in [
+            random_next().gt_eq(lit(0)),
+            ScalarExpr::binary(BinOp::Mod, random_next(), lit(3)).eq(lit(0)),
+        ] {
+            let pred = lit("asia").eq(col("s")).and(nondeterministic);
+            for chunk in [7, usize::MAX] {
+                let (mut on, mut off) = (EvalCtx::new(100), scalar());
+                for (offset, len) in chunk_ranges(t.num_rows(), chunk) {
+                    let w = t.slice(offset, len);
+                    let (a, b) =
+                        (select(&pred, &w, None, &mut on), select(&pred, &w, None, &mut off));
+                    assert_eq!(a.unwrap(), b.unwrap(), "{pred} at rows {offset}..+{len}");
+                }
+                assert_eq!(on.next_nd(), off.next_nd(), "{pred} by {chunk}: the draw after");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! the column the scalar row loop would — same values, same NULLs, same
 //! null-slot placeholders, and no validity bitmap when every row is valid
 //! (so `byte_size` is identical across both paths). Differential property
-//! tests in `tests/kernels.rs` enforce this.
+//! tests in `tests/kernels.rs` enforce this, and for string comparisons
+//! this file's own tests do.
 //!
 //! A kernel returns `None` when it has no typed implementation for the
 //! operand combination; the caller falls back to the scalar loop, which
@@ -16,11 +17,11 @@
 //!
 //! A binary kernel's operand is an [`Operand`]: an evaluated column, or a
 //! literal/parameter passed as the scalar it is, so `region = 'asia'`
-//! compares each row against one `&str` — nothing is materialized per
-//! row for the constant side. The lane types are exactly the column types a
-//! broadcast literal would have had, so every coercion (Int literal against
-//! a Float column, either operand order) goes through the same arm it
-//! always did.
+//! compares each row's bytes against the literal's — nothing is
+//! materialized per row for the constant side. The lane types are exactly
+//! the column types a broadcast literal would have had, so every coercion
+//! (Int literal against a Float column, either operand order) goes through
+//! the same arm it always did.
 //!
 //! **Everything a loop does not vary is decided outside it.** The operand
 //! shape (column or constant, each side: [`rows!`]), the operator
@@ -90,14 +91,14 @@ impl Operand<'_> {
                 ColumnView::Bool(v) => Lanes::Bool(Lane::Col(v)),
                 ColumnView::Int(v) => Lanes::Int(Lane::Col(v)),
                 ColumnView::Float(v) => Lanes::Float(Lane::Col(v)),
-                ColumnView::Str(v) => Lanes::Str(Lane::Col(v)),
+                ColumnView::Str(v) => Lanes::Str(Lane::Col(Bytes(v))),
                 ColumnView::Date(v) => Lanes::Date(Lane::Col(v)),
             },
             Operand::Const(v) => match v {
                 Value::Bool(k) => Lanes::Bool(Lane::Const(k)),
                 Value::Int(k) => Lanes::Int(Lane::Const(k)),
                 Value::Float(k) => Lanes::Float(Lane::Const(k)),
-                Value::Str(k) => Lanes::Str(Lane::Const(k)),
+                Value::Str(k) => Lanes::Str(Lane::Const(k.as_bytes())),
                 Value::Date(k) => Lanes::Date(Lane::Const(k)),
                 Value::Null => return None,
             },
@@ -105,8 +106,8 @@ impl Operand<'_> {
     }
 }
 
-/// Typed rows of one operand: a column's rows (a slice, or a string view),
-/// or one constant at every row.
+/// Typed rows of one operand: a column's rows (a slice, or a string view's
+/// bytes), or one constant at every row.
 enum Lane<'a, T: ?Sized, Rows = &'a [T]> {
     Col(Rows),
     Const(&'a T),
@@ -116,8 +117,21 @@ enum Lanes<'a> {
     Bool(Lane<'a, bool>),
     Int(Lane<'a, i64>),
     Float(Lane<'a, f64>),
-    Str(Lane<'a, str, StrView<'a>>),
+    Str(Lane<'a, [u8], Bytes<'a>>),
     Date(Lane<'a, i32>),
+}
+
+/// A string column's rows as their bytes, cut by the offsets
+/// ([`StrView::bytes_of`]): a comparison reads no `&str`.
+#[derive(Clone, Copy)]
+struct Bytes<'a>(StrView<'a>);
+
+impl std::ops::Index<usize> for Bytes<'_> {
+    type Output = [u8];
+    #[inline]
+    fn index(&self, i: usize) -> &[u8] {
+        self.0.bytes_of(i)
+    }
 }
 
 /// Binds two lanes as row readers (`Fn(usize) -> &T`) and expands `$body`,
@@ -336,8 +350,10 @@ fn compare<S: Verdicts>(
         (Lanes::Float(a), Lanes::Int(b)) => rows!((a, b) => |x, y| {
             by_op(op, validity, out, |i| total(*x(i)), |i| total(*y(i) as f64))
         }),
-        // `==` on two `&str` compares their lengths — an offsets difference
-        // on a column side — before any byte.
+        // Rows are `&[u8]`: a column side's cut by its offsets, a constant's
+        // `as_bytes`. Slice `==` compares lengths — an offsets difference on
+        // a column side — before any byte, and byte-lexicographic order is
+        // `str`'s, so `Value::total_cmp` holds to the bit.
         (Lanes::Str(a), Lanes::Str(b)) => rows!((a, b) => |x, y| by_op(op, validity, out, x, y)),
         (Lanes::Date(a), Lanes::Date(b)) => {
             rows!((a, b) => |x, y| by_op(op, validity, out, |i| *x(i), |i| *y(i)))
@@ -707,4 +723,83 @@ pub(super) fn case_select(
             _ => None,
         }),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::eval::{binary_value, eval, select, EvalCtx};
+    use super::super::{col, lit, BinOp, ScalarExpr};
+    use cv_common::DetRng;
+    use cv_data::chunk::chunk_ranges;
+    use cv_data::schema::{Field, Schema};
+    use cv_data::table::Table;
+    use cv_data::value::{DataType, Value};
+
+    /// Prefixes of one another, one byte-reversed pair, the same letter
+    /// precomposed (`C3 A9`) and decomposed (`65 CC 81`), and three-byte
+    /// characters.
+    const ALPHABET: [&str; 10] =
+        ["", "a", "ab", "ba", "asi", "asia", "asiaa", "é", "e\u{301}", "日本"];
+
+    /// Every string comparison — six operators, each column against constant,
+    /// constant against column and column against column — agrees with
+    /// `binary_value` row by row in both outlets: `eval`'s `bool` column
+    /// (NULL where either side is, no bitmap when no row is) and `select`'s
+    /// ids, with and without `within`, over the windows a chunked scan cuts.
+    #[test]
+    fn string_comparisons_match_the_scalar_reference_in_both_outlets() {
+        use BinOp::*;
+        let mut rng = DetRng::seed(0x5e1);
+        let schema =
+            Schema::new(vec![Field::new("x", DataType::Str), Field::new("y", DataType::Str)])
+                .unwrap()
+                .into_ref();
+        let cell = |rng: &mut DetRng| match rng.chance(0.15) {
+            true => Value::Null,
+            false => Value::from(*rng.choose(&ALPHABET)),
+        };
+        let rows: Vec<Vec<Value>> =
+            (0..700).map(|_| vec![cell(&mut rng), cell(&mut rng)]).collect();
+        let table = Table::from_rows(schema, &rows).unwrap();
+        let mut shapes = vec![(col("x"), col("y"))];
+        for k in ALPHABET {
+            shapes.push((col("x"), lit(k)));
+            shapes.push((lit(k), col("y")));
+        }
+        let (mut compared, mut kept) = (0, 0);
+        for chunk in [1, 333, 2048, usize::MAX] {
+            for (offset, len) in chunk_ranges(rows.len(), chunk) {
+                let window = table.slice(offset, len);
+                let within: Vec<usize> = (0..len).filter(|_| rng.chance(0.5)).collect();
+                // Row `i` of the window as the reference reads it.
+                let operand = |e: &ScalarExpr, i: usize| match e {
+                    ScalarExpr::Column(name) => rows[offset + i][(name == "y") as usize].clone(),
+                    ScalarExpr::Literal(k) => k.clone(),
+                    other => panic!("not an operand here: {other}"),
+                };
+                for op in [Eq, NotEq, Lt, LtEq, Gt, GtEq] {
+                    for (l, r) in &shapes {
+                        let e = ScalarExpr::binary(op, l.clone(), r.clone());
+                        let want: Vec<Value> = (0..len)
+                            .map(|i| binary_value(op, &operand(l, i), &operand(r, i)).unwrap())
+                            .collect();
+                        let dense = eval(&e, &window, &mut EvalCtx::new(0)).unwrap();
+                        assert_eq!(dense.dtype(), DataType::Bool, "{e}");
+                        let got: Vec<Value> = (0..len).map(|i| dense.value(i)).collect();
+                        assert_eq!(got, want, "{e} over rows {offset}..+{len}");
+                        let nulls = want.iter().any(Value::is_null);
+                        assert_eq!(dense.validity().is_some(), nulls, "{e}: bitmap iff a NULL");
+                        let keep = |i: &usize| want[*i] == Value::Bool(true);
+                        let all: Vec<usize> = (0..len).filter(keep).collect();
+                        let some: Vec<usize> = within.iter().copied().filter(keep).collect();
+                        let by = |within| select(&e, &window, within, &mut EvalCtx::new(0));
+                        assert_eq!(by(None).unwrap(), all, "{e} selected");
+                        assert_eq!(by(Some(&within)).unwrap(), some, "{e} selected within");
+                        (compared, kept) = (compared + len, kept + all.len());
+                    }
+                }
+            }
+        }
+        assert!(kept > compared / 4 && kept < compared * 3 / 4, "{kept} of {compared} kept");
+    }
 }
