@@ -213,7 +213,8 @@ mod tests {
         let analyzer = Analyzer::new(&opt.cfg);
         let normalized = normalize(&query(), &opt.cfg.sig).unwrap();
         let reuse = ReuseContext::empty();
-        let out = opt.optimize(&query(), &reuse, &stats, &mut AlwaysGrant).unwrap();
+        let out =
+            opt.optimize(&opt.sign(&query()).unwrap(), &reuse, &stats, &mut AlwaysGrant).unwrap();
         let report = analyzer.analyze_outcome(&normalized, &out, &reuse, None);
         assert!(report.is_clean(), "unexpected diagnostics:\n{}", report.to_text());
     }
@@ -226,7 +227,8 @@ mod tests {
         let sig = plan_signature(&normalized, &opt.cfg.sig, SigMode::Strict).unwrap();
         let mut reuse = ReuseContext::empty();
         reuse.available.insert(sig, ViewMeta::hot(10_000, 100_000));
-        let out = opt.optimize(&query(), &reuse, &stats, &mut AlwaysGrant).unwrap();
+        let out =
+            opt.optimize(&opt.sign(&query()).unwrap(), &reuse, &stats, &mut AlwaysGrant).unwrap();
         assert!(out.logical.uses_views());
         let mut live = HashSet::new();
         live.insert(sig);
@@ -355,7 +357,8 @@ mod tests {
             },
         );
         let normalized = normalize(&candidate, &opt.cfg.sig).unwrap();
-        let out = opt.optimize(&candidate, &reuse, &stats, &mut AlwaysGrant).unwrap();
+        let out =
+            opt.optimize(&opt.sign(&candidate).unwrap(), &reuse, &stats, &mut AlwaysGrant).unwrap();
         assert_eq!(out.compensated_views.len(), 1, "semantic match must fire");
         let report = analyzer.analyze_outcome(&normalized, &out, &reuse, None);
         assert!(report.is_clean(), "unexpected diagnostics:\n{}", report.to_text());
@@ -405,7 +408,9 @@ mod tests {
                 template,
             },
         );
-        let err = opt.optimize(&candidate, &reuse, &stats, &mut AlwaysGrant).unwrap_err();
+        let err = opt
+            .optimize(&opt.sign(&candidate).unwrap(), &reuse, &stats, &mut AlwaysGrant)
+            .unwrap_err();
         assert!(err.to_string().contains("CV061"), "{err}");
     }
 

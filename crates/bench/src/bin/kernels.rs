@@ -48,6 +48,11 @@
 //! rows/sec over the mixed-type fact table), `store_decode` (the view
 //! store's codec, encode → decode, MB/sec of encoded bytes) and `udo` (the
 //! cooking pair `parse_user_agent` → `geo_enrich`, rows/sec).
+//! `compile` is the compiler, not the executor: jobs/sec for parse → bind →
+//! sign → optimize over one day of the service workload's templates (the
+//! benchmark's 96 analytics and the cooking jobs), each under the reuse
+//! annotations a run would serve it. It does not depend on the row count;
+//! it is timed again at each size.
 //!
 //! Usage:
 //!   kernels [--out PATH] [--smoke] [--baseline PATH] [--measure-secs F]
@@ -61,8 +66,10 @@
 //! `"baseline"` plus per-kernel `"speedup_vs_baseline"` at the largest
 //! common size.
 
+use cv_common::hash::Sig128;
 use cv_common::json::Json;
 use cv_common::rng::DetRng;
+use cv_common::SimDay;
 use cv_common::SimTime;
 use cv_data::catalog::DatasetCatalog;
 use cv_data::schema::{Field, Schema};
@@ -70,21 +77,26 @@ use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
 use cv_data::viewstore::{table_checksum, ViewStore};
 use cv_engine::cost::CostModel;
+use cv_engine::engine::QueryEngine;
 use cv_engine::exec::{execute, ExecContext};
 use cv_engine::expr::{col, lit, AggExpr, AggFunc, FuncKind, ScalarExpr};
-use cv_engine::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext};
+use cv_engine::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext, ViewMeta};
 use cv_engine::physical::{JoinAlgo, PhysicalPlan};
 use cv_engine::plan::{JoinKind, LogicalPlan, PlanBuilder};
+use cv_engine::stats::estimate;
 use cv_engine::udo::{UdoRegistry, UdoSpec};
 use cv_store::codec::{decode_table, encode_table};
+use cv_workload::schemas::raw_specs;
+use cv_workload::{generate_workload, JobTemplate, WorkloadConfig};
+use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Every leg, in report order: the plans of [`plans`], then the four
-/// whole-column and whole-table legs. A leg missing from either side fails
-/// the run.
-const KERNELS: [&str; 26] = [
+/// whole-column and whole-table legs and `compile`. A leg missing from
+/// either side fails the run.
+const KERNELS: [&str; 27] = [
     "filter",
     "filter_str_eq",
     "filter_nondet",
@@ -111,12 +123,98 @@ const KERNELS: [&str; 26] = [
     "digest",
     "store_decode",
     "udo",
+    "compile",
 ];
 
 /// The `loop_join` leg's dimension rows: the optimizer's loop-join bound.
 const LOOP_DIM: usize = 64;
 
 const SEGS: [&str; 8] = ["asia", "emea", "amer", "apac", "latam", "anz", "mea", "nordics"];
+
+/// The `compile` leg: one day of the service workload's jobs, each with the
+/// annotations a run serves it. A non-root subexpression whose recurring
+/// signature appears in two of the day's jobs is built by its first job and
+/// matched by every later one, at its estimated size.
+struct CompileDay {
+    engine: QueryEngine,
+    day: SimDay,
+    jobs: Vec<(JobTemplate, ReuseContext)>,
+}
+
+impl CompileDay {
+    fn new() -> CompileDay {
+        let workload = generate_workload(WorkloadConfig {
+            scale: 0.3,
+            n_analytics: 96,
+            ..WorkloadConfig::default()
+        });
+        let (day, mut engine) = (SimDay(0), QueryEngine::new());
+        let at = day.start();
+        let mut rng = DetRng::seed(17);
+        for spec in raw_specs() {
+            let table = spec.generate(&mut rng, workload.config.scale, day);
+            engine.catalog.register(spec.name, table, at).unwrap();
+        }
+        let mut due: Vec<&JobTemplate> =
+            workload.templates.iter().filter(|t| t.due_on(day)).collect();
+        due.sort_by(|a, b| {
+            let (sa, sb) = (a.submit_time(day).seconds(), b.submit_time(day).seconds());
+            sa.total_cmp(&sb).then(a.id.cmp(&b.id))
+        });
+        // Cook first, in submission order, so every analytics job binds.
+        for t in &due {
+            let Some(output) = t.output_dataset() else { continue };
+            let plan = t.build_plan(&engine, day).unwrap();
+            let job = engine.optimize(&plan, &ReuseContext::empty(), &mut AlwaysGrant).unwrap();
+            let table = engine.execute(&job.outcome.physical, at).unwrap().table;
+            match engine.catalog.id_of(output) {
+                Some(id) => engine.catalog.bulk_update(id, table, at).map(drop).unwrap(),
+                None => engine.catalog.register(output, table, at).map(drop).unwrap(),
+            }
+        }
+        let subexprs: Vec<_> = due
+            .iter()
+            .map(|t| engine.subexpressions(&t.build_plan(&engine, day).unwrap()).unwrap())
+            .collect();
+        let shared = |s: &&cv_engine::SubexprInfo| !s.is_root && s.node_count > 1;
+        let mut recurs: HashMap<Sig128, usize> = HashMap::new();
+        for sub in subexprs.iter().flatten().filter(shared) {
+            *recurs.entry(sub.recurring).or_default() += 1;
+        }
+        let stats = |name: &str| {
+            engine.catalog.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64))
+        };
+        let mut built = HashSet::new();
+        let jobs = due
+            .iter()
+            .zip(&subexprs)
+            .map(|(t, subs)| {
+                let mut reuse = ReuseContext::empty();
+                for sub in subs.iter().filter(shared).filter(|s| recurs[&s.recurring] > 1) {
+                    if built.insert(sub.strict) {
+                        reuse.to_build.insert(sub.strict);
+                    } else {
+                        let est = estimate(&sub.plan, &stats);
+                        let meta = ViewMeta::hot(est.rows as u64, est.bytes as u64);
+                        reuse.available.insert(sub.strict, meta);
+                    }
+                }
+                ((*t).clone(), reuse)
+            })
+            .collect();
+        CompileDay { engine, day, jobs }
+    }
+
+    /// Parse, bind, sign and optimize every job once; returns the count.
+    fn run(&self) -> usize {
+        for (template, reuse) in &self.jobs {
+            let plan = template.build_plan(&self.engine, self.day).unwrap();
+            let signed = self.engine.sign(&plan).unwrap();
+            black_box(self.engine.optimize_signed(&signed, reuse, &mut AlwaysGrant).unwrap());
+        }
+        self.jobs.len()
+    }
+}
 
 /// Synthetic fact table: id INT, qty INT (3% null), val FLOAT, seg STR, day DATE.
 fn fact_table(n: usize, rng: &mut DetRng) -> Table {
@@ -294,7 +392,12 @@ impl Bench {
         };
         let mut physical = self
             .opt
-            .optimize(logical, &ReuseContext::empty(), &stats, &mut AlwaysGrant)
+            .optimize(
+                &self.opt.sign(logical).unwrap(),
+                &ReuseContext::empty(),
+                &stats,
+                &mut AlwaysGrant,
+            )
             .unwrap()
             .physical;
         // Each join leg measures one algorithm's kernel specifically; the
@@ -520,6 +623,7 @@ fn main() {
     }
     let sizes: Vec<usize> = if smoke { vec![10_000] } else { vec![10_000, 100_000, 1_000_000] };
 
+    let compile = CompileDay::new();
     let mut kernels = cv_common::json::JsonMap::new();
     let mut rates: Vec<(&str, Vec<(usize, f64)>)> =
         KERNELS.iter().map(|n| (*n, Vec::new())).collect();
@@ -556,13 +660,14 @@ fn main() {
         let seg = fact.column(fact.schema().index_of("seg").unwrap());
         let mut shuffled: Vec<usize> = (0..n).collect();
         DetRng::seed(13).shuffle(&mut shuffled);
-        let legs: [(&str, f64, &str, &dyn Fn() -> usize); 4] = [
+        let legs: [(&str, f64, &str, &dyn Fn() -> usize); 5] = [
             ("gather_str", n as f64, "rows/sec", &|| seg.take(&shuffled).compact().len()),
             ("digest", n as f64, "rows/sec", &|| table_checksum(&fact) as usize),
             ("store_decode", encoded_mb, "MB/sec", &|| {
                 decode_table(&encode_table(&fact)).unwrap().num_rows()
             }),
             ("udo", n as f64, "rows/sec", &|| cook(&events)),
+            ("compile", compile.jobs.len() as f64, "jobs/sec", &|| compile.run()),
         ];
         for (name, amount, unit, leg) in legs {
             let secs = time_it(measure_secs, leg);

@@ -91,7 +91,7 @@ pub fn mix64(mut z: u64) -> u64 {
 /// `write_str("ab"); write_str("c")` hashes differently from
 /// `write_str("a"); write_str("bc")` — important because plan signatures
 /// concatenate many variable-length fields.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct StableHasher {
     a: u64,
     b: u64,

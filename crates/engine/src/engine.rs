@@ -9,7 +9,7 @@ use crate::optimizer::{
 };
 use crate::physical::PhysicalPlan;
 use crate::plan::LogicalPlan;
-use crate::signature::{enumerate_subexpressions, SubexprInfo};
+use crate::signature::{SignedPlan, SubexprInfo};
 use crate::sql::{compile_sql, Params};
 use crate::udo::UdoRegistry;
 use cv_common::hash::Sig128;
@@ -87,19 +87,37 @@ impl QueryEngine {
         compile_sql(sql, &self.catalog, params)
     }
 
-    /// Optimize a bound plan under reuse annotations.
+    /// Normalize a bound plan once and sign it in one walk: the job's
+    /// subexpressions for annotation, and what [`Self::optimize_signed`]
+    /// matches and builds views against.
+    pub fn sign(&self, plan: &Arc<LogicalPlan>) -> Result<SignedPlan> {
+        self.optimizer.sign(plan)
+    }
+
+    /// Optimize a bound plan under reuse annotations: sign, then optimize.
     pub fn optimize(
         &self,
         plan: &Arc<LogicalPlan>,
         reuse: &ReuseContext,
         coordinator: &mut dyn BuildCoordinator,
     ) -> Result<CompiledJob> {
+        let outcome = self.optimize_signed(&self.sign(plan)?, reuse, coordinator)?;
+        Ok(CompiledJob { bound: plan.clone(), outcome })
+    }
+
+    /// Optimize a signed plan under reuse annotations, with the catalog's
+    /// dataset sizes as scan statistics.
+    pub fn optimize_signed(
+        &self,
+        signed: &SignedPlan,
+        reuse: &ReuseContext,
+        coordinator: &mut dyn BuildCoordinator,
+    ) -> Result<OptimizeOutcome> {
         let catalog = &self.catalog;
         let stats = |name: &str| {
             catalog.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64))
         };
-        let outcome = self.optimizer.optimize(plan, reuse, &stats, coordinator)?;
-        Ok(CompiledJob { bound: plan.clone(), outcome })
+        self.optimizer.optimize(signed, reuse, &stats, coordinator)
     }
 
     /// Execute an optimized physical plan against the engine's own store.
@@ -189,8 +207,7 @@ impl QueryEngine {
     /// Enumerate the signable subexpressions of a plan, post-normalization —
     /// the rows CloudViews logs into the workload repository.
     pub fn subexpressions(&self, plan: &Arc<LogicalPlan>) -> Result<Vec<SubexprInfo>> {
-        let normalized = crate::normalize::normalize(plan, &self.optimizer.cfg.sig)?;
-        Ok(enumerate_subexpressions(&normalized, &self.optimizer.cfg.sig))
+        Ok(self.sign(plan)?.subexprs)
     }
 }
 

@@ -661,7 +661,9 @@ mod tests {
         let opt = Optimizer::new(OptimizerConfig::default());
         let stats =
             |name: &str| cat.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64));
-        let out = opt.optimize(plan, &ReuseContext::empty(), &stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(plan).unwrap(), &ReuseContext::empty(), &stats, &mut AlwaysGrant)
+            .unwrap();
         let mut ctx = ExecContext::new(cat, views, udos, SimTime::EPOCH);
         execute(&out.physical, &mut ctx, &opt.cfg.cost)
     }
@@ -920,7 +922,8 @@ mod tests {
         .unwrap();
         let mut reuse = ReuseContext::empty();
         reuse.to_build.insert(sig);
-        let out = opt.optimize(&logical, &reuse, &stats, &mut AlwaysGrant).unwrap();
+        let out =
+            opt.optimize(&opt.sign(&logical).unwrap(), &reuse, &stats, &mut AlwaysGrant).unwrap();
         assert_eq!(out.built_views, vec![sig]);
 
         let mut ctx = ExecContext::new(&cat, &views, &udos, SimTime::EPOCH);
@@ -1067,7 +1070,9 @@ mod tests {
         let opt = Optimizer::new(OptimizerConfig::default());
         let stats =
             |name: &str| cat.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64));
-        let out = opt.optimize(&plan, &ReuseContext::empty(), &stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&plan).unwrap(), &ReuseContext::empty(), &stats, &mut AlwaysGrant)
+            .unwrap();
         // Bulk-update between compile and execute.
         let id = cat.id_of("sales").unwrap();
         let data = cat.get(id).unwrap().data().clone();
@@ -1125,7 +1130,9 @@ mod tests {
         let opt = Optimizer::new(OptimizerConfig::default());
         let stats =
             |name: &str| cat.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64));
-        let out = opt.optimize(plan, &ReuseContext::empty(), &stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(plan).unwrap(), &ReuseContext::empty(), &stats, &mut AlwaysGrant)
+            .unwrap();
         (out.physical, opt.cfg.cost)
     }
 

@@ -52,7 +52,8 @@ pub use optimizer::{
 };
 pub use plan::{JoinKind, LogicalPlan, PlanBuilder};
 pub use signature::{
-    enumerate_subexpressions, plan_signature, SigMode, SignatureConfig, SubexprInfo,
+    enumerate_subexpressions, plan_signature, sign_plan, SigMode, SignatureConfig, SignedPlan,
+    SubexprInfo,
 };
 
 // Compile-time Send + Sync audit of the compiled-plan types the service
@@ -66,6 +67,7 @@ const _: () = {
     assert_send_sync::<plan::LogicalPlan>();
     assert_send_sync::<physical::PhysicalPlan>();
     assert_send_sync::<engine::CompiledJob>();
+    assert_send_sync::<signature::SignedPlan>();
     assert_send_sync::<optimizer::OptimizeOutcome>();
     assert_send_sync::<optimizer::ReuseContext>();
     assert_send_sync::<Optimizer>();

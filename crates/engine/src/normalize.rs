@@ -19,19 +19,20 @@
 use crate::expr::fold::{conjoin, normalize_expr, split_conjunction};
 use crate::expr::ScalarExpr;
 use crate::plan::{JoinKind, LogicalPlan};
-use crate::signature::{order_key, SignatureConfig};
+use crate::signature::{SignatureConfig, Signer};
 use cv_common::Result;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Normalize a plan to canonical form. Deterministic and idempotent.
 pub fn normalize(plan: &Arc<LogicalPlan>, cfg: &SignatureConfig) -> Result<Arc<LogicalPlan>> {
+    let signer = Signer::new(cfg);
     let mut current = plan.clone();
     // Fixpoint: each pass is a full bottom-up rewrite; rules strictly reduce
     // node count or move filters downward / reorder canonically, so this
     // terminates quickly. The iteration cap is a safety net.
     for _ in 0..16 {
-        let next = rewrite_once(&current, cfg)?;
+        let next = rewrite_once(&current, &signer)?;
         if next == current {
             return Ok(next);
         }
@@ -40,23 +41,23 @@ pub fn normalize(plan: &Arc<LogicalPlan>, cfg: &SignatureConfig) -> Result<Arc<L
     Ok(current)
 }
 
-fn rewrite_once(plan: &Arc<LogicalPlan>, cfg: &SignatureConfig) -> Result<Arc<LogicalPlan>> {
+fn rewrite_once(plan: &Arc<LogicalPlan>, signer: &Signer) -> Result<Arc<LogicalPlan>> {
     // Rewrite children first.
     let new_children: Result<Vec<Arc<LogicalPlan>>> =
-        plan.children().into_iter().map(|c| rewrite_once(c, cfg)).collect();
+        plan.children().into_iter().map(|c| rewrite_once(c, signer)).collect();
     let node = plan.with_children(new_children?)?;
-    let node = apply_local_rules(node, cfg)?;
+    let node = apply_local_rules(node, signer)?;
     Ok(Arc::new(node))
 }
 
-fn apply_local_rules(node: LogicalPlan, cfg: &SignatureConfig) -> Result<LogicalPlan> {
+fn apply_local_rules(node: LogicalPlan, signer: &Signer) -> Result<LogicalPlan> {
     let node = normalize_node_exprs(node);
     let node = merge_adjacent_filters(node);
     let node = remove_trivial_filter(node);
     let node = merge_adjacent_projects(node);
     let node = drop_identity_project(node)?;
-    let node = push_filter_down(node, cfg)?;
-    let node = canonical_join_order(node, cfg);
+    let node = push_filter_down(node)?;
+    let node = canonical_join_order(node, signer);
     Ok(node)
 }
 
@@ -144,7 +145,7 @@ fn drop_identity_project(node: LogicalPlan) -> Result<LogicalPlan> {
 
 /// Push filter conjuncts below projects (by substitution), into inner-join
 /// sides, below semi/left-join left sides, and into union branches.
-fn push_filter_down(node: LogicalPlan, _cfg: &SignatureConfig) -> Result<LogicalPlan> {
+fn push_filter_down(node: LogicalPlan) -> Result<LogicalPlan> {
     let LogicalPlan::Filter { predicate, input } = &node else {
         return Ok(node);
     };
@@ -238,9 +239,9 @@ fn push_filter_down(node: LogicalPlan, _cfg: &SignatureConfig) -> Result<Logical
 
 /// Canonically order the inputs of inner joins by signature, mirroring the
 /// key pairs. `A ⋈ B` and `B ⋈ A` then hash identically.
-fn canonical_join_order(node: LogicalPlan, cfg: &SignatureConfig) -> LogicalPlan {
+fn canonical_join_order(node: LogicalPlan, signer: &Signer) -> LogicalPlan {
     if let LogicalPlan::Join { left, right, on, kind: JoinKind::Inner } = &node {
-        if order_key(right, cfg) < order_key(left, cfg) {
+        if signer.order_key(right) < signer.order_key(left) {
             return LogicalPlan::Join {
                 left: right.clone(),
                 right: left.clone(),

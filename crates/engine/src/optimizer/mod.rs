@@ -1,5 +1,8 @@
 //! The optimizer: normalization → top-down view *matching* → bottom-up view
 //! *building* → physical planning (paper Fig. 5, "Query Processing").
+//! Normalization and signing happen once, before `optimize`
+//! ([`sign_plan`]): the optimizer takes the [`SignedPlan`] the job's
+//! annotations were read from.
 //!
 //! * **Core search / match view**: walk the normalized plan top-down (larger
 //!   subexpressions first); whenever a subexpression's strict signature has
@@ -23,12 +26,9 @@
 
 use crate::containment::{build_compensation, ContainmentProver};
 use crate::cost::{Cost, CostModel};
-use crate::normalize::normalize;
 use crate::physical::{JoinAlgo, PhysicalPlan};
 use crate::plan::{JoinKind, LogicalPlan};
-use crate::signature::{
-    plan_sig_pair, plan_signature, template_signature, SigMode, SignatureConfig,
-};
+use crate::signature::{plan_sig_pair, sign_plan, SigPair, SignatureConfig, SignedPlan};
 use crate::stats::{estimate, ScanStats, Statistics};
 use crate::verify::PlanVerifier;
 use cv_common::hash::{Sig128, StableHasher};
@@ -222,19 +222,27 @@ impl Optimizer {
         }
     }
 
-    /// Optimize a logical plan under the given reuse annotations.
+    /// Normalize and sign a bound plan under this optimizer's signature
+    /// configuration (see [`sign_plan`]).
+    pub fn sign(&self, plan: &Arc<LogicalPlan>) -> Result<SignedPlan> {
+        sign_plan(plan, &self.cfg.sig)
+    }
+
+    /// Optimize a signed plan under the given reuse annotations. View
+    /// matching reads each node's signatures off `signed`; view building
+    /// signs only the nodes matching rewrote, from their children.
     pub fn optimize(
         &self,
-        plan: &Arc<LogicalPlan>,
+        signed: &SignedPlan,
         reuse: &ReuseContext,
         scan_stats: ScanStats<'_>,
         coordinator: &mut dyn BuildCoordinator,
     ) -> Result<OptimizeOutcome> {
-        let normalized = normalize(plan, &self.cfg.sig)?;
+        let normalized = &signed.plan;
         // Build-side decisions come from the pre-substitution plan so view
         // reuse differences between runs cannot flip them.
         let mut swaps = HashMap::new();
-        self.collect_swap_decisions(&normalized, scan_stats, &mut swaps);
+        self.collect_swap_decisions(normalized, scan_stats, &mut swaps);
 
         let mut matched = Vec::new();
         let mut compensated = Vec::new();
@@ -243,7 +251,8 @@ impl Optimizer {
             !reuse.available.is_empty() || (self.semantic_active() && !reuse.semantic.is_empty());
         let with_views = if self.cfg.enable_view_match && matchable {
             self.match_views(
-                &normalized,
+                normalized,
+                signed,
                 reuse,
                 scan_stats,
                 &mut matched,
@@ -258,13 +267,21 @@ impl Optimizer {
         let mut built = Vec::new();
         let mut built_plans = Vec::new();
         let final_logical = if self.cfg.enable_view_build && !reuse.to_build.is_empty() {
-            self.insert_builds(&with_views, reuse, coordinator, &mut built, &mut built_plans)?
+            self.insert_builds(
+                &with_views,
+                signed,
+                reuse,
+                coordinator,
+                &mut built,
+                &mut built_plans,
+            )?
+            .0
         } else {
             with_views
         };
 
         if let Some(verifier) = self.active_verifier() {
-            verifier.verify_logical(&normalized, &final_logical, reuse)?;
+            verifier.verify_logical(normalized, &final_logical, reuse)?;
         }
         let mut physical = self.to_physical_with(&final_logical, scan_stats, &swaps)?;
         if !replaced.is_empty() {
@@ -299,6 +316,7 @@ impl Optimizer {
     fn match_views(
         &self,
         node: &Arc<LogicalPlan>,
+        signed: &SignedPlan,
         reuse: &ReuseContext,
         scan_stats: ScanStats<'_>,
         matched: &mut Vec<Sig128>,
@@ -313,7 +331,10 @@ impl Optimizer {
                 | LogicalPlan::Materialize { .. }
         );
         if replaceable {
-            if let Some(sig) = plan_signature(node, &self.cfg.sig, SigMode::Strict) {
+            // Every node reached here is a node of the signed plan, so a
+            // memo miss means the node is unsignable.
+            if let Some(sub) = signed.subexpr(node) {
+                let sig = sub.strict;
                 if let Some(meta) = reuse.available.get(&sig) {
                     // Cost the alternative: the plan using the materialized
                     // view is chosen only if it is cheaper (paper §2.3).
@@ -340,6 +361,7 @@ impl Optimizer {
                 } else if let Some(sub) = self.match_semantic(
                     node,
                     sig,
+                    sub.template,
                     reuse,
                     scan_stats,
                     matched,
@@ -355,9 +377,20 @@ impl Optimizer {
         let new_children: Result<Vec<Arc<LogicalPlan>>> = node
             .children()
             .into_iter()
-            .map(|c| self.match_views(c, reuse, scan_stats, matched, compensated, replaced, swaps))
+            .map(|c| {
+                self.match_views(
+                    c,
+                    signed,
+                    reuse,
+                    scan_stats,
+                    matched,
+                    compensated,
+                    replaced,
+                    swaps,
+                )
+            })
             .collect();
-        Ok(Arc::new(node.with_children(new_children?)?))
+        rebuild(node, new_children?)
     }
 
     /// Semantic step of the match cascade: find views whose template
@@ -370,6 +403,7 @@ impl Optimizer {
         &self,
         node: &Arc<LogicalPlan>,
         node_sig: Sig128,
+        template: Sig128,
         reuse: &ReuseContext,
         scan_stats: ScanStats<'_>,
         matched: &mut Vec<Sig128>,
@@ -383,15 +417,15 @@ impl Optimizer {
         let Some(prover) = self.prover.as_deref() else {
             return Ok(None);
         };
-        let Some(template) = template_signature(node, &self.cfg.sig) else {
-            return Ok(None);
-        };
         let mut grants: Vec<(&Sig128, &SemanticGrant)> = reuse
             .semantic
             .iter()
             .filter(|(view_sig, g)| g.template == template && **view_sig != node_sig)
             .collect();
         grants.sort_by_key(|(view_sig, _)| **view_sig);
+        // What recomputing the unchanged subtree costs, lowered once for
+        // every proven grant.
+        let mut recompute = None;
         for (&view_sig, grant) in grants {
             if let Some(obs) = &self.obs {
                 obs.semantic_considered(view_sig);
@@ -414,7 +448,14 @@ impl Optimizer {
             let substitute = build_compensation(&proof, view_scan);
             // Cost gate, like exact matching: the compensated plan (view
             // scan + residual operators) must beat recomputing the subtree.
-            let recompute = self.lower(node, scan_stats, swaps)?.total_cost(&self.cfg.cost).total();
+            let recompute = match recompute {
+                Some(cost) => cost,
+                None => {
+                    let cost =
+                        self.lower(node, scan_stats, swaps)?.total_cost(&self.cfg.cost).total();
+                    *recompute.insert(cost)
+                }
+            };
             let reuse_cost =
                 self.lower(&substitute, scan_stats, swaps)?.total_cost(&self.cfg.cost).total();
             if reuse_cost < recompute {
@@ -457,20 +498,35 @@ impl Optimizer {
 
     /// Bottom-up build insertion: wrap selected subexpressions in
     /// `Materialize`, bounded by `max_views_per_job`, gated by the lock.
+    /// Returns the rebuilt node with its signatures (`None`: unsignable).
+    /// A `Materialize` signs as its input, so a rebuilt node signs as
+    /// `node` did: read off the memo when matching left `node` as signed,
+    /// else hashed once from its children's pairs.
+    #[allow(clippy::too_many_arguments)]
     fn insert_builds(
         &self,
         node: &Arc<LogicalPlan>,
+        signed: &SignedPlan,
         reuse: &ReuseContext,
         coordinator: &mut dyn BuildCoordinator,
         built: &mut Vec<Sig128>,
         built_plans: &mut Vec<(Sig128, Arc<LogicalPlan>)>,
-    ) -> Result<Arc<LogicalPlan>> {
-        let new_children: Result<Vec<Arc<LogicalPlan>>> = node
-            .children()
-            .into_iter()
-            .map(|c| self.insert_builds(c, reuse, coordinator, built, built_plans))
-            .collect();
-        let rebuilt = Arc::new(node.with_children(new_children?)?);
+    ) -> Result<(Arc<LogicalPlan>, Option<SigPair>)> {
+        let mut new_children = Vec::new();
+        let mut pairs = Vec::new();
+        for c in node.children() {
+            let (child, pair) =
+                self.insert_builds(c, signed, reuse, coordinator, built, built_plans)?;
+            new_children.push(child);
+            pairs.extend(pair);
+        }
+        let signable = pairs.len() == new_children.len();
+        let rebuilt = rebuild(node, new_children)?;
+        let pair = match signed.subexpr(node) {
+            Some(sub) => Some(SigPair { strict: sub.strict, recurring: sub.recurring }),
+            None if signable => signed.signer.node_sig(node, &pairs),
+            None => None,
+        };
 
         let eligible = !matches!(
             &*rebuilt,
@@ -478,29 +534,28 @@ impl Optimizer {
                 | LogicalPlan::ViewScan { .. }
                 | LogicalPlan::Materialize { .. }
         );
-        if eligible && built.len() < self.cfg.max_views_per_job {
-            if let Some(sig) = plan_signature(&rebuilt, &self.cfg.sig, SigMode::Strict) {
-                if reuse.to_build.contains(&sig)
-                    && !reuse.available.contains_key(&sig)
-                    && !built.contains(&sig)
-                    && coordinator.try_acquire(sig)
-                {
-                    if let Some(obs) = &self.obs {
-                        obs.view_build_inserted(sig);
-                    }
-                    built.push(sig);
-                    if plan_is_pure(&rebuilt) {
-                        // Capture the defining plan for future semantic
-                        // grants. Plans that themselves contain ViewScans
-                        // or nested Materialize markers are skipped: a
-                        // semantic fallback must recompute standalone.
-                        built_plans.push((sig, rebuilt.clone()));
-                    }
-                    return Ok(Arc::new(LogicalPlan::Materialize { sig, input: rebuilt }));
+        if let Some(SigPair { strict: sig, .. }) = pair.filter(|_| eligible) {
+            if built.len() < self.cfg.max_views_per_job
+                && reuse.to_build.contains(&sig)
+                && !reuse.available.contains_key(&sig)
+                && !built.contains(&sig)
+                && coordinator.try_acquire(sig)
+            {
+                if let Some(obs) = &self.obs {
+                    obs.view_build_inserted(sig);
                 }
+                built.push(sig);
+                if plan_is_pure(&rebuilt) {
+                    // Capture the defining plan for future semantic
+                    // grants. Plans that themselves contain ViewScans
+                    // or nested Materialize markers are skipped: a
+                    // semantic fallback must recompute standalone.
+                    built_plans.push((sig, rebuilt.clone()));
+                }
+                return Ok((Arc::new(LogicalPlan::Materialize { sig, input: rebuilt }), pair));
             }
         }
-        Ok(rebuilt)
+        Ok((rebuilt, pair))
     }
 
     fn partitions_for(&self, est: Statistics) -> usize {
@@ -734,6 +789,16 @@ impl Optimizer {
     }
 }
 
+/// `node` with `children` in place of its own; `node` itself when every
+/// child is the one it had, so rewrites that change nothing keep the
+/// signed plan's nodes (and their memo entries).
+fn rebuild(node: &Arc<LogicalPlan>, children: Vec<Arc<LogicalPlan>>) -> Result<Arc<LogicalPlan>> {
+    if node.children().into_iter().zip(&children).all(|(old, new)| Arc::ptr_eq(old, new)) {
+        return Ok(node.clone());
+    }
+    Ok(Arc::new(node.with_children(children)?))
+}
+
 /// True when a plan contains no `ViewScan` or `Materialize` node — i.e. it
 /// can be recomputed standalone, without depending on other views.
 fn plan_is_pure(plan: &Arc<LogicalPlan>) -> bool {
@@ -745,7 +810,9 @@ fn plan_is_pure(plan: &Arc<LogicalPlan>) -> bool {
 mod tests {
     use super::*;
     use crate::expr::{col, lit, AggExpr, AggFunc};
+    use crate::normalize::normalize;
     use crate::plan::JoinKind;
+    use crate::signature::{plan_signature, template_signature, SigMode};
     use cv_common::ids::VersionGuid;
     use cv_data::schema::{Field, Schema};
     use cv_data::value::DataType;
@@ -810,8 +877,14 @@ mod tests {
     #[test]
     fn no_annotations_means_plain_plan() {
         let opt = optimizer();
-        let out =
-            opt.optimize(&query(), &ReuseContext::empty(), &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(
+                &opt.sign(&query()).unwrap(),
+                &ReuseContext::empty(),
+                &scan_stats,
+                &mut AlwaysGrant,
+            )
+            .unwrap();
         assert!(out.matched_views.is_empty());
         assert!(out.built_views.is_empty());
         assert!(!out.logical.uses_views());
@@ -823,7 +896,9 @@ mod tests {
         let opt = optimizer();
         let mut reuse = ReuseContext::empty();
         reuse.to_build.insert(shared_sig(&opt));
-        let out = opt.optimize(&query(), &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert_eq!(out.built_views.len(), 1);
         // A Spool appears in the physical plan.
         let tree = out.physical.display_tree();
@@ -836,7 +911,9 @@ mod tests {
         let sig = shared_sig(&opt);
         let mut reuse = ReuseContext::empty();
         reuse.available.insert(sig, ViewMeta::hot(12_000, 480_000));
-        let out = opt.optimize(&query(), &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert_eq!(out.matched_views, vec![sig]);
         assert!(out.logical.uses_views());
         let tree = out.physical.display_tree();
@@ -851,7 +928,9 @@ mod tests {
         let sig = shared_sig(&opt);
         let mut reuse = ReuseContext::empty();
         reuse.available.insert(sig, ViewMeta::hot(12_000, 480_000));
-        let out = opt.optimize(&query(), &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
 
         fn find_viewscan(p: &PhysicalPlan) -> Option<&PhysicalPlan> {
             if matches!(p, PhysicalPlan::ViewScan { .. }) {
@@ -878,7 +957,9 @@ mod tests {
         // A pathological view that is *bigger* than re-reading everything:
         // reuse must be rejected by costing.
         reuse.available.insert(sig, ViewMeta::hot(1 << 30, 1 << 62));
-        let out = opt.optimize(&query(), &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert!(out.matched_views.is_empty());
         assert!(!out.logical.uses_views());
     }
@@ -887,11 +968,19 @@ mod tests {
     fn reused_plan_is_cheaper() {
         let opt = optimizer();
         let sig = shared_sig(&opt);
-        let baseline =
-            opt.optimize(&query(), &ReuseContext::empty(), &scan_stats, &mut AlwaysGrant).unwrap();
+        let baseline = opt
+            .optimize(
+                &opt.sign(&query()).unwrap(),
+                &ReuseContext::empty(),
+                &scan_stats,
+                &mut AlwaysGrant,
+            )
+            .unwrap();
         let mut reuse = ReuseContext::empty();
         reuse.available.insert(sig, ViewMeta::hot(12_000, 480_000));
-        let reused = opt.optimize(&query(), &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let reused = opt
+            .optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert!(
             reused.est_cost.total() < baseline.est_cost.total(),
             "reuse {} !< baseline {}",
@@ -907,7 +996,9 @@ mod tests {
         let opt = Optimizer::new(cfg);
         let mut reuse = ReuseContext::empty();
         reuse.to_build.insert(shared_sig(&opt));
-        let out = opt.optimize(&query(), &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert!(out.built_views.is_empty());
     }
 
@@ -922,7 +1013,8 @@ mod tests {
         let opt = optimizer();
         let mut reuse = ReuseContext::empty();
         reuse.to_build.insert(shared_sig(&opt));
-        let out = opt.optimize(&query(), &reuse, &scan_stats, &mut DenyAll).unwrap();
+        let out =
+            opt.optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut DenyAll).unwrap();
         assert!(out.built_views.is_empty());
         assert!(!out.physical.display_tree().contains("Spool"));
     }
@@ -937,7 +1029,9 @@ mod tests {
         let mut reuse = ReuseContext::empty();
         reuse.available.insert(sig, ViewMeta::hot(10, 100));
         reuse.to_build.insert(sig);
-        let out = opt.optimize(&query(), &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert!(out.matched_views.is_empty());
         assert!(out.built_views.is_empty());
     }
@@ -949,7 +1043,9 @@ mod tests {
         let mut reuse = ReuseContext::empty();
         reuse.available.insert(sig, ViewMeta::hot(12_000, 480_000));
         reuse.to_build.insert(sig);
-        let out = opt.optimize(&query(), &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         // Matched, and NOT rebuilt (it's already materialized).
         assert_eq!(out.matched_views, vec![sig]);
         assert!(out.built_views.is_empty());
@@ -1022,7 +1118,9 @@ mod tests {
         let normalized = normalize(&candidate, &opt.cfg.sig).unwrap();
         let cand_sig = plan_signature(&normalized, &opt.cfg.sig, SigMode::Strict).unwrap();
 
-        let out = opt.optimize(&candidate, &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&candidate).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert_eq!(out.matched_views, vec![view_sig]);
         assert_eq!(out.compensated_views, vec![(view_sig, cand_sig)]);
         // The compensation is a residual Filter over the ViewScan.
@@ -1043,14 +1141,18 @@ mod tests {
         let mut opt = Optimizer::new(cfg);
         opt.set_prover(Arc::new(FilterResidualProver));
         let (_, reuse, candidate) = semantic_fixture(&opt);
-        let out = opt.optimize(&candidate, &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&candidate).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert!(out.matched_views.is_empty());
         assert!(out.compensated_views.is_empty());
 
         // Switch on but no prover installed → no substitution either.
         let opt2 = optimizer();
         let (_, reuse2, candidate2) = semantic_fixture(&opt2);
-        let out2 = opt2.optimize(&candidate2, &reuse2, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out2 = opt2
+            .optimize(&opt2.sign(&candidate2).unwrap(), &reuse2, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert!(out2.matched_views.is_empty());
         assert!(!out2.logical.uses_views());
     }
@@ -1078,7 +1180,9 @@ mod tests {
         let mut opt = optimizer();
         opt.set_prover(Arc::new(RefuseAll));
         let (_, reuse, candidate) = semantic_fixture(&opt);
-        let out = opt.optimize(&candidate, &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&candidate).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert!(out.matched_views.is_empty());
         assert!(!out.logical.uses_views());
     }
@@ -1089,7 +1193,9 @@ mod tests {
         opt.set_prover(Arc::new(FilterResidualProver));
         let (view_sig, mut reuse, candidate) = semantic_fixture(&opt);
         reuse.semantic.get_mut(&view_sig).unwrap().meta = ViewMeta::hot(1 << 30, 1 << 62);
-        let out = opt.optimize(&candidate, &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&candidate).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert!(out.matched_views.is_empty());
         assert!(!out.logical.uses_views());
     }
@@ -1100,7 +1206,9 @@ mod tests {
         let sig = shared_sig(&opt);
         let mut reuse = ReuseContext::empty();
         reuse.to_build.insert(sig);
-        let out = opt.optimize(&query(), &reuse, &scan_stats, &mut AlwaysGrant).unwrap();
+        let out = opt
+            .optimize(&opt.sign(&query()).unwrap(), &reuse, &scan_stats, &mut AlwaysGrant)
+            .unwrap();
         assert_eq!(out.built_plans.len(), 1);
         let (plan_sig, plan) = &out.built_plans[0];
         assert_eq!(*plan_sig, sig);

@@ -21,6 +21,8 @@
 
 use crate::plan::LogicalPlan;
 use cv_common::hash::{Sig128, StableHasher};
+use cv_common::Result;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which signature flavour to compute.
@@ -83,7 +85,7 @@ pub fn plan_signature(
     cfg: &SignatureConfig,
     mode: SigMode,
 ) -> Option<Sig128> {
-    sig_walk(plan, cfg, &mut |_, _, _| {}).map(|p| match mode {
+    plan_sig_pair(plan, cfg).map(|p| match mode {
         SigMode::Strict => p.strict,
         SigMode::Recurring => p.recurring,
     })
@@ -91,7 +93,7 @@ pub fn plan_signature(
 
 /// Compute both signatures at once.
 pub fn plan_sig_pair(plan: &Arc<LogicalPlan>, cfg: &SignatureConfig) -> Option<SigPair> {
-    sig_walk(plan, cfg, &mut |_, _, _| {})
+    Signer::new(cfg).walk(plan, &mut |_, _| {}).map(|s| s.pair)
 }
 
 /// Enumerate every *signable* subexpression of the plan, bottom-up.
@@ -99,43 +101,113 @@ pub fn enumerate_subexpressions(
     plan: &Arc<LogicalPlan>,
     cfg: &SignatureConfig,
 ) -> Vec<SubexprInfo> {
-    let mut out: Vec<SubexprInfo> = Vec::new();
-    let root_ptr = Arc::as_ptr(plan);
-    sig_walk(plan, cfg, &mut |node: &Arc<LogicalPlan>, pair: SigPair, height: usize| {
-        out.push(SubexprInfo {
-            plan: node.clone(),
-            strict: pair.strict,
-            recurring: pair.recurring,
-            template: template_signature(node, cfg).unwrap_or(pair.strict),
-            height,
-            node_count: node.node_count(),
-            is_root: std::ptr::eq(Arc::as_ptr(node), root_ptr),
-            kind: node.kind_name(),
-        });
-    });
-    out
+    SignedPlan::of_normalized(plan.clone(), cfg).subexprs
 }
 
-/// Bottom-up walk computing `(strict, recurring)` pairs, invoking `visit`
-/// for each signable node with its pair and height. Returns the root pair.
-fn sig_walk(
-    plan: &Arc<LogicalPlan>,
-    cfg: &SignatureConfig,
-    visit: &mut impl FnMut(&Arc<LogicalPlan>, SigPair, usize),
-) -> Option<SigPair> {
-    fn inner(
+/// Normalize a bound plan once and sign it in one bottom-up walk — the
+/// compile path every driver takes: annotation reads the result's
+/// subexpressions, and the optimizer matches and builds views against it.
+pub fn sign_plan(plan: &Arc<LogicalPlan>, cfg: &SignatureConfig) -> Result<SignedPlan> {
+    let normalized = crate::normalize::normalize(plan, cfg)?;
+    Ok(SignedPlan::of_normalized(normalized, cfg))
+}
+
+/// A normalized plan with every signable subexpression signed once.
+///
+/// The memo maps a node's address to its entry in `subexprs`. The signed
+/// plan owns the tree (`plan`), so every node the memo names stays alive
+/// as long as the memo does and no other node can take its address; a
+/// node's signatures are a function of its immutable subtree, so an
+/// address hit is that node's exact signature. A node built after signing
+/// (a rewritten parent, a `ViewScan`) simply misses.
+#[derive(Clone, Debug)]
+pub struct SignedPlan {
+    /// The normalized plan.
+    pub plan: Arc<LogicalPlan>,
+    /// Its signable subexpressions, bottom-up (what
+    /// [`enumerate_subexpressions`] returns for `plan`).
+    pub subexprs: Vec<SubexprInfo>,
+    memo: HashMap<usize, usize>,
+    /// The domains the plan was signed under, for nodes built from it.
+    pub(crate) signer: Signer,
+}
+
+impl SignedPlan {
+    /// Sign an already normalized plan in one bottom-up walk.
+    pub fn of_normalized(plan: Arc<LogicalPlan>, cfg: &SignatureConfig) -> SignedPlan {
+        let mut subexprs = Vec::new();
+        let mut memo = HashMap::new();
+        let root = Arc::as_ptr(&plan);
+        let signer = Signer::new(cfg);
+        signer.walk(&plan, &mut |node, s| {
+            memo.insert(Arc::as_ptr(node) as usize, subexprs.len());
+            subexprs.push(SubexprInfo {
+                plan: node.clone(),
+                strict: s.pair.strict,
+                recurring: s.pair.recurring,
+                template: s.template,
+                height: s.height,
+                node_count: s.node_count,
+                is_root: std::ptr::eq(Arc::as_ptr(node), root),
+                kind: node.kind_name(),
+            });
+        });
+        SignedPlan { plan, subexprs, memo, signer }
+    }
+
+    /// The signed subexpression rooted at `node`, if `node` is a signable
+    /// node of this plan (by address, see the type's docs).
+    pub fn subexpr(&self, node: &Arc<LogicalPlan>) -> Option<&SubexprInfo> {
+        self.memo.get(&(Arc::as_ptr(node) as usize)).map(|&i| &self.subexprs[i])
+    }
+}
+
+/// What the walk derives for one signable node from its children.
+#[derive(Clone, Copy, Debug)]
+struct NodeSigs {
+    pair: SigPair,
+    template: Sig128,
+    height: usize,
+    node_count: usize,
+}
+
+/// The three hash domains of one [`SignatureConfig`], seeded once and
+/// cloned per node.
+#[derive(Clone, Debug)]
+pub(crate) struct Signer {
+    strict: StableHasher,
+    recurring: StableHasher,
+    template: StableHasher,
+    max_udo_chain: usize,
+}
+
+impl Signer {
+    pub(crate) fn new(cfg: &SignatureConfig) -> Signer {
+        let v = &cfg.runtime_version;
+        Signer {
+            strict: StableHasher::with_domain(&format!("plan-sig:{v}")),
+            recurring: StableHasher::with_domain(&format!("plan-sig-recurring:{v}")),
+            template: StableHasher::with_domain(&format!("plan-template:{v}")),
+            max_udo_chain: cfg.max_udo_chain,
+        }
+    }
+
+    /// Bottom-up walk: signs each node once from its children's results,
+    /// invoking `visit` for each signable node. Returns the root's result.
+    fn walk(
+        &self,
         plan: &Arc<LogicalPlan>,
-        cfg: &SignatureConfig,
-        visit: &mut impl FnMut(&Arc<LogicalPlan>, SigPair, usize),
-    ) -> Option<(SigPair, usize)> {
-        let mut child_pairs = Vec::new();
-        let mut height = 0usize;
+        visit: &mut impl FnMut(&Arc<LogicalPlan>, &NodeSigs),
+    ) -> Option<NodeSigs> {
+        let mut pairs = Vec::new();
+        let (mut height, mut node_count) = (0, 1);
         let mut signable = true;
         for c in plan.children() {
-            match inner(c, cfg, visit) {
-                Some((pair, h)) => {
-                    child_pairs.push(pair);
-                    height = height.max(h);
+            match self.walk(c, visit) {
+                Some(s) => {
+                    pairs.push(s.pair);
+                    height = height.max(s.height);
+                    node_count += s.node_count;
                 }
                 None => signable = false,
             }
@@ -143,134 +215,166 @@ fn sig_walk(
         if !signable {
             return None;
         }
-        let pair = node_sig(plan, cfg, &child_pairs)?;
-        let height = height + 1;
-        visit(plan, pair, height);
-        Some((pair, height))
+        let pair = self.node_sig(plan, &pairs)?;
+        let template = self.template(plan, pair.strict, pairs.iter().map(|p| p.strict));
+        let sigs = NodeSigs { pair, template, height: height + 1, node_count };
+        visit(plan, &sigs);
+        Some(sigs)
     }
-    inner(plan, cfg, visit).map(|(p, _)| p)
-}
 
-/// Hash one node given its children's signature pairs.
-fn node_sig(plan: &LogicalPlan, cfg: &SignatureConfig, children: &[SigPair]) -> Option<SigPair> {
-    let mut strict = StableHasher::with_domain(&format!("plan-sig:{}", cfg.runtime_version));
-    let mut recurring =
-        StableHasher::with_domain(&format!("plan-sig-recurring:{}", cfg.runtime_version));
-    for c in children {
-        strict.write_sig(c.strict);
-        recurring.write_sig(c.recurring);
+    /// Hash one node given its children's signature pairs.
+    pub(crate) fn node_sig(&self, plan: &LogicalPlan, children: &[SigPair]) -> Option<SigPair> {
+        let mut strict = self.strict.clone();
+        let mut recurring = self.recurring.clone();
+        for c in children {
+            strict.write_sig(c.strict);
+            recurring.write_sig(c.recurring);
+        }
+        let both = |s: &mut StableHasher, r: &mut StableHasher, f: &dyn Fn(&mut StableHasher)| {
+            f(s);
+            f(r);
+        };
+        match plan {
+            LogicalPlan::Scan { dataset, guid, schema } => {
+                both(&mut strict, &mut recurring, &|h| {
+                    h.write_u8(0);
+                    h.write_str(dataset);
+                    schema.stable_hash(h);
+                });
+                // Only the strict flavour pins the input version.
+                strict.write_sig(guid.as_sig());
+            }
+            LogicalPlan::Filter { predicate, .. } => {
+                if !predicate.is_deterministic() {
+                    return None;
+                }
+                strict.write_u8(1);
+                recurring.write_u8(1);
+                predicate.stable_hash(&mut strict, true);
+                predicate.stable_hash(&mut recurring, false);
+            }
+            LogicalPlan::Project { exprs, .. } => {
+                strict.write_u8(2);
+                recurring.write_u8(2);
+                for (e, name) in exprs {
+                    if !e.is_deterministic() {
+                        return None;
+                    }
+                    e.stable_hash(&mut strict, true);
+                    strict.write_str(name);
+                    e.stable_hash(&mut recurring, false);
+                    recurring.write_str(name);
+                }
+            }
+            LogicalPlan::Join { on, kind, .. } => {
+                both(&mut strict, &mut recurring, &|h| {
+                    h.write_u8(3);
+                    h.write_u8(kind.ordinal());
+                    h.write_u64(on.len() as u64);
+                    for (l, r) in on {
+                        h.write_str(l);
+                        h.write_str(r);
+                    }
+                });
+            }
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                strict.write_u8(4);
+                recurring.write_u8(4);
+                for (e, name) in group_by {
+                    if !e.is_deterministic() {
+                        return None;
+                    }
+                    e.stable_hash(&mut strict, true);
+                    strict.write_str(name);
+                    e.stable_hash(&mut recurring, false);
+                    recurring.write_str(name);
+                }
+                for a in aggs {
+                    if !a.is_deterministic() {
+                        return None;
+                    }
+                    a.stable_hash(&mut strict, true);
+                    a.stable_hash(&mut recurring, false);
+                }
+            }
+            LogicalPlan::Union { inputs } => {
+                both(&mut strict, &mut recurring, &|h| {
+                    h.write_u8(5);
+                    h.write_u64(inputs.len() as u64);
+                });
+            }
+            LogicalPlan::Sort { keys, .. } => {
+                both(&mut strict, &mut recurring, &|h| {
+                    h.write_u8(6);
+                    for (k, asc) in keys {
+                        h.write_str(k);
+                        h.write_bool(*asc);
+                    }
+                });
+            }
+            LogicalPlan::Limit { n, .. } => {
+                both(&mut strict, &mut recurring, &|h| {
+                    h.write_u8(7);
+                    h.write_u64(*n as u64);
+                });
+            }
+            LogicalPlan::Udo { spec, .. } => {
+                // The §4 policy: skip reuse on non-determinism or over-deep
+                // dependency chains rather than risk wrong results or slow
+                // compilations.
+                if !spec.deterministic || spec.library_chain.len() > self.max_udo_chain {
+                    return None;
+                }
+                both(&mut strict, &mut recurring, &|h| {
+                    h.write_u8(8);
+                    spec.stable_hash(h);
+                });
+            }
+            LogicalPlan::ViewScan { sig, .. } => {
+                // A view scan *is* the computation it replaced: reuse the
+                // original signature so nested matching keeps working.
+                return Some(SigPair { strict: *sig, recurring: *sig });
+            }
+            LogicalPlan::Materialize { .. } => {
+                // Materialize is transparent: it computes exactly its input.
+                return children.first().copied();
+            }
+        }
+        Some(SigPair { strict: strict.finish128(), recurring: recurring.finish128() })
     }
-    let both = |s: &mut StableHasher, r: &mut StableHasher, f: &dyn Fn(&mut StableHasher)| {
-        f(s);
-        f(r);
-    };
-    match plan {
-        LogicalPlan::Scan { dataset, guid, schema } => {
-            both(&mut strict, &mut recurring, &|h| {
-                h.write_u8(0);
-                h.write_str(dataset);
-                schema.stable_hash(h);
-            });
-            // Only the strict flavour pins the input version.
-            strict.write_sig(guid.as_sig());
+
+    /// The template signature of a signable node (see
+    /// [`template_signature`]) from its strict signature and its
+    /// children's.
+    fn template(
+        &self,
+        plan: &LogicalPlan,
+        strict: Sig128,
+        children: impl Iterator<Item = Sig128>,
+    ) -> Sig128 {
+        let tag = match plan {
+            LogicalPlan::Filter { .. } => 1u8,
+            LogicalPlan::Project { .. } => 2,
+            LogicalPlan::Aggregate { .. } => 4,
+            _ => return strict,
+        };
+        let mut h = self.template.clone();
+        h.write_u8(tag);
+        for c in children {
+            h.write_sig(c);
         }
-        LogicalPlan::Filter { predicate, .. } => {
-            if !predicate.is_deterministic() {
-                return None;
-            }
-            strict.write_u8(1);
-            recurring.write_u8(1);
-            predicate.stable_hash(&mut strict, true);
-            predicate.stable_hash(&mut recurring, false);
-        }
-        LogicalPlan::Project { exprs, .. } => {
-            strict.write_u8(2);
-            recurring.write_u8(2);
-            for (e, name) in exprs {
-                if !e.is_deterministic() {
-                    return None;
-                }
-                e.stable_hash(&mut strict, true);
-                strict.write_str(name);
-                e.stable_hash(&mut recurring, false);
-                recurring.write_str(name);
-            }
-        }
-        LogicalPlan::Join { on, kind, .. } => {
-            both(&mut strict, &mut recurring, &|h| {
-                h.write_u8(3);
-                h.write_u8(kind.ordinal());
-                h.write_u64(on.len() as u64);
-                for (l, r) in on {
-                    h.write_str(l);
-                    h.write_str(r);
-                }
-            });
-        }
-        LogicalPlan::Aggregate { group_by, aggs, .. } => {
-            strict.write_u8(4);
-            recurring.write_u8(4);
-            for (e, name) in group_by {
-                if !e.is_deterministic() {
-                    return None;
-                }
-                e.stable_hash(&mut strict, true);
-                strict.write_str(name);
-                e.stable_hash(&mut recurring, false);
-                recurring.write_str(name);
-            }
-            for a in aggs {
-                if !a.is_deterministic() {
-                    return None;
-                }
-                a.stable_hash(&mut strict, true);
-                a.stable_hash(&mut recurring, false);
-            }
-        }
-        LogicalPlan::Union { inputs } => {
-            both(&mut strict, &mut recurring, &|h| {
-                h.write_u8(5);
-                h.write_u64(inputs.len() as u64);
-            });
-        }
-        LogicalPlan::Sort { keys, .. } => {
-            both(&mut strict, &mut recurring, &|h| {
-                h.write_u8(6);
-                for (k, asc) in keys {
-                    h.write_str(k);
-                    h.write_bool(*asc);
-                }
-            });
-        }
-        LogicalPlan::Limit { n, .. } => {
-            both(&mut strict, &mut recurring, &|h| {
-                h.write_u8(7);
-                h.write_u64(*n as u64);
-            });
-        }
-        LogicalPlan::Udo { spec, .. } => {
-            // The §4 policy: skip reuse on non-determinism or over-deep
-            // dependency chains rather than risk wrong results or slow
-            // compilations.
-            if !spec.deterministic || spec.library_chain.len() > cfg.max_udo_chain {
-                return None;
-            }
-            both(&mut strict, &mut recurring, &|h| {
-                h.write_u8(8);
-                spec.stable_hash(h);
-            });
-        }
-        LogicalPlan::ViewScan { sig, .. } => {
-            // A view scan *is* the computation it replaced: reuse the
-            // original signature so nested matching keeps working.
-            return Some(SigPair { strict: *sig, recurring: *sig });
-        }
-        LogicalPlan::Materialize { .. } => {
-            // Materialize is transparent: it computes exactly its input.
-            return children.first().copied();
+        h.finish128()
+    }
+
+    /// A deterministic ordering key for plans, used by the normalizer to
+    /// order commutative join inputs. Falls back to a structural hash when
+    /// the plan is unsignable.
+    pub(crate) fn order_key(&self, plan: &Arc<LogicalPlan>) -> Sig128 {
+        match self.walk(plan, &mut |_, _| {}) {
+            Some(s) => s.pair.strict,
+            None => Sig128::of_str(&plan.display_tree()),
         }
     }
-    Some(SigPair { strict: strict.finish128(), recurring: recurring.finish128() })
 }
 
 /// The **template signature**: a one-level relaxation of the strict
@@ -285,32 +389,15 @@ fn node_sig(plan: &LogicalPlan, cfg: &SignatureConfig, children: &[SigPair]) -> 
 /// its strict signature (no relaxation). `None` iff the node is
 /// unsignable — unsignable subexpressions are never reused, semantically
 /// or otherwise.
+///
+/// This is the definition, computed from scratch: the node and each child
+/// signed by a walk of its own. [`SignedPlan`] derives the same value from
+/// the children's pairs inside its one walk; the tests hold the two equal.
 pub fn template_signature(plan: &Arc<LogicalPlan>, cfg: &SignatureConfig) -> Option<Sig128> {
-    // The node itself must be signable (determinism policy, §4) before any
-    // relaxation is allowed.
-    plan_signature(plan, cfg, SigMode::Strict)?;
-    let tag = match &**plan {
-        LogicalPlan::Filter { .. } => 1u8,
-        LogicalPlan::Project { .. } => 2,
-        LogicalPlan::Aggregate { .. } => 4,
-        _ => return plan_signature(plan, cfg, SigMode::Strict),
-    };
-    let mut h = StableHasher::with_domain(&format!("plan-template:{}", cfg.runtime_version));
-    h.write_u8(tag);
-    for c in plan.children() {
-        h.write_sig(plan_signature(c, cfg, SigMode::Strict)?);
-    }
-    Some(h.finish128())
-}
-
-/// A deterministic ordering key for plans, used by the normalizer to order
-/// commutative join inputs. Falls back to a structural hash when the plan is
-/// unsignable.
-pub fn order_key(plan: &Arc<LogicalPlan>, cfg: &SignatureConfig) -> Sig128 {
-    match plan_signature(plan, cfg, SigMode::Strict) {
-        Some(s) => s,
-        None => Sig128::of_str(&plan.display_tree()),
-    }
+    let strict = plan_signature(plan, cfg, SigMode::Strict)?;
+    let children: Option<Vec<Sig128>> =
+        plan.children().into_iter().map(|c| plan_signature(c, cfg, SigMode::Strict)).collect();
+    Some(Signer::new(cfg).template(plan, strict, children?.into_iter()))
 }
 
 #[cfg(test)]
@@ -555,8 +642,8 @@ mod tests {
         let nd = ScalarExpr::Func { func: FuncKind::Now, args: vec![] };
         let p = filter(scan("sales", 1), col("k").gt(nd.cast(DataType::Int)));
         // Unsignable but still orderable.
-        let k1 = order_key(&p, &cfg());
-        let k2 = order_key(&p, &cfg());
+        let k1 = Signer::new(&cfg()).order_key(&p);
+        let k2 = Signer::new(&cfg()).order_key(&p);
         assert_eq!(k1, k2);
     }
 }

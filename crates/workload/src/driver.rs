@@ -42,9 +42,9 @@ use cv_data::store_api::{SharedViewStore, StoreIoStats};
 use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
 use cv_engine::exec::{ExecMetrics, PendingView};
-use cv_engine::optimizer::{AlwaysGrant, OptimizerConfig, ReuseContext};
+use cv_engine::optimizer::{AlwaysGrant, OptimizeOutcome, OptimizerConfig, ReuseContext};
 use cv_engine::plan::LogicalPlan;
-use cv_engine::signature::{plan_signature, SigMode};
+use cv_engine::signature::{plan_signature, SigMode, SignedPlan};
 use cv_ivm::{IvmEngine, IvmStats, Maintain};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -533,6 +533,37 @@ struct OneJob {
     digest: Sig128,
 }
 
+/// Sign a job's plan once, annotate its subexpressions and optimize it
+/// under the annotations. Returns the signed plan, the annotations and the
+/// outcome.
+fn compile_one(
+    engine: &QueryEngine,
+    store: &dyn SharedViewStore,
+    insights: &mut InsightsService,
+    plan: &Arc<LogicalPlan>,
+    meta: JobMeta,
+    use_cv: bool,
+) -> Result<(SignedPlan, ReuseContext, OptimizeOutcome)> {
+    let signed = engine.sign(plan)?;
+    let mut reuse = if use_cv {
+        insights.annotate(meta.vc, meta.job, &signed.subexprs, meta.submit).0
+    } else {
+        ReuseContext::empty()
+    };
+    // Residency-aware costing: views whose pages are not in the buffer
+    // pool pay the cold-read multiplier in the optimizer's reuse-vs-
+    // recompute comparison (a memory store is always resident).
+    for (sig, meta) in reuse.available.iter_mut() {
+        meta.cold = !store.is_resident(*sig);
+    }
+    let outcome = if use_cv {
+        engine.optimize_signed(&signed, &reuse, &mut insights.locker())?
+    } else {
+        engine.optimize_signed(&signed, &reuse, &mut AlwaysGrant)?
+    };
+    Ok((signed, reuse, outcome))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_one_job(
     engine: &mut QueryEngine,
@@ -545,58 +576,40 @@ fn run_one_job(
     diff_outputs: bool,
 ) -> Result<OneJob> {
     let plan = template.build_plan(engine, day)?;
-    let subexprs = engine.subexpressions(&plan)?;
-    let mut reuse = if use_cv {
-        insights.annotate(meta.vc, meta.job, &subexprs, meta.submit).0
-    } else {
-        ReuseContext::empty()
-    };
-    // Residency-aware costing: views whose pages are not in the buffer
-    // pool pay the cold-read multiplier in the optimizer's reuse-vs-
-    // recompute comparison (a memory store is always resident).
-    for (sig, meta) in reuse.available.iter_mut() {
-        meta.cold = !store.is_resident(*sig);
-    }
+    let (signed, _, outcome) = compile_one(engine, store, insights, &plan, meta, use_cv)?;
 
-    let compiled = if use_cv {
-        let mut locker = insights.locker();
-        engine.optimize(&plan, &reuse, &mut locker)?
-    } else {
-        engine.optimize(&plan, &reuse, &mut AlwaysGrant)?
-    };
-
-    let exec = match engine.execute_with_obs(&compiled.outcome.physical, store, meta.submit, None) {
+    let exec = match engine.execute_with_obs(&outcome.physical, store, meta.submit, None) {
         Ok(e) => e,
         Err(e) => {
             // Release any creation locks this job acquired before bailing.
-            for sig in &compiled.outcome.built_views {
+            for sig in &outcome.built_views {
                 insights.release_lock(*sig);
             }
             return Err(e);
         }
     };
 
-    if use_cv && !compiled.outcome.matched_views.is_empty() {
-        insights.record_reuse(&compiled.outcome.matched_views, meta.job, meta.submit);
+    if use_cv && !outcome.matched_views.is_empty() {
+        insights.record_reuse(&outcome.matched_views, meta.job, meta.submit);
     }
     if let Some(output) = template.output_dataset() {
         publish_output(&mut engine.catalog, output, &exec.table, meta.submit, diff_outputs)?;
     }
 
-    let stages = build_stages(&compiled.outcome.physical, &exec.metrics.op_profiles)?;
+    let stages = build_stages(&outcome.physical, &exec.metrics.op_profiles)?;
     let data_plane = DataPlane::from_exec(
         &exec.metrics,
-        compiled.outcome.matched_views.len(),
-        compiled.outcome.compensated_views.len(),
-        compiled.outcome.built_views.len(),
+        outcome.matched_views.len(),
+        outcome.compensated_views.len(),
+        outcome.built_views.len(),
     );
     let digest = digest_table(&exec.table);
 
     Ok(OneJob {
-        subexprs,
+        subexprs: signed.subexprs,
         metrics: exec.metrics,
         pending_views: exec.pending_views,
-        built_plans: compiled.outcome.built_plans,
+        built_plans: outcome.built_plans,
         stages,
         data_plane,
         digest,
@@ -607,6 +620,8 @@ fn run_one_job(
 mod tests {
     use super::*;
     use crate::generator::{generate_workload, WorkloadConfig};
+    use cv_engine::optimizer::BuildCoordinator;
+    use cv_engine::signature::template_signature;
 
     fn small_workload() -> Workload {
         generate_workload(WorkloadConfig {
@@ -908,5 +923,161 @@ mod tests {
         assert_eq!(a.result_digests, b.result_digests);
         assert_eq!(a.view_store_stats, b.view_store_stats);
         assert_eq!(a.ledger.totals(), b.ledger.totals());
+    }
+
+    /// The signature memo is exact. Over every job of a 4-day run with
+    /// reuse on — annotations served live by the insights service as views
+    /// are sealed and the selection is refreshed — each memoized value
+    /// equals its from-scratch definition, every signature the optimizer
+    /// wrote into the plan equals the signature of what it wraps or
+    /// replaced, and optimizing the normalized plan again changes nothing.
+    #[test]
+    fn the_signature_memo_is_exact_over_a_run() {
+        for seed in [7, 42] {
+            let w = generate_workload(WorkloadConfig {
+                seed,
+                scale: 0.05,
+                n_analytics: 24,
+                ..WorkloadConfig::default()
+            });
+            let cfg = DriverConfig::enabled(4);
+            let (matched, compensated, built) = replay_checking_the_memo(&w, &cfg);
+            assert!(
+                matched > 0 && compensated > 0 && built > 0,
+                "seed {seed}: {matched}/{compensated}/{built}"
+            );
+        }
+    }
+
+    /// Run `w` one job at a time through the drivers' compile path, sealing
+    /// each built view as its job ends, and check every compiled job.
+    /// Returns how many views were matched (all, then compensated only) and
+    /// built.
+    fn replay_checking_the_memo(w: &Workload, cfg: &DriverConfig) -> (usize, usize, usize) {
+        let store = open_store(cfg, 1).unwrap();
+        let store: &dyn SharedViewStore = &*store;
+        let mut engine = set_up(cfg, store);
+        let mut insights = InsightsService::new(cfg.controls.clone());
+        let mut repo = SubexpressionRepo::new();
+        let knobs = cfg.cloudviews.as_ref().unwrap();
+        let (mut matched, mut compensated, mut built) = (0, 0, 0);
+        let mut next_job = 0;
+        for day in (0..cfg.days).map(SimDay) {
+            ingest_raw(&mut engine.catalog, w, day, false).unwrap();
+            for template in due_jobs(w, day) {
+                let meta = next_job_meta(template, day, &mut next_job);
+                let plan = template.build_plan(&engine, day).unwrap();
+                let (signed, reuse, outcome) =
+                    compile_one(&engine, store, &mut insights, &plan, meta, true).unwrap();
+                check_memo(&engine, &signed, &reuse, &outcome);
+                matched += outcome.matched_views.len();
+                compensated += outcome.compensated_views.len();
+                built += outcome.built_views.len();
+
+                let exec = engine.execute_with_obs(&outcome.physical, store, meta.submit, None);
+                let exec = exec.unwrap();
+                for pv in &exec.pending_views {
+                    let defining = outcome.built_plans.iter().find(|(s, _)| *s == pv.sig);
+                    if seal_view(store, pv, meta.job, meta.vc, meta.submit).unwrap() {
+                        let plan = defining.map(|(_, p)| p.clone());
+                        insights.report_sealed(
+                            view_info(cfg, pv, meta.vc, meta.submit, plan),
+                            meta.job,
+                        );
+                    }
+                }
+                if !outcome.matched_views.is_empty() {
+                    insights.record_reuse(&outcome.matched_views, meta.job, meta.submit);
+                }
+                if let Some(output) = template.output_dataset() {
+                    publish_output(&mut engine.catalog, output, &exec.table, meta.submit, false)
+                        .unwrap();
+                }
+                repo.log_job(meta, &signed.subexprs, Some(&exec.metrics.op_profiles));
+            }
+            run_analysis(&repo, &mut insights, knobs, day, &cfg.cluster);
+        }
+        (matched, compensated, built)
+    }
+
+    fn check_memo(
+        engine: &QueryEngine,
+        signed: &SignedPlan,
+        reuse: &ReuseContext,
+        outcome: &OptimizeOutcome,
+    ) {
+        let sig = &engine.optimizer.cfg.sig;
+        let strict = |p: &Arc<LogicalPlan>| plan_signature(p, sig, SigMode::Strict);
+        for sub in &signed.subexprs {
+            assert_eq!(Some(sub.template), template_signature(&sub.plan, sig));
+            assert_eq!(sub.node_count, sub.plan.node_count());
+            assert_eq!(Some(sub.strict), strict(&sub.plan));
+            assert_eq!(signed.subexpr(&sub.plan).map(|s| s.strict), Some(sub.strict));
+        }
+        check_materialize(&outcome.logical, &strict);
+        check_view_scans(&outcome.logical, &signed.plan, outcome, reuse, &strict);
+        // A captured defining plan is a node of the signed plan, so the
+        // service driver reads its template off the memo.
+        for (_, plan) in &outcome.built_plans {
+            let sub = signed.subexpr(plan).expect("a built plan is a node of the signed plan");
+            assert_eq!(Some(sub.template), template_signature(plan, sig));
+        }
+
+        // Normalization is idempotent, so signing the normalized plan again
+        // and optimizing it under the same annotations (and the same build
+        // grants) reproduces the outcome.
+        struct Grant(Vec<Sig128>);
+        impl BuildCoordinator for Grant {
+            fn try_acquire(&mut self, sig: Sig128) -> bool {
+                self.0.contains(&sig)
+            }
+        }
+        let again = engine.sign(&signed.plan).unwrap();
+        let again =
+            engine.optimize_signed(&again, reuse, &mut Grant(outcome.built_views.clone())).unwrap();
+        assert_eq!(format!("{again:?}"), format!("{outcome:?}"));
+    }
+
+    /// Every `Materialize` is keyed by the strict signature of its input.
+    fn check_materialize(
+        plan: &Arc<LogicalPlan>,
+        strict: &dyn Fn(&Arc<LogicalPlan>) -> Option<Sig128>,
+    ) {
+        if let LogicalPlan::Materialize { sig, input } = &**plan {
+            assert_eq!(strict(input), Some(*sig));
+        }
+        for c in plan.children() {
+            check_materialize(c, strict);
+        }
+    }
+
+    /// Walk the optimized plan beside the signed plan it came from: an
+    /// exact `ViewScan` carries the signature of the subtree it replaced,
+    /// and a compensation stands for a subtree the outcome names, over a
+    /// view whose defining plan signs as the view.
+    fn check_view_scans(
+        optimized: &Arc<LogicalPlan>,
+        original: &Arc<LogicalPlan>,
+        outcome: &OptimizeOutcome,
+        reuse: &ReuseContext,
+        strict: &dyn Fn(&Arc<LogicalPlan>) -> Option<Sig128>,
+    ) {
+        let optimized = match &**optimized {
+            LogicalPlan::Materialize { input, .. } => input,
+            _ => optimized,
+        };
+        let sig = strict(original);
+        if let Some((view, _)) = outcome.compensated_views.iter().find(|(_, c)| Some(*c) == sig) {
+            assert_eq!(strict(&reuse.semantic[view].plan), Some(*view));
+            return;
+        }
+        if let LogicalPlan::ViewScan { sig: view, .. } = &**optimized {
+            assert_eq!(sig, Some(*view));
+            return;
+        }
+        assert_eq!(optimized.kind_name(), original.kind_name());
+        for (o, c) in optimized.children().into_iter().zip(original.children()) {
+            check_view_scans(o, c, outcome, reuse, strict);
+        }
     }
 }

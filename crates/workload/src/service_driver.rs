@@ -65,7 +65,7 @@ use cv_engine::exec::{ExecOutcome, PendingView};
 use cv_engine::optimizer::{AlwaysGrant, ReuseContext, SemanticGrant, ViewMeta};
 use cv_engine::physical::PhysicalPlan;
 use cv_engine::plan::LogicalPlan;
-use cv_engine::signature::{template_signature, SubexprInfo};
+use cv_engine::signature::SubexprInfo;
 use cv_obs::SpanGuard;
 use cv_service::{
     run_tasks, FlightOutcome, PipelinedViewSource, PoolConfig, PromisedView, ServiceStats,
@@ -555,27 +555,26 @@ impl<'a> ServiceRun<'a> {
 
         let plan = template.build_plan(&self.engine, day)?;
         let normalize = self.obs.span(track, "normalize");
-        let subexprs = self.engine.subexpressions(&plan);
-        normalize.close(&[("subexprs", subexprs.as_ref().map_or(0, |s| s.len() as u64))]);
-        let subexprs = subexprs?;
+        let signed = self.engine.sign(&plan);
+        normalize.close(&[("subexprs", signed.as_ref().map_or(0, |s| s.subexprs.len() as u64))]);
+        let signed = signed?;
 
         let mut reuse = ReuseContext::empty();
         let mut promised: HashSet<Sig128> = HashSet::new();
         let mut deps: Vec<JobId> = Vec::new();
         if use_cv {
-            reuse = self.insights.lock().annotate(meta.vc, job, &subexprs, submit).0;
+            reuse = self.insights.lock().annotate(meta.vc, job, &signed.subexprs, submit).0;
             self.reconcile_flights(&mut reuse, submit, &mut promised, &mut deps);
-            self.grant_epoch_views(&mut reuse, &subexprs);
+            self.grant_epoch_views(&mut reuse, &signed.subexprs);
         }
 
         let optimize = self.obs.span(track, "optimize");
-        let optimized = if use_cv {
+        let outcome = if use_cv {
             let mut coord = self.insights.clone();
-            self.engine.optimize(&plan, &reuse, &mut coord)
+            self.engine.optimize_signed(&signed, &reuse, &mut coord)
         } else {
-            self.engine.optimize(&plan, &reuse, &mut AlwaysGrant)
-        };
-        let outcome = optimized?.outcome;
+            self.engine.optimize_signed(&signed, &reuse, &mut AlwaysGrant)
+        }?;
         let (matched, built) =
             (outcome.matched_views.len() as u64, outcome.built_views.len() as u64);
         optimize.close(&[("matched", matched), ("built", built)]);
@@ -586,12 +585,14 @@ impl<'a> ServiceRun<'a> {
                 continue;
             }
             // Advertise the claim by template so later jobs today can reach
-            // it through the containment prover.
+            // it through the containment prover. A captured plan is
+            // view-free, so matching and building left it a node of the
+            // signed plan, whose template the memo holds.
             let Some((_, plan)) = outcome.built_plans.iter().find(|(s, _)| s == sig) else {
                 continue;
             };
-            if let Some(template) = template_signature(plan, &self.engine.optimizer.cfg.sig) {
-                self.epoch_views.entry(template).or_default().push(EpochView {
+            if let Some(sub) = signed.subexpr(plan) {
+                self.epoch_views.entry(sub.template).or_default().push(EpochView {
                     strict: *sig,
                     plan: plan.clone(),
                     rows: promise.rows,
@@ -632,7 +633,7 @@ impl<'a> ServiceRun<'a> {
             compensated: outcome.compensated_views.len(),
             built: outcome.built_views,
             built_plans: outcome.built_plans,
-            subexprs,
+            subexprs: signed.subexprs,
             output_dataset: template.output_dataset().map(str::to_string),
         })
     }

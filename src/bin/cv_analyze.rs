@@ -27,7 +27,6 @@ use cv_common::json::{json, Json, JsonMap, ToJson};
 use cv_common::rng::DetRng;
 use cv_common::SimDay;
 use cv_engine::engine::QueryEngine;
-use cv_engine::normalize::normalize;
 use cv_engine::optimizer::{AlwaysGrant, OptimizerConfig, ReuseContext, ViewMeta};
 use cv_obs::Tracer;
 use cv_workload::schemas::raw_specs;
@@ -195,6 +194,16 @@ fn run_sweep(
                 }
             };
             out.jobs += 1;
+            let signed = match engine.sign(&plan) {
+                Ok(s) => s,
+                Err(_) => {
+                    out.compile_failures += 1;
+                    if let Some(t) = tracer {
+                        t.end_with(track, &[("template", template.id.0), ("failed", 1)]);
+                    }
+                    continue;
+                }
+            };
 
             // Reuse annotations for this job, as the insights service
             // would serve them: live views + recurring build candidates.
@@ -209,28 +218,16 @@ fn run_sweep(
                 }
             }
             if sweep.build_views {
-                if let Ok(subs) = engine.subexpressions(&plan) {
-                    for sub in subs.iter().filter(|s| !s.is_root && s.node_count > 1) {
-                        let count = sig_counts.entry(sub.strict).or_insert(0);
-                        *count += 1;
-                        if *count >= 2 && !reuse.available.contains_key(&sub.strict) {
-                            reuse.to_build.insert(sub.strict);
-                        }
+                for sub in signed.subexprs.iter().filter(|s| !s.is_root && s.node_count > 1) {
+                    let count = sig_counts.entry(sub.strict).or_insert(0);
+                    *count += 1;
+                    if *count >= 2 && !reuse.available.contains_key(&sub.strict) {
+                        reuse.to_build.insert(sub.strict);
                     }
                 }
             }
 
-            let normalized = match normalize(&plan, &engine.optimizer.cfg.sig) {
-                Ok(n) => n,
-                Err(_) => {
-                    out.compile_failures += 1;
-                    if let Some(t) = tracer {
-                        t.end_with(track, &[("template", template.id.0), ("failed", 1)]);
-                    }
-                    continue;
-                }
-            };
-            let compiled = match engine.optimize(&plan, &reuse, &mut AlwaysGrant) {
+            let outcome = match engine.optimize_signed(&signed, &reuse, &mut AlwaysGrant) {
                 Ok(c) => c,
                 Err(_) => {
                     out.compile_failures += 1;
@@ -240,18 +237,17 @@ fn run_sweep(
                     continue;
                 }
             };
-            out.views_matched += compiled.outcome.matched_views.len() as u64;
-            out.views_built += compiled.outcome.built_views.len() as u64;
+            out.views_matched += outcome.matched_views.len() as u64;
+            out.views_built += outcome.built_views.len() as u64;
 
-            let report =
-                analyzer.analyze_outcome(&normalized, &compiled.outcome, &reuse, Some(&live));
+            let report = analyzer.analyze_outcome(&signed.plan, &outcome, &reuse, Some(&live));
             if let Some(t) = tracer {
                 t.end_with(
                     track,
                     &[
                         ("template", template.id.0),
-                        ("matched", compiled.outcome.matched_views.len() as u64),
-                        ("built", compiled.outcome.built_views.len() as u64),
+                        ("matched", outcome.matched_views.len() as u64),
+                        ("built", outcome.built_views.len() as u64),
                         ("diagnostics", report.diagnostics.len() as u64),
                     ],
                 );
@@ -266,15 +262,16 @@ fn run_sweep(
             // Execute + seal so later jobs can match this job's views, and
             // register cooked outputs for downstream analytics.
             job_seq += 1;
-            let outcome = engine
-                .run_plan(&plan, &reuse, JobId(job_seq), template.vc, now)
-                .expect("execute swept job");
+            let exec = engine.execute(&outcome.physical, now).expect("execute swept job");
+            engine
+                .seal_views(&exec.pending_views, JobId(job_seq), template.vc, now)
+                .expect("seal swept job's views");
             if let Some(output) = template.output_dataset() {
                 match dataset_ids.get(output) {
                     None => {
                         let id = engine
                             .catalog
-                            .register(output, outcome.table.clone(), now)
+                            .register(output, exec.table.clone(), now)
                             .expect("register cooked dataset");
                         dataset_ids
                             .insert(Box::leak(output.to_string().into_boxed_str()) as &str, id);
@@ -282,7 +279,7 @@ fn run_sweep(
                     Some(&id) => {
                         engine
                             .catalog
-                            .bulk_update(id, outcome.table.clone(), now)
+                            .bulk_update(id, exec.table.clone(), now)
                             .expect("refresh cooked dataset");
                     }
                 }

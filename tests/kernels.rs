@@ -353,7 +353,9 @@ fn run_with(
     let opt = Optimizer::new(OptimizerConfig::default());
     let stats =
         |name: &str| cat.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64));
-    let out = opt.optimize(plan, &ReuseContext::empty(), &stats, &mut AlwaysGrant).unwrap();
+    let out = opt
+        .optimize(&opt.sign(plan).unwrap(), &ReuseContext::empty(), &stats, &mut AlwaysGrant)
+        .unwrap();
     let mut ctx = ExecContext::new(cat, views, udos, SimTime::EPOCH);
     ctx.eval.vectorized = vectorized;
     execute(&out.physical, &mut ctx, &opt.cfg.cost).unwrap().table
