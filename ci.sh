@@ -36,9 +36,13 @@ echo "==> cv-serve smoke (8 workers vs the sequential driver; trace and metrics 
 target/release/cv-serve --days 3 --scale 0.05 --analytics 12 --seed 42 --workers 8 \
   --trace "$scratch/trace.json" --metrics "$scratch/metrics.json" > /dev/null
 
-echo "==> cv-serve at --chunk-size 333 and on a durable store (same self-check)"
+echo "==> cv-serve at --chunk-size 333, at --chunk-size 1 and on a durable store (same self-check)"
 target/release/cv-serve --days 3 --scale 0.05 --analytics 12 --seed 42 --workers 8 \
   --chunk-size 333 > /dev/null
+# Every window one row: a window's offset into its buffer's string
+# dictionary is wrong at every row or at none.
+target/release/cv-serve --days 3 --scale 0.05 --analytics 12 --seed 42 --workers 8 \
+  --chunk-size 1 > /dev/null
 target/release/cv-serve --days 3 --scale 0.05 --analytics 12 --seed 42 --workers 8 \
   --store-dir "$scratch/serve-store" > /dev/null
 
@@ -119,6 +123,10 @@ printf '    %-22s %6d\n' "store seam (4 files)" "$(count crates/data/src/viewsto
 # replaces another shrinks this line, one that forks beside it grows it.
 printf '    %-22s %6d\n' "join + codes + sortkey" "$(count crates/engine/src/exec/join.rs \
     crates/data/src/codes.rs crates/data/src/sortkey.rs)"
+# String coding: a buffer's dictionary and the key coder that reads it; a
+# second way to code or compare strings would show here.
+printf '    %-22s %6d\n' "string coding (strs + codes)" "$(count crates/data/src/strs.rs \
+    crates/data/src/codes.rs)"
 # Expression evaluation: a predicate has one entry point and a comparison one
 # typed dispatch; a second way to evaluate a node would show here.
 printf '    %-22s %6d\n' "eval + kernels" "$(count crates/engine/src/expr/eval.rs \

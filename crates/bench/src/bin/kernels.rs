@@ -21,11 +21,11 @@
 //! isolate what the aggregate does with its keys: `hash_aggregate_dim_str`
 //! groups the fact ⋈ dimension join by the dimension's string (8 groups; the
 //! string reaches the aggregate as a gather through the join, and should be
-//! coded per dimension row, never gathered) and `count_distinct` is
+//! coded through the dimension buffer's dictionary, never gathered) and `count_distinct` is
 //! COUNT(DISTINCT qty) alone, a group per 100 rows × 100 values. Two more
 //! filters keep the executor's own bookkeeping visible at this altitude:
 //! `filter_str_eq` (a string column against a literal — the literal must
-//! stay a scalar, and the rows are compared as bytes cut by their offsets),
+//! stay a scalar, compared once per entry of the column's dictionary),
 //! `filter_nondet` (the same equality `AND RANDOM_NEXT() >= 0`, the service
 //! workloads' non-deterministic templates: the draw runs at every row, into
 //! a typed column) and
@@ -40,10 +40,15 @@
 //! (`q_sort_limit`'s shape) projects two columns by name over a filter and
 //! should copy neither; `case_when` is `q_project`'s third expression, a
 //! CASE between two literals.
-//! Four legs time what happens to a whole column or table around the
+//! Five legs time what happens to a whole column or table around the
 //! operators: `gather_str` (a deferred gather of the fact table's string
 //! column through a shuffled id vector, forced — what every filter, sort or
 //! join output that some reader wants costs for a string, rows/sec),
+//! `str_dict_build` (the same column copied into a fresh buffer and coded,
+//! rows/sec: the cold cost — the buffer's dictionary is built inside the
+//! timing — which the warm legs `filter_str_eq`, `filter_narrow`,
+//! `hash_aggregate_dim_str` and `hash_join_str` pay once per buffer, not
+//! per run),
 //! `digest` (the content checksum every result and stored view gets,
 //! rows/sec over the mixed-type fact table), `store_decode` (the view
 //! store's codec, encode → decode, MB/sec of encoded bytes) and `udo` (the
@@ -72,6 +77,8 @@ use cv_common::rng::DetRng;
 use cv_common::SimDay;
 use cv_common::SimTime;
 use cv_data::catalog::DatasetCatalog;
+use cv_data::codes::{encode, Class};
+use cv_data::column::{Column, ColumnData};
 use cv_data::schema::{Field, Schema};
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
@@ -93,10 +100,10 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Every leg, in report order: the plans of [`plans`], then the four
+/// Every leg, in report order: the plans of [`plans`], then the five
 /// whole-column and whole-table legs and `compile`. A leg missing from
 /// either side fails the run.
-const KERNELS: [&str; 27] = [
+const KERNELS: [&str; 28] = [
     "filter",
     "filter_str_eq",
     "filter_nondet",
@@ -120,6 +127,7 @@ const KERNELS: [&str; 27] = [
     "sort_desc_float",
     "sort_limit",
     "gather_str",
+    "str_dict_build",
     "digest",
     "store_decode",
     "udo",
@@ -660,8 +668,12 @@ fn main() {
         let seg = fact.column(fact.schema().index_of("seg").unwrap());
         let mut shuffled: Vec<usize> = (0..n).collect();
         DetRng::seed(13).shuffle(&mut shuffled);
-        let legs: [(&str, f64, &str, &dyn Fn() -> usize); 5] = [
+        let fresh = || Column::new(ColumnData::Str(seg.strs().to_column()), None);
+        let legs: [(&str, f64, &str, &dyn Fn() -> usize); 6] = [
             ("gather_str", n as f64, "rows/sec", &|| seg.take(&shuffled).compact().len()),
+            ("str_dict_build", n as f64, "rows/sec", &|| {
+                encode(&[&fresh()], n, Class::Group).cardinality
+            }),
             ("digest", n as f64, "rows/sec", &|| table_checksum(&fact) as usize),
             ("store_decode", encoded_mb, "MB/sec", &|| {
                 decode_table(&encode_table(&fact)).unwrap().num_rows()

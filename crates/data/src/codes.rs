@@ -14,21 +14,49 @@
 //! than `u32::MAX` rows before it codes anything.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, ColumnView, PAD};
+use crate::column::{Column, ColumnView, StrRows, PAD};
+use crate::strs::{Dictionary, StrColumn, StrView};
 use crate::value::DataType;
 use cv_common::hash::mix64;
 
 const STR_TAG: u64 = 0x3a91_c57f_44d0_8be5;
+const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// A string's 64-bit hash: FNV-1a over the bytes, finalized for avalanche.
+/// Bytes `at..at + N`, copied out for `from_le_bytes`.
 #[inline]
-fn str_hash(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    mix64(h ^ STR_TAG)
+fn le<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut word = [0u8; N];
+    word.copy_from_slice(&bytes[at..at + N]);
+    word
+}
+
+/// A string's 64-bit hash, eight bytes at a time: a state seeded with the
+/// length folds in every whole word, then one last word that holds the
+/// rest — the final eight bytes, overlapping the word before, or for a
+/// shorter string two overlapping halves or three single bytes, which
+/// together with the length are every byte — and is finalized for
+/// avalanche. Only equality of hashes is ever used — ids are handed out in
+/// insertion order — so the function can change without moving a code.
+#[inline]
+fn str_hash(bytes: &[u8]) -> u64 {
+    let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(WORD_MUL).rotate_left(31);
+    let n = bytes.len();
+    let mut h = n as u64 ^ STR_TAG;
+    let last = match n {
+        0 => 0,
+        1..=3 => bytes[0] as u64 | (bytes[n / 2] as u64) << 8 | (bytes[n - 1] as u64) << 16,
+        4..=7 => {
+            let (lo, hi) = (u32::from_le_bytes(le(bytes, 0)), u32::from_le_bytes(le(bytes, n - 4)));
+            lo as u64 | (hi as u64) << 32
+        }
+        _ => {
+            for at in (0..n - 8).step_by(8) {
+                h = fold(h, u64::from_le_bytes(le(bytes, at)));
+            }
+            u64::from_le_bytes(le(bytes, n - 8))
+        }
+    };
+    mix64(fold(h, last))
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -228,60 +256,90 @@ fn code_words(chunks: &[&Column], rows: usize, class: Class) -> Codes {
     Codes { codes: coder.codes, cardinality }
 }
 
-/// Strings by first appearance, compared as strings.
+/// The dictionary of one string buffer (DESIGN §11 *String rows in one
+/// buffer*): every row's entry, in first-seen order, found by hashing and
+/// comparing its bytes.
+pub(crate) fn dictionary(rows: StrView<'_>) -> Dictionary {
+    let mut index = DenseIds::new();
+    let mut firsts = Vec::new();
+    let ids = (0..rows.len())
+        .map(|row| {
+            let bytes = rows.bytes_of(row);
+            let id = index.find_or_insert(str_hash(bytes), |id| rows.bytes_of(firsts[id]) == bytes);
+            if id == firsts.len() {
+                firsts.push(row);
+            }
+            id as u32
+        })
+        .collect();
+    Dictionary { ids, firsts }
+}
+
+/// Strings by first appearance in the call, compared as bytes.
 struct StrDict<'a> {
     index: DenseIds,
     strs: Vec<&'a str>,
 }
 
 impl<'a> StrDict<'a> {
-    fn code(&mut self, s: &'a str) -> u32 {
-        let strs = &self.strs;
-        let id = self.index.find_or_insert(str_hash(s), |id| strs[id] == s);
+    /// The code of row `row` of `text`.
+    fn code(&mut self, text: StrView<'a>, row: usize) -> u32 {
+        let (strs, bytes) = (&self.strs, text.bytes_of(row));
+        let id = self.index.find_or_insert(str_hash(bytes), |id| strs[id].as_bytes() == bytes);
         if id == self.strs.len() {
-            self.strs.push(s);
+            self.strs.push(text.get(row));
         }
         id as u32 + 1
     }
 }
 
 /// Strings: dictionary id + 1, and the dictionary — the distinct strings,
-/// string `c - 1` being the cell of code `c`. A column that arrives as a
-/// gather nobody has read, from a source no longer than the input (a
-/// dimension column a join carried up), is coded per *source* row, the
-/// first time a row id reaches it; every other row is a lookup through its
-/// id. Each distinct source string is hashed once and the column is never
-/// gathered.
-pub(crate) fn code_strs<'a>(chunks: &[&'a Column], rows: usize) -> (Codes, Vec<&'a str>) {
-    const UNSEEN: u32 = u32::MAX;
+/// string `c - 1` being the cell of code `c`. Every chunk is read through
+/// its buffer's [`Dictionary`] — a window by its offset, a gather nobody has
+/// read by its row ids into the source — so an entry is hashed once, the
+/// first time a valid row of it comes up, and every other row is a lookup;
+/// no chunk is gathered. Codes are handed out in row order all the same.
+pub fn code_strs<'a>(chunks: &[&'a Column], rows: usize) -> (Codes, Vec<&'a str>) {
     let mut dict = StrDict { index: DenseIds::new(), strs: Vec::new() };
     let mut codes = Vec::with_capacity(rows);
-    // The gather the chunks are windows of, and the codes of its source rows.
-    let mut gather: Option<(&Column, Vec<u32>)> = None;
+    // Each buffer met so far and the code of each of its entries, 0 until
+    // one is given (a zeroed table: a large buffer read at a few rows
+    // touches a few of its pages).
+    let mut buffers: Vec<(&StrColumn, Vec<u32>)> = Vec::new();
     for &col in chunks {
-        let through = col.unread_gather().and_then(|(source, ids)| match source {
-            ColumnView::Str(source)
-                if source.len() <= rows && gather.as_ref().is_none_or(|(of, _)| of.ptr_eq(col)) =>
-            {
-                Some((source, ids))
-            }
-            _ => None,
-        });
-        let Some((source, ids)) = through else {
-            let cells = cells_of(col.strs().iter(), col.validity());
-            codes.extend(cells.map(|cell| cell.map_or(0, |s| dict.code(s))));
+        let Some((buffer, at)) = col.str_rows() else {
+            // `encode` sends only string columns here; anything else is NULL.
+            codes.resize(codes.len() + col.len(), 0);
             continue;
         };
-        let (_, seen) = gather.get_or_insert_with(|| (col, vec![UNSEEN; source.len()]));
-        for (i, &id) in ids.iter().enumerate() {
-            if id == PAD || col.is_null(i) {
-                codes.push(0);
-                continue;
+        let (entries, text) = (buffer.dictionary(), buffer.view());
+        let k = match buffers.iter().rposition(|(b, _)| std::ptr::eq(*b, buffer)) {
+            Some(k) => k,
+            None => {
+                buffers.push((buffer, vec![0; entries.len()]));
+                buffers.len() - 1
             }
-            if seen[id] == UNSEEN {
-                seen[id] = dict.code(source.get(id));
+        };
+        let coded = &mut buffers[k].1;
+        let mut code = |entry: u32| {
+            let c = &mut coded[entry as usize];
+            if *c == 0 {
+                *c = dict.code(text, entries.first(entry));
             }
-            codes.push(seen[id]);
+            *c
+        };
+        let valid = col.validity();
+        match at {
+            StrRows::Window(offset) => {
+                let rows = &entries.ids()[offset..offset + col.len()];
+                codes.extend(cells_of(rows, valid).map(|cell| cell.map_or(0, |&e| code(e))));
+            }
+            StrRows::Gather { base, ids } => {
+                codes.extend(cells_of(ids, valid).map(|cell| match cell {
+                    Some(&id) if id != PAD => code(entries.ids()[base + id]),
+                    _ => 0,
+                }))
+            }
         }
     }
     let cardinality = dict.strs.len() + 1;
@@ -392,6 +450,45 @@ mod tests {
         let (Codes { codes, cardinality }, strs) = code_strs(&[&c], c.len());
         assert_eq!(codes, [1, 2, 3, 1, 4, 0]);
         assert_eq!((cardinality, strs), (5, vec!["b", "", "a", "é"]));
+    }
+
+    /// Entry ids and codes are handed out in insertion order, so they are
+    /// the first-seen order whatever the hash: rows of every length around
+    /// the eight-byte words (a zero byte in the tail among them), enough of
+    /// them to grow the index several times, against a linear search.
+    #[test]
+    fn ids_are_first_seen_order_whatever_the_hash() {
+        let mut rng = cv_common::DetRng::seed(0x1d5);
+        let words: Vec<String> = (0..700)
+            .map(|i| match i % 4 {
+                0 => "x".repeat(i % 19),
+                1 => format!("{}\0", "y".repeat(i % 17)),
+                _ => format!("w{:x}", i * 7919 % 1000),
+            })
+            .collect();
+        let rows: Vec<&str> = (0..3000).map(|_| rng.choose(&words).as_str()).collect();
+        let mut distinct: Vec<&str> = Vec::new();
+        let want: Vec<u32> = rows
+            .iter()
+            .map(|s| match distinct.iter().position(|d| d == s) {
+                Some(id) => id as u32,
+                None => {
+                    distinct.push(s);
+                    distinct.len() as u32 - 1
+                }
+            })
+            .collect();
+        assert!(distinct.len() > 300, "{} distinct rows", distinct.len());
+        let buffer: StrColumn = rows.iter().collect();
+        let entries = buffer.dictionary();
+        assert_eq!(entries.ids(), want);
+        let firsts: Vec<&str> =
+            (0..entries.len() as u32).map(|e| &buffer[entries.first(e)]).collect();
+        assert_eq!(firsts, distinct);
+        let c = Column::new(crate::column::ColumnData::Str(buffer.clone()), None);
+        let (Codes { codes, cardinality }, strs) = code_strs(&[&c], c.len());
+        assert!(codes.iter().zip(&want).all(|(&code, &id)| code == id + 1));
+        assert_eq!((cardinality, strs), (distinct.len() + 1, distinct));
     }
 
     #[test]

@@ -68,6 +68,17 @@ pub enum ColumnView<'a> {
     Date(&'a [i32]),
 }
 
+/// How a string column's rows index the buffer [`Column::str_rows`] returns
+/// with them.
+#[derive(Clone, Copy, Debug)]
+pub enum StrRows<'a> {
+    /// Row `i` is buffer row `offset + i`.
+    Window(usize),
+    /// A gather nobody has read: row `i` is buffer row `base + ids[i]`, and
+    /// an id of [`PAD`] is a row the validity calls NULL.
+    Gather { base: usize, ids: &'a [usize] },
+}
+
 /// Index that [`Column::take_padded`] reads as "no source row": the output
 /// row is NULL over the type's default value (a left-outer join miss).
 pub const PAD: usize = usize::MAX;
@@ -220,7 +231,8 @@ enum Rows {
 /// [`Column::byte_size`] and boxing one cell ([`Column::value`]) never
 /// gather, so a filter, sort or join pays only for the columns some operator
 /// above it reads — and a reader that can work per source row
-/// ([`Column::unread_gather`]) need not gather either. A deferred column keeps its
+/// ([`Column::unread_gather`], or [`Column::str_rows`] for a string
+/// buffer's dictionary) need not gather either. A deferred column keeps its
 /// source buffer alive; [`Column::compact`] ends that too.
 #[derive(Clone, Debug)]
 pub struct Column {
@@ -314,6 +326,27 @@ impl Column {
                 node.source.rows(node.base..node.source.len()),
                 &node.ids.all()[self.window()],
             )),
+            _ => None,
+        }
+    }
+
+    /// A string column's buffer and how the column's rows index it, gathering
+    /// nothing: what a reader of the buffer's [`Dictionary`] needs — a
+    /// window, a gathered buffer and an unread gather all read the one
+    /// dictionary of the buffer under them. `None` for any other type.
+    ///
+    /// [`Dictionary`]: crate::strs::Dictionary
+    pub fn str_rows(&self) -> Option<(&StrColumn, StrRows<'_>)> {
+        let (data, rows) = match &self.rows {
+            Rows::Deferred(node) if node.unread() => {
+                let ids = &node.ids.all()[self.window()];
+                (&*node.source, StrRows::Gather { base: node.base, ids })
+            }
+            Rows::Deferred(node) => (&**node.force(), StrRows::Window(self.offset)),
+            Rows::Buffer(data) => (&**data, StrRows::Window(self.offset)),
+        };
+        match data {
+            ColumnData::Str(buffer) => Some((buffer, rows)),
             _ => None,
         }
     }

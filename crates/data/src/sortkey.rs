@@ -14,8 +14,9 @@
 //!   `f64::total_cmp` bit transform — read through the row ids of a gather
 //!   nobody has read, so ordering by a column does not gather it;
 //! * a string is its rank among the column's distinct strings: the column is
-//!   coded once by the key coder (`codes::code_strs`, per source row
-//!   for a gather nobody has read), and only the distinct strings are sorted.
+//!   coded once by the key coder (`codes::code_strs`, through its buffer's
+//!   dictionary, so a gather nobody has read stays unread), and only the
+//!   distinct strings are sorted.
 //!
 //! Descending complements the word. Each key is then narrowed to its range
 //! (`word - min`, a *field* as wide as the range), and a key with NULLs gets

@@ -7,19 +7,79 @@
 //! its offsets. Offsets are `usize`, so no append or gather can overflow them
 //! and nothing here returns an error. Every offset falls on a char boundary,
 //! because the text only ever grows by whole `&str`s.
+//!
+//! **The dictionary.** A buffer's distinct strings are found once, by the
+//! first reader that wants them ([`StrColumn::dictionary`]): each row's entry
+//! id, in first-seen order, and each entry's first row. It is kept beside the
+//! offsets and the text, so every window, clone and unread gather of the
+//! buffer shares it — a comparison against a constant decides once per entry
+//! and the key coder codes once per entry, for every job that reads the
+//! buffer. It is derived data: equality, the codec and the content digest
+//! never see it, and an append forgets it.
 
 use crate::column::PAD;
 use std::fmt;
 use std::ops::{Index, Range};
+use std::sync::{Arc, OnceLock};
 
 /// The rows of a string column: row `i` is `text[offsets[i]..offsets[i + 1]]`.
 /// `offsets` starts at 0, never decreases and has one entry more than there
 /// are rows.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct StrColumn {
     offsets: Vec<usize>,
     text: String,
+    /// Built on first use; a clone shares it, a mutator drops it.
+    dictionary: OnceLock<Arc<Dictionary>>,
 }
+
+// Morsels on several workers read one buffer, and its dictionary, at once.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<StrColumn>();
+};
+
+/// The distinct strings of one buffer, numbered in order of first
+/// appearance: `ids[row]` is row `row`'s entry and `firsts[entry]` the first
+/// row that holds it, so two rows share an entry iff their bytes are equal.
+/// Entry ids are 32-bit, like every code (`codes`).
+#[derive(Debug)]
+pub struct Dictionary {
+    pub(crate) ids: Vec<u32>,
+    pub(crate) firsts: Vec<usize>,
+}
+
+impl Dictionary {
+    /// Every buffer row's entry.
+    #[inline]
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The first buffer row of entry `entry`: where its text is read.
+    #[inline]
+    pub fn first(&self, entry: u32) -> usize {
+        self.firsts[entry as usize]
+    }
+
+    /// Distinct strings.
+    pub fn len(&self) -> usize {
+        self.firsts.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.firsts.is_empty()
+    }
+}
+
+/// Row by row; the dictionary is derived from the rows and is not compared.
+impl PartialEq for StrColumn {
+    fn eq(&self, other: &StrColumn) -> bool {
+        self.offsets == other.offsets && self.text == other.text
+    }
+}
+
+impl Eq for StrColumn {}
 
 impl Default for StrColumn {
     fn default() -> StrColumn {
@@ -36,13 +96,17 @@ impl StrColumn {
     pub fn with_capacity(rows: usize, bytes: usize) -> StrColumn {
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        StrColumn { offsets, text: String::with_capacity(bytes) }
+        StrColumn::of(offsets, String::with_capacity(bytes))
+    }
+
+    fn of(offsets: Vec<usize>, text: String) -> StrColumn {
+        StrColumn { offsets, text, dictionary: OnceLock::new() }
     }
 
     /// `s` at each of `n` rows.
     pub fn repeat(s: &str, n: usize) -> StrColumn {
         let text = s.repeat(n);
-        StrColumn { offsets: (0..=n).map(|i| i * s.len()).collect(), text }
+        StrColumn::of((0..=n).map(|i| i * s.len()).collect(), text)
     }
 
     /// Rows from raw parts, as a decoder reads them: `text` is checked as
@@ -55,7 +119,7 @@ impl StrColumn {
         let ends = offsets.first() == Some(&0) && offsets.last() == Some(&text.len());
         let cuts = offsets.windows(2).all(|w| w[0] <= w[1])
             && offsets.iter().all(|&o| text.is_char_boundary(o));
-        (ends && cuts).then_some(StrColumn { offsets, text })
+        (ends && cuts).then(|| StrColumn::of(offsets, text))
     }
 
     /// The rows of `source` at `ids`, a [`PAD`] reading as `""`: one pass
@@ -65,7 +129,7 @@ impl StrColumn {
         let len = |&i: &usize| if i == PAD { 0 } else { source.len_of(i) };
         let mut out = StrColumn::with_capacity(ids.len(), ids.iter().map(len).sum());
         for &i in ids {
-            out.push(if i == PAD { "" } else { source.get(i) });
+            out.append(if i == PAD { "" } else { source.get(i) });
         }
         out
     }
@@ -85,6 +149,14 @@ impl StrColumn {
     }
 
     pub fn push(&mut self, s: &str) {
+        self.dictionary.take();
+        self.append(s);
+    }
+
+    /// [`StrColumn::push`] into a buffer being built, which has no
+    /// dictionary yet.
+    #[inline]
+    fn append(&mut self, s: &str) {
         self.text.push_str(s);
         self.offsets.push(self.text.len());
     }
@@ -92,6 +164,7 @@ impl StrColumn {
     /// Append `v`'s text as one row, formatted straight into the buffer.
     pub fn push_display(&mut self, v: impl fmt::Display) {
         use fmt::Write;
+        self.dictionary.take();
         // Writing into a `String` cannot fail.
         let _ = write!(self.text, "{v}");
         self.offsets.push(self.text.len());
@@ -99,6 +172,7 @@ impl StrColumn {
 
     /// Append every row of `v`: one copy of its text, its offsets rebased.
     pub fn extend_from_view(&mut self, v: StrView<'_>) {
+        self.dictionary.take();
         let (start, end) = (v.offsets[0], v.offsets[v.len()]);
         let shift = self.text.len();
         self.text.push_str(&v.text[start..end]);
@@ -117,13 +191,25 @@ impl StrColumn {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
         self.view().iter()
     }
+
+    /// The buffer's dictionary, built by the first caller (one hash and one
+    /// probe a row) and read by every later one.
+    pub fn dictionary(&self) -> &Dictionary {
+        self.dictionary.get_or_init(|| Arc::new(crate::codes::dictionary(self.view())))
+    }
+
+    /// Test probe: the dictionary if some reader has built it.
+    #[doc(hidden)]
+    pub fn built_dictionary(&self) -> Option<&Arc<Dictionary>> {
+        self.dictionary.get()
+    }
 }
 
 impl<S: AsRef<str>> FromIterator<S> for StrColumn {
     fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> StrColumn {
         let iter = iter.into_iter();
         let mut out = StrColumn::with_capacity(iter.size_hint().0, 0);
-        iter.for_each(|s| out.push(s.as_ref()));
+        iter.for_each(|s| out.append(s.as_ref()));
         // The text grew by doubling; a built column keeps only its bytes.
         out.text.shrink_to_fit();
         out
@@ -227,7 +313,7 @@ mod tests {
     use super::*;
     use crate::bitmap::Bitmap;
     use crate::chunk::chunk_ranges;
-    use crate::column::{Column, ColumnData, ColumnView};
+    use crate::column::{Column, ColumnData, ColumnView, StrRows};
     use crate::value::Value;
     use cv_common::DetRng;
 
@@ -412,5 +498,44 @@ mod tests {
         let gathered = StrColumn::gather(words.view(), &[4, PAD, 1]);
         assert!(gathered.iter().eq(["€uro", "", "é"]));
         assert_eq!(gathered.view().text_len(), 6 + 2);
+    }
+
+    /// One dictionary per buffer: a window, an unread gather (padded, or of
+    /// another unread gather) and a clone read the one their buffer built,
+    /// a read gather is a buffer of its own, and an append drops it.
+    #[test]
+    fn windows_gathers_and_clones_share_the_dictionary_and_a_push_drops_it() {
+        let base =
+            Column::new(ColumnData::Str(["b", "", "a", "b", "é"].into_iter().collect()), None);
+        let buffer = |c: &Column| c.str_rows().expect("a string column").0 as *const StrColumn;
+        let built = |c: &Column| c.str_rows().and_then(|(b, _)| b.built_dictionary().cloned());
+        let window = base.slice(1, 3);
+        let gathers =
+            [base.take(&[4, 0]), base.take_padded(&[PAD, 3]), base.take(&[3, 2, 0]).take(&[2, 1])];
+        assert!(built(&base).is_none(), "built before anyone read it");
+        let (_, rows) = window.str_rows().unwrap();
+        assert!(matches!(rows, StrRows::Window(1)));
+        let entries = window.str_rows().unwrap().0.dictionary();
+        assert_eq!((entries.ids(), entries.len()), (&[0, 1, 2, 0, 3][..], 4));
+        let shared = built(&base).expect("the window built its buffer's");
+        for g in &gathers {
+            assert!(matches!(g.str_rows().unwrap().1, StrRows::Gather { .. }));
+            assert_eq!(buffer(g), buffer(&base), "a gather reads its source's buffer");
+            assert!(Arc::ptr_eq(&built(g).unwrap(), &shared));
+            assert!(!g.is_forced(), "finding the buffer gathered the column");
+        }
+        // Once read, a gather is a buffer of its own, with a dictionary of its own.
+        let read = &gathers[0];
+        read.strs();
+        assert!(buffer(read) != buffer(&base) && built(read).is_none());
+
+        let mut clone = base.str_rows().unwrap().0.clone();
+        assert!(Arc::ptr_eq(clone.built_dictionary().unwrap(), &shared), "a clone shares it");
+        clone.push("b");
+        assert!(clone.built_dictionary().is_none(), "a push kept a stale dictionary");
+        assert_eq!(clone.dictionary().ids(), [0, 1, 2, 0, 3, 0]);
+        assert!(built(&base).is_some(), "the push dropped the source's");
+        let coded = base.str_rows().unwrap().0;
+        assert_eq!(*coded, base.strs().to_column(), "equality ignores the dictionary");
     }
 }

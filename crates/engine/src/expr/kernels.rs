@@ -16,12 +16,13 @@
 //! either handles it or raises the same error the scalar path always did.
 //!
 //! A binary kernel's operand is an [`Operand`]: an evaluated column, or a
-//! literal/parameter passed as the scalar it is, so `region = 'asia'`
-//! compares each row's bytes against the literal's — nothing is
-//! materialized per row for the constant side. The lane types are exactly
-//! the column types a broadcast literal would have had, so every coercion
-//! (Int literal against a Float column, either operand order) goes through
-//! the same arm it always did.
+//! literal/parameter passed as the scalar it is — nothing is materialized
+//! per row for the constant side. `region = 'asia'` goes further: the
+//! verdict is decided once per entry of the column buffer's dictionary
+//! ([`StrColumn::dictionary`]) and each row looks up its entry's. The lane
+//! types are exactly the column types a broadcast literal would have had,
+//! so every coercion (Int literal against a Float column, either operand
+//! order) goes through the same arm it always did.
 //!
 //! **Everything a loop does not vary is decided outside it.** The operand
 //! shape (column or constant, each side: [`rows!`]), the operator
@@ -39,7 +40,7 @@
 
 use super::{BinOp, UnOp};
 use cv_data::bitmap::Bitmap;
-use cv_data::column::{Column, ColumnData, ColumnView};
+use cv_data::column::{Column, ColumnData, ColumnView, StrRows, PAD};
 use cv_data::strs::{StrColumn, StrView};
 use cv_data::value::{DataType, Value};
 
@@ -98,9 +99,10 @@ impl Operand<'_> {
                 Value::Bool(k) => Lanes::Bool(Lane::Const(k)),
                 Value::Int(k) => Lanes::Int(Lane::Const(k)),
                 Value::Float(k) => Lanes::Float(Lane::Const(k)),
-                Value::Str(k) => Lanes::Str(Lane::Const(k.as_bytes())),
                 Value::Date(k) => Lanes::Date(Lane::Const(k)),
-                Value::Null => return None,
+                // A string constant meets a column through the column's
+                // dictionary ([`by_entry`]), never as a lane.
+                Value::Str(_) | Value::Null => return None,
             },
         })
     }
@@ -321,10 +323,60 @@ fn by_op<K: PartialOrd, S: Verdicts>(
     })
 }
 
+/// `a <op> b` for one comparison operator.
+fn decide<K: PartialOrd + ?Sized>(op: BinOp, a: &K, b: &K) -> bool {
+    match op {
+        BinOp::Eq => a == b,
+        BinOp::NotEq => a != b,
+        BinOp::Lt => a < b,
+        BinOp::LtEq => a <= b,
+        BinOp::Gt => a > b,
+        // `compare` comes here with comparisons only: GtEq.
+        _ => a >= b,
+    }
+}
+
+/// A string column against a constant, through the column buffer's
+/// dictionary: `verdict` runs on an entry's bytes the first time a row of
+/// that entry is asked, and every row is then a lookup of its entry's
+/// verdict — a window's by its offset, an unread gather's through its row
+/// ids, so nothing is gathered. `None` if `col` is not a string column.
+fn by_entry<S: Verdicts>(
+    col: &Column,
+    validity: Option<&Bitmap>,
+    out: S,
+    verdict: impl Fn(&[u8]) -> bool,
+) -> Option<S::Out> {
+    let (buffer, rows) = col.str_rows()?;
+    let (entries, text) = (buffer.dictionary(), buffer.view());
+    // Per entry, 0 until decided, then 1 + the verdict. Zeroed, so a large
+    // buffer asked at a few rows touches a few of its pages.
+    let mut memo = vec![0u8; entries.len()];
+    let memo = std::cell::Cell::from_mut(&mut memo[..]).as_slice_of_cells();
+    let holds = |entry: u32| {
+        let m = &memo[entry as usize];
+        if m.get() == 0 {
+            m.set(1 + verdict(text.bytes_of(entries.first(entry))) as u8);
+        }
+        m.get() == 2
+    };
+    Some(match rows {
+        StrRows::Window(offset) => {
+            let rows = &entries.ids()[offset..offset + col.len()];
+            out.fill(validity, |i| holds(rows[i]))
+        }
+        StrRows::Gather { base, ids } => {
+            out.fill(validity, |i| ids[i] != PAD && holds(entries.ids()[base + ids[i]]))
+        }
+    })
+}
+
 /// Comparison kernels: one loop per (type pair, operand shape, operator)
 /// matching `Value::total_cmp` to the bit — Int/Float mixes widen to f64,
 /// floats order as `f64::total_cmp` does (−0.0 below +0.0, NaNs by payload),
-/// strings compare as bytes (`=` by length first).
+/// strings compare as bytes (`=` by length first): a string column against
+/// a constant once per dictionary entry ([`by_entry`]), two string columns
+/// row by row.
 fn compare<S: Verdicts>(
     op: BinOp,
     l: &Operand<'_>,
@@ -336,6 +388,15 @@ fn compare<S: Verdicts>(
     fn total(x: f64) -> i64 {
         let bits = x.to_bits() as i64;
         bits ^ (((bits >> 63) as u64) >> 1) as i64
+    }
+    match (l, r) {
+        (Operand::Col(c), Operand::Const(Value::Str(k))) if op.is_comparison() => {
+            return by_entry(c, validity, out, |row| decide(op, row, k.as_bytes()));
+        }
+        (Operand::Const(Value::Str(k)), Operand::Col(c)) if op.is_comparison() => {
+            return by_entry(c, validity, out, |row| decide(op, k.as_bytes(), row));
+        }
+        _ => {}
     }
     match (l.lanes()?, r.lanes()?) {
         (Lanes::Int(a), Lanes::Int(b)) => {
@@ -350,10 +411,9 @@ fn compare<S: Verdicts>(
         (Lanes::Float(a), Lanes::Int(b)) => rows!((a, b) => |x, y| {
             by_op(op, validity, out, |i| total(*x(i)), |i| total(*y(i) as f64))
         }),
-        // Rows are `&[u8]`: a column side's cut by its offsets, a constant's
-        // `as_bytes`. Slice `==` compares lengths — an offsets difference on
-        // a column side — before any byte, and byte-lexicographic order is
-        // `str`'s, so `Value::total_cmp` holds to the bit.
+        // Rows are `&[u8]`, cut by the offsets. Slice `==` compares lengths
+        // — an offsets difference — before any byte, and byte-lexicographic
+        // order is `str`'s, so `Value::total_cmp` holds to the bit.
         (Lanes::Str(a), Lanes::Str(b)) => rows!((a, b) => |x, y| by_op(op, validity, out, x, y)),
         (Lanes::Date(a), Lanes::Date(b)) => {
             rows!((a, b) => |x, y| by_op(op, validity, out, |i| *x(i), |i| *y(i)))
@@ -729,11 +789,16 @@ pub(super) fn case_select(
 mod tests {
     use super::super::eval::{binary_value, eval, select, EvalCtx};
     use super::super::{col, lit, BinOp, ScalarExpr};
+    use super::{broadcast, compare, Dense, Operand, Selected};
     use cv_common::DetRng;
+    use cv_data::bitmap::Bitmap;
     use cv_data::chunk::chunk_ranges;
+    use cv_data::codes::code_strs;
+    use cv_data::column::{Column, ColumnData, PAD};
     use cv_data::schema::{Field, Schema};
     use cv_data::table::Table;
     use cv_data::value::{DataType, Value};
+    use std::collections::HashMap;
 
     /// Prefixes of one another, one byte-reversed pair, the same letter
     /// precomposed (`C3 A9`) and decomposed (`65 CC 81`), and three-byte
@@ -801,5 +866,167 @@ mod tests {
             }
         }
         assert!(kept > compared / 4 && kept < compared * 3 / 4, "{kept} of {compared} kept");
+    }
+
+    /// A string column built cell by cell and the plain strings it stands
+    /// for: the buffer text of every row (placeholders under NULL included)
+    /// and its validity.
+    struct Shape {
+        col: Column,
+        text: Vec<String>,
+        valid: Vec<bool>,
+        what: String,
+    }
+
+    /// Row text that exercises the dictionary's hash and compare: prefixes
+    /// of one another, rows equal in their first eight bytes, a tail that
+    /// ends in a zero byte, `"e"` beside `"é"` and its decomposed form.
+    const ROWS: [&str; 13] = [
+        "",
+        "a",
+        "ab",
+        "ab\0",
+        "ba",
+        "asia",
+        "e",
+        "é",
+        "e\u{301}",
+        "日本",
+        "asia-pacific",
+        "asia-pacifiX",
+        "asia-pacific-and-oceania",
+    ];
+
+    /// A random string column and a random chain of windows, gathers
+    /// (padded, of an unread gather, of a read one) and compactions over it.
+    fn random_shape(rng: &mut DetRng) -> Shape {
+        let rows = *rng.choose(&[0, 1, 7, 64, 700, 2100]);
+        let null_rate = *rng.choose(&[0.0, 0.2, 0.9]);
+        let valid: Vec<bool> = (0..rows).map(|_| !rng.chance(null_rate)).collect();
+        // A NULL slot holds anything: the builder's "" or another row's text.
+        let text: Vec<String> = (0..rows).map(|_| rng.choose(&ROWS).to_string()).collect();
+        let bitmap = valid.contains(&false).then(|| Bitmap::from_bools(&valid));
+        let col = Column::new(ColumnData::Str(text.iter().collect()), bitmap);
+        let mut shape = Shape { col, text, valid, what: format!("{rows} rows") };
+        for _ in 0..rng.range_usize(0, 4) {
+            let rows = shape.text.len();
+            let Shape { col, text, valid, what } = shape;
+            shape = match rng.range_usize(0, 4) {
+                0 => {
+                    let offset = rng.range_usize(0, rows + 1);
+                    let len = rng.range_usize(0, rows - offset + 1);
+                    let w = offset..offset + len;
+                    let (text, valid) = (text[w.clone()].to_vec(), valid[w].to_vec());
+                    Shape { col: col.slice(offset, len), text, valid, what: what + " → window" }
+                }
+                1 | 2 => {
+                    let padded = rng.chance(0.5);
+                    let n = if rows == 0 && !padded { 0 } else { rng.range_usize(0, 2 * rows + 2) };
+                    let ids: Vec<usize> = (0..n)
+                        .map(|_| match rows == 0 || (padded && rng.chance(0.2)) {
+                            true => PAD,
+                            false => rng.range_usize(0, rows),
+                        })
+                        .collect();
+                    let read = rng.chance(0.3);
+                    if read {
+                        col.strs();
+                    }
+                    let pick = |&i: &usize| match i {
+                        PAD => (String::new(), false),
+                        i => (text[i].clone(), valid[i]),
+                    };
+                    let (text, valid) = ids.iter().map(pick).unzip();
+                    let col = if padded { col.take_padded(&ids) } else { col.take(&ids) };
+                    let what = format!("{what} → {}gather", if read { "read, " } else { "" });
+                    Shape { col, text, valid, what: what + if padded { " (padded)" } else { "" } }
+                }
+                _ => Shape { col: col.compact(), text, valid, what: what + " → compact" },
+            };
+        }
+        shape
+    }
+
+    /// Row order, a per-row hash map: the coder as it was before it read
+    /// buffer dictionaries, kept as the reference for [`code_strs`].
+    fn per_row_coder(chunks: &[&Column]) -> (Vec<u32>, usize, Vec<String>) {
+        let (mut codes, mut seen, mut strs) = (Vec::new(), HashMap::new(), Vec::new());
+        for col in chunks {
+            let cells = col.strs().iter().enumerate();
+            codes.extend(cells.map(|(i, s)| match col.is_null(i) {
+                true => 0,
+                false => *seen.entry(s.to_string()).or_insert_with(|| {
+                    strs.push(s.to_string());
+                    strs.len() as u32
+                }),
+            }));
+        }
+        (codes, strs.len() + 1, strs)
+    }
+
+    /// Through a buffer's dictionary a string column against a constant is
+    /// the bytes kernel's comparison of the same rows against a broadcast of
+    /// the constant — every operator, both operand orders, both outlets —
+    /// and the key coder is the per-row coder to the code, windows of one
+    /// buffer and unread gathers of it mixed in one call. Neither gathers.
+    #[test]
+    fn dictionary_paths_equal_the_byte_paths() {
+        use BinOp::*;
+        let mut rng = DetRng::seed(0xd1c7);
+        let (mut compared, mut kept) = (0, 0);
+        for round in 0..64 {
+            let shape = random_shape(&mut rng);
+            let (c, n) = (&shape.col, shape.text.len());
+            let what = format!("round {round}: {}", shape.what);
+            let unread = !c.is_forced();
+            // The bytes kernel's operand: the same rows, built afresh.
+            let bitmap = shape.valid.contains(&false).then(|| Bitmap::from_bools(&shape.valid));
+            let rows =
+                Operand::Col(Column::new(ColumnData::Str(shape.text.iter().collect()), bitmap));
+            let within: Vec<usize> = (0..n).filter(|_| rng.chance(0.4)).collect();
+            let absent = Value::from("asia-pacific-absent");
+            let mut constants = vec![absent];
+            constants.extend((0..3).map(|_| Value::from(*rng.choose(&ROWS))));
+            for k in &constants {
+                let broadcast = Operand::Col(broadcast(k, DataType::Str, n).unwrap());
+                for op in [Eq, NotEq, Lt, LtEq, Gt, GtEq] {
+                    let sides = [
+                        ((Operand::Col(c.clone()), Operand::Const(k)), (&rows, &broadcast)),
+                        ((Operand::Const(k), Operand::Col(c.clone())), (&broadcast, &rows)),
+                    ];
+                    for (side, ((l, r), (bl, br))) in sides.into_iter().enumerate() {
+                        let what = format!("{what}: {op:?} {k}, constant on side {side}");
+                        let v = c.validity();
+                        let dense = compare(op, &l, &r, v, Dense(n));
+                        assert_eq!(dense, compare(op, bl, br, v, Dense(n)), "{what}");
+                        for w in [None, Some(&within[..])] {
+                            let got = compare(op, &l, &r, v, Selected { n, within: w });
+                            let want = compare(op, bl, br, v, Selected { n, within: w });
+                            assert_eq!(got, want, "{what}, within {}", w.is_some());
+                        }
+                        let dense = dense.unwrap();
+                        compared += n;
+                        kept += dense.iter().filter(|&&x| x).count();
+                    }
+                }
+            }
+            assert_eq!(c.is_forced(), !unread, "{what}: a comparison gathered the column");
+
+            // The coder over the shape cut in windows, with an unread gather
+            // of its buffer and a buffer of other strings between them.
+            let other: Column = Column::new(ColumnData::Str(ROWS.iter().rev().collect()), None);
+            let gathered = shape.col.take(&(0..n).rev().step_by(3).collect::<Vec<_>>());
+            let half = n / 2;
+            let (front, back) = (c.slice(0, half), c.slice(half, n - half));
+            let chunks = [&back, &other, &gathered, &front, &gathered.slice(0, gathered.len() / 2)];
+            let rows: usize = chunks.iter().map(|c| c.len()).sum();
+            let (codes, strs) = code_strs(&chunks, rows);
+            assert!(!gathered.is_forced(), "{what}: the coder gathered its input");
+            let (want, cardinality, want_strs) = per_row_coder(&chunks);
+            assert_eq!(codes.codes, want, "{what}: codes");
+            assert_eq!(codes.cardinality, cardinality, "{what}: cardinality");
+            assert_eq!(strs, want_strs, "{what}: strings in code order");
+        }
+        assert!(kept > compared / 5 && kept < compared * 4 / 5, "{kept} of {compared} kept");
     }
 }

@@ -1984,6 +1984,54 @@ fn a_dimension_string_is_grouped_without_being_gathered() {
     }
 }
 
+/// A catalog table's string column is coded once for every query that reads
+/// it: two filters and an aggregate, each over the table's chunks, read the
+/// one dictionary the first reader built on the column's buffer.
+#[test]
+fn a_catalog_string_column_builds_one_dictionary_for_all_its_readers() {
+    let mut cat = DatasetCatalog::new();
+    let fields = vec![
+        Field::new("region", DataType::Str),
+        Field::new("app", DataType::Str),
+        Field::new("v", DataType::Int),
+    ];
+    let regions = ["asia", "emea", "amer", "apac", "nordics"];
+    let rows: Vec<Vec<Value>> = (0..5000)
+        .map(|i| {
+            let app = Value::Str(format!("app{}", i * 7 % 13));
+            vec![Value::from(regions[i % 5]), app, Value::Int(i as i64)]
+        })
+        .collect();
+    let table = Table::from_rows(Schema::new(fields).unwrap().into_ref(), &rows).unwrap();
+    cat.register("t", table, SimTime::EPOCH).unwrap();
+    let (views, udos) = (ViewStore::with_default_ttl(), UdoRegistry::with_builtins());
+    let built = |name: &str| {
+        let data = cat.get_by_name("t").unwrap().data();
+        let (buffer, _) = data.column_by_name(name).unwrap().str_rows().unwrap();
+        buffer.built_dictionary().cloned()
+    };
+    let scan = || PlanBuilder::scan(&cat, "t").unwrap();
+    let run = |plan: PlanBuilder| run_with(&plan.build(), &cat, &views, &udos, true).num_rows();
+
+    assert!(built("region").is_none() && built("app").is_none());
+    assert_eq!(run(scan().filter(col("region").eq(lit("emea"))).unwrap()), 1000);
+    let region = built("region").expect("the first filter built the dictionary");
+    assert!(built("app").is_none(), "a column nobody compared was coded");
+    let second = col("region").not_eq(lit("asia")).and(lit("app3").lt_eq(col("app")));
+    let kept = rows
+        .iter()
+        .filter(|r| r[0] != Value::from("asia") && r[1].total_cmp(&Value::from("app3")).is_ge());
+    assert_eq!(run(scan().filter(second).unwrap()), kept.count());
+    let app = built("app").expect("the second filter built the dictionary");
+    let by = vec![(col("region"), "region"), (col("app"), "app")];
+    assert_eq!(run(scan().aggregate(by, vec![AggExpr::count_star("n")]).unwrap()), 65);
+    for (name, first) in [("region", region), ("app", app)] {
+        let now = built(name).unwrap();
+        assert!(Arc::ptr_eq(&now, &first), "`{name}` was coded twice");
+        assert_eq!(now.len(), if name == "region" { 5 } else { 13 });
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The escape rule: no window outlives the query that cut it
 // ---------------------------------------------------------------------------
