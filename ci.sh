@@ -107,6 +107,15 @@ if code crates/engine/src/exec/{mod,aggregate,join,sort}.rs crates/engine/src/ex
     exit 1
 fi
 
+# One evaluator: each expression node is one kernel call, and the kernels are
+# total over what `dtype` accepts. A per-row `ColumnBuilder` loop in the
+# evaluator, or a switch choosing between two evaluators, is a second path.
+echo "==> one evaluation path: no ColumnBuilder in expr/{eval,kernels}.rs, no \`vectorized\` field in crates/*/src, src or tests"
+if code crates/engine/src/expr/{eval,kernels}.rs | grep -E 'ColumnBuilder' \
+    || grep -rnE --include='*.rs' '\.vectorized\b|\bvectorized[[:space:]]*:' crates/*/src src tests; then
+    exit 1
+fi
+
 echo "==> size: non-test code lines per crate (report only, no gate)"
 total=0
 for dir in crates/*/src src; do

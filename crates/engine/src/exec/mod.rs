@@ -1143,11 +1143,9 @@ mod tests {
         views: &ViewStore,
         udos: &UdoRegistry,
         chunk_size: usize,
-        vectorized: bool,
     ) -> Table {
         let mut ctx = ExecContext::new(cat, views, udos, SimTime::EPOCH)
             .with_chunking(chunk_size, Arc::new(SerialRunner));
-        ctx.eval.vectorized = vectorized;
         execute(physical, &mut ctx, model).unwrap().table
     }
 
@@ -1173,8 +1171,7 @@ mod tests {
     /// The satellite differential property test: a DetRng-generated input
     /// (nulls included, 103 rows — not divisible by any tested chunk size)
     /// through filter → project → join → aggregate must be byte-for-byte
-    /// identical at every chunk size, with the vectorized kernels on and
-    /// off.
+    /// identical at every chunk size.
     #[test]
     fn chunked_execution_is_byte_identical_at_every_chunk_size() {
         let mut rng = cv_common::DetRng::seed(42);
@@ -1238,16 +1235,15 @@ mod tests {
             .build();
         for (what, plan) in [("pipeline", plan), ("named columns", named)] {
             let (physical, model) = optimize_physical(&plan, &cat);
-            for vectorized in [true, false] {
-                let run = |chunk_size| {
-                    exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size, vectorized)
-                };
-                let mono = run(usize::MAX);
-                assert!(mono.num_rows() > 0);
-                for chunk_size in [1, 3, 7, 50, 2048] {
-                    let what = format!("{what}, chunk {chunk_size}, vectorized {vectorized}");
-                    assert_byte_identical(&run(chunk_size), &mono, &what);
-                }
+            let run = |chunk_size| exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size);
+            let mono = run(usize::MAX);
+            assert!(mono.num_rows() > 0);
+            for chunk_size in [1, 3, 7, 50, 2048] {
+                assert_byte_identical(
+                    &run(chunk_size),
+                    &mono,
+                    &format!("{what}, chunk {chunk_size}"),
+                );
             }
         }
     }
@@ -1266,10 +1262,10 @@ mod tests {
             .unwrap()
             .build();
         let (physical, model) = optimize_physical(&plan, &cat);
-        let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX, true);
+        let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX);
         assert_eq!(mono.num_rows(), 20);
         for chunk_size in [1, 3, 5, 99] {
-            let chunked = exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size, true);
+            let chunked = exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size);
             assert_byte_identical(&chunked, &mono, &format!("chunk {chunk_size}"));
         }
         // A predicate no row satisfies: every chunk comes back empty.
@@ -1280,7 +1276,7 @@ mod tests {
             .build();
         let (physical, model) = optimize_physical(&none, &cat);
         for chunk_size in [1, 7, usize::MAX] {
-            let out = exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size, true);
+            let out = exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size);
             assert_eq!(out.num_rows(), 0, "chunk {chunk_size}");
             assert_eq!(out.num_columns(), 3);
         }
@@ -1321,10 +1317,9 @@ mod tests {
                 .unwrap()
                 .build();
             let (physical, model) = optimize_physical(&plan, &cat);
-            let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX, true);
+            let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX);
             for chunk_size in [1, 4, 6] {
-                let chunked =
-                    exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size, true);
+                let chunked = exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size);
                 assert_byte_identical(&chunked, &mono, &format!("{kind:?} chunk {chunk_size}"));
             }
             // NULL keys never match: inner/semi drop them, left pads.
@@ -1340,11 +1335,11 @@ mod tests {
             .unwrap()
             .build();
         let (physical, model) = optimize_physical(&agg, &cat);
-        let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX, true);
+        let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX);
         // Groups: NULL, 0, 1, 2 — all NULL keys collapse into one group.
         assert_eq!(mono.num_rows(), 4);
         for chunk_size in [1, 4, 6] {
-            let chunked = exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size, true);
+            let chunked = exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size);
             assert_byte_identical(&chunked, &mono, &format!("agg chunk {chunk_size}"));
         }
     }
@@ -1362,9 +1357,9 @@ mod tests {
             .unwrap()
             .build();
         let (physical, model) = optimize_physical(&plan, &cat);
-        let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX, true);
+        let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX);
         for chunk_size in [1, 7, 64] {
-            let chunked = exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size, true);
+            let chunked = exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size);
             assert_byte_identical(&chunked, &mono, &format!("nd chunk {chunk_size}"));
         }
         // Sanity: the column really is nondeterministic per row.

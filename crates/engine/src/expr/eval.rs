@@ -1,23 +1,26 @@
 //! Expression evaluation over columnar tables.
 //!
-//! Evaluation is column-at-a-time: each expression node materializes one
-//! output [`Column`] for the whole chunk. Scalar kernels operate on
-//! [`Value`]s with SQL ternary-logic null semantics; the same scalar kernels
-//! back the constant folder in [`super::fold`], so folding and runtime can
-//! never disagree.
+//! Evaluation is column-at-a-time: each expression node is one call of its
+//! typed kernel in [`super::kernels`], which materializes one output
+//! [`Column`] for the whole chunk. The kernels are total over the nodes
+//! `ScalarExpr::dtype` accepts, so a kernel's refusal is a type error and
+//! is raised as one. The scalar functions here ([`binary_value`],
+//! [`unary_value`], [`func_value`], [`cast_value`]) operate on [`Value`]s
+//! with SQL ternary-logic null semantics: they are the constant folder's
+//! semantics in [`super::fold`] and the oracle the kernels are tested
+//! against, so folding and runtime can never disagree.
 //!
 //! A predicate is not a column: [`select`] returns the ids of the rows where
 //! it is TRUE. That is the one way the Filter operator evaluates one — the
 //! typed comparison loops write ids, an `AND` evaluates each conjunct at the
 //! survivors of the ones before it, and whatever has no such form goes
-//! through [`eval`] over every row, as the scalar reference always does.
+//! through [`eval`] over every row.
 
 use super::kernels::{self, Operand};
 use super::{BinOp, FuncKind, ScalarExpr, UnOp};
 use cv_common::hash::StableHasher;
 use cv_common::{CvError, Result};
-use cv_data::column::{Column, ColumnBuilder, ColumnData};
-use cv_data::strs::StrColumn;
+use cv_data::column::Column;
 use cv_data::table::Table;
 use cv_data::value::{date_parts, DataType, Value};
 use std::sync::OnceLock;
@@ -31,21 +34,17 @@ use std::sync::OnceLock;
 pub struct EvalCtx {
     /// Simulated current date, days since epoch (returned by `NOW()`).
     pub now_days: i32,
-    /// Use the typed vectorized kernels where available (on by default).
-    /// Turned off only by differential tests, which compare kernel output
-    /// against the scalar reference loops.
-    pub vectorized: bool,
     nd_counter: u64,
 }
 
 impl EvalCtx {
     pub fn new(now_days: i32) -> EvalCtx {
-        EvalCtx { now_days, vectorized: true, nd_counter: 0 }
+        EvalCtx { now_days, nd_counter: 0 }
     }
 
     /// The next draw of the non-deterministic builtins. The domain tag is
     /// hashed once per process; each draw clones that state.
-    fn next_nd(&mut self) -> u64 {
+    pub(super) fn next_nd(&mut self) -> u64 {
         static DOMAIN: OnceLock<StableHasher> = OnceLock::new();
         self.nd_counter = self.nd_counter.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut h = DOMAIN.get_or_init(|| StableHasher::with_domain("nondeterministic")).clone();
@@ -55,7 +54,7 @@ impl EvalCtx {
     }
 
     /// The next `RANDOM_NEXT()`: a draw's top 31 bits.
-    fn random_next(&mut self) -> i64 {
+    pub(super) fn random_next(&mut self) -> i64 {
         (self.next_nd() >> 33) as i64
     }
 }
@@ -77,7 +76,7 @@ fn constant(expr: &ScalarExpr) -> Option<&Value> {
 }
 
 /// One side of a binary node: the scalar itself for a constant (when the
-/// kernels are on and the caller allows it), the evaluated column otherwise.
+/// caller allows it), the evaluated column otherwise.
 fn operand<'e>(
     expr: &'e ScalarExpr,
     may_stay_scalar: bool,
@@ -85,103 +84,39 @@ fn operand<'e>(
     ctx: &mut EvalCtx,
 ) -> Result<Operand<'e>> {
     match constant(expr) {
-        Some(k) if ctx.vectorized && may_stay_scalar => Ok(Operand::Const(k)),
+        Some(k) if may_stay_scalar => Ok(Operand::Const(k)),
         _ => eval(expr, table, ctx).map(Operand::Col),
     }
 }
 
-/// Evaluate an expression over every row of `table`, producing a column.
+/// Evaluate an expression over every row of `table`, producing a column:
+/// the node's children first, in written order, then one kernel call.
 ///
-/// The expression's output type is only needed to seed a scalar-fallback
-/// builder (and by the literal and CASE kernels), so it is derived inside
-/// those branches — `dtype` recurses, and deriving it at every node of
+/// Only the CASE kernel needs the node's output type, so it is derived in
+/// that arm alone — `dtype` recurses, and deriving it at every node of
 /// every chunk made evaluation quadratic in expression depth.
 pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Column> {
     let n = table.num_rows();
-    match expr {
+    let out = match expr {
         ScalarExpr::Column(name) => {
             let col = table
                 .column_by_name(name)
                 .ok_or_else(|| CvError::exec(format!("unknown column `{name}`")))?;
-            Ok(col.clone())
+            return Ok(col.clone());
         }
-        ScalarExpr::Literal(v) | ScalarExpr::Param { value: v, .. } => {
-            let out_type = expr.dtype(table.schema())?;
-            if ctx.vectorized {
-                if let Some(c) = kernels::broadcast(v, out_type, n) {
-                    return Ok(c);
-                }
-            }
-            let mut b = ColumnBuilder::with_capacity(out_type, n);
-            for _ in 0..n {
-                b.push(v)?;
-            }
-            Ok(b.finish())
-        }
+        ScalarExpr::Literal(v) | ScalarExpr::Param { value: v, .. } => kernels::broadcast(v, n),
         ScalarExpr::Binary { op, left, right } => {
             // A constant operand reaches the kernel as a scalar instead of
             // a broadcast column. At most one side: the other supplies the
             // rows, and evaluation order (left first) is unchanged.
             let l = operand(left, constant(right).is_none(), table, ctx)?;
             let r = operand(right, true, table, ctx)?;
-            if ctx.vectorized {
-                if let Some(c) = kernels::binary(*op, &l, &r, n) {
-                    return Ok(c);
-                }
-            }
-            let mut b = ColumnBuilder::with_capacity(expr.dtype(table.schema())?, n);
-            for i in 0..n {
-                let v = binary_value(*op, &l.value(i), &r.value(i))?;
-                b.push(&v)?;
-            }
-            Ok(b.finish())
+            kernels::binary(*op, &l, &r, n)
         }
-        ScalarExpr::Unary { op, expr: inner } => {
-            let c = eval(inner, table, ctx)?;
-            if ctx.vectorized {
-                if let Some(out) = kernels::unary(*op, &c) {
-                    return Ok(out);
-                }
-            }
-            let mut b = ColumnBuilder::with_capacity(expr.dtype(table.schema())?, n);
-            for i in 0..n {
-                let v = unary_value(*op, &c.value(i))?;
-                b.push(&v)?;
-            }
-            Ok(b.finish())
-        }
+        ScalarExpr::Unary { op, expr: inner } => kernels::unary(*op, &eval(inner, table, ctx)?),
         ScalarExpr::Func { func, args } => {
-            let arg_cols: Result<Vec<Column>> = args.iter().map(|a| eval(a, table, ctx)).collect();
-            let arg_cols = arg_cols?;
-            let out_type = expr.dtype(table.schema())?;
-            if ctx.vectorized {
-                // A draw per row, in row order, written straight into its
-                // typed column: the scalar loop's sequence, no `Value` boxed.
-                // `dtype` ran first, so a malformed call raises as it would.
-                match func {
-                    FuncKind::RandomNext => {
-                        let draws = (0..n).map(|_| ctx.random_next()).collect();
-                        return Ok(Column::new(ColumnData::Int(draws), None));
-                    }
-                    FuncKind::NewGuid => {
-                        let mut guids = StrColumn::with_capacity(n, 16 * n);
-                        (0..n).for_each(|_| guids.push_display(guid(ctx.next_nd())));
-                        return Ok(Column::new(ColumnData::Str(guids), None));
-                    }
-                    _ => {}
-                }
-            }
-            let mut b = ColumnBuilder::with_capacity(out_type, n);
-            let mut row_args: Vec<Value> = Vec::with_capacity(arg_cols.len());
-            for i in 0..n {
-                row_args.clear();
-                for c in &arg_cols {
-                    row_args.push(c.value(i));
-                }
-                let v = func_value(*func, &row_args, ctx)?;
-                b.push(&v)?;
-            }
-            Ok(b.finish())
+            let args: Result<Vec<Column>> = args.iter().map(|a| eval(a, table, ctx)).collect();
+            kernels::func(*func, &args?, n, ctx)
         }
         ScalarExpr::Case { branches, else_expr } => {
             let when_cols: Result<Vec<Column>> =
@@ -196,42 +131,19 @@ pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Colum
                 None => None,
             };
             let out_type = expr.dtype(table.schema())?;
-            if ctx.vectorized {
-                if let Some(c) =
-                    kernels::case_select(&when_cols, &thens, else_col.as_ref(), out_type, n)
-                {
-                    return Ok(c);
-                }
-            }
-            let mut b = ColumnBuilder::with_capacity(out_type, n);
-            'rows: for i in 0..n {
-                for (w, t) in when_cols.iter().zip(&thens) {
-                    if w.value(i).as_bool() == Some(true) {
-                        b.push(&t.value(i))?;
-                        continue 'rows;
-                    }
-                }
-                match &else_col {
-                    Some(e) => b.push(&e.value(i))?,
-                    None => b.push_null(),
-                }
-            }
-            Ok(b.finish())
+            kernels::case_select(&when_cols, &thens, else_col.as_ref(), out_type, n)
         }
-        ScalarExpr::Cast { expr, dtype } => {
-            let c = eval(expr, table, ctx)?;
-            if ctx.vectorized {
-                if let Some(out) = kernels::cast(&c, *dtype) {
-                    return Ok(out);
-                }
-            }
-            let mut b = ColumnBuilder::with_capacity(*dtype, n);
-            for i in 0..n {
-                let v = cast_value(&c.value(i), *dtype)?;
-                b.push(&v)?;
-            }
-            Ok(b.finish())
-        }
+        ScalarExpr::Cast { expr, dtype } => return kernels::cast(&eval(expr, table, ctx)?, *dtype),
+    };
+    out.ok_or_else(|| refused(expr, table))
+}
+
+/// What a kernel's refusal of `expr` raises: `dtype`'s error, the only kind
+/// of node a kernel refuses. A node `dtype` accepts is named instead.
+fn refused(expr: &ScalarExpr, table: &Table) -> CvError {
+    match expr.dtype(table.schema()) {
+        Err(e) => e,
+        Ok(t) => CvError::exec(format!("no kernel evaluates {expr} ({t})")),
     }
 }
 
@@ -241,17 +153,17 @@ pub fn eval(expr: &ScalarExpr, table: &Table, ctx: &mut EvalCtx) -> Result<Colum
 ///
 /// `within` restricts the answer, and the evaluation too wherever that is
 /// safe: a typed comparison loop reads only those rows, an `AND` hands each
-/// conjunct the survivors of the ones before it. Everything else is
-/// evaluated over every row by [`eval`] and then read at `within`, so it
-/// raises what it always raised and advances the non-determinism counter as
-/// it always did. With `vectorized` off that general arm is the only one.
+/// conjunct the survivors of the ones before it. Everything else — a
+/// predicate that is not a comparison of plain operands — is evaluated over
+/// every row by [`eval`] and then read at `within`, so it raises what it
+/// always raised and advances the non-determinism counter as it always did.
 pub fn select(
     expr: &ScalarExpr,
     table: &Table,
     within: Option<&[usize]>,
     ctx: &mut EvalCtx,
 ) -> Result<Vec<usize>> {
-    if let (true, ScalarExpr::Binary { op, left, right }) = (ctx.vectorized, expr) {
+    if let ScalarExpr::Binary { op, left, right } = expr {
         let typed = match op {
             BinOp::And => select_conjuncts(expr, table, within, ctx)?,
             _ if op.is_comparison() => {
@@ -392,8 +304,8 @@ pub fn binary_value(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
 }
 
 /// The arithmetic arm of [`binary_value`], on non-NULL operands: Date±Int
-/// shifts days, Int×Int stays Int (wrapping) except `/`, anything else
-/// numeric widens to f64; `/` and `%` by zero are NULL.
+/// shifts days, Int×Int stays Int (wrapping: `i64::MIN % -1` is 0) except
+/// `/`, anything else numeric widens to f64; `/` and `%` by zero are NULL.
 fn arith_value(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
     use BinOp::*;
     use Value::{Date, Float, Int};
@@ -405,7 +317,7 @@ fn arith_value(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
         (Sub, Int(x), Int(y)) => Int(x.wrapping_sub(*y)),
         (Mul, Int(x), Int(y)) => Int(x.wrapping_mul(*y)),
         (Mod, Int(_), Int(0)) => Value::Null,
-        (Mod, Int(x), Int(y)) => Int(x % y),
+        (Mod, Int(x), Int(y)) => Int(x.wrapping_rem(*y)),
         _ => {
             let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else {
                 return Err(CvError::exec(format!(
@@ -448,7 +360,8 @@ pub fn unary_value(op: UnOp, v: &Value) -> Result<Value> {
     }
 }
 
-/// Scalar function kernel.
+/// Scalar function kernel. `ABS` wraps (`ABS(i64::MIN)` is `i64::MIN`), as
+/// negation does, in every build.
 pub fn func_value(func: FuncKind, args: &[Value], ctx: &mut EvalCtx) -> Result<Value> {
     // Deterministic single-argument functions propagate NULL.
     if func.arity() == 1 && args[0].is_null() {
@@ -459,7 +372,7 @@ pub fn func_value(func: FuncKind, args: &[Value], ctx: &mut EvalCtx) -> Result<V
         FuncKind::Upper => Ok(Value::Str(req_str(&args[0])?.to_uppercase())),
         FuncKind::Length => Ok(Value::Int(req_str(&args[0])?.len() as i64)),
         FuncKind::Abs => match &args[0] {
-            Value::Int(i) => Ok(Value::Int(i.abs())),
+            Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
             Value::Float(f) => Ok(Value::Float(f.abs())),
             other => Err(CvError::exec(format!("ABS on non-numeric {other}"))),
         },
@@ -476,11 +389,7 @@ pub fn func_value(func: FuncKind, args: &[Value], ctx: &mut EvalCtx) -> Result<V
             let days = args[0].as_date().ok_or_else(|| CvError::exec("MONTH requires a DATE"))?;
             Ok(Value::Int(date_parts(days).1.into()))
         }
-        FuncKind::Hash64 => {
-            let mut h = StableHasher::with_domain("hash64-fn");
-            args[0].stable_hash(&mut h);
-            Ok(Value::Int((h.finish64() >> 1) as i64))
-        }
+        FuncKind::Hash64 => Ok(Value::Int(hash64(&args[0]))),
         FuncKind::Now => Ok(Value::Date(ctx.now_days)),
         FuncKind::RandomNext => Ok(Value::Int(ctx.random_next())),
         FuncKind::NewGuid => Ok(Value::Str(guid(ctx.next_nd()).to_string())),
@@ -528,8 +437,15 @@ pub fn cast_value(v: &Value, to: DataType) -> Result<Value> {
 }
 
 /// A `NEW_GUID()` draw's text: 16 hex digits.
-fn guid(draw: u64) -> impl std::fmt::Display {
+pub(super) fn guid(draw: u64) -> impl std::fmt::Display {
     std::fmt::from_fn(move |f| write!(f, "{draw:016x}"))
+}
+
+/// `HASH64` of one non-NULL value: its stable hash, non-negative.
+pub(super) fn hash64(v: &Value) -> i64 {
+    let mut h = StableHasher::with_domain("hash64-fn");
+    v.stable_hash(&mut h);
+    (h.finish64() >> 1) as i64
 }
 
 fn req_str(v: &Value) -> Result<&str> {
@@ -646,7 +562,7 @@ mod tests {
     }
 
     /// `YEAR`/`MONTH` read the calendar, not the text: years of five digits
-    /// and negative ones, and the first and last `i32` days, on both paths
+    /// and negative ones, and the first and last `i32` days, in the kernel
     /// and in the constant folder.
     #[test]
     fn date_parts_hold_outside_years_0_to_9999() {
@@ -662,16 +578,11 @@ mod tests {
         let parts = [(FuncKind::Year, 0), (FuncKind::Month, 1)];
         for (func, part) in parts {
             let e = ScalarExpr::Func { func, args: vec![col("day")] };
-            let mut off = EvalCtx::new(0);
-            off.vectorized = false;
-            let (on, off) = (eval(&e, &t, &mut EvalCtx::new(0)).unwrap(), eval(&e, &t, &mut off));
+            let got = eval(&e, &t, &mut EvalCtx::new(0)).unwrap();
             for (i, d) in days.iter().enumerate() {
                 let (y, m, _) = date_parts(*d);
                 let want = Value::Int([y, m.into()][part]);
-                assert_eq!(
-                    (on.value(i), off.as_ref().unwrap().value(i)),
-                    (want.clone(), want.clone())
-                );
+                assert_eq!(got.value(i), want, "{func:?} of day {d}");
                 let folded = super::super::fold::fold(&ScalarExpr::Func {
                     func,
                     args: vec![lit(Value::Date(*d))],
@@ -746,18 +657,13 @@ mod tests {
         assert_ne!(r.value(0), r.value(1));
     }
 
-    /// The typed `RANDOM_NEXT()` / `NEW_GUID()` columns are the scalar
-    /// loop's draws, value for value, and leave the counter where it leaves
-    /// it: over one chunk, and through a filter's non-deterministic conjunct
-    /// at two chunk sizes.
+    /// The typed `RANDOM_NEXT()` / `NEW_GUID()` columns are `func_value`'s
+    /// draws, value for value, and leave the counter where it leaves it:
+    /// over one chunk, and through a filter's non-deterministic conjunct at
+    /// two chunk sizes, which draws at every row of each chunk.
     #[test]
     fn typed_draws_are_the_scalar_draws() {
         use cv_data::chunk::chunk_ranges;
-        let scalar = || {
-            let mut ctx = EvalCtx::new(100);
-            ctx.vectorized = false;
-            ctx
-        };
         let mut rng = cv_common::DetRng::seed(0xd4a);
         let schema = Schema::new(vec![Field::new("s", DataType::Str)]).unwrap().into_ref();
         let rows: Vec<Vec<Value>> = (0..300)
@@ -770,27 +676,35 @@ mod tests {
         let t = Table::from_rows(schema, &rows).unwrap();
         for func in [FuncKind::RandomNext, FuncKind::NewGuid] {
             let e = ScalarExpr::Func { func, args: vec![] };
-            let (mut on, mut off) = (EvalCtx::new(100), scalar());
-            let (a, b) = (eval(&e, &t, &mut on).unwrap(), eval(&e, &t, &mut off).unwrap());
-            assert_eq!((a.dtype(), a.len(), a.validity()), (b.dtype(), b.len(), None));
-            assert!((0..t.num_rows()).all(|i| a.value(i) == b.value(i)), "{func:?}");
-            assert_eq!(on.next_nd(), off.next_nd(), "{func:?}: the draw after");
+            let (mut typed, mut scalar) = (EvalCtx::new(100), EvalCtx::new(100));
+            let a = eval(&e, &t, &mut typed).unwrap();
+            assert_eq!((a.len(), a.validity()), (t.num_rows(), None));
+            for i in 0..t.num_rows() {
+                assert_eq!(a.value(i), func_value(func, &[], &mut scalar).unwrap(), "{func:?}");
+            }
+            assert_eq!(typed.next_nd(), scalar.next_nd(), "{func:?}: the draw after");
         }
         let random_next = || ScalarExpr::Func { func: FuncKind::RandomNext, args: vec![] };
-        for nondeterministic in [
-            random_next().gt_eq(lit(0)),
-            ScalarExpr::binary(BinOp::Mod, random_next(), lit(3)).eq(lit(0)),
-        ] {
+        let coins: [(ScalarExpr, fn(i64) -> bool); 2] = [
+            (random_next().gt_eq(lit(0)), |draw| draw >= 0),
+            (ScalarExpr::binary(BinOp::Mod, random_next(), lit(3)).eq(lit(0)), |draw| {
+                draw % 3 == 0
+            }),
+        ];
+        for (nondeterministic, coin) in coins {
             let pred = lit("asia").eq(col("s")).and(nondeterministic);
             for chunk in [7, usize::MAX] {
-                let (mut on, mut off) = (EvalCtx::new(100), scalar());
+                let (mut typed, mut scalar) = (EvalCtx::new(100), EvalCtx::new(100));
                 for (offset, len) in chunk_ranges(t.num_rows(), chunk) {
                     let w = t.slice(offset, len);
-                    let (a, b) =
-                        (select(&pred, &w, None, &mut on), select(&pred, &w, None, &mut off));
-                    assert_eq!(a.unwrap(), b.unwrap(), "{pred} at rows {offset}..+{len}");
+                    let draws: Vec<i64> = (0..len).map(|_| scalar.random_next()).collect();
+                    let want: Vec<usize> = (0..len)
+                        .filter(|&i| rows[offset + i][0] == Value::from("asia") && coin(draws[i]))
+                        .collect();
+                    let got = select(&pred, &w, None, &mut typed).unwrap();
+                    assert_eq!(got, want, "{pred} at rows {offset}..+{len}");
                 }
-                assert_eq!(on.next_nd(), off.next_nd(), "{pred} by {chunk}: the draw after");
+                assert_eq!(typed.next_nd(), scalar.next_nd(), "{pred} by {chunk}: the draw after");
             }
         }
     }

@@ -1,19 +1,20 @@
-//! Vectorized typed expression kernels.
+//! Vectorized typed expression kernels: the one evaluator.
 //!
 //! Each kernel dispatches on the typed [`ColumnView`]s of its inputs and
 //! runs a tight loop over the typed slices, with null propagation handled
-//! through validity bitmaps instead of per-row [`Value`] boxing. The scalar
-//! kernels in [`super::eval`] (`binary_value`, `unary_value`, `cast_value`)
-//! remain the *reference semantics*: every kernel here must produce exactly
-//! the column the scalar row loop would — same values, same NULLs, same
-//! null-slot placeholders, and no validity bitmap when every row is valid
-//! (so `byte_size` is identical across both paths). Differential property
-//! tests in `tests/kernels.rs` enforce this, and for string comparisons
-//! this file's own tests do.
-//!
-//! A kernel returns `None` when it has no typed implementation for the
-//! operand combination; the caller falls back to the scalar loop, which
-//! either handles it or raises the same error the scalar path always did.
+//! through validity bitmaps instead of per-row [`Value`] boxing. Every
+//! expression node is one kernel call, and each kernel is *total* over the
+//! nodes `ScalarExpr::dtype` accepts: it returns `None` only for a node
+//! `dtype` refuses, and the evaluator raises that refusal. The scalar
+//! functions in [`super::eval`] (`binary_value`, `unary_value`,
+//! `func_value`, `cast_value`) are the constant folder's semantics and the
+//! test oracle: every kernel here produces exactly the column a row-by-row
+//! application of them would — same values, same NULLs, the type's default
+//! under a NULL, and no validity bitmap when every row is valid. Where a
+//! cell rule is more than an operator (a calendar part, a hash, a draw) the
+//! kernel and the scalar function call the same helper. Differential tests
+//! in `tests/kernels.rs` hold the kernels to a reference walker over those
+//! functions, and for string comparisons this file's own tests do.
 //!
 //! A binary kernel's operand is an [`Operand`]: an evaluated column, or a
 //! literal/parameter passed as the scalar it is — nothing is materialized
@@ -38,26 +39,26 @@
 //! an `OR`), the selection ([`select`]) writes the ids of the rows that
 //! passed — the Filter operator's form ([`super::eval::select`]).
 
-use super::{BinOp, UnOp};
+use super::eval::{cast_value, guid, hash64, EvalCtx};
+use super::{BinOp, FuncKind, UnOp};
+use cv_common::Result;
 use cv_data::bitmap::Bitmap;
 use cv_data::column::{Column, ColumnData, ColumnView, StrRows, PAD};
 use cv_data::strs::{StrColumn, StrView};
-use cv_data::value::{DataType, Value};
+use cv_data::value::{date_parts, DataType, Value};
 
 /// Broadcast a literal/parameter into a constant column (one allocation,
 /// no per-row push) — for a literal that *is* an output column; operands of
-/// binary kernels stay scalar ([`Operand::Const`]). Coercions mirror
-/// `ColumnBuilder::push`: Int widens into Float and Date columns.
-pub(super) fn broadcast(v: &Value, out_type: DataType, n: usize) -> Option<Column> {
-    let data = match (v, out_type) {
-        (Value::Bool(b), DataType::Bool) => ColumnData::Bool(vec![*b; n]),
-        (Value::Int(i), DataType::Int) => ColumnData::Int(vec![*i; n]),
-        (Value::Int(i), DataType::Float) => ColumnData::Float(vec![*i as f64; n]),
-        (Value::Int(i), DataType::Date) => ColumnData::Date(vec![*i as i32; n]),
-        (Value::Float(f), DataType::Float) => ColumnData::Float(vec![*f; n]),
-        (Value::Str(s), DataType::Str) => ColumnData::Str(StrColumn::repeat(s, n)),
-        (Value::Date(d), DataType::Date) => ColumnData::Date(vec![*d; n]),
-        _ => return None,
+/// binary kernels stay scalar ([`Operand::Const`]). `None` for a NULL, which
+/// has no type.
+pub(super) fn broadcast(v: &Value, n: usize) -> Option<Column> {
+    let data = match v {
+        Value::Bool(b) => ColumnData::Bool(vec![*b; n]),
+        Value::Int(i) => ColumnData::Int(vec![*i; n]),
+        Value::Float(f) => ColumnData::Float(vec![*f; n]),
+        Value::Str(s) => ColumnData::Str(StrColumn::repeat(s, n)),
+        Value::Date(d) => ColumnData::Date(vec![*d; n]),
+        Value::Null => return None,
     };
     Some(Column::new(data, None))
 }
@@ -75,14 +76,6 @@ impl Operand<'_> {
         match self {
             Operand::Col(c) => c.validity(),
             Operand::Const(_) => None,
-        }
-    }
-
-    /// Row `i` boxed — the scalar fallback's accessor.
-    pub(super) fn value(&self, i: usize) -> Value {
-        match self {
-            Operand::Col(c) => c.value(i),
-            Operand::Const(v) => (*v).clone(),
         }
     }
 
@@ -139,8 +132,8 @@ impl std::ops::Index<usize> for Bytes<'_> {
 /// Binds two lanes as row readers (`Fn(usize) -> &T`) and expands `$body`,
 /// an `Option`, once per column/constant shape: which side is a constant is
 /// settled here, outside whatever loops `$body` runs. Two constants have no
-/// rows of their own (the evaluator hands at most one side over as a
-/// scalar) and take the caller's fallback.
+/// rows of their own: the evaluator hands at most one side over as a
+/// scalar.
 macro_rules! rows {
     (($a:expr, $b:expr) => |$x:ident, $y:ident| $body:expr) => {
         match ($a, $b) {
@@ -161,8 +154,8 @@ macro_rules! rows {
     };
 }
 
-/// Typed binary kernel over `n` rows. `None` means "no kernel for this
-/// combination".
+/// Typed binary kernel over `n` rows. `None` for operand types `dtype`
+/// refuses.
 pub(super) fn binary(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
     match op {
         BinOp::And | BinOp::Or => and_or(op, l, r, n),
@@ -478,9 +471,9 @@ fn try_map_rows<O: Default>(
     (data, Some(validity))
 }
 
-/// Arithmetic kernels: Int×Int stays Int (wrapping, except Div which
-/// promotes to Float), Date±Int shifts days, anything else numeric widens
-/// to f64. Div/Mod by zero produce NULL.
+/// Arithmetic kernels: Int×Int stays Int (wrapping — `i64::MIN % -1` is 0 —
+/// except Div which promotes to Float), Date±Int shifts days, anything else
+/// numeric widens to f64. Div/Mod by zero produce NULL.
 fn arith(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
     use BinOp::*;
     type Out = Option<(ColumnData, Option<Bitmap>)>;
@@ -496,7 +489,8 @@ fn arith(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column
             Sub => map_rows(n, v.as_ref(), |i| x(i).wrapping_sub(y(i))),
             Mul => map_rows(n, v.as_ref(), |i| x(i).wrapping_mul(y(i))),
             Mod => {
-                let (data, v) = try_map_rows(n, v, |i| (y(i) != 0).then(|| x(i) % y(i)));
+                let (data, v) =
+                    try_map_rows(n, v, |i| (y(i) != 0).then(|| x(i).wrapping_rem(y(i))));
                 return Some((ColumnData::Int(data), v));
             }
             _ => return None,
@@ -575,18 +569,58 @@ pub(super) fn unary(op: UnOp, c: &Column) -> Option<Column> {
     Some(Column::new(data, normalize(v.cloned())))
 }
 
-/// Typed cast kernel. Identity casts share the source column, window and
-/// all (reference bump); string parses that fail produce NULL, matching
-/// `cast_value`.
-pub(super) fn cast(c: &Column, to: DataType) -> Option<Column> {
+/// Function kernel: each arm is `func_value`'s rule for one cell, over a
+/// typed column — a one-argument function is NULL where its argument is —
+/// and `NOW()`, `RANDOM_NEXT()` and `NEW_GUID()` fill `n` rows, the draws
+/// one a row in row order. `None` for arguments `dtype` refuses.
+pub(super) fn func(func: FuncKind, args: &[Column], n: usize, ctx: &mut EvalCtx) -> Option<Column> {
+    use ColumnData as D;
+    use ColumnView as V;
+    use FuncKind::*;
+    let data = match (func, args) {
+        (Now, []) => D::Date(vec![ctx.now_days; n]),
+        (RandomNext, []) => D::Int((0..n).map(|_| ctx.random_next()).collect()),
+        (NewGuid, []) => {
+            let mut guids = StrColumn::with_capacity(n, 16 * n);
+            (0..n).for_each(|_| guids.push_display(guid(ctx.next_nd())));
+            D::Str(guids)
+        }
+        (_, [c]) => {
+            let (n, v) = (c.len(), c.validity());
+            let data = match (func, c.view()) {
+                (Lower, V::Str(s)) => D::Str(str_rows(n, v, |i| s[i].to_lowercase())),
+                (Upper, V::Str(s)) => D::Str(str_rows(n, v, |i| s[i].to_uppercase())),
+                (Length, V::Str(s)) => D::Int(map_rows(n, v, |i| s.len_of(i) as i64)),
+                (Abs, V::Int(s)) => D::Int(map_rows(n, v, |i| s[i].wrapping_abs())),
+                (Abs, V::Float(s)) => D::Float(map_rows(n, v, |i| s[i].abs())),
+                (Round, V::Int(s)) => D::Int(map_rows(n, v, |i| s[i])),
+                (Round, V::Float(s)) => D::Float(map_rows(n, v, |i| s[i].round())),
+                (Year, V::Date(s)) => D::Int(map_rows(n, v, |i| date_parts(s[i]).0)),
+                (Month, V::Date(s)) => D::Int(map_rows(n, v, |i| date_parts(s[i]).1.into())),
+                (Hash64, _) => D::Int(map_rows(n, v, |i| hash64(&c.value(i)))),
+                _ => return None,
+            };
+            return Some(Column::new(data, normalize(v.cloned())));
+        }
+        _ => return None,
+    };
+    Some(Column::new(data, None))
+}
+
+/// Typed cast kernel, total over every pair of types. Identity casts share
+/// the source column, window and all (reference bump); string parses that
+/// fail produce NULL, matching `cast_value`. The pairs `cast_value` refuses
+/// for every value raise its error at the first valid row, and are a column
+/// of NULLs when no row is valid.
+pub(super) fn cast(c: &Column, to: DataType) -> Result<Column> {
     use ColumnData as D;
     if c.dtype() == to {
-        return Some(c.clone().normalize_validity());
+        return Ok(c.clone().normalize_validity());
     }
     let (n, v) = (c.len(), c.validity());
     // Fallible string parses clear validity on failure.
-    fn parsed<O>(wrap: fn(Vec<O>) -> D, (data, v): (Vec<O>, Option<Bitmap>)) -> Option<Column> {
-        Some(Column::new(wrap(data), normalize(v)))
+    fn parsed<O>(wrap: fn(Vec<O>) -> D, (data, v): (Vec<O>, Option<Bitmap>)) -> Result<Column> {
+        Ok(Column::new(wrap(data), normalize(v)))
     }
     let data = match (c.view(), to) {
         (ColumnView::Int(s), DataType::Float) => D::Float(map_rows(n, v, |i| s[i] as f64)),
@@ -611,9 +645,22 @@ pub(super) fn cast(c: &Column, to: DataType) -> Option<Column> {
         (ColumnView::Date(s), DataType::Str) => {
             D::Str(str_rows(n, v, |i| cv_data::value::format_date(s[i])))
         }
-        _ => return None,
+        // Float→Bool/Date, Str→Bool, Bool→Float/Date, Date→Float/Bool.
+        _ => {
+            if let Some(i) = (0..n).find(|&i| valid(v, i)) {
+                cast_value(&c.value(i), to)?;
+            }
+            let data = match to {
+                DataType::Bool => D::Bool(vec![false; n]),
+                DataType::Int => D::Int(vec![0; n]),
+                DataType::Float => D::Float(vec![0.0; n]),
+                DataType::Str => D::Str(StrColumn::repeat("", n)),
+                DataType::Date => D::Date(vec![0; n]),
+            };
+            return Ok(Column::new(data, normalize(Some(Bitmap::all_clear(n)))));
+        }
     };
-    Some(Column::new(data, normalize(v.cloned())))
+    Ok(Column::new(data, normalize(v.cloned())))
 }
 
 /// One THEN or ELSE of a CASE, read as the output type: its rows (a slice,
@@ -673,7 +720,7 @@ fn overlay<T: Cell>(
 /// Float/Date outputs, exactly like `ColumnBuilder::push`; a constant
 /// THEN/ELSE stays the scalar it is), the output starts as the ELSE (NULL
 /// without one) and the branches are laid over it last to first, so a row
-/// keeps the first WHEN that is TRUE. `None` falls back to the scalar loop.
+/// keeps the first WHEN that is TRUE. `None` for sources `dtype` refuses.
 pub(super) fn case_select(
     when_cols: &[Column],
     thens: &[Operand<'_>],
@@ -686,7 +733,7 @@ pub(super) fn case_select(
         match source {
             Operand::Col(c) if c.dtype() == out_type => Some(Operand::Col(c.clone())),
             Operand::Col(c) if c.dtype() == DataType::Int && widens => {
-                cast(c, out_type).map(Operand::Col)
+                cast(c, out_type).ok().map(Operand::Col)
             }
             Operand::Col(_) => None,
             Operand::Const(k) => Some(Operand::Const(k)),
@@ -988,7 +1035,7 @@ mod tests {
             let mut constants = vec![absent];
             constants.extend((0..3).map(|_| Value::from(*rng.choose(&ROWS))));
             for k in &constants {
-                let broadcast = Operand::Col(broadcast(k, DataType::Str, n).unwrap());
+                let broadcast = Operand::Col(broadcast(k, n).unwrap());
                 for op in [Eq, NotEq, Lt, LtEq, Gt, GtEq] {
                     let sides = [
                         ((Operand::Col(c.clone()), Operand::Const(k)), (&rows, &broadcast)),

@@ -2,16 +2,18 @@
 //!
 //! The typed kernels in `cv_engine::expr` and the columnar key machinery in
 //! the executor must be invisible: evaluating any type-checked expression
-//! with kernels enabled has to match the scalar row-at-a-time fallback
-//! value-for-value and null-for-null, and whole plans must produce identical
-//! tables either way. Randomized inputs come from seeded `DetRng` loops
-//! rather than an external property-testing crate (see tests/properties.rs).
+//! has to match [`reference`] — a walker that applies the scalar `*_value`
+//! functions row by row — value-for-value, null-for-null and byte for byte,
+//! and whole plans must produce the tables those values make. Randomized
+//! inputs come from seeded `DetRng` loops rather than an external
+//! property-testing crate (see tests/properties.rs).
 
 use cv_common::ids::{JobId, VcId};
 use cv_common::rng::DetRng;
-use cv_common::{Sig128, SimTime};
+use cv_common::{CvError, Sig128, SimTime};
 use cv_data::bitmap::Bitmap;
 use cv_data::catalog::DatasetCatalog;
+use cv_data::chunk::DEFAULT_CHUNK_SIZE;
 use cv_data::column::{Column, ColumnData, PAD};
 use cv_data::schema::{Field, Schema, SchemaRef};
 use cv_data::table::Table;
@@ -19,8 +21,11 @@ use cv_data::value::{DataType, Value};
 use cv_data::viewstore::{ViewReadFault, ViewSource, ViewStore};
 use cv_engine::cost::CostModel;
 use cv_engine::exec::{execute, ExecContext, ExecOutcome, SerialRunner};
-use cv_engine::expr::eval::{eval, select, EvalCtx};
-use cv_engine::expr::{col, lit, param, AggExpr, AggFunc, BinOp, ScalarExpr, UnOp};
+use cv_engine::expr::eval::{
+    binary_value, cast_value, eval, func_value, select, unary_value, EvalCtx,
+};
+use cv_engine::expr::fold::fold;
+use cv_engine::expr::{col, lit, param, AggExpr, AggFunc, BinOp, FuncKind, ScalarExpr, UnOp};
 use cv_engine::normalize::normalize;
 use cv_engine::optimizer::{AlwaysGrant, Optimizer, OptimizerConfig, ReuseContext};
 use cv_engine::physical::{JoinAlgo, PhysicalPlan};
@@ -87,12 +92,31 @@ fn random_table(rng: &mut DetRng, rows: usize, null_rate: f64) -> Table {
     Table::from_rows(schema, &data).unwrap()
 }
 
+const ALL_TYPES: [DataType; 5] =
+    [DataType::Bool, DataType::Int, DataType::Float, DataType::Str, DataType::Date];
+
+/// Every function, once each.
+const ALL_FUNCS: [FuncKind; 11] = [
+    FuncKind::Lower,
+    FuncKind::Upper,
+    FuncKind::Length,
+    FuncKind::Abs,
+    FuncKind::Round,
+    FuncKind::Year,
+    FuncKind::Month,
+    FuncKind::Hash64,
+    FuncKind::Now,
+    FuncKind::RandomNext,
+    FuncKind::NewGuid,
+];
+
 /// A random expression tree over the `random_table` schema. Many of these
 /// fail type checking — callers skip those; the survivors cover every kernel
-/// (binary, unary, cast, case, constant broadcast).
+/// (binary, unary, function, cast, case, constant broadcast), and integer
+/// literals at the `i64` extremes reach the wrapping arms.
 fn rand_expr(rng: &mut DetRng, depth: usize) -> ScalarExpr {
     if depth == 0 || rng.chance(0.3) {
-        return match rng.range_usize(0, 9) {
+        return match rng.range_usize(0, 10) {
             0 => col("b"),
             1 => col("i"),
             2 => col("f"),
@@ -101,26 +125,13 @@ fn rand_expr(rng: &mut DetRng, depth: usize) -> ScalarExpr {
             5 => lit(rng.range_i64(-50, 50)),
             6 => lit(rng.range_f64(-50.0, 50.0)),
             7 => lit(rng.chance(0.5)),
+            8 => lit(*rng.choose(&[i64::MIN, i64::MAX, -1])),
             _ => lit(*rng.choose(&["a", "bb", "zzz"])),
         };
     }
-    match rng.range_usize(0, 10) {
+    match rng.range_usize(0, 12) {
         0..=5 => {
-            let op = *rng.choose(&[
-                BinOp::Add,
-                BinOp::Sub,
-                BinOp::Mul,
-                BinOp::Div,
-                BinOp::Mod,
-                BinOp::Eq,
-                BinOp::NotEq,
-                BinOp::Lt,
-                BinOp::LtEq,
-                BinOp::Gt,
-                BinOp::GtEq,
-                BinOp::And,
-                BinOp::Or,
-            ]);
+            let op = *rng.choose(&ALL_BINOPS);
             ScalarExpr::binary(op, rand_expr(rng, depth - 1), rand_expr(rng, depth - 1))
         }
         6 => {
@@ -128,14 +139,13 @@ fn rand_expr(rng: &mut DetRng, depth: usize) -> ScalarExpr {
             ScalarExpr::Unary { op, expr: Box::new(rand_expr(rng, depth - 1)) }
         }
         7 => {
-            let to = *rng.choose(&[
-                DataType::Bool,
-                DataType::Int,
-                DataType::Float,
-                DataType::Str,
-                DataType::Date,
-            ]);
+            let to = *rng.choose(&ALL_TYPES);
             rand_expr(rng, depth - 1).cast(to)
+        }
+        8 | 9 => {
+            let func = *rng.choose(&ALL_FUNCS);
+            let args = (0..func.arity()).map(|_| rand_expr(rng, depth - 1)).collect();
+            ScalarExpr::Func { func, args }
         }
         _ => {
             let nb = rng.range_usize(1, 4);
@@ -148,22 +158,112 @@ fn rand_expr(rng: &mut DetRng, depth: usize) -> ScalarExpr {
     }
 }
 
-/// Bit-level column equality: same dtype, same per-row values under
-/// `Value::total_cmp` (which distinguishes zero signs and compares NaN to
-/// itself as equal), and the same byte size — the latter catches a kernel
-/// that materializes an all-true validity bitmap the scalar path omits,
-/// which would silently skew the cost model and result digests.
-fn assert_columns_equal(a: &Column, b: &Column, what: &str) {
-    assert_eq!(a.dtype(), b.dtype(), "dtype for {what}");
-    assert_eq!(a.len(), b.len(), "length for {what}");
-    for i in 0..a.len() {
-        let (va, vb) = (a.value(i), b.value(i));
-        assert!(
-            va.total_cmp(&vb) == std::cmp::Ordering::Equal,
-            "row {i} of {what}: vectorized {va} vs scalar {vb}"
-        );
+/// The reference: `e` at every row of `t`, through the scalar `*_value`
+/// functions and the CASE rule (the first TRUE WHEN wins, no ELSE is NULL).
+/// Column at a time: each child is evaluated at every row, in written
+/// order, before its parent, so the non-deterministic draws come in the
+/// evaluator's order; and a node is typed after its children, so what
+/// raises first raises here first.
+fn reference(e: &ScalarExpr, t: &Table, ctx: &mut EvalCtx) -> cv_common::Result<Vec<Value>> {
+    let n = t.num_rows();
+    let mut walk = |e: &ScalarExpr| reference(e, t, ctx);
+    match e {
+        ScalarExpr::Column(name) => {
+            let c = t.column_by_name(name);
+            let c = c.ok_or_else(|| CvError::exec(format!("unknown column `{name}`")))?;
+            Ok((0..n).map(|i| c.value(i)).collect())
+        }
+        ScalarExpr::Literal(v) | ScalarExpr::Param { value: v, .. } => {
+            e.dtype(t.schema()).map(|_| vec![v.clone(); n])
+        }
+        ScalarExpr::Binary { op, left, right } => {
+            let (l, r) = (walk(left)?, walk(right)?);
+            e.dtype(t.schema())?;
+            l.iter().zip(&r).map(|(a, b)| binary_value(*op, a, b)).collect()
+        }
+        ScalarExpr::Unary { op, expr } => {
+            let x = walk(expr)?;
+            e.dtype(t.schema())?;
+            x.iter().map(|v| unary_value(*op, v)).collect()
+        }
+        ScalarExpr::Cast { expr, dtype } => {
+            walk(expr)?.iter().map(|v| cast_value(v, *dtype)).collect()
+        }
+        ScalarExpr::Func { func, args } => {
+            let args: Vec<Vec<Value>> = args.iter().map(walk).collect::<cv_common::Result<_>>()?;
+            e.dtype(t.schema())?;
+            let row = |i: usize| args.iter().map(|a| a[i].clone()).collect::<Vec<_>>();
+            (0..n).map(|i| func_value(*func, &row(i), ctx)).collect()
+        }
+        ScalarExpr::Case { branches, else_expr } => {
+            let mut walk_all = |es: Vec<&ScalarExpr>| {
+                es.into_iter().map(&mut walk).collect::<cv_common::Result<Vec<_>>>()
+            };
+            let whens = walk_all(branches.iter().map(|(w, _)| w).collect())?;
+            let thens = walk_all(branches.iter().map(|(_, then)| then).collect())?;
+            let otherwise = else_expr.as_deref().map(walk).transpose()?;
+            e.dtype(t.schema())?;
+            let pick = |i: usize| match whens.iter().position(|w| w[i] == Value::Bool(true)) {
+                Some(j) => thens[j][i].clone(),
+                None => otherwise.as_ref().map_or(Value::Null, |o| o[i].clone()),
+            };
+            Ok((0..n).map(pick).collect())
+        }
     }
-    assert_eq!(a.byte_size(), b.byte_size(), "byte size for {what}");
+}
+
+/// [`reference`] as a column of `e`'s type, built value by value — but a
+/// column reference is the column itself, window and validity as they are.
+fn reference_column(e: &ScalarExpr, t: &Table, ctx: &mut EvalCtx) -> cv_common::Result<Column> {
+    if let ScalarExpr::Column(name) = e {
+        if let Some(c) = t.column_by_name(name) {
+            return Ok(c.clone());
+        }
+    }
+    let values = reference(e, t, ctx)?;
+    Column::from_values(e.dtype(t.schema())?, &values)
+}
+
+/// The rows [`reference`] calls TRUE, among `within` when given: what
+/// `select` answers, and what it raises for a predicate that is not BOOL.
+fn reference_select(
+    e: &ScalarExpr,
+    t: &Table,
+    within: Option<&[usize]>,
+    ctx: &mut EvalCtx,
+) -> cv_common::Result<Vec<usize>> {
+    let verdicts = reference(e, t, ctx)?;
+    let dtype = e.dtype(t.schema())?;
+    if dtype != DataType::Bool {
+        return Err(CvError::exec(format!("predicate must be BOOL, got {dtype}")));
+    }
+    let keep = |i: &usize| verdicts[*i] == Value::Bool(true);
+    Ok(match within {
+        Some(ids) => ids.iter().copied().filter(keep).collect(),
+        None => (0..t.num_rows()).filter(keep).collect(),
+    })
+}
+
+/// `eval` and [`reference_column`] on one context state each: both raise
+/// (the same error) or both give the same bytes. True if they gave a column.
+fn assert_eval_matches_reference(
+    e: &ScalarExpr,
+    t: &Table,
+    typed: &mut EvalCtx,
+    scalar: &mut EvalCtx,
+    what: &str,
+) -> bool {
+    match (eval(e, t, typed), reference_column(e, t, scalar)) {
+        (Ok(a), Ok(b)) => {
+            assert_columns_identical(&a, &b, what);
+            true
+        }
+        (Err(a), Err(b)) => {
+            assert_eq!((a.kind(), a.to_string()), (b.kind(), b.to_string()), "{what}");
+            false
+        }
+        (a, b) => panic!("{what}: eval ok={} reference ok={}", a.is_ok(), b.is_ok()),
+    }
 }
 
 /// Byte-for-byte column equality: validity *presence* and bits, every
@@ -208,9 +308,9 @@ fn random_window(rng: &mut DetRng, t: &Table) -> (Table, Table) {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn vectorized_eval_matches_scalar_fallback() {
+fn eval_matches_the_reference_walker() {
     let mut rng = DetRng::seed(0x41);
-    let mut checked = 0usize;
+    let (mut checked, mut funcs) = (0usize, 0usize);
     for round in 0..500 {
         // Cycle through empty tables, single rows, null-free, and all-null
         // columns so the broadcast and validity edge cases all come up.
@@ -227,41 +327,190 @@ fn vectorized_eval_matches_scalar_fallback() {
         let t = random_table(&mut rng, rows, null_rate);
         let e = rand_expr(&mut rng, 3);
         if e.dtype(t.schema()).is_err() {
-            continue; // not type-correct; both paths reject it before eval
+            continue; // not type-correct; both reject it before a row is read
         }
-        let mut on = EvalCtx::new(0);
-        let mut off = EvalCtx::new(0);
-        off.vectorized = false;
-        match (eval(&e, &t, &mut on), eval(&e, &t, &mut off)) {
-            (Ok(a), Ok(b)) => {
-                assert_columns_equal(&a, &b, &format!("{e}"));
-                checked += 1;
-                if a.dtype() == DataType::Bool {
-                    // Bool results also exercise the predicate → selection
-                    // path used by the Filter operator: the same ids, and
-                    // the same ids of any subset asked for.
-                    let sa = select(&e, &t, None, &mut on).unwrap();
-                    let sb = select(&e, &t, None, &mut off).unwrap();
-                    assert_eq!(sa, sb, "selection for {e}");
-                    let within: Vec<usize> = (0..rows).filter(|_| rng.chance(0.5)).collect();
-                    let wa = select(&e, &t, Some(&within), &mut on).unwrap();
-                    let kept: Vec<usize> =
-                        within.iter().copied().filter(|i| sb.binary_search(i).is_ok()).collect();
-                    assert_eq!(wa, kept, "selection within {within:?} for {e}");
-                }
-            }
-            (Err(_), Err(_)) => {} // both paths must reject together
-            (a, b) => panic!(
-                "paths diverged for {e}: vectorized ok={} scalar ok={}",
-                a.is_ok(),
-                b.is_ok()
-            ),
+        let (mut typed, mut scalar) = (EvalCtx::new(0), EvalCtx::new(0));
+        if !assert_eval_matches_reference(&e, &t, &mut typed, &mut scalar, &format!("{e}")) {
+            continue;
+        }
+        checked += 1;
+        funcs += calls_a_function(&e) as usize;
+        if e.dtype(t.schema()).unwrap() == DataType::Bool {
+            // Bool results also exercise the predicate → selection path used
+            // by the Filter operator: the same ids, and the same ids of any
+            // subset asked for.
+            let sa = select(&e, &t, None, &mut typed).unwrap();
+            assert_eq!(
+                sa,
+                reference_select(&e, &t, None, &mut scalar).unwrap(),
+                "selection for {e}"
+            );
+            let within: Vec<usize> = (0..rows).filter(|_| rng.chance(0.5)).collect();
+            let wa = select(&e, &t, Some(&within), &mut typed).unwrap();
+            let wb = reference_select(&e, &t, Some(&within), &mut scalar).unwrap();
+            assert_eq!(wa, wb, "selection within {within:?} for {e}");
         }
     }
     assert!(checked >= 100, "only {checked} expressions type-checked; generator drifted");
+    assert!(funcs >= 20, "only {funcs} of them call a function; generator drifted");
 }
 
-/// A STRING CASE against the scalar loop, byte for byte: overlapping WHENs
+/// True if `e` has a function call anywhere in it.
+fn calls_a_function(e: &ScalarExpr) -> bool {
+    match e {
+        ScalarExpr::Func { .. } => true,
+        ScalarExpr::Binary { left, right, .. } => calls_a_function(left) || calls_a_function(right),
+        ScalarExpr::Unary { expr, .. } | ScalarExpr::Cast { expr, .. } => calls_a_function(expr),
+        ScalarExpr::Case { branches, else_expr } => {
+            branches.iter().any(|(w, t)| calls_a_function(w) || calls_a_function(t))
+                || else_expr.as_deref().is_some_and(calls_a_function)
+        }
+        _ => false,
+    }
+}
+
+/// Every node kind, each operand type of each slot (column or constant, the
+/// combinations `dtype` refuses included), over edge-valued tables of 0, 1
+/// and 65 rows with no, some and only NULLs, and over a window of each:
+/// `eval` and the reference raise together or give the same bytes.
+#[test]
+fn every_node_the_type_checker_accepts_has_a_kernel() {
+    let konst = |t: DataType| match t {
+        DataType::Bool => lit(true),
+        DataType::Int => lit(-1_i64),
+        DataType::Float => lit(2.5),
+        DataType::Str => lit("ab"),
+        DataType::Date => lit(Value::Date(100)),
+    };
+    let column = |t: DataType| {
+        col(match t {
+            DataType::Bool => "b",
+            DataType::Int => "i",
+            DataType::Float => "f",
+            DataType::Str => "s",
+            DataType::Date => "d",
+        })
+    };
+    // Each type as a column and as a constant.
+    let sides: Vec<ScalarExpr> = ALL_TYPES.iter().flat_map(|&t| [column(t), konst(t)]).collect();
+    let mut nodes: Vec<ScalarExpr> = sides.clone();
+    nodes.push(lit(Value::Null));
+    for op in ALL_BINOPS {
+        for l in &sides {
+            for r in &sides {
+                nodes.push(ScalarExpr::binary(op, l.clone(), r.clone()));
+            }
+        }
+    }
+    for x in &sides {
+        for op in [UnOp::Not, UnOp::Neg, UnOp::IsNull, UnOp::IsNotNull] {
+            nodes.push(ScalarExpr::Unary { op, expr: Box::new(x.clone()) });
+        }
+        for to in ALL_TYPES {
+            nodes.push(x.clone().cast(to));
+        }
+    }
+    for func in ALL_FUNCS {
+        match func.arity() {
+            0 => nodes.push(ScalarExpr::Func { func, args: vec![] }),
+            _ => {
+                nodes.extend(sides.iter().map(|x| ScalarExpr::Func { func, args: vec![x.clone()] }))
+            }
+        }
+    }
+    for when in [col("b"), lit(false)] {
+        for then in &sides {
+            let case = |otherwise: Option<&ScalarExpr>| ScalarExpr::Case {
+                branches: vec![(when.clone(), then.clone()), (col("b").not(), then.clone())],
+                else_expr: otherwise.cloned().map(Box::new),
+            };
+            nodes.push(case(None));
+            nodes.extend(sides.iter().map(|otherwise| case(Some(otherwise))));
+        }
+    }
+    let mut rng = DetRng::seed(0x707a1);
+    let (mut accepted, mut evaluated) = (0usize, 0usize);
+    for rows in [0, 1, 65] {
+        for null_rate in [0.0, 0.3, 1.0] {
+            let t = edge_table(rows, null_rate, &mut rng);
+            let window = t.slice(rows / 3, rows - rows / 3 - rows / 5);
+            for e in &nodes {
+                accepted += e.dtype(t.schema()).is_ok() as usize;
+                for (over, what) in [(&t, "table"), (&window, "window")] {
+                    let what = format!("{e} over the {what} of {rows} rows, NULL rate {null_rate}");
+                    let (mut typed, mut scalar) = (EvalCtx::new(0), EvalCtx::new(0));
+                    evaluated +=
+                        assert_eval_matches_reference(e, over, &mut typed, &mut scalar, &what)
+                            as usize;
+                }
+            }
+        }
+    }
+    assert!(accepted >= 9 * 450, "only {accepted} node cases type-check; generator drifted");
+    // Table and window: all but the casts `cast_value` refuses give a column.
+    assert!(evaluated >= accepted, "only {evaluated} columns for {accepted} type-checked cases");
+}
+
+/// `i64::MIN % -1` overflows in Rust's `%`; SQL's integer arithmetic wraps,
+/// so it is 0 — in the kernel (column or constant divisor), in a selection
+/// at every chunk size, and in the constant folder, which evaluates it
+/// while normalizing a plan.
+#[test]
+fn the_remainder_of_i64_min_by_minus_one_is_zero() {
+    let schema =
+        Schema::new(vec![Field::new("i", DataType::Int), Field::new("m", DataType::Int)]).unwrap();
+    let rows = [i64::MIN, -7, i64::MIN, 0, i64::MAX, i64::MIN];
+    let rows: Vec<Vec<Value>> = rows.iter().map(|&i| vec![Value::Int(i), Value::Int(-1)]).collect();
+    let t = Table::from_rows(schema.into_ref(), &rows).unwrap();
+    let rem = |divisor| ScalarExpr::binary(BinOp::Mod, col("i"), divisor);
+    for e in [rem(lit(-1_i64)), rem(col("m"))] {
+        let c = eval(&e, &t, &mut EvalCtx::new(0)).unwrap();
+        assert_eq!(c.ints(), [0; 6], "{e}");
+        assert_eq!(c.validity(), None, "{e}");
+        assert_columns_identical(
+            &c,
+            &reference_column(&e, &t, &mut EvalCtx::new(0)).unwrap(),
+            "{e}",
+        );
+        let zero = e.clone().eq(lit(0_i64));
+        for chunk in [1, usize::MAX] {
+            for (offset, len) in cv_data::chunk::chunk_ranges(t.num_rows(), chunk) {
+                let ids = select(&zero, &t.slice(offset, len), None, &mut EvalCtx::new(0));
+                assert_eq!(
+                    ids.unwrap(),
+                    (0..len).collect::<Vec<_>>(),
+                    "{zero} at {offset}..+{len}"
+                );
+            }
+        }
+    }
+    // `(-9223372036854775807 - 1) % -1`, as the SQL reads it.
+    let min = ScalarExpr::binary(BinOp::Sub, lit(-i64::MAX), lit(1_i64));
+    for e in [min.clone(), lit(i64::MIN)] {
+        assert_eq!(fold(&ScalarExpr::binary(BinOp::Mod, e, lit(-1_i64))), lit(0_i64));
+    }
+}
+
+/// `ABS(i64::MIN)` overflows in Rust's `abs`, which panics in a debug build
+/// and wraps in a release one; it wraps in both — as negation does — in the
+/// kernel and in the constant folder.
+#[test]
+fn abs_of_i64_min_wraps_as_negation_does() {
+    let abs = |x| ScalarExpr::Func { func: FuncKind::Abs, args: vec![x] };
+    let schema = Schema::new(vec![Field::new("i", DataType::Int)]).unwrap().into_ref();
+    let rows: Vec<Vec<Value>> =
+        [i64::MIN, -3, i64::MAX].iter().map(|&i| vec![Value::Int(i)]).collect();
+    let t = Table::from_rows(schema, &rows).unwrap();
+    let c = eval(&abs(col("i")), &t, &mut EvalCtx::new(0)).unwrap();
+    assert_eq!(c.ints(), [i64::MIN, 3, i64::MAX]);
+    let neg = ScalarExpr::Unary { op: UnOp::Neg, expr: Box::new(col("i")) };
+    let negated = eval(&neg, &t, &mut EvalCtx::new(0)).unwrap();
+    assert_eq!(negated.ints()[0], i64::MIN);
+    assert_eq!(fold(&abs(lit(i64::MIN))), lit(i64::MIN));
+    assert_eq!(fold(&abs(lit(-3_i64))), lit(3_i64));
+}
+
+/// A STRING CASE against the reference, byte for byte: overlapping WHENs
 /// (the first TRUE one wins), no ELSE, NULL WHENs, NULL column sources under
 /// taken rows, constant and column THENs, and computed sources.
 #[test]
@@ -293,11 +542,10 @@ fn a_string_case_matches_the_scalar_loop() {
             _ => edge_table(64, null_rate, &mut rng),
         };
         for e in &shapes {
-            let mut off = EvalCtx::new(0);
-            off.vectorized = false;
             let typed = eval(e, &t, &mut EvalCtx::new(0)).unwrap();
             assert_eq!(typed.dtype(), DataType::Str, "{e}");
-            assert_columns_identical(&typed, &eval(e, &t, &mut off).unwrap(), &format!("{e}"));
+            let want = reference_column(e, &t, &mut EvalCtx::new(0)).unwrap();
+            assert_columns_identical(&typed, &want, &format!("{e}"));
         }
     }
 }
@@ -348,7 +596,7 @@ fn run_with(
     cat: &DatasetCatalog,
     views: &ViewStore,
     udos: &UdoRegistry,
-    vectorized: bool,
+    chunk_size: usize,
 ) -> Table {
     let opt = Optimizer::new(OptimizerConfig::default());
     let stats =
@@ -356,26 +604,21 @@ fn run_with(
     let out = opt
         .optimize(&opt.sign(plan).unwrap(), &ReuseContext::empty(), &stats, &mut AlwaysGrant)
         .unwrap();
-    let mut ctx = ExecContext::new(cat, views, udos, SimTime::EPOCH);
-    ctx.eval.vectorized = vectorized;
+    let mut ctx = ExecContext::new(cat, views, udos, SimTime::EPOCH)
+        .with_chunking(chunk_size, Arc::new(SerialRunner));
     execute(&out.physical, &mut ctx, &opt.cfg.cost).unwrap().table
 }
 
-fn assert_plan_invariant(
-    plan: &Arc<LogicalPlan>,
-    cat: &DatasetCatalog,
-    views: &ViewStore,
-    udos: &UdoRegistry,
-    what: &str,
-) {
-    let a = run_with(plan, cat, views, udos, true);
-    let b = run_with(plan, cat, views, udos, false);
+fn assert_same_table(a: &Table, b: &Table, what: &str) {
     assert_eq!(a.canonical_rows(), b.canonical_rows(), "rows for {what}");
     assert_eq!(a.byte_size(), b.byte_size(), "byte size for {what}");
 }
 
+/// A filter and a CASE/cast-heavy projection over it equal the reference
+/// walker's filter and projection, and a join + aggregate + sort is the same
+/// table cut in chunks of 7 rows as in one.
 #[test]
-fn plans_agree_with_kernels_on_and_off() {
+fn plans_agree_with_the_reference_walker() {
     let mut rng = DetRng::seed(0x42);
     for round in 0..6 {
         let (cat, views, udos) = random_catalog(&mut rng);
@@ -386,18 +629,33 @@ fn plans_agree_with_kernels_on_and_off() {
             branches: vec![(col("k").is_null(), lit(-1_i64)), (col("v").gt(lit(0.0)), col("k"))],
             else_expr: Some(Box::new(col("k").mul(lit(2_i64)))),
         };
+        let predicate = col("v").gt(lit(-50.0)).or(col("k").is_null());
+        let projection = vec![
+            (case, "c"),
+            (col("v").cast(DataType::Str), "vs"),
+            (col("k").cast(DataType::Float).add(col("v")), "kf"),
+        ];
         let project = PlanBuilder::scan(&cat, "fact")
             .unwrap()
-            .filter(col("v").gt(lit(-50.0)).or(col("k").is_null()))
+            .filter(predicate.clone())
             .unwrap()
-            .project(vec![
-                (case, "c"),
-                (col("v").cast(DataType::Str), "vs"),
-                (col("k").cast(DataType::Float).add(col("v")), "kf"),
-            ])
+            .project(projection.clone())
             .unwrap()
             .build();
-        assert_plan_invariant(&project, &cat, &views, &udos, &format!("project round {round}"));
+        let fact = cat.get_by_name("fact").unwrap().data().clone();
+        let ctx = &mut EvalCtx::new(0);
+        let kept = reference_select(&predicate, &fact, None, ctx).unwrap();
+        let rows: Vec<Vec<Value>> = kept.iter().map(|&i| fact.row(i)).collect();
+        let filtered = Table::from_rows(fact.schema().clone(), &rows).unwrap();
+        let columns: Vec<Column> =
+            projection.iter().map(|(e, _)| reference_column(e, &filtered, ctx).unwrap()).collect();
+        let fields =
+            projection.iter().map(|(e, n)| Field::new(*n, e.dtype(fact.schema()).unwrap()));
+        let want = Table::new(Schema::new(fields.collect()).unwrap().into_ref(), columns).unwrap();
+        for chunk_size in [7, usize::MAX] {
+            let got = run_with(&project, &cat, &views, &udos, chunk_size);
+            assert_same_table(&got, &want, &format!("project round {round}, chunk {chunk_size}"));
+        }
 
         // Join + aggregate + sort over the same inputs.
         let agg = PlanBuilder::scan(&cat, "fact")
@@ -420,7 +678,9 @@ fn plans_agree_with_kernels_on_and_off() {
             .sort(&[("seg", true), ("n", false)])
             .unwrap()
             .build();
-        assert_plan_invariant(&agg, &cat, &views, &udos, &format!("{kind:?} agg round {round}"));
+        let whole = run_with(&agg, &cat, &views, &udos, usize::MAX);
+        let chunked = run_with(&agg, &cat, &views, &udos, 7);
+        assert_same_table(&chunked, &whole, &format!("{kind:?} agg round {round}"));
     }
 }
 
@@ -1230,19 +1490,18 @@ fn kernels_over_a_window_equal_kernels_over_its_compacted_copy() {
         if e.dtype(t.schema()).is_err() {
             continue;
         }
-        for vectorized in [true, false] {
-            let mut over_window = EvalCtx::new(0);
-            over_window.vectorized = vectorized;
-            let mut over_copy = over_window.clone();
-            match (eval(&e, &window, &mut over_window), eval(&e, &compacted, &mut over_copy)) {
-                (Ok(a), Ok(b)) => {
-                    assert_columns_identical(&a, &b, &format!("{e} (vectorized {vectorized})"));
-                    checked += 1;
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("{e}: window ok={} copy ok={}", a.is_ok(), b.is_ok()),
+        let (mut over_window, mut over_copy) = (EvalCtx::new(0), EvalCtx::new(0));
+        match (eval(&e, &window, &mut over_window), eval(&e, &compacted, &mut over_copy)) {
+            (Ok(a), Ok(b)) => {
+                assert_columns_identical(&a, &b, &format!("{e}"));
+                checked += 1;
             }
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!("{e}: window ok={} copy ok={}", a.is_ok(), b.is_ok()),
         }
+        let (mut typed, mut scalar) = (EvalCtx::new(0), EvalCtx::new(0));
+        let what = format!("{e} against the reference");
+        assert_eval_matches_reference(&e, &window, &mut typed, &mut scalar, &what);
     }
     assert!(checked >= 200, "only {checked} expressions evaluated; generator drifted");
 }
@@ -1297,7 +1556,7 @@ fn edge_table(rows: usize, null_rate: f64, rng: &mut DetRng) -> Table {
 
 /// `col <op> constant` three ways: the constant as a scalar kernel operand,
 /// the constant materialized as a column (what a broadcast handed the
-/// column-vs-column kernel), and the scalar row loop. All three must be the
+/// column-vs-column kernel), and the reference walker. All three must be the
 /// same bytes — or reject together — for every operator, operand type
 /// pairing (same-type, Int-vs-Float both ways), operand order, and for
 /// literals and parameters alike. As predicates the same three select the
@@ -1364,11 +1623,10 @@ fn constant_operand_kernels_match_broadcast_columns_and_the_scalar_reference() {
                             ScalarExpr::binary(op, col(*name), col("k")),
                         )
                     };
-                    let mut off = EvalCtx::new(0);
-                    off.vectorized = false;
+                    let off = &mut EvalCtx::new(0);
                     let constant = eval(&scalar_e, &tk, &mut EvalCtx::new(0));
                     let broadcast = eval(&column_e, &tk, &mut EvalCtx::new(0));
-                    let reference = eval(&scalar_e, &tk, &mut off);
+                    let reference = reference_column(&scalar_e, &tk, off);
                     match (constant, broadcast, reference) {
                         (Ok(a), Ok(b), Ok(c)) => {
                             assert_columns_identical(&a, &b, &format!("{scalar_e} vs column"));
@@ -1386,7 +1644,7 @@ fn constant_operand_kernels_match_broadcast_columns_and_the_scalar_reference() {
                     let within: Vec<usize> = (0..rows).filter(|_| rng.chance(0.4)).collect();
                     for within in [None, Some(within.as_slice())] {
                         let by = |e: &ScalarExpr, ctx: &mut EvalCtx| select(e, &tk, within, ctx);
-                        let reference = by(&scalar_e, &mut off);
+                        let reference = reference_select(&scalar_e, &tk, within, off);
                         let typed = [
                             by(&scalar_e, &mut EvalCtx::new(0)),
                             by(&column_e, &mut EvalCtx::new(0)),
@@ -1415,23 +1673,15 @@ fn constant_operand_kernels_match_broadcast_columns_and_the_scalar_reference() {
                 ScalarExpr::binary(op, col("i"), lit(Value::Null)),
                 ScalarExpr::binary(op, lit(Value::Null), col("i")),
             ] {
-                let mut off = EvalCtx::new(0);
-                off.vectorized = false;
-                assert!(eval(&e, &t, &mut EvalCtx::new(0)).is_err(), "{e} with kernels");
-                assert!(eval(&e, &t, &mut off).is_err(), "{e} without kernels");
+                assert!(eval(&e, &t, &mut EvalCtx::new(0)).is_err(), "{e}");
+                assert!(reference(&e, &t, &mut EvalCtx::new(0)).is_err(), "{e}: the reference");
             }
         }
         // Constant on both sides: one of them supplies the rows.
         for op in ALL_BINOPS {
             let e = ScalarExpr::binary(op, lit(7_i64), param("p", Value::Float(2.0)));
-            let mut off = EvalCtx::new(0);
-            off.vectorized = false;
-            let (a, b) = (eval(&e, &t, &mut EvalCtx::new(0)), eval(&e, &t, &mut off));
-            match (a, b) {
-                (Ok(a), Ok(b)) => assert_columns_identical(&a, &b, &format!("{e}")),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("{e}: kernels ok={} scalar ok={}", a.is_ok(), b.is_ok()),
-            }
+            let (mut typed, mut scalar) = (EvalCtx::new(0), EvalCtx::new(0));
+            assert_eval_matches_reference(&e, &t, &mut typed, &mut scalar, &format!("{e}"));
         }
     }
     assert!(checked >= 1000, "only {checked} constant-operand cases evaluated");
@@ -1451,16 +1701,11 @@ fn random_next() -> ScalarExpr {
 #[test]
 fn conjunctions_narrow_to_the_reference_selection() {
     let mut rng = DetRng::seed(0x54);
-    let scalar = || {
-        let mut ctx = EvalCtx::new(0);
-        ctx.vectorized = false;
-        ctx
-    };
     let and = |cs: &[&ScalarExpr]| cs[1..].iter().fold(cs[0].clone(), |a, c| a.and((*c).clone()));
     for null_rate in [0.0, 0.3] {
         let t = random_table(&mut rng, 700, null_rate);
         let (a, b, c) = (col("s").eq(lit("bb")), lit(-20_i64).lt(col("i")), col("f").lt_eq(lit(9)));
-        let want = select(&and(&[&a, &b, &c]), &t, None, &mut scalar()).unwrap();
+        let want = reference_select(&and(&[&a, &b, &c]), &t, None, &mut EvalCtx::new(0)).unwrap();
         assert!(!want.is_empty() && want.len() < 200, "{} rows pass", want.len());
         let within: Vec<usize> = (0..t.num_rows()).filter(|i| i % 3 != 1).collect();
         let want_within: Vec<usize> = want.iter().copied().filter(|i| i % 3 != 1).collect();
@@ -1492,7 +1737,7 @@ fn conjunctions_narrow_to_the_reference_selection() {
             vec![&a, &r3, &r5],
         ] {
             let predicate = and(&conjuncts);
-            let keep = select(&predicate, &t, None, &mut scalar()).unwrap();
+            let keep = reference_select(&predicate, &t, None, &mut EvalCtx::new(0)).unwrap();
             assert!(!keep.is_empty() && keep.len() < t.num_rows() / 2, "{predicate}");
             let rows: Vec<Vec<Value>> = keep.iter().map(|&i| t.row(i)).collect();
             let want = Table::from_rows(t.schema().clone(), &rows).unwrap();
@@ -1522,7 +1767,8 @@ fn conjunctions_narrow_to_the_reference_selection() {
             vec![&unknown, &nothing, &cast],
         ] {
             let predicate = and(&conjuncts);
-            let reference = select(&predicate, &t, None, &mut scalar()).unwrap_err();
+            let reference =
+                reference_select(&predicate, &t, None, &mut EvalCtx::new(0)).unwrap_err();
             let typed = select(&predicate, &t, None, &mut EvalCtx::new(0)).unwrap_err();
             assert_eq!(typed.to_string(), reference.to_string(), "{predicate}");
             assert_eq!(typed.kind(), reference.kind(), "{predicate}");
@@ -1780,16 +2026,16 @@ fn unread_columns_are_never_gathered() {
     let schema = base.schema().clone();
     let predicate = col("i").gt(lit(0_i64));
 
-    // The scalar reference, on tables built cell by cell.
+    // The reference walker, on tables built cell by cell.
     let mut scalar = EvalCtx::new(0);
-    scalar.vectorized = false;
-    let keep = select(&predicate, &base, None, &mut scalar).unwrap();
+    let keep = reference_select(&predicate, &base, None, &mut scalar).unwrap();
     let kept: Vec<Vec<Value>> = keep.iter().map(|&i| base.row(i)).collect();
     assert!(kept.len() > 1000 && kept.len() < 4000, "the filter drops some rows and keeps some");
     let filtered = Table::from_rows(schema.clone(), &kept).unwrap();
     let projection = vec![(col("i").add(lit(1_i64)), "i1"), (col("f").mul(lit(2.0)), "f2")];
     let projected = {
-        let columns = projection.iter().map(|(e, _)| eval(e, &filtered, &mut scalar).unwrap());
+        let columns =
+            projection.iter().map(|(e, _)| reference_column(e, &filtered, &mut scalar).unwrap());
         let fields = projection.iter().map(|(e, n)| Field::new(*n, e.dtype(&schema).unwrap()));
         Table::new(Schema::new(fields.collect()).unwrap().into_ref(), columns.collect()).unwrap()
     };
@@ -2011,7 +2257,9 @@ fn a_catalog_string_column_builds_one_dictionary_for_all_its_readers() {
         buffer.built_dictionary().cloned()
     };
     let scan = || PlanBuilder::scan(&cat, "t").unwrap();
-    let run = |plan: PlanBuilder| run_with(&plan.build(), &cat, &views, &udos, true).num_rows();
+    let run = |plan: PlanBuilder| {
+        run_with(&plan.build(), &cat, &views, &udos, DEFAULT_CHUNK_SIZE).num_rows()
+    };
 
     assert!(built("region").is_none() && built("app").is_none());
     assert_eq!(run(scan().filter(col("region").eq(lit("emea"))).unwrap()), 1000);
