@@ -87,12 +87,13 @@ code() {
 }
 count() { code "$@" | wc -l; }
 
-echo "==> serving paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,sort}.rs, expr/{eval,kernels}.rs, engine/{engine,signature,normalize}.rs, optimizer/mod.rs, data/{sortkey,codes,strs,viewstore,sharded}.rs, store/src, service/src, workload/src/{driver,service_driver,steps}.rs"
+echo "==> serving paths return errors: no unwrap/expect/unreachable!/panic! in exec/{mod,aggregate,join,sort}.rs, expr/{eval,kernels}.rs, engine/{engine,signature,normalize,skeleton}.rs, optimizer/mod.rs, data/{sortkey,codes,strs,viewstore,sharded}.rs, store/src, service/src, workload/src/{driver,service_driver,steps}.rs"
 # viewstore.rs holds the read gate every view read passes, sharded.rs routes it;
 # eval.rs is every expression's evaluator and the constant folder's kernels;
-# engine, signature, normalize and the optimizer are every job's compile path.
+# engine, signature, normalize, skeleton and the optimizer are every job's
+# compile path.
 if code crates/engine/src/exec/{mod,aggregate,join,sort}.rs crates/engine/src/expr/{eval,kernels}.rs \
-    crates/engine/src/{engine,signature,normalize}.rs crates/engine/src/optimizer/mod.rs \
+    crates/engine/src/{engine,signature,normalize,skeleton}.rs crates/engine/src/optimizer/mod.rs \
     crates/data/src/{sortkey,codes,strs,viewstore,sharded}.rs crates/store/src/*.rs crates/service/src/*.rs \
     crates/workload/src/{driver,service_driver,steps}.rs \
     | grep -E '\.unwrap\(\)|\.expect\(|unreachable!|panic!'; then
@@ -140,10 +141,11 @@ printf '    %-22s %6d\n' "string coding (strs + codes)" "$(count crates/data/src
 # typed dispatch; a second way to evaluate a node would show here.
 printf '    %-22s %6d\n' "eval + kernels" "$(count crates/engine/src/expr/eval.rs \
     crates/engine/src/expr/kernels.rs)"
-# The compile path: a job is normalized once and signed in one walk that view
-# matching and view building share; a second signing path would show here.
-printf '    %-22s %6d\n' "compile path (signature + normalize + optimizer)" "$(count crates/engine/src/signature.rs \
-    crates/engine/src/normalize.rs crates/engine/src/optimizer/mod.rs)"
+# The compile path: a template is normalized once, each job is its skeleton
+# rebound and signed in one walk that view matching and view building share;
+# a second signing path would show here.
+printf '    %-22s %6d\n' "compile path (signature + normalize + skeleton + optimizer)" "$(count crates/engine/src/signature.rs \
+    crates/engine/src/normalize.rs crates/engine/src/skeleton.rs crates/engine/src/optimizer/mod.rs)"
 printf '    %-22s %6d\n' ci.sh "$(wc -l < ci.sh)"
 
 echo "==> OK"

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct ViewCandidate {
     pub recurring: Sig128,
-    pub kind: String,
+    pub kind: &'static str,
     pub node_count: usize,
     /// Total occurrences in the analysis window.
     pub frequency: u64,
@@ -187,7 +187,7 @@ pub fn materialization_write_cost(c: &ViewCandidate) -> f64 {
 pub fn build_problem(repo: &SubexpressionRepo, min_frequency: u64) -> SelectionProblem {
     // Aggregate by recurring signature.
     struct Agg {
-        kind: String,
+        kind: &'static str,
         node_count: usize,
         frequency: u64,
         jobs: Vec<JobId>,
@@ -207,7 +207,7 @@ pub fn build_problem(repo: &SubexpressionRepo, min_frequency: u64) -> SelectionP
             continue;
         }
         let a = aggs.entry(r.recurring).or_insert_with(|| Agg {
-            kind: r.kind.clone(),
+            kind: r.kind,
             node_count: r.node_count,
             frequency: 0,
             jobs: Vec::new(),
@@ -410,7 +410,7 @@ pub(crate) mod tests {
         let repo = demo_repo(1);
         // Aggregate and Limit appear once each; Join/Filter twice.
         let problem = build_problem(&repo, 2);
-        let kinds: Vec<&str> = problem.candidates.iter().map(|c| c.kind.as_str()).collect();
+        let kinds: Vec<&str> = problem.candidates.iter().map(|c| c.kind).collect();
         assert!(kinds.contains(&"Join"));
         assert!(kinds.contains(&"Filter"));
         assert!(!kinds.contains(&"Aggregate"));

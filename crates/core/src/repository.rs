@@ -26,7 +26,7 @@ pub struct SubexprRecord {
     pub meta: JobMeta,
     pub strict: Sig128,
     pub recurring: Sig128,
-    pub kind: String,
+    pub kind: &'static str,
     pub node_count: usize,
     pub height: usize,
     pub is_root: bool,
@@ -38,7 +38,7 @@ pub struct SubexprRecord {
     pub datasets: Vec<String>,
     /// Physical operator kind as executed (e.g. `HashJoin` vs the logical
     /// `Join`) — present when telemetry aligned; drives the Fig. 9 series.
-    pub physical_kind: Option<String>,
+    pub physical_kind: Option<&'static str>,
     /// Observed output rows/bytes and subtree work — present when the
     /// telemetry of this instance could be joined back to the plan.
     pub rows: Option<u64>,
@@ -121,7 +121,7 @@ impl SubexpressionRepo {
                     Some(profiles[i].rows_out),
                     Some(profiles[i].bytes_out),
                     Some(work),
-                    Some(profiles[i].kind.to_string()),
+                    Some(profiles[i].kind),
                 )
             } else {
                 (None, None, None, None)
@@ -130,7 +130,7 @@ impl SubexpressionRepo {
                 meta,
                 strict: sub.strict,
                 recurring: sub.recurring,
-                kind: sub.kind.to_string(),
+                kind: sub.kind,
                 node_count: sub.node_count,
                 height: sub.height,
                 is_root: sub.is_root,

@@ -148,30 +148,42 @@ pub fn fold(expr: &ScalarExpr) -> ScalarExpr {
     }
 }
 
-/// Order commutative operands canonically (by signature), flattening and
-/// re-sorting AND/OR chains, and mirroring comparisons so the smaller-hash
-/// operand comes first. Makes `a AND b AND c` permutation-insensitive.
+/// Order commutative operands canonically (by [`ScalarExpr::order_key`]),
+/// flattening and re-sorting AND/OR chains, and mirroring comparisons so
+/// the smaller-key operand comes first. Makes `a AND b AND c`
+/// permutation-insensitive, and since the key reads parameters by name, the
+/// order does not depend on the instance's parameter values.
 pub fn canonicalize(expr: &ScalarExpr) -> ScalarExpr {
     match expr {
         ScalarExpr::Binary { op: op @ (BinOp::And | BinOp::Or), .. } => {
             let mut terms = Vec::new();
             collect_chain(expr, *op, &mut terms);
-            let mut terms: Vec<ScalarExpr> = terms.iter().map(canonicalize).collect();
-            terms.sort_by_key(|t| t.sig());
-            terms.dedup(); // a AND a → a
-            let mut it = terms.into_iter();
+            let mut terms: Vec<_> = terms
+                .iter()
+                .map(|t| {
+                    let t = canonicalize(t);
+                    (t.order_key(), t)
+                })
+                .collect();
+            terms.sort_by_key(|(key, _)| *key);
+            terms.dedup_by(|a, b| a.1 == b.1); // a AND a → a
+            let mut it = terms.into_iter().map(|(_, t)| t);
             let first = it.next().expect("chain has at least one term");
             it.fold(first, |acc, t| ScalarExpr::binary(*op, acc, t))
         }
         ScalarExpr::Binary { op, left, right } => {
             let l = canonicalize(left);
             let r = canonicalize(right);
-            if op.is_commutative() && r.sig() < l.sig() {
-                ScalarExpr::Binary { op: *op, left: Box::new(r), right: Box::new(l) }
-            } else if op.is_comparison() && op.mirror() != *op && r.sig() < l.sig() {
-                ScalarExpr::Binary { op: op.mirror(), left: Box::new(r), right: Box::new(l) }
+            let mirrored = if op.is_commutative() {
+                Some(*op)
             } else {
-                ScalarExpr::Binary { op: *op, left: Box::new(l), right: Box::new(r) }
+                Some(op.mirror()).filter(|m| op.is_comparison() && m != op)
+            };
+            match mirrored {
+                Some(m) if r.order_key() < l.order_key() => {
+                    ScalarExpr::Binary { op: m, left: Box::new(r), right: Box::new(l) }
+                }
+                _ => ScalarExpr::Binary { op: *op, left: Box::new(l), right: Box::new(r) },
             }
         }
         ScalarExpr::Unary { op, expr } => {

@@ -570,6 +570,17 @@ impl ScalarExpr {
         self.stable_hash(&mut h, true);
         h.finish128()
     }
+
+    /// The key that orders commutative operands in the canonical form: the
+    /// recurring-mode hash (parameters by name), then the strict one. Within
+    /// one instance a parameter name has one value, so two terms with equal
+    /// recurring hashes have equal strict hashes too: the tie-break never
+    /// decides, and the order is the same on every instance of a template.
+    pub(crate) fn order_key(&self) -> (Sig128, Sig128) {
+        let mut h = StableHasher::new();
+        self.stable_hash(&mut h, false);
+        (h.finish128(), self.sig())
+    }
 }
 
 fn expect_type(e: &ScalarExpr, schema: &Schema, want: DataType, ctx: &str) -> Result<()> {

@@ -14,6 +14,8 @@
 //! * [`normalize`] — deterministic plan canonicalization so that
 //!   syntactically different but trivially-equal plans hash alike;
 //! * [`signature`] — strict and recurring subexpression signatures;
+//! * [`skeleton`] — one normalized plan per recurring template, rebound to
+//!   each instance's GUIDs and parameters and signed in one walk;
 //! * [`stats`] / [`cost`] — cardinality estimation (deliberately imperfect,
 //!   reproducing §3.5's over-estimation) and the cost model;
 //! * [`optimizer`] — normalization pipeline, top-down view *matching*,
@@ -35,6 +37,7 @@ pub mod optimizer;
 pub mod physical;
 pub mod plan;
 pub mod signature;
+pub mod skeleton;
 pub mod sql;
 pub mod stats;
 pub mod udo;
@@ -55,6 +58,7 @@ pub use signature::{
     enumerate_subexpressions, plan_signature, sign_plan, SigMode, SignatureConfig, SignedPlan,
     SubexprInfo,
 };
+pub use skeleton::Skeleton;
 
 // Compile-time Send + Sync audit of the compiled-plan types the service
 // layer shares across worker threads (satellite of the cv-service PR): a
@@ -68,6 +72,7 @@ const _: () = {
     assert_send_sync::<physical::PhysicalPlan>();
     assert_send_sync::<engine::CompiledJob>();
     assert_send_sync::<signature::SignedPlan>();
+    assert_send_sync::<skeleton::Skeleton>();
     assert_send_sync::<optimizer::OptimizeOutcome>();
     assert_send_sync::<optimizer::ReuseContext>();
     assert_send_sync::<Optimizer>();

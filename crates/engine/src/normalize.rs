@@ -237,8 +237,10 @@ fn push_filter_down(node: LogicalPlan) -> Result<LogicalPlan> {
     }
 }
 
-/// Canonically order the inputs of inner joins by signature, mirroring the
-/// key pairs. `A ⋈ B` and `B ⋈ A` then hash identically.
+/// Canonically order the inputs of inner joins by their order keys
+/// (recurring signature, then strict), mirroring the key pairs. `A ⋈ B` and
+/// `B ⋈ A` then hash identically, and rotating an input's GUID never flips
+/// the sides.
 fn canonical_join_order(node: LogicalPlan, signer: &Signer) -> LogicalPlan {
     if let LogicalPlan::Join { left, right, on, kind: JoinKind::Inner } = &node {
         if signer.order_key(right) < signer.order_key(left) {
@@ -290,8 +292,8 @@ fn substitute(expr: &ScalarExpr, map: &HashMap<&str, &ScalarExpr>) -> Option<Sca
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit};
-    use crate::signature::{plan_signature, SigMode};
+    use crate::expr::{col, lit, param};
+    use crate::signature::{enumerate_subexpressions, plan_signature, SigMode};
     use cv_common::ids::VersionGuid;
     use cv_data::schema::{Field, Schema};
     use cv_data::value::DataType;
@@ -301,9 +303,13 @@ mod tests {
     }
 
     fn scan(name: &str, cols: &[(&str, DataType)]) -> Arc<LogicalPlan> {
+        scan_at(name, cols, 1)
+    }
+
+    fn scan_at(name: &str, cols: &[(&str, DataType)], guid: u128) -> Arc<LogicalPlan> {
         Arc::new(LogicalPlan::Scan {
             dataset: name.to_string(),
-            guid: VersionGuid(1),
+            guid: VersionGuid(guid),
             schema: Schema::new(cols.iter().map(|(n, t)| Field::new(*n, *t)).collect())
                 .unwrap()
                 .into_ref(),
@@ -548,5 +554,57 @@ mod tests {
         });
         assert_ne!(sig(&v1), sig(&v2), "raw plans differ");
         assert_eq!(sig(&norm(&v1)), sig(&norm(&v2)), "normalized plans collide");
+    }
+
+    /// The normalized plan's shape: each node's kind and recurring
+    /// signature, in post-order. Input versions and parameter values do not
+    /// enter it; the order of join inputs and of conjuncts does.
+    fn shape(p: &Arc<LogicalPlan>) -> Vec<(&'static str, cv_common::Sig128)> {
+        enumerate_subexpressions(&norm(p), &cfg()).iter().map(|s| (s.kind, s.recurring)).collect()
+    }
+
+    #[test]
+    fn rotating_a_guid_moves_no_node() {
+        let plan = |sales_guid, customer_guid| {
+            Arc::new(LogicalPlan::Filter {
+                predicate: col("seg").eq(lit("asia")).and(col("price").gt(lit(1.0))),
+                input: Arc::new(LogicalPlan::Join {
+                    left: scan_at(
+                        "sales",
+                        &[("s_cust", DataType::Int), ("price", DataType::Float)],
+                        sales_guid,
+                    ),
+                    right: scan_at(
+                        "customer",
+                        &[("c_id", DataType::Int), ("seg", DataType::Str)],
+                        customer_guid,
+                    ),
+                    on: vec![("s_cust".into(), "c_id".into())],
+                    kind: JoinKind::Inner,
+                }),
+            })
+        };
+        let want = shape(&plan(1, 1));
+        for guid in 2..32 {
+            assert_eq!(shape(&plan(guid, 1)), want, "sales at version {guid}");
+            assert_eq!(shape(&plan(1, guid)), want, "customer at version {guid}");
+        }
+    }
+
+    #[test]
+    fn changing_a_parameter_value_moves_no_node() {
+        let plan = |cutoff: i64| {
+            Arc::new(LogicalPlan::Filter {
+                predicate: col("price")
+                    .gt(lit(5.0))
+                    .and(col("s_cust").gt_eq(param("cutoff", cutoff)))
+                    .and(param("cutoff", cutoff).lt(col("price").add(lit(1.0)))),
+                input: sales(),
+            })
+        };
+        let want = shape(&plan(0));
+        for cutoff in 1..32 {
+            assert_eq!(shape(&plan(cutoff)), want, "@cutoff = {cutoff}");
+        }
     }
 }

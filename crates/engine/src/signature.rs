@@ -61,7 +61,7 @@ pub struct SigPair {
 }
 
 /// One enumerated subexpression of a plan.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SubexprInfo {
     pub plan: Arc<LogicalPlan>,
     pub strict: Sig128,
@@ -222,8 +222,38 @@ impl Signer {
         Some(sigs)
     }
 
-    /// Hash one node given its children's signature pairs.
+    /// Hash one node given its children's signature pairs; `None` if the
+    /// node itself is unsignable.
     pub(crate) fn node_sig(&self, plan: &LogicalPlan, children: &[SigPair]) -> Option<SigPair> {
+        if !self.signable(plan) {
+            return None;
+        }
+        self.node_hash(plan, children)
+    }
+
+    /// Whether the node's own operator may be signed (paper §4: no
+    /// non-determinism, no over-deep UDO library chains).
+    fn signable(&self, plan: &LogicalPlan) -> bool {
+        match plan {
+            LogicalPlan::Filter { predicate, .. } => predicate.is_deterministic(),
+            LogicalPlan::Project { exprs, .. } => exprs.iter().all(|(e, _)| e.is_deterministic()),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                group_by.iter().all(|(e, _)| e.is_deterministic())
+                    && aggs.iter().all(|a| a.is_deterministic())
+            }
+            // The §4 policy: skip reuse on non-determinism or over-deep
+            // dependency chains rather than risk wrong results or slow
+            // compilations.
+            LogicalPlan::Udo { spec, .. } => {
+                spec.deterministic && spec.library_chain.len() <= self.max_udo_chain
+            }
+            _ => true,
+        }
+    }
+
+    /// Hash one node given its children's pairs, signable or not. `None`
+    /// only for a `Materialize` without an input.
+    fn node_hash(&self, plan: &LogicalPlan, children: &[SigPair]) -> Option<SigPair> {
         let mut strict = self.strict.clone();
         let mut recurring = self.recurring.clone();
         for c in children {
@@ -245,9 +275,6 @@ impl Signer {
                 strict.write_sig(guid.as_sig());
             }
             LogicalPlan::Filter { predicate, .. } => {
-                if !predicate.is_deterministic() {
-                    return None;
-                }
                 strict.write_u8(1);
                 recurring.write_u8(1);
                 predicate.stable_hash(&mut strict, true);
@@ -257,9 +284,6 @@ impl Signer {
                 strict.write_u8(2);
                 recurring.write_u8(2);
                 for (e, name) in exprs {
-                    if !e.is_deterministic() {
-                        return None;
-                    }
                     e.stable_hash(&mut strict, true);
                     strict.write_str(name);
                     e.stable_hash(&mut recurring, false);
@@ -281,18 +305,12 @@ impl Signer {
                 strict.write_u8(4);
                 recurring.write_u8(4);
                 for (e, name) in group_by {
-                    if !e.is_deterministic() {
-                        return None;
-                    }
                     e.stable_hash(&mut strict, true);
                     strict.write_str(name);
                     e.stable_hash(&mut recurring, false);
                     recurring.write_str(name);
                 }
                 for a in aggs {
-                    if !a.is_deterministic() {
-                        return None;
-                    }
                     a.stable_hash(&mut strict, true);
                     a.stable_hash(&mut recurring, false);
                 }
@@ -319,12 +337,6 @@ impl Signer {
                 });
             }
             LogicalPlan::Udo { spec, .. } => {
-                // The §4 policy: skip reuse on non-determinism or over-deep
-                // dependency chains rather than risk wrong results or slow
-                // compilations.
-                if !spec.deterministic || spec.library_chain.len() > self.max_udo_chain {
-                    return None;
-                }
                 both(&mut strict, &mut recurring, &|h| {
                     h.write_u8(8);
                     spec.stable_hash(h);
@@ -366,14 +378,23 @@ impl Signer {
         h.finish128()
     }
 
-    /// A deterministic ordering key for plans, used by the normalizer to
-    /// order commutative join inputs. Falls back to a structural hash when
-    /// the plan is unsignable.
-    pub(crate) fn order_key(&self, plan: &Arc<LogicalPlan>) -> Sig128 {
-        match self.walk(plan, &mut |_, _| {}) {
-            Some(s) => s.pair.strict,
-            None => Sig128::of_str(&plan.display_tree()),
-        }
+    /// The key that orders commutative join inputs in the canonical form:
+    /// the plan's (recurring, strict) signature pair, hashed as if every
+    /// node were signable so that it is total. The recurring half ignores
+    /// GUIDs and parameter values; within one instance two inputs with
+    /// equal recurring halves scan the same datasets at the same versions
+    /// under the same parameter values, so the strict half never decides
+    /// and the order is the same on every instance of a template.
+    pub(crate) fn order_key(&self, plan: &Arc<LogicalPlan>) -> (Sig128, Sig128) {
+        let p = self.shape(plan);
+        (p.recurring, p.strict)
+    }
+
+    /// The signature pair of `plan` with every node hashed, signable or not.
+    fn shape(&self, plan: &LogicalPlan) -> SigPair {
+        let children: Vec<SigPair> = plan.children().into_iter().map(|c| self.shape(c)).collect();
+        let input_free = SigPair { strict: Sig128::ZERO, recurring: Sig128::ZERO };
+        self.node_hash(plan, &children).unwrap_or(input_free)
     }
 }
 

@@ -44,18 +44,15 @@ pub fn concurrent_joins(repo: &SubexpressionRepo, records: &[JobRecord]) -> Vec<
     // Group join occurrences by (day, recurring signature).
     #[derive(Default)]
     struct Group {
-        algo: String,
+        algo: &'static str,
         spans: Vec<(f64, f64)>,
     }
     let mut groups: HashMap<(u32, Sig128), Group> = HashMap::new();
     for rec in repo.records() {
-        let is_join = rec.physical_kind.as_deref().is_some_and(|k| k.ends_with("Join"));
-        if !is_join {
-            continue;
-        }
+        let Some(algo) = rec.physical_kind.filter(|k| k.ends_with("Join")) else { continue };
         let Some(&(start, finish)) = intervals.get(&rec.meta.job) else { continue };
         let g = groups.entry((rec.meta.submit.day().index(), rec.recurring)).or_default();
-        g.algo = rec.physical_kind.clone().expect("checked above");
+        g.algo = algo;
         g.spans.push((start, finish));
     }
 
@@ -75,7 +72,7 @@ pub fn concurrent_joins(repo: &SubexpressionRepo, records: &[JobRecord]) -> Vec<
         if concurrent > 0 {
             out.push(ConcurrentJoin {
                 recurring: sig,
-                algo: group.algo,
+                algo: group.algo.to_string(),
                 day,
                 concurrent_instances: concurrent,
             });

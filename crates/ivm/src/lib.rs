@@ -308,15 +308,9 @@ fn attempt_maintain(
     catalog: &DatasetCatalog,
 ) -> Result<std::result::Result<MaintainedView, RebuildReason>> {
     // 1. Rebind + structural drift check: maintaining a *different* query
-    // (e.g. a moved sliding window) over deltas would be unsound. The
-    // rebound plan is re-normalized because canonical join order keys off
-    // strict signatures, which hash the (now rotated) input GUIDs — the
-    // same template can legitimately flip join sides between days.
-    let rebound = match rebind(&tv.plan, catalog) {
-        Ok(p) => normalize(&p, sig)?,
-        Err(_) => {
-            return Ok(Err(RebuildReason::ChainBroken { dataset: "<missing>".into() }));
-        }
+    // (e.g. a moved sliding window) over deltas would be unsound.
+    let Ok(rebound) = rebind(&tv.plan, catalog) else {
+        return Ok(Err(RebuildReason::ChainBroken { dataset: "<missing>".into() }));
     };
     let today = normalize(today_plan, sig)?;
     if rebound != today {

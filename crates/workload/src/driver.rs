@@ -25,7 +25,7 @@ use crate::generator::Workload;
 use crate::steps::{
     absorb_read_faults, apply_gdpr, assemble_ledger, digest_table, due_jobs, ingest_raw,
     next_job_meta, open_store, publish_output, run_analysis, seal_view, set_up, store_io_json,
-    store_tail, use_cloudviews, view_info, with_crash_retry,
+    store_tail, use_cloudviews, view_info, with_crash_retry, Skeletons,
 };
 use crate::templates::JobTemplate;
 use cv_cluster::metrics::{DataPlane, MetricsLedger, RobustnessStats};
@@ -313,6 +313,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
     let mut gdpr_purged_views = 0u64;
     let mut next_job = 0u64;
     let mut robustness = RobustnessStats::default();
+    let mut skeletons = Skeletons::default();
     let ivm_ingest = cfg.ivm != IvmMode::Off;
     let mut ivm: Option<IvmEngine> =
         (cfg.ivm == IvmMode::Maintain).then(|| IvmEngine::new(&cfg.optimizer));
@@ -372,6 +373,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                 &mut engine,
                 store,
                 &mut insights,
+                &mut skeletons,
                 template,
                 day,
                 meta,
@@ -533,18 +535,16 @@ struct OneJob {
     digest: Sig128,
 }
 
-/// Sign a job's plan once, annotate its subexpressions and optimize it
-/// under the annotations. Returns the signed plan, the annotations and the
-/// outcome.
+/// Annotate a signed job's subexpressions and optimize it under the
+/// annotations. Returns the annotations and the outcome.
 fn compile_one(
     engine: &QueryEngine,
     store: &dyn SharedViewStore,
     insights: &mut InsightsService,
-    plan: &Arc<LogicalPlan>,
+    signed: &SignedPlan,
     meta: JobMeta,
     use_cv: bool,
-) -> Result<(SignedPlan, ReuseContext, OptimizeOutcome)> {
-    let signed = engine.sign(plan)?;
+) -> Result<(ReuseContext, OptimizeOutcome)> {
     let mut reuse = if use_cv {
         insights.annotate(meta.vc, meta.job, &signed.subexprs, meta.submit).0
     } else {
@@ -557,11 +557,11 @@ fn compile_one(
         meta.cold = !store.is_resident(*sig);
     }
     let outcome = if use_cv {
-        engine.optimize_signed(&signed, &reuse, &mut insights.locker())?
+        engine.optimize_signed(signed, &reuse, &mut insights.locker())?
     } else {
-        engine.optimize_signed(&signed, &reuse, &mut AlwaysGrant)?
+        engine.optimize_signed(signed, &reuse, &mut AlwaysGrant)?
     };
-    Ok((signed, reuse, outcome))
+    Ok((reuse, outcome))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -569,14 +569,15 @@ fn run_one_job(
     engine: &mut QueryEngine,
     store: &dyn SharedViewStore,
     insights: &mut InsightsService,
+    skeletons: &mut Skeletons,
     template: &JobTemplate,
     day: SimDay,
     meta: JobMeta,
     use_cv: bool,
     diff_outputs: bool,
 ) -> Result<OneJob> {
-    let plan = template.build_plan(engine, day)?;
-    let (signed, _, outcome) = compile_one(engine, store, insights, &plan, meta, use_cv)?;
+    let signed = skeletons.compile(template, engine, day)?;
+    let (_, outcome) = compile_one(engine, store, insights, &signed, meta, use_cv)?;
 
     let exec = match engine.execute_with_obs(&outcome.physical, store, meta.submit, None) {
         Ok(e) => e,
@@ -949,6 +950,35 @@ mod tests {
         }
     }
 
+    /// Every job compiles to exactly what parsing, binding, normalizing and
+    /// signing it from scratch gives — the plan, every subexpression and
+    /// every memo entry — over 4-day runs of both drivers, with reuse on
+    /// and off: rebinding a template's skeleton is exact.
+    #[test]
+    fn every_instance_equals_its_from_scratch_compile() {
+        use crate::service_driver::{run_workload_service, ServiceConfig};
+        use crate::steps::tests::counting_exact_checks;
+        for seed in [7, 42] {
+            let w = generate_workload(WorkloadConfig {
+                seed,
+                scale: 0.05,
+                n_analytics: 24,
+                ..WorkloadConfig::default()
+            });
+            for mut cfg in [DriverConfig::enabled(4), DriverConfig::baseline(4)] {
+                cfg.cluster = quick_cluster();
+                let (out, checked) = counting_exact_checks(|| run_workload(&w, &cfg).unwrap());
+                assert_eq!(out.failed_jobs, 0);
+                assert_eq!(checked, out.result_digests.len() as u64, "seed {seed}");
+                let svc = ServiceConfig { workers: 2, ..ServiceConfig::default() };
+                let (out, checked) =
+                    counting_exact_checks(|| run_workload_service(&w, &cfg, &svc).unwrap());
+                assert_eq!(out.failed_jobs, 0);
+                assert_eq!(checked, out.result_digests.len() as u64, "seed {seed}");
+            }
+        }
+    }
+
     /// Run `w` one job at a time through the drivers' compile path, sealing
     /// each built view as its job ends, and check every compiled job.
     /// Returns how many views were matched (all, then compensated only) and
@@ -959,6 +989,7 @@ mod tests {
         let mut engine = set_up(cfg, store);
         let mut insights = InsightsService::new(cfg.controls.clone());
         let mut repo = SubexpressionRepo::new();
+        let mut skeletons = Skeletons::default();
         let knobs = cfg.cloudviews.as_ref().unwrap();
         let (mut matched, mut compensated, mut built) = (0, 0, 0);
         let mut next_job = 0;
@@ -966,9 +997,9 @@ mod tests {
             ingest_raw(&mut engine.catalog, w, day, false).unwrap();
             for template in due_jobs(w, day) {
                 let meta = next_job_meta(template, day, &mut next_job);
-                let plan = template.build_plan(&engine, day).unwrap();
-                let (signed, reuse, outcome) =
-                    compile_one(&engine, store, &mut insights, &plan, meta, true).unwrap();
+                let signed = skeletons.compile(template, &engine, day).unwrap();
+                let (reuse, outcome) =
+                    compile_one(&engine, store, &mut insights, &signed, meta, true).unwrap();
                 check_memo(&engine, &signed, &reuse, &outcome);
                 matched += outcome.matched_views.len();
                 compensated += outcome.compensated_views.len();

@@ -353,6 +353,68 @@ mod tests {
         }
     }
 
+    /// A template's normal form is a function of the template: over 14
+    /// days of regenerated inputs (fresh GUIDs) and moving parameters,
+    /// every subexpression of every template — SQL and the UDO cooking job
+    /// alike — keeps day 0's kind, recurring signature and relaxed template
+    /// identity (its operator kind over its children's recurring
+    /// signatures), in the same post-order.
+    #[test]
+    fn recurring_signatures_do_not_depend_on_the_instance() {
+        use crate::steps::{ingest_raw, publish_output};
+        use cv_common::hash::{Sig128, StableHasher};
+        use cv_common::ids::{JobId, VcId};
+        use cv_engine::engine::QueryEngine;
+        use cv_engine::optimizer::ReuseContext;
+        use cv_engine::signature::{plan_signature, SigMode};
+
+        fn identities(
+            e: &QueryEngine,
+            t: &JobTemplate,
+            day: SimDay,
+        ) -> Vec<(&'static str, Sig128, Sig128)> {
+            let sig = &e.optimizer.cfg.sig;
+            let signed = e.sign(&t.build_plan(e, day).unwrap()).unwrap();
+            let relaxed = |s: &cv_engine::SubexprInfo| {
+                let mut h = StableHasher::with_domain("relaxed-template");
+                h.write_str(s.kind);
+                for c in s.plan.children() {
+                    h.write_sig(plan_signature(c, sig, SigMode::Recurring).unwrap());
+                }
+                h.finish128()
+            };
+            signed.subexprs.iter().map(|s| (s.kind, s.recurring, relaxed(s))).collect()
+        }
+
+        for seed in [7, 42] {
+            let w = generate_workload(WorkloadConfig {
+                seed,
+                scale: 0.02,
+                ..WorkloadConfig::default()
+            });
+            let mut e = QueryEngine::new();
+            let mut day0 = Vec::new();
+            for day in (0..14).map(SimDay) {
+                ingest_raw(&mut e.catalog, &w, day, false).unwrap();
+                for cook in w.cooking_templates() {
+                    let plan = cook.build_plan(&e, day).unwrap();
+                    let reuse = ReuseContext::empty();
+                    let out = e.run_plan(&plan, &reuse, JobId(0), VcId(0), day.start()).unwrap();
+                    let output = cook.output_dataset().unwrap();
+                    publish_output(&mut e.catalog, output, &out.table, day.start(), false).unwrap();
+                }
+                let today: Vec<_> = w.templates.iter().map(|t| identities(&e, t, day)).collect();
+                if day.index() == 0 {
+                    day0 = today;
+                    continue;
+                }
+                for ((t, got), want) in w.templates.iter().zip(&today).zip(&day0) {
+                    assert_eq!(got, want, "seed {seed}, day {}, template {:?}", day.index(), t.id);
+                }
+            }
+        }
+    }
+
     #[test]
     fn fragment_skew_creates_shared_filters() {
         let w = generate_workload(WorkloadConfig { n_analytics: 40, ..WorkloadConfig::default() });

@@ -45,7 +45,7 @@ use crate::service_obs::{job_track, ObsHandle, ServiceObs};
 use crate::steps::{
     absorb_read_faults, apply_gdpr, assemble_ledger, digest_table, due_jobs, ingest_raw,
     next_job_meta, open_store, publish_output, run_analysis, seal_view, set_up, store_io_json,
-    store_tail, use_cloudviews, view_info,
+    store_tail, use_cloudviews, view_info, Skeletons,
 };
 use crate::templates::JobTemplate;
 use cv_cluster::metrics::{DataPlane, MetricsLedger, RobustnessStats};
@@ -390,6 +390,8 @@ struct ServiceRun<'a> {
     day_seals: Vec<(ViewInfo, JobId)>,
     /// Template → views built earlier today, for the semantic cascade.
     epoch_views: HashMap<Sig128, Vec<EpochView>>,
+    /// Each template's normalized plan; a job is its rebound instance.
+    skeletons: Skeletons,
     /// Filled as the run goes; `ledger`, `usage` and the store's counters
     /// land in [`ServiceRun::finish`].
     out: ServiceOutcome,
@@ -420,6 +422,7 @@ impl<'a> ServiceRun<'a> {
             specs_for_sim: Vec::new(),
             day_seals: Vec::new(),
             epoch_views: HashMap::new(),
+            skeletons: Skeletons::default(),
             out: ServiceOutcome { service, ..ServiceOutcome::default() },
         }
     }
@@ -553,9 +556,8 @@ impl<'a> ServiceRun<'a> {
         let span = self.obs.compile_span(track);
         let use_cv = use_cloudviews(self.cfg, submit, &mut self.out.robustness);
 
-        let plan = template.build_plan(&self.engine, day)?;
         let normalize = self.obs.span(track, "normalize");
-        let signed = self.engine.sign(&plan);
+        let signed = self.skeletons.compile(template, &self.engine, day);
         normalize.close(&[("subexprs", signed.as_ref().map_or(0, |s| s.subexprs.len() as u64))]);
         let signed = signed?;
 

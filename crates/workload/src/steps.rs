@@ -7,8 +7,8 @@
 //! catalog or the insights service is the same step, and lives here: opening
 //! the store, engine set-up, ingest, job ordering, GDPR purge, the seal rule,
 //! the announce record, cooking-output publish, quarantine propagation,
-//! ledger assembly and the report's store block. Nothing in this module
-//! knows which driver called it.
+//! ledger assembly, the report's store block, and compiling a job from its
+//! template's skeleton. Nothing in this module knows which driver called it.
 
 use crate::driver::{DriverConfig, SelectionKnobs, SelectorKind, StoreBackend};
 use crate::generator::Workload;
@@ -17,10 +17,10 @@ use crate::templates::JobTemplate;
 use cv_cluster::metrics::{DataPlane, JobRecord, MetricsLedger, RobustnessStats};
 use cv_cluster::sim::{ClusterConfig, ClusterSim};
 use cv_common::hash::{Sig128, StableHasher};
-use cv_common::ids::{JobId, VcId};
+use cv_common::ids::{JobId, TemplateId, VcId};
 use cv_common::json::Json;
 use cv_common::rng::DetRng;
-use cv_common::{json, Result, SimDay, SimDuration, SimTime};
+use cv_common::{json, CvError, Result, SimDay, SimDuration, SimTime};
 use cv_core::insights::{InsightsService, ViewInfo};
 use cv_core::repository::{JobMeta, SubexpressionRepo};
 use cv_core::selection::{
@@ -36,7 +36,8 @@ use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
 use cv_engine::exec::{ExecMetrics, PendingView};
 use cv_engine::plan::LogicalPlan;
-use cv_engine::signature::template_signature;
+use cv_engine::signature::{template_signature, SignedPlan};
+use cv_engine::skeleton::Skeleton;
 use cv_store::{DurableStoreOptions, ShardedDurableViewStore};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -72,6 +73,43 @@ pub(crate) fn set_up(cfg: &DriverConfig, store: &dyn SharedViewStore) -> QueryEn
     }
     store.set_fault_plan(cfg.faults.clone());
     engine
+}
+
+/// Each template's normalized skeleton, built from its first instance of
+/// the run (DESIGN §17 *One skeleton per template*).
+#[derive(Default)]
+pub(crate) struct Skeletons(HashMap<TemplateId, Skeleton>);
+
+impl Skeletons {
+    /// Compile `template`'s instance for `day` into its normalized, signed
+    /// plan: the template's skeleton rebound to the catalog's current
+    /// dataset versions and the day's parameters. A template met for the
+    /// first time, or whose skeleton no longer binds (a scanned dataset gone
+    /// or its schema changed), is parsed, bound and normalized from scratch
+    /// first, so a bind error is the binder's own.
+    pub(crate) fn compile(
+        &mut self,
+        template: &JobTemplate,
+        engine: &QueryEngine,
+        day: SimDay,
+    ) -> Result<SignedPlan> {
+        let (catalog, cfg) = (&engine.catalog, &engine.optimizer.cfg.sig);
+        let params = template.params_for(day);
+        let cached = self.0.get(&template.id).and_then(|s| s.instantiate(catalog, &params, cfg));
+        let signed = match cached {
+            Some(signed) => signed,
+            None => {
+                let skeleton = Skeleton::new(&template.build_plan(engine, day)?, cfg)?;
+                let signed = skeleton.instantiate(catalog, &params, cfg).ok_or_else(|| {
+                    CvError::internal("a skeleton does not bind to the instance it was built from")
+                })?;
+                self.0.insert(template.id, skeleton);
+                signed
+            }
+        };
+        check_exact(&signed, template, engine, day)?;
+        Ok(signed)
+    }
 }
 
 /// Deterministic per-(dataset, day) data stream, independent of everything
@@ -397,4 +435,77 @@ pub(crate) fn store_io_json(io: &Option<StoreIoStats>) -> Json {
         "checkpoints": io.checkpoints,
         "bytes_written_durably": io.bytes_written_durably,
     })
+}
+
+/// Test builds can hold every compiled instance to its from-scratch
+/// compile (`tests::check_exact`); other builds compile this away.
+#[cfg(not(test))]
+#[inline]
+fn check_exact(_: &SignedPlan, _: &JobTemplate, _: &QueryEngine, _: SimDay) -> Result<()> {
+    Ok(())
+}
+
+#[cfg(test)]
+use tests::check_exact;
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `Some(n)` while [`counting_exact_checks`] runs: `n` instances
+        /// checked so far on this thread.
+        static EXACT: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// Run `f` with every instance [`Skeletons::compile`] returns on this
+    /// thread held equal to its from-scratch compile; returns `f`'s result
+    /// and how many instances were checked.
+    pub(crate) fn counting_exact_checks<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        EXACT.set(Some(0));
+        let out = f();
+        (out, EXACT.take().unwrap_or(0))
+    }
+
+    pub(crate) fn check_exact(
+        signed: &SignedPlan,
+        template: &JobTemplate,
+        engine: &QueryEngine,
+        day: SimDay,
+    ) -> Result<()> {
+        let Some(n) = EXACT.get() else { return Ok(()) };
+        let scratch = engine.sign(&template.build_plan(engine, day)?)?;
+        assert_same_signed(signed, &scratch, template.id);
+        EXACT.set(Some(n + 1));
+        Ok(())
+    }
+
+    /// The plan, every subexpression and every memo entry (by post-order
+    /// position) of `got` equal `want`'s.
+    pub(crate) fn assert_same_signed(
+        got: &SignedPlan,
+        want: &SignedPlan,
+        what: impl std::fmt::Debug,
+    ) {
+        assert_eq!(got.plan, want.plan, "{what:?}: plan");
+        assert_eq!(got.subexprs, want.subexprs, "{what:?}: subexpressions");
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        post_order(&got.plan, &mut a);
+        post_order(&want.plan, &mut b);
+        assert_eq!(a.len(), b.len(), "{what:?}: node count");
+        let position = |s: &SignedPlan, node: &Arc<LogicalPlan>| {
+            s.subexpr(node).and_then(|e| s.subexprs.iter().position(|x| std::ptr::eq(x, e)))
+        };
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(position(got, x), position(want, y), "{what:?}: memo entry of node {i}");
+        }
+    }
+
+    fn post_order<'p>(plan: &'p Arc<LogicalPlan>, out: &mut Vec<&'p Arc<LogicalPlan>>) {
+        for c in plan.children() {
+            post_order(c, out);
+        }
+        out.push(plan);
+    }
 }
