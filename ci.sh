@@ -67,6 +67,9 @@ golden AUDIT_reuse.json --containment --days 4 --scale 0.05 --seed 42
 echo "==> cv-analyze --ivm (maintain vs rebuild digest parity) == AUDIT_ivm.json"
 golden AUDIT_ivm.json --ivm --days 4 --scale 0.1 --seed 42
 
+echo "==> table1_impact (every Table 1 row the paper reports improving still improves)"
+target/release/table1_impact > /dev/null
+
 echo "==> kernels --smoke (every kernel leg runs and measures a rate)"
 # To scratch: the committed BENCH_engine.json is the full-size run with the
 # parent commit's rates as its baseline; a unit test of the bin checks it.

@@ -12,6 +12,7 @@
 use crate::containment::prove_containment;
 use crate::diag::{codes, Diagnostic, Report};
 use cv_common::hash::Sig128;
+use cv_common::{HashMap, HashSet};
 use cv_data::schema::SchemaRef;
 use cv_data::value::DataType;
 use cv_engine::containment::build_compensation;
@@ -22,7 +23,6 @@ use cv_engine::optimizer::ReuseContext;
 use cv_engine::physical::PhysicalPlan;
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::{plan_signature, template_signature, SigMode, SignatureConfig};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -145,7 +145,7 @@ fn subexpr_index(
     plan: &Arc<LogicalPlan>,
     sig_cfg: &SignatureConfig,
 ) -> HashMap<Sig128, (Option<SchemaRef>, String)> {
-    let mut map = HashMap::new();
+    let mut map = HashMap::default();
     walk_logical(plan, |node, path| {
         if let Some(sig) = plan_signature(node, sig_cfg, SigMode::Strict) {
             map.entry(sig).or_insert_with(|| (node.schema().ok(), path.to_string()));
@@ -481,7 +481,7 @@ impl SpoolWellFormedness {
     }
 
     fn run_logical(plan: &Arc<LogicalPlan>, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
-        let mut seen: HashMap<Sig128, String> = HashMap::new();
+        let mut seen: HashMap<Sig128, String> = HashMap::default();
         fn go(
             node: &Arc<LogicalPlan>,
             path: &str,
@@ -521,7 +521,7 @@ impl SpoolWellFormedness {
     }
 
     fn run_physical(plan: &PhysicalPlan, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
-        let mut seen: HashMap<Sig128, String> = HashMap::new();
+        let mut seen: HashMap<Sig128, String> = HashMap::default();
         fn go(
             node: &PhysicalPlan,
             path: &str,

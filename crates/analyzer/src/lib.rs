@@ -36,7 +36,7 @@ pub use containment::prove_containment;
 pub use diag::{codes, Diagnostic, Report, Severity};
 
 use cv_common::hash::Sig128;
-use cv_common::{CvError, Result};
+use cv_common::{CvError, HashSet, Result};
 use cv_engine::containment::{ContainmentProof, ContainmentProver, ContainmentRefusal};
 use cv_engine::cost::CostModel;
 use cv_engine::optimizer::{OptimizeOutcome, OptimizerConfig, ReuseContext};
@@ -44,7 +44,6 @@ use cv_engine::physical::PhysicalPlan;
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::SignatureConfig;
 use cv_engine::verify::PlanVerifier;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The analysis pass: a check registry plus the signature/cost
@@ -230,7 +229,7 @@ mod tests {
         let out =
             opt.optimize(&opt.sign(&query()).unwrap(), &reuse, &stats, &mut AlwaysGrant).unwrap();
         assert!(out.logical.uses_views());
-        let mut live = HashSet::new();
+        let mut live = HashSet::default();
         live.insert(sig);
         let report = analyzer.analyze_outcome(&normalized, &out, &reuse, Some(&live));
         assert!(report.is_clean(), "unexpected diagnostics:\n{}", report.to_text());
@@ -297,7 +296,7 @@ mod tests {
         let family_set: HashSet<&str> = families.iter().copied().collect();
         assert_eq!(families.len(), family_set.len(), "check families must be distinct");
 
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         for (code, family) in codes::ALL {
             assert!(seen.insert(*code), "duplicate code {code} in codes::ALL");
             // `CV061` belongs to `CV06x`: the family is the code with its

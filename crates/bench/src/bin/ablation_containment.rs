@@ -54,7 +54,7 @@ fn main() {
 
     // Exact matching: distinct strict signatures → zero cross-query reuse.
     let cfg = engine.optimizer.cfg.sig.clone();
-    let sigs: std::collections::HashSet<_> =
+    let sigs: cv_common::HashSet<_> =
         queries.iter().map(|q| plan_signature(q, &cfg, SigMode::Strict).unwrap()).collect();
     println!("\n=== Ablation: exact-match vs containment-based reuse ===");
     println!("  query family: qty > k for k in {thresholds:?}");

@@ -76,6 +76,7 @@ use cv_common::json::Json;
 use cv_common::rng::DetRng;
 use cv_common::SimDay;
 use cv_common::SimTime;
+use cv_common::{HashMap, HashSet};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::codes::{encode, Class};
 use cv_data::column::{Column, ColumnData};
@@ -95,7 +96,6 @@ use cv_engine::udo::{UdoRegistry, UdoSpec};
 use cv_store::codec::{decode_table, encode_table};
 use cv_workload::schemas::raw_specs;
 use cv_workload::{generate_workload, JobTemplate, WorkloadConfig};
-use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -185,14 +185,14 @@ impl CompileDay {
             .map(|t| engine.subexpressions(&t.build_plan(&engine, day).unwrap()).unwrap())
             .collect();
         let shared = |s: &&cv_engine::SubexprInfo| !s.is_root && s.node_count > 1;
-        let mut recurs: HashMap<Sig128, usize> = HashMap::new();
+        let mut recurs: HashMap<Sig128, usize> = HashMap::default();
         for sub in subexprs.iter().flatten().filter(shared) {
             *recurs.entry(sub.recurring).or_default() += 1;
         }
         let stats = |name: &str| {
             engine.catalog.get_by_name(name).ok().map(|d| (d.rows() as f64, d.bytes() as f64))
         };
-        let mut built = HashSet::new();
+        let mut built = HashSet::default();
         let jobs = due
             .iter()
             .zip(&subexprs)

@@ -29,9 +29,9 @@ use crate::metrics::JobResult;
 use crate::stage::StageGraph;
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, TemplateId, VcId};
-use cv_common::{CvError, FaultPlan, FaultPoint, Result, SimDuration, SimTime};
+use cv_common::{CvError, FaultPlan, FaultPoint, HashMap, HashSet, Result, SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Cluster-level configuration.
 #[derive(Clone, Debug)]
@@ -82,7 +82,7 @@ impl Default for ClusterConfig {
             total_containers: 400,
             container_speed: 1.0,
             default_vc_guaranteed: 40,
-            vc_guaranteed: HashMap::new(),
+            vc_guaranteed: HashMap::default(),
             enable_bonus: true,
             restart_delay: SimDuration::from_secs(120.0),
             retry: RetryPolicy::default(),
@@ -230,12 +230,12 @@ impl ClusterSim {
             seq: 0,
             queue: VecDeque::new(),
             jobs: Vec::new(),
-            vc_used: HashMap::new(),
+            vc_used: HashMap::default(),
             bonus_in_use: 0,
             guaranteed_in_use: 0,
             out_events: Vec::new(),
             results: Vec::new(),
-            fail_once: HashSet::new(),
+            fail_once: HashSet::default(),
             faults: FaultPlan::none(),
         }
     }

@@ -129,7 +129,7 @@ mod tests {
             CvError::fault("x"),
             CvError::crash("x"),
         ];
-        let kinds: std::collections::HashSet<_> = all.iter().map(|e| e.kind()).collect();
+        let kinds: crate::HashSet<_> = all.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds.len(), all.len());
     }
 

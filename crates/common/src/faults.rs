@@ -295,7 +295,7 @@ mod tests {
         let all = FaultPoint::all();
         assert_eq!(all.len(), FaultPoint::COUNT);
         let mut seen_idx = [false; FaultPoint::COUNT];
-        let mut tags = std::collections::HashSet::new();
+        let mut tags = crate::HashSet::default();
         for point in all {
             match point {
                 FaultPoint::ViewWrite

@@ -17,6 +17,7 @@
 //! the production system, where signatures are an internal optimizer detail).
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A 128-bit signature value.
 ///
@@ -210,10 +211,93 @@ impl StableHasher {
     }
 }
 
+/// The workspace's hash map: `std`'s table with [`MapHasher`], so the same
+/// inserts give the same layout, iteration order and float sums in every
+/// process. `clippy.toml` refuses `std`'s randomly keyed map.
+#[allow(clippy::disallowed_types)]
+pub type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<MapHasher>>;
+
+/// The workspace's hash set; see [`HashMap`].
+#[allow(clippy::disallowed_types)]
+pub type HashSet<K> = std::collections::HashSet<K, BuildHasherDefault<MapHasher>>;
+
+/// The fixed-key hasher of [`HashMap`] and [`HashSet`].
+///
+/// A map needs one 64-bit word, not a signature, so this is not
+/// [`StableHasher`] (framed, two lanes, several mixes per word): each word is
+/// folded in with one rotate, xor and multiply, and [`mix64`] at `finish`
+/// spreads keys whose low bits never change (`Arc` addresses, small ids)
+/// over the table. It has no key, so keys crafted to collide would
+/// collide; every map here is keyed by values the program made itself.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MapHasher {
+    h: u64,
+}
+
+impl MapHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.h = (self.h.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for MapHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        mix64(self.h)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(c);
+            self.fold(u64::from_le_bytes(word));
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rem.len()].copy_from_slice(rem);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.fold(v as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.fold(v as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.fold(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.fold(v);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, v: u128) {
+        self.fold(v as u64);
+        self.fold((v >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.fold(v as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn deterministic_across_instances() {
@@ -302,7 +386,7 @@ mod tests {
 
     #[test]
     fn no_collisions_over_small_universe() {
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         for i in 0..10_000u64 {
             let mut h = StableHasher::new();
             h.write_u64(i);
@@ -313,6 +397,17 @@ mod tests {
             let s = format!("subexpr-{i}");
             assert!(seen.insert(Sig128::of_str(&s)), "collision at {s}");
         }
+    }
+
+    #[test]
+    fn map_hasher_spreads_keys_whose_low_bits_never_change() {
+        use std::hash::BuildHasher;
+        // Addresses 64 bytes apart: without the finishing mix every key
+        // would land in one bucket of 64.
+        let build = std::hash::BuildHasherDefault::<MapHasher>::default();
+        let buckets: HashSet<u64> =
+            (0..4096u64).map(|i| build.hash_one(0x7f00_0000_0000 + i * 64) & 4095).collect();
+        assert!(buckets.len() > 2048, "{} of 4096 buckets used", buckets.len());
     }
 
     #[test]

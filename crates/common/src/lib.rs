@@ -6,6 +6,9 @@
 //! * strongly-typed identifiers ([`ids`]),
 //! * a *stable* (run-to-run reproducible) 64/128-bit hasher used for query
 //!   subexpression signatures ([`hash`]),
+//! * the workspace's [`HashMap`] and [`HashSet`]: `std`'s tables with the
+//!   fixed-key [`MapHasher`], so no map or set draws per-process random keys
+//!   (`clippy.toml` refuses `std`'s randomly keyed ones),
 //! * a seeded pseudo-random generator with the distribution helpers the
 //!   workload generator needs ([`rng`]),
 //! * simulated wall-clock types for the cluster simulator ([`time`]),
@@ -22,6 +25,6 @@ pub mod time;
 
 pub use error::{CvError, Result};
 pub use faults::{FaultPlan, FaultPoint};
-pub use hash::{Sig128, StableHasher};
+pub use hash::{HashMap, HashSet, MapHasher, Sig128, StableHasher};
 pub use rng::DetRng;
 pub use time::{SimDay, SimDuration, SimTime};

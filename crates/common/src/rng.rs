@@ -311,7 +311,7 @@ mod tests {
     fn choose_covers_all_elements_eventually() {
         let mut r = DetRng::seed(14);
         let items = [1, 2, 3, 4];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::HashSet::default();
         for _ in 0..1000 {
             seen.insert(*r.choose(&items));
         }

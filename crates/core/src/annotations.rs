@@ -6,9 +6,8 @@
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, VcId};
 use cv_common::json::{json, Json};
-use cv_common::{CvError, Result};
+use cv_common::{CvError, HashMap, HashSet, Result};
 use cv_engine::optimizer::{ReuseContext, ViewMeta};
-use std::collections::{HashMap, HashSet};
 
 /// The serialized reuse decision for one job, sufficient to replay its
 /// compilation offline.
@@ -62,7 +61,7 @@ impl QueryAnnotations {
         let to_build: HashSet<Sig128> = self.to_build.iter().copied().collect();
         // Semantic grants carry live plan pointers and are not serialized
         // into the replay log; replays see exact-signature reuse only.
-        ReuseContext { available, to_build, semantic: HashMap::new() }
+        ReuseContext { available, to_build, semantic: HashMap::default() }
     }
 
     pub fn to_json(&self) -> String {

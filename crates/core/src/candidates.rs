@@ -4,8 +4,7 @@
 use crate::repository::SubexpressionRepo;
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, TemplateId, VcId};
-use cv_common::SimTime;
-use std::collections::HashMap;
+use cv_common::{HashMap, SimTime};
 
 /// A candidate view: one recurring subexpression with aggregated history.
 #[derive(Clone, Debug)]
@@ -103,7 +102,7 @@ impl SelectionProblem {
     pub fn evaluate(&self, selected: &[bool]) -> (f64, u64) {
         assert_eq!(selected.len(), self.candidates.len());
         // Gather topmost-selected occurrences per (candidate, strict) group.
-        let mut group_works: HashMap<(usize, Sig128), Vec<f64>> = HashMap::new();
+        let mut group_works: HashMap<(usize, Sig128), Vec<f64>> = HashMap::default();
         for q in &self.queries {
             for occ in &q.occurrences {
                 if !selected[occ.candidate] {
@@ -131,8 +130,7 @@ impl SelectionProblem {
         // once — even when nested under another selected view and therefore
         // never matched (the producer job's plan spools both; just-in-time
         // materialization triggers on first hit, §2.4).
-        let mut all_groups: std::collections::HashSet<(usize, Sig128)> =
-            std::collections::HashSet::new();
+        let mut all_groups: cv_common::HashSet<(usize, Sig128)> = cv_common::HashSet::default();
         for q in &self.queries {
             for occ in &q.occurrences {
                 if selected[occ.candidate] {
@@ -201,7 +199,7 @@ pub fn build_problem(repo: &SubexpressionRepo, min_frequency: u64) -> SelectionP
         submit_times: Vec<SimTime>,
         templates: Vec<TemplateId>,
     }
-    let mut aggs: HashMap<Sig128, Agg> = HashMap::new();
+    let mut aggs: HashMap<Sig128, Agg> = HashMap::default();
     for r in repo.records() {
         if r.kind == "Scan" {
             continue;
@@ -216,7 +214,7 @@ pub fn build_problem(repo: &SubexpressionRepo, min_frequency: u64) -> SelectionP
             work_sum: 0.0,
             observed: 0,
             stricts: Vec::new(),
-            per_vc: HashMap::new(),
+            per_vc: HashMap::default(),
             datasets: r.datasets.clone(),
             submit_times: Vec::new(),
             templates: Vec::new(),
@@ -240,7 +238,7 @@ pub fn build_problem(repo: &SubexpressionRepo, min_frequency: u64) -> SelectionP
     }
 
     let mut candidates: Vec<ViewCandidate> = Vec::new();
-    let mut index: HashMap<Sig128, usize> = HashMap::new();
+    let mut index: HashMap<Sig128, usize> = HashMap::default();
     let mut sigs: Vec<(Sig128, Agg)> = aggs.into_iter().collect();
     // Deterministic order.
     sigs.sort_by_key(|(sig, _)| *sig);
@@ -271,7 +269,7 @@ pub fn build_problem(repo: &SubexpressionRepo, min_frequency: u64) -> SelectionP
     }
 
     // Per-query occurrence lists.
-    let mut queries: HashMap<JobId, QueryOccurrences> = HashMap::new();
+    let mut queries: HashMap<JobId, QueryOccurrences> = HashMap::default();
     for r in repo.records() {
         let Some(&cand) = index.get(&r.recurring) else { continue };
         let avg_work = candidates[cand].avg_subtree_work;

@@ -7,7 +7,7 @@
 //! tier (§4 "opt-in vs opt-out").
 
 use cv_common::ids::{JobId, VcId};
-use std::collections::{HashMap, HashSet};
+use cv_common::{HashMap, HashSet};
 
 /// How VCs are onboarded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,8 +40,8 @@ impl Default for Controls {
             service_enabled: true,
             cluster_enabled: true,
             mode: DeploymentMode::OptIn,
-            vc_overrides: HashMap::new(),
-            disabled_jobs: HashSet::new(),
+            vc_overrides: HashMap::default(),
+            disabled_jobs: HashSet::default(),
         }
     }
 }

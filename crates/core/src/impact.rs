@@ -13,8 +13,7 @@
 
 use cv_cluster::metrics::{percentile, JobRecord, MetricsLedger};
 use cv_common::ids::TemplateId;
-use cv_common::SimTime;
-use std::collections::HashMap;
+use cv_common::{HashMap, SimTime};
 
 /// One metric's baseline-vs-treatment totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -115,13 +114,13 @@ pub fn direct_comparison(baseline: &MetricsLedger, enabled: &MetricsLedger) -> I
     // per-query baselines from "previous instances of the queries that
     // qualified for CloudView optimization" (jobs CloudViews never touches
     // would otherwise drag the median to zero by construction).
-    let qualified: std::collections::HashSet<TemplateId> = enabled
+    let qualified: cv_common::HashSet<TemplateId> = enabled
         .records()
         .iter()
         .filter(|r| r.data.views_matched > 0 || r.data.views_built > 0)
         .map(|r| r.result.template)
         .collect();
-    let mut by_template: HashMap<TemplateId, (Vec<f64>, Vec<f64>)> = HashMap::new();
+    let mut by_template: HashMap<TemplateId, (Vec<f64>, Vec<f64>)> = HashMap::default();
     for rec in baseline.records() {
         if qualified.contains(&rec.result.template) {
             by_template
@@ -168,7 +167,7 @@ pub fn p75_method(ledger: &MetricsLedger, enabled_at: SimTime) -> ImpactSummary 
         queue: f64,
     }
     // Collect pre-enable samples per template.
-    let mut pre: HashMap<TemplateId, Vec<&JobRecord>> = HashMap::new();
+    let mut pre: HashMap<TemplateId, Vec<&JobRecord>> = HashMap::default();
     for rec in ledger.records() {
         if rec.result.submit.seconds() < enabled_at.seconds() {
             pre.entry(rec.result.template).or_default().push(rec);

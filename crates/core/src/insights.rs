@@ -11,11 +11,11 @@
 use crate::controls::Controls;
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, VcId};
+use cv_common::{HashMap, HashSet};
 use cv_common::{SimDuration, SimTime};
 use cv_engine::optimizer::{BuildCoordinator, ReuseContext, SemanticGrant, ViewMeta};
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::SubexprInfo;
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Compile-time record of one sealed, live view.
@@ -78,11 +78,11 @@ impl InsightsService {
     pub fn new(controls: Controls) -> InsightsService {
         InsightsService {
             controls,
-            selected_by_vc: HashMap::new(),
-            selected_global: HashSet::new(),
-            available: HashMap::new(),
-            locks: Mutex::new(HashSet::new()),
-            quarantined: HashSet::new(),
+            selected_by_vc: HashMap::default(),
+            selected_global: HashSet::default(),
+            available: HashMap::default(),
+            locks: Mutex::new(HashSet::default()),
+            quarantined: HashSet::default(),
             usage: Vec::new(),
             lookup_latency: SimDuration::from_secs(0.015),
             round_trips: 0,
@@ -145,7 +145,7 @@ impl InsightsService {
         // available become semantic grants. The optimizer's containment
         // prover — not this service — decides whether any of them is
         // actually admissible.
-        let mut by_template: HashMap<Sig128, Vec<&ViewInfo>> = HashMap::new();
+        let mut by_template: HashMap<Sig128, Vec<&ViewInfo>> = HashMap::default();
         for info in self.available.values() {
             if now.seconds() >= info.expires.seconds() {
                 continue;

@@ -4,10 +4,11 @@
 
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, PipelineId, TemplateId, UserId, VcId};
+use cv_common::{HashMap, HashSet};
 use cv_common::{SimDay, SimTime};
 use cv_engine::exec::OpProfile;
 use cv_engine::signature::SubexprInfo;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Identity of the job an observation came from.
 #[derive(Clone, Copy, Debug)]
@@ -185,8 +186,8 @@ impl SubexpressionRepo {
         }
         let mut out = Vec::with_capacity(by_day.len());
         for (day, recs) in by_day {
-            let mut jobs_per_sig: HashMap<Sig128, HashSet<JobId>> = HashMap::new();
-            let mut count_per_sig: HashMap<Sig128, u64> = HashMap::new();
+            let mut jobs_per_sig: HashMap<Sig128, HashSet<JobId>> = HashMap::default();
+            let mut count_per_sig: HashMap<Sig128, u64> = HashMap::default();
             for r in &recs {
                 jobs_per_sig.entry(r.recurring).or_default().insert(r.meta.job);
                 *count_per_sig.entry(r.recurring).or_insert(0) += 1;
@@ -208,7 +209,7 @@ impl SubexpressionRepo {
     /// Overall overlap across the whole repository (the paper's headline
     /// "more than 75% of query subexpressions are repeated").
     pub fn overall_overlap(&self) -> OverlapStats {
-        let mut jobs_per_sig: HashMap<Sig128, HashSet<JobId>> = HashMap::new();
+        let mut jobs_per_sig: HashMap<Sig128, HashSet<JobId>> = HashMap::default();
         for r in &self.records {
             jobs_per_sig.entry(r.recurring).or_default().insert(r.meta.job);
         }
@@ -232,7 +233,7 @@ impl SubexpressionRepo {
     /// (dataset set, #distinct recurring signatures, total occurrences),
     /// restricted to subexpressions that actually join ≥2 datasets.
     pub fn join_set_groups(&self) -> Vec<(Vec<String>, usize, u64)> {
-        let mut groups: HashMap<Vec<String>, (HashSet<Sig128>, u64)> = HashMap::new();
+        let mut groups: HashMap<Vec<String>, (HashSet<Sig128>, u64)> = HashMap::default();
         for r in &self.records {
             if r.kind != "Join" || r.datasets.len() < 2 {
                 continue;

@@ -64,7 +64,7 @@ impl ViewSelector for LabelPropagationSelector {
             // instance groups (distinct strict signatures) each candidate
             // would actually materialize.
             let mut attributed = vec![0.0f64; n];
-            let mut groups: Vec<std::collections::HashSet<cv_common::Sig128>> =
+            let mut groups: Vec<cv_common::HashSet<cv_common::Sig128>> =
                 vec![Default::default(); n];
             for q in &problem.queries {
                 for occ in &q.occurrences {

@@ -12,7 +12,7 @@
 use super::{Selection, SelectionConstraints, ViewSelector};
 use crate::candidates::SelectionProblem;
 use cv_common::ids::VcId;
-use std::collections::HashMap;
+use cv_common::HashMap;
 
 /// Run `selector` once per VC with per-VC budgets; union the selections.
 ///
@@ -25,7 +25,7 @@ pub fn select_per_vc(
     default_constraints: &SelectionConstraints,
 ) -> (Selection, HashMap<VcId, Selection>) {
     let mut merged = Selection::default();
-    let mut per_vc = HashMap::new();
+    let mut per_vc = HashMap::default();
     for vc in problem.vcs() {
         let sub = problem.restrict_to_vc(vc);
         let mut constraints = default_constraints.clone();
@@ -52,7 +52,7 @@ mod tests {
         let vcs = p.vcs();
         assert_eq!(vcs.len(), 2);
         // VC 0 gets a generous budget; VC 1 gets none.
-        let mut budgets = HashMap::new();
+        let mut budgets = HashMap::default();
         budgets.insert(vcs[0], u64::MAX / 2);
         budgets.insert(vcs[1], 0);
         let (merged, per_vc) =
@@ -73,7 +73,7 @@ mod tests {
         let (merged, per_vc) = select_per_vc(
             &ExactSelector::default(),
             &p,
-            &HashMap::new(),
+            &HashMap::default(),
             &SelectionConstraints::default(),
         );
         let mut g = global.chosen.clone();

@@ -37,14 +37,14 @@ pub fn apply_schedule_awareness(
     overhead: SimDuration,
 ) -> SelectionProblem {
     use cv_common::ids::JobId;
-    use std::collections::HashMap;
+    use cv_common::HashMap;
 
     let mut out = problem.clone();
     // Designate exactly one producer query per *instance group* (candidate,
     // strict signature): the earliest submission, ties broken by job id.
     // Two jobs fired at the same instant cannot both be "first" — that is
     // precisely the concurrent-submission hazard this pass models.
-    let mut producer: HashMap<(usize, cv_common::Sig128), (f64, JobId)> = HashMap::new();
+    let mut producer: HashMap<(usize, cv_common::Sig128), (f64, JobId)> = HashMap::default();
     for q in &problem.queries {
         for occ in &q.occurrences {
             let key = (occ.candidate, occ.strict);

@@ -12,8 +12,7 @@ use crate::schema::SchemaRef;
 use crate::table::Table;
 use crate::value::Value;
 use cv_common::ids::{DatasetId, VersionGuid};
-use cv_common::{CvError, Result, SimTime};
-use std::collections::HashMap;
+use cv_common::{CvError, HashMap, Result, SimTime};
 
 /// One immutable generation of a dataset.
 #[derive(Clone, Debug)]

@@ -10,8 +10,7 @@
 use crate::schema::SchemaRef;
 use crate::table::Table;
 use crate::value::Value;
-use cv_common::{CvError, Result};
-use std::collections::HashMap;
+use cv_common::{CvError, HashMap, Result};
 
 /// The row-level difference between two generations of a dataset.
 #[derive(Clone, Debug)]
@@ -106,7 +105,8 @@ pub fn diff_tables(old: &Table, new: &Table) -> Result<TableDelta> {
         )));
     }
     // Multiplicity of each old row, consumed by matching new rows.
-    let mut remaining: HashMap<Vec<u8>, usize> = HashMap::with_capacity(old.num_rows());
+    let mut remaining: HashMap<Vec<u8>, usize> =
+        HashMap::with_capacity_and_hasher(old.num_rows(), Default::default());
     let mut buf = Vec::new();
     for i in 0..old.num_rows() {
         encode_row(old, i, &mut buf);

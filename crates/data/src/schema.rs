@@ -35,7 +35,7 @@ pub type SchemaRef = Arc<Schema>;
 
 impl Schema {
     pub fn new(fields: Vec<Field>) -> Result<Schema> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = cv_common::HashSet::default();
         for f in &fields {
             if !seen.insert(f.name.as_str()) {
                 return Err(CvError::plan(format!("duplicate column name `{}`", f.name)));

@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn type_names_and_ordinals_distinct() {
         let types = [DataType::Bool, DataType::Int, DataType::Float, DataType::Str, DataType::Date];
-        let ords: std::collections::HashSet<_> = types.iter().map(|t| t.ordinal()).collect();
+        let ords: cv_common::HashSet<_> = types.iter().map(|t| t.ordinal()).collect();
         assert_eq!(ords.len(), types.len());
         assert!(DataType::Int.is_numeric());
         assert!(!DataType::Str.is_numeric());

@@ -29,9 +29,10 @@ use crate::digest::content_digest;
 use crate::schema::SchemaRef;
 use crate::table::Table;
 use cv_common::ids::{JobId, VcId, VersionGuid};
-use cv_common::{CvError, FaultPlan, FaultPoint, Result, Sig128, SimDuration, SimTime};
+use cv_common::{
+    CvError, FaultPlan, FaultPoint, HashMap, HashSet, Result, Sig128, SimDuration, SimTime,
+};
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Content checksum of a view: [`content_digest`] of its rows under the
@@ -233,14 +234,14 @@ impl<P> ViewCatalog<P> {
     pub fn new(ttl: SimDuration) -> ViewCatalog<P> {
         ViewCatalog {
             ttl,
-            entries: HashMap::new(),
-            storage_by_vc: HashMap::new(),
+            entries: HashMap::default(),
+            storage_by_vc: HashMap::default(),
             stats: ViewStoreStats::default(),
             views_reused: AtomicU64::new(0),
             bytes_served: AtomicU64::new(0),
             read_misses: AtomicU64::new(0),
             faults: FaultPlan::none(),
-            quarantined: HashSet::new(),
+            quarantined: HashSet::default(),
         }
     }
 

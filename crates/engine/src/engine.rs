@@ -262,7 +262,7 @@ mod tests {
         let p2 = e.compile_sql(ASIA_QTY, &Params::none()).unwrap();
         let subs1 = e.subexpressions(&p1).unwrap();
         let subs2 = e.subexpressions(&p2).unwrap();
-        let sigs2: std::collections::HashSet<_> = subs2.iter().map(|s| s.strict).collect();
+        let sigs2: cv_common::HashSet<_> = subs2.iter().map(|s| s.strict).collect();
         let shared: Vec<_> =
             subs1.iter().filter(|s| sigs2.contains(&s.strict) && s.kind != "Scan").collect();
         assert!(!shared.is_empty(), "queries must share a non-scan subexpression");

@@ -1364,7 +1364,7 @@ mod tests {
         }
         // Sanity: the column really is nondeterministic per row.
         let r_idx = mono.schema().index_of("r").unwrap();
-        let distinct: std::collections::HashSet<String> =
+        let distinct: cv_common::HashSet<String> =
             (0..mono.num_rows()).map(|i| format!("{:?}", mono.column(r_idx).value(i))).collect();
         assert!(distinct.len() > 1, "RANDOM_NEXT must vary across rows");
     }

@@ -837,7 +837,7 @@ mod tests {
     use super::super::eval::{binary_value, eval, select, EvalCtx};
     use super::super::{col, lit, BinOp, ScalarExpr};
     use super::{broadcast, compare, Dense, Operand, Selected};
-    use cv_common::DetRng;
+    use cv_common::{DetRng, HashMap};
     use cv_data::bitmap::Bitmap;
     use cv_data::chunk::chunk_ranges;
     use cv_data::codes::code_strs;
@@ -845,7 +845,6 @@ mod tests {
     use cv_data::schema::{Field, Schema};
     use cv_data::table::Table;
     use cv_data::value::{DataType, Value};
-    use std::collections::HashMap;
 
     /// Prefixes of one another, one byte-reversed pair, the same letter
     /// precomposed (`C3 A9`) and decomposed (`65 CC 81`), and three-byte
@@ -997,7 +996,7 @@ mod tests {
     /// Row order, a per-row hash map: the coder as it was before it read
     /// buffer dictionaries, kept as the reference for [`code_strs`].
     fn per_row_coder(chunks: &[&Column]) -> (Vec<u32>, usize, Vec<String>) {
-        let (mut codes, mut seen, mut strs) = (Vec::new(), HashMap::new(), Vec::new());
+        let (mut codes, mut seen, mut strs) = (Vec::new(), HashMap::default(), Vec::new());
         for col in chunks {
             let cells = col.strs().iter().enumerate();
             codes.extend(cells.map(|(i, s)| match col.is_null(i) {

@@ -20,8 +20,7 @@ use crate::expr::fold::{conjoin, normalize_expr, split_conjunction};
 use crate::expr::ScalarExpr;
 use crate::plan::{JoinKind, LogicalPlan};
 use crate::signature::{SignatureConfig, Signer};
-use cv_common::Result;
-use std::collections::HashMap;
+use cv_common::{HashMap, Result};
 use std::sync::Arc;
 
 /// Normalize a plan to canonical form. Deterministic and idempotent.

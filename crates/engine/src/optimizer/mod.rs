@@ -32,8 +32,7 @@ use crate::signature::{plan_sig_pair, sign_plan, SigPair, SignatureConfig, Signe
 use crate::stats::{estimate, ScanStats, Statistics};
 use crate::verify::PlanVerifier;
 use cv_common::hash::{Sig128, StableHasher};
-use cv_common::{CvError, Result};
-use std::collections::{HashMap, HashSet};
+use cv_common::{CvError, HashMap, HashSet, Result};
 use std::sync::Arc;
 
 /// Compile-time metadata about an available materialized view, served by the
@@ -129,15 +128,6 @@ pub struct OptimizerConfig {
     /// Rows per stage partition; estimates above this fan out more tasks.
     pub rows_per_partition: f64,
     pub max_partitions: usize,
-    /// Smaller join side below this row count → `JoinAlgo::Loop`: charged
-    /// as the cluster's nested-loop join over one morsel. It picks a label,
-    /// not a kernel: every label runs `exec/join.rs::equi_join`.
-    pub loop_join_threshold: f64,
-    /// Larger join side above this row count → `JoinAlgo::Merge`: charged
-    /// as the cluster's sort-merge over one morsel; below it (and above the
-    /// loop bound) `JoinAlgo::Hash` is charged as a hash join over a morsel
-    /// per chunk of left rows. Either way the same kernel runs.
-    pub merge_join_threshold: f64,
     pub cost: CostModel,
     /// Run the installed [`PlanVerifier`] over every optimized plan.
     /// Defaults to on in debug builds (and thus under `cargo test`),
@@ -155,8 +145,6 @@ impl Default for OptimizerConfig {
             max_views_per_job: 4,
             rows_per_partition: 2_500.0,
             max_partitions: 256,
-            loop_join_threshold: 64.0,
-            merge_join_threshold: 120_000.0,
             cost: CostModel::default(),
             verify_plans: cfg!(debug_assertions),
         }
@@ -241,12 +229,12 @@ impl Optimizer {
         let normalized = &signed.plan;
         // Build-side decisions come from the pre-substitution plan so view
         // reuse differences between runs cannot flip them.
-        let mut swaps = HashMap::new();
+        let mut swaps = HashMap::default();
         self.collect_swap_decisions(normalized, scan_stats, &mut swaps);
 
         let mut matched = Vec::new();
         let mut compensated = Vec::new();
-        let mut replaced = HashMap::new();
+        let mut replaced = HashMap::default();
         let matchable =
             !reuse.available.is_empty() || (self.semantic_active() && !reuse.semantic.is_empty());
         let with_views = if self.cfg.enable_view_match && matchable {
@@ -396,8 +384,9 @@ impl Optimizer {
     /// Semantic step of the match cascade: find views whose template
     /// signature equals this node's, ask the prover to certify containment,
     /// and substitute the cheapest certified compensation plan. Candidates
-    /// are visited in view-signature order so the result is deterministic
-    /// regardless of `HashMap` iteration order.
+    /// are visited in view-signature order: a map iterates in an order set
+    /// by its insertion history and capacity, which differ between the
+    /// sequential and the service driver, and both must pick the same view.
     #[allow(clippy::too_many_arguments)]
     fn match_semantic(
         &self,
@@ -636,7 +625,7 @@ impl Optimizer {
         node: &Arc<LogicalPlan>,
         scan_stats: ScanStats<'_>,
     ) -> Result<PhysicalPlan> {
-        let mut swaps = HashMap::new();
+        let mut swaps = HashMap::default();
         self.collect_swap_decisions(node, scan_stats, &mut swaps);
         self.to_physical_with(node, scan_stats, &swaps)
     }
@@ -653,6 +642,19 @@ impl Optimizer {
         }
         Ok(physical)
     }
+
+    /// Smaller join side at or below this estimated row count →
+    /// `JoinAlgo::Loop`: charged as the cluster's nested-loop join over one
+    /// morsel. It picks a label, not a kernel: every label runs
+    /// `exec/join.rs::equi_join`.
+    const LOOP_JOIN_ROWS: f64 = 64.0;
+
+    /// Larger join side at or above this estimated row count →
+    /// `JoinAlgo::Merge`: charged as the cluster's sort-merge over one
+    /// morsel; below it (and above [`Self::LOOP_JOIN_ROWS`]) `JoinAlgo::Hash`
+    /// is charged as a hash join over a morsel per chunk of left rows.
+    /// Either way the same kernel runs.
+    const MERGE_JOIN_ROWS: f64 = 120_000.0;
 
     /// The recursive lowering step (costing probes call this directly so
     /// alternative subplans aren't re-verified mid-search).
@@ -719,9 +721,9 @@ impl Optimizer {
                 }
                 let l_rows = l.est().rows;
                 let r_rows = r.est().rows;
-                let algo = if l_rows.min(r_rows) <= self.cfg.loop_join_threshold {
+                let algo = if l_rows.min(r_rows) <= Self::LOOP_JOIN_ROWS {
                     JoinAlgo::Loop
-                } else if l_rows.max(r_rows) >= self.cfg.merge_join_threshold {
+                } else if l_rows.max(r_rows) >= Self::MERGE_JOIN_ROWS {
                     JoinAlgo::Merge
                 } else {
                     JoinAlgo::Hash

@@ -21,8 +21,7 @@
 
 use crate::plan::LogicalPlan;
 use cv_common::hash::{Sig128, StableHasher};
-use cv_common::Result;
-use std::collections::HashMap;
+use cv_common::{HashMap, Result};
 use std::sync::Arc;
 
 /// Which signature flavour to compute.
@@ -136,7 +135,7 @@ impl SignedPlan {
     /// Sign an already normalized plan in one bottom-up walk.
     pub fn of_normalized(plan: Arc<LogicalPlan>, cfg: &SignatureConfig) -> SignedPlan {
         let mut subexprs = Vec::new();
-        let mut memo = HashMap::new();
+        let mut memo = HashMap::default();
         let root = Arc::as_ptr(&plan);
         let signer = Signer::new(cfg);
         signer.walk(&plan, &mut |node, s| {
@@ -564,7 +563,7 @@ mod tests {
         let max_h = subs.iter().map(|s| s.height).max().unwrap();
         assert_eq!(root[0].height, max_h);
         // All signatures are distinct here.
-        let uniq: std::collections::HashSet<_> = subs.iter().map(|s| s.strict).collect();
+        let uniq: cv_common::HashSet<_> = subs.iter().map(|s| s.strict).collect();
         assert_eq!(uniq.len(), subs.len());
     }
 
@@ -582,7 +581,7 @@ mod tests {
         });
         let subs1 = enumerate_subexpressions(&q1, &cfg());
         let subs2 = enumerate_subexpressions(&q2, &cfg());
-        let sigs1: std::collections::HashSet<_> = subs1.iter().map(|s| s.strict).collect();
+        let sigs1: cv_common::HashSet<_> = subs1.iter().map(|s| s.strict).collect();
         let common: Vec<_> = subs2.iter().filter(|s| sigs1.contains(&s.strict)).collect();
         // scan + filter collide; roots differ.
         assert_eq!(common.len(), 2);

@@ -4,11 +4,10 @@ use super::ast::{Expr, JoinType, Query, Select, TableRef};
 use crate::expr::fold::normalize_expr;
 use crate::expr::{AggExpr, ScalarExpr};
 use crate::plan::{JoinKind, LogicalPlan, PlanBuilder};
-use cv_common::{CvError, Result};
+use cv_common::{CvError, HashMap, Result};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::schema::SchemaRef;
 use cv_data::value::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-instance values for `@param` markers.

@@ -9,14 +9,13 @@
 //! [`crate::signature`].
 
 use cv_common::hash::StableHasher;
-use cv_common::{CvError, Result};
+use cv_common::{CvError, HashMap, Result};
 use cv_data::bitmap::Bitmap;
 use cv_data::column::{Column, ColumnData, ColumnView};
 use cv_data::schema::{Field, Schema, SchemaRef};
 use cv_data::strs::StrColumn;
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -98,7 +97,7 @@ impl fmt::Debug for UdoRegistry {
 
 impl UdoRegistry {
     pub fn empty() -> UdoRegistry {
-        UdoRegistry { impls: HashMap::new() }
+        UdoRegistry { impls: HashMap::default() }
     }
 
     /// Registry pre-loaded with the built-in cooking UDOs used by the

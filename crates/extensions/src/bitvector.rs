@@ -8,10 +8,9 @@
 //! small registry for cross-query reuse.
 
 use cv_common::hash::{Sig128, StableHasher};
-use cv_common::{CvError, Result};
+use cv_common::{CvError, HashMap, Result};
 use cv_data::table::Table;
 use cv_data::value::Value;
-use std::collections::HashMap;
 
 /// A Bloom filter over join-key values.
 #[derive(Clone, Debug)]

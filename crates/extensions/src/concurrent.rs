@@ -11,8 +11,9 @@
 use cv_cluster::metrics::JobRecord;
 use cv_common::hash::Sig128;
 use cv_common::ids::JobId;
+use cv_common::HashMap;
 use cv_core::repository::SubexpressionRepo;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Concurrency count of one recurring join signature on one day.
 #[derive(Clone, Debug)]
@@ -47,7 +48,7 @@ pub fn concurrent_joins(repo: &SubexpressionRepo, records: &[JobRecord]) -> Vec<
         algo: &'static str,
         spans: Vec<(f64, f64)>,
     }
-    let mut groups: HashMap<(u32, Sig128), Group> = HashMap::new();
+    let mut groups: HashMap<(u32, Sig128), Group> = HashMap::default();
     for rec in repo.records() {
         let Some(algo) = rec.physical_kind.filter(|k| k.ends_with("Join")) else { continue };
         let Some(&(start, finish)) = intervals.get(&rec.meta.job) else { continue };
@@ -88,7 +89,7 @@ pub fn concurrent_join_histogram(
     repo: &SubexpressionRepo,
     records: &[JobRecord],
 ) -> Vec<ConcurrencyBucket> {
-    let mut buckets: HashMap<(String, usize), u64> = HashMap::new();
+    let mut buckets: HashMap<(String, usize), u64> = HashMap::default();
     for cj in concurrent_joins(repo, records) {
         *buckets.entry((cj.algo, cj.concurrent_instances)).or_insert(0) += 1;
     }
@@ -108,8 +109,10 @@ pub fn pipelining_savings_bound(repo: &SubexpressionRepo, records: &[JobRecord])
         .iter()
         .map(|r| (r.result.job, (r.result.start.seconds(), r.result.finish.seconds())))
         .collect();
-    // Ordered: the bound is a float sum over the groups, and a hash map's
-    // iteration order — hence the sum's last digit — differs from run to run.
+    // Ordered: the bound is a float sum over the groups, and a hash map
+    // iterates in an order set by its insertion history and capacity, which
+    // differ between the sequential and the service driver, so the sum's
+    // last digit would too.
     let mut groups: BTreeMap<(u32, Sig128), Vec<(f64, f64, f64)>> = BTreeMap::new();
     for rec in repo.records() {
         let Some(work) = rec.subtree_work else { continue };

@@ -35,7 +35,7 @@ pub mod state;
 use cv_analyzer::Analyzer;
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, VcId};
-use cv_common::{CvError, Result, SimTime};
+use cv_common::{CvError, HashMap, Result, SimTime};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::delta::TableDelta;
 use cv_data::schema::SchemaRef;
@@ -47,7 +47,7 @@ use cv_engine::normalize::normalize;
 use cv_engine::optimizer::{OptimizerConfig, ReuseContext};
 use cv_engine::plan::{JoinKind, LogicalPlan};
 use cv_engine::signature::SignatureConfig;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use state::{KeyAtom, StateKind, ViewState};
@@ -178,7 +178,7 @@ impl IvmEngine {
         IvmEngine {
             analyzer: Analyzer::new(cfg),
             sig: cfg.sig.clone(),
-            tracked: HashMap::new(),
+            tracked: HashMap::default(),
             cost_gate: true,
             stats: IvmStats::default(),
         }
@@ -218,7 +218,7 @@ impl IvmEngine {
         }
         let (shape, mut state) = compile_shape(&plan)?;
         let mut scratch = Scratch::new();
-        let classes = HashMap::new();
+        let classes = HashMap::default();
         let input_cur = scratch.eval_snapshot(&shape.input, Snap::Cur, catalog, &classes)?;
         fold(&mut scratch, &shape, &mut state, input_cur, 1)?;
         let bootstrap_rows = scratch.rows_touched;
@@ -318,7 +318,7 @@ fn attempt_maintain(
     }
 
     // 2. Classify every leaf against the tracked GUIDs.
-    let mut classes = HashMap::new();
+    let mut classes = HashMap::default();
     if let Some(dataset) = classify(&tv.plan, catalog, &mut classes)? {
         return Ok(Err(RebuildReason::ChainBroken { dataset }));
     }
@@ -461,7 +461,12 @@ struct Scratch {
 
 impl Scratch {
     fn new() -> Scratch {
-        Scratch { engine: QueryEngine::new(), leaf_cache: HashMap::new(), next: 0, rows_touched: 0 }
+        Scratch {
+            engine: QueryEngine::new(),
+            leaf_cache: HashMap::default(),
+            next: 0,
+            rows_touched: 0,
+        }
     }
 
     /// Register a table under a fresh scratch dataset and return a Scan

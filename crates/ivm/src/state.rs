@@ -14,11 +14,10 @@
 //! branches here are defense in depth and trigger a rebuild, never a
 //! wrong answer.
 
-use cv_common::{CvError, Result};
+use cv_common::{CvError, HashMap, Result};
 use cv_data::schema::SchemaRef;
 use cv_data::table::Table;
 use cv_data::value::Value;
-use std::collections::HashMap;
 
 /// Largest magnitude an AVG numerator (or its running absolute sum) may
 /// reach while the engine's f64 accumulation is still provably exact:
@@ -224,7 +223,7 @@ impl ViewState {
     /// evaluated argument in the tables passed to [`Self::apply`] (`None`
     /// for `COUNT(*)`).
     pub fn new(n_keys: usize, specs: Vec<(StateKind, Option<usize>)>) -> ViewState {
-        ViewState { n_keys, specs, groups: HashMap::new() }
+        ViewState { n_keys, specs, groups: HashMap::default() }
     }
 
     pub fn group_count(&self) -> usize {

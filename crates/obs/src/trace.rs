@@ -20,7 +20,7 @@
 //! counters under `args`.
 
 use cv_common::json::{Json, JsonMap};
-use std::collections::HashMap;
+use cv_common::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 

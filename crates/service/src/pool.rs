@@ -23,7 +23,8 @@
 //! engine by reference, no `Arc` restructuring required.
 
 use cv_common::ids::{JobId, VcId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use cv_common::{HashMap, HashSet};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -331,19 +332,19 @@ pub fn run_tasks<'env>(
         state: Mutex::new(State {
             local: (0..workers).map(|_| VecDeque::new()).collect(),
             waiting: Vec::new(),
-            deferred: HashMap::new(),
+            deferred: HashMap::default(),
             deferred_total: 0,
             max_queue_depth: 0,
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
             inflight_total: 0,
             max_inflight: 0,
-            done: HashSet::new(),
+            done: HashSet::default(),
             outstanding: 0,
             submitted_all: false,
             next_worker: 0,
             executed: 0,
             admission_deferrals: 0,
-            deferrals_by_vc: HashMap::new(),
+            deferrals_by_vc: HashMap::default(),
             latencies: Vec::new(),
             workers_ready: 0,
             busy: vec![Duration::ZERO; workers],

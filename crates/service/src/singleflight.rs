@@ -18,8 +18,7 @@
 //!   gating makes this rare; it is the safety net, not the fast path).
 
 use cv_common::ids::JobId;
-use cv_common::Sig128;
-use std::collections::HashMap;
+use cv_common::{HashMap, Sig128};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 

@@ -2,11 +2,10 @@
 
 use crate::singleflight::{FlightOutcome, SingleFlight};
 use crate::stats::ServiceStats;
-use cv_common::{Sig128, SimTime};
+use cv_common::{HashSet, Sig128, SimTime};
 use cv_data::store_api::SharedViewStore;
 use cv_data::table::Table;
 use cv_data::viewstore::{ViewReadFault, ViewSource, ViewTemperature};
-use std::collections::HashSet;
 use std::sync::Mutex;
 
 /// The executor-facing view source of one service job.
@@ -128,7 +127,8 @@ mod tests {
         let flights = SingleFlight::new();
         let stats = ServiceStats::default();
         flights.claim(Sig128(1), JobId(1), PromisedView::default());
-        let src = PipelinedViewSource::new(&store, &flights, &stats, HashSet::from([Sig128(1)]));
+        let src =
+            PipelinedViewSource::new(&store, &flights, &stats, HashSet::from_iter([Sig128(1)]));
         std::thread::scope(|s| {
             let reader = s.spawn(|| src.read_view(Sig128(1), SimTime::EPOCH));
             // Hold the publish until the reader has missed the store and
@@ -158,7 +158,8 @@ mod tests {
         let stats = ServiceStats::default();
         flights.claim(Sig128(5), JobId(1), PromisedView::default());
         flights.resolve(Sig128(5), FlightOutcome::Published);
-        let src = PipelinedViewSource::new(&store, &flights, &stats, HashSet::from([Sig128(5)]));
+        let src =
+            PipelinedViewSource::new(&store, &flights, &stats, HashSet::from_iter([Sig128(5)]));
         assert!(src.read_view_traced(Sig128(5), SimTime::EPOCH).unwrap().is_none());
         assert_eq!(stats.snapshot().pipelined_reads, 0);
         assert!(src.into_served().is_empty());
@@ -171,7 +172,8 @@ mod tests {
         let stats = ServiceStats::default();
         flights.claim(Sig128(2), JobId(1), PromisedView::default());
         flights.resolve(Sig128(2), FlightOutcome::Failed);
-        let src = PipelinedViewSource::new(&store, &flights, &stats, HashSet::from([Sig128(2)]));
+        let src =
+            PipelinedViewSource::new(&store, &flights, &stats, HashSet::from_iter([Sig128(2)]));
         assert!(src.read_view(Sig128(2), SimTime::EPOCH).unwrap().is_none());
         assert!(src.into_served().is_empty());
     }
@@ -181,7 +183,7 @@ mod tests {
         let store = ShardedViewStore::new(SimDuration::from_days(7.0), 4);
         let flights = SingleFlight::new();
         let stats = ServiceStats::default();
-        let src = PipelinedViewSource::new(&store, &flights, &stats, HashSet::new());
+        let src = PipelinedViewSource::new(&store, &flights, &stats, HashSet::default());
         assert!(src.read_view(Sig128(3), SimTime::EPOCH).unwrap().is_none());
         assert_eq!(stats.snapshot().flight_waits, 0);
     }

@@ -5,7 +5,7 @@
 //! (hits, misses are the caller's to count; evictions here) feed cv-obs and
 //! the engine's hot/cold read costing.
 
-use std::collections::HashMap;
+use cv_common::HashMap;
 
 #[derive(Debug)]
 struct Frame {
@@ -29,7 +29,7 @@ impl PageCache {
         PageCache {
             capacity: capacity.max(1),
             frames: Vec::new(),
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             hand: 0,
             evictions: 0,
         }

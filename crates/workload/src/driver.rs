@@ -34,7 +34,7 @@ use cv_cluster::stage::build_stages;
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, VcId};
 use cv_common::json::{Json, ToJson};
-use cv_common::{json, FaultPlan, Result, SimDay, SimDuration, SimTime};
+use cv_common::{json, FaultPlan, HashMap, Result, SimDay, SimDuration, SimTime};
 use cv_core::controls::Controls;
 use cv_core::insights::{InsightsService, UsageEvent};
 use cv_core::repository::{JobMeta, SubexpressionRepo};
@@ -46,7 +46,7 @@ use cv_engine::optimizer::{AlwaysGrant, OptimizeOutcome, OptimizerConfig, ReuseC
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::{plan_signature, SigMode, SignedPlan};
 use cv_ivm::{IvmEngine, IvmStats, Maintain};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which selection algorithm the feedback loop runs.
@@ -305,8 +305,8 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
     let mut sim = ClusterSim::new(cfg.cluster.clone());
     sim.set_fault_plan(cfg.faults.clone());
     let mut repo = SubexpressionRepo::new();
-    let mut data_plane: HashMap<JobId, DataPlane> = HashMap::new();
-    let mut pending_seals: HashMap<Sig128, PendingSeal> = HashMap::new();
+    let mut data_plane: HashMap<JobId, DataPlane> = HashMap::default();
+    let mut pending_seals: HashMap<Sig128, PendingSeal> = HashMap::default();
     let mut result_digests = BTreeMap::new();
     let mut selection_history = Vec::new();
     let mut failures: Vec<(JobId, String)> = Vec::new();
@@ -780,7 +780,7 @@ mod tests {
         let (dead, healthy) = (Sig128(1), Sig128(2));
         store.quarantine(dead).unwrap();
 
-        let mut pending = HashMap::new();
+        let mut pending = HashMap::default();
         for sig in [dead, healthy] {
             use cv_engine::optimizer::BuildCoordinator;
             assert!(insights.locker().try_acquire(sig));
@@ -924,6 +924,47 @@ mod tests {
         assert_eq!(a.result_digests, b.result_digests);
         assert_eq!(a.view_store_stats, b.view_store_stats);
         assert_eq!(a.ledger.totals(), b.ledger.totals());
+        assert_eq!(a.selection_history, b.selection_history);
+        assert_eq!(a.report_json().to_string(), b.report_json().to_string());
+    }
+
+    /// The selector's objective is a float sum over hash-map groups, so its
+    /// bits are fixed only if every map built from the same inserts iterates
+    /// in the same order: no map may draw its own random keys.
+    #[test]
+    fn the_selector_returns_the_same_bits_on_every_call() {
+        use cv_core::selection::{
+            LabelPropagationSelector, Selection, SelectionConstraints, ViewSelector,
+        };
+        let w = generate_workload(WorkloadConfig {
+            seed: 7,
+            scale: 0.1,
+            n_analytics: 24,
+            ..WorkloadConfig::default()
+        });
+        let mut cfg = DriverConfig::baseline(4);
+        cfg.cluster = quick_cluster();
+        let out = run_workload(&w, &cfg).unwrap();
+        let problem = cv_core::build_problem(&out.repo, 2);
+        let n = problem.candidates.len();
+        assert!(n >= 20, "only {n} candidates");
+        let bits =
+            |sel: &Selection| (sel.chosen.clone(), sel.est_savings.to_bits(), sel.est_storage);
+        for stride in [1, 2, 3, 7] {
+            let mask: Vec<bool> = (0..n).map(|i| i % stride == 0).collect();
+            let first = bits(&Selection::from_mask(&problem, &mask));
+            for call in 1..20 {
+                let again = bits(&Selection::from_mask(&problem, &mask));
+                assert_eq!(again, first, "stride {stride}, call {call}");
+            }
+        }
+        let selector = LabelPropagationSelector::default();
+        let constraints = SelectionConstraints::default();
+        let first = bits(&selector.select(&problem, &constraints));
+        assert!(!first.0.is_empty(), "nothing selected");
+        for call in 1..5 {
+            assert_eq!(bits(&selector.select(&problem, &constraints)), first, "select call {call}");
+        }
     }
 
     /// The signature memo is exact. Over every job of a 4-day run with

@@ -420,7 +420,7 @@ mod tests {
         let w = generate_workload(WorkloadConfig { n_analytics: 40, ..WorkloadConfig::default() });
         // Count how many analytics templates use the most popular
         // (dataset, filter) combination — skew should make it ≥ 4.
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = cv_common::HashMap::default();
         for t in w.analytics_templates() {
             if let TemplateBody::Sql(sql) = &t.body {
                 let key = sql

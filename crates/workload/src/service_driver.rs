@@ -54,7 +54,7 @@ use cv_cluster::stage::build_stages;
 use cv_common::hash::Sig128;
 use cv_common::ids::JobId;
 use cv_common::json::{Json, ToJson};
-use cv_common::{json, CvError, FaultPlan, Result, SimDay, SimTime};
+use cv_common::{json, CvError, FaultPlan, HashMap, HashSet, Result, SimDay, SimTime};
 use cv_core::insights::{InsightsService, UsageEvent, ViewInfo};
 use cv_core::repository::{JobMeta, SubexpressionRepo};
 use cv_core::SharedInsights;
@@ -71,7 +71,7 @@ use cv_service::{
     run_tasks, FlightOutcome, PipelinedViewSource, PoolConfig, PromisedView, ServiceStats,
     SingleFlight, TaskSpec,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -418,10 +418,10 @@ impl<'a> ServiceRun<'a> {
             flights: SingleFlight::new(),
             stats: ServiceStats::default(),
             next_job: 0,
-            data_plane: HashMap::new(),
+            data_plane: HashMap::default(),
             specs_for_sim: Vec::new(),
             day_seals: Vec::new(),
-            epoch_views: HashMap::new(),
+            epoch_views: HashMap::default(),
             skeletons: Skeletons::default(),
             out: ServiceOutcome { service, ..ServiceOutcome::default() },
         }
@@ -562,7 +562,7 @@ impl<'a> ServiceRun<'a> {
         let signed = signed?;
 
         let mut reuse = ReuseContext::empty();
-        let mut promised: HashSet<Sig128> = HashSet::new();
+        let mut promised: HashSet<Sig128> = HashSet::default();
         let mut deps: Vec<JobId> = Vec::new();
         if use_cv {
             reuse = self.insights.lock().annotate(meta.vc, job, &signed.subexprs, submit).0;
@@ -773,7 +773,7 @@ impl<'a> ServiceRun<'a> {
         let done = res.and_then(|exec| {
             let mut seals = Vec::new();
             let mut store_error = None;
-            let mut resolved: HashSet<Sig128> = HashSet::new();
+            let mut resolved: HashSet<Sig128> = HashSet::default();
             for pv in &exec.pending_views {
                 let state = seal_pending(store, stats, pv, job, vc, submit).unwrap_or_else(|e| {
                     store_error.get_or_insert(e);
@@ -1095,7 +1095,7 @@ mod tests {
 
         let cluster = quick_cluster();
         let run = |specs: Vec<JobSpec>| {
-            let mut dp = HashMap::new();
+            let mut dp = HashMap::default();
             let mut rb = RobustnessStats::default();
             let ledger =
                 merge_completions(specs, &mut dp, &cluster, &FaultPlan::none(), &mut rb).unwrap();

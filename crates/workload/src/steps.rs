@@ -20,7 +20,7 @@ use cv_common::hash::{Sig128, StableHasher};
 use cv_common::ids::{JobId, TemplateId, VcId};
 use cv_common::json::Json;
 use cv_common::rng::DetRng;
-use cv_common::{json, CvError, Result, SimDay, SimDuration, SimTime};
+use cv_common::{json, CvError, HashMap, Result, SimDay, SimDuration, SimTime};
 use cv_core::insights::{InsightsService, ViewInfo};
 use cv_core::repository::{JobMeta, SubexpressionRepo};
 use cv_core::selection::{
@@ -39,7 +39,6 @@ use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::{template_signature, SignedPlan};
 use cv_engine::skeleton::Skeleton;
 use cv_store::{DurableStoreOptions, ShardedDurableViewStore};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Open the view store `cfg.store` names, striped over `shards` locks. This
@@ -366,7 +365,8 @@ pub(crate) fn run_analysis(
     };
     insights.reset_selection();
     if knobs.per_vc {
-        let (_, per_vc) = select_per_vc(selector.as_ref(), &problem, &HashMap::new(), &constraints);
+        let (_, per_vc) =
+            select_per_vc(selector.as_ref(), &problem, &HashMap::default(), &constraints);
         let mut total = 0;
         for (vc, sel) in per_vc {
             total += sel.len();

@@ -47,7 +47,7 @@ fn main() -> Result<()> {
     }
 
     // Workload analysis: subexpressions shared by ≥2 of the three queries.
-    let mut counts: std::collections::HashMap<Sig128, usize> = Default::default();
+    let mut counts: cv_common::HashMap<Sig128, usize> = Default::default();
     for subs in &all_subs {
         for s in subs {
             if s.kind != "Scan" {
@@ -63,7 +63,7 @@ fn main() -> Result<()> {
         .collect();
     shared.sort_by_key(|s| std::cmp::Reverse(s.node_count));
     let mut selected: Vec<Sig128> = Vec::new();
-    let mut covered: std::collections::HashSet<Sig128> = Default::default();
+    let mut covered: cv_common::HashSet<Sig128> = Default::default();
     for s in shared {
         if covered.contains(&s.strict) {
             continue;

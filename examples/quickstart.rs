@@ -42,7 +42,7 @@ fn main() -> Result<()> {
     let p2 = engine.compile_sql(q2, &Params::none())?;
     let subs1 = engine.subexpressions(&p1)?;
     let subs2 = engine.subexpressions(&p2)?;
-    let sigs2: std::collections::HashSet<_> = subs2.iter().map(|s| s.strict).collect();
+    let sigs2: cv_common::HashSet<_> = subs2.iter().map(|s| s.strict).collect();
     let shared = subs1
         .iter()
         .filter(|s| sigs2.contains(&s.strict) && s.kind != "Scan")

@@ -26,6 +26,7 @@ use cv_common::ids::JobId;
 use cv_common::json::{json, Json, JsonMap, ToJson};
 use cv_common::rng::DetRng;
 use cv_common::SimDay;
+use cv_common::{HashMap, HashSet};
 use cv_engine::engine::QueryEngine;
 use cv_engine::optimizer::{AlwaysGrant, OptimizerConfig, ReuseContext, ViewMeta};
 use cv_obs::Tracer;
@@ -34,7 +35,6 @@ use cv_workload::{
     generate_workload, ivm_stats_json, run_workload, run_workload_service_obs, DriverConfig,
     IvmMode, ServiceConfig, ServiceObs, StoreBackend, TemplateKind, WorkloadConfig,
 };
-use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
 
 #[derive(Clone, Copy, Debug)]
@@ -148,8 +148,8 @@ fn run_sweep(
 
     // Raw data, refreshed on each dataset's own cadence (guid rotation).
     let mut rng = DetRng::seed(7);
-    let mut dataset_ids = HashMap::new();
-    let mut sig_counts: HashMap<Sig128, u32> = HashMap::new();
+    let mut dataset_ids = HashMap::default();
+    let mut sig_counts: HashMap<Sig128, u32> = HashMap::default();
     let mut job_seq = 0u64;
 
     for day_idx in 0..args.days {

@@ -10,7 +10,7 @@
 
 use cv_common::ids::{JobId, VcId};
 use cv_common::rng::DetRng;
-use cv_common::{CvError, Sig128, SimTime};
+use cv_common::{CvError, HashMap, Sig128, SimTime};
 use cv_data::bitmap::Bitmap;
 use cv_data::catalog::DatasetCatalog;
 use cv_data::chunk::DEFAULT_CHUNK_SIZE;
@@ -33,7 +33,6 @@ use cv_engine::plan::{JoinKind, LogicalPlan, PlanBuilder};
 use cv_engine::stats::Statistics;
 use cv_engine::udo::{UdoRegistry, UdoSpec};
 use cv_engine::QueryEngine;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -933,7 +932,7 @@ fn join_algorithms_agree_on_random_tables() {
                  unread: Option<&str>| {
         let tables = || {
             let (left, right) = input();
-            Tables(HashMap::from([(LEFT, left), (RIGHT, right)]))
+            Tables(HashMap::from_iter([(LEFT, left), (RIGHT, right)]))
         };
         let (left, right) = input();
         let on: Vec<(String, String)> =
@@ -1124,7 +1123,7 @@ fn reference_aggregate(
 ) -> Result<Table, String> {
     enum Fold {
         Count(i64),
-        Distinct(std::collections::HashSet<(u8, u64, String)>),
+        Distinct(cv_common::HashSet<(u8, u64, String)>),
         SumInt(Option<i64>),
         SumFloat(Option<f64>),
         Best(Option<Value>, std::cmp::Ordering),
@@ -1145,7 +1144,7 @@ fn reference_aggregate(
             })
             .collect()
     };
-    let mut index: HashMap<Vec<(u8, u64, String)>, usize> = HashMap::new();
+    let mut index: HashMap<Vec<(u8, u64, String)>, usize> = HashMap::default();
     let mut groups: Vec<(Vec<Value>, Vec<Fold>)> = Vec::new();
     if group_by.is_empty() {
         groups.push((Vec::new(), new_folds()));
@@ -1276,7 +1275,7 @@ fn assert_aggregate_matches_fold(
     for &chunk_size in chunk_sizes {
         for workers in [1, 4] {
             let what = format!("{what}, group by {group_by:?}, chunk {chunk_size}, {workers}w");
-            let tables = Tables(HashMap::from([(LEFT, input())]));
+            let tables = Tables(HashMap::from_iter([(LEFT, input())]));
             match (try_run_over(&plan, &tables, chunk_size, workers), &want) {
                 (Ok(out), Ok(want)) => assert_tables_identical(&out.table, want, &what),
                 (Err(e), Err(_)) => {
@@ -1732,7 +1731,7 @@ fn conjunctions_narrow_to_the_reference_selection() {
             ScalarExpr::binary(BinOp::Mod, random_next(), lit(modulus)).not_eq(lit(0_i64))
         };
         let (r3, r5) = (coin(3), coin(5));
-        let sources = Tables(HashMap::from([(LEFT, t.clone())]));
+        let sources = Tables(HashMap::from_iter([(LEFT, t.clone())]));
         for conjuncts in [
             vec![&r3, &a, &b],
             vec![&a, &r3, &b],
@@ -1880,7 +1879,7 @@ fn operators_over_a_window_equal_operators_over_its_compacted_copy() {
         let small = random_table(&mut rng, 90, 0.2);
         let small = Table::new(r_schema.clone(), small.columns().to_vec()).unwrap();
 
-        let (mut windows, mut copies) = (HashMap::new(), HashMap::new());
+        let (mut windows, mut copies) = (HashMap::default(), HashMap::default());
         for (sig, t) in [(LEFT, &base), (LEFT2, &base), (RIGHT, &small)] {
             let (w, c) = random_window(&mut rng, t);
             windows.insert(sig, w);
@@ -2084,7 +2083,7 @@ fn unread_columns_are_never_gathered() {
         ("filter → sort → limit", &filter_sort_limit, &top, vec![all, some, some, some], vec![]),
     ];
 
-    let sources = Tables(HashMap::from([(LEFT, base.clone())]));
+    let sources = Tables(HashMap::from_iter([(LEFT, base.clone())]));
     for (name, plan, want, mut bytes, read) in cases {
         bytes.push(want.byte_size());
         for (chunk_size, workers) in [(usize::MAX, 1), (2048, 1), (64, 2)] {
@@ -2218,7 +2217,7 @@ fn a_dimension_string_is_grouped_without_being_gathered() {
     };
     let out_schema = schema.clone();
 
-    let sources = Tables(HashMap::from([(LEFT, fact), (LEFT2, mid), (RIGHT, far)]));
+    let sources = Tables(HashMap::from_iter([(LEFT, fact), (LEFT2, mid), (RIGHT, far)]));
     for (chunk_size, workers) in [(usize::MAX, 1), (2048, 1), (64, 2)] {
         let what = format!("chunk size {chunk_size}, {workers} worker(s)");
         let out = try_run_with(&plan, &sources, &udos, chunk_size, workers).unwrap();
