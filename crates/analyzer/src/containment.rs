@@ -288,7 +288,7 @@ fn prove_rollup(
                 // Float SUM is refused: re-adding partial sums changes the
                 // floating-point addition order, and the digest gates
                 // require *byte-identical* results, not approximate ones.
-                let arg = cand.arg.as_ref().expect("SUM always has an argument");
+                let arg = cand.arg.as_ref().ok_or_else(missing)?;
                 match arg.dtype(input_schema) {
                     Ok(DataType::Int) => {}
                     Ok(t) => {

@@ -27,6 +27,12 @@
 //! workload templates through the optimizer under several reuse
 //! configurations and prints the aggregate report.
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod checks;
 pub mod containment;
 pub mod diag;

@@ -5,6 +5,9 @@
 //!   (b) job latency, baseline vs CloudViews,
 //!   (c) processing time, baseline vs CloudViews,
 //!   (d) bonus processing time, baseline vs CloudViews.
+//!
+//! Exits 1 when the overall improvement of (b), (c) or (d) is not positive:
+//! the paper reports CloudViews winning all three.
 
 use cv_bench::{improvement_pct, print_series, run_both, two_month_scenario, Series};
 use cv_common::json::{json, JsonMap};
@@ -48,6 +51,7 @@ fn main() {
         ("bonus processing (s)", |m| m.bonus_seconds),
     ];
     let mut results = JsonMap::new();
+    let mut improvements = Vec::new();
     for (panel, (name, field)) in panels.iter().enumerate() {
         let b = Series::cumulative("baseline", &base_daily, field);
         let w = Series::cumulative("with CloudViews", &on_daily, field);
@@ -58,6 +62,7 @@ fn main() {
         );
         let imp = improvement_pct(b.last(), w.last());
         println!("  -> overall improvement: {imp:.2}%");
+        improvements.push((*name, imp));
         results.insert(
             name.to_string(),
             json!({
@@ -73,4 +78,5 @@ fn main() {
 
     results.insert("views_built_total", json!(on.view_store_stats.views_created));
     cv_bench::write_json("fig6_usage", &results);
+    cv_bench::exit_unless_improved("fig6_usage", &improvements);
 }

@@ -79,7 +79,7 @@ use cv_common::SimTime;
 use cv_common::{HashMap, HashSet};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::codes::{encode, Class};
-use cv_data::column::{Column, ColumnData};
+use cv_data::column::{Column, ColumnData, ColumnView};
 use cv_data::schema::{Field, Schema};
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
@@ -668,7 +668,8 @@ fn main() {
         let seg = fact.column(fact.schema().index_of("seg").unwrap());
         let mut shuffled: Vec<usize> = (0..n).collect();
         DetRng::seed(13).shuffle(&mut shuffled);
-        let fresh = || Column::new(ColumnData::Str(seg.strs().to_column()), None);
+        let ColumnView::Str(seg_rows) = seg.view() else { panic!("seg is a string column") };
+        let fresh = || Column::new(ColumnData::Str(seg_rows.to_column()), None);
         let legs: [(&str, f64, &str, &dyn Fn() -> usize); 6] = [
             ("gather_str", n as f64, "rows/sec", &|| seg.take(&shuffled).compact().len()),
             ("str_dict_build", n as f64, "rows/sec", &|| {

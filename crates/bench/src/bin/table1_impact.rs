@@ -10,9 +10,8 @@
 //! data read −38.84%, queuing −12.87%.
 //!
 //! Exits 1 when any of the first six improvements is not positive, that is
-//! when CloudViews no longer wins a row the paper reports it winning. The
-//! numbers are simulated time and counts, so the exit code is the same on
-//! every host. Queueing is reported only: the simulator reads 0.00 % there.
+//! when CloudViews no longer wins a row the paper reports it winning.
+//! Queueing is reported only: the simulator reads 0.00 % there.
 
 use cv_bench::{print_kv_table, run_both, two_month_scenario};
 use cv_common::json::json;
@@ -59,21 +58,15 @@ fn main() {
         }),
     );
 
-    let directions = [
-        ("latency", summary.latency.improvement_pct()),
-        ("processing", summary.processing.improvement_pct()),
-        ("bonus", summary.bonus_processing.improvement_pct()),
-        ("containers", summary.containers.improvement_pct()),
-        ("input size", summary.input_size.improvement_pct()),
-        ("data read", summary.data_read.improvement_pct()),
-    ];
-    let lost: Vec<String> = directions
-        .iter()
-        .filter(|(_, pct)| pct.is_nan() || *pct <= 0.0)
-        .map(|(row, pct)| format!("{row} {pct:.2}%"))
-        .collect();
-    if !lost.is_empty() {
-        eprintln!("table1_impact: CloudViews no longer improves {}", lost.join(", "));
-        std::process::exit(1);
-    }
+    cv_bench::exit_unless_improved(
+        "table1_impact",
+        &[
+            ("latency", summary.latency.improvement_pct()),
+            ("processing", summary.processing.improvement_pct()),
+            ("bonus", summary.bonus_processing.improvement_pct()),
+            ("containers", summary.containers.improvement_pct()),
+            ("input size", summary.input_size.improvement_pct()),
+            ("data read", summary.data_read.improvement_pct()),
+        ],
+    );
 }

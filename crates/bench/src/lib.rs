@@ -160,6 +160,21 @@ pub fn improvement_pct(base: f64, with: f64) -> f64 {
     }
 }
 
+/// Exit 1, naming the rows, when an improvement the paper reports is not
+/// positive (≤ 0 or NaN): CloudViews no longer wins that row. The figures are
+/// simulated time and counts, so the exit code is the same on every host.
+pub fn exit_unless_improved(bin: &str, rows: &[(&str, f64)]) {
+    let lost: Vec<String> = rows
+        .iter()
+        .filter(|(_, pct)| pct.is_nan() || *pct <= 0.0)
+        .map(|(row, pct)| format!("{row} {pct:.2}%"))
+        .collect();
+    if !lost.is_empty() {
+        eprintln!("{bin}: CloudViews no longer improves {}", lost.join(", "));
+        std::process::exit(1);
+    }
+}
+
 /// Write a JSON artifact under `target/experiments/<name>.json`.
 pub fn write_json(name: &str, value: &impl ToJson) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");

@@ -16,6 +16,12 @@
 //!   the producing job finishes (§2.3);
 //! * optional failure injection for the checkpoint/restart extension (§5.6).
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod metrics;
 pub mod sim;
 pub mod stage;

@@ -186,11 +186,10 @@ impl StableHasher {
 
     fn write_bytes_inner(&mut self, bytes: &[u8]) {
         self.absorb(bytes.len() as u64);
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.absorb(u64::from_le_bytes(c.try_into().expect("chunk of 8")));
+        let (chunks, rem) = bytes.as_chunks::<8>();
+        for &c in chunks {
+            self.absorb(u64::from_le_bytes(c));
         }
-        let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut buf = [0u8; 8];
             buf[..rem.len()].copy_from_slice(rem);

@@ -12,7 +12,7 @@
 //! replay path (paper §4 debugging) relies on.
 
 use crate::error::{CvError, Result};
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// An ordered JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -111,38 +111,32 @@ impl Json {
         self.as_obj().and_then(|m| m.get(key))
     }
 
-    /// Compact single-line rendering.
+    /// Compact single-line rendering (the `Display` form).
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        self.to_string()
     }
 
-    /// Pretty rendering with two-space indentation.
+    /// Pretty rendering with two-space indentation (the alternate `{:#}`
+    /// `Display` form).
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        format!("{self:#}")
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, out: &mut impl Write, indent: Option<usize>, depth: usize) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                items[i].write(out, indent, depth + 1);
+                items[i].write(out, indent, depth + 1)
             }),
             Json::Obj(map) => {
                 write_seq(out, indent, depth, '{', '}', map.entries.len(), |out, i| {
                     let (k, v) = &map.entries[i];
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
+                    write_escaped(out, k)?;
+                    out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    v.write(out, indent, depth + 1)
                 })
             }
         }
@@ -162,65 +156,59 @@ impl Json {
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+fn write_number(out: &mut impl Write, n: f64) -> fmt::Result {
     if !n.is_finite() {
         // JSON has no NaN/Inf; null is the conventional substitute.
-        out.push_str("null");
+        out.write_str("null")
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        fmt::Write::write_fmt(out, format_args!("{}", n as i64)).expect("write to String");
+        write!(out, "{}", n as i64)
     } else {
-        fmt::Write::write_fmt(out, format_args!("{n}")).expect("write to String");
+        write!(out, "{n}")
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+fn write_escaped(out: &mut impl Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32))
-                    .expect("write to String");
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
-fn write_seq(
-    out: &mut String,
+fn write_seq<W: Write>(
+    out: &mut W,
     indent: Option<usize>,
     depth: usize,
     open: char,
     close: char,
     len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
+    mut item: impl FnMut(&mut W, usize) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(open)?;
     if len == 0 {
-        out.push(close);
-        return;
+        return out.write_char(close);
     }
     for i in 0..len {
         if i > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
         if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (depth + 1)));
+            write!(out, "\n{:1$}", "", w * (depth + 1))?;
         }
-        item(out, i);
+        item(out, i)?;
     }
     if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
+        write!(out, "\n{:1$}", "", w * depth)?;
     }
-    out.push(close);
+    out.write_char(close)
 }
 
 struct Parser<'a> {
@@ -378,7 +366,7 @@ impl<'a> Parser<'a> {
                     let rest = &self.bytes[self.pos..];
                     let s = std::str::from_utf8(rest)
                         .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty");
+                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -394,7 +382,8 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("invalid number"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(&format!("invalid number `{text}`")))
@@ -402,8 +391,9 @@ impl<'a> Parser<'a> {
 }
 
 impl fmt::Display for Json {
+    /// Compact, or pretty with two-space indentation under `{:#}`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string_compact())
+        self.write(f, f.alternate().then_some(2), 0)
     }
 }
 

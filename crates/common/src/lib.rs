@@ -15,6 +15,12 @@
 //! * a seeded deterministic fault-injection registry ([`faults`]),
 //! * the workspace error type ([`error`]).
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod error;
 pub mod faults;
 pub mod hash;

@@ -175,7 +175,9 @@ impl ZipfSampler {
 
     pub fn sample(&self, rng: &mut DetRng) -> usize {
         let u = rng.next_f64();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).expect("no NaN")) {
+        // The CDF and `u` are non-negative and never NaN: the total order is
+        // the numeric one.
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }

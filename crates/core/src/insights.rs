@@ -16,7 +16,7 @@ use cv_common::{SimDuration, SimTime};
 use cv_engine::optimizer::{BuildCoordinator, ReuseContext, SemanticGrant, ViewMeta};
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::SubexprInfo;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Compile-time record of one sealed, live view.
 #[derive(Clone, Debug)]
@@ -181,17 +181,17 @@ impl InsightsService {
 
     /// Release a creation lock without sealing (job failed / lock timeout).
     pub fn release_lock(&self, sig: Sig128) {
-        self.locks.lock().expect("lock poisoned").remove(&sig);
+        self.locks.lock().unwrap_or_else(PoisonError::into_inner).remove(&sig);
     }
 
     pub fn is_locked(&self, sig: Sig128) -> bool {
-        self.locks.lock().expect("lock poisoned").contains(&sig)
+        self.locks.lock().unwrap_or_else(PoisonError::into_inner).contains(&sig)
     }
 
     /// The job manager reports a sealed view (early sealing): release the
     /// lock, register availability with its observed statistics.
     pub fn report_sealed(&mut self, info: ViewInfo, job: JobId) {
-        self.locks.lock().expect("lock poisoned").remove(&info.strict);
+        self.locks.lock().unwrap_or_else(PoisonError::into_inner).remove(&info.strict);
         if self.quarantined.contains(&info.strict) {
             return; // never re-register a quarantined signature
         }
@@ -276,7 +276,7 @@ pub struct ServiceLocker<'a> {
 
 impl BuildCoordinator for ServiceLocker<'_> {
     fn try_acquire(&mut self, sig: Sig128) -> bool {
-        self.svc.locks.lock().expect("lock poisoned").insert(sig)
+        self.svc.locks.lock().unwrap_or_else(PoisonError::into_inner).insert(sig)
     }
 }
 

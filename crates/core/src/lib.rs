@@ -21,6 +21,12 @@
 //! 6. **Measurement** — [`impact`] reproduces both the paper's headline
 //!    comparisons (Table 1, Figs. 6–7) and its §4 p75-baseline methodology.
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod annotations;
 pub mod candidates;
 pub mod concurrent;

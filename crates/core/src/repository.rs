@@ -110,12 +110,11 @@ impl SubexpressionRepo {
     ) {
         let total_nodes = subexprs.iter().find(|s| s.is_root).map(|s| s.node_count);
         let aligned = match (profiles, total_nodes) {
-            (Some(p), Some(n)) => p.len() == n && subexprs.len() == n,
-            _ => false,
+            (Some(p), Some(n)) if p.len() == n && subexprs.len() == n => Some(p),
+            _ => None,
         };
         for (i, sub) in subexprs.iter().enumerate() {
-            let (rows, bytes, subtree_work, physical_kind) = if aligned {
-                let profiles = profiles.expect("aligned implies Some");
+            let (rows, bytes, subtree_work, physical_kind) = if let Some(profiles) = aligned {
                 let start = i + 1 - sub.node_count;
                 let work: f64 = profiles[start..=i].iter().map(|p| p.work).sum();
                 (

@@ -66,14 +66,15 @@ impl Bitmap {
         }
         let word = if n < 64 { word & ((1 << n) - 1) } else { word };
         let shift = self.len % 64;
-        if shift == 0 {
-            self.words.push(word);
-        } else {
-            *self.words.last_mut().expect("a partial word exists when len % 64 != 0") |=
-                word << shift;
-            if shift + n > 64 {
-                self.words.push(word >> (64 - shift));
+        match self.words.last_mut() {
+            // The last word is partial: fill it, then spill the rest.
+            Some(last) if shift != 0 => {
+                *last |= word << shift;
+                if shift + n > 64 {
+                    self.words.push(word >> (64 - shift));
+                }
             }
+            _ => self.words.push(word),
         }
         self.len += n;
     }

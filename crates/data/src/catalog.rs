@@ -32,7 +32,10 @@ pub struct Dataset {
     pub id: DatasetId,
     pub name: String,
     pub schema: SchemaRef,
-    versions: Vec<DatasetVersion>,
+    /// The generation `data` holds.
+    current: DatasetVersion,
+    /// Every earlier generation, oldest first.
+    superseded: Vec<DatasetVersion>,
     data: Table,
     /// Previous generation's full contents, retained only while the delta
     /// chain is unbroken (i.e. the latest update was delta-producing).
@@ -44,15 +47,33 @@ pub struct Dataset {
 
 impl Dataset {
     pub fn current_version(&self) -> &DatasetVersion {
-        self.versions.last().expect("dataset always has ≥1 version")
+        &self.current
     }
 
     pub fn current_guid(&self) -> VersionGuid {
         self.current_version().guid
     }
 
-    pub fn versions(&self) -> &[DatasetVersion] {
-        &self.versions
+    /// Every generation, oldest first; the last is the current one.
+    pub fn versions(&self) -> impl Iterator<Item = &DatasetVersion> {
+        self.superseded.iter().chain([&self.current])
+    }
+
+    /// Mint the next generation over the contents now in `data` and make it
+    /// current.
+    fn next_version(&mut self, now: SimTime) -> VersionGuid {
+        let generation = self.current.generation + 1;
+        let version = DatasetVersion {
+            guid: VersionGuid::derive(self.id, generation),
+            generation,
+            created: now,
+            rows: self.data.num_rows(),
+            bytes: self.data.byte_size(),
+            forgotten: false,
+        };
+        let guid = version.guid;
+        self.superseded.push(std::mem::replace(&mut self.current, version));
+        guid
     }
 
     pub fn data(&self) -> &Table {
@@ -134,7 +155,8 @@ impl DatasetCatalog {
             id,
             name,
             schema: data.schema().clone(),
-            versions: vec![version],
+            current: version,
+            superseded: Vec::new(),
             data,
             prev: None,
             last_delta: None,
@@ -188,23 +210,12 @@ impl DatasetCatalog {
                 data.schema()
             )));
         }
-        let generation = ds.current_version().generation + 1;
-        let version = DatasetVersion {
-            guid: VersionGuid::derive(id, generation),
-            generation,
-            created: now,
-            rows: data.num_rows(),
-            bytes: data.byte_size(),
-            forgotten: false,
-        };
         // A plain regeneration carries no change feed: the delta chain is
         // broken and IVM must fall back to full rebuilds over this input.
         ds.prev = None;
         ds.last_delta = None;
         ds.data = data;
-        let guid = version.guid;
-        ds.versions.push(version);
-        Ok(guid)
+        Ok(ds.next_version(now))
     }
 
     /// Delta-producing bulk update: like [`Self::bulk_update`], but records
@@ -254,20 +265,9 @@ impl DatasetCatalog {
         }
         let old_guid = ds.current_guid();
         let old_data = std::mem::replace(&mut ds.data, data);
-        let generation = ds.current_version().generation + 1;
-        let version = DatasetVersion {
-            guid: VersionGuid::derive(id, generation),
-            generation,
-            created: now,
-            rows: ds.data.num_rows(),
-            bytes: ds.data.byte_size(),
-            forgotten: false,
-        };
         ds.prev = Some((old_guid, old_data));
         ds.last_delta = Some(delta);
-        let guid = version.guid;
-        ds.versions.push(version);
-        Ok(guid)
+        Ok(ds.next_version(now))
     }
 
     /// Delta-producing bulk update for producers that only have the new
@@ -319,25 +319,13 @@ impl DatasetCatalog {
             (0..ds.data.num_rows()).filter(|&i| col.value(i).sql_eq(key) != Some(true)).collect();
         let removed = ds.data.num_rows() - keep.len();
         let new_data = if removed == 0 { ds.data.clone() } else { ds.data.gather(keep) };
-        if let Some(last) = ds.versions.last_mut() {
-            last.forgotten = true;
-        }
-        let generation = ds.current_version().generation + 1;
-        let version = DatasetVersion {
-            guid: VersionGuid::derive(id, generation),
-            generation,
-            created: now,
-            rows: new_data.num_rows(),
-            bytes: new_data.byte_size(),
-            forgotten: false,
-        };
+        ds.current.forgotten = true;
         // GDPR rotations break the delta chain on purpose: the retired
         // snapshot must not survive as anybody's maintenance base.
         ds.prev = None;
         ds.last_delta = None;
         ds.data = new_data;
-        let new_guid = version.guid;
-        ds.versions.push(version);
+        let new_guid = ds.next_version(now);
         Ok(GdprOutcome { rows_removed: removed, old_guid, new_guid })
     }
 
@@ -400,7 +388,7 @@ mod tests {
         assert_ne!(g0, g1);
         let ds = cat.get(id).unwrap();
         assert_eq!(ds.rows(), 3);
-        assert_eq!(ds.versions().len(), 2);
+        assert_eq!(ds.versions().count(), 2);
         assert_eq!(ds.current_version().generation, 1);
     }
 
@@ -425,7 +413,7 @@ mod tests {
         let ds = cat.get(id).unwrap();
         assert_eq!(ds.rows(), 2);
         // Old version is flagged as forgotten.
-        assert!(ds.versions()[0].forgotten);
+        assert!(ds.versions().next().unwrap().forgotten);
         assert!(!ds.current_version().forgotten);
     }
 
@@ -491,7 +479,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), "constraint");
         // A failed update must not have advanced the version chain.
-        assert_eq!(cat.get(id).unwrap().versions().len(), 1);
+        assert_eq!(cat.get(id).unwrap().versions().count(), 1);
     }
 
     #[test]

@@ -57,9 +57,9 @@ impl ColumnData {
 
 /// Borrowed typed rows of a column, exactly its window: `view[i]` is row
 /// `i` of the column whatever the backing buffer holds before or after it.
-/// Every operator and kernel reads columns through this (or the typed
-/// accessors built on it), never through the buffer.
-#[derive(Clone, Copy, Debug)]
+/// Every operator and kernel reads columns through this, never through the
+/// buffer, and matches on the type it expects.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ColumnView<'a> {
     Bool(&'a [bool]),
     Int(&'a [i64]),
@@ -191,15 +191,14 @@ impl Deferred {
         self.forced.get().is_none()
     }
 
-    /// What [`Column::byte_size`] counts for string rows, read off the
-    /// source: a pad is the empty string.
-    fn str_bytes(&self, ids: &[usize]) -> u64 {
-        let ColumnData::Str(source) = &*self.source else {
-            unreachable!("string rows gather from a string buffer")
-        };
+    /// The text bytes of the rows of `window`, read off the source through
+    /// their ids: a pad is the empty string, and a row of any other type has
+    /// no text.
+    fn text_len(&self, window: Range<usize>) -> u64 {
+        let ColumnData::Str(source) = &*self.source else { return 0 };
         let len =
             |&i: &usize| if i == PAD { 0 } else { source.view().len_of(self.base + i) as u64 };
-        ids.iter().map(len).sum::<u64>() + 4 * ids.len() as u64
+        self.ids.of(window).iter().map(len).sum()
     }
 }
 
@@ -438,43 +437,6 @@ impl Column {
         }
     }
 
-    /// Typed accessors used by the vectorized kernels; panic on type
-    /// mismatch (the planner guarantees types line up).
-    pub fn ints(&self) -> &[i64] {
-        match self.view() {
-            ColumnView::Int(v) => v,
-            _ => panic!("expected INT column, got {}", self.dtype()),
-        }
-    }
-
-    pub fn floats(&self) -> &[f64] {
-        match self.view() {
-            ColumnView::Float(v) => v,
-            _ => panic!("expected FLOAT column, got {}", self.dtype()),
-        }
-    }
-
-    pub fn bools(&self) -> &[bool] {
-        match self.view() {
-            ColumnView::Bool(v) => v,
-            _ => panic!("expected BOOL column, got {}", self.dtype()),
-        }
-    }
-
-    pub fn strs(&self) -> StrView<'_> {
-        match self.view() {
-            ColumnView::Str(v) => v,
-            _ => panic!("expected STRING column, got {}", self.dtype()),
-        }
-    }
-
-    pub fn dates(&self) -> &[i32] {
-        match self.view() {
-            ColumnView::Date(v) => v,
-            _ => panic!("expected DATE column, got {}", self.dtype()),
-        }
-    }
-
     /// Rows by index (indices may repeat or reorder), deferred: see the type
     /// docs. [`Gather`] is the same for several columns at once.
     pub fn take(&self, indices: &[usize]) -> Column {
@@ -530,17 +492,14 @@ impl Column {
             return Ok(first.clone().normalize_validity());
         }
         let dtype = first.dtype();
-        if let Some(bad) = parts.iter().find(|p| p.dtype() != dtype) {
-            return Err(CvError::exec(format!("cannot concat {} with {}", dtype, bad.dtype())));
-        }
+        let mismatch =
+            |p: &Column| CvError::exec(format!("cannot concat {dtype} with {}", p.dtype()));
         let total: usize = parts.iter().map(Column::len).sum();
         macro_rules! splice {
             ($variant:ident) => {{
                 let mut buf = Vec::with_capacity(total);
                 for p in parts {
-                    let ColumnView::$variant(v) = p.view() else {
-                        unreachable!("dtype equality checked above")
-                    };
+                    let ColumnView::$variant(v) = p.view() else { return Err(mismatch(p)) };
                     buf.extend_from_slice(v);
                 }
                 ColumnData::$variant(buf)
@@ -551,7 +510,13 @@ impl Column {
             DataType::Int => splice!(Int),
             DataType::Float => splice!(Float),
             DataType::Str => {
-                let views: Vec<StrView<'_>> = parts.iter().map(Column::strs).collect();
+                let views = parts
+                    .iter()
+                    .map(|p| match p.view() {
+                        ColumnView::Str(v) => Ok(v),
+                        _ => Err(mismatch(p)),
+                    })
+                    .collect::<Result<Vec<StrView<'_>>>>()?;
                 let bytes = views.iter().map(StrView::text_len).sum();
                 let mut buf = StrColumn::with_capacity(total, bytes);
                 views.into_iter().for_each(|v| buf.extend_from_view(v));
@@ -591,19 +556,20 @@ impl Column {
     /// a function of the rows, not of whether they have been gathered: a
     /// deferred string column is sized through its row ids.
     pub fn byte_size(&self) -> u64 {
-        let n = self.len as u64;
-        let base = match self.dtype() {
-            DataType::Bool => n,
-            DataType::Int | DataType::Float => n * 8,
-            DataType::Date => n * 4,
-            DataType::Str => match &self.rows {
-                Rows::Deferred(node) if node.unread() => {
-                    node.str_bytes(&node.ids.of(self.window()))
-                }
-                _ => self.strs().text_len() as u64 + 4 * n,
+        // A string row is its text and a 4-byte offset.
+        let width = match self.dtype() {
+            DataType::Bool => 1,
+            DataType::Int | DataType::Float => 8,
+            DataType::Date | DataType::Str => 4,
+        };
+        let text = match &self.rows {
+            Rows::Deferred(node) if node.unread() => node.text_len(self.window()),
+            _ => match self.view() {
+                ColumnView::Str(v) => v.text_len() as u64,
+                _ => 0,
             },
         };
-        base + self.validity.as_ref().map_or(0, |v| v.len() as u64 / 8)
+        self.len as u64 * width + text + self.validity.as_ref().map_or(0, |v| v.len() as u64 / 8)
     }
 }
 
@@ -800,7 +766,7 @@ mod tests {
     fn int_coerces_to_float() {
         let c = Column::from_values(DataType::Float, &[Value::Int(2), Value::Float(0.5)]).unwrap();
         assert_eq!(c.value(0), Value::Float(2.0));
-        assert_eq!(c.floats(), &[2.0, 0.5]);
+        assert_eq!(c.view(), ColumnView::Float(&[2.0, 0.5]));
     }
 
     #[test]
@@ -827,7 +793,7 @@ mod tests {
         assert_eq!(ids, [PAD, 1, 0], "the window's ids");
         assert!(matches!(source, ColumnView::Int([10, _, 30])));
         // Once some reader has gathered it there is nothing left to read through.
-        assert_eq!(t.ints(), [0, 0, 10]);
+        assert_eq!(t.view(), ColumnView::Int(&[0, 0, 10]));
         assert!(t.unread_gather().is_none());
         assert_eq!(t.value(2), Value::Int(10));
     }
@@ -847,7 +813,10 @@ mod tests {
             },
             Rows::Buffer(_) => panic!("a take is deferred"),
         };
-        let strings = |c: &Column| c.strs().iter().map(str::to_string).collect::<Vec<_>>();
+        let strings = |c: &Column| match c.view() {
+            ColumnView::Str(v) => v.iter().map(str::to_string).collect::<Vec<_>>(),
+            other => panic!("a string column read as {other:?}"),
+        };
 
         // A window's cells, its size and its compacted copy: its own ids only.
         let t = taken();
@@ -947,15 +916,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.value(0), Value::Str("asia".into()));
-        assert_eq!(&c.strs()[2], "emea");
+        assert!(matches!(c.view(), ColumnView::Str(v) if &v[2] == "emea"));
         assert!(c.byte_size() > 0);
     }
 
     #[test]
-    fn typed_accessor_panics_on_wrong_type() {
-        let c = int_col(&[Some(1)]);
-        let res = std::panic::catch_unwind(|| c.floats().len());
-        assert!(res.is_err());
+    fn a_mismatched_read_is_an_error() {
+        let ints = int_col(&[Some(1)]);
+        let floats = Column::from_values(DataType::Float, &[Value::Float(0.5)]).unwrap();
+        let strs = Column::from_values(DataType::Str, &[Value::Str("x".into())]).unwrap();
+        for (parts, msg) in [
+            ([ints.clone(), floats], "cannot concat INT with FLOAT"),
+            ([strs, ints], "cannot concat STRING with INT"),
+        ] {
+            let err = Column::concat_many(&parts).unwrap_err();
+            assert_eq!((err.kind(), err.to_string().contains(msg)), ("execution", true), "{err}");
+        }
     }
 
     #[test]
@@ -963,7 +939,7 @@ mod tests {
         let c = int_col(&(0..1000).map(Some).collect::<Vec<_>>());
         let d = c.clone();
         assert!(c.ptr_eq(&d));
-        assert_eq!(d.ints(), c.ints());
+        assert_eq!(d.view(), c.view());
     }
 
     #[test]

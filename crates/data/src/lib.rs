@@ -15,6 +15,12 @@
 //!   across threads as a [`sharded::StripedViewStore`] behind the
 //!   [`store_api::SharedViewStore`] seam.
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod bitmap;
 pub mod catalog;
 pub mod chunk;

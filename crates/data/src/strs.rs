@@ -388,7 +388,7 @@ mod tests {
         let compact = col.clone().compact();
         assert!(compact.is_compact(), "{what}: compact");
         for c in [col, &compact] {
-            let v = c.strs();
+            let ColumnView::Str(v) = c.view() else { panic!("{what}: not a string column") };
             assert_eq!(v.len(), rows, "{what}: view rows");
             assert!(v.iter().eq(model.text.iter().map(String::as_str)), "{what}: view");
             assert_eq!(v.text_len(), text, "{what}: text bytes");
@@ -439,7 +439,7 @@ mod tests {
                         // Half the time the input is read first: a gather of a
                         // gathered column, not of an unread one.
                         if rng.chance(0.5) {
-                            col.strs();
+                            col.view();
                         }
                         col = if padded { col.take_padded(&ids) } else { col.take(&ids) };
                         model = model.gather(&ids);
@@ -526,7 +526,7 @@ mod tests {
         }
         // Once read, a gather is a buffer of its own, with a dictionary of its own.
         let read = &gathers[0];
-        read.strs();
+        read.view();
         assert!(buffer(read) != buffer(&base) && built(read).is_none());
 
         let mut clone = base.str_rows().unwrap().0.clone();
@@ -536,6 +536,7 @@ mod tests {
         assert_eq!(clone.dictionary().ids(), [0, 1, 2, 0, 3, 0]);
         assert!(built(&base).is_some(), "the push dropped the source's");
         let coded = base.str_rows().unwrap().0;
-        assert_eq!(*coded, base.strs().to_column(), "equality ignores the dictionary");
+        let ColumnView::Str(rows) = base.view() else { panic!("not a string column") };
+        assert_eq!(*coded, rows.to_column(), "equality ignores the dictionary");
     }
 }

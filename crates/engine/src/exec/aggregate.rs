@@ -173,7 +173,9 @@ impl<'a> Accumulator<'a> {
         match self {
             Accumulator::Count(counts) => for_each_valid(col, |i| counts[gid(i)] += 1),
             Accumulator::SumInt { totals, any } => {
-                let v = col.ints();
+                let ColumnView::Int(v) = col.view() else {
+                    return Err(CvError::exec(format!("SUM(INT) over a {} column", col.dtype())));
+                };
                 let mut overflow = false;
                 for_each_valid(col, |i| {
                     let total = &mut totals[gid(i)];
@@ -361,9 +363,7 @@ pub(super) fn hash_aggregate(
         morsel::run_indexed(ctx.runner.as_ref(), out_ranges.len(), &|i| {
             let (off, len) = out_ranges[i];
             emit(off, len)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?
+        })?
     };
     let out = Table::from_chunks(schema.clone(), &out_chunks)?;
     Ok((out, ranges.len() + out_ranges.len() - 1))

@@ -311,8 +311,6 @@ fn map_chunks<T: Send>(
         let (off, len) = ranges[i];
         f(&input.slice(off, len), &mut base_eval.clone())
     })
-    .into_iter()
-    .collect()
 }
 
 /// The `keep` of a node whose parent reads every row of it.

@@ -10,7 +10,8 @@
 //! parallelize chunks whose expressions are deterministic (nondeterministic
 //! chains keep the shared row-order evaluation state).
 
-use std::sync::Mutex;
+use cv_common::{CvError, Result};
+use std::sync::{Mutex, PoisonError};
 
 /// Executes `tasks` independent closures, each identified by its index.
 /// Implementations may run them in any order, on any threads, but must run
@@ -31,23 +32,25 @@ impl MorselRunner for SerialRunner {
 }
 
 /// Fan `n` tasks out through the runner and collect each task's result in
-/// its slot, preserving chunk order regardless of execution order.
+/// its slot, preserving chunk order regardless of execution order. The first
+/// failed task's error (in chunk order) is the result.
 pub fn run_indexed<T: Send>(
     runner: &dyn MorselRunner,
     n: usize,
-    f: &(dyn Fn(usize) -> T + Sync),
-) -> Vec<T> {
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    f: &(dyn Fn(usize) -> Result<T> + Sync),
+) -> Result<Vec<T>> {
+    let slots: Vec<Mutex<Option<Result<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     runner.run(n, &|i| {
         let out = f(i);
-        *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
     });
     slots
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("morsel runner skipped a task")
+        .enumerate()
+        .map(|(i, m)| {
+            m.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or_else(|| {
+                Err(CvError::internal(format!("morsel runner skipped task {i} of {n}")))
+            })
         })
         .collect()
 }
@@ -65,13 +68,13 @@ mod tests {
 
     #[test]
     fn run_indexed_collects_by_slot() {
-        let out = run_indexed(&SerialRunner, 4, &|i| i * 10);
+        let out = run_indexed(&SerialRunner, 4, &|i| Ok(i * 10)).unwrap();
         assert_eq!(out, vec![0, 10, 20, 30]);
     }
 
     #[test]
     fn run_indexed_zero_tasks() {
-        let out: Vec<usize> = run_indexed(&SerialRunner, 0, &|i| i);
+        let out: Vec<usize> = run_indexed(&SerialRunner, 0, &Ok).unwrap();
         assert!(out.is_empty());
     }
 }

@@ -20,7 +20,7 @@ use super::kernels::{self, Operand};
 use super::{BinOp, FuncKind, ScalarExpr, UnOp};
 use cv_common::hash::StableHasher;
 use cv_common::{CvError, Result};
-use cv_data::column::Column;
+use cv_data::column::{Column, ColumnView};
 use cv_data::table::Table;
 use cv_data::value::{date_parts, DataType, Value};
 use std::sync::OnceLock;
@@ -179,10 +179,10 @@ pub fn select(
         }
     }
     let c = eval(expr, table, ctx)?;
-    if c.dtype() != DataType::Bool {
+    let ColumnView::Bool(verdicts) = c.view() else {
         return Err(CvError::exec(format!("predicate must be BOOL, got {}", c.dtype())));
-    }
-    let (verdicts, validity) = (c.bools(), c.validity());
+    };
+    let validity = c.validity();
     let selected = |i: &usize| verdicts[*i] && validity.is_none_or(|v| v.get(*i));
     Ok(match within {
         Some(ids) => ids.iter().copied().filter(selected).collect(),

@@ -97,17 +97,17 @@ pub fn fold(expr: &ScalarExpr) -> ScalarExpr {
         }
         ScalarExpr::Func { func, args } => {
             let folded_args: Vec<ScalarExpr> = args.iter().map(fold).collect();
-            if func.is_deterministic()
-                && folded_args.iter().all(|a| matches!(a, ScalarExpr::Literal(_)))
-            {
-                let vals: Vec<Value> = folded_args
+            if func.is_deterministic() {
+                let literals: Option<Vec<Value>> = folded_args
                     .iter()
                     .map(|a| match a {
-                        ScalarExpr::Literal(v) => v.clone(),
-                        _ => unreachable!(),
+                        ScalarExpr::Literal(v) => Some(v.clone()),
+                        _ => None,
                     })
                     .collect();
-                if let Ok(v) = func_value(*func, &vals, &mut EvalCtx::default()) {
+                if let Some(Ok(v)) =
+                    literals.map(|vals| func_value(*func, &vals, &mut EvalCtx::default()))
+                {
                     return ScalarExpr::Literal(v);
                 }
             }
@@ -167,9 +167,11 @@ pub fn canonicalize(expr: &ScalarExpr) -> ScalarExpr {
                 .collect();
             terms.sort_by_key(|(key, _)| *key);
             terms.dedup_by(|a, b| a.1 == b.1); // a AND a → a
-            let mut it = terms.into_iter().map(|(_, t)| t);
-            let first = it.next().expect("chain has at least one term");
-            it.fold(first, |acc, t| ScalarExpr::binary(*op, acc, t))
+            terms
+                .into_iter()
+                .map(|(_, t)| t)
+                .reduce(|acc, t| ScalarExpr::binary(*op, acc, t))
+                .unwrap_or_else(|| expr.clone()) // never taken: a chain has a term
         }
         ScalarExpr::Binary { op, left, right } => {
             let l = canonicalize(left);

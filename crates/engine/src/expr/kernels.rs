@@ -841,7 +841,7 @@ mod tests {
     use cv_data::bitmap::Bitmap;
     use cv_data::chunk::chunk_ranges;
     use cv_data::codes::code_strs;
-    use cv_data::column::{Column, ColumnData, PAD};
+    use cv_data::column::{Column, ColumnData, ColumnView, PAD};
     use cv_data::schema::{Field, Schema};
     use cv_data::table::Table;
     use cv_data::value::{DataType, Value};
@@ -976,7 +976,7 @@ mod tests {
                         .collect();
                     let read = rng.chance(0.3);
                     if read {
-                        col.strs();
+                        col.view();
                     }
                     let pick = |&i: &usize| match i {
                         PAD => (String::new(), false),
@@ -998,7 +998,8 @@ mod tests {
     fn per_row_coder(chunks: &[&Column]) -> (Vec<u32>, usize, Vec<String>) {
         let (mut codes, mut seen, mut strs) = (Vec::new(), HashMap::default(), Vec::new());
         for col in chunks {
-            let cells = col.strs().iter().enumerate();
+            let ColumnView::Str(cells) = col.view() else { panic!("not a string column") };
+            let cells = cells.iter().enumerate();
             codes.extend(cells.map(|(i, s)| match col.is_null(i) {
                 true => 0,
                 false => *seen.entry(s.to_string()).or_insert_with(|| {

@@ -417,9 +417,6 @@ impl ScalarExpr {
                 }
             }
             ScalarExpr::Case { branches, else_expr } => {
-                if branches.is_empty() {
-                    return Err(CvError::plan("CASE requires at least one WHEN branch"));
-                }
                 let mut result_t: Option<DataType> = None;
                 for (when, then) in branches {
                     if when.dtype(schema)? != DataType::Bool {
@@ -428,11 +425,13 @@ impl ScalarExpr {
                     let t = then.dtype(schema)?;
                     result_t = Some(unify(result_t, t)?);
                 }
-                if let Some(e) = else_expr {
-                    let t = e.dtype(schema)?;
-                    result_t = Some(unify(result_t, t)?);
+                let Some(result_t) = result_t else {
+                    return Err(CvError::plan("CASE requires at least one WHEN branch"));
+                };
+                match else_expr {
+                    Some(e) => unify(Some(result_t), e.dtype(schema)?),
+                    None => Ok(result_t),
                 }
-                Ok(result_t.expect("nonempty branches"))
             }
             ScalarExpr::Cast { expr, dtype } => {
                 expr.dtype(schema)?;

@@ -26,6 +26,12 @@
 //! * [`engine`] — the `QueryEngine` facade tying catalog, view store and
 //!   optimizer together.
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod containment;
 pub mod cost;
 pub mod engine;

@@ -182,53 +182,68 @@ impl LogicalPlan {
     }
 
     /// Rebuild this node with new children (same arity required).
-    pub fn with_children(&self, mut children: Vec<Arc<LogicalPlan>>) -> Result<LogicalPlan> {
-        let expect = self.children().len();
-        if children.len() != expect {
-            return Err(CvError::plan(format!(
-                "with_children on {} node: expected {expect} child plan{}, got {} — \
-                 a plan rewrite changed operator arity",
-                self.kind_name(),
-                if expect == 1 { "" } else { "s" },
-                children.len()
-            )));
-        }
+    pub fn with_children(&self, children: Vec<Arc<LogicalPlan>>) -> Result<LogicalPlan> {
         Ok(match self {
-            LogicalPlan::Scan { .. } | LogicalPlan::ViewScan { .. } => self.clone(),
-            LogicalPlan::Filter { predicate, .. } => LogicalPlan::Filter {
-                predicate: predicate.clone(),
-                input: children.pop().expect("one child"),
-            },
-            LogicalPlan::Project { exprs, .. } => LogicalPlan::Project {
-                exprs: exprs.clone(),
-                input: children.pop().expect("one child"),
-            },
+            LogicalPlan::Scan { .. } | LogicalPlan::ViewScan { .. } => {
+                let [] = self.arity(children)?;
+                self.clone()
+            }
+            LogicalPlan::Filter { predicate, .. } => {
+                let [input] = self.arity(children)?;
+                LogicalPlan::Filter { predicate: predicate.clone(), input }
+            }
+            LogicalPlan::Project { exprs, .. } => {
+                let [input] = self.arity(children)?;
+                LogicalPlan::Project { exprs: exprs.clone(), input }
+            }
             LogicalPlan::Join { on, kind, .. } => {
-                let right = children.pop().expect("two children");
-                let left = children.pop().expect("two children");
+                let [left, right] = self.arity(children)?;
                 LogicalPlan::Join { left, right, on: on.clone(), kind: *kind }
             }
-            LogicalPlan::Aggregate { group_by, aggs, .. } => LogicalPlan::Aggregate {
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-                input: children.pop().expect("one child"),
-            },
-            LogicalPlan::Union { .. } => LogicalPlan::Union { inputs: children },
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                let [input] = self.arity(children)?;
+                LogicalPlan::Aggregate { group_by: group_by.clone(), aggs: aggs.clone(), input }
+            }
+            LogicalPlan::Union { inputs } => {
+                if children.len() != inputs.len() {
+                    return Err(self.arity_error(inputs.len(), children.len()));
+                }
+                LogicalPlan::Union { inputs: children }
+            }
             LogicalPlan::Sort { keys, .. } => {
-                LogicalPlan::Sort { keys: keys.clone(), input: children.pop().expect("one child") }
+                let [input] = self.arity(children)?;
+                LogicalPlan::Sort { keys: keys.clone(), input }
             }
             LogicalPlan::Limit { n, .. } => {
-                LogicalPlan::Limit { n: *n, input: children.pop().expect("one child") }
+                let [input] = self.arity(children)?;
+                LogicalPlan::Limit { n: *n, input }
             }
-            LogicalPlan::Udo { spec, schema, .. } => LogicalPlan::Udo {
-                spec: spec.clone(),
-                schema: schema.clone(),
-                input: children.pop().expect("one child"),
-            },
+            LogicalPlan::Udo { spec, schema, .. } => {
+                let [input] = self.arity(children)?;
+                LogicalPlan::Udo { spec: spec.clone(), schema: schema.clone(), input }
+            }
             LogicalPlan::Materialize { sig, .. } => {
-                LogicalPlan::Materialize { sig: *sig, input: children.pop().expect("one child") }
+                let [input] = self.arity(children)?;
+                LogicalPlan::Materialize { sig: *sig, input }
             }
         })
+    }
+
+    /// `children` as exactly `N` plans, or the arity error.
+    fn arity<const N: usize>(
+        &self,
+        children: Vec<Arc<LogicalPlan>>,
+    ) -> Result<[Arc<LogicalPlan>; N]> {
+        <[_; N]>::try_from(children).map_err(|c| self.arity_error(N, c.len()))
+    }
+
+    fn arity_error(&self, want: usize, got: usize) -> CvError {
+        CvError::plan(format!(
+            "with_children on {} node: expected {want} child plan{}, got {got} — \
+             a plan rewrite changed operator arity",
+            self.kind_name(),
+            if want == 1 { "" } else { "s" },
+        ))
     }
 
     /// Short operator name (repository rows, plan dumps).
@@ -434,15 +449,78 @@ mod tests {
 
     #[test]
     fn with_children_rebuilds() {
-        let join = LogicalPlan::Join {
-            left: sales(),
-            right: customers(),
-            on: vec![("s_cust".into(), "c_id".into())],
-            kind: JoinKind::Inner,
+        let (s, c) = (sales(), customers());
+        let view = LogicalPlan::ViewScan {
+            sig: Sig128(1),
+            schema: s.schema().unwrap(),
+            rows: 4,
+            bytes: 40,
         };
-        let rebuilt = join.with_children(vec![sales(), customers()]).unwrap();
-        assert_eq!(join, rebuilt);
-        assert!(join.with_children(vec![sales()]).is_err());
+        let nodes = vec![
+            (LogicalPlan::clone(&s), vec![]),
+            (view, vec![]),
+            (
+                LogicalPlan::Filter { predicate: col("qty").gt(lit(1)), input: s.clone() },
+                vec![s.clone()],
+            ),
+            (
+                LogicalPlan::Project { exprs: vec![(col("qty"), "q".into())], input: s.clone() },
+                vec![s.clone()],
+            ),
+            (
+                LogicalPlan::Aggregate {
+                    group_by: vec![],
+                    aggs: vec![AggExpr::count_star("n")],
+                    input: s.clone(),
+                },
+                vec![s.clone()],
+            ),
+            (
+                LogicalPlan::Sort { keys: vec![("qty".into(), true)], input: s.clone() },
+                vec![s.clone()],
+            ),
+            (LogicalPlan::Limit { n: 3, input: s.clone() }, vec![s.clone()]),
+            (
+                LogicalPlan::Udo {
+                    spec: UdoSpec::new("u"),
+                    schema: s.schema().unwrap(),
+                    input: s.clone(),
+                },
+                vec![s.clone()],
+            ),
+            (LogicalPlan::Materialize { sig: Sig128(2), input: s.clone() }, vec![s.clone()]),
+            (
+                LogicalPlan::Join {
+                    left: s.clone(),
+                    right: c.clone(),
+                    on: vec![("s_cust".into(), "c_id".into())],
+                    kind: JoinKind::Inner,
+                },
+                vec![s.clone(), c.clone()],
+            ),
+            (
+                LogicalPlan::Union { inputs: vec![s.clone(), s.clone(), s.clone()] },
+                vec![s.clone(); 3],
+            ),
+        ];
+        for (node, children) in nodes {
+            // Rebuilt from fresh children: equal, and holding those children.
+            let fresh: Vec<_> = children.iter().map(|p| Arc::new(LogicalPlan::clone(p))).collect();
+            let rebuilt = node.with_children(fresh.clone()).unwrap();
+            assert_eq!(node, rebuilt, "{}", node.kind_name());
+            assert!(rebuilt.children().iter().zip(&fresh).all(|(a, b)| Arc::ptr_eq(a, b)));
+            assert_eq!(rebuilt.children().len(), fresh.len());
+            // One child too few and one too many are both refused.
+            if let Some((_, fewer)) = fresh.split_last() {
+                assert!(
+                    node.with_children(fewer.to_vec()).is_err(),
+                    "{} with too few",
+                    node.kind_name()
+                );
+            }
+            let more: Vec<_> = fresh.iter().cloned().chain([c.clone()]).collect();
+            assert!(node.with_children(more).is_err(), "{} with too many", node.kind_name());
+        }
     }
 
     #[test]

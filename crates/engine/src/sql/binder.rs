@@ -396,7 +396,7 @@ fn rewrite_agg_expr(
             dtype: *dtype,
         },
         Expr::Agg { .. } | Expr::Column(..) | Expr::Literal(_) | Expr::Param(_) => {
-            unreachable!("handled above")
+            return Err(CvError::internal(format!("aggregate rewrite reached leaf `{e:?}`")));
         }
     })
 }

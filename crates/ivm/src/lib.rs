@@ -30,6 +30,12 @@
 //! strict signature is indistinguishable from a rebuild to every
 //! downstream consumer.
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod state;
 
 use cv_analyzer::Analyzer;

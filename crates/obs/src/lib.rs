@@ -15,6 +15,12 @@
 //! (`cv_engine::obs::ObsSink`), adapters that bridge hooks onto a `Tracer`
 //! plus `Metrics` live in `cv-workload`.
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod metrics;
 pub mod trace;
 

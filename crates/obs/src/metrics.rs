@@ -10,6 +10,7 @@
 //! `*_us`) are not — determinism tests must compare only the former.
 
 use cv_common::json::{Json, JsonMap};
+use cv_common::{CvError, Result};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -132,41 +133,49 @@ impl Metrics {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Register (or look up) a counter by name.
+    /// Register (or look up) a counter by name. Panics if `name` is
+    /// registered with another type; [`Metrics::add`] is the fallible form.
+    #[expect(clippy::panic, reason = "the benchmark harness calls this and takes a `Counter`")]
     pub fn counter(&self, name: &str) -> Counter {
+        self.try_counter(name).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn try_counter(&self, name: &str) -> Result<Counter> {
         let mut m = self.lock();
         match m.entry(name.to_string()).or_insert_with(|| Metric::Counter(Counter::default())) {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric `{name}` already registered with a different type"),
+            Metric::Counter(c) => Ok(c.clone()),
+            _ => Err(clash(name)),
         }
     }
 
     /// Register (or look up) a gauge by name.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub fn gauge(&self, name: &str) -> Result<Gauge> {
         let mut m = self.lock();
         match m.entry(name.to_string()).or_insert_with(|| Metric::Gauge(Gauge::default())) {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric `{name}` already registered with a different type"),
+            Metric::Gauge(g) => Ok(g.clone()),
+            _ => Err(clash(name)),
         }
     }
 
     /// Register (or look up) a histogram by name.
-    pub fn histogram(&self, name: &str) -> Histo {
+    pub fn histogram(&self, name: &str) -> Result<Histo> {
         let mut m = self.lock();
         match m.entry(name.to_string()).or_insert_with(|| Metric::Histo(Histo::default())) {
-            Metric::Histo(h) => h.clone(),
-            _ => panic!("metric `{name}` already registered with a different type"),
+            Metric::Histo(h) => Ok(h.clone()),
+            _ => Err(clash(name)),
         }
     }
 
     /// One-shot counter bump (registration + add); fine off the hot path.
-    pub fn add(&self, name: &str, n: u64) {
-        self.counter(name).add(n);
+    pub fn add(&self, name: &str, n: u64) -> Result<()> {
+        self.try_counter(name)?.add(n);
+        Ok(())
     }
 
     /// One-shot gauge store.
-    pub fn set(&self, name: &str, v: u64) {
-        self.gauge(name).set(v);
+    pub fn set(&self, name: &str, v: u64) -> Result<()> {
+        self.gauge(name)?.set(v);
+        Ok(())
     }
 
     /// Flat dump, keys sorted. Counters and gauges render as numbers;
@@ -233,6 +242,10 @@ impl Metrics {
     }
 }
 
+fn clash(name: &str) -> CvError {
+    CvError::internal(format!("metric `{name}` already registered with a different type"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +270,7 @@ mod tests {
     #[test]
     fn gauge_peak_tracking() {
         let m = Metrics::new();
-        let g = m.gauge("pool.queue_depth");
+        let g = m.gauge("pool.queue_depth").unwrap();
         g.set_max(3);
         g.set_max(7);
         g.set_max(5);
@@ -267,7 +280,7 @@ mod tests {
     #[test]
     fn histogram_buckets_power_of_two() {
         let m = Metrics::new();
-        let h = m.histogram("rows");
+        let h = m.histogram("rows").unwrap();
         for v in [0, 1, 2, 3, 4, 1000] {
             h.record(v);
         }
@@ -279,11 +292,20 @@ mod tests {
     }
 
     #[test]
+    fn a_name_of_another_type_is_an_error() {
+        let m = Metrics::new();
+        m.add("c", 1).unwrap();
+        m.set("g", 1).unwrap();
+        assert!(m.gauge("c").is_err() && m.histogram("c").is_err() && m.add("g", 1).is_err());
+        assert_eq!((m.counter("c").get(), m.gauge("g").unwrap().get()), (1, 1));
+    }
+
+    #[test]
     fn dump_is_sorted_and_parses() {
         let m = Metrics::new();
-        m.add("z.last", 1);
-        m.add("a.first", 2);
-        m.histogram("h.lat").record(5);
+        m.add("z.last", 1).unwrap();
+        m.add("a.first", 2).unwrap();
+        m.histogram("h.lat").unwrap().record(5);
         let json = m.to_json();
         let text = json.to_string_pretty();
         assert_eq!(Json::parse(&text).unwrap(), json);
@@ -295,8 +317,8 @@ mod tests {
     #[test]
     fn deterministic_values_drop_timing_metrics() {
         let m = Metrics::new();
-        m.add("executor.ops", 10);
-        m.add("executor.op_ns", 123456);
+        m.add("executor.ops", 10).unwrap();
+        m.add("executor.op_ns", 123456).unwrap();
         let det = m.deterministic_values();
         assert!(det.contains_key("executor.ops"));
         assert!(!det.contains_key("executor.op_ns"));

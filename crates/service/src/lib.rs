@@ -20,6 +20,12 @@
 //! cluster sim lives in cv-workload (`service_driver`); the `cv-serve` CLI
 //! wraps it with a load generator.
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod morsel;
 pub mod pool;
 pub mod singleflight;

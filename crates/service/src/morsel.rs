@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn pool_runner_collects_results_by_slot() {
         let runner = PoolMorselRunner::new(4);
-        let out = run_indexed(&runner, 16, &|i| i * i);
+        let out = run_indexed(&runner, 16, &|i| Ok(i * i)).unwrap();
         assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
     }
 

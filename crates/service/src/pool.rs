@@ -458,7 +458,7 @@ pub fn run_tasks<'env>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     fn spec<'env>(
         job: u64,
@@ -611,25 +611,39 @@ mod tests {
         // Regression for the intra-query parallelism ceiling: with
         // steal-one semantics most workers never accumulated local work and
         // reported zero busy time (a cv-serve run showed 5 of 8 workers
-        // idle). 64 spinning tasks across 8 workers must leave every worker
-        // with nonzero busy time — half-stealing spreads queued work as
-        // soon as any worker goes idle.
-        let mut rng = cv_common::DetRng::seed(42);
+        // idle). Every task first waits at a rendezvous until 8 tasks have
+        // arrived, so the first 8 run at once, one on each worker, however
+        // the host schedules the threads. A pool that leaves a worker
+        // without a task never gathers 8: the deadline fails the test
+        // instead of hanging it.
+        const WORKERS: usize = 8;
+        let (arrived, missed) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let (arrived, missed) = (&arrived, &missed);
+        let deadline = Instant::now() + Duration::from_secs(30);
         let tasks: Vec<TaskSpec<'_>> = (0..64)
             .map(|i| {
-                let spin_us = rng.range_u64(800, 1200);
                 spec(i, i % 4, vec![], move || {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    while arrived.load(Ordering::SeqCst) < WORKERS {
+                        if Instant::now() > deadline {
+                            missed.store(true, Ordering::SeqCst);
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                    // Busy time on every worker, the last to arrive included.
                     let start = Instant::now();
-                    while start.elapsed() < Duration::from_micros(spin_us) {
+                    while start.elapsed() < Duration::from_micros(100) {
                         std::hint::spin_loop();
                     }
                 })
             })
             .collect();
-        let cfg = PoolConfig { workers: 8, vc_inflight_limit: 64, queue_cap: 64 };
+        let cfg = PoolConfig { workers: WORKERS, vc_inflight_limit: 64, queue_cap: 64 };
         let report = run_tasks(&cfg, tasks, &[]);
+        assert!(!missed.load(Ordering::SeqCst), "fewer than {WORKERS} workers ever ran a task");
         assert_eq!(report.executed, 64);
-        assert_eq!(report.worker_busy.len(), 8);
+        assert_eq!(report.worker_busy.len(), WORKERS);
         for (w, busy) in report.worker_busy.iter().enumerate() {
             assert!(*busy > Duration::ZERO, "worker {w} starved (zero busy time)");
         }

@@ -777,7 +777,8 @@ mod tests {
         let t = Table::from_rows(schema.clone(), &rows).unwrap();
         let mut columns = t.columns().to_vec();
         let junk = |i: usize| if i % 7 == 3 { "junk" } else { "" };
-        let names = columns[1].strs().iter().enumerate().map(|(i, s)| format!("{s}{}", junk(i)));
+        let ColumnView::Str(names) = columns[1].view() else { panic!("name is a string column") };
+        let names = names.iter().enumerate().map(|(i, s)| format!("{s}{}", junk(i)));
         columns[1] = Column::new(ColumnData::Str(names.collect()), columns[1].validity().cloned());
         Table::new(schema, columns).unwrap()
     }

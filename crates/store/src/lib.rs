@@ -25,6 +25,12 @@
 //!   over durable shards, the form every caller above this crate opens
 //!   (one shard is the plain store in the directory itself).
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod cache;
 pub mod codec;
 pub mod page;

@@ -241,7 +241,7 @@ pub fn generate_workload(config: WorkloadConfig) -> Workload {
 
         let order = if rng.chance(0.3) {
             // ORDER BY the aggregate's alias, which is the token after "AS".
-            let alias = agg.rsplit(' ').next().expect("agg has alias");
+            let alias = agg.rsplit_once(' ').map_or(*agg, |(_, alias)| alias);
             format!(" ORDER BY {alias} DESC LIMIT 10")
         } else {
             String::new()

@@ -19,6 +19,12 @@
 //! ingestion → cooking → analytics with the CloudViews feedback loop →
 //! cluster simulation, producing the ledgers the benches report on.
 
+// No panics on the serving path (DESIGN §9): a failure is a `CvError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod driver;
 pub mod generator;
 pub mod schemas;

@@ -9,7 +9,7 @@
 //!   and `part` dimensions.
 
 use cv_common::rng::DetRng;
-use cv_common::SimDay;
+use cv_common::{Result, SimDay};
 use cv_data::delta::TableDelta;
 use cv_data::schema::{Field, Schema, SchemaRef};
 use cv_data::table::Table;
@@ -103,7 +103,7 @@ const OS_NAMES: [&str; 4] = ["windows", "android", "ios", "linux"];
 const PART_TYPES: [&str; 5] = ["type0", "type1", "type2", "type3", "type4"];
 
 impl RawDatasetSpec {
-    pub fn schema(&self) -> SchemaRef {
+    pub fn schema(&self) -> Result<SchemaRef> {
         let fields = match self.generator {
             DataGenerator::PageViews => vec![
                 Field::new("pv_user", DataType::Int),
@@ -150,11 +150,16 @@ impl RawDatasetSpec {
                 Field::new("part_type", DataType::Str),
             ],
         };
-        Schema::new(fields).expect("static schemas are valid").into_ref()
+        Ok(Schema::new(fields)?.into_ref())
     }
 
     /// Generate one regeneration of this dataset for `day`. Deterministic
     /// given `(seed stream, day)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the benchmark harness calls this and takes a `Table`; typed row builders \
+                  (ROADMAP item 13) would leave nothing here to fail"
+    )]
     pub fn generate(&self, rng: &mut DetRng, scale: f64, day: SimDay) -> Table {
         let rows = ((self.base_rows as f64 * scale) as usize).max(8);
         let n_users = ((400.0 * scale) as i64).max(20);
@@ -236,7 +241,8 @@ impl RawDatasetSpec {
                 }
             }
         }
-        Table::from_rows(self.schema(), &out).expect("generated rows match schema")
+        Table::from_rows(self.schema().expect("static schemas are valid"), &out)
+            .expect("generated rows match schema")
     }
 
     /// Fact tables are append-mostly daily logs; everything else is a
@@ -260,11 +266,10 @@ impl RawDatasetSpec {
         scale: f64,
         day: SimDay,
         prev: &Table,
-    ) -> (Table, TableDelta) {
+    ) -> Result<(Table, TableDelta)> {
         let fresh = self.generate(rng, scale, day);
         if self.is_fact() {
-            let new = prev.concat(&fresh).expect("fact schema is stable across days");
-            return (new, TableDelta::append(fresh));
+            return Ok((prev.concat(&fresh)?, TableDelta::append(fresh)));
         }
         let mut new_rows = prev.to_rows();
         let mut ins: Vec<Vec<Value>> = Vec::new();
@@ -290,13 +295,13 @@ impl RawDatasetSpec {
         if new_rows.len() > fresh.num_rows() {
             del.extend(new_rows.drain(fresh.num_rows()..));
         }
-        let schema = self.schema();
-        let new = Table::from_rows(schema.clone(), &new_rows).expect("churned rows match schema");
+        let schema = self.schema()?;
+        let new = Table::from_rows(schema.clone(), &new_rows)?;
         let delta = TableDelta {
-            inserts: Table::from_rows(schema.clone(), &ins).expect("insert rows match schema"),
-            deletes: Table::from_rows(schema, &del).expect("delete rows match schema"),
+            inserts: Table::from_rows(schema.clone(), &ins)?,
+            deletes: Table::from_rows(schema, &del)?,
         };
-        (new, delta)
+        Ok((new, delta))
     }
 }
 
@@ -310,7 +315,7 @@ mod tests {
             let mut rng = DetRng::seed(1);
             let t = spec.generate(&mut rng, 0.1, SimDay(0));
             assert!(t.num_rows() >= 8, "{}", spec.name);
-            assert_eq!(t.schema().len(), spec.schema().len());
+            assert_eq!(t.schema().len(), spec.schema().unwrap().len());
             assert!(t.byte_size() > 0);
         }
     }
@@ -350,7 +355,7 @@ mod tests {
         let spec = &raw_specs()[0]; // page_views
         let mut rng = DetRng::seed(11);
         let day0 = spec.generate(&mut rng, 0.1, SimDay(0));
-        let (day1, delta) = spec.generate_delta(&mut rng, 0.1, SimDay(1), &day0);
+        let (day1, delta) = spec.generate_delta(&mut rng, 0.1, SimDay(1), &day0).unwrap();
         assert_eq!(delta.deletes.num_rows(), 0);
         assert!(delta.inserts.num_rows() > 0);
         assert_eq!(day1.num_rows(), day0.num_rows() + delta.inserts.num_rows());
@@ -361,7 +366,7 @@ mod tests {
         let spec = raw_specs().into_iter().find(|s| s.name == "users").unwrap();
         let mut rng = DetRng::seed(11);
         let day0 = spec.generate(&mut rng, 0.3, SimDay(0));
-        let (day7, delta) = spec.generate_delta(&mut rng, 0.3, SimDay(7), &day0);
+        let (day7, delta) = spec.generate_delta(&mut rng, 0.3, SimDay(7), &day0).unwrap();
         assert_eq!(day7.num_rows(), day0.num_rows(), "identity rows persist");
         assert_eq!(delta.inserts.num_rows(), delta.deletes.num_rows());
         assert!(
@@ -383,7 +388,7 @@ mod tests {
             let mut rng = DetRng::seed(3);
             let day0 = spec.generate(&mut rng, 0.1, SimDay(0));
             let (new, delta) =
-                spec.generate_delta(&mut rng, 0.1, SimDay(spec.update_every_days), &day0);
+                spec.generate_delta(&mut rng, 0.1, SimDay(spec.update_every_days), &day0).unwrap();
             // prev ⊎ inserts ∖ deletes = new, as a multiset identity.
             let with_ins = day0.concat(&delta.inserts).unwrap();
             let residue = diff_tables(&with_ins, &new).unwrap();

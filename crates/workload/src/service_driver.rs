@@ -934,41 +934,41 @@ impl<'a> ServiceRun<'a> {
         if let Some(o) = self.obs.0 {
             let (m, store_stats) = (&o.metrics, &out.view_store_stats);
             let us = |seconds: f64| (seconds * 1e6) as u64;
-            m.add("flight.claims", fl.claims);
-            m.add("flight.waits", fl.waits);
-            m.add("flight.resolves", fl.resolves);
-            m.add("store.views_created", store_stats.views_created);
-            m.add("store.views_reused", store_stats.views_reused);
-            m.add("store.read_misses", store_stats.read_misses);
-            m.add("store.bytes_written", store_stats.bytes_written);
-            m.add("store.bytes_served", store_stats.bytes_served);
+            m.add("flight.claims", fl.claims)?;
+            m.add("flight.waits", fl.waits)?;
+            m.add("flight.resolves", fl.resolves)?;
+            m.add("store.views_created", store_stats.views_created)?;
+            m.add("store.views_reused", store_stats.views_reused)?;
+            m.add("store.read_misses", store_stats.read_misses)?;
+            m.add("store.bytes_written", store_stats.bytes_written)?;
+            m.add("store.bytes_served", store_stats.bytes_served)?;
             if let Some(io) = &out.store_io {
-                m.add("store.page_cache_hits", io.page_cache_hits);
-                m.add("store.page_cache_misses", io.page_cache_misses);
-                m.add("store.pages_evicted", io.pages_evicted);
-                m.add("store.wal_fsyncs", io.wal_fsyncs);
-                m.add("store.wal_records_written", io.wal_records_written);
-                m.add("store.wal_records_replayed", io.wal_records_replayed);
-                m.add("store.recoveries", io.recoveries);
-                m.add("store.checkpoints", io.checkpoints);
+                m.add("store.page_cache_hits", io.page_cache_hits)?;
+                m.add("store.page_cache_misses", io.page_cache_misses)?;
+                m.add("store.pages_evicted", io.pages_evicted)?;
+                m.add("store.wal_fsyncs", io.wal_fsyncs)?;
+                m.add("store.wal_records_written", io.wal_records_written)?;
+                m.add("store.wal_records_replayed", io.wal_records_replayed)?;
+                m.add("store.recoveries", io.recoveries)?;
+                m.add("store.checkpoints", io.checkpoints)?;
             }
             let svc = &out.service;
-            m.add("service.pipelined_jobs", svc.pipelined_jobs);
-            m.add("service.pipelined_reads", snap.pipelined_reads);
-            m.add("service.flight_waits", snap.flight_waits);
-            m.add("service.duplicate_materializations", snap.duplicate_materializations);
-            m.set("pool.workers", svc.workers as u64);
-            m.add("pool.steals", svc.steals);
-            m.add("pool.admission_deferrals", svc.admission_deferrals);
-            m.gauge("pool.max_inflight").set_max(svc.max_inflight as u64);
-            m.gauge("pool.max_queue_depth").set_max(svc.max_queue_depth as u64);
+            m.add("service.pipelined_jobs", svc.pipelined_jobs)?;
+            m.add("service.pipelined_reads", snap.pipelined_reads)?;
+            m.add("service.flight_waits", snap.flight_waits)?;
+            m.add("service.duplicate_materializations", snap.duplicate_materializations)?;
+            m.set("pool.workers", svc.workers as u64)?;
+            m.add("pool.steals", svc.steals)?;
+            m.add("pool.admission_deferrals", svc.admission_deferrals)?;
+            m.gauge("pool.max_inflight")?.set_max(svc.max_inflight as u64);
+            m.gauge("pool.max_queue_depth")?.set_max(svc.max_queue_depth as u64);
             for (i, busy) in svc.worker_busy_seconds.iter().enumerate() {
-                m.add(&format!("pool.worker{i}.busy_us"), us(*busy));
+                m.add(&format!("pool.worker{i}.busy_us"), us(*busy))?;
             }
-            m.add("phase.compile_us", us(svc.compile_wall_seconds));
-            m.add("phase.parallel_us", us(svc.parallel_wall_seconds));
-            m.add("phase.commit_us", us(svc.commit_wall_seconds));
-            m.add("phase.pool_us", us(svc.exec_wall_seconds));
+            m.add("phase.compile_us", us(svc.compile_wall_seconds))?;
+            m.add("phase.parallel_us", us(svc.parallel_wall_seconds))?;
+            m.add("phase.commit_us", us(svc.commit_wall_seconds))?;
+            m.add("phase.pool_us", us(svc.exec_wall_seconds))?;
         }
         Ok(out)
     }

@@ -150,7 +150,7 @@ pub(crate) fn ingest_raw(
         match catalog.id_of(spec.name) {
             Some(id) if delta => {
                 let prev = catalog.get(id)?.data().clone();
-                let (table, feed) = spec.generate_delta(&mut rng, scale, day, &prev);
+                let (table, feed) = spec.generate_delta(&mut rng, scale, day, &prev)?;
                 catalog.bulk_update_delta(id, table, feed, at)?;
             }
             Some(id) => {
