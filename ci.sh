@@ -72,6 +72,9 @@ target/release/table1_impact > /dev/null
 target/release/fig6_usage > /dev/null
 target/release/fig7_resources > /dev/null
 
+echo "==> ablation_containment (k = 60 exact, 65..95 proven semantic matches, every digest equals no-reuse)"
+target/release/ablation_containment > /dev/null
+
 echo "==> kernels --smoke (every kernel leg runs and measures a rate)"
 # To scratch: the committed BENCH_engine.json is the full-size run with the
 # parent commit's rates as its baseline; a unit test of the bin checks it.

@@ -7,9 +7,9 @@
 //! shipped (PAPERS.md):
 //!
 //! * **predicate implication** — `Filter` pairs: the candidate's predicate
-//!   must provably imply the view's (interval/conjunct analysis via
-//!   `cv_extensions::containment`); conjuncts not already enforced by the
-//!   view become a residual filter.
+//!   must provably imply the view's ([`implies`], a conjunct-by-conjunct
+//!   interval analysis); conjuncts not already enforced by the view become a
+//!   residual filter.
 //! * **projection subsumption** — `Project` pairs: every candidate output
 //!   must be rewritable in terms of the view's output columns.
 //! * **group-by rollup** — `Aggregate` pairs: every candidate group key
@@ -28,15 +28,15 @@
 //! so anything outside it is a shape error, refused with CV064.
 
 use crate::diag::codes;
-use cv_data::value::DataType;
+use cv_data::value::{DataType, Value};
 use cv_engine::containment::{
     build_compensation, ContainmentProof, ContainmentRefusal, RollupSpec,
 };
-use cv_engine::expr::fold::normalize_expr;
-use cv_engine::expr::{col, AggExpr, AggFunc, ScalarExpr};
+use cv_engine::expr::fold::{normalize_expr, split_conjunction};
+use cv_engine::expr::{col, AggExpr, AggFunc, BinOp, ScalarExpr};
 use cv_engine::plan::LogicalPlan;
 use cv_engine::signature::{plan_signature, SigMode, SignatureConfig};
-use cv_extensions::containment::{implies, normalize_conjuncts};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Rule names, as reported in refusals and proof certificates.
@@ -159,6 +159,129 @@ fn prove_filter(
 
 fn conjoin_all(conjuncts: Vec<ScalarExpr>) -> Option<ScalarExpr> {
     conjuncts.into_iter().reduce(|acc, c| acc.and(c))
+}
+
+/// Normalize a predicate into its conjunct list.
+pub fn normalize_conjuncts(pred: &ScalarExpr) -> Vec<ScalarExpr> {
+    split_conjunction(&normalize_expr(pred))
+}
+
+/// Does predicate `a` select a subset of the rows `b` selects? General
+/// containment is NP-complete (paper §5.3), but the fragment production
+/// filters use — conjunctions of `column op constant` — is cheap to decide.
+/// Sound (never a false positive) but incomplete (an unknown shape answers
+/// `false`): `a ⇒ b` iff every conjunct of `b` is satisfied by `a` —
+/// directly (syntactic match or atom implication) or, when the conjunct is
+/// a disjunction, by implying at least one of its disjuncts.
+pub fn implies(a: &ScalarExpr, b: &ScalarExpr) -> bool {
+    let a_conj = normalize_conjuncts(a);
+    let b_conj = normalize_conjuncts(b);
+    let a_atoms: Vec<Atom> = a_conj.iter().filter_map(as_atom).collect();
+    b_conj.iter().all(|bc| conjunct_satisfied(&a_conj, &a_atoms, bc))
+}
+
+fn conjunct_satisfied(a_conj: &[ScalarExpr], a_atoms: &[Atom], bc: &ScalarExpr) -> bool {
+    // Syntactic match covers arbitrary conjunct shapes.
+    if a_conj.contains(bc) {
+        return true;
+    }
+    if let Some(b_atom) = as_atom(bc) {
+        if a_atoms.iter().any(|a_atom| atom_implies(a_atom, &b_atom)) {
+            return true;
+        }
+    }
+    // Disjunctive conjunct: implying any branch suffices.
+    if let ScalarExpr::Binary { op: BinOp::Or, .. } = bc {
+        return split_disjunction(bc)
+            .iter()
+            .any(|branch| conjunct_satisfied(a_conj, a_atoms, branch));
+    }
+    false
+}
+
+/// Flatten an OR chain into its disjuncts.
+fn split_disjunction(e: &ScalarExpr) -> Vec<ScalarExpr> {
+    match e {
+        ScalarExpr::Binary { op: BinOp::Or, left, right } => {
+            let mut out = split_disjunction(left);
+            out.extend(split_disjunction(right));
+            out
+        }
+        other => vec![other.clone()],
+    }
+}
+
+/// One atomic comparison `column op constant`.
+#[derive(Clone, Debug, PartialEq)]
+struct Atom {
+    column: String,
+    op: BinOp,
+    value: Value,
+}
+
+/// Extract `column op constant` from an expression, mirroring the
+/// comparison if the constant is on the left. `None` for other shapes.
+fn as_atom(e: &ScalarExpr) -> Option<Atom> {
+    let ScalarExpr::Binary { op, left, right } = e else { return None };
+    if !op.is_comparison() {
+        return None;
+    }
+    match (&**left, &**right) {
+        (ScalarExpr::Column(c), ScalarExpr::Literal(v)) => {
+            Some(Atom { column: c.clone(), op: *op, value: v.clone() })
+        }
+        (ScalarExpr::Literal(v), ScalarExpr::Column(c)) => {
+            Some(Atom { column: c.clone(), op: op.mirror(), value: v.clone() })
+        }
+        _ => None,
+    }
+}
+
+/// Does atom `a` imply atom `b`?
+fn atom_implies(a: &Atom, b: &Atom) -> bool {
+    if a.column != b.column {
+        return false;
+    }
+    let Some(cmp) = compare_like_kinded(&a.value, &b.value) else { return false };
+    use BinOp::*;
+    match (a.op, b.op) {
+        // Equality on the left: evaluate b at a's constant.
+        (Eq, Eq) => cmp == Ordering::Equal,
+        (Eq, NotEq) => cmp != Ordering::Equal,
+        (Eq, Lt) => cmp == Ordering::Less,
+        (Eq, LtEq) => cmp != Ordering::Greater,
+        (Eq, Gt) => cmp == Ordering::Greater,
+        (Eq, GtEq) => cmp != Ordering::Less,
+        // Range ⇒ range.
+        (Gt, Gt) => cmp != Ordering::Less, // x > a ⇒ x > b iff a ≥ b
+        (Gt, GtEq) => cmp != Ordering::Less,
+        (GtEq, GtEq) => cmp != Ordering::Less,
+        (GtEq, Gt) => cmp == Ordering::Greater,
+        (Lt, Lt) => cmp != Ordering::Greater, // x < a ⇒ x < b iff a ≤ b
+        (Lt, LtEq) => cmp != Ordering::Greater,
+        (LtEq, LtEq) => cmp != Ordering::Greater,
+        (LtEq, Lt) => cmp == Ordering::Less,
+        // Range ⇒ inequality.
+        (Gt, NotEq) => cmp != Ordering::Less, // x > a ⇒ x ≠ b iff b ≤ a
+        (GtEq, NotEq) => cmp == Ordering::Greater,
+        (Lt, NotEq) => cmp != Ordering::Greater,
+        (LtEq, NotEq) => cmp == Ordering::Less,
+        (NotEq, NotEq) => cmp == Ordering::Equal,
+        _ => false,
+    }
+}
+
+/// Order two constants of one kind (numeric with numeric, string with
+/// string, …); `None` for nulls and for a cross-kind pair.
+fn compare_like_kinded(a: &Value, b: &Value) -> Option<Ordering> {
+    let comparable = matches!(
+        (a, b),
+        (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_))
+            | (Value::Str(_), Value::Str(_))
+            | (Value::Date(_), Value::Date(_))
+            | (Value::Bool(_), Value::Bool(_))
+    );
+    comparable.then(|| a.total_cmp(b))
 }
 
 /// Projection subsumption: every candidate output must be rewritable over
@@ -371,4 +494,88 @@ fn certify_schema(
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cv_engine::expr::lit;
+
+    #[test]
+    fn atom_extraction_and_mirroring() {
+        let a = as_atom(&col("x").gt(lit(5))).unwrap();
+        assert_eq!(a.op, BinOp::Gt);
+        // 5 < x ≡ x > 5.
+        let b = as_atom(&lit(5).lt(col("x"))).unwrap();
+        assert_eq!(b.op, BinOp::Gt);
+        assert_eq!(b.column, "x");
+        assert!(as_atom(&col("x").add(lit(1))).is_none());
+        assert!(as_atom(&col("x").gt(col("y"))).is_none());
+    }
+
+    #[test]
+    fn equality_implications() {
+        // The paper's own example: CustomerId > 5 materialized, query asks
+        // CustomerId > 6 → contained (§5.3).
+        assert!(implies(&col("CustomerId").gt(lit(6)), &col("CustomerId").gt(lit(5))));
+        assert!(!implies(&col("CustomerId").gt(lit(5)), &col("CustomerId").gt(lit(6))));
+        assert!(implies(&col("x").eq(lit(7)), &col("x").gt(lit(5))));
+        assert!(implies(&col("x").eq(lit(7)), &col("x").eq(lit(7))));
+        assert!(!implies(&col("x").eq(lit(3)), &col("x").gt(lit(5))));
+    }
+
+    #[test]
+    fn range_implications() {
+        assert!(implies(&col("x").gt_eq(lit(10)), &col("x").gt(lit(5))));
+        assert!(!implies(&col("x").gt_eq(lit(5)), &col("x").gt(lit(5))));
+        assert!(implies(&col("x").gt(lit(5)), &col("x").gt_eq(lit(5))));
+        assert!(implies(&col("x").lt(lit(3)), &col("x").lt_eq(lit(3))));
+        assert!(implies(&col("x").lt_eq(lit(2)), &col("x").lt(lit(3))));
+        assert!(!implies(&col("x").lt(lit(5)), &col("x").gt(lit(1))));
+    }
+
+    #[test]
+    fn conjunction_implication() {
+        let strong = col("seg").eq(lit("asia")).and(col("qty").gt(lit(10)));
+        let weak = col("qty").gt(lit(5));
+        assert!(implies(&strong, &weak));
+        assert!(!implies(&weak, &strong));
+        // Conjunct order doesn't matter (normalization).
+        let weak2 = col("qty").gt(lit(5)).and(col("seg").eq(lit("asia")));
+        assert!(implies(&strong, &weak2));
+        // A disjunctive conjunct is implied through any one of its branches.
+        let either = col("qty").eq(lit(1)).or(col("qty").gt(lit(10)));
+        assert!(implies(&col("qty").eq(lit(1)), &either));
+        assert!(implies(&col("qty").gt(lit(20)), &either));
+        assert!(!implies(&col("qty").eq(lit(5)), &either));
+    }
+
+    #[test]
+    fn string_and_mixed_types() {
+        assert!(implies(&col("s").eq(lit("b")), &col("s").gt(lit("a"))));
+        // Cross-type comparisons are refused (sound: answer false).
+        assert!(!implies(&col("s").eq(lit("b")), &col("s").gt(lit(1))));
+    }
+
+    #[test]
+    fn different_columns_never_imply() {
+        assert!(!implies(&col("x").gt(lit(10)), &col("y").gt(lit(5))));
+    }
+
+    #[test]
+    fn syntactic_fallback_for_non_atoms() {
+        // A non-atomic conjunct is only implied by its exact (normalized)
+        // twin.
+        let f = col("a").mul(col("b")).gt(lit(1));
+        assert!(implies(&f.clone().and(col("x").eq(lit(1))), &f));
+        let g = col("a").mul(col("c")).gt(lit(1));
+        assert!(!implies(&f, &g));
+    }
+
+    #[test]
+    fn semantic_rewrites_not_attempted() {
+        // 2*x > 10 does NOT imply x > 5 here — deliberately (undecidable in
+        // general; the paper defers it, §5.3).
+        assert!(!implies(&lit(2).mul(col("x")).gt(lit(10)), &col("x").gt(lit(5))));
+    }
 }

@@ -1,7 +1,7 @@
 //! Microbenchmarks for the hot paths CloudViews adds to the compiler:
 //! signature computation, plan normalization, view matching (the paper's
 //! claim: "lightweight hash equality checks" instead of containment, §2.4),
-//! view selection, executor kernels, Bloom filters.
+//! view selection, executor kernels.
 //!
 //! Self-contained harness (no external bench framework): each case is
 //! warmed up, then timed over enough iterations to fill a fixed
@@ -20,7 +20,6 @@ use cv_engine::optimizer::{AlwaysGrant, ReuseContext, ViewMeta};
 use cv_engine::plan::{JoinKind, LogicalPlan, PlanBuilder};
 use cv_engine::signature::{enumerate_subexpressions, plan_signature, SigMode, SignatureConfig};
 use cv_engine::sql::{compile_sql, Params};
-use cv_extensions::bitvector::BloomFilter;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -162,22 +161,6 @@ fn selection() {
     });
 }
 
-fn bloom() {
-    let keys: Vec<Value> = (0..10_000).map(Value::Int).collect();
-    bench("bloom/build_10k", || {
-        let mut bf = BloomFilter::new(keys.len(), 0.01);
-        for k in &keys {
-            bf.insert(k);
-        }
-        bf
-    });
-    let mut bf = BloomFilter::new(10_000, 0.01);
-    for k in &keys {
-        bf.insert(k);
-    }
-    bench("bloom/probe", || bf.contains(black_box(&Value::Int(5_000))));
-}
-
 fn end_to_end() {
     // Full compile→optimize→execute→seal cycle, as the driver runs it.
     bench("engine/run_sql_end_to_end", || {
@@ -195,6 +178,5 @@ fn main() {
     view_matching();
     executor();
     selection();
-    bloom();
     end_to_end();
 }

@@ -4,11 +4,16 @@
 //! highlights: "long running jobs that run for hours and fail towards the
 //! end") and compares re-run work and latency with and without
 //! checkpoint selection.
+//!
+//! Checkpoint selection is CloudViews-as-checkpointing: "select intermediate
+//! subexpressions in a job's query plan to materialize and reuse them in case
+//! the job is restarted after a failure"; a restarted job skips checkpointed
+//! stages in the cluster simulator.
 
 use cv_bench::scenario;
 use cv_cluster::sim::{ClusterConfig, ClusterSim, JobSpec};
+use cv_cluster::stage::{Stage, StageGraph};
 use cv_common::json::json;
-use cv_extensions::checkpoint::{apply_checkpoints, CheckpointPolicy};
 use cv_workload::run_workload;
 
 fn main() {
@@ -34,9 +39,9 @@ fn main() {
             // partitions spread evenly.
             let parts = ((containers / 4).max(1)) as usize;
             let works = [work * 0.5, work * 0.3, work * 0.15, work * 0.05];
-            let mut graph = cv_cluster::stage::StageGraph::default();
+            let mut graph = StageGraph::default();
             for (i, w) in works.iter().enumerate() {
-                graph.stages.push(cv_cluster::stage::Stage {
+                graph.stages.push(Stage {
                     id: i,
                     kind: format!("op{i}"),
                     work: *w,
@@ -96,4 +101,158 @@ fn main() {
             "latency_with_checkpoints": lat_ckpt,
         }),
     );
+}
+
+/// Which stages to checkpoint.
+#[derive(Clone, Copy, Debug)]
+struct CheckpointPolicy {
+    /// Checkpoint a stage once the work *at risk* above it (its transitive
+    /// upstream work, itself included) exceeds this fraction of the job's
+    /// total work. History-driven in production ("use query history to find
+    /// which operators are more likely to fail", [50]); here the risk proxy
+    /// is accumulated work, which is what the expected re-run cost scales
+    /// with.
+    risk_fraction: f64,
+    /// Never checkpoint more than this many stages per job (each checkpoint
+    /// costs a write).
+    max_checkpoints: usize,
+}
+
+impl Default for CheckpointPolicy {
+    fn default() -> Self {
+        CheckpointPolicy { risk_fraction: 0.3, max_checkpoints: 2 }
+    }
+}
+
+/// Transitive upstream work (inclusive) of each stage.
+fn upstream_work(graph: &StageGraph) -> Vec<f64> {
+    let n = graph.stages.len();
+    let mut memo: Vec<Option<f64>> = vec![None; n];
+    fn walk(graph: &StageGraph, i: usize, memo: &mut Vec<Option<f64>>) -> f64 {
+        if let Some(v) = memo[i] {
+            return v;
+        }
+        // Upstream sets may overlap between deps; for tree-shaped plans
+        // (ours) summing deps is exact.
+        let v = graph.stages[i].work
+            + graph.stages[i].deps.iter().map(|&d| walk(graph, d, memo)).sum::<f64>();
+        memo[i] = Some(v);
+        v
+    }
+    (0..n).map(|i| walk(graph, i, &mut memo)).collect()
+}
+
+/// Apply the policy: returns the graph with `checkpointed` set on the
+/// chosen stages, and the list of chosen stage ids.
+fn apply_checkpoints(graph: &StageGraph, policy: &CheckpointPolicy) -> (StageGraph, Vec<usize>) {
+    let mut out = graph.clone();
+    let total = graph.total_work().max(1e-12);
+    let upstream = upstream_work(graph);
+    // Candidates: stages whose protected (upstream) work crosses the risk
+    // threshold, preferring the ones protecting the most work per stage.
+    let mut candidates: Vec<usize> = (0..graph.stages.len())
+        .filter(|&i| upstream[i] / total >= policy.risk_fraction)
+        // Exclude sink stages (nothing depends on them): checkpointing the
+        // job's own output is just the normal output write, not a restart aid.
+        .filter(|&i| graph.stages.iter().any(|s| s.deps.contains(&i)))
+        .collect();
+    // Order by protected work descending, then prefer later stages (closer
+    // to the failure point).
+    candidates.sort_by(|&a, &b| upstream[b].total_cmp(&upstream[a]).then(b.cmp(&a)));
+    let chosen: Vec<usize> = candidates.into_iter().take(policy.max_checkpoints).collect();
+    for &i in &chosen {
+        out.stages[i].checkpointed = true;
+    }
+    (out, chosen)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cv_common::ids::{JobId, TemplateId, VcId};
+    use cv_common::SimTime;
+
+    fn chain(works: &[f64]) -> StageGraph {
+        StageGraph {
+            stages: works
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| Stage {
+                    id: i,
+                    kind: format!("op{i}"),
+                    work: w,
+                    partitions: 4,
+                    deps: if i == 0 { vec![] } else { vec![i - 1] },
+                    seals_view: None,
+                    checkpointed: false,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn upstream_work_accumulates() {
+        let g = chain(&[100.0, 50.0, 25.0]);
+        let u = upstream_work(&g);
+        assert_eq!(u, vec![100.0, 150.0, 175.0]);
+    }
+
+    #[test]
+    fn policy_selects_high_risk_stages() {
+        let g = chain(&[100.0, 50.0, 25.0]);
+        let (ckpt, chosen) =
+            apply_checkpoints(&g, &CheckpointPolicy { risk_fraction: 0.5, max_checkpoints: 1 });
+        assert_eq!(chosen.len(), 1);
+        assert!(ckpt.stages[chosen[0]].checkpointed);
+        // The chosen stage protects the most work among non-sink stages.
+        assert_eq!(chosen[0], 1);
+    }
+
+    #[test]
+    fn max_checkpoints_respected() {
+        let g = chain(&[10.0, 10.0, 10.0, 10.0, 10.0]);
+        let (_, chosen) =
+            apply_checkpoints(&g, &CheckpointPolicy { risk_fraction: 0.0, max_checkpoints: 2 });
+        assert_eq!(chosen.len(), 2);
+    }
+
+    #[test]
+    fn checkpoints_cut_recovery_cost_in_simulation() {
+        // A job failing at its last stage: without checkpoints it re-runs
+        // everything; with a checkpoint after the expensive prefix it only
+        // re-runs the tail.
+        let g = chain(&[1_000.0, 100.0, 10.0]);
+        let run = |graph: StageGraph| {
+            let mut sim = ClusterSim::new(ClusterConfig::default());
+            sim.inject_failure(JobId(1), 2);
+            sim.submit(JobSpec {
+                job: JobId(1),
+                vc: VcId(0),
+                template: TemplateId(0),
+                submit: SimTime::EPOCH,
+                stages: graph,
+            })
+            .unwrap();
+            sim.run_to_completion();
+            let r = &sim.results()[0];
+            (r.processing_seconds + r.bonus_seconds, (r.finish - r.submit).seconds())
+        };
+        let (work_plain, latency_plain) = run(g.clone());
+        let (ckpt_graph, chosen) =
+            apply_checkpoints(&g, &CheckpointPolicy { risk_fraction: 0.5, max_checkpoints: 1 });
+        assert!(!chosen.is_empty());
+        let (work_ckpt, latency_ckpt) = run(ckpt_graph);
+        assert!(
+            work_ckpt < work_plain * 0.7,
+            "checkpointing should cut re-run work: {work_ckpt} vs {work_plain}"
+        );
+        assert!(latency_ckpt < latency_plain);
+    }
+
+    #[test]
+    fn empty_graph_no_checkpoints() {
+        let g = StageGraph::default();
+        let (_, chosen) = apply_checkpoints(&g, &CheckpointPolicy::default());
+        assert!(chosen.is_empty());
+    }
 }

@@ -1,11 +1,17 @@
-//! Ablation — generalized reuse via containment (paper §5.3).
+//! Ablation — semantic reuse through the containment prover (paper §5.3).
 //!
-//! Core CloudViews matches exact signatures only. This experiment measures
-//! the uplift of the extensions crate's containment rewriting on a family
-//! of range queries over one shared base: N queries `qty > k_i` with
-//! varying thresholds share zero exact signatures, but ONE merged view
-//! (`qty > min(k_i)`) covers them all with compensating filters.
+//! Core CloudViews matches exact signatures only. A family of range queries
+//! `qty > k` over one table shares no strict signature, yet one view,
+//! `qty > 60`, contains them all. The view is offered to the optimizer as a
+//! `SemanticGrant` keyed by its template signature, with the analyzer as
+//! prover (and as post-optimization verifier): a query whose predicate
+//! provably implies the view's is answered from the view plus a compensating
+//! filter.
+//!
+//! Exits 1 unless k = 60 is an exact match, every other k is a proven
+//! semantic match, and every result digest equals that query's no-reuse run.
 
+use cv_analyzer::Analyzer;
 use cv_common::ids::{JobId, VcId};
 use cv_common::json::json;
 use cv_common::SimTime;
@@ -14,10 +20,11 @@ use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
 use cv_engine::engine::QueryEngine;
 use cv_engine::expr::{col, lit};
-use cv_engine::optimizer::ReuseContext;
-use cv_engine::plan::PlanBuilder;
-use cv_engine::signature::{plan_signature, SigMode};
-use cv_extensions::generalized::{GeneralizedView, GeneralizedViewCatalog};
+use cv_engine::optimizer::{AlwaysGrant, ReuseContext, SemanticGrant, ViewMeta};
+use cv_engine::plan::{LogicalPlan, PlanBuilder};
+use std::sync::Arc;
+
+const VIEW_K: i64 = 60;
 
 fn main() {
     // Base data: one large shared table.
@@ -38,10 +45,14 @@ fn main() {
         .catalog
         .register("big_sales", Table::from_rows(schema, &rows).unwrap(), SimTime::EPOCH)
         .unwrap();
+    engine.optimizer.cfg.verify_plans = true;
+    let analyzer = Arc::new(Analyzer::new(&engine.optimizer.cfg));
+    engine.optimizer.set_prover(analyzer.clone());
+    engine.optimizer.set_verifier(analyzer);
 
-    // A family of range queries: qty > k for k in {60, 65, ..., 95}.
-    let thresholds: Vec<i64> = (60..100).step_by(5).collect();
-    let queries: Vec<_> = thresholds
+    // The family: qty > k for k in {60, 65, ..., 95}; the first is the view.
+    let thresholds: Vec<i64> = (VIEW_K..100).step_by(5).collect();
+    let queries: Vec<Arc<LogicalPlan>> = thresholds
         .iter()
         .map(|&k| {
             PlanBuilder::scan(&engine.catalog, "big_sales")
@@ -52,119 +63,92 @@ fn main() {
         })
         .collect();
 
-    // Exact matching: distinct strict signatures → zero cross-query reuse.
-    let cfg = engine.optimizer.cfg.sig.clone();
-    let sigs: cv_common::HashSet<_> =
-        queries.iter().map(|q| plan_signature(q, &cfg, SigMode::Strict).unwrap()).collect();
-    println!("\n=== Ablation: exact-match vs containment-based reuse ===");
-    println!("  query family: qty > k for k in {thresholds:?}");
-    println!("  distinct strict signatures: {} (exact reuse: 0 hits)", sigs.len());
+    // Build the view `qty > 60` and offer it both ways: exactly, under its
+    // strict signature, and semantically, under its template signature.
+    let view = &queries[0];
+    let signed = engine.sign(view).unwrap();
+    let root = signed.subexpr(&signed.plan).expect("the view plan is signable").clone();
+    let mut build = ReuseContext::empty();
+    build.to_build.insert(root.strict);
+    let built = engine.run_plan(view, &build, JobId(0), VcId(0), SimTime::EPOCH).unwrap();
+    assert_eq!(built.sealed_views, 1, "the view build must seal exactly one view");
+    let mv = engine.views.peek(root.strict, SimTime::EPOCH).unwrap();
+    let meta = ViewMeta::hot(mv.rows as u64, mv.bytes);
+    let mut reuse = ReuseContext::empty();
+    reuse.available.insert(root.strict, meta);
+    reuse
+        .semantic
+        .insert(root.strict, SemanticGrant { plan: root.plan, meta, template: root.template });
 
-    // Generalized: materialize ONE merged view qty > 60 and rewrite.
-    let widest = PlanBuilder::scan(&engine.catalog, "big_sales")
-        .unwrap()
-        .filter(col("qty").gt(lit(60)))
-        .unwrap()
-        .build();
-    let view_out = engine
-        .run_plan(&widest, &ReuseContext::empty(), JobId(0), VcId(0), SimTime::EPOCH)
-        .unwrap();
-    let base_scan = PlanBuilder::scan(&engine.catalog, "big_sales").unwrap().build();
-    let base_sig = plan_signature(&base_scan, &cfg, SigMode::Strict).unwrap();
-    let view_sig = plan_signature(&widest, &cfg, SigMode::Strict).unwrap();
-
-    let mut catalog = GeneralizedViewCatalog::new();
-    catalog.register(GeneralizedView {
-        base_sig,
-        predicate: col("qty").gt(lit(60)),
-        view_sig,
-        schema: view_out.table.schema().clone(),
-        rows: view_out.table.num_rows() as u64,
-        bytes: view_out.table.byte_size(),
-    });
-
-    // Seal the view so rewritten queries can execute against it.
-    // (run_plan with a to_build annotation would also work; direct insert
-    // keeps this experiment self-contained.)
-    engine
-        .views
-        .insert(cv_data::viewstore::MaterializedView {
-            strict_sig: view_sig,
-            recurring_sig: view_sig,
-            schema: view_out.table.schema().clone(),
-            data: view_out.table.clone(),
-            rows: 0,
-            bytes: 0,
-            created: SimTime::EPOCH,
-            expires: SimTime::EPOCH,
-            creator_job: JobId(0),
-            vc: VcId(0),
-            input_guids: vec![],
-            observed_work: 0.0,
-            checksum: 0, // recomputed by the store
-        })
-        .unwrap();
-
-    let mut matched = 0usize;
-    let mut work_plain = 0.0;
-    let mut work_rewritten = 0.0;
-    for (i, q) in queries.iter().enumerate() {
-        // Plain execution.
-        let plain = engine
-            .run_plan(
-                &q.clone(),
-                &ReuseContext::empty(),
-                JobId(100 + i as u64),
-                VcId(0),
-                SimTime(1.0),
-            )
-            .unwrap();
+    println!("\n=== Ablation: exact-match vs prover-certified semantic reuse ===");
+    println!("  query family: qty > k for k in {thresholds:?}; view: qty > {VIEW_K}");
+    println!(
+        "  {:>4} {:>10} {:>12} {:>12} {:>8}",
+        "k", "match", "work plain", "work reuse", "digest"
+    );
+    let (mut exact, mut semantic, mut equal) = (0, 0, 0);
+    let (mut work_plain, mut work_reused) = (0.0, 0.0);
+    let mut violations = Vec::new();
+    for (&k, query) in thresholds.iter().zip(&queries) {
+        let run = |reuse: &ReuseContext| {
+            let compiled = engine.optimize(query, reuse, &mut AlwaysGrant).unwrap().outcome;
+            (engine.execute(&compiled.physical, SimTime(1.0)).unwrap(), compiled)
+        };
+        let (plain, _) = run(&ReuseContext::empty());
+        let (reused, compiled) = run(&reuse);
         work_plain += plain.metrics.total_work;
-        // Containment rewrite + execution.
-        let (rewritten, used) = catalog.rewrite(q, &cfg);
-        if !used.is_empty() {
-            matched += 1;
+        work_reused += reused.metrics.total_work;
+
+        let only_the_view = compiled.matched_views == [root.strict];
+        let kind = match compiled.compensated_views.as_slice() {
+            [] if only_the_view => "exact",
+            [(v, _)] if only_the_view && *v == root.strict => "semantic",
+            _ => "none",
+        };
+        let want = if k == VIEW_K { "exact" } else { "semantic" };
+        exact += usize::from(kind == "exact");
+        semantic += usize::from(kind == "semantic");
+        if kind != want {
+            violations.push(format!("k = {k}: {kind} match, expected {want}"));
         }
-        let rw = engine
-            .run_plan(
-                &rewritten,
-                &ReuseContext::empty(),
-                JobId(200 + i as u64),
-                VcId(0),
-                SimTime(1.0),
-            )
-            .unwrap();
-        work_rewritten += rw.metrics.total_work;
-        assert_eq!(
-            plain.table.canonical_rows(),
-            rw.table.canonical_rows(),
-            "containment rewrite changed results for k = {}",
-            thresholds[i]
+        let same = cv_data::content_digest("result-digest", &plain.table)
+            == cv_data::content_digest("result-digest", &reused.table);
+        equal += usize::from(same);
+        if !same {
+            violations.push(format!("k = {k}: result digest differs from the no-reuse run"));
+        }
+        println!(
+            "  {k:>4} {kind:>10} {:>12.2} {:>12.2} {:>8}",
+            plain.metrics.total_work,
+            reused.metrics.total_work,
+            if same { "equal" } else { "DIFFERS" }
         );
     }
 
-    println!("  containment rewrites:        {matched} of {} queries", queries.len());
-    println!("  work without generalization: {work_plain:.2}");
-    println!("  work with generalization:    {work_rewritten:.2}");
-    println!(
-        "  additional savings unlocked: {:.1}%",
-        100.0 * (work_plain - work_rewritten) / work_plain
-    );
-    println!("\nExpected shape: every query in the family is answered from the");
-    println!("single merged view (paper §5.3: generalized views would unlock");
-    println!("reuse that exact signature matching misses entirely).");
-
-    assert_eq!(matched, queries.len());
-    assert!(work_rewritten < work_plain);
+    println!("\n  exact matches:     {exact} of {}", thresholds.len());
+    println!("  semantic matches:  {semantic} of {} (proven by the analyzer)", thresholds.len());
+    println!("  digests equal:     {equal} of {}", thresholds.len());
+    println!("  work without reuse: {work_plain:.2}");
+    println!("  work with reuse:    {work_reused:.2}");
+    println!("  saved:              {:.1}%", 100.0 * (work_plain - work_reused) / work_plain);
+    println!("\nExpected shape: the view's own query matches exactly, every narrower");
+    println!("query is a certified semantic match (paper §5.3: reuse that exact");
+    println!("signature matching misses entirely), and no result moves.");
 
     cv_bench::write_json(
         "ablation_containment",
         &json!({
-            "queries": queries.len(),
-            "exact_match_hits": 0,
-            "containment_hits": matched,
+            "queries": thresholds.len(),
+            "exact_match_hits": exact,
+            "semantic_hits": semantic,
+            "digests_equal": equal,
             "work_plain": work_plain,
-            "work_rewritten": work_rewritten,
+            "work_reused": work_reused,
         }),
     );
+
+    if !violations.is_empty() {
+        eprintln!("ablation_containment: {}", violations.join("; "));
+        std::process::exit(1);
+    }
 }

@@ -5,18 +5,18 @@
 //! frequencies on the order of 10s to 100s" — reuse headroom beyond exact
 //! signature matching. We also quantify the headroom: how many *distinct*
 //! signatures each join set carries (merging them into one generalized view
-//! is §5.3's proposal), and demonstrate the containment rewrite uplift.
+//! is §5.3's proposal; `ablation_containment` shows the prover answering a
+//! query family from one view).
 
 use cv_bench::scenario;
 use cv_common::json::json;
-use cv_extensions::generalized::join_set_groups;
 use cv_workload::run_workload;
 
 fn main() {
     let (workload, baseline, _) = scenario(30);
     let out = run_workload(&workload, &baseline).expect("baseline run");
 
-    let groups = join_set_groups(&out.repo);
+    let groups = out.repo.join_set_groups();
     println!("\n=== Figure 8: subexpressions joining the same input sets ===");
     println!("  {:<44} {:>10} {:>12}", "join set", "distinct", "frequency");
     for g in groups.iter().take(20) {

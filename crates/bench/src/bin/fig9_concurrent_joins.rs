@@ -7,7 +7,6 @@
 //! sharing instead.
 
 use cv_common::json::json;
-use cv_extensions::concurrent::{concurrent_join_histogram, pipelining_savings_bound};
 use cv_workload::{generate_workload, run_workload, DriverConfig, WorkloadConfig};
 
 fn main() {
@@ -24,7 +23,7 @@ fn main() {
     let baseline = DriverConfig::baseline(14);
     let out = run_workload(&workload, &baseline).expect("baseline run");
 
-    let hist = concurrent_join_histogram(&out.repo, out.ledger.records());
+    let hist = out.repo.concurrent_join_histogram(out.ledger.records());
     println!("\n=== Figure 9: concurrently executing joins (single-day groups) ===");
     println!("  {:<12} {:>14} {:>12}", "algorithm", "concurrency", "frequency");
     for b in &hist {
@@ -33,7 +32,7 @@ fn main() {
     let total: u64 = hist.iter().map(|b| b.frequency).sum();
     println!("\n  total concurrent join groups observed: {total}");
 
-    let bound = pipelining_savings_bound(&out.repo, out.ledger.records());
+    let bound = out.repo.pipelining_savings_bound(out.ledger.records());
     let total_work: f64 = out
         .ledger
         .records()

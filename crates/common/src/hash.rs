@@ -204,7 +204,7 @@ impl StableHasher {
         Sig128(((hi as u128) << 64) | lo as u128)
     }
 
-    /// Finalize into 64 bits (used by Bloom filters and bucket keys).
+    /// Finalize into 64 bits (hash keys, page and record checksums, seeds).
     pub fn finish64(&self) -> u64 {
         self.finish128().low64()
     }

@@ -145,7 +145,7 @@ impl Json {
     /// Parse a JSON document. The whole input must be one value (trailing
     /// non-whitespace is an error).
     pub fn parse(text: &str) -> Result<Json> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -211,7 +211,10 @@ fn write_seq<W: Write>(
     out.write_char(close)
 }
 
+/// Walks `text` by byte. Every delimiter it stops at is ASCII, so each
+/// position it slices `text` at is a char boundary.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -322,56 +325,50 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("non-ascii \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogate pairs are out of scope for the data
-                            // this repo writes; reject rather than mangle.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("surrogate \\u escape"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the plain run up to the next `"` or `\` as one slice.
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| self.err("unterminated string"))?;
+            out.push_str(self.slice(self.pos, self.pos + run)?);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1; // the backslash
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("truncated or non-ascii \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                    // Surrogate pairs are out of scope for the data this repo
+                    // writes; reject rather than mangle.
+                    let c = char::from_u32(code).ok_or_else(|| self.err("surrogate \\u escape"))?;
+                    out.push(c);
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("invalid escape")),
+            }
+            self.pos += 1;
         }
+    }
+
+    /// `text[from..to]`; both ends sit on ASCII delimiters.
+    fn slice(&self, from: usize, to: usize) -> Result<&'a str> {
+        self.text.get(from..to).ok_or_else(|| self.err("slice off a char boundary"))
     }
 
     fn number(&mut self) -> Result<Json> {
@@ -382,8 +379,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self.slice(start, self.pos)?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(&format!("invalid number `{text}`")))
@@ -603,6 +599,14 @@ mod tests {
     fn parse_handles_escapes_and_unicode() {
         let v = Json::parse(r#""tab\t quote\" uA ünïcode""#).unwrap();
         assert_eq!(v.as_str(), Some("tab\t quote\" uA ünïcode"));
+        // Long multi-byte runs, and escapes between multi-byte runs, round
+        // trip (a plain run is copied as one slice, so this is linear).
+        let long = "é".repeat(100_000);
+        let mixed = "ü\"é\\ñ\n日本\t€\u{1}ß".repeat(1_000);
+        for s in [long, mixed] {
+            let text = Json::Str(s.clone()).to_string();
+            assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s.as_str()));
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The workload repository: the "denormalized subexpressions table that
 //! pre-joins the logical query subexpressions with their runtime metrics as
-//! seen in the history" (paper §2.3).
+//! seen in the history" (paper §2.3), and the analyses read off it: overlap
+//! (Fig. 3), join sets (Fig. 8) and concurrent joins (Fig. 9).
 
+use cv_cluster::metrics::JobRecord;
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, PipelineId, TemplateId, UserId, VcId};
 use cv_common::{HashMap, HashSet};
@@ -80,6 +82,25 @@ impl OverlapStats {
             100.0 * self.repeated_subexpressions as f64 / self.total_subexpressions as f64
         }
     }
+}
+
+/// One Fig. 8 data point: a set of joined inputs with how many distinct
+/// subexpressions (and total occurrences) join exactly that set.
+#[derive(Clone, Debug)]
+pub struct JoinSetGroup {
+    pub datasets: Vec<String>,
+    pub distinct_subexpressions: usize,
+    pub occurrences: u64,
+}
+
+/// One Fig. 9 histogram bucket: how many (day, recurring join signature)
+/// groups ran `concurrency` overlapping instances under join algorithm
+/// `algo`.
+#[derive(Clone, Debug)]
+pub struct ConcurrencyBucket {
+    pub algo: String,
+    pub concurrency: usize,
+    pub frequency: u64,
 }
 
 /// The repository itself.
@@ -228,10 +249,9 @@ impl SubexpressionRepo {
     }
 
     /// Group subexpressions by the *set of datasets they join* — the
-    /// generalized-reuse opportunity analysis of paper Fig. 8. Returns
-    /// (dataset set, #distinct recurring signatures, total occurrences),
-    /// restricted to subexpressions that actually join ≥2 datasets.
-    pub fn join_set_groups(&self) -> Vec<(Vec<String>, usize, u64)> {
+    /// generalized-reuse opportunity analysis of paper Fig. 8, restricted
+    /// to subexpressions that actually join ≥2 datasets.
+    pub fn join_set_groups(&self) -> Vec<JoinSetGroup> {
         let mut groups: HashMap<Vec<String>, (HashSet<Sig128>, u64)> = HashMap::default();
         for r in &self.records {
             if r.kind != "Join" || r.datasets.len() < 2 {
@@ -241,21 +261,114 @@ impl SubexpressionRepo {
             e.0.insert(r.recurring);
             e.1 += 1;
         }
-        let mut out: Vec<(Vec<String>, usize, u64)> =
-            groups.into_iter().map(|(k, (sigs, occ))| (k, sigs.len(), occ)).collect();
-        out.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
+        let mut out: Vec<JoinSetGroup> = groups
+            .into_iter()
+            .map(|(datasets, (sigs, occurrences))| JoinSetGroup {
+                datasets,
+                distinct_subexpressions: sigs.len(),
+                occurrences,
+            })
+            .collect();
+        out.sort_by(|a, b| b.occurrences.cmp(&a.occurrences).then(a.datasets.cmp(&b.datasets)));
         out
     }
+
+    /// The Fig. 9 histogram (§5.4): identical joins that run concurrently
+    /// are what materialize-then-reuse cannot capture. Join occurrences are
+    /// grouped by submission day and recurring signature; a group whose
+    /// instances overlap in time (`records` supplies each job's simulated
+    /// `[start, finish]`) counts once at its number of overlapping
+    /// instances, by join algorithm.
+    pub fn concurrent_join_histogram(&self, records: &[JobRecord]) -> Vec<ConcurrencyBucket> {
+        let intervals = job_intervals(records);
+        let mut groups: HashMap<(u32, Sig128), (&'static str, Vec<(f64, f64)>)> =
+            HashMap::default();
+        for rec in &self.records {
+            let Some(algo) = rec.physical_kind.filter(|k| k.ends_with("Join")) else { continue };
+            let Some(&span) = intervals.get(&rec.meta.job) else { continue };
+            let g = groups.entry((rec.meta.submit.day().index(), rec.recurring)).or_default();
+            g.0 = algo;
+            g.1.push(span);
+        }
+        let mut buckets: HashMap<(&'static str, usize), u64> = HashMap::default();
+        for (algo, spans) in groups.into_values() {
+            let concurrent = overlapping(&spans);
+            if concurrent > 0 {
+                *buckets.entry((algo, concurrent)).or_insert(0) += 1;
+            }
+        }
+        let mut out: Vec<ConcurrencyBucket> = buckets
+            .into_iter()
+            .map(|((algo, concurrency), frequency)| ConcurrencyBucket {
+                algo: algo.to_string(),
+                concurrency,
+                frequency,
+            })
+            .collect();
+        out.sort_by(|a, b| (&a.algo, a.concurrency).cmp(&(&b.algo, b.concurrency)));
+        out
+    }
+
+    /// Upper bound on the extra work pipelined sharing of concurrent identical
+    /// subexpressions could save: for each concurrent group of k instances with
+    /// per-instance work w, up to (k-1)·w is redundant (§5.4).
+    pub fn pipelining_savings_bound(&self, records: &[JobRecord]) -> f64 {
+        let intervals = job_intervals(records);
+        // Ordered: the bound is a float sum over the groups, and a hash map
+        // iterates in an order set by its insertion history and capacity, which
+        // differ between the sequential and the service driver, so the sum's
+        // last digit would too.
+        let mut groups: BTreeMap<(u32, Sig128), (Vec<(f64, f64)>, Vec<f64>)> = BTreeMap::new();
+        for rec in &self.records {
+            let Some(work) = rec.subtree_work else { continue };
+            if rec.kind == "Scan" {
+                continue;
+            }
+            let Some(&span) = intervals.get(&rec.meta.job) else { continue };
+            let g = groups.entry((rec.meta.submit.day().index(), rec.recurring)).or_default();
+            g.0.push(span);
+            g.1.push(work);
+        }
+        let mut bound = 0.0;
+        for (spans, works) in groups.values() {
+            // Instances overlapping another share one computation; a
+            // conservative estimate of redundancy.
+            let overlapping = overlapping(spans);
+            if overlapping >= 2 {
+                let avg_work: f64 = works.iter().sum::<f64>() / works.len() as f64;
+                bound += (overlapping as f64 - 1.0) * avg_work;
+            }
+        }
+        bound
+    }
+}
+
+/// Each job's simulated `[start, finish]`, in seconds.
+fn job_intervals(records: &[JobRecord]) -> HashMap<JobId, (f64, f64)> {
+    records
+        .iter()
+        .map(|r| (r.result.job, (r.result.start.seconds(), r.result.finish.seconds())))
+        .collect()
+}
+
+/// How many of `spans` overlap at least one other.
+fn overlapping(spans: &[(f64, f64)]) -> usize {
+    let overlaps = |i: usize, (s, f): (f64, f64)| {
+        spans.iter().enumerate().any(|(j, &(sj, fj))| j != i && sj < f && s < fj)
+    };
+    spans.iter().enumerate().filter(|&(i, &span)| overlaps(i, span)).count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cv_cluster::metrics::{DataPlane, JobResult};
     use cv_common::ids::VersionGuid;
+    use cv_common::SimDuration;
     use cv_data::schema::{Field, Schema};
     use cv_data::value::DataType;
     use cv_engine::expr::{col, lit};
-    use cv_engine::plan::LogicalPlan;
+    use cv_engine::plan::{JoinKind, LogicalPlan};
     use cv_engine::signature::{enumerate_subexpressions, SignatureConfig};
     use std::sync::Arc;
 
@@ -392,5 +505,152 @@ mod tests {
         let mut repo2 = SubexpressionRepo::new();
         repo2.log_job(meta(2, 0.0), &subs, Some(&profiles[..2]));
         assert!(repo2.records().iter().all(|r| r.subtree_work.is_none()));
+    }
+
+    // Fig. 9: concurrent joins and the pipelining bound.
+    fn join_plan() -> Arc<LogicalPlan> {
+        let scan = |name: &str, c: &str| {
+            Arc::new(LogicalPlan::Scan {
+                dataset: name.into(),
+                guid: VersionGuid(1),
+                schema: Schema::new(vec![Field::new(c, DataType::Int)]).unwrap().into_ref(),
+            })
+        };
+        Arc::new(LogicalPlan::Join {
+            left: scan("a", "x"),
+            right: scan("b", "y"),
+            on: vec![("x".into(), "y".into())],
+            kind: JoinKind::Inner,
+        })
+    }
+
+    fn join_profiles(work: f64) -> Vec<OpProfile> {
+        ["TableScan", "TableScan", "HashJoin"]
+            .iter()
+            .map(|k| OpProfile {
+                kind: k,
+                rows_out: 10,
+                bytes_out: 100,
+                work,
+                partitions: 1,
+                spool_sig: None,
+            })
+            .collect()
+    }
+
+    fn record(job: u64, start: f64, finish: f64) -> JobRecord {
+        JobRecord {
+            result: JobResult {
+                job: JobId(job),
+                vc: VcId(0),
+                template: TemplateId(0),
+                submit: SimTime(start),
+                start: SimTime(start),
+                finish: SimTime(start) + SimDuration::from_secs(finish - start),
+                queue_len_at_submit: 0,
+                processing_seconds: 1.0,
+                bonus_seconds: 0.0,
+                containers: 1,
+                restarts: 0,
+                sealed: vec![],
+                total_work: 15.0,
+                stage_retries: 0,
+                preemptions: 0,
+                backoff_seconds: 0.0,
+            },
+            data: DataPlane::default(),
+        }
+    }
+
+    fn meta_at(job: u64, submit: f64) -> JobMeta {
+        JobMeta { submit: SimTime(submit), ..meta(job, 0.0) }
+    }
+
+    fn repo_with(jobs: &[(u64, f64)]) -> SubexpressionRepo {
+        let mut repo = SubexpressionRepo::new();
+        let subs = enumerate_subexpressions(&join_plan(), &SignatureConfig::default());
+        for &(job, submit) in jobs {
+            repo.log_job(meta_at(job, submit), &subs, Some(&join_profiles(5.0)));
+        }
+        repo
+    }
+
+    #[test]
+    fn overlapping_identical_joins_detected() {
+        let repo = repo_with(&[(1, 100.0), (2, 150.0), (3, 50_000.0)]);
+        let records =
+            vec![record(1, 100.0, 400.0), record(2, 150.0, 500.0), record(3, 50_000.0, 50_100.0)];
+        let hist = repo.concurrent_join_histogram(&records);
+        assert_eq!(hist.len(), 1);
+        assert_eq!(hist[0].concurrency, 2); // jobs 1 and 2 overlap
+        assert_eq!(hist[0].frequency, 1);
+        assert_eq!(hist[0].algo, "HashJoin");
+    }
+
+    #[test]
+    fn disjoint_executions_not_concurrent() {
+        let repo = repo_with(&[(1, 100.0), (2, 1_000.0)]);
+        let records = vec![record(1, 100.0, 200.0), record(2, 1_000.0, 1_100.0)];
+        assert!(repo.concurrent_join_histogram(&records).is_empty());
+    }
+
+    #[test]
+    fn different_days_do_not_mix() {
+        let day2 = 86_400.0 + 100.0;
+        let repo = repo_with(&[(1, 100.0), (2, day2)]);
+        // Artificially overlapping intervals across the day boundary still
+        // group by submission day.
+        let records = vec![record(1, 100.0, 200_000.0), record(2, day2, 200_000.0)];
+        assert!(repo.concurrent_join_histogram(&records).is_empty());
+    }
+
+    #[test]
+    fn histogram_buckets() {
+        let repo = repo_with(&[(1, 100.0), (2, 150.0), (3, 160.0)]);
+        let records =
+            vec![record(1, 100.0, 400.0), record(2, 150.0, 500.0), record(3, 160.0, 450.0)];
+        let hist = repo.concurrent_join_histogram(&records);
+        assert_eq!(hist.len(), 1);
+        assert_eq!(hist[0].concurrency, 3);
+        assert_eq!(hist[0].frequency, 1);
+        assert_eq!(hist[0].algo, "HashJoin");
+    }
+
+    #[test]
+    fn savings_bound_counts_redundancy() {
+        let repo = repo_with(&[(1, 100.0), (2, 150.0)]);
+        let records = vec![record(1, 100.0, 400.0), record(2, 150.0, 500.0)];
+        let bound = repo.pipelining_savings_bound(&records);
+        // Join group: (2-1) * 15 = 15 redundant units at minimum.
+        assert!(bound >= 15.0 - 1e-9, "bound = {bound}");
+    }
+
+    #[test]
+    fn savings_bound_is_bit_identical_from_call_to_call() {
+        // Twelve days, one overlapping pair a day, a different work per day:
+        // twelve groups whose float sum depends on the order they are added in.
+        let subs = enumerate_subexpressions(&join_plan(), &SignatureConfig::default());
+        let (mut repo, mut records) = (SubexpressionRepo::new(), Vec::new());
+        for day in 0..12u64 {
+            let at = day as f64 * 86_400.0 + 100.0;
+            for job in [2 * day, 2 * day + 1] {
+                let work = join_profiles(1.0 / (day as f64 + 3.0));
+                repo.log_job(meta_at(job, at), &subs, Some(&work));
+                records.push(record(job, at, at + 300.0));
+            }
+        }
+        let first = repo.pipelining_savings_bound(&records);
+        assert!(first > 0.0);
+        for call in 1..48 {
+            let again = repo.pipelining_savings_bound(&records);
+            assert_eq!(again.to_bits(), first.to_bits(), "call {call}: {again:e} vs {first:e}");
+        }
+    }
+
+    #[test]
+    fn empty_inputs() {
+        let repo = SubexpressionRepo::new();
+        assert!(repo.concurrent_join_histogram(&[]).is_empty());
+        assert_eq!(repo.pipelining_savings_bound(&[]), 0.0);
     }
 }

@@ -206,7 +206,7 @@ pub fn canonicalize(expr: &ScalarExpr) -> ScalarExpr {
 }
 
 /// Split a conjunction into its conjuncts (post-fold). Used by filter
-/// pushdown and by the containment checker in the extensions crate.
+/// pushdown and by the cv-analyzer containment prover.
 pub fn split_conjunction(expr: &ScalarExpr) -> Vec<ScalarExpr> {
     let mut terms = Vec::new();
     collect_chain(expr, BinOp::And, &mut terms);

@@ -7,8 +7,8 @@
 //! order, redundant projections — hash to the same signature.
 //!
 //! Deliberately *not* done here (paper §5.3): general logical equivalence or
-//! containment. Those live in the `cv-extensions` crate as the future-work
-//! reproduction.
+//! containment. Containment is the cv-analyzer prover's, consulted by the
+//! optimizer's semantic matching.
 //!
 //! Note on column pruning: we intentionally do NOT push minimal projections
 //! toward the leaves. Two queries that share a scan→filter→join prefix but

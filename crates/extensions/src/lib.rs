@@ -1,26 +1,9 @@
-//! Extensions: the paper's §5 "looking forward" features, implemented.
-//!
-//! * [`containment`] — conjunctive-predicate implication, the decidable
-//!   fragment CloudViews would need for generalized reuse (§5.3);
-//! * [`generalized`] — grouping subexpressions by the *set of inputs they
-//!   join* (the Fig. 8 opportunity analysis), merged-view construction and
-//!   containment-based rewriting with compensating filters;
-//! * [`concurrent`] — detection of concurrently executing identical joins
-//!   (the Fig. 9 analysis) and the pipelined-sharing savings bound (§5.4);
-//! * [`checkpoint`] — CloudViews-as-checkpointing: stage checkpoint
-//!   selection + restart savings with the cluster simulator's failure
-//!   injection (§5.6 "Checkpointing");
-//! * [`bitvector`] — reusable Bloom-style bit-vector filters for semi-join
-//!   reduction (§5.6 "Bit-vector Filtering").
-
-pub mod bitvector;
-pub mod checkpoint;
-pub mod concurrent;
-pub mod containment;
-pub mod generalized;
-
-pub use bitvector::BloomFilter;
-pub use checkpoint::{apply_checkpoints, CheckpointPolicy};
-pub use concurrent::{concurrent_join_histogram, pipelining_savings_bound, ConcurrencyBucket};
-pub use containment::{implies, normalize_conjuncts};
-pub use generalized::{GeneralizedView, GeneralizedViewCatalog, JoinSetGroup};
+//! Empty. The paper's §5 "looking forward" code that lived here has moved to
+//! its one user or gone: predicate implication is the containment prover's
+//! (`cv_analyzer::containment`), the Fig. 8/9 analyses are the workload
+//! repository's (`cv_core::repository`), checkpoint selection is the
+//! `ablation_checkpoint` bin's, and generalized reuse is the prover's
+//! semantic matching. The crate stays only because the frozen benchmark
+//! lockfile (`perf/Cargo.lock`) records the `cv-analyzer → cv-extensions`
+//! edge; ROADMAP item 1(f), the next change to the benchmark, deletes it with
+//! that edge.

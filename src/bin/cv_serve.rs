@@ -34,7 +34,6 @@
 
 use cv_common::json::{json, Json};
 use cv_common::Sig128;
-use cv_extensions::concurrent::pipelining_savings_bound;
 use cv_obs::chrome_trace;
 use cv_workload::{
     generate_workload, run_workload, run_workload_service_obs, DriverConfig, ServiceConfig,
@@ -222,7 +221,7 @@ fn run(args: &Args) -> Result<bool, String> {
     // completion, without worker spawn and teardown.
     let wall = s.parallel_wall_seconds;
     let jps = if wall > 0.0 { out.ledger.len() as f64 / wall } else { 0.0 };
-    let bound = pipelining_savings_bound(&out.repo, out.ledger.records());
+    let bound = out.repo.pipelining_savings_bound(out.ledger.records());
     let mut latencies: Vec<f64> = s.latencies_ms.iter().map(|(_, ms)| *ms).collect();
     let [p50, p95, p99] =
         [50.0, 95.0, 99.0].map(|p| cv_cluster::metrics::percentile(&mut latencies, p));

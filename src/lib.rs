@@ -24,10 +24,9 @@
 //! | [`data`] | columnar tables, versioned dataset catalog, view store |
 //! | [`engine`] | SQL frontend, plans, normalization, signatures, optimizer, executor |
 //! | [`cluster`] | discrete-event Cosmos simulator (containers, bonus, queues) |
-//! | [`core`] | CloudViews: repository, selection, insights, controls, impact |
+//! | [`core`] | CloudViews: repository (and its Fig. 8/9 analyses), selection, insights, controls, impact |
 //! | [`workload`] | synthetic cooking + analytics workloads, multi-day driver |
-//! | [`extensions`] | §5 future work: containment, concurrency, checkpoints, Bloom filters |
-//!
+//! //!
 //! ## Quickstart
 //!
 //! ```
@@ -54,7 +53,6 @@ pub use cv_common as common;
 pub use cv_core as core;
 pub use cv_data as data;
 pub use cv_engine as engine;
-pub use cv_extensions as extensions;
 pub use cv_service as service;
 pub use cv_workload as workload;
 
